@@ -7,6 +7,13 @@ copy and the incident edge copies into a new consensus value; (3) scaled
 duals absorb the remaining disagreement.  Stopping uses primal/dual residual
 norms against absolute-plus-relative tolerances, and the penalty rho adapts
 by factor 2 whenever one residual exceeds five times the other.
+
+Tracking nodes are built by ``build_local`` and solved by ``solve_qp``; edge
+nodes are solved exactly by ``solve_edge`` through their dual box QP, warm
+started from the edge's previous row multipliers, so no per-iteration QP is
+assembled for them.  Every node solution's status is checked: non-optimal
+solutions and edge-solver fallbacks are counted in the ``ResidualReport``,
+and a warning is logged whenever a non-optimal solution enters consensus.
 """
 
 from __future__ import annotations
@@ -20,8 +27,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalFailureError, ParameterError
-from .qp import solve_qp
-from .subproblems import build_edge, build_local
+from .qp import OPTIMAL, solve_qp
+# build_edge is not called here; it stays importable from this module, next to
+# build_local, for span tracers that wrap the module's builders by name.
+from .subproblems import build_edge, build_local, solve_edge  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -52,9 +61,6 @@ class AdmmState:
     iteration: int = 0
     z_prev: dict | None = None
 
-    def degree(self, vid: int) -> int:
-        return sum(1 for e in self.u_edge if vid in e)
-
 
 @dataclass
 class ResidualReport:
@@ -68,6 +74,8 @@ class ResidualReport:
     slack_max: float = 0.0
     parallel_time: float = 0.0   # sum over iterations of max node solve time
     wall_time: float = 0.0
+    nonoptimal_nodes: int = 0    # node solutions with status != optimal, all iterations
+    edge_fallbacks: int = 0      # solve_edge calls that handed over to solve_qp
 
 
 @dataclass
@@ -207,6 +215,8 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     report = None
     slack_max = 0.0
     parallel_time = 0.0
+    nonoptimal = 0
+    fallbacks = 0
     try:
         for k in range(1, config.max_iters + 1):
             rho = state.rho
@@ -214,17 +224,18 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
             def solve_node(job):
                 t0 = time.perf_counter()
                 kind, key = job
+                prev = warm.get(job)
                 if kind == "local":
                     qp = build_local(local_problems[key], state.z[key], state.lam[key],
                                      rho, config.degree_weighted)
+                    sol = solve_qp(qp,
+                                   warm_start=None if prev is None else prev.u_star,
+                                   warm_multipliers=None if prev is None else prev.multipliers)
                 else:
                     i, j = key
-                    qp = build_edge(edge_problems[key], state.z[i], state.z[j],
-                                    state.lam_edge[key][i], state.lam_edge[key][j], rho)
-                prev = warm.get(job)
-                sol = solve_qp(qp,
-                               warm_start=None if prev is None else prev.u_star,
-                               warm_multipliers=None if prev is None else prev.multipliers)
+                    sol = solve_edge(edge_problems[key], state.z[i], state.z[j],
+                                     state.lam_edge[key][i], state.lam_edge[key][j], rho,
+                                     warm_mu=None if prev is None else prev.multipliers[:np_steps])
                 return job, sol, time.perf_counter() - t0
 
             # Step 1: all local and edge solves, mutually independent
@@ -235,10 +246,14 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
 
             iter_slack = 0.0
             max_node_time = 0.0
+            flagged = []
             for job, sol, dt in results:
                 if not np.all(np.isfinite(sol.u_star)):
                     raise NumericalFailureError(
                         f"non-finite iterate from {names[job]} at iteration {k}", iteration=k)
+                if sol.status != OPTIMAL:
+                    flagged.append(f"{names[job]} ({sol.status}, kkt {sol.kkt_residual:.2e})")
+                fallbacks += sol.fallback
                 warm[job] = sol
                 total_node_time[names[job]] += dt
                 max_node_time = max(max_node_time, dt)
@@ -252,6 +267,10 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                     iter_slack = max(iter_slack, float(np.max(sol.u_star[2 * np_steps:])))
             slack_max = iter_slack
             parallel_time += max_node_time
+            if flagged:
+                nonoptimal += len(flagged)
+                logger.warning("ADMM iteration %d: non-optimal node solution(s) enter "
+                               "consensus: %s", k, ", ".join(flagged))
 
             # Step 2: consensus averaging
             z_prev = state.z
@@ -287,6 +306,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                        report.s_norm, report.eps_dual)
     report = replace(report, per_node_solve_times=dict(total_node_time),
                      slack_max=slack_max, parallel_time=parallel_time,
-                     wall_time=time.perf_counter() - t_start)
+                     wall_time=time.perf_counter() - t_start,
+                     nonoptimal_nodes=nonoptimal, edge_fallbacks=fallbacks)
     consensus = {v: state.z[v].copy() for v in state.z}
     return AdmmResult(consensus=consensus, report=report, state=state, trace=trace)

@@ -5,11 +5,15 @@ with staggered speeds; the sensing radius couples each column's lane
 neighbors, so the number of coupled pairs grows linearly with the fleet.
 Parallel runs are charged the per-iteration maximum over node solve times,
 summed over iterations (communication is not modeled); wall-clock time is
-recorded alongside for honesty about the host.
+recorded alongside for honesty about the host.  Every size and mode first
+runs untimed warm-up cycles: a multi-threaded BLAS can run the first
+threaded factorizations of a process up to ~100x slower for about a second,
+which would otherwise land in whichever timed cycles make those calls.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import dataclass, field
 
@@ -23,6 +27,8 @@ _LANES = (0.0, 7.0, 14.0)
 _COLUMN_SPACING = 40.0
 _BENCH_TS = 0.1
 _BENCH_HORIZON = 15
+_WARMUP_CYCLES = 10
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def generate_scaled_scenario(n_vehicles: int, seed: int,
@@ -85,6 +91,8 @@ class BenchmarkRecord:
     per_cycle_wall: list
     iterations_per_cycle: list
     repetitions: int = 1
+    nproc: int | None = None    # CPUs this process may run on
+    blas_threads: dict = field(default_factory=dict)   # thread env var -> value
 
 
 def run_benchmark(sizes, seed: int = 0, cycles: int = 10,
@@ -92,9 +100,13 @@ def run_benchmark(sizes, seed: int = 0, cycles: int = 10,
     """Run both modes on identical generated scenarios for every fleet size."""
     records = []
     duration = cycles * _BENCH_TS
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blas_threads = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
     for n in sizes:
         scenario = generate_scaled_scenario(n, seed, sim_duration=duration)
         for mode in (PARALLEL_ADMM, CENTRALIZED):
+            run_simulation(scenario, mode, duration=_WARMUP_CYCLES * _BENCH_TS,
+                           workers=workers)
             run = run_simulation(scenario, mode, duration=duration, workers=workers)
             records.append(BenchmarkRecord(
                 n_vehicles=n,
@@ -102,6 +114,8 @@ def run_benchmark(sizes, seed: int = 0, cycles: int = 10,
                 per_cycle_times=[c.accounted_time for c in run.cycles],
                 per_cycle_wall=[c.solve_wall_time for c in run.cycles],
                 iterations_per_cycle=[c.iterations for c in run.cycles],
+                nproc=nproc,
+                blas_threads=dict(blas_threads),
             ))
     return records
 

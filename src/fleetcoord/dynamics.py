@@ -54,7 +54,6 @@ class LinearModel:
     A: np.ndarray          # (3, 3)
     B: np.ndarray          # (3,)
     c: np.ndarray          # (3,)
-    valid_around: HorizonTrajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +127,7 @@ def linearize(seed: HorizonTrajectory, v: float, L: float, ts: float) -> list[Li
         B = np.array([0.0, 0.0, ts * (v / L) / math.cos(ub) ** 2])
         fx = step_nonlinear(xb, ub, v, L, ts).as_array()
         c = fx - A @ xb.as_array() - B * ub
-        models.append(LinearModel(A=A, B=B, c=c, valid_around=seed))
+        models.append(LinearModel(A=A, B=B, c=c))
     return models
 
 

@@ -42,9 +42,6 @@ class ConstraintGraph:
     def degree(self, i: int) -> int:
         return len(self._adjacency[i])
 
-    def edges_of(self, i: int) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e in self.edges if i in e)
-
 
 def build_constraint_graph(states, d_perc: float, d_safe: float) -> ConstraintGraph:
     """Build the coupling graph from current vehicle positions.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_solve, lu_factor, lu_solve
 
 from .errors import ParameterError
 
@@ -95,6 +95,7 @@ class QpSolution:
     multipliers: np.ndarray          # [z (m), w (n, lower), y (n, upper)]
     iterations: int = 0
     trace: list = field(default_factory=list, repr=False)
+    fallback: bool = False           # a structured solver handed over to solve_qp
 
 
 def kkt_residual(problem: DenseQp, u: np.ndarray, multipliers: np.ndarray) -> float:
@@ -179,7 +180,7 @@ def _bound_shortcut(problem: DenseQp) -> tuple | None:
         chol = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return None
-    x = -np.linalg.solve(H, f)
+    x = -cho_solve((chol, True), f, check_finite=False)
 
     at_lo = x < lb
     at_hi = x > ub
@@ -193,7 +194,6 @@ def _bound_shortcut(problem: DenseQp) -> tuple | None:
                 x[free] = -np.linalg.solve(Hf, rhs)
             except np.linalg.LinAlgError:
                 return None
-    del chol
 
     grad = H @ x + f
     w = np.where(at_lo, np.maximum(grad, 0.0), 0.0)

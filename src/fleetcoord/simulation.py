@@ -216,6 +216,12 @@ class SimulationRun:
                     "s_norm": sig9(c.admm_report.s_norm) if c.admm_report else None,
                     "eps_pri": sig9(c.admm_report.eps_pri) if c.admm_report else None,
                     "eps_dual": sig9(c.admm_report.eps_dual) if c.admm_report else None,
+                    "nonoptimal_nodes": (c.admm_report.nonoptimal_nodes
+                                         if c.admm_report else None),
+                    "edge_fallbacks": c.admm_report.edge_fallbacks if c.admm_report else None,
+                    "per_node_solve_times": (
+                        {name: sig9(t) for name, t in c.admm_report.per_node_solve_times.items()}
+                        if c.admm_report else None),
                     "qp_status": c.qp_status,
                 }
                 for c in self.cycles

@@ -15,6 +15,21 @@ implies |p_i - p_j| >= d_safe for any nonzero a, so the convexification only
 ever shrinks the feasible set.  The halfspaces are softened with nonnegative
 slack (heavily penalized) so a deeply violating seed still yields a feasible
 subproblem; final slack is reported as a safety diagnostic.
+
+Inside ADMM, edge problems are solved by ``solve_edge`` through their exact
+dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
+
+    min  rho/2 |x - v|^2 + c 1's   s.t.  G_u x - s <= h,  s >= 0,
+
+with v = z - lam, so the dual is the box QP
+
+    min  1/2 mu'(G_u G_u' / rho) mu - (G_u v - h)'mu   s.t.  0 <= mu <= c,
+
+and x = v - G_u'mu / rho.  ``make_edge_problem`` forms G_u G_u' once per
+cycle; each ADMM iteration only changes the linear term, and rho enters as a
+scalar.  Rows of G_u that are identically zero (the step-1 separation, which
+no steering input can move) get their multiplier and slack in closed form.
+``build_edge`` stays the primal reference formulation of the same QP.
 """
 
 from __future__ import annotations
@@ -25,10 +40,12 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import DenseQp
+from .qp import MAX_ITER, OPTIMAL, DenseQp, QpSolution, solve_qp
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
+_EDGE_OPTIMAL_KKT = 1e-8     # solve_edge reports optimal only at or below this
+_ACTIVE_SET_MAX_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -189,6 +206,21 @@ class EdgeProblem:
     halfspaces: tuple[Halfspace, ...] = ()
     G: np.ndarray = field(repr=False, default=None)
     h: np.ndarray = field(repr=False, default=None)
+    # dual data for solve_edge, derived from G once per problem
+    G_u: np.ndarray = field(init=False, repr=False)           # steering block G[:, :2Np]
+    fixed_rows: np.ndarray = field(init=False, repr=False)    # rows with G_u row == 0
+    coupled_rows: np.ndarray = field(init=False, repr=False)  # all other rows
+    G_c: np.ndarray = field(init=False, repr=False)           # G_u[coupled_rows]
+    M: np.ndarray = field(init=False, repr=False)             # G_c G_c'
+
+    def __post_init__(self):
+        np_steps = self.horizon
+        self.G_u = np.ascontiguousarray(self.G[:, :2 * np_steps])
+        zero = np.max(np.abs(self.G_u), axis=1) == 0.0
+        self.fixed_rows = np.flatnonzero(zero)
+        self.coupled_rows = np.flatnonzero(~zero)
+        self.G_c = self.G_u[self.coupled_rows]
+        self.M = self.G_c @ self.G_c.T
 
     @property
     def horizon(self) -> int:
@@ -252,6 +284,135 @@ def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> Dens
     ])
     lb = np.concatenate([np.full(2 * np_steps, -np.inf), np.zeros(np_steps)])
     return DenseQp(H=np.diag(Hd), f=f, G=problem.G, h=problem.h, lb=lb, ub=None)
+
+
+def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
+               warm_mu=None) -> QpSolution:
+    """Exact solution of ``build_edge(problem, ...)`` through its dual box QP.
+
+    ``warm_mu`` (the row multipliers of an earlier solve, any length-Np
+    vector) seeds the active-set guess.  The solution uses the layout of
+    ``solve_qp`` on the primal: u_star = [u_i, u_j, s] and multipliers
+    [mu, w, y] with w = c - mu on the slacks and zero elsewhere.  status is
+    ``optimal`` when the primal KKT residual, as ``kkt_residual`` defines it,
+    is at most 1e-8.  ``fallback`` is set when the active-set method failed
+    and the dual was handed to ``solve_qp``; ``iterations`` then counts the
+    interior-point iterations that took.
+    """
+    if rho <= 0:
+        raise ParameterError("rho must be positive")
+    np_steps = problem.horizon
+    c = problem.slack_penalty
+    h = problem.h
+    v = np.concatenate([np.asarray(z_i, dtype=float) - np.asarray(lam_i, dtype=float),
+                        np.asarray(z_j, dtype=float) - np.asarray(lam_j, dtype=float)])
+
+    mu = np.zeros(np_steps)
+    fixed = problem.fixed_rows
+    mu[fixed] = np.where(h[fixed] < 0.0, c, 0.0)
+    rows = problem.coupled_rows
+    # rho times the dual: min 1/2 mu'M mu - rho b'mu, so rho stays a scalar
+    q = rho * (problem.G_c @ v - h[rows])
+    start = None if warm_mu is None else np.asarray(warm_mu, dtype=float)[rows]
+    mu_c = _box_active_set(problem.M, q, c, start)
+    fallback = mu_c is None
+    ipm_iters = 0
+    if fallback:
+        dual = solve_qp(DenseQp(H=problem.M, f=-q, lb=np.zeros(len(rows)),
+                                ub=np.full(len(rows), c)))
+        ipm_iters = dual.iterations
+        # a projected-gradient step from the interior-point answer names the
+        # active sets; an exact solve on them removes its last digits of error
+        mu_ip = np.clip(dual.u_star, 0.0, c)
+        mu_c = _box_active_set(problem.M, q, c,
+                               mu_ip - (problem.M @ mu_ip - q) / np.diag(problem.M))
+        if mu_c is None:
+            mu_c = mu_ip
+    mu[rows] = mu_c
+
+    x = v - (problem.G_c.T @ mu_c) / rho
+    # slack only where its penalty binds (mu = c): elsewhere complementarity
+    # with w = c - mu > 0 requires s = 0, and rounding must not leak into s
+    s = np.where(mu >= c, np.maximum(problem.G_u @ x - h, 0.0), 0.0)
+    w_s = c - mu
+    f_x = -rho * v
+    kkt = _edge_kkt(problem, rho, f_x, x, s, mu, w_s)
+    objective = float(0.5 * rho * (x @ x) + f_x @ x + c * np.sum(s))
+    mult = np.concatenate([mu, np.zeros(2 * np_steps), w_s, np.zeros(3 * np_steps)])
+    return QpSolution(u_star=np.concatenate([x, s]), objective=objective,
+                      status=OPTIMAL if kkt <= _EDGE_OPTIMAL_KKT else MAX_ITER,
+                      kkt_residual=kkt, multipliers=mult, iterations=ipm_iters,
+                      fallback=fallback)
+
+
+def _edge_kkt(problem: EdgeProblem, rho, f_x, x, s, mu, w_s) -> float:
+    """``kkt_residual(build_edge(...), [x, s], mult)`` without forming the QP."""
+    c = problem.slack_penalty
+    stat_x = rho * x + f_x + problem.G_u.T @ mu
+    stat_s = c - mu - w_s
+    row = problem.G_u @ x - s - problem.h
+    return max(float(np.max(np.abs(stat_x))), float(np.max(np.abs(stat_s))),
+               float(np.max(row)), float(np.max(-mu)), float(np.max(np.abs(mu * row))),
+               float(np.max(-s)), float(np.max(-w_s)), float(np.max(np.abs(w_s * s))),
+               0.0)
+
+
+def _box_active_set(M, q, c, start=None):
+    """Primal-dual active set for min 1/2 mu'M mu - q'mu over 0 <= mu <= c.
+
+    The first guess takes the bounds ``start`` sits on (a warm start's sets
+    usually still hold); cold, it is the coordinate-wise minimizer q / diag(M).
+    Each step pins the guessed bounds, solves the free block exactly and
+    guesses again from mu - g / diag(M), g = M mu - q; the method stops when
+    the guess reproduces the current sets, which is the KKT condition of the
+    box QP.  Returns None on a repeated set pair (a cycle) or at the
+    iteration cap.
+    """
+    n = len(q)
+    if n == 0:
+        return np.zeros(0)
+    d = np.diag(M)
+    trial = q / d if start is None else np.asarray(start, dtype=float)
+    seen = set()
+    key = None
+    for _ in range(_ACTIVE_SET_MAX_ITERS):
+        at_hi = trial >= c
+        free = (trial > 0.0) & ~at_hi
+        prev, key = key, (at_hi.tobytes(), free.tobytes())
+        if key == prev:
+            return mu
+        if key in seen:
+            return None
+        seen.add(key)
+        mu = np.where(at_hi, c, 0.0)
+        if free.any():
+            rhs = q[free]
+            if at_hi.any():
+                rhs = rhs - c * M[np.ix_(free, at_hi)].sum(axis=1)
+            M_ff = M[np.ix_(free, free)]
+            try:
+                mu[free] = np.linalg.solve(M_ff, rhs)
+            except np.linalg.LinAlgError:
+                mu[free] = _singular_block(M_ff, rhs, c)
+        trial = mu - (M @ mu - q) / d
+    return None
+
+
+def _singular_block(M_ff, rhs, c):
+    """Free-block step when its rows are dependent (M_ff singular).
+
+    Takes the least-squares solution.  If the block is inconsistent, the
+    residual r = M_ff mu - rhs lies in the null space of M_ff, so along -r
+    the objective falls linearly; the step follows -r until the first
+    coordinate reaches 0 or c, and the next guess pins that coordinate.
+    """
+    mu = np.linalg.lstsq(M_ff, rhs, rcond=None)[0]
+    d = rhs - M_ff @ mu
+    if np.max(np.abs(d)) <= 1e-12 * (1.0 + np.max(np.abs(rhs))):
+        return mu
+    moving = d != 0.0
+    room = np.where(d[moving] > 0.0, c - mu[moving], -mu[moving]) / d[moving]
+    return np.clip(mu + max(float(np.min(room)), 0.0) * d, 0.0, c)
 
 
 @dataclass(eq=False)

@@ -298,3 +298,53 @@ def test_init_state_warm_starts_at_seed():
         assert np.all(state.lam[v] == 0.0)
         assert np.array_equal(state.u_edge[(1, 2)][v], seeds[v])
         assert np.all(state.lam_edge[(1, 2)][v] == 0.0)
+
+
+def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog):
+    import fleetcoord.admm as admm_mod
+    rng = np.random.default_rng(113)
+    local_problems, edge_problems, seeds = random_fleet_instance(rng)
+
+    def stalled_solve(qp, warm_start=None, warm_multipliers=None, **kw):
+        sol = solve_qp(qp, warm_start=warm_start, warm_multipliers=warm_multipliers)
+        sol.status = "max_iter"
+        return sol
+
+    monkeypatch.setattr(admm_mod, "solve_qp", stalled_solve)
+    with caplog.at_level("WARNING", logger="fleetcoord.admm"):
+        res = admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=5),
+                         seeds=seeds)
+    # every local solve of every iteration went through the stalled solver
+    assert res.report.nonoptimal_nodes == len(local_problems) * res.report.iterations_used
+    assert res.report.edge_fallbacks == 0
+    warned = [r for r in caplog.records if "non-optimal" in r.getMessage()]
+    assert len(warned) == res.report.iterations_used
+    assert "local/" in warned[0].getMessage() and "max_iter" in warned[0].getMessage()
+
+
+def test_edge_fallbacks_are_counted(monkeypatch):
+    import fleetcoord.subproblems as sub
+    rng = np.random.default_rng(99)
+    while True:
+        local_problems, edge_problems, seeds = random_fleet_instance(rng)
+        if edge_problems:
+            break
+    plain = admm_solve(local_problems, edge_problems, AdmmConfig(),
+                       seeds=copy.deepcopy(seeds))
+    assert plain.report.edge_fallbacks == 0
+    real = sub._box_active_set
+    calls = []
+
+    def cycle_first(M, q, c, start=None):
+        # each solve_edge call makes two attempts once the first one "cycles":
+        # the active-set solve, then the polish of the fallback's answer
+        calls.append(start)
+        return None if len(calls) % 2 == 1 else real(M, q, c, start)
+
+    monkeypatch.setattr(sub, "_box_active_set", cycle_first)
+    res = admm_solve(local_problems, edge_problems, AdmmConfig(),
+                     seeds=copy.deepcopy(seeds))
+    assert res.report.edge_fallbacks == len(edge_problems) * res.report.iterations_used
+    assert res.report.nonoptimal_nodes == 0
+    for vid in plain.consensus:
+        assert np.allclose(res.consensus[vid], plain.consensus[vid], atol=1e-9)

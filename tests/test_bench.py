@@ -38,6 +38,9 @@ def test_run_benchmark_small_sizes():
     for rec in records:
         assert len(rec.per_cycle_times) == 2
         assert all(t > 0 for t in rec.per_cycle_times)
+        assert rec.nproc >= 1
+        assert set(rec.blas_threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS"}
     summary = summarize_bench(records)
     assert summary.flatness_ratio is not None
     assert summary.growth_ratio is not None

@@ -1,0 +1,200 @@
+"""solve_edge (the dual box-QP edge solver) against the primal edge QP.
+
+Instances come from real condensed predictions of two vehicles, so the first
+separation row has no steering dependence; hypothesis adds rank-deficient
+steering blocks (duplicated rows), infeasible seeds (pairs closer than d_safe,
+where the slack penalty binds and mu = c) and penalties rho over six decades.
+"""
+
+import copy
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_edge, condense,
+                        kkt_residual, linearize, make_edge_problem, make_local_problem,
+                        rollout, solve_qp)
+from fleetcoord.qp import OPTIMAL
+from fleetcoord.scenario import VehicleState
+from fleetcoord.subproblems import solve_edge
+
+from instances import InstanceSpec
+from oracles import enumerate_qp
+
+TS, L = 0.1, 2.4
+D_SAFE = 5.0
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _prediction(x0, v, np_steps, controls):
+    seed = rollout(x0, controls, v, L, TS)
+    return seed, condense(linearize(seed, v, L, TS), x0)
+
+
+def edge_instance(seed, np_steps, gap, slack_penalty, duplicate):
+    """Two vehicles ``gap`` metres apart laterally, converging headings.
+
+    ``duplicate`` copies one row of the steering block onto another (with a
+    slightly looser right-hand side), so G_u loses rank.
+    """
+    rng = np.random.default_rng(seed)
+    theta = float(rng.uniform(-0.3, 0.3))
+    x_i = VehicleState(float(rng.uniform(-1, 1)), gap / 2, theta - 0.05)
+    x_j = VehicleState(float(rng.uniform(-1, 1)), -gap / 2, theta + 0.05)
+    seed_i, cond_i = _prediction(x_i, float(rng.uniform(10, 14)), np_steps,
+                                 rng.uniform(-0.1, 0.1, np_steps))
+    seed_j, cond_j = _prediction(x_j, float(rng.uniform(10, 14)), np_steps,
+                                 rng.uniform(-0.1, 0.1, np_steps))
+    ep = make_edge_problem((1, 2), cond_i, cond_j, seed_i.positions()[1:],
+                           seed_j.positions()[1:], D_SAFE, slack_penalty)
+    if duplicate and np_steps >= 3:
+        src, dst = (int(k) for k in rng.choice(np.arange(1, np_steps), 2, replace=False))
+        G, h = ep.G.copy(), ep.h.copy()
+        G[dst, :2 * np_steps] = G[src, :2 * np_steps]
+        h[dst] = h[src] + float(rng.uniform(0.0, 1.0))
+        ep = dataclasses.replace(ep, G=G, h=h)
+    z_i, z_j, lam_i, lam_j = rng.uniform(-0.3, 0.3, size=(4, np_steps))
+    return ep, (z_i, z_j, lam_i, lam_j)
+
+
+instances = st.builds(
+    lambda seed, np_steps, gap, log_c, duplicate, log_rho: (
+        edge_instance(seed, np_steps, gap, 10.0 ** log_c, duplicate), 10.0 ** log_rho),
+    seed=st.integers(0, 2 ** 32 - 1),
+    np_steps=st.integers(2, 8),
+    gap=st.floats(1.0, 12.0),                # below D_SAFE: infeasible seed
+    log_c=st.sampled_from([-2.0, 0.0, 2.0, 4.0]),
+    duplicate=st.booleans(),
+    log_rho=st.floats(-3.0, 3.0),
+)
+
+
+def _check_exact(ep, args, rho, sol):
+    qp = build_edge(ep, *args, rho)
+    assert sol.status == OPTIMAL
+    assert sol.kkt_residual <= 1e-8
+    # equal up to round-off: the two sum the stationarity terms in other orders
+    assert kkt_residual(qp, sol.u_star, sol.multipliers) == pytest.approx(
+        sol.kkt_residual, rel=1e-6, abs=1e-10)
+    assert sol.objective == pytest.approx(qp.objective(sol.u_star), rel=1e-12, abs=1e-12)
+    return qp
+
+
+@SETTINGS
+@given(instances)
+def test_matches_primal_qp(inst):
+    (ep, args), rho = inst
+    sol = solve_edge(ep, *args, rho)
+    qp = _check_exact(ep, args, rho, sol)
+    ref = solve_qp(qp)
+    if ref.status != OPTIMAL:
+        # the interior point can stall on the primal (large rho, deeply
+        # infeasible seed); the KKT check above already proves sol optimal
+        return
+    # ref.objective includes the 1e-9 I that solve_qp adds to the singular
+    # slack block, so compare both points on the edge QP itself; the gap is
+    # relative to 1 + |J| because the interior point stops near 1e-8 absolute
+    j_ref = qp.objective(ref.u_star)
+    assert abs(sol.objective - j_ref) <= 1e-6 * (1.0 + abs(j_ref))
+
+
+@SETTINGS
+@given(instances.filter(lambda inst: inst[0][0].horizon <= 3))
+def test_matches_enumeration_oracle(inst):
+    (ep, args), rho = inst
+    sol = solve_edge(ep, *args, rho)
+    qp = _check_exact(ep, args, rho, sol)
+    # the slacks have no curvature; the oracle needs a strictly convex H
+    n = ep.horizon
+    H = qp.H + np.diag(np.r_[np.zeros(2 * n), np.full(n, 1e-12)])
+    ref = enumerate_qp(H, qp.f, qp.G, qp.h, qp.lb, qp.ub)
+    assert ref is not None
+    j_ref = qp.objective(ref[0])
+    assert abs(sol.objective - j_ref) <= 1e-6 * (1.0 + abs(j_ref))
+    assert np.max(np.abs(sol.u_star[:2 * n] - ref[0][:2 * n])) <= 1e-6
+
+
+@SETTINGS
+@given(instances, instances)
+def test_unrelated_warm_start_gives_the_same_optimum(inst, other):
+    (ep, args), rho = inst
+    (ep_o, args_o), rho_o = other
+    warm = solve_edge(ep_o, *args_o, rho_o).multipliers[:ep_o.horizon]
+    n = ep.horizon
+    # rescaled to this penalty, so its entries at c land on this problem's bound
+    warm = np.resize(warm * (ep.slack_penalty / ep_o.slack_penalty), n)
+    cold = solve_edge(ep, *args, rho)
+    sol = solve_edge(ep, *args, rho, warm_mu=warm)
+    _check_exact(ep, args, rho, sol)
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+    assert np.max(np.abs(sol.u_star[:2 * n] - cold.u_star[:2 * n])) <= 1e-7
+
+
+def test_zero_row_slack_in_closed_form():
+    # seed pair 2 m apart: the step-1 row cannot be fixed by any steering
+    ep, args = edge_instance(3, 5, gap=2.0, slack_penalty=1e4, duplicate=False)
+    assert list(ep.fixed_rows) == [0] and ep.h[0] < 0
+    sol = solve_edge(ep, *args, 1.0)
+    n = ep.horizon
+    assert sol.u_star[2 * n] == -ep.h[0]
+    assert sol.multipliers[0] == ep.slack_penalty
+    _check_exact(ep, args, 1.0, sol)
+
+
+def test_fallback_is_exact_and_flagged(monkeypatch):
+    import fleetcoord.subproblems as sub
+    ep, args = edge_instance(5, 6, gap=3.0, slack_penalty=1e4, duplicate=False)
+    plain = solve_edge(ep, *args, 2.0)
+    assert not plain.fallback
+    real = sub._box_active_set
+    calls = []
+
+    def fail_once(M, q, c, start=None):
+        calls.append(start)
+        return None if len(calls) == 1 else real(M, q, c, start)
+
+    monkeypatch.setattr(sub, "_box_active_set", fail_once)
+    sol = solve_edge(ep, *args, 2.0)
+    assert sol.fallback
+    _check_exact(ep, args, 2.0, sol)
+    assert sol.objective == pytest.approx(plain.objective, rel=1e-9)
+
+
+def _converging_pair(np_steps=8):
+    """Two vehicles side by side whose references cross: the edge activates."""
+    weights = CostWeights(q_pos=1.0, q_heading=0.5, r_steer=1.0)
+    local, cond, seeds = {}, {}, {}
+    for vid, y0, y_ref in ((1, 3.0, -2.0), (2, -3.0, 2.0)):
+        x0 = VehicleState(0.0, y0, 0.0)
+        seed = rollout(x0, np.zeros(np_steps), 12.0, L, TS)
+        cond[vid] = condense(linearize(seed, 12.0, L, TS), x0)
+        ref = seed.states_array()[1:].copy()
+        ref[:, 1] = y_ref
+        local[vid] = make_local_problem(InstanceSpec(vid, 12.0, L), cond[vid],
+                                        ref.reshape(-1), weights, edge_count=1)
+        seeds[vid] = seed
+    edges = {(1, 2): make_edge_problem((1, 2), cond[1], cond[2],
+                                       seeds[1].positions()[1:],
+                                       seeds[2].positions()[1:], D_SAFE)}
+    return local, edges, {vid: s.controls for vid, s in seeds.items()}
+
+
+def test_admm_worker_count_is_byte_identical():
+    local, edges, seeds = _converging_pair()
+    res1 = admm_solve(local, edges, AdmmConfig(workers=1), seeds=copy.deepcopy(seeds))
+    res4 = admm_solve(local, edges, AdmmConfig(workers=4), seeds=copy.deepcopy(seeds))
+    assert res1.report.iterations_used > 1
+    assert res1.report.slack_max == res4.report.slack_max
+    assert res1.report.nonoptimal_nodes == res4.report.nonoptimal_nodes == 0
+    for vid in res1.consensus:
+        assert res1.consensus[vid].tobytes() == res4.consensus[vid].tobytes()
+    for e, copies in res1.state.u_edge.items():
+        for vid, u in copies.items():
+            assert u.tobytes() == res4.state.u_edge[e][vid].tobytes()
+    assert math.isfinite(res1.report.r_norm) and res1.report.r_norm == res4.report.r_norm

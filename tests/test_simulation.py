@@ -196,6 +196,13 @@ def test_csv_and_json_outputs(tmp_path):
     assert summary["cycles"][0]["converged"] is True
     assert summary["min_pairwise_distance"] == pytest.approx(
         float(np.min(run.min_pairwise)))
+    for cycle, record in zip(summary["cycles"], run.cycles):
+        assert cycle["nonoptimal_nodes"] == 0
+        assert cycle["edge_fallbacks"] == record.admm_report.edge_fallbacks
+        times = cycle["per_node_solve_times"]
+        assert set(times) == set(record.admm_report.per_node_solve_times)
+        assert {"local/1", "local/2", "local/3"} <= set(times)
+        assert all(t > 0 for t in times.values())
 
 
 def test_centralized_mode_runs_and_matches_admm_closely():

@@ -20,6 +20,7 @@ from .simulation import (CENTRALIZED, PARALLEL_ADMM, CycleRecord, SimulationRun,
 from .subproblems import (CentralizedQp, CostWeights, EdgeProblem, Halfspace,
                           LocalProblem, build_centralized, build_edge, build_local,
                           fleet_objective, linearize_collision, make_edge_problem,
-                          make_local_problem, solve_edge, tracking_objective)
+                          make_local_problem, solve_edge, solve_local,
+                          tracking_objective)
 
 __version__ = "0.1.0"

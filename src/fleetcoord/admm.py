@@ -8,12 +8,15 @@ duals absorb the remaining disagreement.  Stopping uses primal/dual residual
 norms against absolute-plus-relative tolerances, and the penalty rho adapts
 by factor 2 whenever one residual exceeds five times the other.
 
-Tracking nodes are built by ``build_local`` and solved by ``solve_qp``; edge
-nodes are solved exactly by ``solve_edge`` through their dual box QP, warm
-started from the edge's previous row multipliers, so no per-iteration QP is
-assembled for them.  Every node solution's status is checked: non-optimal
-solutions and edge-solver fallbacks are counted in the ``ResidualReport``,
-and a warning is logged whenever a non-optimal solution enters consensus.
+Tracking nodes are solved by ``solve_local`` in closed form from an
+eigendecomposition of their fixed Hessian, made once per cycle, so rho
+changes never refactor; a node whose position rows bind hands its QP to
+``solve_qp``.  Edge nodes are solved exactly by ``solve_edge`` through their
+dual box QP, warm started from the edge's previous row multipliers.  No
+per-iteration QP is assembled on either path.  Every node solution's status
+is checked: non-optimal solutions and local and edge fallbacks are counted in
+the ``ResidualReport`` along with the worst node KKT residual, and a warning
+is logged whenever a non-optimal solution enters consensus.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalFailureError, ParameterError
-from .qp import OPTIMAL, solve_qp
-# build_edge is not called here; it stays importable from this module, next to
-# build_local, for span tracers that wrap the module's builders by name.
-from .subproblems import build_edge, build_local, solve_edge  # noqa: F401
+# build_edge, build_local and solve_qp are not called here; they stay
+# importable from this module for span tracers that wrap them by name.
+from .qp import OPTIMAL, solve_qp  # noqa: F401
+from .subproblems import build_edge, build_local, solve_edge, solve_local  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +79,8 @@ class ResidualReport:
     wall_time: float = 0.0
     nonoptimal_nodes: int = 0    # node solutions with status != optimal, all iterations
     edge_fallbacks: int = 0      # solve_edge calls that handed over to solve_qp
+    local_fallbacks: int = 0     # solve_local calls that handed over to solve_qp
+    kkt_max: float = 0.0         # worst node KKT residual, all iterations
 
 
 @dataclass
@@ -98,18 +103,30 @@ def init_admm_state(seeds: dict, edges, rho0: float) -> AdmmState:
     return AdmmState(u=u, z=z, lam=lam, u_edge=u_edge, lam_edge=lam_edge, rho=rho0)
 
 
-def update_consensus(state: AdmmState) -> dict:
-    """Per-vehicle average of the local copy and all incident edge copies."""
+def incident_edges(vehicles, edges) -> dict:
+    """Each vehicle's incident edges, in sorted order."""
+    incident = {v: [] for v in vehicles}
+    for e in sorted(edges):
+        for v in e:
+            incident[v].append(e)
+    return incident
+
+
+def update_consensus(state: AdmmState, incident: dict | None = None) -> dict:
+    """Per-vehicle average of the local copy and all incident edge copies.
+
+    ``incident`` (from ``incident_edges``) may be passed by callers that
+    update the same graph repeatedly; it is derived from the state otherwise.
+    """
+    if incident is None:
+        incident = incident_edges(state.u, state.u_edge)
     rho = state.rho
     z_new = {}
     for v in sorted(state.u):
         total = state.u[v] + state.lam[v] / rho
-        count = 1
-        for e in sorted(state.u_edge):
-            if v in e:
-                total = total + state.u_edge[e][v] + state.lam_edge[e][v] / rho
-                count += 1
-        z_new[v] = total / count
+        for e in incident[v]:
+            total = total + state.u_edge[e][v] + state.lam_edge[e][v] / rho
+        z_new[v] = total / (1 + len(incident[v]))
     return z_new
 
 
@@ -208,6 +225,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     names.update({("edge", e): f"edge/{e[0]}-{e[1]}" for e in ekeys})
     total_node_time = {names[j]: 0.0 for j in jobs}
     warm: dict = {}
+    incident = incident_edges(state.u, state.u_edge)
 
     executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     t_start = time.perf_counter()
@@ -216,7 +234,8 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     slack_max = 0.0
     parallel_time = 0.0
     nonoptimal = 0
-    fallbacks = 0
+    fallbacks = {"local": 0, "edge": 0}
+    kkt_max = 0.0
     try:
         for k in range(1, config.max_iters + 1):
             rho = state.rho
@@ -226,11 +245,8 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                 kind, key = job
                 prev = warm.get(job)
                 if kind == "local":
-                    qp = build_local(local_problems[key], state.z[key], state.lam[key],
-                                     rho, config.degree_weighted)
-                    sol = solve_qp(qp,
-                                   warm_start=None if prev is None else prev.u_star,
-                                   warm_multipliers=None if prev is None else prev.multipliers)
+                    sol = solve_local(local_problems[key], state.z[key], state.lam[key],
+                                      rho, warm=prev, degree_weighted=config.degree_weighted)
                 else:
                     i, j = key
                     sol = solve_edge(edge_problems[key], state.z[i], state.z[j],
@@ -253,11 +269,12 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                         f"non-finite iterate from {names[job]} at iteration {k}", iteration=k)
                 if sol.status != OPTIMAL:
                     flagged.append(f"{names[job]} ({sol.status}, kkt {sol.kkt_residual:.2e})")
-                fallbacks += sol.fallback
+                kind, key = job
+                fallbacks[kind] += sol.fallback
+                kkt_max = max(kkt_max, sol.kkt_residual)
                 warm[job] = sol
                 total_node_time[names[job]] += dt
                 max_node_time = max(max_node_time, dt)
-                kind, key = job
                 if kind == "local":
                     state.u[key] = sol.u_star.copy()
                 else:
@@ -274,7 +291,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
 
             # Step 2: consensus averaging
             z_prev = state.z
-            z_new = update_consensus(state)
+            z_new = update_consensus(state, incident)
 
             # Step 3: dual ascent
             state.lam, state.lam_edge = update_duals(state, z_new)
@@ -307,6 +324,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     report = replace(report, per_node_solve_times=dict(total_node_time),
                      slack_max=slack_max, parallel_time=parallel_time,
                      wall_time=time.perf_counter() - t_start,
-                     nonoptimal_nodes=nonoptimal, edge_fallbacks=fallbacks)
+                     nonoptimal_nodes=nonoptimal, edge_fallbacks=fallbacks["edge"],
+                     local_fallbacks=fallbacks["local"], kkt_max=kkt_max)
     consensus = {v: state.z[v].copy() for v in state.z}
     return AdmmResult(consensus=consensus, report=report, state=state, trace=trace)

@@ -18,6 +18,7 @@ and fall back to the interior-point method when the guess is not optimal.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,8 +303,12 @@ def _solve(problem: DenseQp, warm_start, max_iter: int, allow_probe: bool,
            warm_multipliers=None) -> QpSolution:
     n = problem.n
     H = _regularized_hessian(problem.H)
-    work = DenseQp(H=H, f=problem.f, G=problem.G, h=problem.h,
-                   lb=problem.lb, ub=problem.ub)
+    if H is problem.H:
+        work = problem
+    else:
+        # problem is validated and H symmetric, as is H + 1e-9 I: no re-check
+        work = copy.copy(problem)
+        work.H = H
 
     # variables pinned by lb == ub are eliminated exactly
     pinned = (work.ub - work.lb) <= 1e-9

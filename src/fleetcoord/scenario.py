@@ -26,8 +26,14 @@ def wrap_angle(theta):
     """Normalize an angle (or array of angles) to (-pi, pi].
 
     Values already in range pass through unchanged, so the map is idempotent
-    bit for bit.
+    bit for bit.  Finite Python floats take a scalar path with the same
+    operations, and the same bits, as the array path.
     """
+    if type(theta) is float and math.isfinite(theta):
+        if -math.pi < theta <= math.pi:
+            return theta
+        w = theta % (2.0 * math.pi)
+        return w - 2.0 * math.pi if w > math.pi else w
     t = np.asarray(theta, dtype=float)
     w = np.mod(t, 2.0 * math.pi)
     w = np.where(w > math.pi, w - 2.0 * math.pi, w)

@@ -219,6 +219,9 @@ class SimulationRun:
                     "nonoptimal_nodes": (c.admm_report.nonoptimal_nodes
                                          if c.admm_report else None),
                     "edge_fallbacks": c.admm_report.edge_fallbacks if c.admm_report else None,
+                    "local_fallbacks": (c.admm_report.local_fallbacks
+                                        if c.admm_report else None),
+                    "kkt_max": sig9(c.admm_report.kkt_max) if c.admm_report else None,
                     "per_node_solve_times": (
                         {name: sig9(t) for name, t in c.admm_report.per_node_solve_times.items()}
                         if c.admm_report else None),

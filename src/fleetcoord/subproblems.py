@@ -16,8 +16,16 @@ ever shrinks the feasible set.  The halfspaces are softened with nonnegative
 slack (heavily penalized) so a deeply violating seed still yields a feasible
 subproblem; final slack is reported as a safety diagnostic.
 
-Inside ADMM, edge problems are solved by ``solve_edge`` through their exact
-dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
+Inside ADMM, tracking problems are solved by ``solve_local`` in closed form.
+Their Hessian H0 is fixed for the cycle and each iteration adds rho I and
+changes the linear term, so one eigendecomposition H0 = V diag(d) V' (made by
+``LocalProblem.eig`` on first use) turns every solve into
+x = -V (V'f / (d + rho)).  Steering-bound violators are pinned and the free
+block re-solved, as in ``qp``'s bound shortcut; a solve whose position rows
+bind fails the KKT check and goes to ``solve_qp`` on ``build_local``, the
+reference formulation.
+
+Edge problems are solved by ``solve_edge`` through their exact dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
 
     min  rho/2 |x - v|^2 + c 1's   s.t.  G_u x - s <= h,  s >= 0,
 
@@ -40,11 +48,12 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import MAX_ITER, OPTIMAL, DenseQp, QpSolution, solve_qp
+from .qp import _EIG_FLOOR, MAX_ITER, OPTIMAL, DenseQp, QpSolution, solve_qp
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
-_EDGE_OPTIMAL_KKT = 1e-8     # solve_edge reports optimal only at or below this
+_NODE_OPTIMAL_KKT = 1e-8     # solve_local/solve_edge report optimal only at or below this
+_PRIMAL_TOL = 1e-10          # solve_local's closed form accepts this much row/bound violation
 _ACTIVE_SET_MAX_ITERS = 50
 
 
@@ -101,10 +110,23 @@ class LocalProblem:
     const0: float = 0.0
     G: np.ndarray = field(repr=False, default=None)
     h: np.ndarray = field(repr=False, default=None)
+    _eig: tuple | None = field(init=False, repr=False, default=None)
 
     @property
     def horizon(self) -> int:
         return self.condensed.horizon
+
+    def eig(self) -> tuple:
+        """(d, V, H0s) with H0s = (H0 + H0')/2 = V diag(d) V', d ascending.
+
+        Computed on first use and kept, so a cycle's ADMM iterations share one
+        decomposition and the centralized path never pays for it.
+        """
+        if self._eig is None:
+            H0s = 0.5 * (self.H0 + self.H0.T)
+            d, V = np.linalg.eigh(H0s)
+            self._eig = (d, V, H0s)
+        return self._eig
 
 
 def make_local_problem(spec: VehicleSpec, condensed: CondensedPrediction,
@@ -178,6 +200,79 @@ def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: floa
     f = problem.f0 + rho_eff * (lam - z)
     return DenseQp(H=H, f=f, G=problem.G, h=problem.h,
                    lb=problem.steer_lb, ub=problem.steer_ub)
+
+
+def solve_local(problem: LocalProblem, z, lam, rho: float, warm: QpSolution | None = None,
+                degree_weighted: bool = False) -> QpSolution:
+    """Solution of ``build_local(problem, z, lam, rho, degree_weighted)`` in closed form.
+
+    With H0s = V diag(d) V' from ``problem.eig()``, the unconstrained
+    minimizer is x = -V (V'f / (d + rho_eff)).  Steering-bound violators are
+    pinned and the free block is solved once more, as in ``qp``'s bound
+    shortcut; the multipliers are [0, w, y] in the layout of ``solve_qp``.
+    status is ``optimal`` when the position rows and bounds hold to 1e-10 and
+    the KKT residual, as ``kkt_residual`` defines it for the built QP, is at
+    most 1e-8.  Otherwise (a position row binds, or H0 + rho_eff I is too
+    close to singular) the built QP goes to ``solve_qp``, warm started from
+    ``warm``, and ``fallback`` is set.
+    """
+    if rho <= 0:
+        raise ParameterError("rho must be positive")
+    np_steps = problem.horizon
+    rho_eff = rho * (problem.edge_count if degree_weighted and problem.edge_count else 1)
+    z = np.asarray(z, dtype=float).reshape(np_steps)
+    lam = np.asarray(lam, dtype=float).reshape(np_steps)
+    f = problem.f0 + rho_eff * (lam - z)
+    d, V, H0s = problem.eig()
+    shift = d + rho_eff
+    if shift[0] > _EIG_FLOOR:
+        solved = _local_closed_form(problem, H0s, V, shift, f, rho_eff)
+        if solved is not None:
+            x, grad, mult, kkt = solved
+            return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)),
+                              status=OPTIMAL, kkt_residual=kkt, multipliers=mult)
+    sol = solve_qp(build_local(problem, z, lam, rho, degree_weighted),
+                   warm_start=None if warm is None else warm.u_star,
+                   warm_multipliers=None if warm is None else warm.multipliers)
+    sol.fallback = True
+    return sol
+
+
+def _local_closed_form(problem: LocalProblem, H0s, V, shift, f, rho_eff):
+    """(x, grad, multipliers, kkt) of the bound-pinning guess, or None if not optimal."""
+    x = -(V @ ((V.T @ f) / shift))
+    lb, ub = problem.steer_lb, problem.steer_ub
+    at_lo = x < lb
+    at_hi = x > ub
+    pinned = at_lo | at_hi
+    if pinned.any():
+        x = np.where(at_lo, lb, np.where(at_hi, ub, x))
+        free = ~pinned
+        if free.any():
+            H_ff = H0s[np.ix_(free, free)] + rho_eff * np.eye(int(free.sum()))
+            rhs = f[free] + H0s[np.ix_(free, pinned)] @ x[pinned]
+            try:
+                x[free] = -np.linalg.solve(H_ff, rhs)
+            except np.linalg.LinAlgError:
+                return None
+    grad = H0s @ x + rho_eff * x + f
+    w = np.where(at_lo, np.maximum(grad, 0.0), 0.0)
+    y = np.where(at_hi, np.maximum(-grad, 0.0), 0.0)
+
+    # kkt_residual(build_local(...), x, [0, w, y]); the terms of the zero row
+    # multipliers (-z and z * row) are zero and drop out
+    lo = np.isfinite(lb)
+    hi = np.isfinite(ub)
+    gap_lo = lb[lo] - x[lo]
+    gap_hi = x[hi] - ub[hi]
+    viol = np.concatenate([problem.G @ x - problem.h, gap_lo, gap_hi])
+    kkt = max(float(np.max(np.concatenate([
+        np.abs(grad - w + y), viol, -w[lo], np.abs(w[lo] * gap_lo),
+        -y[hi], np.abs(y[hi] * gap_hi)]))), 0.0)
+    if not kkt <= _NODE_OPTIMAL_KKT or float(np.max(viol, initial=0.0)) > _PRIMAL_TOL:
+        return None
+    mult = np.concatenate([np.zeros(problem.G.shape[0]), w, y])
+    return x, grad, mult, kkt
 
 
 def tracking_objective(problem: LocalProblem, u: np.ndarray) -> float:
@@ -340,7 +435,7 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     objective = float(0.5 * rho * (x @ x) + f_x @ x + c * np.sum(s))
     mult = np.concatenate([mu, np.zeros(2 * np_steps), w_s, np.zeros(3 * np_steps)])
     return QpSolution(u_star=np.concatenate([x, s]), objective=objective,
-                      status=OPTIMAL if kkt <= _EDGE_OPTIMAL_KKT else MAX_ITER,
+                      status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
                       kkt_residual=kkt, multipliers=mult, iterations=ipm_iters,
                       fallback=fallback)
 

@@ -6,8 +6,8 @@ import pytest
 
 from fleetcoord import (AdmmConfig, AdmmState, NumericalFailureError, adapt_rho,
                         admm_solve, apply_rho_update, build_centralized, build_local,
-                        fleet_objective, init_admm_state, residuals, solve_qp,
-                        update_consensus, update_duals)
+                        fleet_objective, init_admm_state, residuals, solve_local,
+                        solve_qp, update_consensus, update_duals)
 
 from instances import random_fleet_instance
 
@@ -277,12 +277,12 @@ def test_nan_iterate_raises_numerical_failure(monkeypatch):
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
 
-    def bad_solve(qp, warm_start=None, warm_multipliers=None, **kw):
-        sol = solve_qp(qp)
+    def bad_solve(problem, z, lam, rho, warm=None, degree_weighted=False):
+        sol = solve_local(problem, z, lam, rho, degree_weighted=degree_weighted)
         sol.u_star = np.full_like(sol.u_star, np.nan)
         return sol
 
-    monkeypatch.setattr(admm_mod, "solve_qp", bad_solve)
+    monkeypatch.setattr(admm_mod, "solve_local", bad_solve)
     with pytest.raises(NumericalFailureError) as err:
         admm_solve(local_problems, edge_problems, AdmmConfig(), seeds=seeds)
     assert err.value.iteration == 1
@@ -305,18 +305,19 @@ def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog):
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
 
-    def stalled_solve(qp, warm_start=None, warm_multipliers=None, **kw):
-        sol = solve_qp(qp, warm_start=warm_start, warm_multipliers=warm_multipliers)
+    def stalled_solve(problem, z, lam, rho, warm=None, degree_weighted=False):
+        sol = solve_local(problem, z, lam, rho, warm=warm, degree_weighted=degree_weighted)
         sol.status = "max_iter"
         return sol
 
-    monkeypatch.setattr(admm_mod, "solve_qp", stalled_solve)
+    monkeypatch.setattr(admm_mod, "solve_local", stalled_solve)
     with caplog.at_level("WARNING", logger="fleetcoord.admm"):
         res = admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=5),
                          seeds=seeds)
     # every local solve of every iteration went through the stalled solver
     assert res.report.nonoptimal_nodes == len(local_problems) * res.report.iterations_used
     assert res.report.edge_fallbacks == 0
+    assert res.report.local_fallbacks == 0
     warned = [r for r in caplog.records if "non-optimal" in r.getMessage()]
     assert len(warned) == res.report.iterations_used
     assert "local/" in warned[0].getMessage() and "max_iter" in warned[0].getMessage()

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetcoord import ScenarioError, dump_scenario, load_scenario, load_scenario_file
 from fleetcoord.scenario import VehicleState, wrap_angle
@@ -137,3 +140,27 @@ def test_wrap_angle_range_and_idempotence():
     assert np.array_equal(wrap_angle(wrapped), wrapped)
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi
+
+
+_TWO_PI = 2.0 * math.pi
+_special_angles = st.sampled_from([
+    math.pi, -math.pi, math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0),
+    0.0, -0.0, _TWO_PI, -_TWO_PI, 3.0 * math.pi, -3.0 * math.pi,
+    1e300, -1e300, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+_angles = st.one_of(
+    _special_angles,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-100.0, 100.0),
+    st.integers(-10 ** 6, 10 ** 6).map(lambda k: k * _TWO_PI),
+    st.integers(-10 ** 6, 10 ** 6).map(lambda k: k * _TWO_PI + math.pi))
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(_angles)
+def test_wrap_angle_scalar_path_matches_array_path_bit_for_bit(theta):
+    with np.errstate(invalid="ignore"):      # np.mod of +-inf
+        scalar = wrap_angle(theta)
+        array = wrap_angle(np.array([theta]))[0]
+    assert type(scalar) is float
+    assert struct.pack("<d", scalar) == struct.pack("<d", float(array)) or (
+        math.isnan(scalar) and math.isnan(array))

@@ -199,6 +199,9 @@ def test_csv_and_json_outputs(tmp_path):
     for cycle, record in zip(summary["cycles"], run.cycles):
         assert cycle["nonoptimal_nodes"] == 0
         assert cycle["edge_fallbacks"] == record.admm_report.edge_fallbacks
+        assert cycle["local_fallbacks"] == record.admm_report.local_fallbacks == 0
+        assert cycle["kkt_max"] == pytest.approx(record.admm_report.kkt_max, rel=1e-8)
+        assert 0.0 <= cycle["kkt_max"] <= 1e-8
         times = cycle["per_node_solve_times"]
         assert set(times) == set(record.admm_report.per_node_solve_times)
         assert {"local/1", "local/2", "local/3"} <= set(times)

@@ -8,12 +8,22 @@ which keeps the factorized system at size n + m regardless of how many bounds
 are finite.  Everything is deterministic: no randomization, fixed pivoting.
 
 Problems here are small by construction (the fleet decomposition caps
-subproblem size), with the exception of the centralized baseline, whose cost
-is dominated by the per-iteration LU.  Two exact shortcut paths cover the
-hot cases before the interior-point loop runs: a bound-pinning guess for
-problems where only box bounds are active, and a warm active-set guess seeded
-by a previous solution's multipliers.  Both verify the full KKT conditions
-and fall back to the interior-point method when the guess is not optimal.
+subproblem size), with the exception of the centralized baseline.  Two exact
+shortcut paths cover the hot cases before the interior-point loop runs: a
+bound-pinning guess for problems where only box bounds are active, and a warm
+active-set guess seeded by a previous solution's multipliers.  Both verify
+the full KKT conditions and fall back to the interior-point method when the
+guess is not optimal.  ``QpSolution.path`` records which one answered.
+
+The centralized Hessian is block diagonal (one tracking block per vehicle,
+then a zero block for the slacks), so H is split into its contiguous
+diagonal blocks once per solve.  The regularization probe and the
+bound-pinning guess factor and solve those blocks, same-size blocks as one
+batched stack, and never the n x n whole; the guess is still verified
+against the dense H.  A centralized cycle that ends on the bound shortcut
+therefore costs O(n^2) for the block search and the checks, plus the blocks'
+own factorizations; one that reaches the interior-point method is dominated
+by its per-iteration LU of the (n + m) KKT matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ParameterError
 
@@ -97,16 +107,25 @@ class QpSolution:
     iterations: int = 0
     trace: list = field(default_factory=list, repr=False)
     fallback: bool = False           # a structured solver handed over to solve_qp
+    # which solve_qp path answered: "bound", "active_set", "ipm", "pinned_only"
+    # (every variable fixed by lb == ub) or "zero_row" (an unsatisfiable zero
+    # row of G); None when a structured node solver answered without solve_qp
+    path: str | None = None
 
 
 def kkt_residual(problem: DenseQp, u: np.ndarray, multipliers: np.ndarray) -> float:
     """Worst violation among stationarity, primal/dual feasibility, complementarity."""
+    u = np.asarray(u, dtype=float).reshape(problem.n)
+    return _kkt_residual(problem, u, multipliers, problem.H @ u)
+
+
+def _kkt_residual(problem: DenseQp, u: np.ndarray, multipliers, Hu: np.ndarray) -> float:
+    """``kkt_residual`` with the Hessian product Hu supplied by the caller."""
     n, m = problem.n, problem.m
-    u = np.asarray(u, dtype=float).reshape(n)
     mult = np.asarray(multipliers, dtype=float).reshape(m + 2 * n)
     z, w, y = mult[:m], mult[m:m + n], mult[m + n:]
 
-    stat = problem.H @ u + problem.f + problem.G.T @ z - w + y
+    stat = Hu + problem.f + problem.G.T @ z - w + y
     res = float(np.max(np.abs(stat))) if n else 0.0
 
     lo = np.isfinite(problem.lb)
@@ -139,14 +158,67 @@ def _primal_violation(problem: DenseQp, u: np.ndarray) -> float:
     return max(viol, 0.0)
 
 
-def _regularized_hessian(H: np.ndarray) -> np.ndarray:
-    """Add 1e-9 I when the smallest eigenvalue estimate falls below 1e-10."""
+def _diagonal_blocks(H: np.ndarray) -> np.ndarray:
+    """Start index of each contiguous diagonal block of the symmetric H, then n.
+
+    A block ends after index i when no nonzero H[r, c] has r <= i < c.  By
+    symmetry that holds when every row below i has its first nonzero column
+    beyond i, so the first nonzero column of each row and their suffix
+    minimum, O(n^2) in all, find every boundary.  An all-zero row is a block
+    of its own; a dense H is one block.
+    """
     n = H.shape[0]
+    if n == 0:
+        return np.zeros(1, dtype=np.intp)
+    nz = H != 0.0
+    first = np.where(nz.any(axis=1), nz.argmax(axis=1), n)
+    reach = np.minimum.accumulate(first[::-1])[::-1]    # min first column of rows >= j
+    ends = np.flatnonzero(reach[1:] > np.arange(n - 1))
+    return np.concatenate([[0], ends + 1, [n]])
+
+
+def _block_groups(H: np.ndarray, starts: np.ndarray) -> list:
+    """[(idx, Hb)] per block size s: idx (k, s) indices, Hb (k, s, s) copies of the blocks."""
+    sizes = np.diff(starts)
+    groups = []
+    for s in np.unique(sizes):
+        idx = starts[:-1][sizes == s][:, None] + np.arange(s)
+        groups.append((idx, H[idx[:, :, None], idx[:, None, :]]))
+    return groups
+
+
+def _positive_definite(Hb: np.ndarray) -> bool:
+    """Whether every block of the (k, s, s) stack has a Cholesky factor."""
+    if Hb.shape[1] == 1:
+        return bool(np.all(Hb[:, 0, 0] > 0.0))   # a 1 x 1 Cholesky fails iff a <= 0
     try:
-        np.linalg.cholesky(H - _EIG_FLOOR * np.eye(n))
-        return H
+        np.linalg.cholesky(Hb)
     except np.linalg.LinAlgError:
-        return H + _REG_SHIFT * np.eye(n)
+        return False
+    return True
+
+
+def _hessian_shift(groups: list) -> float:
+    """1e-9 when some block fails the Cholesky probe of H_b - 1e-10 I, else 0.
+
+    A block-diagonal matrix's eigenvalues are its blocks' eigenvalues, so
+    this is the decision of the same probe on the whole H.
+    """
+    for _, Hb in groups:
+        if not _positive_definite(Hb - _EIG_FLOOR * np.eye(Hb.shape[1])):
+            return _REG_SHIFT
+    return 0.0
+
+
+def _shifted(problem: DenseQp, shift: float) -> DenseQp:
+    """problem with H + shift I (problem itself when shift is 0)."""
+    if not shift:
+        return problem
+    # problem is validated and H symmetric, as is H + shift I: no re-check
+    work = copy.copy(problem)
+    work.H = problem.H.copy()
+    work.H.flat[::problem.n + 1] += shift
+    return work
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -168,44 +240,56 @@ def _interior_start(warm, lb, ub, n):
     return x
 
 
-def _bound_shortcut(problem: DenseQp) -> tuple | None:
-    """Exact solution when only box bounds are active (or nothing at all).
+def _bound_shortcut(problem: DenseQp, groups: list, shift: float) -> tuple | None:
+    """Exact solution of the problem with H + shift I when only box bounds are active.
 
-    Solves the unconstrained problem, pins bound violators, re-solves the free
-    block once and verifies the full KKT conditions.  Returns None when the
-    guess is not optimal.
+    Solves the unconstrained problem block by block, pins bound violators,
+    re-solves once the free part of each block that holds both pinned and
+    free entries (no other block changes) and verifies the full KKT
+    conditions against the dense H.  Returns (x, multipliers, kkt,
+    objective), or None when a block is not positive definite or the guess
+    is not optimal.
     """
-    H, f, G, h, lb, ub = problem.H, problem.f, problem.G, problem.h, problem.lb, problem.ub
-    n = problem.n
-    try:
-        chol = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return None
-    x = -cho_solve((chol, True), f, check_finite=False)
+    H, f, lb, ub = problem.H, problem.f, problem.lb, problem.ub
+    x = np.empty(problem.n)
+    blocks = []
+    for idx, Hb in groups:
+        if shift:
+            Hb = Hb + shift * np.eye(Hb.shape[1])
+        if not _positive_definite(Hb):
+            return None
+        if Hb.shape[1] == 1:
+            x[idx[:, 0]] = -f[idx[:, 0]] / Hb[:, 0, 0]
+        else:
+            x[idx] = -np.linalg.solve(Hb, f[idx][..., None])[..., 0]
+            blocks.append((idx, Hb))
 
     at_lo = x < lb
     at_hi = x > ub
-    if np.any(at_lo) or np.any(at_hi):
+    pinned = at_lo | at_hi
+    if np.any(pinned):
         x = np.where(at_lo, lb, np.where(at_hi, ub, x))
-        free = ~(at_lo | at_hi)
-        if np.any(free):
-            Hf = H[np.ix_(free, free)]
-            rhs = f[free] + H[np.ix_(free, ~free)] @ x[~free]
-            try:
-                x[free] = -np.linalg.solve(Hf, rhs)
-            except np.linalg.LinAlgError:
-                return None
+        for idx, Hb in blocks:          # a 1 x 1 block is pinned or free, never both
+            pin = pinned[idx]
+            for b in np.flatnonzero(pin.any(axis=1) & ~pin.all(axis=1)):
+                p, fr = pin[b], ~pin[b]
+                rhs = f[idx[b, fr]] + Hb[b][np.ix_(fr, p)] @ x[idx[b, p]]
+                try:
+                    x[idx[b, fr]] = -np.linalg.solve(Hb[b][np.ix_(fr, fr)], rhs)
+                except np.linalg.LinAlgError:
+                    return None
 
-    grad = H @ x + f
+    Hx = H @ x + shift * x
+    grad = Hx + f
     w = np.where(at_lo, np.maximum(grad, 0.0), 0.0)
     y = np.where(at_hi, np.maximum(-grad, 0.0), 0.0)
     mult = np.concatenate([np.zeros(problem.m), w, y])
     if _primal_violation(problem, x) > 1e-10:
         return None
-    kkt = kkt_residual(problem, x, mult)
+    kkt = _kkt_residual(problem, x, mult, Hx)
     if kkt > _STOP_KKT:
         return None
-    return x, mult, kkt
+    return x, mult, kkt, float(0.5 * x @ Hx + f @ x)
 
 
 def _active_set_shortcut(problem: DenseQp, warm_multipliers: np.ndarray) -> tuple | None:
@@ -302,36 +386,42 @@ def solve_qp(problem: DenseQp, warm_start: np.ndarray | None = None,
 def _solve(problem: DenseQp, warm_start, max_iter: int, allow_probe: bool,
            warm_multipliers=None) -> QpSolution:
     n = problem.n
-    H = _regularized_hessian(problem.H)
-    if H is problem.H:
-        work = problem
-    else:
-        # problem is validated and H symmetric, as is H + 1e-9 I: no re-check
-        work = copy.copy(problem)
-        work.H = H
+    groups = _block_groups(problem.H, _diagonal_blocks(problem.H))
+    shift = _hessian_shift(groups)
 
     # variables pinned by lb == ub are eliminated exactly
-    pinned = (work.ub - work.lb) <= 1e-9
+    pinned = (problem.ub - problem.lb) <= 1e-9
     if np.any(pinned):
-        return _solve_with_pinned(work, pinned, warm_start, max_iter, allow_probe)
+        return _solve_with_pinned(_shifted(problem, shift), pinned, warm_start, max_iter,
+                                  allow_probe)
 
     # a zero row with negative offset can never be satisfied
-    if work.m:
-        zero_rows = np.max(np.abs(work.G), axis=1) == 0.0
-        if np.any(work.h[zero_rows] < -1e-12):
+    if problem.m:
+        zero_rows = np.max(np.abs(problem.G), axis=1) == 0.0
+        if np.any(problem.h[zero_rows] < -1e-12):
+            work = _shifted(problem, shift)
             u = _interior_start(warm_start, work.lb, work.ub, n)
             mult = np.zeros(work.m + 2 * n)
             return QpSolution(u_star=u, objective=work.objective(u), status=INFEASIBLE,
-                              kkt_residual=kkt_residual(work, u, mult), multipliers=mult)
+                              kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
+                              path="zero_row")
 
-    shortcut = _bound_shortcut(work)
-    if shortcut is None and warm_multipliers is not None:
-        shortcut = _active_set_shortcut(work, warm_multipliers)
+    shortcut = _bound_shortcut(problem, groups, shift)
     if shortcut is not None:
-        x, mult, kkt = shortcut
-        return QpSolution(u_star=x, objective=work.objective(x), status=OPTIMAL,
+        x, mult, kkt, objective = shortcut
+        return QpSolution(u_star=x, objective=objective, status=OPTIMAL,
                           kkt_residual=kkt, multipliers=mult, iterations=0,
-                          trace=[(work.objective(x), _primal_violation(work, x))])
+                          trace=[(objective, _primal_violation(problem, x))], path="bound")
+
+    work = _shifted(problem, shift)
+    if warm_multipliers is not None:
+        shortcut = _active_set_shortcut(work, warm_multipliers)
+        if shortcut is not None:
+            x, mult, kkt = shortcut
+            return QpSolution(u_star=x, objective=work.objective(x), status=OPTIMAL,
+                              kkt_residual=kkt, multipliers=mult, iterations=0,
+                              trace=[(work.objective(x), _primal_violation(work, x))],
+                              path="active_set")
 
     sol = _ipm(work, warm_start, max_iter)
     if sol.status == MAX_ITER and allow_probe and _primal_violation(work, sol.u_star) > 1e-8:
@@ -350,7 +440,8 @@ def _solve_with_pinned(problem: DenseQp, pinned, warm_start, max_iter, allow_pro
         mult = np.concatenate([np.zeros(problem.m), np.maximum(grad, 0.0),
                                np.maximum(-grad, 0.0)])
         return QpSolution(u_star=x, objective=problem.objective(x), status=OPTIMAL,
-                          kkt_residual=kkt_residual(problem, x, mult), multipliers=mult)
+                          kkt_residual=kkt_residual(problem, x, mult), multipliers=mult,
+                          path="pinned_only")
 
     sub = DenseQp(
         H=problem.H[np.ix_(free, free)],
@@ -376,7 +467,7 @@ def _solve_with_pinned(problem: DenseQp, pinned, warm_start, max_iter, allow_pro
     mult = np.concatenate([z, w, y])
     return QpSolution(u_star=x, objective=problem.objective(x), status=sub_sol.status,
                       kkt_residual=kkt_residual(problem, x, mult), multipliers=mult,
-                      iterations=sub_sol.iterations, trace=sub_sol.trace)
+                      iterations=sub_sol.iterations, trace=sub_sol.trace, path=sub_sol.path)
 
 
 def _ipm(problem: DenseQp, warm_start, max_iter: int) -> QpSolution:
@@ -392,7 +483,8 @@ def _ipm(problem: DenseQp, warm_start, max_iter: int) -> QpSolution:
         x = -np.linalg.solve(H, f)
         mult = np.zeros(m + 2 * n)
         return QpSolution(u_star=x, objective=problem.objective(x), status=OPTIMAL,
-                          kkt_residual=kkt_residual(problem, x, mult), multipliers=mult)
+                          kkt_residual=kkt_residual(problem, x, mult), multipliers=mult,
+                          path="ipm")
 
     s = np.maximum(h - G @ x, 1.0) if m else np.zeros(0)
     z = np.ones(m)
@@ -500,4 +592,4 @@ def _ipm(problem: DenseQp, warm_start, max_iter: int) -> QpSolution:
     status = OPTIMAL if (kkt_best <= _OPTIMAL_KKT and pviol <= _OPTIMAL_PVIOL) else MAX_ITER
     return QpSolution(u_star=x_best, objective=problem.objective(x_best), status=status,
                       kkt_residual=kkt_best, multipliers=mult_best,
-                      iterations=it, trace=trace)
+                      iterations=it, trace=trace, path="ipm")

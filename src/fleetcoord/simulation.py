@@ -147,6 +147,7 @@ class CycleRecord:
     min_distance: float
     admm_report: ResidualReport | None = None
     qp_status: str | None = None
+    qp_path: str | None = None       # centralized: the solve_qp path that answered
     objective: float = float("nan")
 
 
@@ -226,6 +227,7 @@ class SimulationRun:
                         {name: sig9(t) for name, t in c.admm_report.per_node_solve_times.items()}
                         if c.admm_report else None),
                     "qp_status": c.qp_status,
+                    "qp_path": c.qp_path,
                 }
                 for c in self.cycles
             ],
@@ -358,7 +360,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                 solve_wall_time=wall, accounted_time=wall,
                 iterations=sol.iterations, converged=sol.status == OPTIMAL,
                 slack_max=slack_max, min_distance=float("nan"),
-                qp_status=sol.status,
+                qp_status=sol.status, qp_path=sol.path,
                 objective=fleet_objective(local_problems, controls))
 
         # apply the first input of each vehicle and advance all plants

@@ -446,10 +446,9 @@ def _edge_kkt(problem: EdgeProblem, rho, f_x, x, s, mu, w_s) -> float:
     stat_x = rho * x + f_x + problem.G_u.T @ mu
     stat_s = c - mu - w_s
     row = problem.G_u @ x - s - problem.h
-    return max(float(np.max(np.abs(stat_x))), float(np.max(np.abs(stat_s))),
-               float(np.max(row)), float(np.max(-mu)), float(np.max(np.abs(mu * row))),
-               float(np.max(-s)), float(np.max(-w_s)), float(np.max(np.abs(w_s * s))),
-               0.0)
+    return max(float(np.max(np.concatenate([
+        np.abs(stat_x), np.abs(stat_s), row, -mu, np.abs(mu * row),
+        -s, -w_s, np.abs(w_s * s)]))), 0.0)
 
 
 def _box_active_set(M, q, c, start=None):
@@ -548,14 +547,17 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
     np_steps = local_problems[vids[0]].horizon
     n_u = len(vids) * np_steps
     n = n_u + len(edges) * np_steps
+    m = sum(local_problems[vid].G.shape[0] for vid in vids) + len(edges) * np_steps
     col = {vid: i * np_steps for i, vid in enumerate(vids)}
 
     H = np.zeros((n, n))
     f = np.zeros(n)
     lb = np.full(n, -np.inf)
     ub = np.full(n, np.inf)
+    G = np.zeros((m, n))
+    h = np.empty(m)
     const_total = 0.0
-    rows, rhs = [], []
+    r = 0
     for vid in vids:
         lp = local_problems[vid]
         c = col[vid]
@@ -564,11 +566,10 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
         lb[c:c + np_steps] = lp.steer_lb
         ub[c:c + np_steps] = lp.steer_ub
         const_total += lp.const0
-        for r in range(lp.G.shape[0]):
-            row = np.zeros(n)
-            row[c:c + np_steps] = lp.G[r]
-            rows.append(row)
-            rhs.append(lp.h[r])
+        rows = lp.G.shape[0]
+        G[r:r + rows, c:c + np_steps] = lp.G
+        h[r:r + rows] = lp.h
+        r += rows
 
     for k, e in enumerate(edges):
         ep = edge_problems[e]
@@ -576,16 +577,12 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
         s_col = n_u + k * np_steps
         f[s_col:s_col + np_steps] = ep.slack_penalty
         lb[s_col:s_col + np_steps] = 0.0
-        for r in range(np_steps):
-            row = np.zeros(n)
-            row[col[i]:col[i] + np_steps] = ep.G[r, :np_steps]
-            row[col[j]:col[j] + np_steps] = ep.G[r, np_steps:2 * np_steps]
-            row[s_col:s_col + np_steps] = ep.G[r, 2 * np_steps:]
-            rows.append(row)
-            rhs.append(ep.h[r])
+        G[r:r + np_steps, col[i]:col[i] + np_steps] = ep.G[:, :np_steps]
+        G[r:r + np_steps, col[j]:col[j] + np_steps] = ep.G[:, np_steps:2 * np_steps]
+        G[r:r + np_steps, s_col:s_col + np_steps] = ep.G[:, 2 * np_steps:]
+        h[r:r + np_steps] = ep.h
+        r += np_steps
 
-    G = np.array(rows) if rows else np.zeros((0, n))
-    h = np.array(rhs) if rhs else np.zeros(0)
     qp = DenseQp(H=H, f=f, G=G, h=h, lb=lb, ub=ub)
     return CentralizedQp(qp=qp, vehicle_ids=vids, edges=edges,
                          np_steps=np_steps, const_total=const_total)

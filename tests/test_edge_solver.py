@@ -20,7 +20,7 @@ from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_edge, condens
                         rollout, solve_qp)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import VehicleState
-from fleetcoord.subproblems import solve_edge
+from fleetcoord.subproblems import _edge_kkt, solve_edge
 
 from instances import InstanceSpec
 from oracles import enumerate_qp
@@ -134,6 +134,38 @@ def test_unrelated_warm_start_gives_the_same_optimum(inst, other):
     _check_exact(ep, args, rho, sol)
     assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
     assert np.max(np.abs(sol.u_star[:2 * n] - cold.u_star[:2 * n])) <= 1e-7
+
+
+def _edge_kkt_separate_maxima(problem, rho, f_x, x, s, mu, w_s):
+    """_edge_kkt as one np.max per term, the formula it replaced."""
+    c = problem.slack_penalty
+    stat_x = rho * x + f_x + problem.G_u.T @ mu
+    stat_s = c - mu - w_s
+    row = problem.G_u @ x - s - problem.h
+    return max(float(np.max(np.abs(stat_x))), float(np.max(np.abs(stat_s))),
+               float(np.max(row)), float(np.max(-mu)), float(np.max(np.abs(mu * row))),
+               float(np.max(-s)), float(np.max(-w_s)), float(np.max(np.abs(w_s * s))),
+               0.0)
+
+
+@SETTINGS
+@given(instances, st.integers(0, 2 ** 32 - 1))
+def test_edge_kkt_single_reduction_is_exact(inst, seed):
+    (ep, args), rho = inst
+    n = ep.horizon
+    sol = solve_edge(ep, *args, rho)
+    v = np.concatenate([args[0] - args[2], args[1] - args[3]])
+    x, s = sol.u_star[:2 * n], sol.u_star[2 * n:]
+    mu, w_s = sol.multipliers[:n], sol.multipliers[3 * n:4 * n]
+    rng = np.random.default_rng(seed)
+    points = [(x, s, mu, w_s)]          # the optimum, then perturbed points
+    for scale in (1e-9, 1e-3, 1.0):
+        points.append(tuple(a + scale * rng.standard_normal(a.shape)
+                            for a in (x, s, mu, w_s)))
+    for point in points:
+        got = _edge_kkt(ep, rho, -rho * v, *point)
+        want = _edge_kkt_separate_maxima(ep, rho, -rho * v, *point)
+        assert got == want
 
 
 def test_zero_row_slack_in_closed_form():

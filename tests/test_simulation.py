@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from fleetcoord import (ParameterError, lateral_deviation, load_scenario,
-                        load_scenario_file, make_seed, path_progress,
+from fleetcoord import (ParameterError, generate_scaled_scenario, lateral_deviation,
+                        load_scenario, load_scenario_file, make_seed, path_progress,
                         reference_window, rollout, run_simulation, step_nonlinear)
 from fleetcoord.scenario import VehicleState
 
@@ -201,6 +201,7 @@ def test_csv_and_json_outputs(tmp_path):
         assert cycle["edge_fallbacks"] == record.admm_report.edge_fallbacks
         assert cycle["local_fallbacks"] == record.admm_report.local_fallbacks == 0
         assert cycle["kkt_max"] == pytest.approx(record.admm_report.kkt_max, rel=1e-8)
+        assert cycle["qp_status"] is None and cycle["qp_path"] is None
         assert 0.0 <= cycle["kkt_max"] <= 1e-8
         times = cycle["per_node_solve_times"]
         assert set(times) == set(record.admm_report.per_node_solve_times)
@@ -213,8 +214,24 @@ def test_centralized_mode_runs_and_matches_admm_closely():
     run_a = run_simulation(sc, "parallel_admm", duration=1.5)
     run_c = run_simulation(sc, "centralized", duration=1.5)
     assert all(c.qp_status == "optimal" for c in run_c.cycles)
+    assert all(c.qp_path in ("bound", "active_set", "ipm") for c in run_c.cycles)
     for vid in run_a.vehicle_ids:
         assert np.max(np.abs(run_a.states[vid][-1] - run_c.states[vid][-1])) <= 0.05
+
+
+def test_lane_grid_centralized_cycles_take_the_bound_shortcut(tmp_path):
+    # no separation row binds in the lane grid: every fleet QP is answered by
+    # the bound shortcut, with no interior-point iteration
+    run = run_simulation(generate_scaled_scenario(16, 0, sim_duration=0.3), "centralized")
+    path = tmp_path / "summary.json"
+    run.write_summary(path)
+    cycles = json.loads(path.read_text())["cycles"]
+    assert len(cycles) == 3
+    for cycle, record in zip(cycles, run.cycles):
+        assert record.qp_path == cycle["qp_path"] == "bound"
+        assert cycle["qp_status"] == "optimal"
+        assert cycle["iterations"] == 0
+        assert cycle["edges"]
 
 
 def test_safety_violation_recorded_not_raised():

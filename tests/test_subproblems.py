@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from fleetcoord import (CostWeights, DegenerateSeedError, build_centralized,
-                        build_edge, build_local, condense, fleet_objective,
+from fleetcoord import (CostWeights, DegenerateSeedError, DenseQp, build_centralized,
+                        build_constraint_graph, build_edge, build_local, condense,
+                        convexify_cycle, fleet_objective, generate_scaled_scenario,
                         linearize, linearize_collision, make_edge_problem,
-                        make_local_problem, rollout, solve_qp, tracking_objective)
+                        make_local_problem, make_seed, rollout, solve_qp,
+                        tracking_objective)
 from fleetcoord.scenario import Bounds, VehicleState
 
 from instances import InstanceSpec
@@ -310,3 +312,69 @@ def test_nontrivial_cost_required():
     with pytest.raises(ParameterError):
         make_local_problem(spec, cond, np.zeros(3 * cond.horizon),
                            CostWeights(q_pos=0.0, q_heading=0.0, r_steer=0.0))
+
+
+def _centralized_rows_reference(local_problems, edge_problems):
+    """build_centralized as it stood before preallocation: one G row at a time."""
+    vids = tuple(sorted(local_problems))
+    edges = tuple(sorted(edge_problems))
+    np_steps = local_problems[vids[0]].horizon
+    n_u = len(vids) * np_steps
+    n = n_u + len(edges) * np_steps
+    col = {vid: i * np_steps for i, vid in enumerate(vids)}
+    H = np.zeros((n, n))
+    f = np.zeros(n)
+    lb = np.full(n, -np.inf)
+    ub = np.full(n, np.inf)
+    rows, rhs = [], []
+    for vid in vids:
+        lp = local_problems[vid]
+        c = col[vid]
+        H[c:c + np_steps, c:c + np_steps] = lp.H0
+        f[c:c + np_steps] = lp.f0
+        lb[c:c + np_steps] = lp.steer_lb
+        ub[c:c + np_steps] = lp.steer_ub
+        for r in range(lp.G.shape[0]):
+            row = np.zeros(n)
+            row[c:c + np_steps] = lp.G[r]
+            rows.append(row)
+            rhs.append(lp.h[r])
+    for k, (i, j) in enumerate(edges):
+        ep = edge_problems[(i, j)]
+        s_col = n_u + k * np_steps
+        f[s_col:s_col + np_steps] = ep.slack_penalty
+        lb[s_col:s_col + np_steps] = 0.0
+        for r in range(np_steps):
+            row = np.zeros(n)
+            row[col[i]:col[i] + np_steps] = ep.G[r, :np_steps]
+            row[col[j]:col[j] + np_steps] = ep.G[r, np_steps:2 * np_steps]
+            row[s_col:s_col + np_steps] = ep.G[r, 2 * np_steps:]
+            rows.append(row)
+            rhs.append(ep.h[r])
+    G = np.array(rows) if rows else np.zeros((0, n))
+    h = np.array(rhs) if rhs else np.zeros(0)
+    return DenseQp(H=H, f=f, G=G, h=h, lb=lb, ub=ub)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pruned", [True, False])
+def test_centralized_assembly_matches_row_by_row(seed, pruned):
+    sc = generate_scaled_scenario(16, seed)
+    cfg = sc.config
+    current = {spec.id: spec.initial_state for spec in sc.vehicles}
+    graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
+    seeds = {spec.id: make_seed(None, current[spec.id], spec, cfg.horizon_steps, cfg.ts)
+             for spec in sc.vehicles}
+    lps, eps = convexify_cycle(sc, current, seeds, graph, 0.0)
+    if not pruned:     # keep every position-bound row, so G has local rows too
+        lps = {vid: make_local_problem(sc.vehicle(vid), lp.condensed, lp.reference_stacked,
+                                       lp.weights, lp.edge_count)
+               for vid, lp in lps.items()}
+        assert sum(lp.G.shape[0] for lp in lps.values()) > 0
+    assert eps
+    qp = build_centralized(lps, eps).qp
+    ref = _centralized_rows_reference(lps, eps)
+    for name in ("H", "f", "G", "h", "lb", "ub"):
+        got, want = getattr(qp, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name

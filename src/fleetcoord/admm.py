@@ -15,8 +15,10 @@ changes never refactor; a node whose position rows bind hands its QP to
 dual box QP, warm started from the edge's previous row multipliers.  No
 per-iteration QP is assembled on either path.  Every node solution's status
 is checked: non-optimal solutions and local and edge fallbacks are counted in
-the ``ResidualReport`` along with the worst node KKT residual, and a warning
-is logged whenever a non-optimal solution enters consensus.
+the ``ResidualReport`` along with the worst node KKT residual, the
+interior-point iterations the fallbacks took and how many fallbacks each
+``solve_qp`` path answered, and a warning is logged whenever a non-optimal
+solution enters consensus.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ class ResidualReport:
     edge_fallbacks: int = 0      # solve_edge calls that handed over to solve_qp
     local_fallbacks: int = 0     # solve_local calls that handed over to solve_qp
     kkt_max: float = 0.0         # worst node KKT residual, all iterations
+    local_fallback_ipm_iters: int = 0   # IPM iterations of the local fallbacks
+    edge_fallback_ipm_iters: int = 0    # IPM iterations of the edge fallbacks
+    fallback_paths: dict = field(default_factory=dict)  # solve_qp path -> fallbacks
 
 
 @dataclass
@@ -235,6 +240,8 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     parallel_time = 0.0
     nonoptimal = 0
     fallbacks = {"local": 0, "edge": 0}
+    fallback_iters = {"local": 0, "edge": 0}
+    fallback_paths: dict = {}
     kkt_max = 0.0
     try:
         for k in range(1, config.max_iters + 1):
@@ -270,7 +277,10 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                 if sol.status != OPTIMAL:
                     flagged.append(f"{names[job]} ({sol.status}, kkt {sol.kkt_residual:.2e})")
                 kind, key = job
-                fallbacks[kind] += sol.fallback
+                if sol.fallback:
+                    fallbacks[kind] += 1
+                    fallback_iters[kind] += sol.iterations
+                    fallback_paths[sol.path] = fallback_paths.get(sol.path, 0) + 1
                 kkt_max = max(kkt_max, sol.kkt_residual)
                 warm[job] = sol
                 total_node_time[names[job]] += dt
@@ -325,6 +335,9 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                      slack_max=slack_max, parallel_time=parallel_time,
                      wall_time=time.perf_counter() - t_start,
                      nonoptimal_nodes=nonoptimal, edge_fallbacks=fallbacks["edge"],
-                     local_fallbacks=fallbacks["local"], kkt_max=kkt_max)
+                     local_fallbacks=fallbacks["local"], kkt_max=kkt_max,
+                     local_fallback_ipm_iters=fallback_iters["local"],
+                     edge_fallback_ipm_iters=fallback_iters["edge"],
+                     fallback_paths=fallback_paths)
     consensus = {v: state.z[v].copy() for v in state.z}
     return AdmmResult(consensus=consensus, report=report, state=state, trace=trace)

@@ -8,12 +8,25 @@ discretized by forward Euler at step Ts.  Steering is the only control; the
 speed v is a fixed per-vehicle parameter.  Linearizing along a seed
 trajectory gives one affine model (A, B, c) per step, and condensation stacks
 those into a single map  x_stacked = Phi u + gamma  over the whole horizon.
+
+The closed loop works on the whole fleet at once, with (N, 3) pose arrays and
+(N, Np) steering arrays.  ``rollout_fleet`` steps all N plants together with
+the same float operations, in the same order, as ``step_nonlinear``, so each
+row equals the per-vehicle ``rollout`` bit for bit.  ``condense_fleet`` fuses
+linearization and condensation; each of its products is the per-vehicle
+code's own small matrix product, issued once for the whole fleet as a stacked
+``matmul``, so it too reproduces ``condense(linearize(...))`` bit for bit.
+Both take sin, cos and tan per element with ``math``, as the reference does,
+because numpy's vectorized versions may round differently on some hosts.
+``step_nonlinear``, ``rollout``, ``linearize`` and ``condense`` are the
+per-vehicle reference formulation that the fleet kernels are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,26 +38,36 @@ STATE_DIM = 3
 
 @dataclass(frozen=True, eq=False)
 class HorizonTrajectory:
-    """Np+1 states and Np steering angles over one prediction horizon."""
+    """Np+1 poses and Np steering angles over one prediction horizon.
 
-    states: tuple[VehicleState, ...]
+    ``poses`` is an (Np+1, 3) array of (rx, ry, theta) rows, often a view
+    into a fleet rollout; ``states`` builds VehicleState objects on access.
+    """
+
+    poses: np.ndarray
     controls: np.ndarray
     ts: float
 
     def __post_init__(self):
+        object.__setattr__(self, "poses",
+                           np.asarray(self.poses, dtype=float).reshape(-1, STATE_DIM))
         object.__setattr__(self, "controls", np.asarray(self.controls, dtype=float))
-        if len(self.states) != len(self.controls) + 1:
-            raise ParameterError("need len(states) == len(controls) + 1")
+        if len(self.poses) != len(self.controls) + 1:
+            raise ParameterError("need len(poses) == len(controls) + 1")
 
     @property
     def horizon(self) -> int:
         return len(self.controls)
 
+    @property
+    def states(self) -> tuple[VehicleState, ...]:
+        return tuple(VehicleState(*row) for row in self.poses.tolist())
+
     def states_array(self) -> np.ndarray:
-        return np.array([s.as_array() for s in self.states])
+        return self.poses.copy()
 
     def positions(self) -> np.ndarray:
-        return np.array([[s.rx, s.ry] for s in self.states])
+        return self.poses[:, :2].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +100,19 @@ class CondensedPrediction:
         return self.Phi[r:r + 2], self.gamma[r:r + 2]
 
 
+@dataclass(frozen=True, eq=False)
+class FleetPrediction:
+    """Condensed predictions of N vehicles: x_stacked[n] = Phi[n] u[n] + gamma[n]."""
+
+    Phi: np.ndarray        # (N, 3*Np, Np)
+    gamma: np.ndarray      # (N, 3*Np)
+
+    @cached_property
+    def vehicles(self) -> tuple[CondensedPrediction, ...]:
+        """One CondensedPrediction per vehicle, viewing this fleet's arrays."""
+        return tuple(CondensedPrediction(Phi=P, gamma=g) for P, g in zip(self.Phi, self.gamma))
+
+
 def _check_step_args(delta: float, v: float, L: float, ts: float) -> None:
     if ts <= 0:
         raise ParameterError("Ts must be positive")
@@ -103,7 +139,66 @@ def rollout(x0: VehicleState, controls, v: float, L: float, ts: float) -> Horizo
     states = [x0]
     for delta in controls:
         states.append(step_nonlinear(states[-1], float(delta), v, L, ts))
-    return HorizonTrajectory(states=tuple(states), controls=controls, ts=ts)
+    return HorizonTrajectory(poses=np.array([s.as_array() for s in states]),
+                             controls=controls, ts=ts)
+
+
+def _check_fleet_args(controls: np.ndarray, L: np.ndarray, ts: float) -> None:
+    """``_check_step_args`` for every (vehicle, step) at once."""
+    if ts <= 0:
+        raise ParameterError("Ts must be positive")
+    if np.any(L <= 0):
+        raise ParameterError("wheelbase must be positive")
+    outside = np.abs(controls) >= math.pi / 2
+    if outside.any():
+        raise ParameterError(f"steering angle {controls[outside][0]} is outside the tan "
+                             f"domain (-pi/2, pi/2)")
+
+
+def _per_element(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a scalar ``math`` function) applied to each element of ``x``.
+
+    numpy's vectorized float64 sin, cos and tan may round differently from
+    the C library's scalar functions that the reference formulation calls,
+    depending on the numpy build and the CPU, so the fleet kernels take them
+    per element.
+    """
+    return np.array([fn(t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _fleet_arrays(controls, v, L, n: int):
+    controls = np.asarray(controls, dtype=float).reshape(n, -1)
+    v = np.broadcast_to(np.asarray(v, dtype=float), (n,))
+    L = np.broadcast_to(np.asarray(L, dtype=float), (n,))
+    return controls, v, L
+
+
+def rollout_fleet(x0, controls, v, L, ts: float) -> np.ndarray:
+    """Poses (N, Np+1, 3) of N plants from poses x0 (N, 3) under controls (N, Np).
+
+    ``v`` and ``L`` are per-vehicle (N,) or shared scalars.  Row n equals
+    ``rollout(VehicleState(*x0[n]), controls[n], v[n], L[n], ts).poses`` bit
+    for bit: the same float operations in the same order as
+    ``step_nonlinear``, with sin, cos and tan taken per element by ``math``.
+    """
+    x0 = np.asarray(x0, dtype=float).reshape(-1, STATE_DIM)
+    n = len(x0)
+    controls, v, L = _fleet_arrays(controls, v, L, n)
+    _check_fleet_args(controls, L, ts)
+    tan = _per_element(math.tan, controls)
+    step = ts * v
+    turn = ts * (v / L)
+    poses = np.empty((n, controls.shape[1] + 1, STATE_DIM))
+    poses[:, 0] = x0
+    rx, ry, theta = x0[:, 0], x0[:, 1], x0[:, 2]
+    for k in range(controls.shape[1]):
+        rx = rx + step * _per_element(math.cos, theta)
+        ry = ry + step * _per_element(math.sin, theta)
+        theta = wrap_angle(theta + turn * tan[:, k])
+        poses[:, k + 1, 0] = rx
+        poses[:, k + 1, 1] = ry
+        poses[:, k + 1, 2] = theta
+    return poses
 
 
 def linearize(seed: HorizonTrajectory, v: float, L: float, ts: float) -> list[LinearModel]:
@@ -114,8 +209,9 @@ def linearize(seed: HorizonTrajectory, v: float, L: float, ts: float) -> list[Li
     the seed states exactly.
     """
     models = []
+    states = seed.states
     for k in range(seed.horizon):
-        xb = seed.states[k]
+        xb = states[k]
         ub = float(seed.controls[k])
         _check_step_args(ub, v, L, ts)
         sin_t, cos_t = math.sin(xb.theta), math.cos(xb.theta)
@@ -145,3 +241,50 @@ def condense(models: list[LinearModel], x0: VehicleState) -> CondensedPrediction
         Phi[STATE_DIM * k:STATE_DIM * (k + 1)] = row
         gamma[STATE_DIM * k:STATE_DIM * (k + 1)] = g
     return CondensedPrediction(Phi=Phi, gamma=gamma)
+
+
+def condense_fleet(poses, controls, v, L, ts: float) -> FleetPrediction:
+    """``condense(linearize(...))`` for N vehicles at once, bit for bit.
+
+    ``poses`` (N, Np+1, 3) must be the rollout of ``controls`` (N, Np), as
+    ``rollout_fleet`` returns it: the step taken at each seed point is read
+    from the next pose instead of being recomputed.  Every product is the
+    reference's own 3x3 product issued as one stacked ``matmul`` over the
+    fleet, which makes the same BLAS call per vehicle; an axpy form of
+    A = I + (A[0, 2], A[1, 2]) in the third column would round differently
+    wherever BLAS fuses the multiply-add, and the centralized interior-point
+    method amplifies such last-bit differences into different iterates.
+    """
+    poses = np.asarray(poses, dtype=float)
+    n = poses.shape[0]
+    controls, v, L = _fleet_arrays(controls, v, L, n)
+    np_steps = controls.shape[1]
+    if poses.shape != (n, np_steps + 1, STATE_DIM):
+        raise ParameterError("need poses of shape (N, Np+1, 3) for controls (N, Np)")
+    _check_fleet_args(controls, L, ts)
+    theta = poses[:, :-1, 2]
+    A = np.zeros((n, np_steps, STATE_DIM, STATE_DIM))
+    A[:, :, 0, 0] = A[:, :, 1, 1] = A[:, :, 2, 2] = 1.0
+    A[:, :, 0, 2] = (-ts * v)[:, None] * _per_element(math.sin, theta)
+    A[:, :, 1, 2] = (ts * v)[:, None] * _per_element(math.cos, theta)
+    B = np.zeros((n, np_steps, STATE_DIM))
+    # cos(delta) ** 2 per element as in linearize: Python's float power is
+    # C pow(), which can round differently from numpy's x * x
+    cos_sq = _per_element(lambda d: math.cos(d) ** 2, controls)
+    B[:, :, 2] = (ts * (v / L))[:, None] / cos_sq
+    # c = f(x, u) - A x - B u at each seed point; f(x, u) is the next pose
+    Ax = np.matmul(A, poses[:, :-1, :, None])[..., 0]
+    c = poses[:, 1:] - Ax - B * controls[:, :, None]
+
+    Phi = np.empty((n, np_steps, STATE_DIM, np_steps))
+    gamma = np.empty((n, np_steps, STATE_DIM))
+    row = np.zeros((n, STATE_DIM, np_steps))
+    g = poses[:, 0, :, None]
+    for k in range(np_steps):
+        row = np.matmul(A[:, k], row)
+        row[:, :, k] = B[:, k]
+        g = np.matmul(A[:, k], g) + c[:, k, :, None]
+        Phi[:, k] = row
+        gamma[:, k] = g[:, :, 0]
+    return FleetPrediction(Phi=Phi.reshape(n, STATE_DIM * np_steps, np_steps),
+                           gamma=gamma.reshape(n, STATE_DIM * np_steps))

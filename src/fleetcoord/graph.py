@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ScenarioError
+from .scenario import VehicleState
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,12 @@ class ConstraintGraph:
 def build_constraint_graph(states, d_perc: float, d_safe: float) -> ConstraintGraph:
     """Build the coupling graph from current vehicle positions.
 
-    ``states`` is either a mapping ``{id: VehicleState}`` or a sequence of
-    ``(id, VehicleState)`` pairs.  An edge (i, j) is present exactly when the
-    Euclidean distance between the two rear-axle points is <= d_perc.
+    ``states`` is either a mapping ``{id: state}`` or an iterable of
+    ``(id, state)`` pairs, where a state is a VehicleState or an array whose
+    first two entries are (rx, ry).  An edge (i, j) is present exactly when
+    the Euclidean distance between the two rear-axle points is <= d_perc.
+    All pairwise distances are computed in one array pass; edges come out
+    sorted.
     """
     if d_safe <= 0 or d_perc <= 0:
         raise ParameterError("d_perc and d_safe must be positive")
@@ -68,14 +72,14 @@ def build_constraint_graph(states, d_perc: float, d_safe: float) -> ConstraintGr
 
     ordered = sorted(pairs, key=lambda kv: kv[0])
     nodes = tuple(i for i, _ in ordered)
-    pos = np.array([[s.rx, s.ry] for _, s in ordered])
+    pos = np.array([(s.rx, s.ry) if isinstance(s, VehicleState) else (s[0], s[1])
+                    for _, s in ordered], dtype=float)
 
-    edges = []
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            if np.hypot(*(pos[a] - pos[b])) <= d_perc:
-                edges.append((nodes[a], nodes[b]))
-    return ConstraintGraph(nodes=nodes, edges=tuple(edges), d_perc=d_perc, d_safe=d_safe)
+    diff = pos[:, None, :] - pos[None, :, :]
+    close = np.triu(np.hypot(diff[:, :, 0], diff[:, :, 1]) <= d_perc, k=1)
+    a, b = np.nonzero(close)
+    edges = tuple((nodes[i], nodes[j]) for i, j in zip(a.tolist(), b.tolist()))
+    return ConstraintGraph(nodes=nodes, edges=edges, d_perc=d_perc, d_safe=d_safe)
 
 
 def neighbors(graph: ConstraintGraph, i: int) -> set[int]:

@@ -49,7 +49,12 @@ _OPTIMAL_PVIOL = 1e-8
 
 @dataclass(eq=False)
 class DenseQp:
-    """Problem data; H is symmetrized on construction, bounds default to open."""
+    """Problem data; H is symmetrized on construction, bounds default to open.
+
+    An H that is already exactly symmetric is kept as given (no copy), so the
+    problem may share it with its caller; nothing in this module writes into
+    ``H`` in place.
+    """
 
     H: np.ndarray
     f: np.ndarray
@@ -63,7 +68,7 @@ class DenseQp:
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ParameterError("H must be a square matrix")
         n = H.shape[0]
-        self.H = 0.5 * (H + H.T)
+        self.H = H if np.array_equal(H, H.T) else 0.5 * (H + H.T)
         self.f = np.asarray(self.f, dtype=float).reshape(n)
         self.G = (np.zeros((0, n)) if self.G is None
                   else np.asarray(self.G, dtype=float).reshape(-1, n))
@@ -110,6 +115,7 @@ class QpSolution:
     # which solve_qp path answered: "bound", "active_set", "ipm", "pinned_only"
     # (every variable fixed by lb == ub) or "zero_row" (an unsatisfiable zero
     # row of G); None when a structured node solver answered without solve_qp
+    # (an edge fallback carries the path of the solve_qp call on its dual)
     path: str | None = None
 
 

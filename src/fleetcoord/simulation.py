@@ -6,6 +6,18 @@ linearize dynamics and separation constraints at the seed, solve either the
 parallel consensus problem or the centralized QP on identical convexified
 data, apply the first steering input of each vehicle, and advance every
 plant one nonlinear step.
+
+The loop keeps the fleet as arrays in vehicle-id order: (N, 3) poses and
+(N, Np) steering.  Per cycle it makes one ``rollout_fleet`` for the seeds
+and one for the applied plans, one ``condense_fleet``, one vectorized
+reference sample over all vehicles and steps (each vehicle's polyline and
+its start progress s0 are prepared once per run by ``Fleet``), and one
+batched pass each for the tracking and edge problems
+(``convexify_fleet``).  ``make_seed``, ``reference_window`` and
+``convexify_cycle`` take and give per-vehicle objects; the first two are the
+per-vehicle reference the fleet path is tested against, and
+``convexify_cycle`` wraps ``convexify_fleet`` for callers that hold
+per-vehicle states and seeds.
 """
 
 from __future__ import annotations
@@ -20,13 +32,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admm import AdmmConfig, ResidualReport, admm_solve
-from .dynamics import HorizonTrajectory, condense, linearize, rollout
+# linearize, condense, rollout, make_local_problem and make_edge_problem are
+# not called here; they stay importable from this module for span tracers
+# that wrap them by name.
+from .dynamics import (HorizonTrajectory, condense, condense_fleet,  # noqa: F401
+                       linearize, rollout, rollout_fleet)
 from .errors import NumericalFailureError, ParameterError, ScenarioError
 from .graph import ConstraintGraph, build_constraint_graph
 from .qp import OPTIMAL, solve_qp
 from .scenario import Scenario, VehicleSpec, VehicleState
-from .subproblems import (CostWeights, build_centralized, fleet_objective,
-                          make_edge_problem, make_local_problem)
+from .subproblems import (CostWeights, build_centralized, fleet_objective,  # noqa: F401
+                          make_edge_problem, make_edge_problems, make_local_problem,
+                          make_local_problems)
 
 logger = logging.getLogger(__name__)
 
@@ -124,13 +141,102 @@ def lateral_deviation(spec: VehicleSpec, position) -> float:
     return best
 
 
+def _onto_branch(heading, target):
+    """``heading`` shifted by the multiple of 2 pi that brings it nearest ``target``."""
+    return heading + 2.0 * math.pi * np.round((target - heading) / (2.0 * math.pi))
+
+
 def _align_reference_headings(ref_stacked: np.ndarray, seed: HorizonTrajectory) -> np.ndarray:
     """Shift reference headings by multiples of 2 pi onto the seed's branch."""
     ref = ref_stacked.copy()
-    seed_theta = np.array([s.theta for s in seed.states[1:]])
-    idx = np.arange(2, len(ref), 3)
-    ref[idx] += 2.0 * math.pi * np.round((seed_theta - ref[idx]) / (2.0 * math.pi))
+    ref[2::3] = _onto_branch(ref[2::3], seed.poses[1:, 2])
     return ref
+
+
+class _ReferencePaths:
+    """Every vehicle's reference polyline as padded arrays, built once per run.
+
+    ``window`` performs ``reference_window`` for all vehicles and steps at
+    once, with the same float operations per sample; segment headings come
+    from ``math.atan2`` as there, and s0 from ``path_progress``.
+    """
+
+    def __init__(self, specs):
+        n = len(specs)
+        for spec in specs:
+            if len(spec.waypoints) == 0:
+                raise ScenarioError(f"vehicle {spec.id}: empty reference path")
+        n_seg = max(max(len(spec.waypoints) for spec in specs) - 1, 1)
+        self.start = np.array([spec.waypoints[0, :3] for spec in specs], dtype=float)
+        self.pts = np.zeros((n, n_seg, 2))
+        self.deltas = np.zeros((n, n_seg, 2))
+        self.seg_len = np.zeros((n, n_seg))
+        self.cum = np.full((n, n_seg + 1), np.inf)   # +inf pads never count as <= s
+        self.heading = np.zeros((n, n_seg))
+        self.last_seg = np.zeros(n, dtype=int)
+        self.total = np.zeros(n)
+        self.s0 = np.zeros(n)
+        self.speed = np.array([spec.speed for spec in specs], dtype=float)
+        for v, spec in enumerate(specs):
+            pts, deltas, seg_len, cum = _polyline_geometry(spec.waypoints)
+            m = len(seg_len)
+            self.pts[v, :m] = pts[:-1]
+            self.deltas[v, :m] = deltas
+            self.seg_len[v, :m] = seg_len
+            self.cum[v, :m + 1] = cum
+            self.heading[v, :m] = [math.atan2(dy, dx) for dx, dy in deltas.tolist()]
+            self.last_seg[v] = m - 1
+            self.total[v] = cum[-1]
+            if cum[-1] > 0:
+                self.s0[v] = path_progress(spec, spec.initial_state.position)
+
+    def window(self, t: float, np_steps: int, ts: float) -> np.ndarray:
+        """(N, Np, 3) reference samples for steps 1..Np, as ``reference_window``."""
+        k = np.arange(1, np_steps + 1)
+        s = self.s0[:, None] + self.speed[:, None] * (t + k * ts)
+        s = np.minimum(np.maximum(s, 0.0), self.total[:, None])
+        seg = np.count_nonzero(self.cum[:, None, :] <= s[:, :, None], axis=2) - 1
+        seg = np.maximum(np.minimum(seg, self.last_seg[:, None]), 0)
+        rows = np.arange(len(s))[:, None]
+        seg_len = self.seg_len[rows, seg]
+        moving = seg_len > 0
+        frac = np.where(moving, (s - self.cum[rows, seg]) / np.where(moving, seg_len, 1.0), 0.0)
+        out = np.empty(s.shape + (3,))
+        out[:, :, :2] = self.pts[rows, seg] + frac[:, :, None] * self.deltas[rows, seg]
+        out[:, :, 2] = self.heading[rows, seg]
+        still = self.total <= 0.0
+        if still.any():
+            out[still] = self.start[still, None, :]
+        return out
+
+
+class Fleet:
+    """A scenario's per-run constant data, as arrays in vehicle-id order."""
+
+    def __init__(self, scenario: Scenario):
+        cfg = scenario.config
+        self.config = cfg
+        self.specs = tuple(sorted(scenario.vehicles, key=lambda spec: spec.id))
+        self.ids = tuple(spec.id for spec in self.specs)
+        self.row = {vid: n for n, vid in enumerate(self.ids)}
+        self.speed = np.array([spec.speed for spec in self.specs], dtype=float)
+        self.wheelbase = np.array([spec.wheelbase for spec in self.specs], dtype=float)
+        self.steer_min = np.array([spec.steer_min for spec in self.specs], dtype=float)[:, None]
+        self.steer_max = np.array([spec.steer_max for spec in self.specs], dtype=float)[:, None]
+        self.weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading,
+                                   r_steer=cfg.r_weight, slack_penalty=cfg.slack_penalty)
+        self.reference = _ReferencePaths(self.specs)
+
+    def seed_controls(self, previous: np.ndarray | None) -> np.ndarray:
+        """``make_seed``'s controls for every vehicle: shift, repeat the last, clip."""
+        if previous is None:
+            controls = np.zeros((len(self.ids), self.config.horizon_steps))
+        else:
+            controls = np.concatenate([previous[:, 1:], previous[:, -1:]], axis=1)
+        return np.clip(controls, self.steer_min, self.steer_max)
+
+    def rollout(self, poses: np.ndarray, controls: np.ndarray) -> np.ndarray:
+        return rollout_fleet(poses, controls, self.speed, self.wheelbase, self.config.ts)
 
 
 @dataclass
@@ -223,6 +329,12 @@ class SimulationRun:
                     "local_fallbacks": (c.admm_report.local_fallbacks
                                         if c.admm_report else None),
                     "kkt_max": sig9(c.admm_report.kkt_max) if c.admm_report else None,
+                    "local_fallback_ipm_iters": (c.admm_report.local_fallback_ipm_iters
+                                                 if c.admm_report else None),
+                    "edge_fallback_ipm_iters": (c.admm_report.edge_fallback_ipm_iters
+                                                if c.admm_report else None),
+                    "fallback_paths": (dict(c.admm_report.fallback_paths)
+                                       if c.admm_report else None),
                     "per_node_solve_times": (
                         {name: sig9(t) for name, t in c.admm_report.per_node_solve_times.items()}
                         if c.admm_report else None),
@@ -242,48 +354,67 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _min_pairwise(states: dict) -> float:
-    vids = sorted(states)
-    if len(vids) < 2:
+def _min_pairwise(positions: np.ndarray) -> float:
+    """Smallest pairwise distance, with the bits of ``math.hypot``.
+
+    numpy's hypot rounds differently on some inputs, so it only picks the
+    candidate pairs within a relative 1e-9 of its minimum, and ``math.hypot``
+    decides among those.
+    """
+    n = len(positions)
+    if n < 2:
         return float("nan")
-    best = np.inf
-    for a in range(len(vids)):
-        for b in range(a + 1, len(vids)):
-            sa, sb = states[vids[a]], states[vids[b]]
-            best = min(best, math.hypot(sa.rx - sb.rx, sa.ry - sb.ry))
-    return float(best)
+    a, b = np.triu_indices(n, k=1)
+    dx = positions[a, 0] - positions[b, 0]
+    dy = positions[a, 1] - positions[b, 1]
+    dist = np.hypot(dx, dy)
+    near = np.flatnonzero(dist <= np.min(dist) * (1.0 + 1e-9))
+    return float(min(math.hypot(x, y) for x, y in zip(dx[near].tolist(), dy[near].tolist())))
+
+
+def convexify_fleet(fleet: Fleet, poses: np.ndarray, seed_poses: np.ndarray,
+                    seed_controls: np.ndarray, graph: ConstraintGraph, t: float):
+    """Linearize dynamics and separation constraints at the fleet's seeds.
+
+    ``poses`` (N, 3) are the current states and ``seed_poses`` (N, Np+1, 3)
+    the rollout of ``seed_controls`` (N, Np) from them, rows in
+    ``fleet.ids`` order.  Returns (local_problems, edge_problems) keyed by
+    vehicle id and by edge, consumed identically by the parallel and
+    centralized solution paths.
+    """
+    cfg = fleet.config
+    np_steps = cfg.horizon_steps
+    prediction = condense_fleet(seed_poses, seed_controls, fleet.speed, fleet.wheelbase,
+                                cfg.ts)
+    ref = fleet.reference.window(t, np_steps, cfg.ts)
+    ref[:, :, 2] = _onto_branch(ref[:, :, 2], seed_poses[:, 1:, 2])
+    pairs = np.array([(fleet.row[i], fleet.row[j]) for i, j in graph.edges],
+                     dtype=int).reshape(-1, 2)
+    degree = np.bincount(pairs.ravel(), minlength=len(fleet.ids))
+    local_problems = make_local_problems(fleet.specs, prediction, ref.reshape(len(ref), -1),
+                                         fleet.weights, degree, x0=poses[:, :2], ts=cfg.ts)
+    edge_problems = make_edge_problems(
+        graph.edges, pairs, prediction, seed_poses[:, 1:, :2], cfg.d_safe,
+        cfg.slack_penalty, fallback_dirs=poses[pairs[:, 0], :2] - poses[pairs[:, 1], :2])
+    return local_problems, edge_problems
 
 
 def convexify_cycle(scenario: Scenario, current: dict, seeds: dict,
                     graph: ConstraintGraph, t: float):
-    """Linearize dynamics and separation constraints at the seeds.
+    """``convexify_fleet`` for per-vehicle states and seeds, keyed by vehicle id.
 
-    Returns (local_problems, edge_problems) consumed identically by the
-    parallel and centralized solution paths.
+    Each seed must be the rollout of its controls from the vehicle's current
+    state, as ``make_seed`` returns it (``convexify_fleet`` reads each step's
+    nonlinear successor from the seed); any other seed raises ParameterError.
     """
-    cfg = scenario.config
-    weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading,
-                          r_steer=cfg.r_weight, slack_penalty=cfg.slack_penalty)
-    condensed = {}
-    local_problems = {}
-    for spec in scenario.vehicles:
-        vid = spec.id
-        models = linearize(seeds[vid], spec.speed, spec.wheelbase, cfg.ts)
-        condensed[vid] = condense(models, current[vid])
-        ref = reference_window(spec, t, cfg.horizon_steps, cfg.ts)
-        ref = _align_reference_headings(ref, seeds[vid])
-        local_problems[vid] = make_local_problem(
-            spec, condensed[vid], ref, weights,
-            edge_count=graph.degree(vid), x0=current[vid].position, ts=cfg.ts)
-
-    edge_problems = {}
-    for (i, j) in graph.edges:
-        diff = current[i].position - current[j].position
-        edge_problems[(i, j)] = make_edge_problem(
-            (i, j), condensed[i], condensed[j],
-            seeds[i].positions()[1:], seeds[j].positions()[1:],
-            cfg.d_safe, cfg.slack_penalty, fallback_dir=diff)
-    return local_problems, edge_problems
+    fleet = Fleet(scenario)
+    poses = np.array([current[vid].as_array() for vid in fleet.ids])
+    seed_poses = np.array([seeds[vid].poses for vid in fleet.ids])
+    seed_controls = np.array([seeds[vid].controls for vid in fleet.ids])
+    if not np.array_equal(fleet.rollout(poses, seed_controls), seed_poses):
+        raise ParameterError("each seed must be the rollout of its controls from the "
+                             "vehicle's current state")
+    return convexify_fleet(fleet, poses, seed_poses, seed_controls, graph, t)
 
 
 def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
@@ -300,33 +431,34 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
 
     admm_cfg = AdmmConfig(rho0=cfg.rho0, eps_abs=cfg.eps_abs, eps_rel=cfg.eps_rel,
                           max_iters=cfg.max_iters, adapt_rho=adapt_rho, workers=workers)
-    vids = tuple(sorted(s.id for s in scenario.vehicles))
-    specs = {s.id: s for s in scenario.vehicles}
-    current = {vid: specs[vid].initial_state for vid in vids}
-    previous: dict = {vid: None for vid in vids}
+    fleet = Fleet(scenario)
+    vids = fleet.ids
+    poses = np.array([spec.initial_state.as_array() for spec in fleet.specs])
+    plans = None                         # (N, Np) steering applied last cycle
 
-    states_log = {vid: [current[vid].as_array()] for vid in vids}
-    controls_log = {vid: [] for vid in vids}
+    poses_log = [poses]
+    controls_log = []
     predicted = {vid: [] for vid in vids}
-    min_pairwise = [_min_pairwise(current)]
+    min_pairwise = [_min_pairwise(poses[:, :2])]
     cycles = []
     violations = []
     centralized_warm = None
 
     for cycle in range(n_cycles):
         t = cycle * cfg.ts
-        graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
-        seeds = {vid: make_seed(previous[vid], current[vid], specs[vid],
-                                cfg.horizon_steps, cfg.ts) for vid in vids}
-        local_problems, edge_problems = convexify_cycle(scenario, current, seeds, graph, t)
+        graph = build_constraint_graph(zip(vids, poses), cfg.d_perc, cfg.d_safe)
+        seed_controls = fleet.seed_controls(plans)
+        seed_poses = fleet.rollout(poses, seed_controls)
+        local_problems, edge_problems = convexify_fleet(fleet, poses, seed_poses,
+                                                        seed_controls, graph, t)
 
         t0 = time.perf_counter()
         if solver_mode == PARALLEL_ADMM:
             try:
                 result = admm_solve(local_problems, edge_problems, admm_cfg,
-                                    seeds={vid: seeds[vid].controls for vid in vids})
+                                    seeds=dict(zip(vids, seed_controls)))
             except NumericalFailureError as exc:
-                dump = {vid: tuple(current[vid].as_array()) for vid in vids}
+                dump = {vid: tuple(row) for vid, row in zip(vids, poses.tolist())}
                 raise NumericalFailureError(
                     f"solver failure at cycle {cycle} (t={t:.2f}s): {exc}; "
                     f"states={dump}", iteration=exc.iteration) from exc
@@ -364,36 +496,33 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                 objective=fleet_objective(local_problems, controls))
 
         # apply the first input of each vehicle and advance all plants
-        next_states = {}
-        for vid in vids:
-            spec = specs[vid]
-            u = np.clip(np.asarray(controls[vid], dtype=float),
-                        spec.steer_min, spec.steer_max)
-            if not np.all(np.isfinite(u)):
-                raise NumericalFailureError(
-                    f"solver produced non-finite steering for vehicle {vid} "
-                    f"at cycle {cycle} (t={t:.2f}s)")
-            predicted_traj = rollout(current[vid], u, spec.speed, spec.wheelbase, cfg.ts)
-            predicted[vid].append(predicted_traj)
-            previous[vid] = predicted_traj
-            delta = float(u[0])
-            controls_log[vid].append(delta)
-            next_states[vid] = predicted_traj.states[1]
-
-        current = next_states
-        for vid in vids:
-            states_log[vid].append(current[vid].as_array())
-        dmin = _min_pairwise(current)
+        plans = np.clip(np.array([np.asarray(controls[vid], dtype=float) for vid in vids]),
+                        fleet.steer_min, fleet.steer_max)
+        finite = np.all(np.isfinite(plans), axis=1)
+        if not finite.all():
+            raise NumericalFailureError(
+                f"solver produced non-finite steering for vehicle "
+                f"{vids[int(np.argmin(finite))]} at cycle {cycle} (t={t:.2f}s)")
+        plan_poses = fleet.rollout(poses, plans)
+        for n, vid in enumerate(vids):
+            predicted[vid].append(HorizonTrajectory(poses=plan_poses[n], controls=plans[n],
+                                                    ts=cfg.ts))
+        poses = plan_poses[:, 1].copy()
+        controls_log.append(plans[:, 0])
+        poses_log.append(poses)
+        dmin = _min_pairwise(poses[:, :2])
         min_pairwise.append(dmin)
         record.min_distance = dmin
         if len(vids) > 1 and dmin < cfg.d_safe:
             violations.append({"time": (cycle + 1) * cfg.ts, "distance": dmin})
         cycles.append(record)
 
+    poses_log = np.array(poses_log)
+    controls_log = np.array(controls_log).reshape(n_cycles, len(vids))
     return SimulationRun(
         scenario=scenario, mode=solver_mode,
         times=np.arange(n_cycles + 1) * cfg.ts,
-        states={vid: np.array(states_log[vid]) for vid in vids},
-        applied_controls={vid: np.array(controls_log[vid]) for vid in vids},
+        states={vid: poses_log[:, n].copy() for n, vid in enumerate(vids)},
+        applied_controls={vid: controls_log[:, n].copy() for n, vid in enumerate(vids)},
         predicted=predicted, cycles=cycles,
         min_pairwise=np.array(min_pairwise), violations=violations)

@@ -16,6 +16,16 @@ ever shrinks the feasible set.  The halfspaces are softened with nonnegative
 slack (heavily penalized) so a deeply violating seed still yields a feasible
 subproblem; final slack is reported as a safety diagnostic.
 
+The closed loop builds every cycle's problems for the whole fleet at once:
+``make_local_problems`` forms H0, f0 and const0 for all N vehicles in one
+batched product and selects the position-bound rows of all vehicles with one
+mask, and ``make_edge_problems`` linearizes the separation of all E edges at
+all Np steps in one pass over (E, Np), including the coincident-seed
+fallback.  Each product is the per-vehicle function's own, issued as one
+stacked ``matmul``, so the data equals that of ``make_local_problem`` and
+``make_edge_problem`` bit for bit; those two stay as the reference
+formulation.  The problems' arrays are views into the fleet arrays.
+
 Inside ADMM, tracking problems are solved by ``solve_local`` in closed form.
 Their Hessian H0 is fixed for the cycle and each iteration adds rho I and
 changes the linear term, so one eigendecomposition H0 = V diag(d) V' (made by
@@ -33,20 +43,22 @@ with v = z - lam, so the dual is the box QP
 
     min  1/2 mu'(G_u G_u' / rho) mu - (G_u v - h)'mu   s.t.  0 <= mu <= c,
 
-and x = v - G_u'mu / rho.  ``make_edge_problem`` forms G_u G_u' once per
-cycle; each ADMM iteration only changes the linear term, and rho enters as a
-scalar.  Rows of G_u that are identically zero (the step-1 separation, which
-no steering input can move) get their multiplier and slack in closed form.
+and x = v - G_u'mu / rho.  ``EdgeProblem`` forms G_u G_u' from its G on
+first use, once per cycle; each ADMM iteration only changes the linear term,
+and rho enters as a scalar.  Rows of G_u that are identically zero (the
+step-1 separation, which no steering input can move) get their multiplier
+and slack in closed form.
 ``build_edge`` stays the primal reference formulation of the same QP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import STATE_DIM, CondensedPrediction
+from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
 from .qp import _EIG_FLOOR, MAX_ITER, OPTIMAL, DenseQp, QpSolution, solve_qp
 from .scenario import VehicleSpec
@@ -187,6 +199,73 @@ def _append_row(rows, rhs, coeffs, bound) -> None:
     rhs.append(float(bound))
 
 
+def make_local_problems(specs, prediction: FleetPrediction, references, weights: CostWeights,
+                        edge_counts=None, x0=None, ts: float | None = None) -> dict:
+    """``make_local_problem`` for N vehicles at once, keyed by vehicle id.
+
+    Row n of ``prediction``, ``references`` (N, 3*Np), ``edge_counts`` (N,)
+    and ``x0`` (N, 2) belongs to ``specs[n]``.  H0, f0 and const0 come from
+    one batched product over the fleet, and the position-bound rows are
+    selected by one mask with the same order, pruning radius and zero-row
+    rule as ``make_local_problem``.  Each problem's arrays are views into
+    the fleet arrays.
+    """
+    Phi, gamma = prediction.Phi, prediction.gamma
+    n, _, np_steps = Phi.shape
+    ref = np.asarray(references, dtype=float).reshape(n, STATE_DIM * np_steps)
+    if weights.q_pos <= 0 and weights.q_heading <= 0 and weights.r_steer <= 0:
+        raise ParameterError("cost must be nontrivial: some weight must be positive")
+    counts = np.zeros(n, dtype=int) if edge_counts is None else np.asarray(edge_counts)
+
+    wvec = np.tile([weights.q_pos, weights.q_pos, weights.q_heading], np_steps)
+    WPhi = wvec[:, None] * Phi
+    H0 = 2.0 * (np.matmul(Phi.transpose(0, 2, 1), WPhi) + weights.r_steer * np.eye(np_steps))
+    resid = gamma - ref
+    f0 = 2.0 * np.matmul(WPhi.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]
+    const0 = np.matmul(resid[:, None, :], (wvec * resid)[:, :, None])[:, 0, 0]
+
+    # candidate rows per step k, in the per-vehicle order: x <= hi, x >= lo,
+    # y <= hi, y >= lo; a lower-bound row is the negated upper-bound row
+    lim = np.array([[s.bounds.x_max, s.bounds.x_min, s.bounds.y_max, s.bounds.y_min]
+                    for s in specs], dtype=float).reshape(n, 4)
+    coord = np.array([0, 0, 1, 1])
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    P = Phi.reshape(n, np_steps, STATE_DIM, np_steps)[:, :, :2]     # (N, Np, 2, Np)
+    q = gamma.reshape(n, np_steps, STATE_DIM)[:, :, :2]             # (N, Np, 2)
+    q4 = q[:, :, coord]
+    rhs = np.where(sign > 0, lim[:, None, :] - q4, q4 - lim[:, None, :])
+    keep = np.broadcast_to(np.isfinite(lim)[:, None, :], rhs.shape)
+    if x0 is not None and ts is not None:
+        speed = np.array([spec.speed for spec in specs], dtype=float)
+        radius = 2.0 * speed * np_steps * ts + 5.0
+        x0 = np.asarray(x0, dtype=float).reshape(n, -1)[:, coord]
+        dist = np.abs(np.where(sign > 0, lim - x0, x0 - lim))
+        keep = keep & (dist <= radius[:, None])[:, None, :]
+    zero = (np.max(np.abs(P), axis=3)[:, :, coord] < 1e-14) & (rhs >= -1e-9)
+    keep = keep & ~zero        # zero rows that hold trivially are dropped
+    veh, step, cand = np.nonzero(keep)
+    G_all = sign[cand, None] * P[veh, step, coord[cand]]
+    h_all = rhs[veh, step, cand]
+    ends = np.cumsum(np.count_nonzero(keep.reshape(n, -1), axis=1))
+
+    lb = np.repeat(np.array([spec.steer_min for spec in specs], dtype=float)[:, None],
+                   np_steps, axis=1)
+    ub = np.repeat(np.array([spec.steer_max for spec in specs], dtype=float)[:, None],
+                   np_steps, axis=1)
+    condensed = prediction.vehicles
+    problems = {}
+    start = 0
+    for i, spec in enumerate(specs):
+        end = int(ends[i])
+        problems[spec.id] = LocalProblem(
+            vehicle_id=spec.id, condensed=condensed[i], reference_stacked=ref[i],
+            weights=weights, edge_count=int(counts[i]), steer_lb=lb[i], steer_ub=ub[i],
+            H0=H0[i], f0=f0[i], const0=float(const0[i]), G=G_all[start:end],
+            h=h_all[start:end])
+        start = end
+    return problems
+
+
 def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: float,
                 degree_weighted: bool = False) -> DenseQp:
     """Tracking QP plus the consensus proximal term (0.5 rho |u - z + lam|^2)."""
@@ -289,7 +368,11 @@ def fleet_objective(local_problems: dict, controls: dict) -> float:
 
 @dataclass(eq=False)
 class EdgeProblem:
-    """Joint separation problem for one coupled pair over (u_i, u_j, slack)."""
+    """Joint separation problem for one coupled pair over (u_i, u_j, slack).
+
+    Step k's separation halfspace is 2 normals[k]'(p_i - p_j) >= rhs[k];
+    ``halfspaces`` builds the Halfspace objects on access.
+    """
 
     edge: tuple[int, int]
     condensed_i: CondensedPrediction
@@ -298,28 +381,52 @@ class EdgeProblem:
     seed_pos_j: np.ndarray
     d_safe: float
     slack_penalty: float
-    halfspaces: tuple[Halfspace, ...] = ()
+    normals: np.ndarray = field(repr=False, default=None)     # (Np, 2)
+    rhs: np.ndarray = field(repr=False, default=None)         # (Np,)
     G: np.ndarray = field(repr=False, default=None)
     h: np.ndarray = field(repr=False, default=None)
-    # dual data for solve_edge, derived from G once per problem
-    G_u: np.ndarray = field(init=False, repr=False)           # steering block G[:, :2Np]
-    fixed_rows: np.ndarray = field(init=False, repr=False)    # rows with G_u row == 0
-    coupled_rows: np.ndarray = field(init=False, repr=False)  # all other rows
-    G_c: np.ndarray = field(init=False, repr=False)           # G_u[coupled_rows]
-    M: np.ndarray = field(init=False, repr=False)             # G_c G_c'
 
-    def __post_init__(self):
-        np_steps = self.horizon
-        self.G_u = np.ascontiguousarray(self.G[:, :2 * np_steps])
-        zero = np.max(np.abs(self.G_u), axis=1) == 0.0
-        self.fixed_rows = np.flatnonzero(zero)
-        self.coupled_rows = np.flatnonzero(~zero)
-        self.G_c = self.G_u[self.coupled_rows]
-        self.M = self.G_c @ self.G_c.T
+    # dual data for solve_edge, derived from G on first use and kept (a
+    # copy made by dataclasses.replace derives it again from its own G)
+    @cached_property
+    def G_u(self) -> np.ndarray:
+        """Steering block G[:, :2Np]."""
+        return np.ascontiguousarray(self.G[:, :2 * self.horizon])
+
+    @cached_property
+    def fixed_rows(self) -> np.ndarray:
+        """Rows whose steering block is zero."""
+        return np.flatnonzero(np.max(np.abs(self.G_u), axis=1) == 0.0)
+
+    @cached_property
+    def coupled_rows(self) -> np.ndarray:
+        """All other rows."""
+        return np.flatnonzero(np.max(np.abs(self.G_u), axis=1) != 0.0)
+
+    @cached_property
+    def G_c(self) -> np.ndarray:
+        return self.G_u[self.coupled_rows]
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """G_c G_c', the dual Hessian times rho."""
+        return self.G_c @ self.G_c.T
 
     @property
     def horizon(self) -> int:
         return self.condensed_i.horizon
+
+    @property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        return tuple(Halfspace(a=a, rhs=float(r)) for a, r in zip(self.normals, self.rhs))
+
+
+def _fallback_unit(fallback_dir) -> np.ndarray:
+    if fallback_dir is None:
+        return np.array([1.0, 0.0])
+    fallback = np.asarray(fallback_dir, dtype=float)
+    nrm = float(np.hypot(*fallback))
+    return fallback / nrm if nrm > _COINCIDENT_TOL else np.array([1.0, 0.0])
 
 
 def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
@@ -335,12 +442,7 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
     np_steps = condensed_i.horizon
     seed_pos_i = np.asarray(seed_pos_i, dtype=float).reshape(np_steps, 2)
     seed_pos_j = np.asarray(seed_pos_j, dtype=float).reshape(np_steps, 2)
-    if fallback_dir is None:
-        fallback = np.array([1.0, 0.0])
-    else:
-        fallback = np.asarray(fallback_dir, dtype=float)
-        nrm = float(np.hypot(*fallback))
-        fallback = fallback / nrm if nrm > _COINCIDENT_TOL else np.array([1.0, 0.0])
+    fallback = _fallback_unit(fallback_dir)
 
     halfspaces = []
     n = 3 * np_steps
@@ -362,7 +464,57 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
 
     return EdgeProblem(edge=tuple(edge), condensed_i=condensed_i, condensed_j=condensed_j,
                        seed_pos_i=seed_pos_i, seed_pos_j=seed_pos_j, d_safe=d_safe,
-                       slack_penalty=slack_penalty, halfspaces=tuple(halfspaces), G=G, h=h)
+                       slack_penalty=slack_penalty,
+                       normals=np.array([hs.a for hs in halfspaces]).reshape(np_steps, 2),
+                       rhs=np.array([hs.rhs for hs in halfspaces]), G=G, h=h)
+
+
+def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions,
+                       d_safe: float, slack_penalty: float = 1e4,
+                       fallback_dirs=None) -> dict:
+    """``make_edge_problem`` for E edges at once, keyed by edge.
+
+    ``pairs`` (E, 2) holds the fleet rows of each edge's endpoints in
+    ``prediction`` and ``seed_positions`` (N, Np, 2); ``fallback_dirs``
+    (E, 2), one per edge, replaces the seed difference wherever the seeds
+    coincide, as in ``make_edge_problem``.  G and h come from one pass over
+    (E, Np); each problem's arrays are views into the fleet arrays.
+    """
+    edges = [tuple(e) for e in edges]
+    Phi = prediction.Phi
+    np_steps = Phi.shape[2]
+    n_edges = len(edges)
+    pairs = np.asarray(pairs, dtype=int).reshape(n_edges, 2)
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    seed = np.asarray(seed_positions, dtype=float)
+    # every product below is make_edge_problem's own, issued as one stacked
+    # matmul, so the data equals make_edge_problem's bit for bit
+    a = seed[ii] - seed[jj]                                    # (E, Np, 2)
+    norm_sq = np.matmul(a[:, :, None, :], a[:, :, :, None])[:, :, 0, 0]
+    coincident = norm_sq < _COINCIDENT_TOL ** 2
+    rhs = norm_sq + d_safe ** 2
+    if coincident.any():
+        fallback = np.array([_fallback_unit(None if fallback_dirs is None else fallback_dirs[e])
+                             for e in range(n_edges)]).reshape(n_edges, 2)
+        a = np.where(coincident[:, :, None], fallback[:, None, :], a)
+        rhs = np.where(coincident, 1.0 + d_safe ** 2, rhs)
+
+    # position rows of step k: P (.., 2, Np) and q (.., 2), as position_block(k)
+    P = Phi.reshape(len(Phi), np_steps, STATE_DIM, np_steps)[:, :, :2]
+    q = prediction.gamma.reshape(len(Phi), np_steps, STATE_DIM)[:, :, :2]
+    two_a = (2.0 * a)[:, :, None, :]
+    G = np.zeros((n_edges, np_steps, 3 * np_steps))
+    G[:, :, :np_steps] = np.matmul(-2.0 * a[:, :, None, :], P[ii])[:, :, 0]
+    G[:, :, np_steps:2 * np_steps] = np.matmul(two_a, P[jj])[:, :, 0]
+    G[:, np.arange(np_steps), 2 * np_steps + np.arange(np_steps)] = -1.0
+    h = np.matmul(two_a, (q[ii] - q[jj])[:, :, :, None])[:, :, 0, 0] - rhs
+
+    condensed = prediction.vehicles
+    return {edge: EdgeProblem(edge=edge, condensed_i=condensed[i], condensed_j=condensed[j],
+                              seed_pos_i=seed[i], seed_pos_j=seed[j], d_safe=d_safe,
+                              slack_penalty=slack_penalty, normals=a[e], rhs=rhs[e],
+                              G=G[e], h=h[e])
+            for e, (edge, i, j) in enumerate(zip(edges, ii, jj))}
 
 
 def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> DenseQp:
@@ -391,8 +543,9 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     [mu, w, y] with w = c - mu on the slacks and zero elsewhere.  status is
     ``optimal`` when the primal KKT residual, as ``kkt_residual`` defines it,
     is at most 1e-8.  ``fallback`` is set when the active-set method failed
-    and the dual was handed to ``solve_qp``; ``iterations`` then counts the
-    interior-point iterations that took.
+    and the dual was handed to ``solve_qp``; ``iterations`` and ``path``
+    then give the interior-point iterations and the ``solve_qp`` path that
+    solve of the dual took.
     """
     if rho <= 0:
         raise ParameterError("rho must be positive")
@@ -411,11 +564,11 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     start = None if warm_mu is None else np.asarray(warm_mu, dtype=float)[rows]
     mu_c = _box_active_set(problem.M, q, c, start)
     fallback = mu_c is None
-    ipm_iters = 0
+    ipm_iters, dual_path = 0, None
     if fallback:
         dual = solve_qp(DenseQp(H=problem.M, f=-q, lb=np.zeros(len(rows)),
                                 ub=np.full(len(rows), c)))
-        ipm_iters = dual.iterations
+        ipm_iters, dual_path = dual.iterations, dual.path
         # a projected-gradient step from the interior-point answer names the
         # active sets; an exact solve on them removes its last digits of error
         mu_ip = np.clip(dual.u_star, 0.0, c)
@@ -437,7 +590,7 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     return QpSolution(u_star=np.concatenate([x, s]), objective=objective,
                       status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
                       kkt_residual=kkt, multipliers=mult, iterations=ipm_iters,
-                      fallback=fallback)
+                      fallback=fallback, path=dual_path)
 
 
 def _edge_kkt(problem: EdgeProblem, rho, f_x, x, s, mu, w_s) -> float:

@@ -349,3 +349,36 @@ def test_edge_fallbacks_are_counted(monkeypatch):
     assert res.report.nonoptimal_nodes == 0
     for vid in plain.consensus:
         assert np.allclose(res.consensus[vid], plain.consensus[vid], atol=1e-9)
+
+
+def test_edge_fallback_ipm_iterations_and_paths_are_reported(monkeypatch):
+    import fleetcoord.admm as admm_mod
+    import fleetcoord.subproblems as sub
+    rng = np.random.default_rng(99)
+    while True:
+        local_problems, edge_problems, seeds = random_fleet_instance(rng)
+        if edge_problems:
+            break
+    real = sub._box_active_set
+    calls = []
+
+    def cycle_first(M, q, c, start=None):
+        calls.append(start)
+        return None if len(calls) % 2 == 1 else real(M, q, c, start)
+
+    handed_over = []
+    real_solve_edge = admm_mod.solve_edge
+
+    def recording(*args, **kwargs):
+        sol = real_solve_edge(*args, **kwargs)
+        assert sol.fallback and sol.path is not None
+        handed_over.append((sol.iterations, sol.path))
+        return sol
+
+    monkeypatch.setattr(sub, "_box_active_set", cycle_first)
+    monkeypatch.setattr(admm_mod, "solve_edge", recording)
+    rep = admm_solve(local_problems, edge_problems, AdmmConfig(),
+                     seeds=copy.deepcopy(seeds)).report
+    assert rep.edge_fallbacks == len(handed_over)
+    assert rep.edge_fallback_ipm_iters == sum(iters for iters, _ in handed_over)
+    assert sum(rep.fallback_paths.values()) == rep.edge_fallbacks + rep.local_fallbacks

@@ -220,3 +220,25 @@ def test_fallbacks_are_counted_and_workers_are_byte_identical(monkeypatch):
     res = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds))
     assert res.report.local_fallbacks == sum(handed_over) == res1.report.local_fallbacks
     assert len(handed_over) == len(local) * res.report.iterations_used
+
+
+def test_fallback_ipm_iterations_and_paths_are_reported(monkeypatch):
+    local, edges, seeds = _bounded_pair()
+    handed_over = []
+
+    def recording(*args, **kwargs):
+        sol = solve_local(*args, **kwargs)
+        if sol.fallback:
+            handed_over.append((sol.iterations, sol.path))
+        return sol
+
+    monkeypatch.setattr(admm_mod, "solve_local", recording)
+    rep = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds)).report
+    assert rep.local_fallbacks == len(handed_over) > 0
+    assert rep.local_fallback_ipm_iters == sum(iters for iters, _ in handed_over)
+    assert rep.edge_fallbacks == rep.edge_fallback_ipm_iters == 0
+    paths = {}
+    for _, path in handed_over:
+        paths[path] = paths.get(path, 0) + 1
+    assert rep.fallback_paths == paths
+    assert None not in paths and sum(paths.values()) == rep.local_fallbacks

@@ -203,6 +203,11 @@ def test_csv_and_json_outputs(tmp_path):
         assert cycle["kkt_max"] == pytest.approx(record.admm_report.kkt_max, rel=1e-8)
         assert cycle["qp_status"] is None and cycle["qp_path"] is None
         assert 0.0 <= cycle["kkt_max"] <= 1e-8
+        assert cycle["local_fallback_ipm_iters"] == 0
+        assert (cycle["edge_fallback_ipm_iters"]
+                == record.admm_report.edge_fallback_ipm_iters)
+        assert cycle["fallback_paths"] == record.admm_report.fallback_paths
+        assert sum(cycle["fallback_paths"].values()) == cycle["edge_fallbacks"]
         times = cycle["per_node_solve_times"]
         assert set(times) == set(record.admm_report.per_node_solve_times)
         assert {"local/1", "local/2", "local/3"} <= set(times)
@@ -229,9 +234,40 @@ def test_lane_grid_centralized_cycles_take_the_bound_shortcut(tmp_path):
     assert len(cycles) == 3
     for cycle, record in zip(cycles, run.cycles):
         assert record.qp_path == cycle["qp_path"] == "bound"
+        assert cycle["fallback_paths"] is None and cycle["local_fallback_ipm_iters"] is None
         assert cycle["qp_status"] == "optimal"
         assert cycle["iterations"] == 0
         assert cycle["edges"]
+
+
+def test_intersection_local_fallbacks_report_their_ipm_work(intersection_path, tmp_path):
+    # position rows bind on the intersection, so some tracking nodes hand
+    # their QP to solve_qp; the summary says how hard the IPM worked on them
+    run = run_simulation(load_scenario_file(intersection_path), "parallel_admm",
+                         duration=4.0)
+    path = tmp_path / "summary.json"
+    run.write_summary(path)
+    cycles = json.loads(path.read_text())["cycles"]
+    assert sum(c["local_fallbacks"] for c in cycles) > 0
+    for cycle in cycles:
+        assert sum(cycle["fallback_paths"].values()) == (cycle["local_fallbacks"]
+                                                         + cycle["edge_fallbacks"])
+        assert cycle["local_fallback_ipm_iters"] >= 0
+    assert sum(c["local_fallback_ipm_iters"] for c in cycles) > 0
+
+
+def test_lane_grid_of_256_vehicles_runs():
+    # a scale smoke test of the fleet-array path (no timing asserted)
+    run = run_simulation(generate_scaled_scenario(256, 0), "parallel_admm", duration=0.2)
+    assert len(run.cycles) == 2
+    for record in run.cycles:
+        assert record.converged
+        assert record.admm_report.local_fallbacks == record.admm_report.edge_fallbacks == 0
+        assert record.admm_report.nonoptimal_nodes == 0
+        assert record.graph_edges
+    assert all(np.all(np.isfinite(states)) for states in run.states.values())
+    assert all(np.all(np.isfinite(u)) for u in run.applied_controls.values())
+    assert len(run.predicted[1]) == 2 and run.predicted[1][0].horizon == 15
 
 
 def test_safety_violation_recorded_not_raised():

@@ -21,14 +21,13 @@ import numpy as np
 import yaml
 
 from .scenario import Scenario, load_scenario
-from .simulation import CENTRALIZED, PARALLEL_ADMM, run_simulation
+from .simulation import _BLAS_THREAD_VARS, CENTRALIZED, PARALLEL_ADMM, run_simulation
 
 _LANES = (0.0, 7.0, 14.0)
 _COLUMN_SPACING = 40.0
 _BENCH_TS = 0.1
 _BENCH_HORIZON = 15
 _WARMUP_CYCLES = 10
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def generate_scaled_scenario(n_vehicles: int, seed: int,

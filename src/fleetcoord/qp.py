@@ -1,11 +1,11 @@
 """Dense convex QP solver: minimize 0.5 u'Hu + f'u  s.t.  Gu <= h,  lb <= u <= ub.
 
 The solver is a Mehrotra predictor-corrector primal-dual interior-point
-method.  Inequality rows keep their dual in an augmented KKT system that is
-LU-factorized once per iteration (predictor and corrector share the
-factorization); box bounds are eliminated analytically into a diagonal term,
-which keeps the factorized system at size n + m regardless of how many bounds
-are finite.  Everything is deterministic: no randomization, fixed pivoting.
+method.  Every finite bound is an inequality row like those of G, so one
+slack/dual pair per row carries all of the complementarity.  Each iteration
+Cholesky-factors the n x n reduced Newton matrix H + A' diag(z/s) A once, and
+the predictor, the corrector and the centrality correctors share the factor.
+Everything is deterministic: no randomization.
 
 Problems here are small by construction (the fleet decomposition caps
 subproblem size), with the exception of the centralized baseline.  Two exact
@@ -23,7 +23,7 @@ batched stack, and never the n x n whole; the guess is still verified
 against the dense H.  A centralized cycle that ends on the bound shortcut
 therefore costs O(n^2) for the block search and the checks, plus the blocks'
 own factorizations; one that reaches the interior-point method is dominated
-by its per-iteration LU of the (n + m) KKT matrix.
+by forming (O(n^2 m)) and factoring (O(n^3)) its n x n Newton matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ParameterError
 
@@ -45,6 +45,8 @@ _REG_SHIFT = 1e-9
 _STOP_KKT = 1e-8         # absolute KKT residual target
 _OPTIMAL_KKT = 1e-6      # status=optimal requires at most this
 _OPTIMAL_PVIOL = 1e-8
+_TAU = 0.99              # IPM fraction to the boundary
+_CORRECTORS = 2          # Gondzio centrality correctors per IPM iteration
 
 
 @dataclass(eq=False)
@@ -227,25 +229,6 @@ def _shifted(problem: DenseQp, shift: float) -> DenseQp:
     return work
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
-
-
-def _interior_start(warm, lb, ub, n):
-    x = np.zeros(n) if warm is None else np.asarray(warm, dtype=float).reshape(n).copy()
-    both = np.isfinite(lb) & np.isfinite(ub)
-    margin = np.where(both, np.minimum(1e-3 * (ub - lb), 1.0), 1e-3)
-    lo_only = np.isfinite(lb) & ~both
-    hi_only = np.isfinite(ub) & ~both
-    x[both] = np.clip(x[both], (lb + margin)[both], (ub - margin)[both])
-    x[lo_only] = np.maximum(x[lo_only], (lb + margin)[lo_only])
-    x[hi_only] = np.minimum(x[hi_only], (ub - margin)[hi_only])
-    return x
-
-
 def _bound_shortcut(problem: DenseQp, groups: list, shift: float) -> tuple | None:
     """Exact solution of the problem with H + shift I when only box bounds are active.
 
@@ -406,7 +389,8 @@ def _solve(problem: DenseQp, warm_start, max_iter: int, allow_probe: bool,
         zero_rows = np.max(np.abs(problem.G), axis=1) == 0.0
         if np.any(problem.h[zero_rows] < -1e-12):
             work = _shifted(problem, shift)
-            u = _interior_start(warm_start, work.lb, work.ub, n)
+            u = np.clip(np.zeros(n) if warm_start is None
+                        else np.asarray(warm_start, dtype=float).reshape(n), work.lb, work.ub)
             mult = np.zeros(work.m + 2 * n)
             return QpSolution(u_star=u, objective=work.objective(u), status=INFEASIBLE,
                               kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
@@ -477,123 +461,139 @@ def _solve_with_pinned(problem: DenseQp, pinned, warm_start, max_iter, allow_pro
 
 
 def _ipm(problem: DenseQp, warm_start, max_iter: int) -> QpSolution:
-    H, f, G, h = problem.H, problem.f, problem.G, problem.h
-    lb, ub = problem.lb, problem.ub
-    n, m = problem.n, problem.m
-    lo = np.isfinite(lb)
-    hi = np.isfinite(ub)
-    n_comp = m + int(lo.sum()) + int(hi.sum())
+    """Mehrotra predictor-corrector over the rows A = [G; -I_lo; I_hi], b.
 
-    x = _interior_start(warm_start, lb, ub, n)
+    One slack s and dual z per row, one ratio test; x need not start inside
+    the box.  Per iteration one n x n Cholesky of H + A' diag(z/s) A serves the
+    predictor, the corrector and up to ``_CORRECTORS`` Gondzio centrality
+    correctors.  Start: x from the warm start, s and z one affine step from
+    s = z = 1, shifted positive as in Mehrotra (1992).
+    """
+    H, f, G = problem.H, problem.f, problem.G
+    n, m = problem.n, problem.m
+    lo = np.flatnonzero(np.isfinite(problem.lb))
+    hi = np.flatnonzero(np.isfinite(problem.ub))
+    k = m + len(lo)                      # first upper-bound row
+    n_comp = k + len(hi)
+
+    x = np.zeros(n) if warm_start is None else np.array(warm_start, dtype=float).reshape(n)
     if n_comp == 0:
         x = -np.linalg.solve(H, f)
         mult = np.zeros(m + 2 * n)
         return QpSolution(u_star=x, objective=problem.objective(x), status=OPTIMAL,
                           kkt_residual=kkt_residual(problem, x, mult), multipliers=mult,
                           path="ipm")
+    b = np.concatenate([problem.h, -problem.lb[lo], problem.ub[hi]])
 
-    s = np.maximum(h - G @ x, 1.0) if m else np.zeros(0)
-    z = np.ones(m)
-    w = np.where(lo, 1.0, 0.0)
-    y = np.where(hi, 1.0, 0.0)
+    def rows(v):                         # A v
+        return np.concatenate([G @ v, -v[lo], v[hi]])
 
-    dim = n + m
-    K = np.zeros((dim, dim))
-    K[:n, :n] = H
-    if m:
-        K[:n, n:] = G.T
-        K[n:, :n] = G
-    diag_n = np.arange(n)
-    diag_m = np.arange(n, dim)
-    h_diag = np.diag(H).copy()
+    def rows_t(u):                       # A' u
+        r = G.T @ u[:m]
+        r[lo] -= u[m:k]
+        r[hi] += u[k:]
+        return r
+
+    def factor():
+        d = z / s
+        M = H + (G.T * d[:m]) @ G
+        M.flat[::n + 1] += np.bincount(np.concatenate([lo, hi]), d[m:], n)
+        return cho_factor(M, check_finite=False)
+
+    def newton(fac, r_d, r_p, r_c):
+        """(dx, ds, dz) with H dx + A'dz = -r_d, A dx + ds = -r_p, z ds + s dz = -r_c."""
+        dx = cho_solve(fac, -r_d - rows_t((z * r_p - r_c) / s), check_finite=False)
+        ds = -r_p - rows(dx)
+        return dx, ds, -(r_c + z * ds) / s
+
+    def max_step(ds, dz):                # largest step keeping s, z >= 0
+        v, dv = np.concatenate([s, z]), np.concatenate([ds, dz])
+        neg = dv < 0
+        return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
+
+    slot = np.concatenate([np.arange(m), m + lo, m + n + hi])   # row -> QpSolution layout
+
+    def multipliers(v):
+        mult = np.zeros(m + 2 * n)
+        mult[slot] = v
+        return mult
+
+    s = np.ones(n_comp)
+    z = np.ones(n_comp)
+    try:
+        _, ds, dz = newton(factor(), H @ x + f + rows_t(z), rows(x) + s - b, s * z)
+        s_aff = s + ds + max(-1.5 * float(np.min(s + ds)), 0.0)
+        z_aff = z + dz + max(-1.5 * float(np.min(z + dz)), 0.0)
+        gap = float(s_aff @ z_aff)
+        if gap > 0.0 and np.isfinite(gap):
+            s = s_aff + 0.5 * gap / float(np.sum(z_aff))
+            z = z_aff + 0.5 * gap / float(np.sum(s_aff))
+    except np.linalg.LinAlgError:
+        pass                             # keep s = z = 1; the loop's factor decides
 
     best = None
     trace = []
     kkt_hist = []
     it = 0
     for it in range(1, max_iter + 1):
-        p = np.where(lo, x - lb, 1.0)
-        q = np.where(hi, ub - x, 1.0)
-        r_d = H @ x + f + (G.T @ z if m else 0.0) - w + y
-        r_p = (G @ x + s - h) if m else np.zeros(0)
-        mu = (float(s @ z) + float(np.sum(p * w * lo)) + float(np.sum(q * y * hi))) / n_comp
-
-        mult = np.concatenate([z, w, y])
-        kkt = kkt_residual(problem, x, mult)
-        pviol = _primal_violation(problem, x)
-        trace.append((problem.objective(x), pviol))
+        Hx = H @ x
+        mult = multipliers(z)
+        kkt = _kkt_residual(problem, x, mult, Hx)
+        objective = float(0.5 * x @ Hx + f @ x)
+        trace.append((objective, _primal_violation(problem, x)))
         if best is None or kkt < best[2]:
-            best = (x.copy(), mult.copy(), kkt)
+            best = (x, mult, kkt)        # x is rebound by each step, never written into
         kkt_hist.append(kkt)
         if kkt <= _STOP_KKT:
             break
+        mu = float(s @ z) / n_comp
         stalled = (len(kkt_hist) > 6 and kkt > 0.9 * kkt_hist[-6]
-                   and mu <= 1e-13 * (1.0 + abs(problem.objective(x))))
-        if stalled:
+                   and mu <= 1e-13 * (1.0 + abs(objective)))
+        if stalled or kkt > 1e8 * best[2]:   # or diverging along an infeasibility ray
             break
-
-        K[diag_n, diag_n] = h_diag + np.where(lo, w / p, 0.0) + np.where(hi, y / q, 0.0)
-        if m:
-            K[diag_m, diag_m] = -s / z
         try:
-            lu = lu_factor(K, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError):
+            fac = factor()
+        except np.linalg.LinAlgError:
             break
+        r_d = Hx + f + rows_t(z)
+        r_p = rows(x) + s - b
 
-        def newton(rc_z, rc_l, rc_u):
-            b_x = -r_d - np.where(lo, rc_l / p, 0.0) + np.where(hi, rc_u / q, 0.0)
-            if m:
-                b_z = -r_p + rc_z / z
-                sol = lu_solve(lu, np.concatenate([b_x, b_z]), check_finite=False)
-                dx, dz = sol[:n], sol[n:]
-                ds = -r_p - G @ dx
-            else:
-                dx = lu_solve(lu, b_x, check_finite=False)
-                dz = np.zeros(0)
-                ds = np.zeros(0)
-            dw = np.where(lo, -(rc_l + w * dx) / p, 0.0)
-            dy = np.where(hi, (y * dx - rc_u) / q, 0.0)
-            return dx, ds, dz, dw, dy
+        dx, ds, dz = newton(fac, r_d, r_p, s * z)                      # predictor
+        alpha = min(1.0, max_step(ds, dz))
+        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / n_comp
+        target = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8)) * mu
+        dx, ds, dz = newton(fac, r_d, r_p, s * z + ds * dz - target)  # corrector
+        alpha = max_step(ds, dz)
+        for _ in range(_CORRECTORS):
+            if _TAU * alpha >= 1.0:
+                break
+            trial = min(1.0, 1.5 * alpha + 0.3)
+            v = (s + trial * ds) * (z + trial * dz)
+            excess = np.maximum(np.clip(v, 0.1 * target, 10.0 * target) - v, -10.0 * target)
+            cx, cs, cz = newton(fac, 0.0, 0.0, -excess)
+            alpha_c = max_step(ds + cs, dz + cz)
+            if alpha_c < 1.01 * alpha:
+                break
+            dx, ds, dz, alpha = dx + cx, ds + cs, dz + cz, alpha_c
 
-        # predictor
-        rc_z = s * z
-        rc_l = np.where(lo, p * w, 0.0)
-        rc_u = np.where(hi, q * y, 0.0)
-        dx, ds, dz, dw, dy = newton(rc_z, rc_l, rc_u)
-        if not np.all(np.isfinite(dx)):
+        # one refinement of the stationarity row, whose rounding grows like z/s
+        ex = cho_solve(fac, -(r_d + H @ dx + rows_t(dz)), check_finite=False)
+        es = -rows(ex)
+        dx, ds, dz = dx + ex, ds + es, dz - z * es / s
+        step = min(1.0, _TAU * max_step(ds, dz))
+        x = x + step * dx
+        s = s + step * ds
+        z = z + step * dz
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(z))):
             break
-        alpha = min(
-            _max_step(s, ds), _max_step(z, dz),
-            _max_step(p[lo], dx[lo]), _max_step(q[hi], -dx[hi]),
-            _max_step(w[lo], dw[lo]), _max_step(y[hi], dy[hi]), 1e10)
-        alpha_aff = min(1.0, alpha)
-        mu_aff = (float((s + alpha_aff * ds) @ (z + alpha_aff * dz))
-                  + float(np.sum((p + alpha_aff * dx) * (w + alpha_aff * dw) * lo))
-                  + float(np.sum((q - alpha_aff * dx) * (y + alpha_aff * dy) * hi))) / n_comp
-        sigma = np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8) if mu > 0 else 0.0
-
-        # corrector
-        rc_z = s * z + ds * dz - sigma * mu
-        rc_l = np.where(lo, p * w + dx * dw - sigma * mu, 0.0)
-        rc_u = np.where(hi, q * y + (-dx) * dy - sigma * mu, 0.0)
-        dx, ds, dz, dw, dy = newton(rc_z, rc_l, rc_u)
-        if not np.all(np.isfinite(dx)):
-            break
-
-        alpha = min(
-            _max_step(s, ds), _max_step(z, dz),
-            _max_step(p[lo], dx[lo]), _max_step(q[hi], -dx[hi]),
-            _max_step(w[lo], dw[lo]), _max_step(y[hi], dy[hi]), 1e10)
-        mu_rel = mu / (1.0 + abs(problem.objective(x)))
-        tau = max(0.995, 1.0 - 100.0 * mu_rel)
-        step = min(1.0, tau * alpha)
-        x += step * dx
-        s += step * ds
-        z += step * dz
-        w += step * dw
-        y += step * dy
 
     x_best, mult_best, kkt_best = best
+    if kkt_best > _STOP_KKT:
+        # the reduced system's rounding grows like z/s and can stall the last iterates
+        # above the target: re-solve on the rows marked active (z > s), if KKT-verified
+        polished = _active_set_shortcut(problem, multipliers(np.where(z > s, z, 0.0)))
+        if polished is not None:
+            x_best, mult_best, kkt_best = polished
     pviol = _primal_violation(problem, x_best)
     status = OPTIMAL if (kkt_best <= _OPTIMAL_KKT and pviol <= _OPTIMAL_PVIOL) else MAX_ITER
     return QpSolution(u_star=x_best, objective=problem.objective(x_best), status=status,

@@ -26,6 +26,7 @@ import csv
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -50,6 +51,8 @@ logger = logging.getLogger(__name__)
 PARALLEL_ADMM = "parallel_admm"
 CENTRALIZED = "centralized"
 _MODES = (PARALLEL_ADMM, CENTRALIZED)
+# thread-count variables of the BLAS builds numpy may load; results can depend on them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def make_seed(previous: HorizonTrajectory | None, current_state: VehicleState,
@@ -302,6 +305,7 @@ class SimulationRun:
             "d_safe": sig9(self.scenario.config.d_safe),
             "d_perc": sig9(self.scenario.config.d_perc),
             "vehicle_ids": list(self.vehicle_ids),
+            "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
             "duration": sig9(self.times[-1]),
             "min_pairwise_distance": (sig9(np.min(self.min_pairwise))
                                       if len(self.vehicle_ids) > 1 else None),

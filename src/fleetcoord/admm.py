@@ -8,6 +8,15 @@ duals absorb the remaining disagreement.  Stopping uses primal/dual residual
 norms against absolute-plus-relative tolerances, and the penalty rho adapts
 by factor 2 whenever one residual exceeds five times the other.
 
+A receding-horizon caller warm starts each MPC cycle from the last one's
+final state (``init_admm_state(..., previous=state)``): copies and consensus
+start at the new seeds, rho is the last final rho, each edge that persists
+keeps its scaled duals shifted one step, and a new edge starts at zero.  A
+vehicle's own dual is not carried but set to minus the sum of its edge
+duals.  The consensus average and the dual step keep every vehicle's scaled
+duals (local copy plus incident edge copies) summing to zero; a carried
+vehicle dual would break that sum whenever an edge leaves the graph.
+
 Tracking nodes are solved by ``solve_local`` in closed form from an
 eigendecomposition of their fixed Hessian, made once per cycle, so rho
 changes never refactor; a node whose position rows bind hands its QP to
@@ -96,16 +105,38 @@ class AdmmResult:
     trace: list
 
 
-def init_admm_state(seeds: dict, edges, rho0: float) -> AdmmState:
-    """Warm start at the seed steering: all copies equal, duals zero."""
-    if rho0 <= 0:
+def _shift(x: np.ndarray) -> np.ndarray:
+    """One step of the receding horizon: drop the first entry, repeat the last."""
+    return np.concatenate([x[1:], x[-1:]])
+
+
+def init_admm_state(seeds: dict, edges, rho0: float,
+                    previous: AdmmState | None = None) -> AdmmState:
+    """Start at the seed steering: all copies and the consensus equal the seeds.
+
+    With no ``previous`` state every dual is zero and rho is ``rho0``.  With
+    the final state of the previous MPC cycle, rho is its final rho (the scaled
+    duals were stored at it) and ``rho0`` is not used; each edge still in
+    ``edges`` keeps its two scaled duals shifted one step, and a new edge starts
+    at zero.  Each vehicle's own dual is then the negated sum of its edge
+    duals, so a vehicle's scaled duals sum to zero, as every ADMM iteration
+    leaves them; a vehicle without edges starts at zero.
+    """
+    rho = rho0 if previous is None else previous.rho
+    if rho <= 0:
         raise ParameterError("rho0 must be positive")
     u = {v: np.asarray(s, dtype=float).copy() for v, s in seeds.items()}
     z = {v: arr.copy() for v, arr in u.items()}
-    lam = {v: np.zeros_like(arr) for v, arr in u.items()}
     u_edge = {tuple(e): {v: u[v].copy() for v in e} for e in edges}
-    lam_edge = {tuple(e): {v: np.zeros_like(u[v]) for v in e} for e in edges}
-    return AdmmState(u=u, z=z, lam=lam, u_edge=u_edge, lam_edge=lam_edge, rho=rho0)
+    carried = {} if previous is None else previous.lam_edge
+    lam_edge = {e: ({v: _shift(carried[e][v]) for v in e} if e in carried
+                    else {v: np.zeros_like(u[v]) for v in e})
+                for e in u_edge}
+    lam = {v: np.zeros_like(arr) for v, arr in u.items()}
+    for e in sorted(lam_edge):
+        for v in e:
+            lam[v] -= lam_edge[e][v]
+    return AdmmState(u=u, z=z, lam=lam, u_edge=u_edge, lam_edge=lam_edge, rho=rho)
 
 
 def incident_edges(vehicles, edges) -> dict:

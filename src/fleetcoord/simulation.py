@@ -7,6 +7,13 @@ parallel consensus problem or the centralized QP on identical convexified
 data, apply the first steering input of each vehicle, and advance every
 plant one nonlinear step.
 
+Consensus ADMM starts every cycle after the first from the previous cycle's
+final state: its copies start at the new seeds, its rho is carried, each
+persisting edge's duals are shifted one step like the seed, new edges start
+at zero, and each vehicle's dual is set so that its duals sum to zero
+(``init_admm_state``).  The centralized QP is warm started from the last
+cycle's solution when the problem size is unchanged.
+
 The loop keeps the fleet as arrays in vehicle-id order: (N, 3) poses and
 (N, Np) steering.  Per cycle it makes one ``rollout_fleet`` for the seeds
 and one for the applied plans, one ``condense_fleet``, one vectorized
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import AdmmConfig, ResidualReport, admm_solve
+from .admm import AdmmConfig, ResidualReport, admm_solve, init_admm_state
 # linearize, condense, rollout, make_local_problem and make_edge_problem are
 # not called here; they stay importable from this module for span tracers
 # that wrap them by name.
@@ -258,6 +265,9 @@ class CycleRecord:
     qp_status: str | None = None
     qp_path: str | None = None       # centralized: the solve_qp path that answered
     objective: float = float("nan")
+    rho_start: float | None = None   # parallel: rho carried into the cycle
+    rho_final: float | None = None   # parallel: rho carried out of it
+    duals_carried: int | None = None     # parallel: edges whose duals were carried
 
 
 @dataclass
@@ -344,6 +354,9 @@ class SimulationRun:
                         if c.admm_report else None),
                     "qp_status": c.qp_status,
                     "qp_path": c.qp_path,
+                    "rho_start": sig9(c.rho_start),
+                    "rho_final": sig9(c.rho_final),
+                    "duals_carried": c.duals_carried,
                 }
                 for c in self.cycles
             ],
@@ -447,6 +460,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
     cycles = []
     violations = []
     centralized_warm = None
+    admm_state = None                    # final ADMM state of the last cycle
 
     for cycle in range(n_cycles):
         t = cycle * cfg.ts
@@ -458,15 +472,20 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
 
         t0 = time.perf_counter()
         if solver_mode == PARALLEL_ADMM:
+            init = init_admm_state(dict(zip(vids, seed_controls)), edge_problems,
+                                   admm_cfg.rho0, previous=admm_state)
+            rho_start = init.rho
+            duals_carried = (0 if admm_state is None else
+                             sum(e in admm_state.lam_edge for e in edge_problems))
             try:
-                result = admm_solve(local_problems, edge_problems, admm_cfg,
-                                    seeds=dict(zip(vids, seed_controls)))
+                result = admm_solve(local_problems, edge_problems, admm_cfg, init=init)
             except NumericalFailureError as exc:
                 dump = {vid: tuple(row) for vid, row in zip(vids, poses.tolist())}
                 raise NumericalFailureError(
                     f"solver failure at cycle {cycle} (t={t:.2f}s): {exc}; "
                     f"states={dump}", iteration=exc.iteration) from exc
             wall = time.perf_counter() - t0
+            admm_state = result.state
             controls = result.consensus
             record = CycleRecord(
                 index=cycle, time=t, graph_edges=graph.edges, mode=solver_mode,
@@ -474,7 +493,8 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                 iterations=result.report.iterations_used,
                 converged=result.report.converged,
                 slack_max=result.report.slack_max, min_distance=float("nan"),
-                admm_report=result.report,
+                admm_report=result.report, rho_start=rho_start,
+                rho_final=admm_state.rho, duals_carried=duals_carried,
                 objective=fleet_objective(local_problems, controls))
         else:
             central = build_centralized(local_problems, edge_problems)

@@ -300,6 +300,58 @@ def test_init_state_warm_starts_at_seed():
         assert np.all(state.lam_edge[(1, 2)][v] == 0.0)
 
 
+def _dual_sums(state):
+    """Each vehicle's scaled duals summed over its local and edge copies."""
+    sums = {v: lam.copy() for v, lam in state.lam.items()}
+    for e, duals in state.lam_edge.items():
+        for v in e:
+            sums[v] = sums[v] + duals[v]
+    return sums
+
+
+def test_carried_state_shifts_edge_duals_and_balances_vehicle_duals():
+    # cycle k: a fleet of at least three vehicles solved to its final state;
+    # cycle k+1: every edge of the last vehicle leaves the graph, a new vehicle
+    # joins with an edge to vehicle 1, and another new vehicle has no edges
+    rng = np.random.default_rng(5)
+    while True:
+        local_problems, edge_problems, seeds = random_fleet_instance(rng)
+        if len(local_problems) >= 3 and (1, 2) in edge_problems:
+            break
+    previous = admm_solve(local_problems, edge_problems, AdmmConfig(),
+                          seeds={v: s.copy() for v, s in seeds.items()}).state
+    for total in _dual_sums(previous).values():
+        assert np.max(np.abs(total)) <= 1e-12
+    assert any(np.any(lam != 0.0) for duals in previous.lam_edge.values()
+               for lam in duals.values())
+
+    last = max(local_problems)
+    joining, lone = last + 1, last + 2
+    edges = [e for e in edge_problems if last not in e] + [(1, joining)]
+    new_seeds = {v: rng.normal(size=5) for v in [*local_problems, joining, lone]}
+    state = init_admm_state(new_seeds, edges, rho0=123.0, previous=previous)
+
+    assert state.rho == previous.rho
+    assert state.iteration == 0 and state.z_prev is None
+    assert sorted(state.lam_edge) == sorted(edges)
+    for e in edges:
+        for v in e:
+            if e in previous.lam_edge:
+                old = previous.lam_edge[e][v]
+                assert np.array_equal(state.lam_edge[e][v], np.append(old[1:], old[-1]))
+            else:
+                assert np.all(state.lam_edge[e][v] == 0.0)
+    for v, total in _dual_sums(state).items():
+        assert np.max(np.abs(total)) <= 1e-12, v
+    for v in (last, lone):
+        assert np.all(state.lam[v] == 0.0)
+    for v, seed in new_seeds.items():
+        assert np.array_equal(state.u[v], seed) and np.array_equal(state.z[v], seed)
+    for e in edges:
+        for v in e:
+            assert np.array_equal(state.u_edge[e][v], new_seeds[v])
+
+
 def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog):
     import fleetcoord.admm as admm_mod
     rng = np.random.default_rng(113)

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,15 +41,86 @@ def test_default_d_perc_formula(overtake_path):
 def test_round_trip_exact(overtake_path, intersection_path):
     for path in (overtake_path, intersection_path):
         first = load_scenario_file(path)
-        second = load_scenario(dump_scenario(first))
-        assert second.config == first.config
-        for a, b in zip(first.vehicles, second.vehicles):
-            assert a.id == b.id
-            assert a.speed == b.speed
-            assert a.steer_min == b.steer_min and a.steer_max == b.steer_max
-            assert a.bounds == b.bounds
-            assert a.initial_state == b.initial_state
-            assert np.array_equal(a.waypoints, b.waypoints)
+        _assert_same_scenario(first, load_scenario(dump_scenario(first)))
+
+
+
+def _assert_same_scenario(first, second):
+    assert second.config == first.config
+    assert len(second.vehicles) == len(first.vehicles)
+    for a, b in zip(first.vehicles, second.vehicles):
+        assert a.id == b.id
+        assert a.wheelbase == b.wheelbase
+        assert a.speed == b.speed and a.speed_kmh == b.speed_kmh
+        assert a.steer_min == b.steer_min and a.steer_max == b.steer_max
+        assert a.steer_min_deg == b.steer_min_deg and a.steer_max_deg == b.steer_max_deg
+        assert a.bounds == b.bounds
+        assert a.initial_state == b.initial_state
+        assert np.array_equal(a.waypoints, b.waypoints)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive_floats = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def _vehicle_blocks(draw, vid):
+    x_min = draw(st.floats(-1e4, 1e4))
+    y_min = draw(st.floats(-1e4, 1e4))
+    x_max = x_min + draw(st.floats(1e-3, 1e4))
+    y_max = y_min + draw(st.floats(1e-3, 1e4))
+    fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    steer_min = draw(st.floats(-89.9, 89.8))
+    steer_max = draw(st.floats(steer_min, 89.9).filter(lambda d: d > steer_min))
+    waypoints = draw(st.lists(st.tuples(_finite, _finite, _finite), min_size=1, max_size=6))
+    return {
+        "id": vid,
+        "wheelbase_m": draw(st.floats(0.5, 10.0)),
+        "speed_kmh": draw(st.floats(1e-3, 300.0)),
+        "steer_min_deg": steer_min,
+        "steer_max_deg": steer_max,
+        "position_bounds_m": {"x_min": x_min, "x_max": x_max,
+                              "y_min": y_min, "y_max": y_max},
+        "initial_pose": {"x_m": min(x_min + fx * (x_max - x_min), x_max),
+                         "y_m": min(y_min + fy * (y_max - y_min), y_max),
+                         "theta_rad": draw(st.floats(-20.0, 20.0))},
+        "waypoints_m": [list(w) for w in waypoints],
+    }
+
+
+@st.composite
+def _scenario_documents(draw):
+    ids = draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=5, unique=True))
+    d_safe = draw(_positive_floats)
+    doc = {
+        "global": {
+            "ts": draw(_positive_floats),
+            "horizon_steps": draw(st.integers(1, 50)),
+            "d_safe": d_safe,
+            "q_weight": draw(_positive_floats),
+            "r_weight": draw(st.floats(0.0, 1e6)),
+            "rho0": draw(_positive_floats),
+            "eps_abs": draw(_positive_floats),
+            "eps_rel": draw(_positive_floats),
+            "max_iters": draw(st.integers(1, 1000)),
+            "sim_duration": draw(_positive_floats),
+        },
+        "vehicles": [draw(_vehicle_blocks(vid)) for vid in ids],
+    }
+    if draw(st.booleans()):
+        doc["global"]["d_perc"] = d_safe + draw(st.floats(0.0, 1e6))
+    if draw(st.booleans()):
+        doc["global"]["q_heading"] = draw(st.floats(0.0, 1e6))
+    if draw(st.booleans()):
+        doc["global"]["slack_penalty"] = draw(_positive_floats)
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_scenario_documents())
+def test_round_trip_exact_on_generated_scenarios(doc):
+    first = load_scenario(yaml.safe_dump(doc, sort_keys=False))
+    _assert_same_scenario(first, load_scenario(dump_scenario(first)))
 
 
 MINIMAL = """

@@ -303,6 +303,42 @@ def test_intersection_local_fallbacks_report_their_ipm_work(intersection_path, t
     assert sum(c["local_fallback_ipm_iters"] for c in cycles) > 0
 
 
+def test_overtake_admm_warm_started_cycles_converge_in_few_iterations(overtake_path):
+    # each cycle starts from the last cycle's shifted edge duals and final rho;
+    # cold-started, the same run took 3614 iterations and up to 158 per cycle
+    run = run_simulation(load_scenario_file(overtake_path), "parallel_admm")
+    assert all(c.converged for c in run.cycles)
+    assert sum(c.iterations for c in run.cycles) <= 1500
+    assert max(c.iterations for c in run.cycles) <= 80
+
+
+def test_intersection_admm_warm_start_keeps_every_node_optimal(intersection_path):
+    # edges leave the graph here; a vehicle dual carried without its edge
+    # duals would start unbalanced and drive local fallbacks off the KKT target
+    sc = load_scenario_file(intersection_path)
+    run = run_simulation(sc, "parallel_admm")
+    assert all(c.iterations < sc.config.max_iters for c in run.cycles)
+    assert sum(c.admm_report.nonoptimal_nodes for c in run.cycles) == 0
+
+
+def test_summary_reports_the_carried_admm_state(intersection_path, tmp_path):
+    # the graph is empty until cycle 20, so its first edges have no duals to carry
+    sc = load_scenario_file(intersection_path)
+    run = run_simulation(sc, "parallel_admm", duration=3.0)
+    path = tmp_path / "summary.json"
+    run.write_summary(path)
+    cycles = json.loads(path.read_text())["cycles"]
+    first_coupled = next(c for c in cycles if c["edges"])
+    assert cycles[0]["duals_carried"] == 0 and first_coupled["index"] > 0
+    assert first_coupled["duals_carried"] == 0
+    assert cycles[0]["rho_start"] == sc.config.rho0
+    for prev, cycle in zip(cycles, cycles[1:]):
+        assert cycle["rho_start"] == prev["rho_final"] > 0
+        carried = {tuple(e) for e in prev["edges"]} & {tuple(e) for e in cycle["edges"]}
+        assert cycle["duals_carried"] == len(carried)
+    assert max(c["duals_carried"] for c in cycles) > 0
+
+
 def test_lane_grid_of_256_vehicles_runs():
     # a scale smoke test of the fleet-array path (no timing asserted)
     run = run_simulation(generate_scaled_scenario(256, 0), "parallel_admm", duration=0.2)

@@ -8,11 +8,12 @@ data, apply the first steering input of each vehicle, and advance every
 plant one nonlinear step.
 
 Consensus ADMM starts every cycle after the first from the previous cycle's
-final state: its copies start at the new seeds, its rho is carried, each
-persisting edge's duals are shifted one step like the seed, new edges start
-at zero, and each vehicle's dual is set so that its duals sum to zero
-(``init_admm_state``).  The centralized QP is warm started from the last
-cycle's solution when the problem size is unchanged.
+final state: its copies start at the new seeds, its rho is carried (rho0
+after a cycle without edges), each persisting edge's duals are shifted one
+step like the seed, new edges start at zero, and each vehicle's dual is set
+so that its duals sum to zero (``init_admm_state``).  The centralized QP is
+warm started from the last cycle's solution when the problem size is
+unchanged.
 
 The loop keeps the fleet as arrays in vehicle-id order: (N, 3) poses and
 (N, Np) steering.  Per cycle it makes one ``rollout_fleet`` for the seeds

@@ -33,7 +33,9 @@ changes the linear term, so one eigendecomposition H0 = V diag(d) V' (made by
 x = -V (V'f / (d + rho)).  Steering-bound violators are pinned and the free
 block re-solved, as in ``qp``'s bound shortcut; a solve whose position rows
 bind fails the KKT check and goes to ``solve_qp`` on ``build_local``, the
-reference formulation.
+reference formulation.  ``LocalBatch`` makes the cycle's eigendecompositions
+as one stacked ``eigh`` and answers every vehicle that pins nothing in one
+stacked closed-form pass, bit for bit as ``solve_local`` would.
 
 Edge problems are solved by ``solve_edge`` through their exact dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
 
@@ -47,7 +49,10 @@ and x = v - G_u'mu / rho.  ``EdgeProblem`` forms G_u G_u' from its G on
 first use, once per cycle; each ADMM iteration only changes the linear term,
 and rho enters as a scalar.  Rows of G_u that are identically zero (the
 step-1 separation, which no steering input can move) get their multiplier
-and slack in closed form.
+and slack in closed form.  ``EdgeBatch`` answers, in one stacked pass, every
+edge whose coupled rows are all inactive (q = rho (G_c v - h_c) <= 0, where
+mu_c = 0 and x = v), bit for bit as ``solve_edge`` would; the rest go to
+``solve_edge``.
 ``build_edge`` stays the primal reference formulation of the same QP.
 """
 
@@ -132,7 +137,8 @@ class LocalProblem:
         """(d, V, H0s) with H0s = (H0 + H0')/2 = V diag(d) V', d ascending.
 
         Computed on first use and kept, so a cycle's ADMM iterations share one
-        decomposition and the centralized path never pays for it.
+        decomposition and the centralized path never pays for it; a
+        ``LocalBatch`` fills it for the whole fleet at once.
         """
         if self._eig is None:
             H0s = 0.5 * (self.H0 + self.H0.T)
@@ -266,58 +272,55 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
     return problems
 
 
-def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: float,
-                degree_weighted: bool = False) -> DenseQp:
+def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: float) -> DenseQp:
     """Tracking QP plus the consensus proximal term (0.5 rho |u - z + lam|^2)."""
     if rho <= 0:
         raise ParameterError("rho must be positive")
     np_steps = problem.horizon
     z = np.asarray(z, dtype=float).reshape(np_steps)
     lam = np.asarray(lam, dtype=float).reshape(np_steps)
-    rho_eff = rho * (problem.edge_count if degree_weighted and problem.edge_count else 1)
-    H = problem.H0 + rho_eff * np.eye(np_steps)
-    f = problem.f0 + rho_eff * (lam - z)
+    H = problem.H0 + rho * np.eye(np_steps)
+    f = problem.f0 + rho * (lam - z)
     return DenseQp(H=H, f=f, G=problem.G, h=problem.h,
                    lb=problem.steer_lb, ub=problem.steer_ub)
 
 
-def solve_local(problem: LocalProblem, z, lam, rho: float, warm: QpSolution | None = None,
-                degree_weighted: bool = False) -> QpSolution:
-    """Solution of ``build_local(problem, z, lam, rho, degree_weighted)`` in closed form.
+def solve_local(problem: LocalProblem, z, lam, rho: float,
+                warm: QpSolution | None = None) -> QpSolution:
+    """Solution of ``build_local(problem, z, lam, rho)`` in closed form.
 
     With H0s = V diag(d) V' from ``problem.eig()``, the unconstrained
-    minimizer is x = -V (V'f / (d + rho_eff)).  Steering-bound violators are
+    minimizer is x = -V (V'f / (d + rho)).  Steering-bound violators are
     pinned and the free block is solved once more, as in ``qp``'s bound
     shortcut; the multipliers are [0, w, y] in the layout of ``solve_qp``.
     status is ``optimal`` when the position rows and bounds hold to 1e-10 and
     the KKT residual, as ``kkt_residual`` defines it for the built QP, is at
-    most 1e-8.  Otherwise (a position row binds, or H0 + rho_eff I is too
-    close to singular) the built QP goes to ``solve_qp``, warm started from
+    most 1e-8.  Otherwise (a position row binds, or H0 + rho I is too close
+    to singular) the built QP goes to ``solve_qp``, warm started from
     ``warm``, and ``fallback`` is set.
     """
     if rho <= 0:
         raise ParameterError("rho must be positive")
     np_steps = problem.horizon
-    rho_eff = rho * (problem.edge_count if degree_weighted and problem.edge_count else 1)
     z = np.asarray(z, dtype=float).reshape(np_steps)
     lam = np.asarray(lam, dtype=float).reshape(np_steps)
-    f = problem.f0 + rho_eff * (lam - z)
+    f = problem.f0 + rho * (lam - z)
     d, V, H0s = problem.eig()
-    shift = d + rho_eff
+    shift = d + rho
     if shift[0] > _EIG_FLOOR:
-        solved = _local_closed_form(problem, H0s, V, shift, f, rho_eff)
+        solved = _local_closed_form(problem, H0s, V, shift, f, rho)
         if solved is not None:
             x, grad, mult, kkt = solved
             return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)),
                               status=OPTIMAL, kkt_residual=kkt, multipliers=mult)
-    sol = solve_qp(build_local(problem, z, lam, rho, degree_weighted),
+    sol = solve_qp(build_local(problem, z, lam, rho),
                    warm_start=None if warm is None else warm.u_star,
                    warm_multipliers=None if warm is None else warm.multipliers)
     sol.fallback = True
     return sol
 
 
-def _local_closed_form(problem: LocalProblem, H0s, V, shift, f, rho_eff):
+def _local_closed_form(problem: LocalProblem, H0s, V, shift, f, rho):
     """(x, grad, multipliers, kkt) of the bound-pinning guess, or None if not optimal."""
     x = -(V @ ((V.T @ f) / shift))
     lb, ub = problem.steer_lb, problem.steer_ub
@@ -328,13 +331,13 @@ def _local_closed_form(problem: LocalProblem, H0s, V, shift, f, rho_eff):
         x = np.where(at_lo, lb, np.where(at_hi, ub, x))
         free = ~pinned
         if free.any():
-            H_ff = H0s[np.ix_(free, free)] + rho_eff * np.eye(int(free.sum()))
+            H_ff = H0s[np.ix_(free, free)] + rho * np.eye(int(free.sum()))
             rhs = f[free] + H0s[np.ix_(free, pinned)] @ x[pinned]
             try:
                 x[free] = -np.linalg.solve(H_ff, rhs)
             except np.linalg.LinAlgError:
                 return None
-    grad = H0s @ x + rho_eff * x + f
+    grad = H0s @ x + rho * x + f
     w = np.where(at_lo, np.maximum(grad, 0.0), 0.0)
     y = np.where(at_hi, np.maximum(-grad, 0.0), 0.0)
 
@@ -352,6 +355,64 @@ def _local_closed_form(problem: LocalProblem, H0s, V, shift, f, rho_eff):
         return None
     mult = np.concatenate([np.zeros(problem.G.shape[0]), w, y])
     return x, grad, mult, kkt
+
+
+def _groups(keys) -> list:
+    """Row indices grouped by equal key, in first-seen order of the keys."""
+    groups: dict = {}
+    for n, key in enumerate(keys):
+        groups.setdefault(key, []).append(n)
+    return [(key, np.array(rows)) for key, rows in groups.items()]
+
+
+class LocalBatch:
+    """N tracking problems stacked for one closed-form pass per ADMM iteration.
+
+    Construction makes one ``eigh`` over the (N, Np, Np) stack of
+    H0s = (H0 + H0')/2 and fills every problem's ``eig()`` with its slice, so
+    ``solve_local`` shares the decomposition.  ``solve`` is
+    ``_local_closed_form`` for every vehicle at once, restricted to the case
+    that pins nothing: each product is ``_local_closed_form``'s own, issued as
+    one stacked ``matmul`` (position rows grouped by their count), so an
+    answered row equals ``solve_local``'s bit for bit.
+    """
+
+    def __init__(self, problems):
+        H0 = np.stack([p.H0 for p in problems])
+        self.H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
+        self.d, self.V = np.linalg.eigh(self.H0s)
+        for n, p in enumerate(problems):
+            p._eig = (self.d[n], self.V[n], self.H0s[n])
+        self.f0 = np.stack([p.f0 for p in problems])
+        self.lb = np.stack([p.steer_lb for p in problems])
+        self.ub = np.stack([p.steer_ub for p in problems])
+        self.rows = [(idx, np.stack([problems[n].G for n in idx]),
+                      np.stack([problems[n].h for n in idx]))
+                     for m, idx in _groups(p.G.shape[0] for p in problems) if m]
+
+    def solve(self, z, lam, rho: float):
+        """(x, kkt, done) for rows z, lam (N, Np); ``done`` marks the rows answered.
+
+        A row is answered when d0 + rho > _EIG_FLOOR, the unconstrained
+        minimizer pins no steering bound, its position rows hold to 1e-10 and
+        the KKT residual is at most 1e-8; its multipliers are then all zero.
+        Every other row is left to ``solve_local``.
+        """
+        f = self.f0 + rho * (lam - z)
+        shift = self.d + rho
+        y = np.matmul(self.V.transpose(0, 2, 1), f[:, :, None]) / shift[:, :, None]
+        x = -np.matmul(self.V, y)[:, :, 0]
+        grad = np.matmul(self.H0s, x[:, :, None])[:, :, 0] + rho * x + f
+        row_max = np.full(len(x), -np.inf)
+        for idx, G, h in self.rows:
+            row_max[idx] = np.max(np.matmul(G, x[idx][:, :, None])[:, :, 0] - h, axis=1)
+        # unpinned, the bound gaps are <= 0 and w = y = 0: the KKT residual is
+        # the largest of |grad|, the row violations and 0
+        kkt = np.maximum(np.maximum(np.max(np.abs(grad), axis=1), row_max), 0.0)
+        pinned = np.any((x < self.lb) | (x > self.ub), axis=1)
+        done = ((shift[:, 0] > _EIG_FLOOR) & ~pinned & (kkt <= _NODE_OPTIMAL_KKT)
+                & (row_max <= _PRIMAL_TOL))
+        return x, kkt, done
 
 
 def tracking_objective(problem: LocalProblem, u: np.ndarray) -> float:
@@ -602,6 +663,61 @@ def _edge_kkt(problem: EdgeProblem, rho, f_x, x, s, mu, w_s) -> float:
     return max(float(np.max(np.concatenate([
         np.abs(stat_x), np.abs(stat_s), row, -mu, np.abs(mu * row),
         -s, -w_s, np.abs(w_s * s)]))), 0.0)
+
+
+class EdgeBatch:
+    """E edge problems stacked to answer their inactive case in one pass per iteration.
+
+    Construction stacks G_u, h and the slack penalties and finds every edge's
+    fixed rows, with the coupled rows' G_c grouped by the fixed-row pattern.
+    ``solve`` screens all edges with one stacked q = rho (G_c v - h_c).  When
+    q <= 0 on every coupled row and no warm multiplier on a coupled row is
+    nonzero, ``_box_active_set`` returns mu_c = 0 on its first guess, so
+    ``solve_edge``'s answer is x = v with the fixed rows' multipliers and
+    slacks in closed form; M, the active set and G_u' mu (zero: mu is nonzero
+    only on rows whose G_u row is zero) are skipped.  Each product is
+    ``solve_edge``'s own, issued as one stacked ``matmul``, so an answered
+    row equals ``solve_edge``'s bit for bit.
+    """
+
+    def __init__(self, problems, np_steps: int):
+        G = np.array([p.G for p in problems], dtype=float).reshape(-1, np_steps, 3 * np_steps)
+        self.G_u = np.ascontiguousarray(G[:, :, :2 * np_steps])
+        self.h = np.array([p.h for p in problems], dtype=float).reshape(-1, np_steps)
+        self.c = np.array([p.slack_penalty for p in problems], dtype=float)
+        self.fixed = np.max(np.abs(self.G_u), axis=2) == 0.0
+        self.mu_fixed = np.where(self.fixed & (self.h < 0.0), self.c[:, None], 0.0)
+        self.coupled = []
+        for _, idx in _groups(row.tobytes() for row in self.fixed):
+            rows = ~self.fixed[idx[0]]
+            self.coupled.append((idx, self.G_u[idx][:, rows], self.h[idx][:, rows]))
+
+    def solve(self, v, rho: float, warm_mu=None):
+        """(x, s, mu, kkt, done) for the rows v = z - lam (E, 2Np) of all edges.
+
+        ``warm_mu`` (E, Np) holds each edge's last row multipliers, or None.
+        ``done`` marks the edges answered here; ``solve_edge`` answers the rest.
+        """
+        inactive = np.ones(len(v), dtype=bool)
+        for idx, G_c, h_c in self.coupled:
+            q = rho * (np.matmul(G_c, v[idx][:, :, None])[:, :, 0] - h_c)
+            inactive[idx] = np.all(q <= 0.0, axis=1)
+        if warm_mu is not None:
+            inactive &= np.all((warm_mu == 0.0) | self.fixed, axis=1)
+        c = self.c[:, None]
+        mu = self.mu_fixed.copy()
+        x = v
+        G_ux = np.matmul(self.G_u, x[:, :, None])[:, :, 0]
+        s = np.where(mu >= c, np.maximum(G_ux - self.h, 0.0), 0.0)
+        w_s = c - mu
+        # _edge_kkt's terms, with G_u' mu = 0
+        row = G_ux - s - self.h
+        kkt = np.maximum(np.max(np.concatenate([
+            np.abs(rho * x + -rho * v), np.abs(c - mu - w_s), row, -mu, np.abs(mu * row),
+            -s, -w_s, np.abs(w_s * s)], axis=1), axis=1), 0.0)
+        done = (inactive & np.all(np.isfinite(v), axis=1) & (self.c > 0.0)
+                & (kkt <= _NODE_OPTIMAL_KKT))
+        return x, s, mu, kkt, done
 
 
 def _box_active_set(M, q, c, start=None):

@@ -29,6 +29,16 @@ class InstanceSpec:
         self.bounds = Bounds(-1e9, 1e9, -1e9, 1e9)
 
 
+class BoxedSpec(InstanceSpec):
+    """Vehicle with a symmetric steering box and an optional upper y bound."""
+
+    def __init__(self, vid, v, steer, y_max, L=2.4):
+        super().__init__(vid, v, L)
+        self.steer_min = -steer
+        self.steer_max = steer
+        self.bounds = Bounds(-math.inf, math.inf, -math.inf, y_max)
+
+
 def random_fleet_instance(rng, np_steps=5, d_safe=5.0):
     """Returns (local_problems, edge_problems, seed_controls)."""
     n = int(rng.integers(2, 5))
@@ -77,3 +87,31 @@ def random_fleet_instance(rng, np_steps=5, d_safe=5.0):
             (i, j), cond[i], cond[j], seeds[i].positions()[1:],
             seeds[j].positions()[1:], d_safe, weights.slack_penalty)
     return local_problems, edge_problems, {vid: seeds[vid].controls for vid in vids}
+
+
+def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0):
+    """Two vehicles whose references cross; a lane bound and a tight steering box bind.
+
+    Vehicle 1 starts ``half_gap`` m left of the x-axis and is sent 2 m right
+    of it, vehicle 2 mirrored; both drive at 12 m/s within a steering box of
+    +-``steer`` rad, and vehicle 2 stays below y = ``y_max``.  Returns
+    (local_problems, edge_problems, seed_controls) with one edge, (1, 2),
+    whose separation rows activate as the references pull the pair together.
+    """
+    ts, L = 0.1, 2.4
+    weights = CostWeights(q_pos=1.0, q_heading=0.5, r_steer=1.0)
+    local, cond, seeds = {}, {}, {}
+    for vid, y0, y_ref in ((1, half_gap, -2.0), (2, -half_gap, 2.0)):
+        x0 = VehicleState(0.0, y0, 0.0)
+        seed = rollout(x0, np.zeros(np_steps), 12.0, L, ts)
+        cond[vid] = condense(linearize(seed, 12.0, L, ts), x0)
+        ref = seed.states_array()[1:].copy()
+        ref[:, 1] = y_ref
+        spec = BoxedSpec(vid, 12.0, steer, y_max if vid == 2 else math.inf)
+        local[vid] = make_local_problem(spec, cond[vid], ref.reshape(-1), weights,
+                                        edge_count=1)
+        seeds[vid] = seed
+    edges = {(1, 2): make_edge_problem((1, 2), cond[1], cond[2],
+                                       seeds[1].positions()[1:],
+                                       seeds[2].positions()[1:], d_safe)}
+    return local, edges, {vid: s.controls for vid, s in seeds.items()}

@@ -6,8 +6,8 @@ import pytest
 
 from fleetcoord import (AdmmConfig, AdmmState, NumericalFailureError, adapt_rho,
                         admm_solve, apply_rho_update, build_centralized, build_local,
-                        fleet_objective, init_admm_state, residuals, solve_local,
-                        solve_qp, update_consensus, update_duals)
+                        fleet_objective, init_admm_state, residuals, solve_qp,
+                        update_consensus, update_duals)
 
 from instances import random_fleet_instance
 
@@ -276,13 +276,15 @@ def test_nan_iterate_raises_numerical_failure(monkeypatch):
     import fleetcoord.admm as admm_mod
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
+    real = admm_mod.FleetNodes.solve
 
-    def bad_solve(problem, z, lam, rho, warm=None, degree_weighted=False):
-        sol = solve_local(problem, z, lam, rho, degree_weighted=degree_weighted)
-        sol.u_star = np.full_like(sol.u_star, np.nan)
-        return sol
+    def bad_solve(self, stack, rho):
+        # every vehicle's answer, from the batched pass or per node, is NaN
+        step = real(self, stack, rho)
+        step.u[:] = np.nan
+        return step
 
-    monkeypatch.setattr(admm_mod, "solve_local", bad_solve)
+    monkeypatch.setattr(admm_mod.FleetNodes, "solve", bad_solve)
     with pytest.raises(NumericalFailureError) as err:
         admm_solve(local_problems, edge_problems, AdmmConfig(), seeds=seeds)
     assert err.value.iteration == 1
@@ -356,13 +358,16 @@ def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog):
     import fleetcoord.admm as admm_mod
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
+    real = admm_mod.FleetNodes.solve
 
-    def stalled_solve(problem, z, lam, rho, warm=None, degree_weighted=False):
-        sol = solve_local(problem, z, lam, rho, warm=warm, degree_weighted=degree_weighted)
-        sol.status = "max_iter"
-        return sol
+    def stalled_solve(self, stack, rho):
+        # every vehicle's answer, from the batched pass or per node, stalled
+        step = real(self, stack, rho)
+        n = len(step.u)
+        step.status[:n] = ["max_iter"] * n
+        return step
 
-    monkeypatch.setattr(admm_mod, "solve_local", stalled_solve)
+    monkeypatch.setattr(admm_mod.FleetNodes, "solve", stalled_solve)
     with caplog.at_level("WARNING", logger="fleetcoord.admm"):
         res = admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=5),
                          seeds=seeds)
@@ -375,7 +380,7 @@ def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog):
     assert "local/" in warned[0].getMessage() and "max_iter" in warned[0].getMessage()
 
 
-def test_edge_fallbacks_are_counted(monkeypatch):
+def test_edge_fallbacks_are_counted(monkeypatch, per_node_path):
     import fleetcoord.subproblems as sub
     rng = np.random.default_rng(99)
     while True:
@@ -385,6 +390,7 @@ def test_edge_fallbacks_are_counted(monkeypatch):
     plain = admm_solve(local_problems, edge_problems, AdmmConfig(),
                        seeds=copy.deepcopy(seeds))
     assert plain.report.edge_fallbacks == 0
+    per_node_path()
     real = sub._box_active_set
     calls = []
 
@@ -403,7 +409,7 @@ def test_edge_fallbacks_are_counted(monkeypatch):
         assert np.allclose(res.consensus[vid], plain.consensus[vid], atol=1e-9)
 
 
-def test_edge_fallback_ipm_iterations_and_paths_are_reported(monkeypatch):
+def test_edge_fallback_ipm_iterations_and_paths_are_reported(monkeypatch, per_node_path):
     import fleetcoord.admm as admm_mod
     import fleetcoord.subproblems as sub
     rng = np.random.default_rng(99)
@@ -427,6 +433,7 @@ def test_edge_fallback_ipm_iterations_and_paths_are_reported(monkeypatch):
         handed_over.append((sol.iterations, sol.path))
         return sol
 
+    per_node_path()
     monkeypatch.setattr(sub, "_box_active_set", cycle_first)
     monkeypatch.setattr(admm_mod, "solve_edge", recording)
     rep = admm_solve(local_problems, edge_problems, AdmmConfig(),

@@ -1,8 +1,7 @@
 """solve_local (the closed-form tracking-node solver) against the built QP.
 
 Instances come from real condensed predictions of one vehicle.  Hypothesis
-varies the penalty rho over six decades, with and without degree weighting,
-narrows the steering box until it binds, and moves the lateral reference past
+varies the penalty rho over six decades, narrows the steering box until it binds, and moves the lateral reference past
 a position bound so that position rows bind and the node must hand over to
 ``solve_qp``.
 """
@@ -17,11 +16,12 @@ from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
 from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_local, condense,
-                        kkt_residual, linearize, make_edge_problem, make_local_problem,
-                        rollout, solve_local, solve_qp)
+                        kkt_residual, linearize, make_local_problem, rollout, solve_local,
+                        solve_qp)
 from fleetcoord.qp import OPTIMAL
-from fleetcoord.scenario import Bounds, VehicleState
+from fleetcoord.scenario import VehicleState
 
+from instances import BoxedSpec, bounded_pair
 from oracles import enumerate_qp
 
 TS, L = 0.1, 2.4
@@ -29,18 +29,6 @@ TS, L = 0.1, 2.4
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow,
                                            HealthCheck.filter_too_much])
-
-
-class BoxedSpec:
-    """Vehicle with a symmetric steering box and an optional upper y bound."""
-
-    def __init__(self, vid, v, steer, y_max):
-        self.id = vid
-        self.speed = v
-        self.wheelbase = L
-        self.steer_min = -steer
-        self.steer_max = steer
-        self.bounds = Bounds(-math.inf, math.inf, -math.inf, y_max)
 
 
 def local_instance(seed, np_steps, steer, lateral, y_room, edge_count=2, y0=0.0):
@@ -67,9 +55,8 @@ def local_instance(seed, np_steps, steer, lateral, y_room, edge_count=2, y0=0.0)
 
 
 instances = st.builds(
-    lambda seed, np_steps, steer, lateral, y_room, edges, log_rho, weighted: (
-        local_instance(seed, np_steps, steer, lateral, y_room, edges),
-        10.0 ** log_rho, weighted),
+    lambda seed, np_steps, steer, lateral, y_room, edges, log_rho: (
+        local_instance(seed, np_steps, steer, lateral, y_room, edges), 10.0 ** log_rho),
     seed=st.integers(0, 2 ** 32 - 1),
     np_steps=st.integers(2, 8),
     steer=st.sampled_from([0.005, 0.02, 0.1, 0.61]),
@@ -77,12 +64,11 @@ instances = st.builds(
     y_room=st.sampled_from([None, 0.02, 0.1, 0.5]),
     edges=st.integers(0, 3),
     log_rho=st.floats(-3.0, 3.0),
-    weighted=st.booleans(),
 )
 
 
-def _check_exact(lp, z, lam, rho, weighted, sol):
-    qp = build_local(lp, z, lam, rho, weighted)
+def _check_exact(lp, z, lam, rho, sol):
+    qp = build_local(lp, z, lam, rho)
     assert sol.status == OPTIMAL
     assert sol.kkt_residual <= 1e-8
     # equal up to round-off: the two sum the stationarity terms in other orders
@@ -95,9 +81,9 @@ def _check_exact(lp, z, lam, rho, weighted, sol):
 @SETTINGS
 @given(instances)
 def test_matches_built_qp(inst):
-    (lp, z, lam), rho, weighted = inst
-    sol = solve_local(lp, z, lam, rho, degree_weighted=weighted)
-    qp = _check_exact(lp, z, lam, rho, weighted, sol)
+    (lp, z, lam), rho = inst
+    sol = solve_local(lp, z, lam, rho)
+    qp = _check_exact(lp, z, lam, rho, sol)
     ref = solve_qp(qp)
     assert ref.status == OPTIMAL
     j_ref = qp.objective(ref.u_star)
@@ -112,9 +98,9 @@ def test_matches_built_qp(inst):
 @SETTINGS
 @given(instances.filter(lambda inst: inst[0][0].horizon <= 3))
 def test_matches_enumeration_oracle(inst):
-    (lp, z, lam), rho, weighted = inst
-    sol = solve_local(lp, z, lam, rho, degree_weighted=weighted)
-    qp = _check_exact(lp, z, lam, rho, weighted, sol)
+    (lp, z, lam), rho = inst
+    sol = solve_local(lp, z, lam, rho)
+    qp = _check_exact(lp, z, lam, rho, sol)
     ref = enumerate_qp(qp.H, qp.f, qp.G, qp.h, qp.lb, qp.ub)
     assert ref is not None
     j_ref = qp.objective(ref[0])
@@ -134,35 +120,34 @@ def test_steering_bounds_pinned_in_closed_form():
     w, y = sol.multipliers[:n], sol.multipliers[n:]
     assert np.any(w > 0) or np.any(y > 0)
     assert np.sum(np.abs(sol.u_star) == 0.2) == 2
-    _check_exact(lp, z, lam, 1.0, False, sol)
+    _check_exact(lp, z, lam, 1.0, sol)
     ref = solve_qp(build_local(lp, z, lam, 1.0))
     assert ref.iterations == 0      # qp's bound shortcut, the same rule
     assert np.max(np.abs(sol.u_star - ref.u_star)) <= 1e-12
 
 
 binding = st.builds(
-    lambda seed, np_steps, steer, lateral, y_room, log_rho, weighted: (
-        local_instance(seed, np_steps, steer, lateral, y_room), 10.0 ** log_rho, weighted),
+    lambda seed, np_steps, steer, lateral, y_room, log_rho: (
+        local_instance(seed, np_steps, steer, lateral, y_room), 10.0 ** log_rho),
     seed=st.integers(0, 2 ** 32 - 1),
     np_steps=st.integers(3, 8),
     steer=st.sampled_from([0.1, 0.61]),
     lateral=st.floats(1.0, 4.0),
     y_room=st.sampled_from([0.02, 0.1, 0.5]),
     log_rho=st.floats(-3.0, 3.0),
-    weighted=st.booleans(),
 )
 
 
 @SETTINGS
 @given(binding)
 def test_binding_position_rows_fall_back_exactly(inst):
-    (lp, z, lam), rho, weighted = inst
-    qp = build_local(lp, z, lam, rho, weighted)
+    (lp, z, lam), rho = inst
+    qp = build_local(lp, z, lam, rho)
     ref = solve_qp(qp)
     assume(np.any(ref.multipliers[:qp.m] > 1e-6))
-    sol = solve_local(lp, z, lam, rho, degree_weighted=weighted)
+    sol = solve_local(lp, z, lam, rho)
     assert sol.fallback
-    _check_exact(lp, z, lam, rho, weighted, sol)
+    _check_exact(lp, z, lam, rho, sol)
     assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
 
 
@@ -176,28 +161,8 @@ def test_eigendecomposition_is_made_once():
     assert np.allclose(V @ np.diag(d) @ V.T, lp.H0, atol=1e-10 * np.max(np.abs(lp.H0)))
 
 
-def _bounded_pair(np_steps=8):
-    """Two vehicles whose references cross; a lane bound and a tight steering box bind."""
-    weights = CostWeights(q_pos=1.0, q_heading=0.5, r_steer=1.0)
-    local, cond, seeds = {}, {}, {}
-    for vid, y0, y_ref in ((1, 3.0, -2.0), (2, -3.0, 2.0)):
-        x0 = VehicleState(0.0, y0, 0.0)
-        seed = rollout(x0, np.zeros(np_steps), 12.0, L, TS)
-        cond[vid] = condense(linearize(seed, 12.0, L, TS), x0)
-        ref = seed.states_array()[1:].copy()
-        ref[:, 1] = y_ref
-        spec = BoxedSpec(vid, 12.0, 0.08, -1.0 if vid == 2 else math.inf)
-        local[vid] = make_local_problem(spec, cond[vid], ref.reshape(-1), weights,
-                                        edge_count=1)
-        seeds[vid] = seed
-    edges = {(1, 2): make_edge_problem((1, 2), cond[1], cond[2],
-                                       seeds[1].positions()[1:],
-                                       seeds[2].positions()[1:], 5.0)}
-    return local, edges, {vid: s.controls for vid, s in seeds.items()}
-
-
-def test_fallbacks_are_counted_and_workers_are_byte_identical(monkeypatch):
-    local, edges, seeds = _bounded_pair()
+def test_fallbacks_are_counted_and_workers_are_byte_identical(monkeypatch, per_node_path):
+    local, edges, seeds = bounded_pair()
     res1 = admm_solve(local, edges, AdmmConfig(workers=1), seeds=copy.deepcopy(seeds))
     res4 = admm_solve(local, edges, AdmmConfig(workers=4), seeds=copy.deepcopy(seeds))
     assert res1.report.iterations_used > 1
@@ -216,14 +181,15 @@ def test_fallbacks_are_counted_and_workers_are_byte_identical(monkeypatch):
         handed_over.append(sol.fallback)
         return sol
 
+    per_node_path()
     monkeypatch.setattr(admm_mod, "solve_local", counting)
     res = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds))
     assert res.report.local_fallbacks == sum(handed_over) == res1.report.local_fallbacks
     assert len(handed_over) == len(local) * res.report.iterations_used
 
 
-def test_fallback_ipm_iterations_and_paths_are_reported(monkeypatch):
-    local, edges, seeds = _bounded_pair()
+def test_fallback_ipm_iterations_and_paths_are_reported(monkeypatch, per_node_path):
+    local, edges, seeds = bounded_pair()
     handed_over = []
 
     def recording(*args, **kwargs):
@@ -232,6 +198,7 @@ def test_fallback_ipm_iterations_and_paths_are_reported(monkeypatch):
             handed_over.append((sol.iterations, sol.path))
         return sol
 
+    per_node_path()
     monkeypatch.setattr(admm_mod, "solve_local", recording)
     rep = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds)).report
     assert rep.local_fallbacks == len(handed_over) > 0

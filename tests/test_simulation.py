@@ -324,7 +324,7 @@ def test_intersection_admm_warm_start_keeps_every_node_optimal(intersection_path
 def test_summary_reports_the_carried_admm_state(intersection_path, tmp_path):
     # the graph is empty until cycle 20, so its first edges have no duals to carry
     sc = load_scenario_file(intersection_path)
-    run = run_simulation(sc, "parallel_admm", duration=3.0)
+    run = run_simulation(sc, "parallel_admm", duration=7.5)
     path = tmp_path / "summary.json"
     run.write_summary(path)
     cycles = json.loads(path.read_text())["cycles"]
@@ -332,8 +332,16 @@ def test_summary_reports_the_carried_admm_state(intersection_path, tmp_path):
     assert cycles[0]["duals_carried"] == 0 and first_coupled["index"] > 0
     assert first_coupled["duals_carried"] == 0
     assert cycles[0]["rho_start"] == sc.config.rho0
+    # an uncoupled cycle only halves rho, so the cycle after it starts at
+    # rho0 (the graph empties again at cycle 71, where rho ends below rho0)
+    assert first_coupled["rho_start"] == sc.config.rho0
+    after_uncoupled = [cycle for prev, cycle in zip(cycles, cycles[1:])
+                       if not prev["edges"] and prev["rho_final"] < sc.config.rho0]
+    assert after_uncoupled
+    assert all(cycle["rho_start"] == sc.config.rho0 for cycle in after_uncoupled)
     for prev, cycle in zip(cycles, cycles[1:]):
-        assert cycle["rho_start"] == prev["rho_final"] > 0
+        carried = prev["rho_final"] if prev["edges"] else sc.config.rho0
+        assert cycle["rho_start"] == carried > 0
         carried = {tuple(e) for e in prev["edges"]} & {tuple(e) for e in cycle["edges"]}
         assert cycle["duals_carried"] == len(carried)
     assert max(c["duals_carried"] for c in cycles) > 0

@@ -136,18 +136,6 @@ def test_local_qp_includes_prox_term():
         assert got == pytest.approx(expect, rel=1e-10, abs=1e-9)
 
 
-def test_local_degree_weighted_variant():
-    rng = np.random.default_rng(19)
-    spec, x0, seed, cond = make_vehicle_data(rng)
-    ref = rng.normal(size=3 * cond.horizon)
-    lp = make_local_problem(spec, cond, ref, CostWeights(), edge_count=3)
-    z = np.zeros(lp.horizon)
-    lam = np.zeros(lp.horizon)
-    plain = build_local(lp, z, lam, rho=2.0)
-    weighted = build_local(lp, z, lam, rho=2.0, degree_weighted=True)
-    assert np.allclose(weighted.H - plain.H, 2.0 * (3 - 1) * np.eye(lp.horizon))
-
-
 def test_position_bounds_mapped_through_prediction():
     rng = np.random.default_rng(25)
     spec, x0, seed, cond = make_vehicle_data(rng, pos=(0.0, 0.0), theta=0.0, v=12.0)

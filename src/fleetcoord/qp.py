@@ -16,14 +16,19 @@ the full KKT conditions and fall back to the interior-point method when the
 guess is not optimal.  ``QpSolution.path`` records which one answered.
 
 The centralized Hessian is block diagonal (one tracking block per vehicle,
-then a zero block for the slacks), so H is split into its contiguous
-diagonal blocks once per solve.  The regularization probe and the
+then a zero block for the slacks) and G is nearly as sparse, yet both are
+stored dense.  ``DenseQp`` reads each of them once, through its nonzero
+pattern: the one ``H != 0`` pass yields the exact symmetry test, the
+finiteness check and the contiguous diagonal blocks, and the one ``G != 0``
+pass yields G's finiteness and its all-zero rows.  The regularization probe and the
 bound-pinning guess factor and solve those blocks, same-size blocks as one
 batched stack, and never the n x n whole; the guess is still verified
-against the dense H.  A centralized cycle that ends on the bound shortcut
-therefore costs O(n^2) for the block search and the checks, plus the blocks'
-own factorizations; one that reaches the interior-point method is dominated
-by forming (O(n^2 m)) and factoring (O(n^3)) its n x n Newton matrix.
+against the dense H and G.  A centralized cycle that ends on the bound
+shortcut therefore costs one nonzero-pattern pass over H and one over G, the
+blocks' own factorizations and one dense product each with H and G; one that
+reaches the interior-point method is dominated by forming (O(n^2 m)) and
+factoring (O(n^3)) its n x n Newton matrix.  What the passes find is stored
+with the problem, so neither H nor G may be written after construction.
 """
 
 from __future__ import annotations
@@ -53,9 +58,16 @@ _CORRECTORS = 2          # Gondzio centrality correctors per IPM iteration
 class DenseQp:
     """Problem data; H is symmetrized on construction, bounds default to open.
 
-    An H that is already exactly symmetric is kept as given (no copy), so the
-    problem may share it with its caller; nothing in this module writes into
-    ``H`` in place.
+    Construction reads H once through its nonzero pattern (``H != 0``, which
+    holds NaN and +-inf too): the values there are checked for finiteness,
+    compared with their mirror images for exact symmetry, and give the
+    contiguous diagonal blocks the solver factors (an asymmetric H is
+    replaced by 0.5 (H + H'), whose pattern is read instead).  One ``G != 0``
+    pass gives G's finiteness and its all-zero rows.  Those findings are stored, so
+    neither ``H`` nor ``G`` may be written after construction.  An H that is
+    already exactly symmetric is kept as given (no copy), so the problem may
+    share it with its caller; nothing in this module writes into ``H`` in
+    place.
     """
 
     H: np.ndarray
@@ -64,13 +76,23 @@ class DenseQp:
     h: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+    # start of each diagonal block of H, then n (see _diagonal_blocks)
+    block_starts: np.ndarray = field(init=False, repr=False)
+    # rows of G without a nonzero entry
+    zero_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ParameterError("H must be a square matrix")
         n = H.shape[0]
-        self.H = H if np.array_equal(H, H.T) else 0.5 * (H + H.T)
+        rows, cols, vals = _nonzeros(H)
+        # exact symmetry: a zero entry facing a nonzero one is met from the other side
+        if not (vals == H.ravel()[cols * n + rows]).all():
+            with np.errstate(over="ignore", invalid="ignore"):   # caught as non-finite below
+                H = 0.5 * (H + H.T)
+            rows, cols, vals = _nonzeros(H)
+        self.H = H
         self.f = np.asarray(self.f, dtype=float).reshape(n)
         self.G = (np.zeros((0, n)) if self.G is None
                   else np.asarray(self.G, dtype=float).reshape(-1, n))
@@ -83,13 +105,17 @@ class DenseQp:
                    else np.asarray(self.lb, dtype=float).reshape(n))
         self.ub = (np.full(n, np.inf) if self.ub is None
                    else np.asarray(self.ub, dtype=float).reshape(n))
-        for name, arr in (("H", self.H), ("f", self.f), ("G", self.G), ("h", self.h)):
+        g_rows, _, g_vals = _nonzeros(self.G)
+        for name, arr in (("H", vals), ("f", self.f), ("G", g_vals), ("h", self.h)):
             if not np.all(np.isfinite(arr)):
                 raise ParameterError(f"{name} must be finite")
         if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
             raise ParameterError("bounds must not be NaN")
         if np.any(self.lb > self.ub):
             raise ParameterError("need lb <= ub componentwise")
+        self.block_starts = _diagonal_blocks(rows, cols, n)
+        self.zero_rows = np.ones(m, dtype=bool)
+        self.zero_rows[g_rows] = False
 
     @property
     def n(self) -> int:
@@ -127,18 +153,26 @@ def kkt_residual(problem: DenseQp, u: np.ndarray, multipliers: np.ndarray) -> fl
     return _kkt_residual(problem, u, multipliers, problem.H @ u)
 
 
-def _kkt_residual(problem: DenseQp, u: np.ndarray, multipliers, Hu: np.ndarray) -> float:
-    """``kkt_residual`` with the Hessian product Hu supplied by the caller."""
+def _kkt_residual(problem: DenseQp, u: np.ndarray, multipliers, Hu: np.ndarray,
+                  Gu: np.ndarray | None = None) -> float:
+    """``kkt_residual`` with the products Hu and (optionally) Gu supplied by the caller.
+
+    A z of all zeros adds only signed zeros to the stationarity row, whose
+    magnitude is all that is read, so G'z is formed only when z has a nonzero.
+    """
     n, m = problem.n, problem.m
     mult = np.asarray(multipliers, dtype=float).reshape(m + 2 * n)
     z, w, y = mult[:m], mult[m:m + n], mult[m + n:]
 
-    stat = Hu + problem.f + problem.G.T @ z - w + y
+    stat = Hu + problem.f
+    if np.any(z):
+        stat = stat + problem.G.T @ z
+    stat = stat - w + y
     res = float(np.max(np.abs(stat))) if n else 0.0
 
     lo = np.isfinite(problem.lb)
     hi = np.isfinite(problem.ub)
-    slack_g = problem.G @ u - problem.h
+    slack_g = (problem.G @ u if Gu is None else Gu) - problem.h
     if m:
         res = max(res, float(np.max(slack_g)), float(np.max(-z)))
         res = max(res, float(np.max(np.abs(z * slack_g))))
@@ -153,10 +187,10 @@ def _kkt_residual(problem: DenseQp, u: np.ndarray, multipliers, Hu: np.ndarray) 
     return max(res, 0.0)
 
 
-def _primal_violation(problem: DenseQp, u: np.ndarray) -> float:
+def _primal_violation(problem: DenseQp, u: np.ndarray, Gu: np.ndarray | None = None) -> float:
     viol = 0.0
     if problem.m:
-        viol = max(viol, float(np.max(problem.G @ u - problem.h)))
+        viol = max(viol, float(np.max((problem.G @ u if Gu is None else Gu) - problem.h)))
     lo = np.isfinite(problem.lb)
     hi = np.isfinite(problem.ub)
     if np.any(lo):
@@ -166,20 +200,30 @@ def _primal_violation(problem: DenseQp, u: np.ndarray) -> float:
     return max(viol, 0.0)
 
 
-def _diagonal_blocks(H: np.ndarray) -> np.ndarray:
-    """Start index of each contiguous diagonal block of the symmetric H, then n.
+def _nonzeros(A: np.ndarray) -> tuple:
+    """(rows, cols, values) of the 2-D A's nonzeros, NaN and +-inf included, row-major."""
+    flat = A.ravel()
+    nz = (flat != 0.0).nonzero()[0]
+    rows, cols = np.divmod(nz, A.shape[1])
+    return rows, cols, flat[nz]
 
-    A block ends after index i when no nonzero H[r, c] has r <= i < c.  By
-    symmetry that holds when every row below i has its first nonzero column
-    beyond i, so the first nonzero column of each row and their suffix
-    minimum, O(n^2) in all, find every boundary.  An all-zero row is a block
-    of its own; a dense H is one block.
+
+def _diagonal_blocks(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Start index of each contiguous diagonal block of a symmetric n x n H, then n.
+
+    ``rows``, ``cols`` locate H's nonzeros in row-major order.  A block ends
+    after index i when no nonzero H[r, c] has r <= i < c.  By symmetry that
+    holds when every row below i has its first nonzero column beyond i, so
+    the first nonzero column of each row (the first entry of its run in the
+    pattern) and their suffix minimum find every boundary.  An all-zero row
+    is a block of its own; a dense H is one block.
     """
-    n = H.shape[0]
     if n == 0:
         return np.zeros(1, dtype=np.intp)
-    nz = H != 0.0
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), n)
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = rows[1:] != rows[:-1]
+    first = np.full(n, n, dtype=np.intp)
+    first[rows[head]] = cols[head]
     reach = np.minimum.accumulate(first[::-1])[::-1]    # min first column of rows >= j
     ends = np.flatnonzero(reach[1:] > np.arange(n - 1))
     return np.concatenate([[0], ends + 1, [n]])
@@ -222,7 +266,8 @@ def _shifted(problem: DenseQp, shift: float) -> DenseQp:
     """problem with H + shift I (problem itself when shift is 0)."""
     if not shift:
         return problem
-    # problem is validated and H symmetric, as is H + shift I: no re-check
+    # problem is validated and H symmetric, as is H + shift I: no re-check; a
+    # diagonal shift moves no block boundary, so the stored block starts hold
     work = copy.copy(problem)
     work.H = problem.H.copy()
     work.H.flat[::problem.n + 1] += shift
@@ -235,9 +280,9 @@ def _bound_shortcut(problem: DenseQp, groups: list, shift: float) -> tuple | Non
     Solves the unconstrained problem block by block, pins bound violators,
     re-solves once the free part of each block that holds both pinned and
     free entries (no other block changes) and verifies the full KKT
-    conditions against the dense H.  Returns (x, multipliers, kkt,
-    objective), or None when a block is not positive definite or the guess
-    is not optimal.
+    conditions against the dense H and G, forming H x and G x once each.
+    Returns (x, multipliers, kkt, objective, primal violation), or None when
+    a block is not positive definite or the guess is not optimal.
     """
     H, f, lb, ub = problem.H, problem.f, problem.lb, problem.ub
     x = np.empty(problem.n)
@@ -273,12 +318,14 @@ def _bound_shortcut(problem: DenseQp, groups: list, shift: float) -> tuple | Non
     w = np.where(at_lo, np.maximum(grad, 0.0), 0.0)
     y = np.where(at_hi, np.maximum(-grad, 0.0), 0.0)
     mult = np.concatenate([np.zeros(problem.m), w, y])
-    if _primal_violation(problem, x) > 1e-10:
+    Gx = problem.G @ x
+    pviol = _primal_violation(problem, x, Gx)
+    if pviol > 1e-10:
         return None
-    kkt = _kkt_residual(problem, x, mult, Hx)
+    kkt = _kkt_residual(problem, x, mult, Hx, Gx)
     if kkt > _STOP_KKT:
         return None
-    return x, mult, kkt, float(0.5 * x @ Hx + f @ x)
+    return x, mult, kkt, float(0.5 * x @ Hx + f @ x), pviol
 
 
 def _active_set_shortcut(problem: DenseQp, warm_multipliers: np.ndarray) -> tuple | None:
@@ -375,7 +422,7 @@ def solve_qp(problem: DenseQp, warm_start: np.ndarray | None = None,
 def _solve(problem: DenseQp, warm_start, max_iter: int, allow_probe: bool,
            warm_multipliers=None) -> QpSolution:
     n = problem.n
-    groups = _block_groups(problem.H, _diagonal_blocks(problem.H))
+    groups = _block_groups(problem.H, problem.block_starts)
     shift = _hessian_shift(groups)
 
     # variables pinned by lb == ub are eliminated exactly
@@ -385,23 +432,21 @@ def _solve(problem: DenseQp, warm_start, max_iter: int, allow_probe: bool,
                                   allow_probe)
 
     # a zero row with negative offset can never be satisfied
-    if problem.m:
-        zero_rows = np.max(np.abs(problem.G), axis=1) == 0.0
-        if np.any(problem.h[zero_rows] < -1e-12):
-            work = _shifted(problem, shift)
-            u = np.clip(np.zeros(n) if warm_start is None
-                        else np.asarray(warm_start, dtype=float).reshape(n), work.lb, work.ub)
-            mult = np.zeros(work.m + 2 * n)
-            return QpSolution(u_star=u, objective=work.objective(u), status=INFEASIBLE,
-                              kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
-                              path="zero_row")
+    if np.any(problem.h[problem.zero_rows] < -1e-12):
+        work = _shifted(problem, shift)
+        u = np.clip(np.zeros(n) if warm_start is None
+                    else np.asarray(warm_start, dtype=float).reshape(n), work.lb, work.ub)
+        mult = np.zeros(work.m + 2 * n)
+        return QpSolution(u_star=u, objective=work.objective(u), status=INFEASIBLE,
+                          kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
+                          path="zero_row")
 
     shortcut = _bound_shortcut(problem, groups, shift)
     if shortcut is not None:
-        x, mult, kkt, objective = shortcut
+        x, mult, kkt, objective, pviol = shortcut
         return QpSolution(u_star=x, objective=objective, status=OPTIMAL,
                           kkt_residual=kkt, multipliers=mult, iterations=0,
-                          trace=[(objective, _primal_violation(problem, x))], path="bound")
+                          trace=[(objective, pviol)], path="bound")
 
     work = _shifted(problem, shift)
     if warm_multipliers is not None:

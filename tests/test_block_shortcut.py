@@ -5,19 +5,23 @@ zero blocks (the slack block of the fleet QP), singular PSD blocks, and
 blocks whose smallest eigenvalue sits at 5e-11 or 2e-10, just below and just
 above the 1e-10 probe floor.  A shuffled variable order interleaves the
 blocks, so the block finder must merge them into larger contiguous blocks.
-The references are the dense versions the block path replaced: one Cholesky
-probe of H - 1e-10 I and one dense bound-pinning shortcut on the whole H.
+The references are the dense versions the block path replaced: a block
+search by a dense ``H != 0`` scan, one Cholesky probe of H - 1e-10 I and one
+dense bound-pinning shortcut on the whole H.
 """
 
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from fleetcoord import OPTIMAL, DenseQp, kkt_residual, solve_qp
+from fleetcoord import (OPTIMAL, DenseQp, build_constraint_graph, build_centralized,
+                        generate_scaled_scenario, kkt_residual, make_seed, solve_qp)
 from fleetcoord import qp as qp_mod
+from fleetcoord.simulation import convexify_cycle
 
 from oracles import enumerate_qp
 
@@ -88,8 +92,41 @@ def small_instances():
     return instances(3).filter(lambda qp: qp.n <= 6)
 
 
-def _groups(H):
-    return qp_mod._block_groups(H, qp_mod._diagonal_blocks(H))
+def dense_diagonal_blocks(H):
+    """The block search as a dense scan: first nonzero column of each row of H != 0.
+
+    A block ends after index i when every row below i has its first nonzero
+    column beyond i (H symmetric); an all-zero row is a block of its own.
+    """
+    n = H.shape[0]
+    if n == 0:
+        return np.zeros(1, dtype=np.intp)
+    nz = H != 0.0
+    first = np.where(nz.any(axis=1), nz.argmax(axis=1), n)
+    reach = np.minimum.accumulate(first[::-1])[::-1]    # min first column of rows >= j
+    ends = np.flatnonzero(reach[1:] > np.arange(n - 1))
+    return np.concatenate([[0], ends + 1, [n]])
+
+
+def _starts(H):
+    return DenseQp(H=H, f=np.zeros(H.shape[0])).block_starts
+
+
+def _groups(qp):
+    return qp_mod._block_groups(qp.H, qp.block_starts)
+
+
+def lanes_centralized(n_vehicles, seed):
+    """The first cycle's ``CentralizedQp`` of ``generate_scaled_scenario``."""
+    sc = generate_scaled_scenario(n_vehicles, seed)
+    cfg = sc.config
+    current = {s.id: s.initial_state for s in sc.vehicles}
+    seeds = {s.id: make_seed(None, current[s.id], s, cfg.horizon_steps, cfg.ts)
+             for s in sc.vehicles}
+    graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
+    local, edges = convexify_cycle(sc, current, seeds, graph, 0.0)
+    assert edges                         # the slack block is there to be shifted
+    return build_centralized(local, edges)
 
 
 def dense_probe_shifts(H):
@@ -139,7 +176,7 @@ def dense_bound_shortcut(problem):
 @given(instances(10))
 def test_blocks_partition_indices_and_hold_every_nonzero(qp):
     n = qp.n
-    starts = qp_mod._diagonal_blocks(qp.H)
+    starts = qp.block_starts
     assert starts[0] == 0 and starts[-1] == n
     assert np.all(np.diff(starts) > 0)           # every index in exactly one block
     block_of = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
@@ -148,22 +185,54 @@ def test_blocks_partition_indices_and_hold_every_nonzero(qp):
     for a, b in zip(starts[:-1], starts[1:]):    # and no block splits further
         for i in range(a, b - 1):
             assert np.any(qp.H[a:i + 1, i + 1:b] != 0.0)
-    for idx, Hb in _groups(qp.H):
+    for idx, Hb in _groups(qp):
         assert np.array_equal(Hb, qp.H[idx[:, :, None], idx[:, None, :]])
+
+
+@SETTINGS
+@given(instances(10))
+def test_stored_starts_match_dense_scan(qp):
+    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(qp.H))
 
 
 def test_dense_and_empty_hessians():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(6, 6))
-    assert qp_mod._diagonal_blocks(A @ A.T).tolist() == [0, 6]
-    assert qp_mod._diagonal_blocks(np.zeros((3, 3))).tolist() == [0, 1, 2, 3]
-    assert qp_mod._diagonal_blocks(np.zeros((0, 0))).tolist() == [0]
+    assert _starts(A @ A.T).tolist() == [0, 6]
+    assert _starts(np.zeros((3, 3))).tolist() == [0, 1, 2, 3]
+    assert _starts(np.zeros((0, 0))).tolist() == [0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_centralized_starts_match_dense_scan(seed):
+    central = lanes_centralized(16, seed)
+    qp, np_steps = central.qp, central.np_steps
+    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(qp.H))
+    # one tracking block per vehicle, then one 1 x 1 zero block per slack
+    sizes = np.diff(qp.block_starts).tolist()
+    assert sizes == [np_steps] * 16 + [1] * (len(central.edges) * np_steps)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shifted_copy_solves_from_the_same_starts(seed):
+    qp = lanes_centralized(16, seed).qp
+    shift = qp_mod._hessian_shift(_groups(qp))
+    assert shift == 1e-9                 # the zero slack blocks fail the probe
+    work = qp_mod._shifted(qp, shift)
+    slack = np.flatnonzero(np.diag(qp.H) == 0.0)
+    assert len(slack) and np.all(np.diag(work.H)[slack] == 1e-9)
+    assert np.array_equal(work.block_starts, qp.block_starts)
+    assert np.array_equal(work.block_starts, dense_diagonal_blocks(work.H))
+    assert qp_mod._hessian_shift(_groups(work)) == 0.0
+    want, got = solve_qp(qp), solve_qp(work)
+    assert got.path == want.path == "bound" and got.status == OPTIMAL
+    assert np.array_equal(got.u_star, want.u_star)
 
 
 @SETTINGS
 @given(instances(10))
 def test_regularization_decision_matches_dense_probe(qp):
-    shift = qp_mod._hessian_shift(_groups(qp.H))
+    shift = qp_mod._hessian_shift(_groups(qp))
     assert shift in (0.0, 1e-9)
     assert (shift > 0.0) == dense_probe_shifts(qp.H)
 
@@ -171,13 +240,14 @@ def test_regularization_decision_matches_dense_probe(qp):
 @SETTINGS
 @given(instances(10))
 def test_block_shortcut_matches_dense_shortcut(qp):
-    groups = _groups(qp.H)
+    groups = _groups(qp)
     got = qp_mod._bound_shortcut(qp, groups, qp_mod._hessian_shift(groups))
     want = dense_bound_shortcut(qp)
     assert (got is None) == (want is None)
     if got is None:
         return
-    x, mult, kkt, objective = got
+    x, mult, kkt, objective, pviol = got
+    assert pviol == qp_mod._primal_violation(qp, x)
     assert np.max(np.abs(x - want[0])) <= 1e-9
     assert abs(objective - want[1]) <= 1e-9 * (1.0 + abs(want[1]))
     assert kkt <= 1e-8

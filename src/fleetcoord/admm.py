@@ -166,14 +166,9 @@ def incident_edges(vehicles, edges) -> dict:
     return incident
 
 
-def update_consensus(state: AdmmState, incident: dict | None = None) -> dict:
-    """Per-vehicle average of the local copy and all incident edge copies.
-
-    ``incident`` (from ``incident_edges``) may be passed by callers that
-    update the same graph repeatedly; it is derived from the state otherwise.
-    """
-    if incident is None:
-        incident = incident_edges(state.u, state.u_edge)
+def update_consensus(state: AdmmState) -> dict:
+    """Per-vehicle average of the local copy and all incident edge copies."""
+    incident = incident_edges(state.u, state.u_edge)
     rho = state.rho
     z_new = {}
     for v in sorted(state.u):

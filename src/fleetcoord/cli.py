@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -12,14 +11,6 @@ from .bench import run_benchmark, summarize_bench
 from .errors import ParameterError, ScenarioError
 from .scenario import load_scenario_file
 from .simulation import CENTRALIZED, PARALLEL_ADMM, run_simulation
-
-
-def _default_workers() -> int:
-    # FLEETCOORD_WORKERS optionally overrides the parallel-step worker count
-    try:
-        return max(1, int(os.environ.get("FLEETCOORD_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,9 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--duration", type=float, default=None,
                      help="override sim_duration (seconds, multiple of Ts)")
-    sim.add_argument("--workers", type=int, default=_default_workers(),
-                     help="worker threads for the parallel step "
-                          "(env FLEETCOORD_WORKERS)")
+    sim.add_argument("--workers", type=int, default=1,
+                     help="worker threads for the parallel step")
 
     bench = sub.add_parser("bench", help="centralized-vs-parallel scaling benchmark")
     bench.add_argument("--sizes", default="4,8,16,32,64,100",
@@ -46,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--cycles", type=int, default=10,
                        help="closed-loop cycles measured per size")
-    bench.add_argument("--workers", type=int, default=_default_workers())
+    bench.add_argument("--workers", type=int, default=1)
 
     val = sub.add_parser("validate", help="schema-check a scenario file")
     val.add_argument("scenario")

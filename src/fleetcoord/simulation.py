@@ -1,11 +1,12 @@
 """Receding-horizon closed loop over the true nonlinear fleet.
 
 Each cycle: rebuild the coupling graph from current positions (then freeze it
-for the horizon), shift last cycle's solution into a seed trajectory,
-linearize dynamics and separation constraints at the seed, solve either the
-parallel consensus problem or the centralized QP on identical convexified
-data, apply the first steering input of each vehicle, and advance every
-plant one nonlinear step.
+for the horizon), linearize dynamics and separation constraints at the seed
+trajectory, solve either the parallel consensus problem or the centralized
+QP on identical convexified data, apply the first steering input of each
+vehicle, and advance every plant one nonlinear step.  The first seed is the
+zero-steering rollout; every later seed is last cycle's plan shifted one
+step with its last input repeated (``make_seed``).
 
 Consensus ADMM starts every cycle after the first from the previous cycle's
 final state: its copies start at the new seeds, its rho is carried (rho0
@@ -16,12 +17,14 @@ warm started from the last cycle's solution when the problem size is
 unchanged.
 
 The loop keeps the fleet as arrays in vehicle-id order: (N, 3) poses and
-(N, Np) steering.  Per cycle it makes one ``rollout_fleet`` for the seeds
-and one for the applied plans, one ``condense_fleet``, one vectorized
-reference sample over all vehicles and steps (each vehicle's polyline and
-its start progress s0 are prepared once per run by ``Fleet``), and one
-batched pass each for the tracking and edge problems
-(``convexify_fleet``).  ``make_seed``, ``reference_window`` and
+(N, Np) steering.  Per cycle it makes one ``rollout_fleet`` of the applied
+plans over Np+1 steps, the last input repeated: its first Np+1 poses are the
+plan's prediction and its last Np+1 the next cycle's seed, since the plant
+step is the same float computation from the same pose.  It also makes one
+``condense_fleet``, one vectorized reference sample over all vehicles and
+steps (each vehicle's polyline and its start progress s0 are prepared once
+per run by ``Fleet``), and one batched pass each for the tracking and edge
+problems (``convexify_fleet``).  ``make_seed``, ``reference_window`` and
 ``convexify_cycle`` take and give per-vehicle objects; the first two are the
 per-vehicle reference the fleet path is tested against, and
 ``convexify_cycle`` wraps ``convexify_fleet`` for callers that hold
@@ -238,14 +241,6 @@ class Fleet:
                                    r_steer=cfg.r_weight, slack_penalty=cfg.slack_penalty)
         self.reference = _ReferencePaths(self.specs)
 
-    def seed_controls(self, previous: np.ndarray | None) -> np.ndarray:
-        """``make_seed``'s controls for every vehicle: shift, repeat the last, clip."""
-        if previous is None:
-            controls = np.zeros((len(self.ids), self.config.horizon_steps))
-        else:
-            controls = np.concatenate([previous[:, 1:], previous[:, -1:]], axis=1)
-        return np.clip(controls, self.steer_min, self.steer_max)
-
     def rollout(self, poses: np.ndarray, controls: np.ndarray) -> np.ndarray:
         return rollout_fleet(poses, controls, self.speed, self.wheelbase, self.config.ts)
 
@@ -408,9 +403,8 @@ def convexify_fleet(fleet: Fleet, poses: np.ndarray, seed_poses: np.ndarray,
     ref[:, :, 2] = _onto_branch(ref[:, :, 2], seed_poses[:, 1:, 2])
     pairs = np.array([(fleet.row[i], fleet.row[j]) for i, j in graph.edges],
                      dtype=int).reshape(-1, 2)
-    degree = np.bincount(pairs.ravel(), minlength=len(fleet.ids))
     local_problems = make_local_problems(fleet.specs, prediction, ref.reshape(len(ref), -1),
-                                         fleet.weights, degree, x0=poses[:, :2], ts=cfg.ts)
+                                         fleet.weights, x0=poses[:, :2], ts=cfg.ts)
     edge_problems = make_edge_problems(
         graph.edges, pairs, prediction, seed_poses[:, 1:, :2], cfg.d_safe,
         cfg.slack_penalty, fallback_dirs=poses[pairs[:, 0], :2] - poses[pairs[:, 1], :2])
@@ -436,8 +430,7 @@ def convexify_cycle(scenario: Scenario, current: dict, seeds: dict,
 
 
 def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
-                   duration: float | None = None, workers: int = 1,
-                   adapt_rho: bool = True) -> SimulationRun:
+                   duration: float | None = None, workers: int = 1) -> SimulationRun:
     """Close the loop for ``duration`` seconds (default: scenario setting)."""
     if solver_mode not in _MODES:
         raise ParameterError(f"solver_mode must be one of {_MODES}")
@@ -448,11 +441,14 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
         raise ParameterError("duration must be a positive multiple of Ts")
 
     admm_cfg = AdmmConfig(rho0=cfg.rho0, eps_abs=cfg.eps_abs, eps_rel=cfg.eps_rel,
-                          max_iters=cfg.max_iters, adapt_rho=adapt_rho, workers=workers)
+                          max_iters=cfg.max_iters, workers=workers)
     fleet = Fleet(scenario)
     vids = fleet.ids
+    np_steps = cfg.horizon_steps
     poses = np.array([spec.initial_state.as_array() for spec in fleet.specs])
-    plans = None                         # (N, Np) steering applied last cycle
+    # make_seed's first seed: zero steering, clipped
+    seed_controls = np.clip(np.zeros((len(vids), np_steps)), fleet.steer_min, fleet.steer_max)
+    seed_poses = fleet.rollout(poses, seed_controls)
 
     poses_log = [poses]
     controls_log = []
@@ -466,8 +462,6 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
     for cycle in range(n_cycles):
         t = cycle * cfg.ts
         graph = build_constraint_graph(zip(vids, poses), cfg.d_perc, cfg.d_safe)
-        seed_controls = fleet.seed_controls(plans)
-        seed_poses = fleet.rollout(poses, seed_controls)
         local_problems, edge_problems = convexify_fleet(fleet, poses, seed_poses,
                                                         seed_controls, graph, t)
 
@@ -507,8 +501,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
             wall = time.perf_counter() - t0
             centralized_warm = sol
             controls = central.controls(sol.u_star)
-            slack_max = (max(float(np.max(s)) for s in central.slacks(sol.u_star).values())
-                         if central.edges else 0.0)
+            slack_max = float(np.max(sol.u_star[central.n_controls:], initial=0.0))
             if sol.status != OPTIMAL:
                 logger.warning("centralized QP returned status=%s at cycle %d",
                                sol.status, cycle)
@@ -528,11 +521,15 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
             raise NumericalFailureError(
                 f"solver produced non-finite steering for vehicle "
                 f"{vids[int(np.argmin(finite))]} at cycle {cycle} (t={t:.2f}s)")
-        plan_poses = fleet.rollout(poses, plans)
+        # one rollout serves as this plan's prediction and as the next seed
+        # (the plan shifted one step, its last input repeated)
+        rolled_controls = np.concatenate([plans, plans[:, -1:]], axis=1)
+        rolled = fleet.rollout(poses, rolled_controls)
         for n, vid in enumerate(vids):
-            predicted[vid].append(HorizonTrajectory(poses=plan_poses[n], controls=plans[n],
-                                                    ts=cfg.ts))
-        poses = plan_poses[:, 1].copy()
+            predicted[vid].append(HorizonTrajectory(poses=rolled[n, :np_steps + 1],
+                                                    controls=plans[n], ts=cfg.ts))
+        seed_poses, seed_controls = rolled[:, 1:], rolled_controls[:, 1:]
+        poses = rolled[:, 1].copy()
         controls_log.append(plans[:, 0])
         poses_log.append(poses)
         dmin = _min_pairwise(poses[:, :2])

@@ -112,14 +112,15 @@ class LocalProblem:
     H0/f0/const0 define the tracking-plus-effort cost
     (Phi u + gamma - ref)' W (Phi u + gamma - ref) + R |u|^2  as
     0.5 u'H0 u + f0'u + const0; G/h carry the position-bound rows mapped
-    through the condensed prediction.
+    through the condensed prediction.  ``condensed``, ``reference_stacked``
+    and ``weights`` are the data those blocks were formed from; the solvers
+    read only the blocks and the steering bounds.
     """
 
     vehicle_id: int
     condensed: CondensedPrediction
     reference_stacked: np.ndarray
     weights: CostWeights
-    edge_count: int
     steer_lb: np.ndarray
     steer_ub: np.ndarray
     H0: np.ndarray = field(repr=False, default=None)
@@ -149,7 +150,7 @@ class LocalProblem:
 
 def make_local_problem(spec: VehicleSpec, condensed: CondensedPrediction,
                        reference_stacked: np.ndarray, weights: CostWeights,
-                       edge_count: int = 0, x0=None, ts: float | None = None) -> LocalProblem:
+                       x0=None, ts: float | None = None) -> LocalProblem:
     """Assemble a vehicle's tracking problem from its convexified prediction.
 
     When ``x0`` (current rear-axle position) and ``ts`` are given,
@@ -192,7 +193,7 @@ def make_local_problem(spec: VehicleSpec, condensed: CondensedPrediction,
     h = np.array(rhs) if rhs else np.zeros(0)
     return LocalProblem(
         vehicle_id=spec.id, condensed=condensed, reference_stacked=ref,
-        weights=weights, edge_count=edge_count,
+        weights=weights,
         steer_lb=np.full(np_steps, spec.steer_min),
         steer_ub=np.full(np_steps, spec.steer_max),
         H0=H0, f0=f0, const0=const0, G=G, h=h)
@@ -206,22 +207,21 @@ def _append_row(rows, rhs, coeffs, bound) -> None:
 
 
 def make_local_problems(specs, prediction: FleetPrediction, references, weights: CostWeights,
-                        edge_counts=None, x0=None, ts: float | None = None) -> dict:
+                        x0=None, ts: float | None = None) -> dict:
     """``make_local_problem`` for N vehicles at once, keyed by vehicle id.
 
-    Row n of ``prediction``, ``references`` (N, 3*Np), ``edge_counts`` (N,)
-    and ``x0`` (N, 2) belongs to ``specs[n]``.  H0, f0 and const0 come from
-    one batched product over the fleet, and the position-bound rows are
-    selected by one mask with the same order, pruning radius and zero-row
-    rule as ``make_local_problem``.  Each problem's arrays are views into
-    the fleet arrays.
+    Row n of ``prediction``, ``references`` (N, 3*Np) and ``x0`` (N, 2)
+    belongs to ``specs[n]``.  H0, f0 and const0 come from one batched
+    product over the fleet, and the position-bound rows are selected by one
+    mask with the same order, pruning radius and zero-row rule as
+    ``make_local_problem``.  Each problem's arrays are views into the fleet
+    arrays.
     """
     Phi, gamma = prediction.Phi, prediction.gamma
     n, _, np_steps = Phi.shape
     ref = np.asarray(references, dtype=float).reshape(n, STATE_DIM * np_steps)
     if weights.q_pos <= 0 and weights.q_heading <= 0 and weights.r_steer <= 0:
         raise ParameterError("cost must be nontrivial: some weight must be positive")
-    counts = np.zeros(n, dtype=int) if edge_counts is None else np.asarray(edge_counts)
 
     wvec = np.tile([weights.q_pos, weights.q_pos, weights.q_heading], np_steps)
     WPhi = wvec[:, None] * Phi
@@ -265,7 +265,7 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
         end = int(ends[i])
         problems[spec.id] = LocalProblem(
             vehicle_id=spec.id, condensed=condensed[i], reference_stacked=ref[i],
-            weights=weights, edge_count=int(counts[i]), steer_lb=lb[i], steer_ub=ub[i],
+            weights=weights, steer_lb=lb[i], steer_ub=ub[i],
             H0=H0[i], f0=f0[i], const0=float(const0[i]), G=G_all[start:end],
             h=h_all[start:end])
         start = end
@@ -432,15 +432,13 @@ class EdgeProblem:
     """Joint separation problem for one coupled pair over (u_i, u_j, slack).
 
     Step k's separation halfspace is 2 normals[k]'(p_i - p_j) >= rhs[k];
-    ``halfspaces`` builds the Halfspace objects on access.
+    ``halfspaces`` builds the Halfspace objects on access.  G (Np, 3 Np)
+    and h (Np,) hold those halfspaces, softened by one slack per step, as
+    rows G x <= h over x = (u_i, u_j, s); the solvers read G, h and
+    ``slack_penalty``.
     """
 
     edge: tuple[int, int]
-    condensed_i: CondensedPrediction
-    condensed_j: CondensedPrediction
-    seed_pos_i: np.ndarray       # (Np, 2) seed positions, prediction steps 1..Np
-    seed_pos_j: np.ndarray
-    d_safe: float
     slack_penalty: float
     normals: np.ndarray = field(repr=False, default=None)     # (Np, 2)
     rhs: np.ndarray = field(repr=False, default=None)         # (Np,)
@@ -475,7 +473,7 @@ class EdgeProblem:
 
     @property
     def horizon(self) -> int:
-        return self.condensed_i.horizon
+        return self.G.shape[0]
 
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:
@@ -523,9 +521,7 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
         G[k, 2 * np_steps + k] = -1.0
         h[k] = float(2.0 * hs.a @ (q_i - q_j)) - hs.rhs
 
-    return EdgeProblem(edge=tuple(edge), condensed_i=condensed_i, condensed_j=condensed_j,
-                       seed_pos_i=seed_pos_i, seed_pos_j=seed_pos_j, d_safe=d_safe,
-                       slack_penalty=slack_penalty,
+    return EdgeProblem(edge=tuple(edge), slack_penalty=slack_penalty,
                        normals=np.array([hs.a for hs in halfspaces]).reshape(np_steps, 2),
                        rhs=np.array([hs.rhs for hs in halfspaces]), G=G, h=h)
 
@@ -570,12 +566,9 @@ def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions
     G[:, np.arange(np_steps), 2 * np_steps + np.arange(np_steps)] = -1.0
     h = np.matmul(two_a, (q[ii] - q[jj])[:, :, :, None])[:, :, 0, 0] - rhs
 
-    condensed = prediction.vehicles
-    return {edge: EdgeProblem(edge=edge, condensed_i=condensed[i], condensed_j=condensed[j],
-                              seed_pos_i=seed[i], seed_pos_j=seed[j], d_safe=d_safe,
-                              slack_penalty=slack_penalty, normals=a[e], rhs=rhs[e],
-                              G=G[e], h=h[e])
-            for e, (edge, i, j) in enumerate(zip(edges, ii, jj))}
+    return {edge: EdgeProblem(edge=edge, slack_penalty=slack_penalty, normals=a[e],
+                              rhs=rhs[e], G=G[e], h=h[e])
+            for e, edge in enumerate(edges)}
 
 
 def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> DenseQp:

@@ -80,8 +80,7 @@ def random_fleet_instance(rng, np_steps=5, d_safe=5.0):
     for vid in vids:
         cond[vid] = condense(linearize(seeds[vid], speeds[vid], L, ts), states[vid])
         local_problems[vid] = make_local_problem(
-            InstanceSpec(vid, speeds[vid], L), cond[vid], refs[vid], weights,
-            edge_count=graph.degree(vid))
+            InstanceSpec(vid, speeds[vid], L), cond[vid], refs[vid], weights)
     for (i, j) in graph.edges:
         edge_problems[(i, j)] = make_edge_problem(
             (i, j), cond[i], cond[j], seeds[i].positions()[1:],
@@ -108,8 +107,7 @@ def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0):
         ref = seed.states_array()[1:].copy()
         ref[:, 1] = y_ref
         spec = BoxedSpec(vid, 12.0, steer, y_max if vid == 2 else math.inf)
-        local[vid] = make_local_problem(spec, cond[vid], ref.reshape(-1), weights,
-                                        edge_count=1)
+        local[vid] = make_local_problem(spec, cond[vid], ref.reshape(-1), weights)
         seeds[vid] = seed
     edges = {(1, 2): make_edge_problem((1, 2), cond[1], cond[2],
                                        seeds[1].positions()[1:],

@@ -209,7 +209,7 @@ def _converging_pair(np_steps=8):
         ref = seed.states_array()[1:].copy()
         ref[:, 1] = y_ref
         local[vid] = make_local_problem(InstanceSpec(vid, 12.0, L), cond[vid],
-                                        ref.reshape(-1), weights, edge_count=1)
+                                        ref.reshape(-1), weights)
         seeds[vid] = seed
     edges = {(1, 2): make_edge_problem((1, 2), cond[1], cond[2],
                                        seeds[1].positions()[1:],

@@ -22,7 +22,7 @@ from fleetcoord import (CostWeights, ParameterError, build_constraint_graph, con
                         rollout)
 from fleetcoord.dynamics import HorizonTrajectory, condense_fleet, rollout_fleet
 from fleetcoord.scenario import Bounds, VehicleState
-from fleetcoord.simulation import (Fleet, _align_reference_headings, _min_pairwise,
+from fleetcoord.simulation import (_align_reference_headings, _min_pairwise,
                                    _ReferencePaths, convexify_cycle)
 from fleetcoord.subproblems import make_edge_problems, make_local_problems
 
@@ -129,22 +129,20 @@ def test_local_problems_match_make_local_problem(inst, pruned):
     poses = rollout_fleet(x0, controls, speed, wheelbase, ts)
     prediction = condense_fleet(poses, controls, speed, wheelbase, ts)
     refs = poses[:, 1:] + rng.normal(0.0, 1.0, (n, np_steps, 3))
-    degree = rng.integers(0, 4, n)
     extra = dict(x0=x0[:, :2], ts=ts) if pruned else {}
-    fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights, degree,
-                                **extra)
+    fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights, **extra)
     assert list(fleet) == [s.id for s in specs]
     for i, spec in enumerate(specs):
         extra = dict(x0=x0[i, :2], ts=ts) if pruned else {}
         ref = make_local_problem(spec, prediction.vehicles[i], refs[i].reshape(-1), weights,
-                                 int(degree[i]), **extra)
+                                 **extra)
         got = fleet[spec.id]
         for name in ("H0", "f0", "G", "h", "steer_lb", "steer_ub", "reference_stacked"):
             want = getattr(ref, name)
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
         assert got.const0 == ref.const0
-        assert got.edge_count == ref.edge_count and got.vehicle_id == spec.id
+        assert got.vehicle_id == spec.id
 
 
 @SETTINGS
@@ -177,8 +175,8 @@ def test_edge_problems_match_make_edge_problem(inst, coincide):
                                 seed_pos[i], seed_pos[j], d_safe, penalty,
                                 fallback_dir=fallback_dirs[e])
         got = fleet[edges[e]]
-        for name in ("G", "h", "normals", "rhs", "seed_pos_i", "seed_pos_j",
-                     "G_u", "fixed_rows", "coupled_rows", "G_c", "M"):
+        for name in ("G", "h", "normals", "rhs", "G_u", "fixed_rows", "coupled_rows", "G_c",
+                     "M"):
             want = getattr(ref, name)
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
@@ -247,7 +245,6 @@ def _per_vehicle_convexify(scenario, current, seeds, graph, t):
         ref = reference_window(spec, t, cfg.horizon_steps, cfg.ts)
         ref = _align_reference_headings(ref, seeds[vid])
         local[vid] = make_local_problem(spec, condensed[vid], ref, weights,
-                                        edge_count=graph.degree(vid),
                                         x0=current[vid].position, ts=cfg.ts)
     edges = {(i, j): make_edge_problem((i, j), condensed[i], condensed[j],
                                        seeds[i].positions()[1:], seeds[j].positions()[1:],
@@ -282,7 +279,6 @@ def test_convexify_cycle_equals_per_vehicle_composition(scenario, overtake_path,
             for name in ("H0", "f0", "G", "h", "reference_stacked"):
                 assert getattr(local[vid], name).tobytes() == getattr(want, name).tobytes()
             assert local[vid].const0 == want.const0
-            assert local[vid].edge_count == want.edge_count
         for e, want in want_edges.items():
             for name in ("G", "h", "M"):
                 assert getattr(edges[e], name).tobytes() == getattr(want, name).tobytes()
@@ -304,21 +300,6 @@ def test_convexify_cycle_rejects_seeds_that_are_not_rollouts(overtake_path):
                 HorizonTrajectory(poses=seed.poses, controls=other_controls, ts=cfg.ts)):
         with pytest.raises(ParameterError, match="rollout"):
             convexify_cycle(sc, current, {**seeds, vid: bad}, graph, 0.0)
-
-
-def test_fleet_seed_controls_match_make_seed(overtake_path):
-    sc = load_scenario_file(overtake_path)
-    cfg = sc.config
-    fleet = Fleet(sc)
-    rng = np.random.default_rng(3)
-    plans = rng.uniform(-1.0, 1.0, (len(fleet.ids), cfg.horizon_steps))
-    for previous in (None, plans):
-        got = fleet.seed_controls(previous)
-        for n, spec in enumerate(fleet.specs):
-            prev = None if previous is None else HorizonTrajectory(
-                poses=np.zeros((cfg.horizon_steps + 1, 3)), controls=previous[n], ts=cfg.ts)
-            want = make_seed(prev, spec.initial_state, spec, cfg.horizon_steps, cfg.ts)
-            assert got[n].tobytes() == want.controls.tobytes()
 
 
 class PathSpec:

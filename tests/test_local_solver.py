@@ -31,7 +31,7 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                                            HealthCheck.filter_too_much])
 
 
-def local_instance(seed, np_steps, steer, lateral, y_room, edge_count=2, y0=0.0):
+def local_instance(seed, np_steps, steer, lateral, y_room, y0=0.0):
     """One vehicle at (0, y0) whose reference sits ``lateral`` metres to its left.
 
     ``y_room`` (or None for no bound) puts the bound y <= y0 + y_room on every
@@ -48,21 +48,19 @@ def local_instance(seed, np_steps, steer, lateral, y_room, edge_count=2, y0=0.0)
     ref[:, 2] += rng.uniform(-0.2, 0.2, np_steps)
     y_max = math.inf if y_room is None else y0 + y_room
     lp = make_local_problem(BoxedSpec(1, v, steer, y_max), cond, ref.reshape(-1),
-                            CostWeights(q_pos=1.0, q_heading=0.5, r_steer=0.1),
-                            edge_count=edge_count)
+                            CostWeights(q_pos=1.0, q_heading=0.5, r_steer=0.1))
     z, lam = rng.uniform(-0.3, 0.3, size=(2, np_steps))
     return lp, z, lam
 
 
 instances = st.builds(
-    lambda seed, np_steps, steer, lateral, y_room, edges, log_rho: (
-        local_instance(seed, np_steps, steer, lateral, y_room, edges), 10.0 ** log_rho),
+    lambda seed, np_steps, steer, lateral, y_room, log_rho: (
+        local_instance(seed, np_steps, steer, lateral, y_room), 10.0 ** log_rho),
     seed=st.integers(0, 2 ** 32 - 1),
     np_steps=st.integers(2, 8),
     steer=st.sampled_from([0.005, 0.02, 0.1, 0.61]),
     lateral=st.floats(-1.0, 4.0),
     y_room=st.sampled_from([None, 0.02, 0.1, 0.5]),
-    edges=st.integers(0, 3),
     log_rho=st.floats(-3.0, 3.0),
 )
 

@@ -10,6 +10,7 @@ from fleetcoord import (ParameterError, generate_scaled_scenario, lateral_deviat
                         load_scenario, load_scenario_file, make_seed, path_progress,
                         reference_window, rollout, run_simulation, step_nonlinear)
 from fleetcoord import qp as qp_mod
+from fleetcoord import simulation
 from fleetcoord.bench import _BLAS_THREAD_VARS
 from fleetcoord.scenario import VehicleState
 
@@ -57,6 +58,33 @@ def test_seed_states_replay_through_plant():
     for k, delta in enumerate(seed.controls):
         state = step_nonlinear(state, float(delta), spec.speed, spec.wheelbase, 0.1)
         assert seed.states[k + 1] == state
+
+
+@pytest.mark.parametrize("mode", ["parallel_admm", "centralized"])
+def test_closed_loop_seeds_equal_make_seed(overtake_path, mode, monkeypatch):
+    # the loop takes each seed from the previous plan's rollout; it must be
+    # make_seed's shifted, repeated and clipped plan rolled out from the new
+    # state.  7 s: consensus ADMM keeps every plan at zero steering until 5.8 s.
+    seen = []
+    convexify = simulation.convexify_fleet
+
+    def recording(fleet, poses, seed_poses, seed_controls, graph, t):
+        seen.append((seed_poses.copy(), seed_controls.copy()))
+        return convexify(fleet, poses, seed_poses, seed_controls, graph, t)
+
+    monkeypatch.setattr(simulation, "convexify_fleet", recording)
+    sc = load_scenario_file(overtake_path)
+    cfg = sc.config
+    run = run_simulation(sc, mode, duration=7.0)
+    assert len(seen) == len(run.cycles) == 70
+    assert any(np.any(np.diff(controls, axis=1) != 0.0) for _, controls in seen)
+    for k, (seed_poses, seed_controls) in enumerate(seen):
+        for n, vid in enumerate(run.vehicle_ids):
+            previous = None if k == 0 else run.predicted[vid][k - 1]
+            want = make_seed(previous, VehicleState(*run.states[vid][k]), sc.vehicle(vid),
+                             cfg.horizon_steps, cfg.ts)
+            assert seed_poses[n].tobytes() == want.poses.tobytes()
+            assert seed_controls[n].tobytes() == want.controls.tobytes()
 
 
 # ---------------------------------------------------------------- references

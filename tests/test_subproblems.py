@@ -80,7 +80,7 @@ def test_local_zero_tracking_error():
     rng = np.random.default_rng(19)
     spec, x0, seed, cond = make_vehicle_data(rng)
     ref = seed.states_array()[1:].reshape(-1)   # reference equals the seed rollout
-    lp = make_local_problem(spec, cond, ref, CostWeights(), edge_count=0)
+    lp = make_local_problem(spec, cond, ref, CostWeights())
     qp = build_local(lp, np.zeros(lp.horizon), np.zeros(lp.horizon), rho=1.0)
     sol = solve_qp(qp)
     assert np.max(np.abs(sol.u_star)) <= 1e-8
@@ -90,7 +90,7 @@ def test_local_prox_domination():
     rng = np.random.default_rng(19)
     spec, x0, seed, cond = make_vehicle_data(rng)
     ref = rng.normal(size=3 * lp_h(cond))
-    lp = make_local_problem(spec, cond, ref, CostWeights(), edge_count=0)
+    lp = make_local_problem(spec, cond, ref, CostWeights())
     z = rng.uniform(-0.4, 0.4, size=lp.horizon)
     sol = solve_qp(build_local(lp, z, np.zeros(lp.horizon), rho=1e6))
     assert np.max(np.abs(sol.u_star - z)) <= 1e-3
@@ -107,7 +107,7 @@ def test_local_objective_matches_direct_evaluation():
     np_steps = cond.horizon
     ref = rng.normal(size=3 * np_steps)
     w = CostWeights(q_pos=1.3, q_heading=0.4, r_steer=0.7)
-    lp = make_local_problem(spec, cond, ref, w, edge_count=0)
+    lp = make_local_problem(spec, cond, ref, w)
     for _ in range(20):
         u = rng.uniform(-0.5, 0.5, size=np_steps)
         states = (cond.Phi @ u + cond.gamma).reshape(-1, 3)
@@ -123,7 +123,7 @@ def test_local_qp_includes_prox_term():
     rng = np.random.default_rng(19)
     spec, x0, seed, cond = make_vehicle_data(rng)
     ref = rng.normal(size=3 * cond.horizon)
-    lp = make_local_problem(spec, cond, ref, CostWeights(), edge_count=2)
+    lp = make_local_problem(spec, cond, ref, CostWeights())
     z = rng.uniform(-0.2, 0.2, size=lp.horizon)
     lam = rng.uniform(-0.1, 0.1, size=lp.horizon)
     rho = 2.5
@@ -142,7 +142,7 @@ def test_position_bounds_mapped_through_prediction():
     spec.bounds = Bounds(-100.0, 100.0, -1.0, 1.0)   # tight lateral road
     ref = seed.states_array()[1:].reshape(-1).copy()
     ref[1::3] += 5.0                                  # reference way off the road
-    lp = make_local_problem(spec, cond, ref, CostWeights(), edge_count=0)
+    lp = make_local_problem(spec, cond, ref, CostWeights())
     sol = solve_qp(build_local(lp, np.zeros(lp.horizon), np.zeros(lp.horizon), rho=1e-6))
     states = cond.predict(sol.u_star)
     assert np.max(states[:, 1]) <= 1.0 + 1e-6
@@ -245,7 +245,7 @@ def test_centralized_single_vehicle_matches_local():
     rng = np.random.default_rng(43)
     spec, x0, seed, cond = make_vehicle_data(rng)
     ref = rng.normal(size=3 * cond.horizon)
-    lp = make_local_problem(spec, cond, ref, CostWeights(), edge_count=0)
+    lp = make_local_problem(spec, cond, ref, CostWeights())
     central = build_centralized({1: lp}, {})
     assert np.allclose(central.qp.H, lp.H0)
     assert np.allclose(central.qp.f, lp.f0)
@@ -261,8 +261,8 @@ def test_centralized_far_apart_separable():
     spec1, x1, seed1, cond1 = make_vehicle_data(rng, 1, pos=(0, 0))
     spec2, x2, seed2, cond2 = make_vehicle_data(rng, 2, pos=(500, 0))
     refs = {1: rng.normal(size=3 * cond1.horizon), 2: rng.normal(size=3 * cond2.horizon)}
-    lps = {1: make_local_problem(spec1, cond1, refs[1], CostWeights(), edge_count=1),
-           2: make_local_problem(spec2, cond2, refs[2], CostWeights(), edge_count=1)}
+    lps = {1: make_local_problem(spec1, cond1, refs[1], CostWeights()),
+           2: make_local_problem(spec2, cond2, refs[2], CostWeights())}
     eps = {(1, 2): make_edge_problem((1, 2), cond1, cond2, seed1.positions()[1:],
                                      seed2.positions()[1:], d_safe=5.0)}
     central = build_centralized(lps, eps)
@@ -281,8 +281,8 @@ def test_decomposition_consistency():
     spec1, x1, seed1, cond1 = make_vehicle_data(rng, 1, pos=(0, 0))
     spec2, x2, seed2, cond2 = make_vehicle_data(rng, 2, pos=(30, 0))
     refs = {1: rng.normal(size=15), 2: rng.normal(size=15)}
-    lps = {1: make_local_problem(spec1, cond1, refs[1], CostWeights(), edge_count=1),
-           2: make_local_problem(spec2, cond2, refs[2], CostWeights(), edge_count=1)}
+    lps = {1: make_local_problem(spec1, cond1, refs[1], CostWeights()),
+           2: make_local_problem(spec2, cond2, refs[2], CostWeights())}
     eps = {(1, 2): make_edge_problem((1, 2), cond1, cond2, seed1.positions()[1:],
                                      seed2.positions()[1:], d_safe=5.0)}
     central = build_centralized(lps, eps)
@@ -356,7 +356,7 @@ def test_centralized_assembly_matches_row_by_row(seed, pruned):
     lps, eps = convexify_cycle(sc, current, seeds, graph, 0.0)
     if not pruned:     # keep every position-bound row, so G has local rows too
         lps = {vid: make_local_problem(sc.vehicle(vid), lp.condensed, lp.reference_stacked,
-                                       lp.weights, lp.edge_count)
+                                       lp.weights)
                for vid, lp in lps.items()}
         assert sum(lp.G.shape[0] for lp in lps.values()) > 0
     assert eps

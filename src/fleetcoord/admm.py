@@ -18,32 +18,30 @@ dual step keep every vehicle's scaled duals (local copy plus incident edge
 copies) summing to zero; a carried vehicle dual would break that sum
 whenever an edge leaves the graph.
 
-Tracking nodes are solved by ``solve_local`` in closed form from an
-eigendecomposition of their fixed Hessian, made once per cycle, so rho
-changes never refactor; a node whose position rows bind hands its QP to
-``solve_qp``.  Edge nodes are solved exactly by ``solve_edge`` through their
-dual box QP, warm started from the edge's previous row multipliers.  No
-per-iteration QP is assembled on either path.
+Tracking nodes are solved by ``solve_local`` from an eigendecomposition of
+their fixed Hessian, made once per cycle, so rho changes never refactor; edge
+nodes by ``solve_edge``.  Both solve their node's dual box QP exactly, warm
+started from the node's previous multipliers; no per-iteration QP is
+assembled and no node reaches ``solve_qp``.
 
 ``admm_solve`` runs step 1 as one batched pass over the fleet
 (``FleetNodes``): ``LocalBatch`` makes the cycle's eigendecompositions in one
 stacked ``eigh`` and answers every vehicle that pins no steering bound,
 ``EdgeBatch`` answers every edge whose coupled rows are inactive, and only
-the remaining nodes go to ``solve_local``/``solve_edge``, which stay the
-reference: the batched answers equal theirs bit for bit.  Steps 2 and 3 and
-the residuals run over one (N + 2E, Np) array of copies (``_CopyStack``),
-with the float operations of ``update_consensus``, ``update_duals``,
-``residuals`` and ``apply_rho_update`` in their order, so those dict
-functions give the same bits and stay as the reference.  The returned state's
-dicts are row views into the final arrays.  Accounted time charges each node
-an equal share of its batched pass, plus its own per-node solve when it was
-handed over.
+the remaining nodes are handed to ``solve_local``/``solve_edge`` (on threads
+when ``workers`` > 1), which stay the reference: the batched answers equal
+theirs bit for bit.  Steps 2 and 3 and the residuals run over one
+(N + 2E, Np) array of copies (``_CopyStack``), with the float operations of
+``update_consensus``, ``update_duals``, ``residuals`` and
+``apply_rho_update`` in their order, so those dict functions give the same
+bits and stay as the reference.  The returned state's dicts are row views
+into the final arrays.  Accounted time charges each node an equal share of
+its batched pass, plus its own per-node solve when it was handed over.
 
-Every node solution's status is checked: non-optimal solutions and local and
-edge fallbacks are counted in the ``ResidualReport`` along with the worst
-node KKT residual, the interior-point iterations the fallbacks took and how
-many fallbacks each ``solve_qp`` path answered, and a warning is logged
-whenever a non-optimal solution enters consensus.
+Every node solution's status is checked: non-optimal solutions and the
+nodes handed to the per-node solvers are counted in the ``ResidualReport``
+along with the worst node KKT residual, and a warning is logged whenever a
+non-optimal solution enters consensus.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ import numpy as np
 from .errors import NumericalFailureError, ParameterError
 # build_edge, build_local and solve_qp are not called here; they stay
 # importable from this module for span tracers that wrap them by name.
-from .qp import OPTIMAL, QpSolution, solve_qp  # noqa: F401
+from .qp import OPTIMAL, solve_qp  # noqa: F401
 from .subproblems import (EdgeBatch, LocalBatch, build_edge, build_local,  # noqa: F401
                           solve_edge, solve_local)
 
@@ -105,12 +103,9 @@ class ResidualReport:
     parallel_time: float = 0.0   # sum over iterations of max node solve time
     wall_time: float = 0.0
     nonoptimal_nodes: int = 0    # node solutions with status != optimal, all iterations
-    edge_fallbacks: int = 0      # solve_edge calls that handed over to solve_qp
-    local_fallbacks: int = 0     # solve_local calls that handed over to solve_qp
+    local_handed: int = 0        # vehicle nodes the batched pass left to solve_local
+    edge_handed: int = 0         # edge nodes the batched pass left to solve_edge
     kkt_max: float = 0.0         # worst node KKT residual, all iterations
-    local_fallback_ipm_iters: int = 0   # IPM iterations of the local fallbacks
-    edge_fallback_ipm_iters: int = 0    # IPM iterations of the edge fallbacks
-    fallback_paths: dict = field(default_factory=dict)  # solve_qp path -> fallbacks
 
 
 @dataclass
@@ -338,8 +333,8 @@ class NodeStep:
 
     ``handed`` maps the index of every node that the batched pass left to
     ``solve_local``/``solve_edge`` to that solve's ``QpSolution``; every other
-    node is ``optimal`` and no fallback.  ``times`` is each node's accounted
-    time: an equal share of its batched pass, plus its own solve if handed.
+    node is ``optimal``.  ``times`` is each node's accounted time: an equal
+    share of its batched pass, plus its own solve if handed.
     """
 
     u: np.ndarray            # (N, Np) local copies
@@ -357,9 +352,9 @@ class FleetNodes:
     ``LocalBatch`` and ``EdgeBatch`` answer every vehicle that pins no
     steering bound and every edge whose coupled rows are inactive; the nodes
     they leave go to ``solve_local``/``solve_edge`` (on ``executor`` when
-    given), warm started from the node's previous answer as in a per-node
-    loop.  Construction (the stacked ``eigh`` and the edge stacks) is charged
-    to the first iteration's nodes.
+    given), warm started from the node's previous multipliers as in a
+    per-node loop.  Construction (the stacked ``eigh`` and the edge stacks) is
+    charged to the first iteration's nodes.
     """
 
     def __init__(self, local_problems: list, edge_problems: list, executor=None):
@@ -371,19 +366,10 @@ class FleetNodes:
         self.local_problems = local_problems
         self.edge_problems = edge_problems
         self.executor = executor
-        self.last_u = None            # last iteration's local copies
-        self.last_handed: dict = {}   # last iteration's solve_local answers
+        # each vehicle's last multipliers; None where the batched pass answered
+        # (its multipliers are all zero)
+        self.warm_local = [None] * len(local_problems)
         self.warm_mu = None           # (E, Np) every edge's last row multipliers
-
-    def _warm_local(self, i: int, np_steps: int):
-        """The previous answer of vehicle row i, as ``solve_local`` takes it."""
-        if i in self.last_handed or self.last_u is None:
-            return self.last_handed.get(i)
-        # the batched closed form's answer, whose multipliers are all zero;
-        # a warm start reads only u_star and multipliers
-        m = self.local_problems[i].G.shape[0]
-        return QpSolution(u_star=self.last_u[i], objective=float("nan"), status=OPTIMAL,
-                          kkt_residual=float("nan"), multipliers=np.zeros(m + 2 * np_steps))
 
     def solve(self, stack: _CopyStack, rho: float) -> NodeStep:
         """All node solutions for the consensus and duals in ``stack``."""
@@ -405,7 +391,7 @@ class FleetNodes:
             t = time.perf_counter()
             if i < n:
                 sol = solve_local(self.local_problems[i], Z[i], L[i], rho,
-                                  warm=self._warm_local(i, np_steps))
+                                  warm_mult=self.warm_local[i])
             else:
                 k = i - n
                 sol = solve_edge(self.edge_problems[k], Z[stack.vi[k]], Z[stack.vj[k]],
@@ -421,6 +407,7 @@ class FleetNodes:
         status = [OPTIMAL] * (n + n_edges)
         kkt = np.concatenate([kkt_local, kkt_edge])
         handed = {}
+        self.warm_local = [None] * n
         for i, sol, dt in results:
             handed[i] = sol
             status[i] = sol.status
@@ -428,12 +415,11 @@ class FleetNodes:
             times[i] += dt
             if i < n:
                 u[i] = sol.u_star
+                self.warm_local[i] = sol.multipliers
             else:
                 x_edge[i - n] = sol.u_star[:2 * np_steps]
                 slack[i - n] = sol.u_star[2 * np_steps:]
                 mu[i - n] = sol.multipliers[:np_steps]
-        self.last_u = u
-        self.last_handed = {i: sol for i, sol in handed.items() if i < n}
         self.warm_mu = mu
         return NodeStep(u=u, x_edge=x_edge, slack=slack, status=status, kkt=kkt,
                         handed=handed, times=times)
@@ -479,9 +465,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     slack_max = 0.0
     parallel_time = 0.0
     nonoptimal = 0
-    fallbacks = {"local": 0, "edge": 0}
-    fallback_iters = {"local": 0, "edge": 0}
-    fallback_paths: dict = {}
+    local_handed = edge_handed = 0
     kkt_max = 0.0
     try:
         for k in range(1, config.max_iters + 1):
@@ -496,13 +480,8 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                 raise NumericalFailureError(
                     f"non-finite iterate from {names[int(np.argmin(finite))]} at iteration {k}",
                     iteration=k)
-            for i in sorted(step.handed):
-                sol = step.handed[i]
-                if sol.fallback:
-                    kind = "local" if i < n else "edge"
-                    fallbacks[kind] += 1
-                    fallback_iters[kind] += sol.iterations
-                    fallback_paths[sol.path] = fallback_paths.get(sol.path, 0) + 1
+            local_handed += sum(i < n for i in step.handed)
+            edge_handed += sum(i >= n for i in step.handed)
             flagged = [f"{names[i]} ({status}, kkt {step.kkt[i]:.2e})"
                        for i, status in enumerate(step.status) if status != OPTIMAL]
             kkt_max = max(kkt_max, float(np.fmax.reduce(step.kkt)))
@@ -554,10 +533,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     report = replace(report, per_node_solve_times=dict(zip(names, total_node_time.tolist())),
                      slack_max=slack_max, parallel_time=parallel_time,
                      wall_time=time.perf_counter() - t_start,
-                     nonoptimal_nodes=nonoptimal, edge_fallbacks=fallbacks["edge"],
-                     local_fallbacks=fallbacks["local"], kkt_max=kkt_max,
-                     local_fallback_ipm_iters=fallback_iters["local"],
-                     edge_fallback_ipm_iters=fallback_iters["edge"],
-                     fallback_paths=fallback_paths)
+                     nonoptimal_nodes=nonoptimal, local_handed=local_handed,
+                     edge_handed=edge_handed, kkt_max=kkt_max)
     consensus = {v: state.z[v].copy() for v in state.z}
     return AdmmResult(consensus=consensus, report=report, state=state, trace=trace)

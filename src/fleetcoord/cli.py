@@ -27,7 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--duration", type=float, default=None,
                      help="override sim_duration (seconds, multiple of Ts)")
     sim.add_argument("--workers", type=int, default=1,
-                     help="worker threads for the parallel step")
+                     help="worker threads for the per-node solves; they spread only "
+                          "the nodes the batched pass hands over")
 
     bench = sub.add_parser("bench", help="centralized-vs-parallel scaling benchmark")
     bench.add_argument("--sizes", default="4,8,16,32,64,100",

@@ -139,11 +139,9 @@ class QpSolution:
     multipliers: np.ndarray          # [z (m), w (n, lower), y (n, upper)]
     iterations: int = 0
     trace: list = field(default_factory=list, repr=False)
-    fallback: bool = False           # a structured solver handed over to solve_qp
     # which solve_qp path answered: "bound", "active_set", "ipm", "pinned_only"
     # (every variable fixed by lb == ub) or "zero_row" (an unsatisfiable zero
-    # row of G); None when a structured node solver answered without solve_qp
-    # (an edge fallback carries the path of the solve_qp call on its dual)
+    # row of G); None from the ADMM node solvers, which never call solve_qp
     path: str | None = None
 
 

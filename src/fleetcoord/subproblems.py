@@ -26,18 +26,18 @@ stacked ``matmul``, so the data equals that of ``make_local_problem`` and
 ``make_edge_problem`` bit for bit; those two stay as the reference
 formulation.  The problems' arrays are views into the fleet arrays.
 
-Inside ADMM, tracking problems are solved by ``solve_local`` in closed form.
-Their Hessian H0 is fixed for the cycle and each iteration adds rho I and
-changes the linear term, so one eigendecomposition H0 = V diag(d) V' (made by
-``LocalProblem.eig`` on first use) turns every solve into
-x = -V (V'f / (d + rho)).  Steering-bound violators are pinned and the free
-block re-solved, as in ``qp``'s bound shortcut; a solve whose position rows
-bind fails the KKT check and goes to ``solve_qp`` on ``build_local``, the
-reference formulation.  ``LocalBatch`` makes the cycle's eigendecompositions
-as one stacked ``eigh`` and answers every vehicle that pins nothing in one
-stacked closed-form pass, bit for bit as ``solve_local`` would.
+Inside ADMM, tracking problems are solved by ``solve_local``.  Their Hessian
+H0 is fixed for the cycle and each iteration adds rho I and changes the
+linear term, so one eigendecomposition H0 = V diag(d) V' (made by
+``LocalProblem.eig`` on first use) gives P = H0 + rho I and its inverse for
+any rho.  ``solve_local`` solves the dual of the position rows and steering
+bounds, a box QP with Hessian A P^-1 A'.  ``LocalBatch`` makes the cycle's
+eigendecompositions as one stacked ``eigh`` and answers every vehicle whose
+unconstrained minimizer meets all its rows (a zero dual) in one stacked pass,
+bit for bit as ``solve_local`` would.
 
-Edge problems are solved by ``solve_edge`` through their exact dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
+Edge problems are solved by ``solve_edge`` through their exact dual.  The
+edge objective is proximal in the steering copies, x = (u_i, u_j):
 
     min  rho/2 |x - v|^2 + c 1's   s.t.  G_u x - s <= h,  s >= 0,
 
@@ -53,7 +53,8 @@ and slack in closed form.  ``EdgeBatch`` answers, in one stacked pass, every
 edge whose coupled rows are all inactive (q = rho (G_c v - h_c) <= 0, where
 mu_c = 0 and x = v), bit for bit as ``solve_edge`` would; the rest go to
 ``solve_edge``.
-``build_edge`` stays the primal reference formulation of the same QP.
+Both duals go to the finite active set ``_box_active_set``; no node reaches
+``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal reference.
 """
 
 from __future__ import annotations
@@ -65,13 +66,13 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import _EIG_FLOOR, MAX_ITER, OPTIMAL, DenseQp, QpSolution, solve_qp
+from .qp import _EIG_FLOOR, _REG_SHIFT, MAX_ITER, OPTIMAL, DenseQp, QpSolution
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
 _NODE_OPTIMAL_KKT = 1e-8     # solve_local/solve_edge report optimal only at or below this
-_PRIMAL_TOL = 1e-10          # solve_local's closed form accepts this much row/bound violation
 _ACTIVE_SET_MAX_ITERS = 50
+_SINGULAR_GROWTH = 1e10      # _box_active_set: max|M| / lambda_min of a singular free block
 
 
 @dataclass(frozen=True)
@@ -285,19 +286,19 @@ def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: floa
                    lb=problem.steer_lb, ub=problem.steer_ub)
 
 
-def solve_local(problem: LocalProblem, z, lam, rho: float,
-                warm: QpSolution | None = None) -> QpSolution:
-    """Solution of ``build_local(problem, z, lam, rho)`` in closed form.
+def solve_local(problem: LocalProblem, z, lam, rho: float, warm_mult=None) -> QpSolution:
+    """Exact solution of ``build_local(problem, z, lam, rho)`` through its dual.
 
-    With H0s = V diag(d) V' from ``problem.eig()``, the unconstrained
-    minimizer is x = -V (V'f / (d + rho)).  Steering-bound violators are
-    pinned and the free block is solved once more, as in ``qp``'s bound
-    shortcut; the multipliers are [0, w, y] in the layout of ``solve_qp``.
-    status is ``optimal`` when the position rows and bounds hold to 1e-10 and
-    the KKT residual, as ``kkt_residual`` defines it for the built QP, is at
-    most 1e-8.  Otherwise (a position row binds, or H0 + rho I is too close
-    to singular) the built QP goes to ``solve_qp``, warm started from
-    ``warm``, and ``fallback`` is set.
+    P = H0s + rho I = V diag(d + rho) V' from ``problem.eig()`` (plus 1e-9 I
+    when d0 + rho <= 1e-10, as ``solve_qp`` shifts) has the unconstrained
+    minimizer x0 = -P^-1 f.  The rows A x <= b (position rows, then the finite
+    steering bounds as -I and I rows) are solved on their dual, the box QP
+    min 1/2 l'(A P^-1 A') l - (A x0 - b)'l over l >= 0, by
+    ``_box_active_set``, warm started from ``warm_mult`` (an earlier solve's
+    multipliers; None or all zero starts cold).  Then x = x0 - P^-1 A'l, each
+    bound with a positive multiplier met exactly.  The multipliers are
+    [z, w, y] as in ``solve_qp``; status is ``optimal`` when the KKT residual,
+    as ``kkt_residual`` defines it for the built QP, is at most 1e-8.
     """
     if rho <= 0:
         raise ParameterError("rho must be positive")
@@ -307,54 +308,52 @@ def solve_local(problem: LocalProblem, z, lam, rho: float,
     f = problem.f0 + rho * (lam - z)
     d, V, H0s = problem.eig()
     shift = d + rho
-    if shift[0] > _EIG_FLOOR:
-        solved = _local_closed_form(problem, H0s, V, shift, f, rho)
-        if solved is not None:
-            x, grad, mult, kkt = solved
-            return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)),
-                              status=OPTIMAL, kkt_residual=kkt, multipliers=mult)
-    sol = solve_qp(build_local(problem, z, lam, rho),
-                   warm_start=None if warm is None else warm.u_star,
-                   warm_multipliers=None if warm is None else warm.multipliers)
-    sol.fallback = True
-    return sol
-
-
-def _local_closed_form(problem: LocalProblem, H0s, V, shift, f, rho):
-    """(x, grad, multipliers, kkt) of the bound-pinning guess, or None if not optimal."""
+    if not shift[0] > _EIG_FLOOR:
+        shift = shift + _REG_SHIFT
     x = -(V @ ((V.T @ f) / shift))
-    lb, ub = problem.steer_lb, problem.steer_ub
-    at_lo = x < lb
-    at_hi = x > ub
-    pinned = at_lo | at_hi
-    if pinned.any():
-        x = np.where(at_lo, lb, np.where(at_hi, ub, x))
-        free = ~pinned
-        if free.any():
-            H_ff = H0s[np.ix_(free, free)] + rho * np.eye(int(free.sum()))
-            rhs = f[free] + H0s[np.ix_(free, pinned)] @ x[pinned]
-            try:
-                x[free] = -np.linalg.solve(H_ff, rhs)
-            except np.linalg.LinAlgError:
-                return None
+    G, lb, ub = problem.G, problem.steer_lb, problem.steer_ub
+    m = G.shape[0]
+    lo = np.flatnonzero(np.isfinite(lb))
+    hi = np.flatnonzero(np.isfinite(ub))
+    AV = np.concatenate([G @ V, -V[lo], V[hi]])
+    q = np.concatenate([G @ x - problem.h, lb[lo] - x[lo], x[hi] - ub[hi]])
+    start = None
+    if warm_mult is not None and np.any(warm_mult):
+        start = np.concatenate([warm_mult[:m], warm_mult[m + lo], warm_mult[m + np_steps + hi]])
+    dual = _box_active_set((AV / shift) @ AV.T, q, np.inf, start)
+    mult = np.zeros(m + 2 * np_steps)
+    if np.any(dual):
+        x = x - V @ ((AV.T @ dual) / shift)
+        mult[:m] = dual[:m]
+        mult[m + lo] = dual[m:m + len(lo)]
+        mult[m + np_steps + hi] = dual[m + len(lo):]
+        x = np.where(mult[m:m + np_steps] > 0.0, lb, np.where(mult[m + np_steps:] > 0.0, ub, x))
     grad = H0s @ x + rho * x + f
-    w = np.where(at_lo, np.maximum(grad, 0.0), 0.0)
-    y = np.where(at_hi, np.maximum(-grad, 0.0), 0.0)
+    kkt = _local_kkt(problem, grad, x, mult)
+    return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)),
+                      status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
+                      kkt_residual=kkt, multipliers=mult)
 
-    # kkt_residual(build_local(...), x, [0, w, y]); the terms of the zero row
-    # multipliers (-z and z * row) are zero and drop out
+
+def _local_kkt(problem: LocalProblem, grad, x, mult) -> float:
+    """``kkt_residual(build_local(...), x, mult)`` without forming the QP.
+
+    ``grad`` is the objective's gradient (H0s + rho I) x + f at x.
+    """
+    m, n = problem.G.shape
+    z, w, y = mult[:m], mult[m:m + n], mult[m + n:]
+    lb, ub = problem.steer_lb, problem.steer_ub
+    stat = grad
+    if np.any(z):
+        stat = stat + problem.G.T @ z
     lo = np.isfinite(lb)
     hi = np.isfinite(ub)
+    row = problem.G @ x - problem.h
     gap_lo = lb[lo] - x[lo]
     gap_hi = x[hi] - ub[hi]
-    viol = np.concatenate([problem.G @ x - problem.h, gap_lo, gap_hi])
-    kkt = max(float(np.max(np.concatenate([
-        np.abs(grad - w + y), viol, -w[lo], np.abs(w[lo] * gap_lo),
-        -y[hi], np.abs(y[hi] * gap_hi)]))), 0.0)
-    if not kkt <= _NODE_OPTIMAL_KKT or float(np.max(viol, initial=0.0)) > _PRIMAL_TOL:
-        return None
-    mult = np.concatenate([np.zeros(problem.G.shape[0]), w, y])
-    return x, grad, mult, kkt
+    return max(float(np.max(np.concatenate([
+        np.abs(stat - w + y), row, -z, np.abs(z * row), gap_lo, gap_hi,
+        -w[lo], np.abs(w[lo] * gap_lo), -y[hi], np.abs(y[hi] * gap_hi)]))), 0.0)
 
 
 def _groups(keys) -> list:
@@ -371,10 +370,10 @@ class LocalBatch:
     Construction makes one ``eigh`` over the (N, Np, Np) stack of
     H0s = (H0 + H0')/2 and fills every problem's ``eig()`` with its slice, so
     ``solve_local`` shares the decomposition.  ``solve`` is
-    ``_local_closed_form`` for every vehicle at once, restricted to the case
-    that pins nothing: each product is ``_local_closed_form``'s own, issued as
-    one stacked ``matmul`` (position rows grouped by their count), so an
-    answered row equals ``solve_local``'s bit for bit.
+    ``solve_local``'s closed-form case for every vehicle at once: each product
+    is ``solve_local``'s own, issued as one stacked ``matmul`` (position rows
+    grouped by their count), so an answered row equals ``solve_local``'s bit
+    for bit.
     """
 
     def __init__(self, problems):
@@ -394,8 +393,8 @@ class LocalBatch:
         """(x, kkt, done) for rows z, lam (N, Np); ``done`` marks the rows answered.
 
         A row is answered when d0 + rho > _EIG_FLOOR, the unconstrained
-        minimizer pins no steering bound, its position rows hold to 1e-10 and
-        the KKT residual is at most 1e-8; its multipliers are then all zero.
+        minimizer pins no steering bound and meets its position rows, and the
+        KKT residual is at most 1e-8; its multipliers are then all zero.
         Every other row is left to ``solve_local``.
         """
         f = self.f0 + rho * (lam - z)
@@ -411,7 +410,7 @@ class LocalBatch:
         kkt = np.maximum(np.maximum(np.max(np.abs(grad), axis=1), row_max), 0.0)
         pinned = np.any((x < self.lb) | (x > self.ub), axis=1)
         done = ((shift[:, 0] > _EIG_FLOOR) & ~pinned & (kkt <= _NODE_OPTIMAL_KKT)
-                & (row_max <= _PRIMAL_TOL))
+                & (row_max <= 0.0))
         return x, kkt, done
 
 
@@ -596,10 +595,7 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     ``solve_qp`` on the primal: u_star = [u_i, u_j, s] and multipliers
     [mu, w, y] with w = c - mu on the slacks and zero elsewhere.  status is
     ``optimal`` when the primal KKT residual, as ``kkt_residual`` defines it,
-    is at most 1e-8.  ``fallback`` is set when the active-set method failed
-    and the dual was handed to ``solve_qp``; ``iterations`` and ``path``
-    then give the interior-point iterations and the ``solve_qp`` path that
-    solve of the dual took.
+    is at most 1e-8.
     """
     if rho <= 0:
         raise ParameterError("rho must be positive")
@@ -617,19 +613,6 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     q = rho * (problem.G_c @ v - h[rows])
     start = None if warm_mu is None else np.asarray(warm_mu, dtype=float)[rows]
     mu_c = _box_active_set(problem.M, q, c, start)
-    fallback = mu_c is None
-    ipm_iters, dual_path = 0, None
-    if fallback:
-        dual = solve_qp(DenseQp(H=problem.M, f=-q, lb=np.zeros(len(rows)),
-                                ub=np.full(len(rows), c)))
-        ipm_iters, dual_path = dual.iterations, dual.path
-        # a projected-gradient step from the interior-point answer names the
-        # active sets; an exact solve on them removes its last digits of error
-        mu_ip = np.clip(dual.u_star, 0.0, c)
-        mu_c = _box_active_set(problem.M, q, c,
-                               mu_ip - (problem.M @ mu_ip - q) / np.diag(problem.M))
-        if mu_c is None:
-            mu_c = mu_ip
     mu[rows] = mu_c
 
     x = v - (problem.G_c.T @ mu_c) / rho
@@ -643,8 +626,7 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     mult = np.concatenate([mu, np.zeros(2 * np_steps), w_s, np.zeros(3 * np_steps)])
     return QpSolution(u_star=np.concatenate([x, s]), objective=objective,
                       status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
-                      kkt_residual=kkt, multipliers=mult, iterations=ipm_iters,
-                      fallback=fallback, path=dual_path)
+                      kkt_residual=kkt, multipliers=mult)
 
 
 def _edge_kkt(problem: EdgeProblem, rho, f_x, x, s, mu, w_s) -> float:
@@ -714,21 +696,27 @@ class EdgeBatch:
 
 
 def _box_active_set(M, q, c, start=None):
-    """Primal-dual active set for min 1/2 mu'M mu - q'mu over 0 <= mu <= c.
+    """Minimizer of 1/2 mu'M mu - q'mu over 0 <= mu <= c (M PSD, scalar c > 0, may be inf).
 
-    The first guess takes the bounds ``start`` sits on (a warm start's sets
-    usually still hold); cold, it is the coordinate-wise minimizer q / diag(M).
-    Each step pins the guessed bounds, solves the free block exactly and
-    guesses again from mu - g / diag(M), g = M mu - q; the method stops when
-    the guess reproduces the current sets, which is the KKT condition of the
-    box QP.  Returns None on a repeated set pair (a cycle) or at the
-    iteration cap.
+    A primal-dual active set runs first.  Its first guess takes the bounds
+    ``start`` sits on (a warm start's sets usually still hold); cold, it is
+    q / diag(M).  Each step pins the guessed bounds, solves the free block
+    exactly and guesses again from mu - g / diag(M), g = M mu - q, until a
+    guess reproduces the sets: the box QP's KKT condition.  These steps can
+    cycle when M is not an M-matrix; on a repeated set pair, a free block
+    singular to working precision or the step cap, ``_primal_active_set``
+    continues from the last guess clipped into the box.
     """
     n = len(q)
     if n == 0:
         return np.zeros(0)
     d = np.diag(M)
+    if not d.min() > 0.0:
+        return _primal_active_set(M, q, c, np.clip(np.zeros(n) if start is None else start, 0.0, c))
     trial = q / d if start is None else np.asarray(start, dtype=float)
+    # |mu_f| / |rhs| bounds 1 / lambda_min(M_ff) from below, and max(d) is
+    # M's largest entry: past this the block is singular to working precision
+    growth = _SINGULAR_GROWTH / d.max()
     seen = set()
     key = None
     for _ in range(_ACTIVE_SET_MAX_ITERS):
@@ -738,37 +726,73 @@ def _box_active_set(M, q, c, start=None):
         if key == prev:
             return mu
         if key in seen:
-            return None
+            break
         seen.add(key)
         mu = np.where(at_hi, c, 0.0)
         if free.any():
             rhs = q[free]
             if at_hi.any():
                 rhs = rhs - c * M[np.ix_(free, at_hi)].sum(axis=1)
-            M_ff = M[np.ix_(free, free)]
             try:
-                mu[free] = np.linalg.solve(M_ff, rhs)
+                mu_f = np.linalg.solve(M[np.ix_(free, free)], rhs)
             except np.linalg.LinAlgError:
-                mu[free] = _singular_block(M_ff, rhs, c)
+                break
+            if not abs(mu_f).max() <= growth * abs(rhs).max():
+                break
+            mu[free] = mu_f
         trial = mu - (M @ mu - q) / d
-    return None
+    return _primal_active_set(M, q, c, np.clip(trial, 0.0, c))
 
 
-def _singular_block(M_ff, rhs, c):
-    """Free-block step when its rows are dependent (M_ff singular).
+def _primal_active_set(M, q, c, mu):
+    """``_box_active_set``'s QP by a primal active set from a feasible mu.
 
-    Takes the least-squares solution.  If the block is inconsistent, the
-    residual r = M_ff mu - rhs lies in the null space of M_ff, so along -r
-    the objective falls linearly; the step follows -r until the first
-    coordinate reaches 0 or c, and the next guess pins that coordinate.
+    (Nocedal & Wright, Numerical Optimization, 2006, section 16.5.)  The
+    working set holds the bounds mu sits on.  A step minimizes over the free
+    coordinates with the working set fixed and stops at the first bound it
+    meets (ratio test), which joins the set.  At a working-set minimizer the
+    bound with the most negative multiplier leaves; with none negative beyond
+    rounding, mu is optimal.  On a singular free block whose gradient has a
+    null-space component the step follows that component, along which the
+    objective falls linearly.  Returns the last iterate at the step cap.
     """
-    mu = np.linalg.lstsq(M_ff, rhs, rcond=None)[0]
-    d = rhs - M_ff @ mu
-    if np.max(np.abs(d)) <= 1e-12 * (1.0 + np.max(np.abs(rhs))):
-        return mu
-    moving = d != 0.0
-    room = np.where(d[moving] > 0.0, c - mu[moving], -mu[moving]) / d[moving]
-    return np.clip(mu + max(float(np.min(room)), 0.0) * d, 0.0, c)
+    lo, hi = mu <= 0.0, mu >= c
+    mu = np.where(lo, 0.0, np.where(hi, c, mu))
+    at_min = False
+    for _ in range(_ACTIVE_SET_MAX_ITERS + 4 * len(q)):
+        free = np.flatnonzero(~(lo | hi))
+        g = M @ mu - q
+        tol = 1e-14 * (np.abs(M) @ np.abs(mu) + np.abs(q))    # rounding level of g
+        if len(free) and not at_min:
+            w, U = np.linalg.eigh(M[np.ix_(free, free)])
+            null = w <= len(w) * np.finfo(float).eps * max(w[-1], 0.0)
+            r = U.T @ g[free]
+            p = -(U[:, null] @ r[null])
+            linear = np.max(np.abs(p), initial=0.0) > np.max(tol[free])
+            if not linear:
+                p = -(U[:, ~null] @ (r[~null] / w[~null]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(p < 0.0, -mu[free] / p,
+                                np.where(p > 0.0, (c - mu[free]) / p, np.inf))
+            k = int(np.argmin(room))
+            if not linear and room[k] >= 1.0:
+                mu[free] += p
+                at_min = True
+            elif np.isfinite(room[k]):
+                mu[free] = np.clip(mu[free] + max(room[k], 0.0) * p, 0.0, c)
+                mu[free[k]] = 0.0 if p[k] < 0.0 else c
+                lo[free[k]], hi[free[k]] = p[k] < 0.0, p[k] > 0.0
+            else:
+                return mu           # unbounded below: no bound stops the descent
+            continue
+        mult = np.where(lo, g, -g) + tol
+        mult[free] = 0.0
+        j = int(np.argmin(mult))
+        if mult[j] >= 0.0:
+            return mu
+        lo[j] = hi[j] = False
+        at_min = False
+    return mu
 
 
 @dataclass(eq=False)

@@ -4,11 +4,11 @@
 its iterates in a ``_CopyStack``; the per-node solvers ``solve_local`` and
 ``solve_edge`` and the dict functions ``update_consensus``, ``update_duals``,
 ``residuals`` and ``apply_rho_update`` stay as the reference.  Every
-comparison here is bit for bit: node answers, statuses, fallback flags, the
-warm starts handed to the next iteration, the iterates, the residuals and rho.
-Instances: random fleets, the bounded pair (pinned steering, binding lane
-rows that fall back to ``solve_qp``), crossing pairs whose edge rows
-activate, and the single-node instances of the local and edge solver tests
+comparison here is bit for bit: node answers, statuses, the warm starts
+handed to the next iteration, the iterates, the residuals and rho.
+Instances: random fleets, the bounded pair (pinned steering and binding lane
+rows, which ``solve_local`` answers on its dual), crossing pairs whose edge
+rows activate, and the single-node instances of the local and edge solver tests
 moved onto the batched passes' decision boundaries (a position row violated
 by 1e-11 to 1e-8, an edge row with q within rounding of zero, warm
 multipliers on coupled rows, zeroed steering rows).
@@ -49,7 +49,9 @@ def reference_admm(local, edges, config, state):
         rho = state.rho
         sols = {}
         for v in vids:
-            sols[v] = solve_local(local[v], state.z[v], state.lam[v], rho, warm=warm.get(v))
+            prev = warm.get(v)
+            sols[v] = solve_local(local[v], state.z[v], state.lam[v], rho,
+                                  warm_mult=None if prev is None else prev.multipliers)
         for e in ekeys:
             i, j = e
             prev = warm.get(e)
@@ -83,9 +85,7 @@ def recorded_admm(local, edges, config, state):
 
     def recording(self, stack, rho):
         step = real(self, stack, rho)
-        np_steps = stack.Z.shape[1]
-        warm_local = [self._warm_local(i, np_steps) for i in range(len(self.local_problems))]
-        steps.append((copy.deepcopy(step), warm_local, self.warm_mu.copy()))
+        steps.append((copy.deepcopy(step), list(self.warm_local), self.warm_mu.copy()))
         return step
 
     admm_mod.FleetNodes.solve = recording
@@ -116,16 +116,17 @@ def assert_identical_runs(local, edges, config, state):
             sol = sols[v]
             assert same(step.u[i], sol.u_star)
             assert step.status[i] == sol.status and step.kkt[i] == sol.kkt_residual
-            assert (i in step.handed and step.handed[i].fallback) == sol.fallback
-            # the warm start the next iteration hands to solve_local
-            assert same(warm_local[i].u_star, sol.u_star)
-            assert same(warm_local[i].multipliers, sol.multipliers)
+            # the warm start the next iteration hands to solve_local: None
+            # stands for multipliers that are all zero
+            if warm_local[i] is None:
+                assert not np.any(sol.multipliers)
+            else:
+                assert same(warm_local[i], sol.multipliers)
         for k, e in enumerate(ekeys):
             sol = sols[e]
             assert same(step.x_edge[k], sol.u_star[:2 * np_steps])
             assert same(step.slack[k], sol.u_star[2 * np_steps:])
             assert step.status[n + k] == sol.status and step.kkt[n + k] == sol.kkt_residual
-            assert (n + k in step.handed and step.handed[n + k].fallback) == sol.fallback
             assert same(warm_mu[k], sol.multipliers[:np_steps])
         assert trace["r_norm"] == report.r_norm and trace["s_norm"] == report.s_norm
         assert trace["rho"] == rho
@@ -182,7 +183,7 @@ def test_crossing_pairs_match_the_per_node_loop(np_steps, steer, y_max, half_gap
 def test_instances_exercise_both_paths():
     # a random fleet (nodes the batched pass answers) and the bounded pair
     # (pinned steering, a binding lane row, active edge rows: nodes handed
-    # to the per-node path, with fallbacks to solve_qp)
+    # to the per-node path), each handed node counted in the report
     rng = np.random.default_rng(99)
     while True:
         fleet = random_fleet_instance(rng)
@@ -190,7 +191,7 @@ def test_instances_exercise_both_paths():
             break
     answered = {"local": 0, "edge": 0}
     handed = {"local": 0, "edge": 0}
-    fallbacks = 0
+    reported = {"local": 0, "edge": 0}
     for local, edges, seeds in (fleet, bounded_pair()):
         config = AdmmConfig(max_iters=40)
         state = init_admm_state(seeds, edges, config.rho0)
@@ -200,9 +201,10 @@ def test_instances_exercise_both_paths():
             for i in range(n + len(edges)):
                 kind = "local" if i < n else "edge"
                 (handed if i in step.handed else answered)[kind] += 1
-        fallbacks += result.report.local_fallbacks
+        reported["local"] += result.report.local_handed
+        reported["edge"] += result.report.edge_handed
         assert_identical_runs(local, edges, config, state)
-    assert min(answered.values()) > 0 and min(handed.values()) > 0 and fallbacks > 0
+    assert min(answered.values()) > 0 and min(handed.values()) > 0 and reported == handed
 
 
 @SETTINGS
@@ -228,7 +230,7 @@ def test_local_batch_answers_as_solve_local(seeds, np_steps, steer, lateral, y_r
     for n, lp in enumerate(problems):
         if done[n]:
             sol = solve_local(lp, z[n], lam[n], rho)
-            assert sol.status == OPTIMAL and not sol.fallback
+            assert sol.status == OPTIMAL
             assert same(x[n], sol.u_star) and kkt[n] == sol.kkt_residual
             assert not np.any(sol.multipliers)
 
@@ -275,7 +277,7 @@ def test_edge_batch_answers_as_solve_edge(cases, np_steps, log_rho, warm_seed):
     for k, (ep, args) in enumerate(built):
         if done[k]:
             sol = solve_edge(ep, *args, rho, warm_mu=None if warm_mu is None else warm[k])
-            assert sol.status == OPTIMAL and not sol.fallback
+            assert sol.status == OPTIMAL
             assert same(x[k], sol.u_star[:2 * np_steps]) and same(s[k], sol.u_star[2 * np_steps:])
             assert same(mu[k], sol.multipliers[:np_steps]) and kkt[k] == sol.kkt_residual
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_edge, condense,
@@ -20,7 +20,7 @@ from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_edge, condens
                         rollout, solve_qp)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import VehicleState
-from fleetcoord.subproblems import _edge_kkt, solve_edge
+from fleetcoord.subproblems import EdgeProblem, _edge_kkt, solve_edge
 
 from instances import InstanceSpec
 from oracles import enumerate_qp
@@ -179,23 +179,72 @@ def test_zero_row_slack_in_closed_form():
     _check_exact(ep, args, 1.0, sol)
 
 
-def test_fallback_is_exact_and_flagged(monkeypatch):
+# M = L L' is not an M-matrix, and from the cold guess q / diag(M) the
+# primal-dual active set revisits a set pair on this box QP (c = 1)
+CYCLE_L = np.linalg.cholesky(np.array([[6.0, 2.0, -7.0], [2.0, 2.0, -5.0], [-7.0, -5.0, 14.0]]))
+CYCLE_Q, CYCLE_C = np.array([-4.0, 1.0, 1.0]), 1.0
+
+
+def test_forced_pdas_cycle_still_reaches_the_exact_optimum(monkeypatch):
     import fleetcoord.subproblems as sub
-    ep, args = edge_instance(5, 6, gap=3.0, slack_penalty=1e4, duplicate=False)
-    plain = solve_edge(ep, *args, 2.0)
-    assert not plain.fallback
-    real = sub._box_active_set
-    calls = []
+    # an edge whose three rows all steer, with G_u G_u' = CYCLE_L CYCLE_L'
+    n, rho = 3, 2.0
+    G = np.zeros((n, 3 * n))
+    G[:, :n] = CYCLE_L
+    G[:, 2 * n:] = -np.eye(n)
+    ep = EdgeProblem(edge=(1, 2), slack_penalty=CYCLE_C, G=G, h=-CYCLE_Q / rho)
+    continued = []
+    real = sub._primal_active_set
 
-    def fail_once(M, q, c, start=None):
-        calls.append(start)
-        return None if len(calls) == 1 else real(M, q, c, start)
+    def spy(*args):
+        continued.append(True)
+        return real(*args)
 
-    monkeypatch.setattr(sub, "_box_active_set", fail_once)
-    sol = solve_edge(ep, *args, 2.0)
-    assert sol.fallback
-    _check_exact(ep, args, 2.0, sol)
-    assert sol.objective == pytest.approx(plain.objective, rel=1e-9)
+    monkeypatch.setattr(sub, "_primal_active_set", spy)
+    args = tuple(np.zeros(n) for _ in range(4))
+    sol = solve_edge(ep, *args, rho)
+    assert continued
+    qp = _check_exact(ep, args, rho, sol)
+    H = qp.H + np.diag(np.r_[np.zeros(2 * n), np.full(n, 1e-12)])
+    ref = enumerate_qp(H, qp.f, qp.G, qp.h, qp.lb, qp.ub)
+    assert sol.objective == pytest.approx(qp.objective(ref[0]), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 5), rank=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1),
+       c=st.sampled_from([0.5, 3.0, 1e4, math.inf]),
+       start=st.sampled_from([None, "random", "wide"]))
+@example(n=3, rank=3, seed=0, c=CYCLE_C, start="cycle")    # forces the primal continuation
+def test_box_active_set_matches_enumeration(n, rank, seed, c, start):
+    # PSD M = B B' of rank <= min(n, rank), some rows of B zero; q = M y - r
+    # with r >= 0, so the box QP stays bounded when c is infinite
+    from fleetcoord.subproblems import _box_active_set
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, rank)) * (rng.random((n, 1)) < 0.9)
+    M = B @ B.T
+    q = M @ rng.normal(size=n) * 3.0 - rng.exponential(size=n) * (rng.random(n) < 0.5)
+    if start == "cycle":
+        M, q = CYCLE_L @ CYCLE_L.T, CYCLE_Q
+    warm = {None: None, "cycle": None, "random": rng.uniform(-1.0, 2.0, n) * min(c, 10.0),
+            "wide": rng.normal(size=n) * 1e3}[start]
+    mu = _box_active_set(M, q, c, warm)
+    assert np.all(mu >= 0.0) and np.all(mu <= c)
+    # the box QP's KKT conditions, to rounding: a certificate of optimality
+    g = M @ mu - q
+    tol = 1e-9 * (1.0 + np.abs(M) @ np.abs(mu) + np.abs(q))
+    lower, upper = mu <= 0.0, mu >= c
+    free = ~lower & ~upper
+    assert np.all(g[lower] >= -tol[lower]) and np.all(g[upper] <= tol[upper])
+    assert np.all(np.abs(g[free]) <= tol[free])
+    # a singular M can make the optimal set unbounded and its optimum large,
+    # so past a box of 1e3 mu is only held to be no worse than the oracle's
+    ref = enumerate_qp(M, -q, lb=np.zeros(n), ub=np.full(n, min(c, 1e3)))
+    assert ref is not None
+    objective = 0.5 * mu @ M @ mu - q @ mu
+    assert objective <= ref[1] + 1e-8 * (1.0 + abs(ref[1]))
+    if c <= 1e3:
+        assert objective >= ref[1] - 1e-8 * (1.0 + abs(ref[1]))
 
 
 def _converging_pair(np_steps=8):

@@ -1,9 +1,9 @@
-"""solve_local (the closed-form tracking-node solver) against the built QP.
+"""solve_local (the tracking-node solver) against the built QP.
 
 Instances come from real condensed predictions of one vehicle.  Hypothesis
-varies the penalty rho over six decades, narrows the steering box until it binds, and moves the lateral reference past
-a position bound so that position rows bind and the node must hand over to
-``solve_qp``.
+varies the penalty rho over six decades, narrows the steering box until it
+binds, and moves the lateral reference past a position bound so that
+position rows bind and the node is solved on its dual.
 """
 
 import copy
@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
+import fleetcoord.qp as qp_mod
 from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_local, condense,
                         kkt_residual, linearize, make_local_problem, rollout, solve_local,
                         solve_qp)
@@ -86,11 +87,8 @@ def test_matches_built_qp(inst):
     assert ref.status == OPTIMAL
     j_ref = qp.objective(ref.u_star)
     assert abs(sol.objective - j_ref) <= 1e-6 * (1.0 + abs(j_ref))
-    rows_bind = np.any(ref.multipliers[:qp.m] > 1e-6)
-    if rows_bind:
-        assert sol.fallback
-    if not sol.fallback:
-        assert not np.any(sol.multipliers[:qp.m])
+    if np.any(ref.multipliers[:qp.m] > 1e-6):
+        assert np.any(sol.multipliers[:qp.m] > 0.0)
 
 
 @SETTINGS
@@ -103,18 +101,14 @@ def test_matches_enumeration_oracle(inst):
     assert ref is not None
     j_ref = qp.objective(ref[0])
     assert abs(sol.objective - j_ref) <= 1e-6 * (1.0 + abs(j_ref))
-    if not sol.fallback:
-        # a handed-over solve is as exact as solve_qp's 1e-8 KKT stop: a bound
-        # with a multiplier near 1e-4 may then sit 1e-5 off, so only the
-        # closed form is held to the oracle's point
-        assert np.max(np.abs(sol.u_star - ref[0])) <= 1e-6
+    assert np.max(np.abs(sol.u_star - ref[0])) <= 1e-6
 
 
 def test_steering_bounds_pinned_in_closed_form():
+    # the dual's positive bound multipliers pin their steering inputs exactly
     lp, z, lam = local_instance(0, 8, steer=0.2, lateral=0.5, y_room=None)
     sol = solve_local(lp, z, lam, 1.0)
     n = lp.horizon
-    assert not sol.fallback
     w, y = sol.multipliers[:n], sol.multipliers[n:]
     assert np.any(w > 0) or np.any(y > 0)
     assert np.sum(np.abs(sol.u_star) == 0.2) == 2
@@ -136,17 +130,27 @@ binding = st.builds(
 )
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("the node solver reached solve_qp or built a DenseQp")
+
+
 @SETTINGS
 @given(binding)
 def test_binding_position_rows_fall_back_exactly(inst):
+    # binding rows take the node off the closed form onto its dual, which
+    # reaches the exact optimum without solve_qp or a DenseQp
     (lp, z, lam), rho = inst
     qp = build_local(lp, z, lam, rho)
     ref = solve_qp(qp)
     assume(np.any(ref.multipliers[:qp.m] > 1e-6))
-    sol = solve_local(lp, z, lam, rho)
-    assert sol.fallback
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qp_mod, "solve_qp", _raise)
+        patch.setattr(qp_mod.DenseQp, "__post_init__", _raise)
+        sol = solve_local(lp, z, lam, rho)
+    assert np.any(sol.multipliers[:qp.m] > 0.0)
     _check_exact(lp, z, lam, rho, sol)
-    assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
+    # the interior point stops at a 1e-8 KKT residual, short of the exact optimum
+    assert abs(sol.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
 
 
 def test_eigendecomposition_is_made_once():
@@ -160,50 +164,27 @@ def test_eigendecomposition_is_made_once():
 
 
 def test_fallbacks_are_counted_and_workers_are_byte_identical(monkeypatch, per_node_path):
+    # the bounded pair pins steering and binds a lane row: its vehicle nodes
+    # fall back from the batched pass to solve_local, on any worker count
     local, edges, seeds = bounded_pair()
     res1 = admm_solve(local, edges, AdmmConfig(workers=1), seeds=copy.deepcopy(seeds))
     res4 = admm_solve(local, edges, AdmmConfig(workers=4), seeds=copy.deepcopy(seeds))
     assert res1.report.iterations_used > 1
-    assert res1.report.local_fallbacks == res4.report.local_fallbacks > 0
+    assert res1.report.local_handed == res4.report.local_handed > 0
     assert res1.report.nonoptimal_nodes == res4.report.nonoptimal_nodes == 0
     assert res1.report.kkt_max == res4.report.kkt_max <= 1e-8
     for vid in res1.consensus:
         assert res1.consensus[vid].tobytes() == res4.consensus[vid].tobytes()
         assert res1.state.u[vid].tobytes() == res4.state.u[vid].tobytes()
 
-    # the report counts exactly the solves that handed over
+    # the report counts exactly the nodes handed to solve_local
     handed_over = []
 
     def counting(*args, **kwargs):
-        sol = solve_local(*args, **kwargs)
-        handed_over.append(sol.fallback)
-        return sol
+        handed_over.append(args[0].vehicle_id)
+        return solve_local(*args, **kwargs)
 
     per_node_path()
     monkeypatch.setattr(admm_mod, "solve_local", counting)
     res = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds))
-    assert res.report.local_fallbacks == sum(handed_over) == res1.report.local_fallbacks
-    assert len(handed_over) == len(local) * res.report.iterations_used
-
-
-def test_fallback_ipm_iterations_and_paths_are_reported(monkeypatch, per_node_path):
-    local, edges, seeds = bounded_pair()
-    handed_over = []
-
-    def recording(*args, **kwargs):
-        sol = solve_local(*args, **kwargs)
-        if sol.fallback:
-            handed_over.append((sol.iterations, sol.path))
-        return sol
-
-    per_node_path()
-    monkeypatch.setattr(admm_mod, "solve_local", recording)
-    rep = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds)).report
-    assert rep.local_fallbacks == len(handed_over) > 0
-    assert rep.local_fallback_ipm_iters == sum(iters for iters, _ in handed_over)
-    assert rep.edge_fallbacks == rep.edge_fallback_ipm_iters == 0
-    paths = {}
-    for _, path in handed_over:
-        paths[path] = paths.get(path, 0) + 1
-    assert rep.fallback_paths == paths
-    assert None not in paths and sum(paths.values()) == rep.local_fallbacks
+    assert res.report.local_handed == len(handed_over) == len(local) * res.report.iterations_used

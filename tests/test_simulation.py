@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import fleetcoord.admm as admm_mod
 from fleetcoord import (ParameterError, generate_scaled_scenario, lateral_deviation,
                         load_scenario, load_scenario_file, make_seed, path_progress,
                         reference_window, rollout, run_simulation, step_nonlinear)
@@ -228,16 +229,11 @@ def test_csv_and_json_outputs(tmp_path):
         float(np.min(run.min_pairwise)))
     for cycle, record in zip(summary["cycles"], run.cycles):
         assert cycle["nonoptimal_nodes"] == 0
-        assert cycle["edge_fallbacks"] == record.admm_report.edge_fallbacks
-        assert cycle["local_fallbacks"] == record.admm_report.local_fallbacks == 0
+        assert cycle["edge_handed"] == record.admm_report.edge_handed
+        assert cycle["local_handed"] == record.admm_report.local_handed == 0
         assert cycle["kkt_max"] == pytest.approx(record.admm_report.kkt_max, rel=1e-8)
         assert cycle["qp_status"] is None and cycle["qp_path"] is None
         assert 0.0 <= cycle["kkt_max"] <= 1e-8
-        assert cycle["local_fallback_ipm_iters"] == 0
-        assert (cycle["edge_fallback_ipm_iters"]
-                == record.admm_report.edge_fallback_ipm_iters)
-        assert cycle["fallback_paths"] == record.admm_report.fallback_paths
-        assert sum(cycle["fallback_paths"].values()) == cycle["edge_fallbacks"]
         times = cycle["per_node_solve_times"]
         assert set(times) == set(record.admm_report.per_node_solve_times)
         assert {"local/1", "local/2", "local/3"} <= set(times)
@@ -264,7 +260,7 @@ def test_lane_grid_centralized_cycles_take_the_bound_shortcut(tmp_path):
     assert len(cycles) == 3
     for cycle, record in zip(cycles, run.cycles):
         assert record.qp_path == cycle["qp_path"] == "bound"
-        assert cycle["fallback_paths"] is None and cycle["local_fallback_ipm_iters"] is None
+        assert cycle["local_handed"] is None and cycle["edge_handed"] is None
         assert cycle["qp_status"] == "optimal"
         assert cycle["iterations"] == 0
         assert cycle["edges"]
@@ -315,20 +311,40 @@ def test_summary_records_blas_threads(tmp_path, monkeypatch):
     assert threads["OPENBLAS_NUM_THREADS"] == "1" and threads["MKL_NUM_THREADS"] is None
 
 
-def test_intersection_local_fallbacks_report_their_ipm_work(intersection_path, tmp_path):
-    # position rows bind on the intersection, so some tracking nodes hand
-    # their QP to solve_qp; the summary says how hard the IPM worked on them
+def _raise(*args, **kwargs):
+    raise AssertionError("the ADMM path reached solve_qp or built a DenseQp")
+
+
+def test_intersection_admm_never_reaches_solve_qp(intersection_path, tmp_path, monkeypatch):
+    # position rows and steering bounds bind on the intersection, so the
+    # batched pass hands nodes over; every one is answered exactly without
+    # the interior-point solver
+    for module in (qp_mod, simulation, admm_mod):
+        monkeypatch.setattr(module, "solve_qp", _raise)
+    monkeypatch.setattr(qp_mod.DenseQp, "__post_init__", _raise)
     run = run_simulation(load_scenario_file(intersection_path), "parallel_admm",
                          duration=4.0)
     path = tmp_path / "summary.json"
     run.write_summary(path)
     cycles = json.loads(path.read_text())["cycles"]
-    assert sum(c["local_fallbacks"] for c in cycles) > 0
-    for cycle in cycles:
-        assert sum(cycle["fallback_paths"].values()) == (cycle["local_fallbacks"]
-                                                         + cycle["edge_fallbacks"])
-        assert cycle["local_fallback_ipm_iters"] >= 0
-    assert sum(c["local_fallback_ipm_iters"] for c in cycles) > 0
+    assert sum(c["local_handed"] + c["edge_handed"] for c in cycles) > 0
+    assert all(c["nonoptimal_nodes"] == 0 and c["kkt_max"] <= 1e-8 for c in cycles)
+
+
+def test_intersection_admm_handed_nodes_are_byte_identical_across_workers(intersection_path):
+    # the thread pool spreads only the nodes the batched pass hands over; here
+    # it has some, and the worker count changes no bit of the run
+    scenario = load_scenario_file(intersection_path)
+    one = run_simulation(scenario, "parallel_admm", duration=4.0, workers=1)
+    four = run_simulation(scenario, "parallel_admm", duration=4.0, workers=4)
+    assert sum(c.admm_report.local_handed + c.admm_report.edge_handed
+               for c in one.cycles) > 0
+    for vid in one.vehicle_ids:
+        assert one.states[vid].tobytes() == four.states[vid].tobytes()
+        assert one.applied_controls[vid].tobytes() == four.applied_controls[vid].tobytes()
+    for a, b in zip(one.cycles, four.cycles, strict=True):
+        assert (a.admm_report.r_norm, a.admm_report.s_norm) == (b.admm_report.r_norm,
+                                                                b.admm_report.s_norm)
 
 
 def test_overtake_admm_warm_started_cycles_converge_in_few_iterations(overtake_path):
@@ -342,7 +358,7 @@ def test_overtake_admm_warm_started_cycles_converge_in_few_iterations(overtake_p
 
 def test_intersection_admm_warm_start_keeps_every_node_optimal(intersection_path):
     # edges leave the graph here; a vehicle dual carried without its edge
-    # duals would start unbalanced and drive local fallbacks off the KKT target
+    # duals would start unbalanced and drive node solves off the KKT target
     sc = load_scenario_file(intersection_path)
     run = run_simulation(sc, "parallel_admm")
     assert all(c.iterations < sc.config.max_iters for c in run.cycles)
@@ -381,7 +397,7 @@ def test_lane_grid_of_256_vehicles_runs():
     assert len(run.cycles) == 2
     for record in run.cycles:
         assert record.converged
-        assert record.admm_report.local_fallbacks == record.admm_report.edge_fallbacks == 0
+        assert record.admm_report.local_handed == record.admm_report.edge_handed == 0
         assert record.admm_report.nonoptimal_nodes == 0
         assert record.graph_edges
     assert all(np.all(np.isfinite(states)) for states in run.states.values())

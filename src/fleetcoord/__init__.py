@@ -1,8 +1,7 @@
 """Multi-vehicle trajectory coordination via consensus ADMM MPC."""
 
 from .admm import (AdmmConfig, AdmmResult, AdmmState, ResidualReport, adapt_rho,
-                   admm_solve, apply_rho_update, init_admm_state, residuals,
-                   update_consensus, update_duals)
+                   admm_solve, init_admm_state)
 from .bench import (BenchmarkRecord, BenchSummary, generate_scaled_scenario,
                     run_benchmark, summarize_bench)
 from .dynamics import (CondensedPrediction, HorizonTrajectory, LinearModel,

@@ -30,13 +30,13 @@ stacked ``eigh`` and answers every vehicle that pins no steering bound,
 ``EdgeBatch`` answers every edge whose coupled rows are inactive, and only
 the remaining nodes are handed to ``solve_local``/``solve_edge`` (on threads
 when ``workers`` > 1), which stay the reference: the batched answers equal
-theirs bit for bit.  Steps 2 and 3 and the residuals run over one
-(N + 2E, Np) array of copies (``_CopyStack``), with the float operations of
-``update_consensus``, ``update_duals``, ``residuals`` and
-``apply_rho_update`` in their order, so those dict functions give the same
-bits and stay as the reference.  The returned state's dicts are row views
-into the final arrays.  Accounted time charges each node an equal share of
-its batched pass, plus its own per-node solve when it was handed over.
+theirs bit for bit.  The iterates live in ``AdmmState`` as arrays, one
+(N + 2E, Np) row per copy and its scaled dual and one (N, Np) consensus, and
+its methods are steps 2 and 3, the residuals and the rho rescaling.  The
+final state is carried into the next cycle as it is: ``init_admm_state``
+shifts the persisting edges' dual rows.  Accounted time charges each node an
+equal share of its batched pass, plus its own per-node solve when it was
+handed over.
 
 Every node solution's status is checked: non-optimal solutions and the
 nodes handed to the per-node solvers are counted in the ``ResidualReport``
@@ -77,20 +77,6 @@ class AdmmConfig:
 
 
 @dataclass
-class AdmmState:
-    """All iterates: per-vehicle copies/consensus/duals and per-edge copies."""
-
-    u: dict
-    z: dict
-    lam: dict
-    u_edge: dict                 # edge -> {endpoint: (Np,)}
-    lam_edge: dict
-    rho: float
-    iteration: int = 0
-    z_prev: dict | None = None
-
-
-@dataclass
 class ResidualReport:
     r_norm: float
     s_norm: float
@@ -116,9 +102,92 @@ class AdmmResult:
     trace: list
 
 
-def _shift(x: np.ndarray) -> np.ndarray:
-    """One step of the receding horizon: drop the first entry, repeat the last."""
-    return np.concatenate([x[1:], x[-1:]])
+def _endpoint_rows(ids: np.ndarray, edges) -> np.ndarray:
+    """Each edge's endpoint rows in the sorted ``ids``, -1 where an endpoint is absent."""
+    pairs = np.array(edges if len(edges) else np.empty((0, 2), ids.dtype)).reshape(-1, 2)
+    rows = np.minimum(np.searchsorted(ids, pairs), len(ids) - 1)
+    return np.where(ids[rows] == pairs, rows, -1)
+
+
+class AdmmState:
+    """All ADMM iterates as arrays, one row per copy.
+
+    ``C`` and ``L`` (N + 2E, Np) hold every copy and its scaled dual: the N
+    local copies (``vids``, sorted), then each edge's two endpoint copies
+    (``ekeys``, sorted; endpoints in vehicle order).  ``Z`` (N, Np) is the
+    consensus and ``Z_prev`` the one before the last update.  ``owner`` maps
+    a row to its vehicle's consensus row, ``vi``/``vj`` are the consensus rows
+    of each edge's endpoints e[0] and e[1], and ``ri``/``rj`` their copy rows.
+    A new state starts every copy at ``Z`` with zero duals.
+    """
+
+    def __init__(self, vids: list, ekeys: list, Z: np.ndarray, rho: float):
+        n, n_edges = len(vids), len(ekeys)
+        ends = _endpoint_rows(np.asarray(vids), ekeys)
+        if np.any(ends < 0):
+            bad = ekeys[int(np.argmax(np.any(ends < 0, axis=1)))]
+            raise ParameterError(f"edge {bad} has an endpoint without a seed")
+        self.vids, self.ekeys = vids, ekeys
+        self.vi, self.vj = ends[:, 0], ends[:, 1]
+        swap = (self.vi > self.vj).astype(int)
+        self.ri = n + 2 * np.arange(n_edges) + swap
+        self.rj = n + 2 * np.arange(n_edges) + 1 - swap
+        self.owner = np.concatenate([np.arange(n), np.sort(ends, axis=1).ravel()])
+        # each vehicle's copy rows in edge order: round r holds the r-th one
+        # of every vehicle that has one
+        vehicle = ends.ravel()
+        rows = np.stack([self.ri, self.rj], axis=1).ravel()
+        degree = np.bincount(vehicle, minlength=n)
+        by_vehicle = np.argsort(vehicle, kind="stable")
+        rank = np.arange(len(vehicle)) - np.repeat(np.cumsum(degree) - degree, degree)
+        self.rounds = [(vehicle[by_vehicle[rank == r]], rows[by_vehicle[rank == r]])
+                       for r in range(int(degree.max(initial=0)))]
+        self.count = (1 + degree)[:, None]
+        self.Z = Z
+        self.Z_prev = None
+        self.C = Z[self.owner]
+        self.L = np.zeros_like(self.C)
+        self.rho = rho
+        self.iteration = 0
+
+    def consensus(self) -> np.ndarray:
+        """Each vehicle's average of its copies plus their scaled duals."""
+        scaled = self.L / self.rho
+        n = len(self.Z)
+        total = self.C[:n] + scaled[:n]
+        for vehicles, rows in self.rounds:
+            total[vehicles] = total[vehicles] + self.C[rows] + scaled[rows]
+        return total / self.count
+
+    def update(self, z_new: np.ndarray) -> None:
+        """Scaled dual ascent on the new consensus, which then replaces ``Z``."""
+        self.L = self.L + (self.C - z_new[self.owner])
+        self.Z_prev, self.Z = self.Z, z_new
+
+    def residuals(self, eps_abs: float, eps_rel: float) -> ResidualReport:
+        """Primal/dual residual norms and tolerances over all copies.
+
+        There is one consensus constraint per copy row, (N + 2E) Np scalars,
+        and the consensus and its last change are taken per row as well, so
+        the dimension factor sqrt((N + 2E) Np) matches the residual space.
+        """
+        z_stack = self.Z[self.owner]
+        r_norm = float(np.linalg.norm(self.C - z_stack))
+        s_norm = float(self.rho * np.linalg.norm(z_stack - self.Z_prev[self.owner]))
+        dim = math.sqrt(self.C.size)
+        eps_pri = eps_abs * dim + eps_rel * max(float(np.linalg.norm(self.C)),
+                                                float(np.linalg.norm(z_stack)))
+        eps_dual = eps_abs * dim + eps_rel * float(np.linalg.norm(self.L)) / self.rho
+        converged = (r_norm <= eps_pri) and (s_norm <= eps_dual)
+        return ResidualReport(r_norm=r_norm, s_norm=s_norm, eps_pri=eps_pri,
+                              eps_dual=eps_dual, converged=converged,
+                              iterations_used=self.iteration)
+
+    def rescale(self, new_rho: float) -> None:
+        """Install a new penalty, rescaling scaled duals so rho*lam is continuous."""
+        if new_rho != self.rho:
+            self.L = self.L * (self.rho / new_rho)
+            self.rho = new_rho
 
 
 def init_admm_state(seeds: dict, edges, rho0: float,
@@ -130,94 +199,35 @@ def init_admm_state(seeds: dict, edges, rho0: float,
     duals were stored at it) when that cycle had an edge, and ``rho0`` when it
     had none: with no edge the primal residual is zero, so an uncoupled cycle
     only ever halves rho and says nothing about the coupling to come.  Each
-    edge still in ``edges`` keeps its two scaled duals shifted one step, and a
-    new edge starts at zero.  Each vehicle's own dual is then the negated sum
-    of its edge duals, so a vehicle's scaled duals sum to zero, as every ADMM
-    iteration leaves them; a vehicle without edges starts at zero.
+    edge still in ``edges`` keeps its two scaled duals shifted one step (the
+    last repeated), and a new edge starts at zero.  Each vehicle's own dual is
+    then the negated sum of its edge duals, so a vehicle's scaled duals sum to
+    zero, as every ADMM iteration leaves them; a vehicle without edges starts
+    at zero.
     """
-    rho = rho0 if previous is None or not previous.lam_edge else previous.rho
+    rho = rho0 if previous is None or not previous.ekeys else previous.rho
     if rho <= 0:
         raise ParameterError("rho0 must be positive")
-    u = {v: np.asarray(s, dtype=float).copy() for v, s in seeds.items()}
-    z = {v: arr.copy() for v, arr in u.items()}
-    u_edge = {tuple(e): {v: u[v].copy() for v in e} for e in edges}
-    carried = {} if previous is None else previous.lam_edge
-    lam_edge = {e: ({v: _shift(carried[e][v]) for v in e} if e in carried
-                    else {v: np.zeros_like(u[v]) for v in e})
-                for e in u_edge}
-    lam = {v: np.zeros_like(arr) for v, arr in u.items()}
-    for e in sorted(lam_edge):
-        for v in e:
-            lam[v] -= lam_edge[e][v]
-    return AdmmState(u=u, z=z, lam=lam, u_edge=u_edge, lam_edge=lam_edge, rho=rho)
-
-
-def incident_edges(vehicles, edges) -> dict:
-    """Each vehicle's incident edges, in sorted order."""
-    incident = {v: [] for v in vehicles}
-    for e in sorted(edges):
-        for v in e:
-            incident[v].append(e)
-    return incident
-
-
-def update_consensus(state: AdmmState) -> dict:
-    """Per-vehicle average of the local copy and all incident edge copies."""
-    incident = incident_edges(state.u, state.u_edge)
-    rho = state.rho
-    z_new = {}
-    for v in sorted(state.u):
-        total = state.u[v] + state.lam[v] / rho
-        for e in incident[v]:
-            total = total + state.u_edge[e][v] + state.lam_edge[e][v] / rho
-        z_new[v] = total / (1 + len(incident[v]))
-    return z_new
-
-
-def update_duals(state: AdmmState, z_new: dict) -> tuple[dict, dict]:
-    """Scaled dual ascent: each copy's dual absorbs its consensus gap."""
-    lam = {v: state.lam[v] + (state.u[v] - z_new[v]) for v in state.lam}
-    lam_edge = {e: {v: state.lam_edge[e][v] + (state.u_edge[e][v] - z_new[v])
-                    for v in state.lam_edge[e]}
-                for e in state.lam_edge}
-    return lam, lam_edge
-
-
-def _stack(state: AdmmState, per_vehicle: dict, per_edge=None) -> np.ndarray:
-    """Deterministic stacking: vehicles sorted, then edges sorted, endpoints sorted."""
-    parts = [per_vehicle[v] for v in sorted(per_vehicle)]
-    for e in sorted(state.u_edge):
-        for v in sorted(e):
-            parts.append(per_edge[e][v] if per_edge is not None else per_vehicle[v])
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def residuals(state: AdmmState, z_prev: dict, eps_abs: float, eps_rel: float) -> ResidualReport:
-    """Primal/dual residual norms and tolerances over the full copy stack.
-
-    The stack holds one entry per consensus constraint (one local copy per
-    vehicle plus two endpoint copies per edge: (N + 2M) Np scalars), and the
-    consensus/dual vectors are stacked the same way so the dimension factor
-    sqrt((N + 2M) Np) matches the residual space.
-    """
-    u_stack = _stack(state, state.u, state.u_edge)
-    z_stack = _stack(state, state.z)
-    z_prev_stack = _stack(state, z_prev)
-    lam_stack = _stack(state, state.lam, state.lam_edge)
-
-    r_norm = float(np.linalg.norm(u_stack - z_stack))
-    s_norm = float(state.rho * np.linalg.norm(z_stack - z_prev_stack))
-    n_vehicles = len(state.u)
-    n_edges = len(state.u_edge)
-    np_steps = len(next(iter(state.u.values())))
-    dim = math.sqrt((n_vehicles + 2 * n_edges) * np_steps)
-    eps_pri = eps_abs * dim + eps_rel * max(float(np.linalg.norm(u_stack)),
-                                            float(np.linalg.norm(z_stack)))
-    eps_dual = eps_abs * dim + eps_rel * float(np.linalg.norm(lam_stack)) / state.rho
-    converged = (r_norm <= eps_pri) and (s_norm <= eps_dual)
-    return ResidualReport(r_norm=r_norm, s_norm=s_norm, eps_pri=eps_pri,
-                          eps_dual=eps_dual, converged=converged,
-                          iterations_used=state.iteration)
+    vids = sorted(seeds)
+    Z = np.array([np.asarray(seeds[v], dtype=float) for v in vids])
+    state = AdmmState(vids, sorted(tuple(e) for e in edges), Z, rho)
+    if previous is not None and previous.ekeys and state.ekeys:
+        # an edge persists when its code (endpoint rows in this cycle's
+        # vehicles) is among the codes of this cycle's edges, which ascend
+        n, L = len(vids), state.L
+        ends = _endpoint_rows(np.asarray(vids), previous.ekeys)
+        codes = state.vi * n + state.vj
+        old_codes = np.where(np.all(ends >= 0, axis=1), ends[:, 0] * n + ends[:, 1], -1)
+        k_new = np.minimum(np.searchsorted(codes, old_codes), len(codes) - 1)
+        k_old = np.flatnonzero(codes[k_new] == old_codes)
+        k_new = k_new[k_old]
+        new_rows = np.concatenate([state.ri[k_new], state.rj[k_new]])
+        old_rows = np.concatenate([previous.ri[k_old], previous.rj[k_old]])
+        L[new_rows] = np.concatenate([previous.L[old_rows, 1:], previous.L[old_rows, -1:]],
+                                     axis=1)
+        for vehicles, rows in state.rounds:
+            L[vehicles] = L[vehicles] - L[rows]
+    return state
 
 
 def adapt_rho(rho: float, r_norm: float, s_norm: float,
@@ -228,103 +238,6 @@ def adapt_rho(rho: float, r_norm: float, s_norm: float,
     if s_norm > ratio * r_norm:
         return rho / scale
     return rho
-
-
-def apply_rho_update(state: AdmmState, new_rho: float) -> None:
-    """Install a new penalty, rescaling scaled duals so rho*lam is continuous."""
-    if new_rho == state.rho:
-        return
-    factor = state.rho / new_rho
-    for v in state.lam:
-        state.lam[v] = state.lam[v] * factor
-    for e in state.lam_edge:
-        for v in state.lam_edge[e]:
-            state.lam_edge[e][v] = state.lam_edge[e][v] * factor
-    state.rho = new_rho
-
-
-class _CopyStack:
-    """The ADMM iterates as arrays, rows in ``_stack``'s order.
-
-    ``C`` and ``L`` (N + 2E, Np) hold every copy and its scaled dual: the N
-    local copies (vehicles sorted), then each edge's two endpoint copies
-    (edges sorted, endpoints sorted).  ``Z`` (N, Np) is the consensus and
-    ``owner`` maps a row to its vehicle's consensus row; ``ri``/``rj`` are the
-    rows of each edge's endpoints e[0] and e[1].  The consensus average, the
-    dual step and the residuals repeat the float operations of
-    ``update_consensus``, ``update_duals`` and ``residuals`` in their order, so
-    they equal the dict functions bit for bit.
-    """
-
-    def __init__(self, state: AdmmState, vids: list, ekeys: list):
-        n, n_edges = len(vids), len(ekeys)
-        row = {v: k for k, v in enumerate(vids)}
-        ends = np.array([(row[i], row[j]) for i, j in ekeys], dtype=int).reshape(n_edges, 2)
-        self.vi, self.vj = ends[:, 0], ends[:, 1]
-        swap = (self.vi > self.vj).astype(int)
-        self.ri = n + 2 * np.arange(n_edges) + swap
-        self.rj = n + 2 * np.arange(n_edges) + 1 - swap
-        self.owner = np.concatenate([np.arange(n), np.sort(ends, axis=1).ravel()])
-        # each vehicle's copy rows in edge order: round r adds the r-th one
-        # of every vehicle that has one
-        vehicle = ends.ravel()
-        rows = np.stack([self.ri, self.rj], axis=1).ravel()
-        degree = np.bincount(vehicle, minlength=n)
-        by_vehicle = np.argsort(vehicle, kind="stable")
-        rank = np.arange(len(vehicle)) - np.repeat(np.cumsum(degree) - degree, degree)
-        self.rounds = [(vehicle[by_vehicle[rank == r]], rows[by_vehicle[rank == r]])
-                       for r in range(int(degree.max(initial=0)))]
-        self.count = (1 + degree)[:, None]
-        np_steps = len(state.u[vids[0]])
-        self.C = np.empty((n + 2 * n_edges, np_steps))
-        self.L = np.empty_like(self.C)
-        self.C[:n] = [state.u[v] for v in vids]
-        self.L[:n] = [state.lam[v] for v in vids]
-        if n_edges:
-            self.C[rows] = [state.u_edge[e][w] for e in ekeys for w in e]
-            self.L[rows] = [state.lam_edge[e][w] for e in ekeys for w in e]
-        self.Z = np.array([state.z[v] for v in vids], dtype=float).reshape(n, np_steps)
-
-    def consensus(self, rho: float) -> np.ndarray:
-        """``update_consensus``: each vehicle's average of its copies plus scaled duals."""
-        scaled = self.L / rho
-        n = len(self.Z)
-        total = self.C[:n] + scaled[:n]
-        for vehicles, rows in self.rounds:
-            total[vehicles] = total[vehicles] + self.C[rows] + scaled[rows]
-        return total / self.count
-
-    def update(self, z_new: np.ndarray) -> None:
-        """``update_duals`` with the new consensus, which then replaces ``Z``."""
-        self.L = self.L + (self.C - z_new[self.owner])
-        self.Z = z_new
-
-    def residuals(self, z_prev: np.ndarray, rho: float, eps_abs: float,
-                  eps_rel: float, iteration: int) -> ResidualReport:
-        """``residuals`` over the stack."""
-        z_stack = self.Z[self.owner]
-        r_norm = float(np.linalg.norm(self.C - z_stack))
-        s_norm = float(rho * np.linalg.norm(z_stack - z_prev[self.owner]))
-        dim = math.sqrt(self.C.size)
-        eps_pri = eps_abs * dim + eps_rel * max(float(np.linalg.norm(self.C)),
-                                                float(np.linalg.norm(z_stack)))
-        eps_dual = eps_abs * dim + eps_rel * float(np.linalg.norm(self.L)) / rho
-        converged = (r_norm <= eps_pri) and (s_norm <= eps_dual)
-        return ResidualReport(r_norm=r_norm, s_norm=s_norm, eps_pri=eps_pri,
-                              eps_dual=eps_dual, converged=converged,
-                              iterations_used=iteration)
-
-    def rescale(self, rho: float, new_rho: float) -> None:
-        """``apply_rho_update``'s rescaling of every scaled dual."""
-        if new_rho != rho:
-            self.L = self.L * (rho / new_rho)
-
-    def views(self, rows: np.ndarray, vids: list, ekeys: list) -> tuple[dict, dict]:
-        """Per-vehicle and per-edge dicts of row views into ``rows``."""
-        per_vehicle = {v: rows[k] for k, v in enumerate(vids)}
-        per_edge = {e: {e[0]: rows[self.ri[k]], e[1]: rows[self.rj[k]]}
-                    for k, e in enumerate(ekeys)}
-        return per_vehicle, per_edge
 
 
 @dataclass(eq=False)
@@ -371,15 +284,15 @@ class FleetNodes:
         self.warm_local = [None] * len(local_problems)
         self.warm_mu = None           # (E, Np) every edge's last row multipliers
 
-    def solve(self, stack: _CopyStack, rho: float) -> NodeStep:
-        """All node solutions for the consensus and duals in ``stack``."""
+    def solve(self, state: AdmmState, rho: float) -> NodeStep:
+        """All node solutions for the consensus and duals in ``state``."""
         n, n_edges = len(self.local_problems), len(self.edge_problems)
-        Z, L = stack.Z, stack.L
+        Z, L = state.Z, state.L
         np_steps = Z.shape[1]
         t0 = time.perf_counter()
         u, kkt_local, done_local = self.local.solve(Z, L[:n], rho)
         t1 = time.perf_counter()
-        v = np.concatenate([Z[stack.vi] - L[stack.ri], Z[stack.vj] - L[stack.rj]], axis=1)
+        v = np.concatenate([Z[state.vi] - L[state.ri], Z[state.vj] - L[state.rj]], axis=1)
         x_edge, slack, mu, kkt_edge, done_edge = self.edge.solve(v, rho, self.warm_mu)
         t2 = time.perf_counter()
         setup_local, setup_edge = self.setup_times
@@ -394,8 +307,8 @@ class FleetNodes:
                                   warm_mult=self.warm_local[i])
             else:
                 k = i - n
-                sol = solve_edge(self.edge_problems[k], Z[stack.vi[k]], Z[stack.vj[k]],
-                                 L[stack.ri[k]], L[stack.rj[k]], rho,
+                sol = solve_edge(self.edge_problems[k], Z[state.vi[k]], Z[state.vj[k]],
+                                 L[state.ri[k]], L[state.rj[k]], rho,
                                  warm_mu=None if self.warm_mu is None else self.warm_mu[k])
             return i, sol, time.perf_counter() - t
 
@@ -434,8 +347,8 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     (i, j) to EdgeProblem.  The result is independent of subproblem execution
     order within a step: every solve reads only the previous barrier's state.
     Each iteration solves all nodes with ``FleetNodes`` and updates the
-    iterates as arrays (``_CopyStack``); the returned state's dicts are row
-    views into the final arrays.
+    arrays of ``init`` (or of a new state at ``seeds``) in place; the result
+    holds that state.
     """
     if init is None:
         if seeds is None:
@@ -446,9 +359,11 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
 
     if config.max_iters < 1:
         raise ParameterError("max_iters must be at least 1")
+    if config.workers < 1:
+        raise ParameterError("workers must be at least 1")
     vids = sorted(local_problems)
     ekeys = sorted(edge_problems)
-    if sorted(state.u) != vids or sorted(state.u_edge) != ekeys:
+    if state.vids != vids or state.ekeys != ekeys:
         raise ParameterError("the ADMM state must hold the problems' vehicles and edges")
     n = len(vids)
     names = [f"local/{v}" for v in vids] + [f"edge/{e[0]}-{e[1]}" for e in ekeys]
@@ -456,10 +371,9 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
 
     executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     t_start = time.perf_counter()
-    stack = _CopyStack(state, vids, ekeys)
     nodes = FleetNodes([local_problems[v] for v in vids], [edge_problems[e] for e in ekeys],
                        executor)
-    np_steps = stack.Z.shape[1]
+    np_steps = state.Z.shape[1]
     trace = []
     report = None
     slack_max = 0.0
@@ -472,7 +386,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
             rho = state.rho
 
             # Step 1: all local and edge solves, mutually independent
-            step = nodes.solve(stack, rho)
+            step = nodes.solve(state, rho)
             finite = np.concatenate([np.all(np.isfinite(step.u), axis=1),
                                      np.all(np.isfinite(step.x_edge), axis=1)
                                      & np.all(np.isfinite(step.slack), axis=1)])
@@ -493,16 +407,15 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                 nonoptimal += len(flagged)
                 logger.warning("ADMM iteration %d: non-optimal node solution(s) enter "
                                "consensus: %s", k, ", ".join(flagged))
-            stack.C[:n] = step.u
-            stack.C[stack.ri] = step.x_edge[:, :np_steps]
-            stack.C[stack.rj] = step.x_edge[:, np_steps:]
+            state.C[:n] = step.u
+            state.C[state.ri] = step.x_edge[:, :np_steps]
+            state.C[state.rj] = step.x_edge[:, np_steps:]
 
             # Step 2: consensus averaging; step 3: dual ascent
-            z_prev = stack.Z
-            stack.update(stack.consensus(rho))
+            state.update(state.consensus())
             state.iteration = k
 
-            report = stack.residuals(z_prev, rho, config.eps_abs, config.eps_rel, k)
+            report = state.residuals(config.eps_abs, config.eps_rel)
             if collect_trace or logger.isEnabledFor(logging.DEBUG):
                 logger.debug("admm k=%d r=%.6e s=%.6e rho=%.3e tmax=%.6e",
                              k, report.r_norm, report.s_norm, rho, max_node_time)
@@ -513,18 +426,12 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                 break
 
             if config.adapt_rho:
-                new_rho = adapt_rho(rho, report.r_norm, report.s_norm,
-                                    config.rho_scale, config.rho_ratio)
-                stack.rescale(rho, new_rho)
-                state.rho = new_rho
+                state.rescale(adapt_rho(rho, report.r_norm, report.s_norm,
+                                        config.rho_scale, config.rho_ratio))
     finally:
         if executor is not None:
             executor.shutdown(wait=True)
 
-    state.u, state.u_edge = stack.views(stack.C, vids, ekeys)
-    state.lam, state.lam_edge = stack.views(stack.L, vids, ekeys)
-    state.z = dict(zip(vids, stack.Z))
-    state.z_prev = dict(zip(vids, z_prev))
     if not report.converged:
         logger.warning("ADMM hit the iteration cap (%d) without converging: "
                        "r=%.3e (eps=%.3e) s=%.3e (eps=%.3e); using last consensus iterate",
@@ -535,5 +442,5 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                      wall_time=time.perf_counter() - t_start,
                      nonoptimal_nodes=nonoptimal, local_handed=local_handed,
                      edge_handed=edge_handed, kkt_max=kkt_max)
-    consensus = {v: state.z[v].copy() for v in state.z}
+    consensus = {v: z.copy() for v, z in zip(vids, state.Z)}
     return AdmmResult(consensus=consensus, report=report, state=state, trace=trace)

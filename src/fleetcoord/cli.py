@@ -89,6 +89,8 @@ def main(argv=None) -> int:
                 parser.error(f"--sizes: expected comma-separated integers, got {args.sizes!r}")
             if not sizes or any(n < 1 for n in sizes):
                 parser.error("--sizes: need positive integers")
+            if args.cycles < 1:
+                parser.error(f"--cycles: need a positive integer, got {args.cycles}")
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             records = run_benchmark(sizes, seed=args.seed, cycles=args.cycles,

@@ -9,12 +9,12 @@ zero-steering rollout; every later seed is last cycle's plan shifted one
 step with its last input repeated (``make_seed``).
 
 Consensus ADMM starts every cycle after the first from the previous cycle's
-final state: its copies start at the new seeds, its rho is carried (rho0
-after a cycle without edges), each persisting edge's duals are shifted one
-step like the seed, new edges start at zero, and each vehicle's dual is set
-so that its duals sum to zero (``init_admm_state``).  The centralized QP is
-warm started from the last cycle's solution when the problem size is
-unchanged.
+final ``AdmmState``, kept as arrays: ``init_admm_state`` starts the copies at
+the new seeds, carries rho (rho0 after a cycle without edges), shifts each
+persisting edge's dual rows one step like the seed, starts new edges at zero,
+and sets each vehicle's dual row so that its duals sum to zero.  The
+centralized QP is warm started from the last cycle's solution when the
+problem size is unchanged.
 
 The loop keeps the fleet as arrays in vehicle-id order: (N, 3) poses and
 (N, Np) steering.  Per cycle it makes one ``rollout_fleet`` of the applied
@@ -427,6 +427,8 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
     """Close the loop for ``duration`` seconds (default: scenario setting)."""
     if solver_mode not in _MODES:
         raise ParameterError(f"solver_mode must be one of {_MODES}")
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
     cfg = scenario.config
     duration = cfg.sim_duration if duration is None else float(duration)
     n_cycles = round(duration / cfg.ts)
@@ -464,7 +466,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                                    admm_cfg.rho0, previous=admm_state)
             rho_start = init.rho
             duals_carried = (0 if admm_state is None else
-                             sum(e in admm_state.lam_edge for e in edge_problems))
+                             len(set(admm_state.ekeys).intersection(edge_problems)))
             try:
                 result = admm_solve(local_problems, edge_problems, admm_cfg, init=init)
             except NumericalFailureError as exc:

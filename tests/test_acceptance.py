@@ -10,16 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from fleetcoord import (AdmmConfig, adapt_rho, admm_solve, apply_rho_update,
+from fleetcoord import (AdmmConfig, AdmmState, adapt_rho, admm_solve,
                         build_centralized, fleet_objective, kkt_residual,
                         lateral_deviation, linearize, linearize_collision,
-                        load_scenario_file, path_progress, residuals, rollout,
+                        load_scenario_file, path_progress, rollout,
                         run_benchmark, run_simulation, solve_qp, step_nonlinear)
 from fleetcoord.qp import OPTIMAL, DenseQp
 from fleetcoord.scenario import VehicleState
 
 from instances import random_fleet_instance
 from oracles import enumerate_qp
+from reference import residuals, to_dicts
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -198,7 +199,8 @@ def test_criterion_7_stopping_conformance():
         res = admm_solve(local_problems, edge_problems,
                          AdmmConfig(eps_abs=0.01, eps_rel=0.01, max_iters=200),
                          seeds={v: s.copy() for v, s in seeds.items()})
-        rep = residuals(res.state, res.state.z_prev, eps_abs=0.01, eps_rel=0.01)
+        final = to_dicts(res.state)
+        rep = residuals(final, final.z_prev, eps_abs=0.01, eps_rel=0.01)
         if rep.converged != res.report.converged:
             flag_ok = False
         res_fixed = admm_solve(local_problems, edge_problems,
@@ -221,19 +223,13 @@ def test_criterion_8_adaptive_rho_rule():
                and adapt_rho(2.5, 3.0, 3.0) == 2.5      # balanced unchanged
                and adapt_rho(4.0, 5.0, 1.0) == 4.0)     # boundary is strict
 
-    from fleetcoord import AdmmState
     rng = np.random.default_rng(3)
-    lam = {1: rng.normal(size=6), 2: rng.normal(size=6)}
-    lam_edge = {(1, 2): {1: rng.normal(size=6), 2: rng.normal(size=6)}}
-    state = AdmmState(u={}, z={}, lam={k: v.copy() for k, v in lam.items()},
-                      u_edge={(1, 2): {}},
-                      lam_edge={(1, 2): {k: v.copy() for k, v in lam_edge[(1, 2)].items()}},
-                      rho=2.0)
-    apply_rho_update(state, 1.0)   # halving event
-    scaled_ok = all(np.allclose(1.0 * state.lam[v], 2.0 * lam[v]) for v in lam)
-    scaled_ok = scaled_ok and all(
-        np.allclose(1.0 * state.lam_edge[(1, 2)][v], 2.0 * lam_edge[(1, 2)][v])
-        for v in (1, 2))
+    state = AdmmState([1, 2], [(1, 2)], np.zeros((2, 6)), rho=2.0)
+    state.L = rng.normal(size=state.L.shape)   # vehicle rows 0-1, then edge rows
+    lam = state.L.copy()
+    state.rescale(1.0)   # halving event
+    scaled_ok = state.rho == 1.0 and all(
+        np.allclose(1.0 * state.L[row], 2.0 * lam[row]) for row in range(len(lam)))
     ok = rule_ok and scaled_ok
     _report(8, ok, f"rule table correct: {rule_ok}; "
                    f"unscaled dual rho*lambda continuous across update: {scaled_ok}")

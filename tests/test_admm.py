@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from fleetcoord import (AdmmConfig, AdmmState, NumericalFailureError, adapt_rho,
-                        admm_solve, apply_rho_update, build_centralized, build_local,
-                        fleet_objective, init_admm_state, residuals, solve_qp,
-                        update_consensus, update_duals)
+from fleetcoord import (AdmmConfig, NumericalFailureError, ParameterError, adapt_rho,
+                        admm_solve, build_centralized, build_local, fleet_objective,
+                        init_admm_state, solve_qp)
 
 from instances import random_fleet_instance
+from reference import DictState, residuals, to_arrays, to_dicts
 
 
 def small_state(np_steps=4, rho=1.0):
@@ -18,14 +18,34 @@ def small_state(np_steps=4, rho=1.0):
     lam = {1: np.zeros(np_steps), 2: np.zeros(np_steps)}
     u_edge = {(1, 2): {1: 3.0 * np.ones(np_steps), 2: np.zeros(np_steps)}}
     lam_edge = {(1, 2): {1: np.zeros(np_steps), 2: np.zeros(np_steps)}}
-    return AdmmState(u=u, z=z, lam=lam, u_edge=u_edge, lam_edge=lam_edge, rho=rho)
+    return DictState(u=u, z=z, lam=lam, u_edge=u_edge, lam_edge=lam_edge, rho=rho)
+
+
+def array_consensus(state):
+    """The array state's consensus average of the dict ``state``, keyed by vehicle."""
+    return dict(zip(sorted(state.u), to_arrays(state).consensus()))
+
+
+def array_duals(state, z_new):
+    """The array state's dual step of the dict ``state``, as (lam, lam_edge) dicts."""
+    arrays = to_arrays(state)
+    arrays.update(np.array([z_new[v] for v in arrays.vids]))
+    back = to_dicts(arrays)
+    return back.lam, back.lam_edge
+
+
+def array_residuals(state, z_prev, eps_abs, eps_rel):
+    """The array state's residuals of the dict ``state`` after the step from ``z_prev``."""
+    arrays = to_arrays(state)
+    arrays.Z_prev = np.array([z_prev[v] for v in arrays.vids])
+    return arrays.residuals(eps_abs, eps_rel)
 
 
 # ------------------------------------------------------------- step formulas
 
 def test_consensus_single_edge_average():
     state = small_state()
-    z = update_consensus(state)
+    z = array_consensus(state)
     assert np.allclose(z[1], 2.0)      # (1 + 3) / 2 with zero duals
     assert np.allclose(z[2], 0.0)
 
@@ -36,7 +56,7 @@ def test_consensus_isolated_vehicle():
     state.lam_edge = {}
     state.lam[1] = np.full(4, 0.25)
     state.rho = 2.0
-    z = update_consensus(state)
+    z = array_consensus(state)
     assert np.allclose(z[1], state.u[1] + state.lam[1] / 2.0)
 
 
@@ -51,8 +71,8 @@ def test_consensus_matches_formula_oracle():
     u_edge = {e: {v: rng.normal(size=np_steps) for v in e} for e in edges}
     lam_edge = {e: {v: rng.normal(size=np_steps) for v in e} for e in edges}
     rho = 1.7
-    state = AdmmState(u=u, z=z0, lam=lam, u_edge=u_edge, lam_edge=lam_edge, rho=rho)
-    z = update_consensus(state)
+    state = DictState(u=u, z=z0, lam=lam, u_edge=u_edge, lam_edge=lam_edge, rho=rho)
+    z = array_consensus(state)
     for v in nodes:
         total = u[v] + lam[v] / rho
         count = 1
@@ -68,7 +88,7 @@ def test_dual_update_zero_residual_fixed_point():
     state.u = {1: np.full(4, 0.7), 2: np.zeros(4)}
     z_new = {1: np.full(4, 0.7), 2: np.zeros(4)}
     state.u_edge[(1, 2)][1] = np.full(4, 0.7)
-    lam, lam_edge = update_duals(state, z_new)
+    lam, lam_edge = array_duals(state, z_new)
     assert np.allclose(lam[1], 0.0)
     assert np.allclose(lam_edge[(1, 2)][1], 0.0)
 
@@ -79,7 +99,7 @@ def test_dual_update_formula_oracle():
     state.lam = {1: rng.normal(size=4), 2: rng.normal(size=4)}
     state.lam_edge[(1, 2)] = {1: rng.normal(size=4), 2: rng.normal(size=4)}
     z_new = {1: rng.normal(size=4), 2: rng.normal(size=4)}
-    lam, lam_edge = update_duals(state, z_new)
+    lam, lam_edge = array_duals(state, z_new)
     for v in (1, 2):
         assert np.allclose(lam[v], state.lam[v] + state.u[v] - z_new[v])
         assert np.allclose(lam_edge[(1, 2)][v],
@@ -91,7 +111,7 @@ def test_residuals_converged_at_fixed_point():
     state.u = {1: np.full(4, 0.5), 2: np.full(4, -0.5)}
     state.z = copy.deepcopy(state.u)
     state.u_edge[(1, 2)] = {1: np.full(4, 0.5), 2: np.full(4, -0.5)}
-    rep = residuals(state, copy.deepcopy(state.z), eps_abs=0.01, eps_rel=0.01)
+    rep = array_residuals(state, copy.deepcopy(state.z), eps_abs=0.01, eps_rel=0.01)
     assert rep.r_norm == 0.0
     assert rep.s_norm == 0.0
     assert rep.converged
@@ -105,9 +125,9 @@ def test_residual_dimension_factor():
     u_edge = {(1, 2): {1: np.zeros(np_steps), 2: np.zeros(np_steps)},
               (2, 3): {2: np.zeros(np_steps), 3: np.zeros(np_steps)}}
     lam_edge = copy.deepcopy(u_edge)
-    state = AdmmState(u=u, z=copy.deepcopy(u), lam=copy.deepcopy(u),
+    state = DictState(u=u, z=copy.deepcopy(u), lam=copy.deepcopy(u),
                       u_edge=u_edge, lam_edge=lam_edge, rho=1.0)
-    rep = residuals(state, copy.deepcopy(state.z), eps_abs=0.01, eps_rel=0.01)
+    rep = array_residuals(state, copy.deepcopy(state.z), eps_abs=0.01, eps_rel=0.01)
     assert rep.eps_pri == pytest.approx(0.01 * math.sqrt(105))
     assert rep.eps_dual == pytest.approx(0.01 * math.sqrt(105))
 
@@ -128,7 +148,9 @@ def test_rho_update_rescales_duals_for_continuity():
     state.lam_edge[(1, 2)] = {1: rng.normal(size=4), 2: rng.normal(size=4)}
     y_before = {v: state.rho * state.lam[v] for v in state.lam}
     y_edge_before = {v: state.rho * state.lam_edge[(1, 2)][v] for v in (1, 2)}
-    apply_rho_update(state, 4.0)
+    arrays = to_arrays(state)
+    arrays.rescale(4.0)
+    state = to_dicts(arrays)
     assert state.rho == 4.0
     for v in (1, 2):
         assert np.allclose(state.rho * state.lam[v], y_before[v], atol=1e-14)
@@ -218,7 +240,7 @@ def test_convergence_flag_matches_recomputation():
     rng = np.random.default_rng(101)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
     res = admm_solve(local_problems, edge_problems, AdmmConfig(), seeds=seeds)
-    state = res.state
+    state = to_dicts(res.state)
     rep = residuals(state, state.z_prev, eps_abs=0.01, eps_rel=0.01)
     assert rep.converged == res.report.converged
     assert rep.r_norm == pytest.approx(res.report.r_norm)
@@ -290,24 +312,31 @@ def test_nan_iterate_raises_numerical_failure(monkeypatch):
     assert err.value.iteration == 1
 
 
+def _edge_row(state, e, v):
+    """The row of endpoint ``v``'s copy of edge ``e``."""
+    k = state.ekeys.index(e)
+    return state.ri[k] if v == e[0] else state.rj[k]
+
+
 def test_init_state_warm_starts_at_seed():
     seeds = {1: np.array([0.1, 0.2, 0.3]), 2: np.array([-0.1, 0.0, 0.1])}
     state = init_admm_state(seeds, edges=[(1, 2)], rho0=1.5)
     assert state.rho == 1.5
-    for v in (1, 2):
-        assert np.array_equal(state.u[v], seeds[v])
-        assert np.array_equal(state.z[v], seeds[v])
-        assert np.all(state.lam[v] == 0.0)
-        assert np.array_equal(state.u_edge[(1, 2)][v], seeds[v])
-        assert np.all(state.lam_edge[(1, 2)][v] == 0.0)
+    assert state.vids == [1, 2] and state.ekeys == [(1, 2)]
+    for k, v in enumerate((1, 2)):
+        assert np.array_equal(state.C[k], seeds[v])
+        assert np.array_equal(state.Z[k], seeds[v])
+        assert np.all(state.L[k] == 0.0)
+        assert np.array_equal(state.C[_edge_row(state, (1, 2), v)], seeds[v])
+        assert np.all(state.L[_edge_row(state, (1, 2), v)] == 0.0)
 
 
 def _dual_sums(state):
     """Each vehicle's scaled duals summed over its local and edge copies."""
-    sums = {v: lam.copy() for v, lam in state.lam.items()}
-    for e, duals in state.lam_edge.items():
+    sums = {v: state.L[k].copy() for k, v in enumerate(state.vids)}
+    for e in state.ekeys:
         for v in e:
-            sums[v] = sums[v] + duals[v]
+            sums[v] = sums[v] + state.L[_edge_row(state, e, v)]
     return sums
 
 
@@ -324,8 +353,7 @@ def test_carried_state_shifts_edge_duals_and_balances_vehicle_duals():
                           seeds={v: s.copy() for v, s in seeds.items()}).state
     for total in _dual_sums(previous).values():
         assert np.max(np.abs(total)) <= 1e-12
-    assert any(np.any(lam != 0.0) for duals in previous.lam_edge.values()
-               for lam in duals.values())
+    assert np.any(previous.L[len(previous.vids):] != 0.0)
 
     last = max(local_problems)
     joining, lone = last + 1, last + 2
@@ -334,24 +362,38 @@ def test_carried_state_shifts_edge_duals_and_balances_vehicle_duals():
     state = init_admm_state(new_seeds, edges, rho0=123.0, previous=previous)
 
     assert state.rho == previous.rho
-    assert state.iteration == 0 and state.z_prev is None
-    assert sorted(state.lam_edge) == sorted(edges)
+    assert state.iteration == 0 and state.Z_prev is None
+    assert state.ekeys == sorted(edges)
     for e in edges:
         for v in e:
-            if e in previous.lam_edge:
-                old = previous.lam_edge[e][v]
-                assert np.array_equal(state.lam_edge[e][v], np.append(old[1:], old[-1]))
+            row = state.L[_edge_row(state, e, v)]
+            if e in previous.ekeys:
+                old = previous.L[_edge_row(previous, e, v)]
+                assert np.array_equal(row, np.append(old[1:], old[-1]))
             else:
-                assert np.all(state.lam_edge[e][v] == 0.0)
+                assert np.all(row == 0.0)
     for v, total in _dual_sums(state).items():
         assert np.max(np.abs(total)) <= 1e-12, v
     for v in (last, lone):
-        assert np.all(state.lam[v] == 0.0)
+        assert np.all(state.L[state.vids.index(v)] == 0.0)
     for v, seed in new_seeds.items():
-        assert np.array_equal(state.u[v], seed) and np.array_equal(state.z[v], seed)
+        k = state.vids.index(v)
+        assert np.array_equal(state.C[k], seed) and np.array_equal(state.Z[k], seed)
     for e in edges:
         for v in e:
-            assert np.array_equal(state.u_edge[e][v], new_seeds[v])
+            assert np.array_equal(state.C[_edge_row(state, e, v)], new_seeds[v])
+
+
+def test_invalid_input_raises_parameter_error():
+    seeds = {1: np.zeros(3), 2: np.zeros(3)}
+    with pytest.raises(ParameterError, match=r"\(1, 7\)"):
+        init_admm_state(seeds, edges=[(1, 2), (1, 7)], rho0=1.0)
+    rng = np.random.default_rng(113)
+    local_problems, edge_problems, seeds = random_fleet_instance(rng)
+    for workers in (0, -2):
+        with pytest.raises(ParameterError, match="workers"):
+            admm_solve(local_problems, edge_problems, AdmmConfig(workers=workers),
+                       seeds=seeds)
 
 
 def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog):

@@ -1,10 +1,11 @@
 """ADMM's batched node pass and array state against the per-node loop.
 
 ``admm_solve`` answers most nodes with ``LocalBatch``/``EdgeBatch`` and keeps
-its iterates in a ``_CopyStack``; the per-node solvers ``solve_local`` and
-``solve_edge`` and the dict functions ``update_consensus``, ``update_duals``,
-``residuals`` and ``apply_rho_update`` stay as the reference.  Every
-comparison here is bit for bit: node answers, statuses, the warm starts
+its iterates as the arrays of an ``AdmmState``; the per-node solvers
+``solve_local`` and ``solve_edge`` and the dict functions of
+``reference.py`` (``update_consensus``, ``update_duals``, ``residuals``,
+``apply_rho_update`` and the dict ``init_dict_state``) are the reference.
+Every comparison here is bit for bit: node answers, statuses, the warm starts
 handed to the next iteration, the iterates, the residuals and rho.
 Instances: random fleets, the bounded pair (pinned steering and binding lane
 rows, which ``solve_local`` answers on its dual), crossing pairs whose edge
@@ -22,13 +23,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
-from fleetcoord import (AdmmConfig, AdmmState, adapt_rho, admm_solve, apply_rho_update,
-                        init_admm_state, residuals, solve_edge, solve_local,
-                        update_consensus, update_duals)
+from fleetcoord import (AdmmConfig, adapt_rho, admm_solve, init_admm_state, solve_edge,
+                        solve_local)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.subproblems import EdgeBatch, LocalBatch
 
 from instances import bounded_pair, random_fleet_instance
+from reference import (DictState, apply_rho_update, init_dict_state, residuals, to_arrays,
+                       to_dicts, update_consensus, update_duals)
 from test_edge_solver import edge_instance
 from test_local_solver import local_instance
 
@@ -39,8 +41,10 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
 def reference_admm(local, edges, config, state):
     """The per-node loop: every node through solve_local/solve_edge, dict steps.
 
-    Returns the final state and, per iteration, (node solutions, report, rho).
+    Starts from the dicts of the array ``state``; returns the final dict state
+    and, per iteration, (node solutions, report, rho).
     """
+    state = to_dicts(state)
     vids, ekeys = sorted(local), sorted(edges)
     np_steps = local[vids[0]].horizon
     warm: dict = {}
@@ -134,7 +138,7 @@ def assert_identical_runs(local, edges, config, state):
     rep = result.report
     assert (rep.r_norm, rep.s_norm, rep.eps_pri, rep.eps_dual, rep.converged) == (
         final.r_norm, final.s_norm, final.eps_pri, final.eps_dual, final.converged)
-    got = result.state
+    got = to_dicts(result.state)
     assert got.rho == ref_state.rho and got.iteration == ref_state.iteration
     for name in ("u", "z", "lam", "z_prev"):
         for v in vids:
@@ -292,7 +296,7 @@ def random_state(rng, n_vehicles, edge_prob, np_steps, rho):
     def draw():
         return rng.normal(size=np_steps) * 10.0 ** rng.uniform(-3, 3)
 
-    return AdmmState(u={v: draw() for v in vids}, z={v: draw() for v in vids},
+    return DictState(u={v: draw() for v in vids}, z={v: draw() for v in vids},
                      lam={v: draw() for v in vids},
                      u_edge={e: {v: draw() for v in e} for e in edges},
                      lam_edge={e: {v: draw() for v in e} for e in edges}, rho=rho)
@@ -307,28 +311,92 @@ def test_array_steps_match_the_dict_functions(seed, n_vehicles, edge_prob, np_st
     rng = np.random.default_rng(seed)
     state = random_state(rng, n_vehicles, edge_prob, np_steps, 10.0 ** log_rho)
     vids, ekeys = sorted(state.u), sorted(state.u_edge)
-    stack = admm_mod._CopyStack(state, vids, ekeys)
+    stack = to_arrays(state)
     rho = state.rho
 
     z_new = update_consensus(state)
-    z_stack = stack.consensus(rho)
+    z_stack = stack.consensus()
     for i, v in enumerate(vids):
         assert same(z_stack[i], z_new[v])
     z_prev = state.z
     state.lam, state.lam_edge = update_duals(state, z_new)
     state.z = z_new
-    z_prev_stack = stack.Z
     stack.update(z_stack)
     ref = residuals(state, z_prev, 0.01, 0.02)
-    got = stack.residuals(z_prev_stack, rho, 0.01, 0.02, ref.iterations_used)
+    got = stack.residuals(0.01, 0.02)
     assert (got.r_norm, got.s_norm, got.eps_pri, got.eps_dual, got.converged) == (
         ref.r_norm, ref.s_norm, ref.eps_pri, ref.eps_dual, ref.converged)
 
     apply_rho_update(state, rho * new_rho)
-    stack.rescale(rho, rho * new_rho)
-    lam, lam_edge = stack.views(stack.L, vids, ekeys)
+    stack.rescale(rho * new_rho)
+    assert stack.rho == state.rho
+    back = to_dicts(stack)
     for v in vids:
-        assert same(lam[v], state.lam[v])
+        assert same(back.lam[v], state.lam[v])
     for e in ekeys:
         for v in e:
-            assert same(lam_edge[e][v], state.lam_edge[e][v])
+            assert same(back.lam_edge[e][v], state.lam_edge[e][v])
+
+
+PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cycles=st.integers(3, 5),
+       np_steps=st.integers(1, 6), log_rho0=st.floats(-2.0, 2.0))
+def test_carried_state_matches_the_dict_init(seed, n_cycles, np_steps, log_rho0):
+    # a sequence of MPC cycles over vehicles 1..6, vehicle 6 never coupled;
+    # cycle 0 has no edge, so cycle 1 restarts at rho0, and cycle 2 keeps
+    # cycle 1's edges (at least two) but one and adds one new edge; later
+    # cycles are random
+    rng = np.random.default_rng(seed)
+    rho0 = 10.0 ** log_rho0
+    edge_sets = [[]]
+    for c in range(1, n_cycles):
+        edges = [e for e in PAIRS if rng.random() < 0.4]
+        if c == 1 and len(edges) < 2:
+            edges = [PAIRS[k] for k in sorted(rng.choice(len(PAIRS), 2, replace=False))]
+        if c == 2:
+            last = edge_sets[1]
+            fresh = [e for e in PAIRS if e not in last]
+            edges = last[1:] + [fresh[rng.integers(len(fresh))]]
+        edge_sets.append(edges)
+    previous = None
+    for c, edges in enumerate(edge_sets):
+        # a vehicle not in any edge may leave the fleet
+        vids = [v for v in range(1, 7)
+                if any(v in e for e in edges) or v == 6 or rng.random() < 0.5]
+        seeds = {v: rng.normal(size=np_steps) for v in vids}
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        ref = init_dict_state(seeds, edges, rho0,
+                              previous=None if previous is None else to_dicts(previous))
+        state = init_admm_state(seeds, edges, rho0, previous=previous)
+        got = to_dicts(state)
+        assert got.rho == ref.rho
+        if c == 1:
+            assert got.rho == rho0 != previous.rho
+        assert state.vids == sorted(ref.u) and state.ekeys == sorted(ref.u_edge)
+        for v in vids:
+            for name in ("u", "z", "lam"):
+                assert same(getattr(got, name)[v], getattr(ref, name)[v]), (c, name, v)
+        for e in state.ekeys:
+            for v in e:
+                assert same(got.u_edge[e][v], ref.u_edge[e][v])
+                assert same(got.lam_edge[e][v], ref.lam_edge[e][v])
+        totals = got.lam.copy()
+        for e in state.ekeys:
+            for v in e:
+                totals[v] = totals[v] + got.lam_edge[e][v]
+        assert all(np.max(np.abs(t)) <= 1e-12 for t in totals.values())
+        if c == 2:
+            kept = set(edge_sets[1]) & set(edge_sets[2])
+            assert kept and set(edge_sets[1]) - kept and set(edge_sets[2]) - kept
+            assert any(np.any(got.lam_edge[e][e[0]]) for e in kept)
+        # the cycle's solve leaves arbitrary iterates, duals and rho
+        state.C = rng.normal(size=state.C.shape)
+        state.L = rng.normal(size=state.L.shape)
+        state.Z = rng.normal(size=state.Z.shape)
+        state.rho = rho0 * 2.0 ** rng.integers(-4, 5)
+        if state.rho == rho0:
+            state.rho *= 2.0
+        previous = state

@@ -118,3 +118,21 @@ def test_cli_bench_writes_tables(tmp_path, capsys):
 def test_cli_bench_rejects_bad_sizes(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["bench", "--sizes", "4,foo", "--out", str(tmp_path)])
+
+
+def test_cli_rejects_nonpositive_workers(tmp_path, overtake_path, capsys):
+    for workers in ("0", "-2"):
+        code = cli_main(["simulate", str(overtake_path), "--out", str(tmp_path),
+                         "--duration", "0.1", "--workers", workers])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
+def test_cli_bench_rejects_nonpositive_cycles(tmp_path, capsys):
+    for cycles in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["bench", "--sizes", "2", "--cycles", cycles, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--cycles" in capsys.readouterr().err
+    assert not (tmp_path / "bench_records.csv").exists()

@@ -275,7 +275,5 @@ def test_admm_worker_count_is_byte_identical():
     assert res1.report.nonoptimal_nodes == res4.report.nonoptimal_nodes == 0
     for vid in res1.consensus:
         assert res1.consensus[vid].tobytes() == res4.consensus[vid].tobytes()
-    for e, copies in res1.state.u_edge.items():
-        for vid, u in copies.items():
-            assert u.tobytes() == res4.state.u_edge[e][vid].tobytes()
+    assert res1.state.C.tobytes() == res4.state.C.tobytes()
     assert math.isfinite(res1.report.r_norm) and res1.report.r_norm == res4.report.r_norm

@@ -175,7 +175,7 @@ def test_fallbacks_are_counted_and_workers_are_byte_identical(monkeypatch, per_n
     assert res1.report.kkt_max == res4.report.kkt_max <= 1e-8
     for vid in res1.consensus:
         assert res1.consensus[vid].tobytes() == res4.consensus[vid].tobytes()
-        assert res1.state.u[vid].tobytes() == res4.state.u[vid].tobytes()
+    assert res1.state.C.tobytes() == res4.state.C.tobytes()
 
     # the report counts exactly the nodes handed to solve_local
     handed_over = []

@@ -203,6 +203,14 @@ def test_duration_must_be_multiple_of_ts():
         run_simulation(sc, "bogus_mode")
 
 
+@pytest.mark.parametrize("mode", ["parallel_admm", "centralized"])
+def test_worker_count_must_be_positive(mode):
+    sc = single_vehicle_scenario()
+    for workers in (0, -2):
+        with pytest.raises(ParameterError, match="workers"):
+            run_simulation(sc, mode, duration=0.1, workers=workers)
+
+
 def test_csv_and_json_outputs(tmp_path):
     sc = load_scenario_file("scenarios/overtake.scn")
     run = run_simulation(sc, "parallel_admm", duration=1.0)

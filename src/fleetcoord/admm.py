@@ -28,15 +28,16 @@ assembled and no node reaches ``solve_qp``.
 (``FleetNodes``): ``LocalBatch`` makes the cycle's eigendecompositions in one
 stacked ``eigh`` and answers every vehicle that pins no steering bound,
 ``EdgeBatch`` answers every edge whose coupled rows are inactive, and only
-the remaining nodes are handed to ``solve_local``/``solve_edge`` (on threads
-when ``workers`` > 1), which stay the reference: the batched answers equal
-theirs bit for bit.  The iterates live in ``AdmmState`` as arrays, one
-(N + 2E, Np) row per copy and its scaled dual and one (N, Np) consensus, and
-its methods are steps 2 and 3, the residuals and the rho rescaling.  The
-final state is carried into the next cycle as it is: ``init_admm_state``
-shifts the persisting edges' dual rows.  Accounted time charges each node an
-equal share of its batched pass, plus its own per-node solve when it was
-handed over.
+the remaining nodes are handed, one after another in the calling thread, to
+``solve_local``/``solve_edge``, which stay the reference: the batched answers
+equal theirs bit for bit.  Parallelism is accounted, not executed: each
+iteration is charged its slowest node.  The iterates live in ``AdmmState``
+as arrays, one (N + 2E, Np) row per copy and its scaled dual and one (N, Np)
+consensus, and its methods are steps 2 and 3, the residuals and the rho
+rescaling.  The final state is carried into the next cycle as it is:
+``init_admm_state`` shifts the persisting edges' dual rows.  Accounted time
+charges each node an equal share of its batched pass, plus its own per-node
+solve when it was handed over.
 
 Every node solution's status is checked: non-optimal solutions and the
 nodes handed to the per-node solvers are counted in the ``ResidualReport``
@@ -49,7 +50,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,7 +73,6 @@ class AdmmConfig:
     adapt_rho: bool = True
     rho_scale: float = 2.0       # tau_incr = tau_decr
     rho_ratio: float = 5.0       # mu
-    workers: int = 1
 
 
 @dataclass
@@ -264,13 +263,13 @@ class FleetNodes:
 
     ``LocalBatch`` and ``EdgeBatch`` answer every vehicle that pins no
     steering bound and every edge whose coupled rows are inactive; the nodes
-    they leave go to ``solve_local``/``solve_edge`` (on ``executor`` when
-    given), warm started from the node's previous multipliers as in a
-    per-node loop.  Construction (the stacked ``eigh`` and the edge stacks) is
-    charged to the first iteration's nodes.
+    they leave go to ``solve_local``/``solve_edge``, vehicles first, warm
+    started from the node's previous multipliers as in a per-node loop.
+    Construction (the stacked ``eigh`` and the edge stacks) is charged to the
+    first iteration's nodes.
     """
 
-    def __init__(self, local_problems: list, edge_problems: list, executor=None):
+    def __init__(self, local_problems: list, edge_problems: list):
         t0 = time.perf_counter()
         self.local = LocalBatch(local_problems)
         t1 = time.perf_counter()
@@ -278,7 +277,6 @@ class FleetNodes:
         self.setup_times = (t1 - t0, time.perf_counter() - t1)
         self.local_problems = local_problems
         self.edge_problems = edge_problems
-        self.executor = executor
         # each vehicle's last multipliers; None where the batched pass answered
         # (its multipliers are all zero)
         self.warm_local = [None] * len(local_problems)
@@ -300,39 +298,29 @@ class FleetNodes:
         times = np.concatenate([np.full(n, (t1 - t0 + setup_local) / n),
                                 np.full(n_edges, (t2 - t1 + setup_edge) / max(n_edges, 1))])
 
-        def solve_node(i):
-            t = time.perf_counter()
-            if i < n:
-                sol = solve_local(self.local_problems[i], Z[i], L[i], rho,
-                                  warm_mult=self.warm_local[i])
-            else:
-                k = i - n
-                sol = solve_edge(self.edge_problems[k], Z[state.vi[k]], Z[state.vj[k]],
-                                 L[state.ri[k]], L[state.rj[k]], rho,
-                                 warm_mu=None if self.warm_mu is None else self.warm_mu[k])
-            return i, sol, time.perf_counter() - t
-
-        slow = np.flatnonzero(~done_local).tolist() + (n + np.flatnonzero(~done_edge)).tolist()
-        if self.executor is not None and len(slow) > 1:
-            results = list(self.executor.map(solve_node, slow))
-        else:
-            results = [solve_node(i) for i in slow]
         status = [OPTIMAL] * (n + n_edges)
         kkt = np.concatenate([kkt_local, kkt_edge])
         handed = {}
-        self.warm_local = [None] * n
-        for i, sol, dt in results:
-            handed[i] = sol
-            status[i] = sol.status
-            kkt[i] = sol.kkt_residual
-            times[i] += dt
-            if i < n:
-                u[i] = sol.u_star
-                self.warm_local[i] = sol.multipliers
-            else:
-                x_edge[i - n] = sol.u_star[:2 * np_steps]
-                slack[i - n] = sol.u_star[2 * np_steps:]
-                mu[i - n] = sol.multipliers[:np_steps]
+        warm_local, self.warm_local = self.warm_local, [None] * n
+        for i in np.flatnonzero(~done_local).tolist():
+            t = time.perf_counter()
+            sol = solve_local(self.local_problems[i], Z[i], L[i], rho,
+                              warm_mult=warm_local[i])
+            times[i] += time.perf_counter() - t
+            handed[i], status[i], kkt[i] = sol, sol.status, sol.kkt_residual
+            u[i] = sol.u_star
+            self.warm_local[i] = sol.multipliers
+        for k in np.flatnonzero(~done_edge).tolist():
+            t = time.perf_counter()
+            sol = solve_edge(self.edge_problems[k], Z[state.vi[k]], Z[state.vj[k]],
+                             L[state.ri[k]], L[state.rj[k]], rho,
+                             warm_mu=None if self.warm_mu is None else self.warm_mu[k])
+            i = n + k
+            times[i] += time.perf_counter() - t
+            handed[i], status[i], kkt[i] = sol, sol.status, sol.kkt_residual
+            x_edge[k] = sol.u_star[:2 * np_steps]
+            slack[k] = sol.u_star[2 * np_steps:]
+            mu[k] = sol.multipliers[:np_steps]
         self.warm_mu = mu
         return NodeStep(u=u, x_edge=x_edge, slack=slack, status=status, kkt=kkt,
                         handed=handed, times=times)
@@ -359,8 +347,6 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
 
     if config.max_iters < 1:
         raise ParameterError("max_iters must be at least 1")
-    if config.workers < 1:
-        raise ParameterError("workers must be at least 1")
     vids = sorted(local_problems)
     ekeys = sorted(edge_problems)
     if state.vids != vids or state.ekeys != ekeys:
@@ -369,10 +355,8 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     names = [f"local/{v}" for v in vids] + [f"edge/{e[0]}-{e[1]}" for e in ekeys]
     total_node_time = np.zeros(len(names))
 
-    executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     t_start = time.perf_counter()
-    nodes = FleetNodes([local_problems[v] for v in vids], [edge_problems[e] for e in ekeys],
-                       executor)
+    nodes = FleetNodes([local_problems[v] for v in vids], [edge_problems[e] for e in ekeys])
     np_steps = state.Z.shape[1]
     trace = []
     report = None
@@ -381,56 +365,52 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     nonoptimal = 0
     local_handed = edge_handed = 0
     kkt_max = 0.0
-    try:
-        for k in range(1, config.max_iters + 1):
-            rho = state.rho
+    for k in range(1, config.max_iters + 1):
+        rho = state.rho
 
-            # Step 1: all local and edge solves, mutually independent
-            step = nodes.solve(state, rho)
-            finite = np.concatenate([np.all(np.isfinite(step.u), axis=1),
-                                     np.all(np.isfinite(step.x_edge), axis=1)
-                                     & np.all(np.isfinite(step.slack), axis=1)])
-            if not finite.all():
-                raise NumericalFailureError(
-                    f"non-finite iterate from {names[int(np.argmin(finite))]} at iteration {k}",
-                    iteration=k)
-            local_handed += sum(i < n for i in step.handed)
-            edge_handed += sum(i >= n for i in step.handed)
-            flagged = [f"{names[i]} ({status}, kkt {step.kkt[i]:.2e})"
-                       for i, status in enumerate(step.status) if status != OPTIMAL]
-            kkt_max = max(kkt_max, float(np.fmax.reduce(step.kkt)))
-            total_node_time += step.times
-            max_node_time = float(np.max(step.times))
-            parallel_time += max_node_time
-            slack_max = float(np.max(step.slack, initial=0.0))
-            if flagged:
-                nonoptimal += len(flagged)
-                logger.warning("ADMM iteration %d: non-optimal node solution(s) enter "
-                               "consensus: %s", k, ", ".join(flagged))
-            state.C[:n] = step.u
-            state.C[state.ri] = step.x_edge[:, :np_steps]
-            state.C[state.rj] = step.x_edge[:, np_steps:]
+        # Step 1: all local and edge solves, mutually independent
+        step = nodes.solve(state, rho)
+        finite = np.concatenate([np.all(np.isfinite(step.u), axis=1),
+                                 np.all(np.isfinite(step.x_edge), axis=1)
+                                 & np.all(np.isfinite(step.slack), axis=1)])
+        if not finite.all():
+            raise NumericalFailureError(
+                f"non-finite iterate from {names[int(np.argmin(finite))]} at iteration {k}",
+                iteration=k)
+        local_handed += sum(i < n for i in step.handed)
+        edge_handed += sum(i >= n for i in step.handed)
+        flagged = [f"{names[i]} ({status}, kkt {step.kkt[i]:.2e})"
+                   for i, status in enumerate(step.status) if status != OPTIMAL]
+        kkt_max = max(kkt_max, float(np.fmax.reduce(step.kkt)))
+        total_node_time += step.times
+        max_node_time = float(np.max(step.times))
+        parallel_time += max_node_time
+        slack_max = float(np.max(step.slack, initial=0.0))
+        if flagged:
+            nonoptimal += len(flagged)
+            logger.warning("ADMM iteration %d: non-optimal node solution(s) enter "
+                           "consensus: %s", k, ", ".join(flagged))
+        state.C[:n] = step.u
+        state.C[state.ri] = step.x_edge[:, :np_steps]
+        state.C[state.rj] = step.x_edge[:, np_steps:]
 
-            # Step 2: consensus averaging; step 3: dual ascent
-            state.update(state.consensus())
-            state.iteration = k
+        # Step 2: consensus averaging; step 3: dual ascent
+        state.update(state.consensus())
+        state.iteration = k
 
-            report = state.residuals(config.eps_abs, config.eps_rel)
-            if collect_trace or logger.isEnabledFor(logging.DEBUG):
-                logger.debug("admm k=%d r=%.6e s=%.6e rho=%.3e tmax=%.6e",
-                             k, report.r_norm, report.s_norm, rho, max_node_time)
-            if collect_trace:
-                trace.append({"k": k, "r_norm": report.r_norm, "s_norm": report.s_norm,
-                              "rho": rho, "max_node_time": max_node_time})
-            if report.converged:
-                break
+        report = state.residuals(config.eps_abs, config.eps_rel)
+        if collect_trace or logger.isEnabledFor(logging.DEBUG):
+            logger.debug("admm k=%d r=%.6e s=%.6e rho=%.3e tmax=%.6e",
+                         k, report.r_norm, report.s_norm, rho, max_node_time)
+        if collect_trace:
+            trace.append({"k": k, "r_norm": report.r_norm, "s_norm": report.s_norm,
+                          "rho": rho, "max_node_time": max_node_time})
+        if report.converged:
+            break
 
-            if config.adapt_rho:
-                state.rescale(adapt_rho(rho, report.r_norm, report.s_norm,
-                                        config.rho_scale, config.rho_ratio))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        if config.adapt_rho:
+            state.rescale(adapt_rho(rho, report.r_norm, report.s_norm,
+                                    config.rho_scale, config.rho_ratio))
 
     if not report.converged:
         logger.warning("ADMM hit the iteration cap (%d) without converging: "

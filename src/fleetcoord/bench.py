@@ -94,8 +94,7 @@ class BenchmarkRecord:
     blas_threads: dict = field(default_factory=dict)   # thread env var -> value
 
 
-def run_benchmark(sizes, seed: int = 0, cycles: int = 10,
-                  workers: int = 1) -> list[BenchmarkRecord]:
+def run_benchmark(sizes, seed: int = 0, cycles: int = 10) -> list[BenchmarkRecord]:
     """Run both modes on identical generated scenarios for every fleet size."""
     records = []
     duration = cycles * _BENCH_TS
@@ -104,9 +103,8 @@ def run_benchmark(sizes, seed: int = 0, cycles: int = 10,
     for n in sizes:
         scenario = generate_scaled_scenario(n, seed, sim_duration=duration)
         for mode in (PARALLEL_ADMM, CENTRALIZED):
-            run_simulation(scenario, mode, duration=_WARMUP_CYCLES * _BENCH_TS,
-                           workers=workers)
-            run = run_simulation(scenario, mode, duration=duration, workers=workers)
+            run_simulation(scenario, mode, duration=_WARMUP_CYCLES * _BENCH_TS)
+            run = run_simulation(scenario, mode, duration=duration)
             records.append(BenchmarkRecord(
                 n_vehicles=n,
                 mode=mode,

@@ -10,7 +10,7 @@ from pathlib import Path
 from .bench import run_benchmark, summarize_bench
 from .errors import ParameterError, ScenarioError
 from .scenario import load_scenario_file
-from .simulation import CENTRALIZED, PARALLEL_ADMM, run_simulation
+from .simulation import CENTRALIZED, PARALLEL_ADMM, cycle_count, run_simulation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,9 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--duration", type=float, default=None,
                      help="override sim_duration (seconds, multiple of Ts)")
-    sim.add_argument("--workers", type=int, default=1,
-                     help="worker threads for the per-node solves; they spread only "
-                          "the nodes the batched pass hands over")
 
     bench = sub.add_parser("bench", help="centralized-vs-parallel scaling benchmark")
     bench.add_argument("--sizes", default="4,8,16,32,64,100",
@@ -37,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--cycles", type=int, default=10,
                        help="closed-loop cycles measured per size")
-    bench.add_argument("--workers", type=int, default=1)
 
     val = sub.add_parser("validate", help="schema-check a scenario file")
     val.add_argument("scenario")
@@ -59,6 +55,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             scenario = _load_named(args.scenario)
+            cycle_count(scenario.config.sim_duration, scenario.config.ts,
+                        name=f"{args.scenario}: global.sim_duration")
             print(f"OK: {len(scenario.vehicles)} vehicle(s), "
                   f"Ts={scenario.config.ts:.9g}s, Np={scenario.config.horizon_steps}, "
                   f"d_safe={scenario.config.d_safe:.9g}m, "
@@ -69,8 +67,7 @@ def main(argv=None) -> int:
             scenario = _load_named(args.scenario)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            run = run_simulation(scenario, args.mode, duration=args.duration,
-                                 workers=args.workers)
+            run = run_simulation(scenario, args.mode, duration=args.duration)
             csv_path = out / "trajectories.csv"
             json_path = out / "summary.json"
             run.to_csv(csv_path)
@@ -93,8 +90,7 @@ def main(argv=None) -> int:
                 parser.error(f"--cycles: need a positive integer, got {args.cycles}")
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            records = run_benchmark(sizes, seed=args.seed, cycles=args.cycles,
-                                    workers=args.workers)
+            records = run_benchmark(sizes, seed=args.seed, cycles=args.cycles)
             rec_path = out / "bench_records.csv"
             with open(rec_path, "w", encoding="utf-8") as fh:
                 fh.write("n_vehicles,mode,cycle,accounted_time,wall_time,iterations\n")

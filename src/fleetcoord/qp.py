@@ -8,12 +8,14 @@ the predictor, the corrector and the centrality correctors share the factor.
 Everything is deterministic: no randomization.
 
 Problems here are small by construction (the fleet decomposition caps
-subproblem size), with the exception of the centralized baseline.  Two exact
-shortcut paths cover the hot cases before the interior-point loop runs: a
-bound-pinning guess for problems where only box bounds are active, and a warm
-active-set guess seeded by a previous solution's multipliers.  Both verify
-the full KKT conditions and fall back to the interior-point method when the
-guess is not optimal.  ``QpSolution.path`` records which one answered.
+subproblem size), with the exception of the centralized baseline.  Every
+problem is solved cold.  An exact shortcut covers the hot case before the
+interior-point loop runs: a bound-pinning guess for problems where only box
+bounds are active, verified against the full KKT conditions; when the guess
+is not optimal the interior-point method runs from x = 0.  Where rounding
+stalls its last iterates above the KKT target, an equality-constrained
+re-solve on the rows the iterate marks active finishes them if it verifies.
+``QpSolution.path`` records which path answered.
 
 The centralized Hessian is block diagonal (one tracking block per vehicle,
 then a zero block for the slacks) and G is nearly as sparse, yet both are
@@ -139,7 +141,7 @@ class QpSolution:
     multipliers: np.ndarray          # [z (m), w (n, lower), y (n, upper)]
     iterations: int = 0
     trace: list = field(default_factory=list, repr=False)
-    # which solve_qp path answered: "bound", "active_set", "ipm", "pinned_only"
+    # which solve_qp path answered: "bound", "ipm", "pinned_only"
     # (every variable fixed by lb == ub) or "zero_row" (an unsatisfiable zero
     # row of G); None from the ADMM node solvers, which never call solve_qp
     path: str | None = None
@@ -326,17 +328,15 @@ def _bound_shortcut(problem: DenseQp, groups: list, shift: float) -> tuple | Non
     return x, mult, kkt, float(0.5 * x @ Hx + f @ x), pviol
 
 
-def _active_set_shortcut(problem: DenseQp, warm_multipliers: np.ndarray) -> tuple | None:
-    """Exact solve assuming the warm solution's active set still holds.
+def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
+    """Exact solve assuming the rows and bounds with a multiplier in ``mult`` are active.
 
-    Solves the equality-constrained QP over the previously active rows and
-    bounds, then verifies multiplier signs, feasibility and the full KKT
-    conditions.  Returns None whenever the guess is not optimal.
+    ``mult`` has the QpSolution layout.  Solves the equality-constrained QP
+    over those rows and bounds, then verifies multiplier signs, feasibility
+    and the full KKT conditions.  Returns None whenever the guess is not
+    optimal.
     """
     n, m = problem.n, problem.m
-    mult = np.asarray(warm_multipliers, dtype=float)
-    if mult.shape != (m + 2 * n,):
-        return None
     z_g, w_g, y_g = mult[:m], mult[m:m + n], mult[m + n:]
     act_rows = z_g > 1e-8
     act_lo = (w_g > 1e-8) & np.isfinite(problem.lb)
@@ -398,27 +398,22 @@ def _feasibility_gap(problem: DenseQp, max_iter: int) -> float:
     lbe = np.concatenate([problem.lb, np.zeros(m)])
     ube = np.concatenate([problem.ub, np.full(m, np.inf)])
     elastic = DenseQp(H=He, f=fe, G=Ge, h=problem.h.copy(), lb=lbe, ub=ube)
-    sol = _solve(elastic, None, max_iter, allow_probe=False)
+    sol = _solve(elastic, max_iter, allow_probe=False)
     return float(np.sum(np.maximum(sol.u_star[n:], 0.0)))
 
 
-def solve_qp(problem: DenseQp, warm_start: np.ndarray | None = None,
-             max_iter: int = 100,
-             warm_multipliers: np.ndarray | None = None) -> QpSolution:
+def solve_qp(problem: DenseQp, max_iter: int = 100) -> QpSolution:
     """Solve the QP to KKT optimality; deterministic for identical inputs.
 
     status is ``optimal`` when the KKT residual is at most 1e-6 with primal
     violation at most 1e-8, ``infeasible`` when an elastic relaxation proves
     the constraints inconsistent, and ``max_iter`` otherwise (best iterate is
-    still returned).  ``warm_multipliers`` (layout as in QpSolution) lets a
-    caller re-solving a perturbed problem seed the active-set guess.
+    still returned).
     """
-    return _solve(problem, warm_start, max_iter, allow_probe=True,
-                  warm_multipliers=warm_multipliers)
+    return _solve(problem, max_iter, allow_probe=True)
 
 
-def _solve(problem: DenseQp, warm_start, max_iter: int, allow_probe: bool,
-           warm_multipliers=None) -> QpSolution:
+def _solve(problem: DenseQp, max_iter: int, allow_probe: bool) -> QpSolution:
     n = problem.n
     groups = _block_groups(problem.H, problem.block_starts)
     shift = _hessian_shift(groups)
@@ -426,14 +421,12 @@ def _solve(problem: DenseQp, warm_start, max_iter: int, allow_probe: bool,
     # variables pinned by lb == ub are eliminated exactly
     pinned = (problem.ub - problem.lb) <= 1e-9
     if np.any(pinned):
-        return _solve_with_pinned(_shifted(problem, shift), pinned, warm_start, max_iter,
-                                  allow_probe)
+        return _solve_with_pinned(_shifted(problem, shift), pinned, max_iter, allow_probe)
 
     # a zero row with negative offset can never be satisfied
     if np.any(problem.h[problem.zero_rows] < -1e-12):
         work = _shifted(problem, shift)
-        u = np.clip(np.zeros(n) if warm_start is None
-                    else np.asarray(warm_start, dtype=float).reshape(n), work.lb, work.ub)
+        u = np.clip(np.zeros(n), work.lb, work.ub)
         mult = np.zeros(work.m + 2 * n)
         return QpSolution(u_star=u, objective=work.objective(u), status=INFEASIBLE,
                           kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
@@ -447,23 +440,14 @@ def _solve(problem: DenseQp, warm_start, max_iter: int, allow_probe: bool,
                           trace=[(objective, pviol)], path="bound")
 
     work = _shifted(problem, shift)
-    if warm_multipliers is not None:
-        shortcut = _active_set_shortcut(work, warm_multipliers)
-        if shortcut is not None:
-            x, mult, kkt = shortcut
-            return QpSolution(u_star=x, objective=work.objective(x), status=OPTIMAL,
-                              kkt_residual=kkt, multipliers=mult, iterations=0,
-                              trace=[(work.objective(x), _primal_violation(work, x))],
-                              path="active_set")
-
-    sol = _ipm(work, warm_start, max_iter)
+    sol = _ipm(work, max_iter)
     if sol.status == MAX_ITER and allow_probe and _primal_violation(work, sol.u_star) > 1e-8:
         if _feasibility_gap(work, max_iter) > 1e-6 * (1.0 + float(np.max(np.abs(work.h), initial=0.0))):
             sol.status = INFEASIBLE
     return sol
 
 
-def _solve_with_pinned(problem: DenseQp, pinned, warm_start, max_iter, allow_probe):
+def _solve_with_pinned(problem: DenseQp, pinned, max_iter, allow_probe):
     n = problem.n
     free = ~pinned
     x_pin = problem.lb[pinned]
@@ -482,8 +466,7 @@ def _solve_with_pinned(problem: DenseQp, pinned, warm_start, max_iter, allow_pro
         G=problem.G[:, free] if problem.m else None,
         h=(problem.h - problem.G[:, pinned] @ x_pin) if problem.m else None,
         lb=problem.lb[free], ub=problem.ub[free])
-    warm = None if warm_start is None else np.asarray(warm_start, dtype=float)[free]
-    sub_sol = _solve(sub, warm, max_iter, allow_probe)
+    sub_sol = _solve(sub, max_iter, allow_probe)
 
     x = np.empty(n)
     x[free] = sub_sol.u_star
@@ -503,14 +486,14 @@ def _solve_with_pinned(problem: DenseQp, pinned, warm_start, max_iter, allow_pro
                       iterations=sub_sol.iterations, trace=sub_sol.trace, path=sub_sol.path)
 
 
-def _ipm(problem: DenseQp, warm_start, max_iter: int) -> QpSolution:
+def _ipm(problem: DenseQp, max_iter: int) -> QpSolution:
     """Mehrotra predictor-corrector over the rows A = [G; -I_lo; I_hi], b.
 
     One slack s and dual z per row, one ratio test; x need not start inside
     the box.  Per iteration one n x n Cholesky of H + A' diag(z/s) A serves the
     predictor, the corrector and up to ``_CORRECTORS`` Gondzio centrality
-    correctors.  Start: x from the warm start, s and z one affine step from
-    s = z = 1, shifted positive as in Mehrotra (1992).
+    correctors.  Start: x = 0, s and z one affine step from s = z = 1,
+    shifted positive as in Mehrotra (1992).
     """
     H, f, G = problem.H, problem.f, problem.G
     n, m = problem.n, problem.m
@@ -519,7 +502,7 @@ def _ipm(problem: DenseQp, warm_start, max_iter: int) -> QpSolution:
     k = m + len(lo)                      # first upper-bound row
     n_comp = k + len(hi)
 
-    x = np.zeros(n) if warm_start is None else np.array(warm_start, dtype=float).reshape(n)
+    x = np.zeros(n)
     if n_comp == 0:
         x = -np.linalg.solve(H, f)
         mult = np.zeros(m + 2 * n)

@@ -13,8 +13,7 @@ final ``AdmmState``, kept as arrays: ``init_admm_state`` starts the copies at
 the new seeds, carries rho (rho0 after a cycle without edges), shifts each
 persisting edge's dual rows one step like the seed, starts new edges at zero,
 and sets each vehicle's dual row so that its duals sum to zero.  The
-centralized QP is warm started from the last cycle's solution when the
-problem size is unchanged.
+centralized QP is solved cold every cycle.
 
 The loop keeps the fleet as arrays in vehicle-id order: (N, 3) poses and
 (N, Np) steering.  Per cycle it makes one ``rollout_fleet`` of the applied
@@ -422,21 +421,40 @@ def convexify_cycle(scenario: Scenario, current: dict, seeds: dict,
     return convexify_fleet(fleet, poses, seed_poses, seed_controls, graph, t)
 
 
+def cycle_count(duration: float, ts: float, name: str = "duration") -> int:
+    """The number of control cycles in ``duration`` seconds at step ``ts``.
+
+    ``duration`` must be a finite positive multiple of ``ts`` (to 1e-9 s);
+    anything else, NaN and infinity included, raises ParameterError naming
+    it as ``name``.
+    """
+    steps = duration / ts
+    n_cycles = round(steps) if math.isfinite(steps) else 0
+    if n_cycles < 1 or abs(n_cycles * ts - duration) > 1e-9:
+        raise ParameterError(f"{name} must be a positive multiple of Ts = {ts:.9g} s, "
+                             f"got {duration!r}")
+    return n_cycles
+
+
 def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                    duration: float | None = None, workers: int = 1) -> SimulationRun:
-    """Close the loop for ``duration`` seconds (default: scenario setting)."""
+    """Close the loop for ``duration`` seconds (default: scenario setting).
+
+    Every node and fleet QP is solved in the calling thread.  ``workers``
+    accepts only 1 and stays for callers that pass it; any other value
+    raises ParameterError.
+    """
     if solver_mode not in _MODES:
         raise ParameterError(f"solver_mode must be one of {_MODES}")
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
+    if workers != 1:
+        raise ParameterError(f"workers must be 1 (nodes are solved in the calling "
+                             f"thread), got {workers}")
     cfg = scenario.config
     duration = cfg.sim_duration if duration is None else float(duration)
-    n_cycles = round(duration / cfg.ts)
-    if abs(n_cycles * cfg.ts - duration) > 1e-9 or n_cycles < 1:
-        raise ParameterError("duration must be a positive multiple of Ts")
+    n_cycles = cycle_count(duration, cfg.ts)
 
     admm_cfg = AdmmConfig(rho0=cfg.rho0, eps_abs=cfg.eps_abs, eps_rel=cfg.eps_rel,
-                          max_iters=cfg.max_iters, workers=workers)
+                          max_iters=cfg.max_iters)
     fleet = Fleet(scenario)
     vids = fleet.ids
     np_steps = cfg.horizon_steps
@@ -451,7 +469,6 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
     min_pairwise = [_min_pairwise(poses[:, :2])]
     cycles = []
     violations = []
-    centralized_warm = None
     admm_state = None                    # final ADMM state of the last cycle
 
     for cycle in range(n_cycles):
@@ -488,13 +505,8 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                 objective=fleet_objective(local_problems, controls))
         else:
             central = build_centralized(local_problems, edge_problems)
-            warm = centralized_warm if (centralized_warm is not None and
-                                        len(centralized_warm.u_star) == central.qp.n) else None
-            sol = solve_qp(central.qp,
-                           warm_start=None if warm is None else warm.u_star,
-                           warm_multipliers=None if warm is None else warm.multipliers)
+            sol = solve_qp(central.qp)
             wall = time.perf_counter() - t0
-            centralized_warm = sol
             controls = central.controls(sol.u_star)
             slack_max = float(np.max(sol.u_star[central.n_controls:], initial=0.0))
             if sol.status != OPTIMAL:

@@ -87,6 +87,19 @@ def test_cli_validate_missing_file(capsys):
     assert cli_main(["validate", "/nonexistent/file.scn"]) == 2
 
 
+def test_cli_validate_rejects_what_simulate_rejects(tmp_path, overtake_path, capsys):
+    # a scene whose sim_duration is no multiple of ts loads, but cannot be run
+    text = overtake_path.read_text()
+    assert "sim_duration: 20.0" in text and "ts: 0.1" in text
+    scene = tmp_path / "off_grid.scn"
+    scene.write_text(text.replace("sim_duration: 20.0", "sim_duration: 1.05"))
+    assert cli_main(["validate", str(scene)]) == 2
+    err = capsys.readouterr().err
+    assert "off_grid.scn" in err and "sim_duration" in err
+    assert cli_main(["simulate", str(scene), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
 def test_cli_simulate_writes_outputs(tmp_path, overtake_path):
     code = cli_main(["simulate", str(overtake_path), "--mode", "parallel_admm",
                      "--out", str(tmp_path), "--duration", "1.0"])
@@ -98,9 +111,12 @@ def test_cli_simulate_writes_outputs(tmp_path, overtake_path):
 
 
 def test_cli_simulate_bad_duration(tmp_path, overtake_path, capsys):
-    code = cli_main(["simulate", str(overtake_path), "--out", str(tmp_path),
-                     "--duration", "0.55"])
-    assert code == 2
+    for duration in ("0.55", "nan", "inf", "1e400"):
+        code = cli_main(["simulate", str(overtake_path), "--out", str(tmp_path),
+                         "--duration", duration])
+        assert code == 2
+        assert "duration" in capsys.readouterr().err
+    assert not (tmp_path / "trajectories.csv").exists()
 
 
 def test_cli_bench_writes_tables(tmp_path, capsys):
@@ -121,11 +137,13 @@ def test_cli_bench_rejects_bad_sizes(tmp_path):
 
 
 def test_cli_rejects_nonpositive_workers(tmp_path, overtake_path, capsys):
-    for workers in ("0", "-2"):
-        code = cli_main(["simulate", str(overtake_path), "--out", str(tmp_path),
-                         "--duration", "0.1", "--workers", workers])
-        assert code == 2
-        assert "workers" in capsys.readouterr().err
+    # every node is solved in the calling thread: no --workers value is accepted
+    for workers in ("0", "-2", "1", "4"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["simulate", str(overtake_path), "--out", str(tmp_path),
+                      "--duration", "0.1", "--workers", workers])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
     assert not (tmp_path / "trajectories.csv").exists()
 
 

@@ -6,7 +6,6 @@ steering blocks (duplicated rows), infeasible seeds (pairs closer than d_safe,
 where the slack penalty binds and mu = c) and penalties rho over six decades.
 """
 
-import copy
 import dataclasses
 import math
 
@@ -15,14 +14,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_edge, condense,
-                        kkt_residual, linearize, make_edge_problem, make_local_problem,
+from fleetcoord import (build_edge, condense, kkt_residual, linearize, make_edge_problem,
                         rollout, solve_qp)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import VehicleState
 from fleetcoord.subproblems import EdgeProblem, _edge_kkt, solve_edge
 
-from instances import InstanceSpec
 from oracles import enumerate_qp
 
 TS, L = 0.1, 2.4
@@ -245,35 +242,3 @@ def test_box_active_set_matches_enumeration(n, rank, seed, c, start):
     assert objective <= ref[1] + 1e-8 * (1.0 + abs(ref[1]))
     if c <= 1e3:
         assert objective >= ref[1] - 1e-8 * (1.0 + abs(ref[1]))
-
-
-def _converging_pair(np_steps=8):
-    """Two vehicles side by side whose references cross: the edge activates."""
-    weights = CostWeights(q_pos=1.0, q_heading=0.5, r_steer=1.0)
-    local, cond, seeds = {}, {}, {}
-    for vid, y0, y_ref in ((1, 3.0, -2.0), (2, -3.0, 2.0)):
-        x0 = VehicleState(0.0, y0, 0.0)
-        seed = rollout(x0, np.zeros(np_steps), 12.0, L, TS)
-        cond[vid] = condense(linearize(seed, 12.0, L, TS), x0)
-        ref = seed.states_array()[1:].copy()
-        ref[:, 1] = y_ref
-        local[vid] = make_local_problem(InstanceSpec(vid, 12.0, L), cond[vid],
-                                        ref.reshape(-1), weights)
-        seeds[vid] = seed
-    edges = {(1, 2): make_edge_problem((1, 2), cond[1], cond[2],
-                                       seeds[1].positions()[1:],
-                                       seeds[2].positions()[1:], D_SAFE)}
-    return local, edges, {vid: s.controls for vid, s in seeds.items()}
-
-
-def test_admm_worker_count_is_byte_identical():
-    local, edges, seeds = _converging_pair()
-    res1 = admm_solve(local, edges, AdmmConfig(workers=1), seeds=copy.deepcopy(seeds))
-    res4 = admm_solve(local, edges, AdmmConfig(workers=4), seeds=copy.deepcopy(seeds))
-    assert res1.report.iterations_used > 1
-    assert res1.report.slack_max == res4.report.slack_max
-    assert res1.report.nonoptimal_nodes == res4.report.nonoptimal_nodes == 0
-    for vid in res1.consensus:
-        assert res1.consensus[vid].tobytes() == res4.consensus[vid].tobytes()
-    assert res1.state.C.tobytes() == res4.state.C.tobytes()
-    assert math.isfinite(res1.report.r_norm) and res1.report.r_norm == res4.report.r_norm

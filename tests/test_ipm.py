@@ -1,11 +1,11 @@
 """The interior-point method on its own, with the solve_qp shortcuts bypassed.
 
-Instances call ``qp._ipm`` directly: random positive definite Hessians
-scaled by rho in [1e-3, 1e5] with random rows of G and boxed variables, and
-the centralized slack pattern (lower-bound-only columns with 1e-9 curvature,
-linear cost up to 1e4, one per row).  Every run is made with warnings turned
-into errors, so an overflow or a division by zero inside the method fails
-the test.
+Instances call ``qp._ipm`` directly, which starts at x = 0: random positive
+definite Hessians scaled by rho in [1e-3, 1e5] with random rows of G and
+boxed variables, and the centralized slack pattern (lower-bound-only columns
+with 1e-9 curvature, linear cost up to 1e4, one per row).  Every run is made
+with warnings turned into errors, so an overflow or a division by zero
+inside the method fails the test.
 """
 
 import warnings
@@ -23,10 +23,10 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def run_ipm(problem, warm):
+def run_ipm(problem):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = qp_mod._ipm(problem, warm, 100)
+        sol = qp_mod._ipm(problem, 100)
     assert all(np.isfinite(obj) and np.isfinite(viol) for obj, viol in sol.trace)
     assert np.all(np.isfinite(sol.u_star)) and np.all(np.isfinite(sol.multipliers))
     return sol
@@ -79,29 +79,21 @@ def slack_instance(seed, n_steer, cost):
     return DenseQp(H=H, f=f, G=G, h=h, lb=lb, ub=ub), rng
 
 
-def warm_point(rng, n, kind):
-    if kind == "none":
-        return None
-    scale = 0.1 if kind == "near" else 10.0          # far: outside most boxes
-    return scale * rng.normal(size=n)
-
-
 @SETTINGS
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5), m=st.integers(0, 5),
-       log_rho=st.floats(-3.0, 5.0), boxed=st.lists(st.booleans(), min_size=5, max_size=5),
-       warm=st.sampled_from(["none", "near", "far"]))
-def test_scaled_hessian_matches_enumeration(seed, n, m, log_rho, boxed, warm):
-    problem, rng = scaled_instance(seed, n, m, 10.0 ** log_rho, np.array(boxed[:n]))
-    sol = run_ipm(problem, warm_point(rng, n, warm))
+       log_rho=st.floats(-3.0, 5.0), boxed=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_scaled_hessian_matches_enumeration(seed, n, m, log_rho, boxed):
+    problem, _ = scaled_instance(seed, n, m, 10.0 ** log_rho, np.array(boxed[:n]))
+    sol = run_ipm(problem)
     assert_matches_oracle(problem, sol)
 
 
 @SETTINGS
 @given(seed=st.integers(0, 2**31 - 1), n_steer=st.integers(1, 3),
-       log_cost=st.floats(0.0, 4.0), warm=st.sampled_from(["none", "near", "far"]))
-def test_slack_columns_converge_in_few_iterations(seed, n_steer, log_cost, warm):
-    problem, rng = slack_instance(seed, n_steer, 10.0 ** log_cost)
-    sol = run_ipm(problem, warm_point(rng, problem.n, warm))
+       log_cost=st.floats(0.0, 4.0))
+def test_slack_columns_converge_in_few_iterations(seed, n_steer, log_cost):
+    problem, _ = slack_instance(seed, n_steer, 10.0 ** log_cost)
+    sol = run_ipm(problem)
     assert sol.iterations <= 25
     assert_matches_oracle(problem, sol)
 
@@ -115,7 +107,7 @@ def test_infeasible_rows_come_back_infeasible_without_warnings(seed, n, log_rho)
     infeasible = DenseQp(H=problem.H, f=problem.f, G=np.vstack([problem.G, g, -g]),
                          h=np.concatenate([problem.h, [-1.0, -1.0]]),
                          lb=problem.lb, ub=problem.ub)
-    sol = run_ipm(infeasible, None)
+    sol = run_ipm(infeasible)
     assert sol.status == MAX_ITER
     with warnings.catch_warnings():
         warnings.simplefilter("error")

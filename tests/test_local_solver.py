@@ -163,19 +163,14 @@ def test_eigendecomposition_is_made_once():
     assert np.allclose(V @ np.diag(d) @ V.T, lp.H0, atol=1e-10 * np.max(np.abs(lp.H0)))
 
 
-def test_fallbacks_are_counted_and_workers_are_byte_identical(monkeypatch, per_node_path):
+def test_fallbacks_are_counted(monkeypatch, per_node_path):
     # the bounded pair pins steering and binds a lane row: its vehicle nodes
-    # fall back from the batched pass to solve_local, on any worker count
+    # fall back from the batched pass to solve_local
     local, edges, seeds = bounded_pair()
-    res1 = admm_solve(local, edges, AdmmConfig(workers=1), seeds=copy.deepcopy(seeds))
-    res4 = admm_solve(local, edges, AdmmConfig(workers=4), seeds=copy.deepcopy(seeds))
-    assert res1.report.iterations_used > 1
-    assert res1.report.local_handed == res4.report.local_handed > 0
-    assert res1.report.nonoptimal_nodes == res4.report.nonoptimal_nodes == 0
-    assert res1.report.kkt_max == res4.report.kkt_max <= 1e-8
-    for vid in res1.consensus:
-        assert res1.consensus[vid].tobytes() == res4.consensus[vid].tobytes()
-    assert res1.state.C.tobytes() == res4.state.C.tobytes()
+    first = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds))
+    assert first.report.iterations_used > 1
+    assert first.report.local_handed > 0
+    assert first.report.nonoptimal_nodes == 0 and first.report.kkt_max <= 1e-8
 
     # the report counts exactly the nodes handed to solve_local
     handed_over = []

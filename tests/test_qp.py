@@ -102,16 +102,6 @@ def test_objective_monotone_after_feasibility():
             assert o2 <= o1 + 1e-10 * (1 + abs(o1))
 
 
-def test_warm_start_keeps_status():
-    rng = np.random.default_rng(47)
-    qp = random_strictly_convex(rng, 5, 6, with_bounds=True)
-    cold = solve_qp(qp)
-    warm = solve_qp(qp, warm_start=cold.u_star, warm_multipliers=cold.multipliers)
-    assert cold.status == OPTIMAL
-    assert warm.status == OPTIMAL
-    assert np.max(np.abs(warm.u_star - cold.u_star)) <= 1e-6
-
-
 def test_infeasible_rows_detected():
     # u <= -1 and -u <= -1 cannot hold together
     sol = solve_qp(DenseQp(H=[[2.0]], f=[0.0], G=[[1.0], [-1.0]], h=[-1.0, -1.0]))
@@ -162,7 +152,7 @@ def test_deterministic_repeat():
 
 def test_symmetric_hessian_is_shared_and_left_unchanged():
     # an exactly symmetric H is kept as given: no copy, and solve_qp (bound
-    # shortcut, active set and interior point alike) never writes into it
+    # shortcut and interior point alike) never writes into it
     rng = np.random.default_rng(21)
     for with_bounds in (False, True):
         qp = random_strictly_convex(rng, 6, 4, with_bounds=with_bounds)
@@ -172,7 +162,6 @@ def test_symmetric_hessian_is_shared_and_left_unchanged():
         assert shared.H is H
         before = H.tobytes()
         sol = solve_qp(shared)
-        solve_qp(shared, warm_start=sol.u_star, warm_multipliers=sol.multipliers)
         assert sol.status == OPTIMAL
         assert H.tobytes() == before
 

@@ -197,8 +197,9 @@ def test_receding_horizon_causality():
 
 def test_duration_must_be_multiple_of_ts():
     sc = single_vehicle_scenario()
-    with pytest.raises(ParameterError):
-        run_simulation(sc, "parallel_admm", duration=0.55)
+    for duration in (0.55, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError, match="duration"):
+            run_simulation(sc, "parallel_admm", duration=duration)
     with pytest.raises(ParameterError):
         run_simulation(sc, "bogus_mode")
 
@@ -206,7 +207,7 @@ def test_duration_must_be_multiple_of_ts():
 @pytest.mark.parametrize("mode", ["parallel_admm", "centralized"])
 def test_worker_count_must_be_positive(mode):
     sc = single_vehicle_scenario()
-    for workers in (0, -2):
+    for workers in (0, -2, 2, 4):
         with pytest.raises(ParameterError, match="workers"):
             run_simulation(sc, mode, duration=0.1, workers=workers)
 
@@ -253,7 +254,7 @@ def test_centralized_mode_runs_and_matches_admm_closely():
     run_a = run_simulation(sc, "parallel_admm", duration=1.5)
     run_c = run_simulation(sc, "centralized", duration=1.5)
     assert all(c.qp_status == "optimal" for c in run_c.cycles)
-    assert all(c.qp_path in ("bound", "active_set", "ipm") for c in run_c.cycles)
+    assert all(c.qp_path in ("bound", "ipm") for c in run_c.cycles)
     for vid in run_a.vehicle_ids:
         assert np.max(np.abs(run_a.states[vid][-1] - run_c.states[vid][-1])) <= 0.05
 
@@ -296,8 +297,8 @@ def test_intersection_centralized_ipm_answers_reach_the_kkt_target(intersection_
     answers = []
     ipm = qp_mod._ipm
 
-    def recording(problem, warm_start, max_iter):
-        answers.append(ipm(problem, warm_start, max_iter))
+    def recording(problem, max_iter):
+        answers.append(ipm(problem, max_iter))
         return answers[-1]
 
     monkeypatch.setattr(qp_mod, "_ipm", recording)
@@ -337,22 +338,6 @@ def test_intersection_admm_never_reaches_solve_qp(intersection_path, tmp_path, m
     cycles = json.loads(path.read_text())["cycles"]
     assert sum(c["local_handed"] + c["edge_handed"] for c in cycles) > 0
     assert all(c["nonoptimal_nodes"] == 0 and c["kkt_max"] <= 1e-8 for c in cycles)
-
-
-def test_intersection_admm_handed_nodes_are_byte_identical_across_workers(intersection_path):
-    # the thread pool spreads only the nodes the batched pass hands over; here
-    # it has some, and the worker count changes no bit of the run
-    scenario = load_scenario_file(intersection_path)
-    one = run_simulation(scenario, "parallel_admm", duration=4.0, workers=1)
-    four = run_simulation(scenario, "parallel_admm", duration=4.0, workers=4)
-    assert sum(c.admm_report.local_handed + c.admm_report.edge_handed
-               for c in one.cycles) > 0
-    for vid in one.vehicle_ids:
-        assert one.states[vid].tobytes() == four.states[vid].tobytes()
-        assert one.applied_controls[vid].tobytes() == four.applied_controls[vid].tobytes()
-    for a, b in zip(one.cycles, four.cycles, strict=True):
-        assert (a.admm_report.r_norm, a.admm_report.s_norm) == (b.admm_report.r_norm,
-                                                                b.admm_report.s_norm)
 
 
 def test_overtake_admm_warm_started_cycles_converge_in_few_iterations(overtake_path):

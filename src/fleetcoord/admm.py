@@ -205,8 +205,8 @@ def init_admm_state(seeds: dict, edges, rho0: float,
     at zero.
     """
     rho = rho0 if previous is None or not previous.ekeys else previous.rho
-    if rho <= 0:
-        raise ParameterError("rho0 must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ParameterError(f"rho0 must be finite and positive, got {rho!r}")
     vids = sorted(seeds)
     Z = np.array([np.asarray(seeds[v], dtype=float) for v in vids])
     state = AdmmState(vids, sorted(tuple(e) for e in edges), Z, rho)
@@ -326,6 +326,19 @@ class FleetNodes:
                         handed=handed, times=times)
 
 
+def _check_config(config: AdmmConfig) -> None:
+    """Raise ParameterError naming the first AdmmConfig field out of its range."""
+    if config.max_iters < 1:
+        raise ParameterError("max_iters must be at least 1")
+    for name, low, strict in (("rho0", 0.0, True), ("eps_abs", 0.0, False),
+                              ("eps_rel", 0.0, False), ("rho_scale", 1.0, True),
+                              ("rho_ratio", 1.0, True)):
+        value = getattr(config, name)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise ParameterError(f"{name} must be finite and {'>' if strict else '>='} "
+                                 f"{low:g}, got {value!r}")
+
+
 def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                seeds: dict | None = None, init: AdmmState | None = None,
                collect_trace: bool = False) -> AdmmResult:
@@ -338,6 +351,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     arrays of ``init`` (or of a new state at ``seeds``) in place; the result
     holds that state.
     """
+    _check_config(config)
     if init is None:
         if seeds is None:
             seeds = {v: np.zeros(lp.horizon) for v, lp in local_problems.items()}
@@ -345,8 +359,6 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     else:
         state = init
 
-    if config.max_iters < 1:
-        raise ParameterError("max_iters must be at least 1")
     vids = sorted(local_problems)
     ekeys = sorted(edge_problems)
     if state.vids != vids or state.ekeys != ekeys:

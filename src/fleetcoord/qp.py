@@ -31,15 +31,21 @@ blocks' own factorizations and one dense product each with H and G; one that
 reaches the interior-point method is dominated by forming (O(n^2 m)) and
 factoring (O(n^3)) its n x n Newton matrix.  What the passes find is stored
 with the problem, so neither H nor G may be written after construction.
+
+The interior-point method factors and solves with LAPACK's ``dpotrf`` and
+``dpotrs``, taken from ``scipy.linalg.lapack`` by ``_lapack`` when
+``solve_qp`` is first called.  Importing scipy costs about 100 ms and 20 MB,
+and only the centralized baseline calls ``solve_qp``: the ADMM node solvers
+and ``fleetcoord validate`` never do, so those runs never load scipy.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ParameterError
 
@@ -408,9 +414,38 @@ def solve_qp(problem: DenseQp, max_iter: int = 100) -> QpSolution:
     status is ``optimal`` when the KKT residual is at most 1e-6 with primal
     violation at most 1e-8, ``infeasible`` when an elastic relaxation proves
     the constraints inconsistent, and ``max_iter`` otherwise (best iterate is
-    still returned).
+    still returned).  ``max_iter``, the interior-point iteration cap, must be
+    an integer of at least 1.  The first call loads scipy's LAPACK bindings,
+    so that no later call pays for the import mid-run.
     """
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+            or max_iter < 1):
+        raise ParameterError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    _lapack()
     return _solve(problem, max_iter, allow_probe=True)
+
+
+@functools.cache
+def _lapack() -> tuple:
+    """LAPACK's (dpotrf, dpotrs), imported from scipy on the first call."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    return dpotrf, dpotrs
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """The symmetric M's upper Cholesky factor, as scipy's ``cho_factor(M)`` returns it.
+
+    Raises LinAlgError when M is not positive definite.
+    """
+    c, info = _lapack()[0](M, lower=0, clean=0)
+    if info:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    return c
+
+
+def _cho_solve(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """M^-1 r from M's factor ``_cholesky(M)``, as scipy's ``cho_solve`` returns it."""
+    return _lapack()[1](c, r, lower=0)[0]
 
 
 def _solve(problem: DenseQp, max_iter: int, allow_probe: bool) -> QpSolution:
@@ -524,11 +559,11 @@ def _ipm(problem: DenseQp, max_iter: int) -> QpSolution:
         d = z / s
         M = H + (G.T * d[:m]) @ G
         M.flat[::n + 1] += np.bincount(np.concatenate([lo, hi]), d[m:], n)
-        return cho_factor(M, check_finite=False)
+        return _cholesky(M)
 
     def newton(fac, r_d, r_p, r_c):
         """(dx, ds, dz) with H dx + A'dz = -r_d, A dx + ds = -r_p, z ds + s dz = -r_c."""
-        dx = cho_solve(fac, -r_d - rows_t((z * r_p - r_c) / s), check_finite=False)
+        dx = _cho_solve(fac, -r_d - rows_t((z * r_p - r_c) / s))
         ds = -r_p - rows(dx)
         return dx, ds, -(r_c + z * ds) / s
 
@@ -603,7 +638,7 @@ def _ipm(problem: DenseQp, max_iter: int) -> QpSolution:
             dx, ds, dz, alpha = dx + cx, ds + cs, dz + cz, alpha_c
 
         # one refinement of the stationarity row, whose rounding grows like z/s
-        ex = cho_solve(fac, -(r_d + H @ dx + rows_t(dz)), check_finite=False)
+        ex = _cho_solve(fac, -(r_d + H @ dx + rows_t(dz)))
         es = -rows(ex)
         dx, ds, dz = dx + ex, ds + es, dz - z * es / s
         step = min(1.0, _TAU * max_step(ds, dz))

@@ -378,6 +378,22 @@ def test_invalid_input_raises_parameter_error():
         with pytest.raises(ParameterError, match="max_iters"):
             admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=max_iters),
                        seeds=seeds)
+    bad = {"rho0": (0.0, -1.0, np.nan, np.inf),
+           "eps_abs": (-0.01, np.nan, np.inf),
+           "eps_rel": (-0.01, np.nan, -np.inf),
+           "rho_scale": (1.0, 0.5, np.nan, np.inf),
+           "rho_ratio": (1.0, -5.0, np.nan, np.inf)}
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ParameterError, match=name):
+                admm_solve(local_problems, edge_problems, AdmmConfig(**{name: value}),
+                           seeds=seeds)
+    for rho0 in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="rho0"):
+            init_admm_state(seeds, edges=edge_problems.keys(), rho0=rho0)
+    # the bounds themselves are accepted
+    admm_solve(local_problems, edge_problems, AdmmConfig(eps_abs=0.0, max_iters=2),
+               seeds=seeds)
 
 
 def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog):

@@ -141,6 +141,18 @@ def test_validation_errors():
         DenseQp(H=[[1.0]], f=[0.0], lb=[1.0], ub=[-1.0])  # lb > ub
 
 
+def test_max_iter_must_be_a_positive_integer():
+    # the row is active at the optimum, so the bound shortcut fails and the IPM runs
+    qp = DenseQp(H=[[2.0]], f=[-2.0], G=[[1.0]], h=[0.0])
+    assert solve_qp(qp).path == "ipm"
+    for bad in (0, -3, 1.5, 2.0, None, True):
+        with pytest.raises(ParameterError, match="max_iter"):
+            solve_qp(qp, max_iter=bad)
+    for good in (1, np.int64(2)):
+        sol = solve_qp(qp, max_iter=good)
+        assert sol.path == "ipm" and 1 <= sol.iterations <= good
+
+
 def test_deterministic_repeat():
     rng = np.random.default_rng(53)
     qp = random_strictly_convex(rng, 5, 6, with_bounds=True)

@@ -9,10 +9,11 @@ from .dynamics import (CondensedPrediction, HorizonTrajectory, LinearModel,
 from .errors import (DegenerateSeedError, NumericalFailureError, ParameterError,
                      ScenarioError)
 from .graph import ConstraintGraph, build_constraint_graph, neighbors
-from .qp import (INFEASIBLE, MAX_ITER, OPTIMAL, DenseQp, QpSolution, kkt_residual,
-                 solve_qp)
+from .qp import (INFEASIBLE, MAX_ITER, OPTIMAL, BlockDiagonal, DenseQp, QpSolution,
+                 kkt_residual, solve_qp)
 from .scenario import (Bounds, Scenario, ScenarioConfig, VehicleSpec, VehicleState,
-                       dump_scenario, load_scenario, load_scenario_file, wrap_angle)
+                       dump_scenario, load_scenario, load_scenario_file, parse_scenario,
+                       wrap_angle)
 from .simulation import (CENTRALIZED, PARALLEL_ADMM, CycleRecord, SimulationRun,
                          convexify_cycle, lateral_deviation, make_seed,
                          path_progress, reference_window, run_simulation)

@@ -18,9 +18,8 @@ import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, parse_scenario
 from .simulation import _BLAS_THREAD_VARS, CENTRALIZED, PARALLEL_ADMM, run_simulation
 
 _LANES = (0.0, 7.0, 14.0)
@@ -79,7 +78,7 @@ def generate_scaled_scenario(n_vehicles: int, seed: int,
         },
         "vehicles": vehicles,
     }
-    return load_scenario(yaml.safe_dump(doc))
+    return parse_scenario(doc)
 
 
 @dataclass

@@ -18,19 +18,22 @@ re-solve on the rows the iterate marks active finishes them if it verifies.
 ``QpSolution.path`` records which path answered.
 
 The centralized Hessian is block diagonal (one tracking block per vehicle,
-then a zero block for the slacks) and G is nearly as sparse, yet both are
-stored dense.  ``DenseQp`` reads each of them once, through its nonzero
-pattern: the one ``H != 0`` pass yields the exact symmetry test, the
-finiteness check and the contiguous diagonal blocks, and the one ``G != 0``
-pass yields G's finiteness and its all-zero rows.  The regularization probe and the
-bound-pinning guess factor and solve those blocks, same-size blocks as one
-batched stack, and never the n x n whole; the guess is still verified
-against the dense H and G.  A centralized cycle that ends on the bound
-shortcut therefore costs one nonzero-pattern pass over H and one over G, the
-blocks' own factorizations and one dense product each with H and G; one that
-reaches the interior-point method is dominated by forming (O(n^2 m)) and
-factoring (O(n^3)) its n x n Newton matrix.  What the passes find is stored
-with the problem, so neither H nor G may be written after construction.
+then a zero entry per slack), so ``DenseQp`` holds H in one form only: its
+diagonal blocks, same-size blocks stacked (``BlockDiagonal``).  The
+centralized baseline passes its blocks directly and never allocates an
+n x n H; a caller's dense H is read once through its nonzero pattern, whose
+one ``H != 0`` pass yields the exact symmetry test and the contiguous
+diagonal blocks.  The regularization probe and the bound-pinning guess
+factor and solve those blocks, same-size blocks as one batched stack, and
+the guess is verified with H x formed block by block.  G stays dense: one
+``G != 0`` pass yields its finiteness and its all-zero rows, which are
+stored, so G may not be written after construction.  A centralized cycle
+that ends on the bound shortcut therefore costs the blocks' own
+factorizations, one nonzero-pattern pass over G and one dense product with
+it.  Only the interior-point method, the pinned-variable reduction and the
+active-set polish build the dense H, once per call; a call that reaches the
+interior-point method is dominated by forming (O(n^2 m)) and factoring
+(O(n^3)) its n x n Newton matrix.
 
 The interior-point method factors and solves with LAPACK's ``dpotrf`` and
 ``dpotrs``, taken from ``scipy.linalg.lapack`` by ``_lapack`` when
@@ -62,45 +65,142 @@ _TAU = 0.99              # IPM fraction to the boundary
 _CORRECTORS = 2          # Gondzio centrality correctors per IPM iteration
 
 
-@dataclass(eq=False)
-class DenseQp:
-    """Problem data; H is symmetrized on construction, bounds default to open.
+class BlockDiagonal:
+    """A symmetric n x n matrix held as its diagonal blocks, same-size blocks stacked.
 
-    Construction reads H once through its nonzero pattern (``H != 0``, which
-    holds NaN and +-inf too): the values there are checked for finiteness,
-    compared with their mirror images for exact symmetry, and give the
-    contiguous diagonal blocks the solver factors (an asymmetric H is
-    replaced by 0.5 (H + H'), whose pattern is read instead).  One ``G != 0``
-    pass gives G's finiteness and its all-zero rows.  Those findings are stored, so
-    neither ``H`` nor ``G`` may be written after construction.  An H that is
-    already exactly symmetric is kept as given (no copy), so the problem may
-    share it with its caller; nothing in this module writes into ``H`` in
-    place.
+    ``groups`` is a list of (idx, blocks): idx (k, s) holds the indices of k
+    contiguous diagonal blocks of size s, blocks (k, s, s) their values, and
+    every entry outside the blocks is zero.  Construction checks that the
+    blocks tile [0, n) contiguously, so that ``H @ x`` writes every entry of
+    its result, that every entry is finite, and replaces an asymmetric block
+    B by 0.5 (B + B').  The stacks are kept as given when already float and
+    symmetric; nothing in this package writes into them.
+
+    ``H @ x`` (x of length n) multiplies block by block, ``np.asarray(H)``
+    builds the dense matrix, and ``starts`` holds each block's first index
+    in order, then n.
     """
 
-    H: np.ndarray
-    f: np.ndarray
-    G: np.ndarray | None = None
-    h: np.ndarray | None = None
-    lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
-    # start of each diagonal block of H, then n (see _diagonal_blocks)
-    block_starts: np.ndarray = field(init=False, repr=False)
-    # rows of G without a nonzero entry
-    zero_rows: np.ndarray = field(init=False, repr=False)
+    def __init__(self, n: int, groups):
+        kept = []
+        for idx, blocks in groups:
+            idx = np.asarray(idx)
+            blocks = np.asarray(blocks, dtype=float)
+            if (idx.ndim != 2 or idx.dtype.kind not in "iu" or idx.shape[1] < 1
+                    or blocks.shape != (*idx.shape, idx.shape[1])):
+                raise ParameterError("H's blocks must be stacks of indices (k, s) "
+                                     "and values (k, s, s) with s >= 1")
+            if idx.shape[1] > 1:
+                if not (idx[:, 1:] - idx[:, :-1] == 1).all():
+                    raise ParameterError("H's blocks must tile [0, n) contiguously")
+                mirror = blocks.transpose(0, 2, 1)
+                asym = (blocks != mirror).any(axis=(1, 2))
+                if asym.any():
+                    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+                        blocks = np.where(asym[:, None, None], 0.5 * (blocks + mirror), blocks)
+            if not np.isfinite(blocks).all():
+                raise ParameterError("H must be finite")
+            if len(idx):
+                kept.append((idx, blocks))
+        # smallest blocks first: the regularization probe stops at the first
+        # failing block, and a zero 1 x 1 slack block fails without a Cholesky
+        kept.sort(key=lambda group: group[0].shape[1])
+        # Each block [a, b) is an edge a -> b.  Edges only go forward, so the
+        # heads with n and the ends with 0 agree as multisets exactly when the
+        # edges form one path 0 -> n: when the blocks tile [0, n).
+        starts = np.sort(np.concatenate([idx[:, 0] for idx, _ in kept] + [[n]]))
+        ends = np.sort(np.concatenate([[0]] + [idx[:, -1] + 1 for idx, _ in kept]))
+        if not (starts == ends).all():
+            raise ParameterError("H's blocks must tile [0, n) contiguously")
+        self.n = n
+        self.groups = kept
+        self.starts = starts.astype(np.intp, copy=False)
 
-    def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
+    @classmethod
+    def from_dense(cls, H) -> BlockDiagonal:
+        """The diagonal blocks of the square H, found through its nonzero pattern.
+
+        The one ``H != 0`` pass (which holds NaN and +-inf too) compares the
+        values there with their mirror images for exact symmetry and gives
+        the contiguous diagonal blocks.  An asymmetric H is replaced by
+        0.5 (H + H'), whose pattern is read instead.  Entries outside the
+        blocks are zero, so the blocks hold all of H.
+        """
+        H = np.asarray(H, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ParameterError("H must be a square matrix")
         n = H.shape[0]
         rows, cols, vals = _nonzeros(H)
         # exact symmetry: a zero entry facing a nonzero one is met from the other side
         if not (vals == H.ravel()[cols * n + rows]).all():
-            with np.errstate(over="ignore", invalid="ignore"):   # caught as non-finite below
+            with np.errstate(over="ignore", invalid="ignore"):   # caught as non-finite
                 H = 0.5 * (H + H.T)
             rows, cols, vals = _nonzeros(H)
-        self.H = H
+        starts = _diagonal_blocks(rows, cols, n)
+        sizes = np.diff(starts)
+        groups = []
+        for s in np.unique(sizes):
+            idx = starts[:-1][sizes == s][:, None] + np.arange(s)
+            groups.append((idx, H[idx[:, :, None], idx[:, None, :]]))
+        return cls(n, groups)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n, self.n)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(self.n)           # the blocks tile [0, n): every entry is written
+        for idx, B in self.groups:
+            out[idx] = (B @ x[idx][..., None])[..., 0]
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros((self.n, self.n), dtype=dtype)
+        for idx, B in self.groups:
+            dense[idx[:, :, None], idx[:, None, :]] = B
+        return dense
+
+    def shifted(self, shift: float) -> BlockDiagonal:
+        """This matrix plus shift I; a diagonal shift moves no block boundary."""
+        out = copy.copy(self)
+        out.groups = []
+        for idx, B in self.groups:
+            B = B.copy()
+            diag = np.arange(B.shape[1])
+            B[:, diag, diag] += shift
+            out.groups.append((idx, B))
+        return out
+
+
+@dataclass(eq=False)
+class DenseQp:
+    """Problem data: H as its diagonal blocks, G dense; bounds default to open.
+
+    H is held in one form only, a ``BlockDiagonal``.  A caller may pass one
+    (the centralized baseline passes its tracking blocks and zero slack
+    entries, so no n x n array is allocated), or a dense square H, which
+    ``BlockDiagonal.from_dense`` reads once through its nonzero pattern.
+    Either way an asymmetric block becomes 0.5 (B + B') and non-finite
+    entries raise ``ParameterError``; a caller's dense H is never kept or
+    written.  One ``G != 0`` pass gives G's finiteness and its all-zero
+    rows.  That finding is stored, so ``G`` may not be written after
+    construction.
+    """
+
+    H: BlockDiagonal
+    f: np.ndarray
+    G: np.ndarray | None = None
+    h: np.ndarray | None = None
+    lb: np.ndarray | None = None
+    ub: np.ndarray | None = None
+    # rows of G without a nonzero entry
+    zero_rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.H, BlockDiagonal):
+            self.H = BlockDiagonal.from_dense(self.H)
+        n = self.H.n
         self.f = np.asarray(self.f, dtype=float).reshape(n)
         self.G = (np.zeros((0, n)) if self.G is None
                   else np.asarray(self.G, dtype=float).reshape(-1, n))
@@ -114,14 +214,13 @@ class DenseQp:
         self.ub = (np.full(n, np.inf) if self.ub is None
                    else np.asarray(self.ub, dtype=float).reshape(n))
         g_rows, _, g_vals = _nonzeros(self.G)
-        for name, arr in (("H", vals), ("f", self.f), ("G", g_vals), ("h", self.h)):
-            if not np.all(np.isfinite(arr)):
+        for name, arr in (("f", self.f), ("G", g_vals), ("h", self.h)):
+            if not np.isfinite(arr).all():
                 raise ParameterError(f"{name} must be finite")
-        if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
+        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
             raise ParameterError("bounds must not be NaN")
-        if np.any(self.lb > self.ub):
+        if (self.lb > self.ub).any():
             raise ParameterError("need lb <= ub componentwise")
-        self.block_starts = _diagonal_blocks(rows, cols, n)
         self.zero_rows = np.ones(m, dtype=bool)
         self.zero_rows[g_rows] = False
 
@@ -133,9 +232,14 @@ class DenseQp:
     def m(self) -> int:
         return self.G.shape[0]
 
+    @property
+    def block_starts(self) -> np.ndarray:
+        """Start of each diagonal block of H, then n."""
+        return self.H.starts
+
     def objective(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
-        return float(0.5 * u @ self.H @ u + self.f @ u)
+        return float(0.5 * u @ (self.H @ u) + self.f @ u)
 
 
 @dataclass(eq=False)
@@ -171,38 +275,38 @@ def _kkt_residual(problem: DenseQp, u: np.ndarray, multipliers, Hu: np.ndarray,
     z, w, y = mult[:m], mult[m:m + n], mult[m + n:]
 
     stat = Hu + problem.f
-    if np.any(z):
+    if z.any():
         stat = stat + problem.G.T @ z
     stat = stat - w + y
-    res = float(np.max(np.abs(stat))) if n else 0.0
+    res = float(np.abs(stat).max()) if n else 0.0
 
     lo = np.isfinite(problem.lb)
     hi = np.isfinite(problem.ub)
     slack_g = (problem.G @ u if Gu is None else Gu) - problem.h
     if m:
-        res = max(res, float(np.max(slack_g)), float(np.max(-z)))
-        res = max(res, float(np.max(np.abs(z * slack_g))))
-    if np.any(lo):
+        res = max(res, float(slack_g.max()), float((-z).max()),
+                  float(np.abs(z * slack_g).max()))
+    if lo.any():
         gap = problem.lb[lo] - u[lo]
-        res = max(res, float(np.max(gap)), float(np.max(-w[lo])),
-                  float(np.max(np.abs(w[lo] * gap))))
-    if np.any(hi):
+        w_lo = w[lo]
+        res = max(res, float(gap.max()), float((-w_lo).max()), float(np.abs(w_lo * gap).max()))
+    if hi.any():
         gap = u[hi] - problem.ub[hi]
-        res = max(res, float(np.max(gap)), float(np.max(-y[hi])),
-                  float(np.max(np.abs(y[hi] * gap))))
+        y_hi = y[hi]
+        res = max(res, float(gap.max()), float((-y_hi).max()), float(np.abs(y_hi * gap).max()))
     return max(res, 0.0)
 
 
 def _primal_violation(problem: DenseQp, u: np.ndarray, Gu: np.ndarray | None = None) -> float:
     viol = 0.0
     if problem.m:
-        viol = max(viol, float(np.max((problem.G @ u if Gu is None else Gu) - problem.h)))
+        viol = max(viol, float(((problem.G @ u if Gu is None else Gu) - problem.h).max()))
     lo = np.isfinite(problem.lb)
     hi = np.isfinite(problem.ub)
-    if np.any(lo):
-        viol = max(viol, float(np.max(problem.lb[lo] - u[lo])))
-    if np.any(hi):
-        viol = max(viol, float(np.max(u[hi] - problem.ub[hi])))
+    if lo.any():
+        viol = max(viol, float((problem.lb[lo] - u[lo]).max()))
+    if hi.any():
+        viol = max(viol, float((u[hi] - problem.ub[hi]).max()))
     return max(viol, 0.0)
 
 
@@ -235,20 +339,10 @@ def _diagonal_blocks(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], ends + 1, [n]])
 
 
-def _block_groups(H: np.ndarray, starts: np.ndarray) -> list:
-    """[(idx, Hb)] per block size s: idx (k, s) indices, Hb (k, s, s) copies of the blocks."""
-    sizes = np.diff(starts)
-    groups = []
-    for s in np.unique(sizes):
-        idx = starts[:-1][sizes == s][:, None] + np.arange(s)
-        groups.append((idx, H[idx[:, :, None], idx[:, None, :]]))
-    return groups
-
-
 def _positive_definite(Hb: np.ndarray) -> bool:
     """Whether every block of the (k, s, s) stack has a Cholesky factor."""
     if Hb.shape[1] == 1:
-        return bool(np.all(Hb[:, 0, 0] > 0.0))   # a 1 x 1 Cholesky fails iff a <= 0
+        return bool((Hb[:, 0, 0] > 0.0).all())   # a 1 x 1 Cholesky fails iff a <= 0
     try:
         np.linalg.cholesky(Hb)
     except np.linalg.LinAlgError:
@@ -256,13 +350,13 @@ def _positive_definite(Hb: np.ndarray) -> bool:
     return True
 
 
-def _hessian_shift(groups: list) -> float:
+def _hessian_shift(H: BlockDiagonal) -> float:
     """1e-9 when some block fails the Cholesky probe of H_b - 1e-10 I, else 0.
 
     A block-diagonal matrix's eigenvalues are its blocks' eigenvalues, so
     this is the decision of the same probe on the whole H.
     """
-    for _, Hb in groups:
+    for _, Hb in H.groups:
         if not _positive_definite(Hb - _EIG_FLOOR * np.eye(Hb.shape[1])):
             return _REG_SHIFT
     return 0.0
@@ -272,28 +366,26 @@ def _shifted(problem: DenseQp, shift: float) -> DenseQp:
     """problem with H + shift I (problem itself when shift is 0)."""
     if not shift:
         return problem
-    # problem is validated and H symmetric, as is H + shift I: no re-check; a
-    # diagonal shift moves no block boundary, so the stored block starts hold
+    # problem is validated and H symmetric, as is H + shift I: no re-check
     work = copy.copy(problem)
-    work.H = problem.H.copy()
-    work.H.flat[::problem.n + 1] += shift
+    work.H = problem.H.shifted(shift)
     return work
 
 
-def _bound_shortcut(problem: DenseQp, groups: list, shift: float) -> tuple | None:
+def _bound_shortcut(problem: DenseQp, shift: float) -> tuple | None:
     """Exact solution of the problem with H + shift I when only box bounds are active.
 
     Solves the unconstrained problem block by block, pins bound violators,
     re-solves once the free part of each block that holds both pinned and
     free entries (no other block changes) and verifies the full KKT
-    conditions against the dense H and G, forming H x and G x once each.
-    Returns (x, multipliers, kkt, objective, primal violation), or None when
-    a block is not positive definite or the guess is not optimal.
+    conditions, forming H x (block by block) and G x once each.  Returns
+    (x, multipliers, kkt, objective, primal violation), or None when a block
+    is not positive definite or the guess is not optimal.
     """
     H, f, lb, ub = problem.H, problem.f, problem.lb, problem.ub
     x = np.empty(problem.n)
     blocks = []
-    for idx, Hb in groups:
+    for idx, Hb in H.groups:
         if shift:
             Hb = Hb + shift * np.eye(Hb.shape[1])
         if not _positive_definite(Hb):
@@ -307,7 +399,7 @@ def _bound_shortcut(problem: DenseQp, groups: list, shift: float) -> tuple | Non
     at_lo = x < lb
     at_hi = x > ub
     pinned = at_lo | at_hi
-    if np.any(pinned):
+    if pinned.any():
         x = np.where(at_lo, lb, np.where(at_hi, ub, x))
         for idx, Hb in blocks:          # a 1 x 1 block is pinned or free, never both
             pin = pinned[idx]
@@ -353,7 +445,7 @@ def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
     pinned = act_lo | act_hi
     free = ~pinned
     u = np.where(act_lo, problem.lb, np.where(act_hi, problem.ub, 0.0))
-    H, f, G, h = problem.H, problem.f, problem.G, problem.h
+    H, f, G, h = np.asarray(problem.H), problem.f, problem.G, problem.h
     na = int(act_rows.sum())
     nf = int(free.sum())
     nu = np.zeros(m)
@@ -379,7 +471,8 @@ def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
     if np.any(nu < -1e-9):
         return None
 
-    grad = H @ u + f + (G.T @ nu if m else 0.0)
+    Hu = H @ u
+    grad = Hu + f + (G.T @ nu if m else 0.0)
     w = np.where(act_lo, grad, 0.0)
     y = np.where(act_hi, -grad, 0.0)
     if np.any(w[act_lo] < -1e-9) or np.any(y[act_hi] < -1e-9):
@@ -387,7 +480,7 @@ def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
     full = np.concatenate([np.maximum(nu, 0.0), np.maximum(w, 0.0), np.maximum(y, 0.0)])
     if _primal_violation(problem, u) > 1e-9:
         return None
-    kkt_res = kkt_residual(problem, u, full)
+    kkt_res = _kkt_residual(problem, u, full, Hu)
     if kkt_res > _STOP_KKT:
         return None
     return u, full, kkt_res
@@ -398,7 +491,7 @@ def _feasibility_gap(problem: DenseQp, max_iter: int) -> float:
     n, m = problem.n, problem.m
     if m == 0:
         return 0.0
-    He = np.eye(n + m) * 1e-8
+    He = BlockDiagonal(n + m, [(np.arange(n + m)[:, None], np.full((n + m, 1, 1), 1e-8))])
     fe = np.concatenate([np.zeros(n), np.ones(m)])
     Ge = np.hstack([problem.G, -np.eye(m)])
     lbe = np.concatenate([problem.lb, np.zeros(m)])
@@ -450,16 +543,15 @@ def _cho_solve(c: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _solve(problem: DenseQp, max_iter: int, allow_probe: bool) -> QpSolution:
     n = problem.n
-    groups = _block_groups(problem.H, problem.block_starts)
-    shift = _hessian_shift(groups)
+    shift = _hessian_shift(problem.H)
 
     # variables pinned by lb == ub are eliminated exactly
     pinned = (problem.ub - problem.lb) <= 1e-9
-    if np.any(pinned):
+    if pinned.any():
         return _solve_with_pinned(_shifted(problem, shift), pinned, max_iter, allow_probe)
 
     # a zero row with negative offset can never be satisfied
-    if np.any(problem.h[problem.zero_rows] < -1e-12):
+    if (problem.h[problem.zero_rows] < -1e-12).any():
         work = _shifted(problem, shift)
         u = np.clip(np.zeros(n), work.lb, work.ub)
         mult = np.zeros(work.m + 2 * n)
@@ -467,7 +559,7 @@ def _solve(problem: DenseQp, max_iter: int, allow_probe: bool) -> QpSolution:
                           kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
                           path="zero_row")
 
-    shortcut = _bound_shortcut(problem, groups, shift)
+    shortcut = _bound_shortcut(problem, shift)
     if shortcut is not None:
         x, mult, kkt, objective, pviol = shortcut
         return QpSolution(u_star=x, objective=objective, status=OPTIMAL,
@@ -484,11 +576,12 @@ def _solve(problem: DenseQp, max_iter: int, allow_probe: bool) -> QpSolution:
 
 def _solve_with_pinned(problem: DenseQp, pinned, max_iter, allow_probe):
     n = problem.n
+    H = np.asarray(problem.H)
     free = ~pinned
     x_pin = problem.lb[pinned]
     if not np.any(free):
         x = problem.lb.copy()
-        grad = problem.H @ x + problem.f
+        grad = H @ x + problem.f
         mult = np.concatenate([np.zeros(problem.m), np.maximum(grad, 0.0),
                                np.maximum(-grad, 0.0)])
         return QpSolution(u_star=x, objective=problem.objective(x), status=OPTIMAL,
@@ -496,8 +589,8 @@ def _solve_with_pinned(problem: DenseQp, pinned, max_iter, allow_probe):
                           path="pinned_only")
 
     sub = DenseQp(
-        H=problem.H[np.ix_(free, free)],
-        f=problem.f[free] + problem.H[np.ix_(free, pinned)] @ x_pin,
+        H=H[np.ix_(free, free)],
+        f=problem.f[free] + H[np.ix_(free, pinned)] @ x_pin,
         G=problem.G[:, free] if problem.m else None,
         h=(problem.h - problem.G[:, pinned] @ x_pin) if problem.m else None,
         lb=problem.lb[free], ub=problem.ub[free])
@@ -512,7 +605,7 @@ def _solve_with_pinned(problem: DenseQp, pinned, max_iter, allow_probe):
     y = np.zeros(n)
     w[free] = sub_sol.multipliers[m:m + free.sum()]
     y[free] = sub_sol.multipliers[m + free.sum():]
-    grad = problem.H @ x + problem.f + (problem.G.T @ z if m else 0.0)
+    grad = H @ x + problem.f + (problem.G.T @ z if m else 0.0)
     w[pinned] = np.maximum(grad[pinned], 0.0)
     y[pinned] = np.maximum(-grad[pinned], 0.0)
     mult = np.concatenate([z, w, y])
@@ -530,7 +623,7 @@ def _ipm(problem: DenseQp, max_iter: int) -> QpSolution:
     correctors.  Start: x = 0, s and z one affine step from s = z = 1,
     shifted positive as in Mehrotra (1992).
     """
-    H, f, G = problem.H, problem.f, problem.G
+    H, f, G = np.asarray(problem.H), problem.f, problem.G
     n, m = problem.n, problem.m
     lo = np.flatnonzero(np.isfinite(problem.lb))
     hi = np.flatnonzero(np.isfinite(problem.ub))

@@ -249,6 +249,16 @@ def load_scenario(text: str) -> Scenario:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
+    return parse_scenario(doc)
+
+
+def parse_scenario(doc) -> Scenario:
+    """Validate a scenario document already read into Python objects.
+
+    ``doc`` has the shape ``yaml.safe_load`` gives a scenario file: a mapping
+    with ``global`` and ``vehicles``.  The checks and messages are those of
+    ``load_scenario``; the Scenario shares no mutable object with ``doc``.
+    """
     doc = _require_mapping(doc, "scenario")
     _check_keys(doc, ("global", "vehicles"), (), "scenario")
 

@@ -66,7 +66,7 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import _EIG_FLOOR, _REG_SHIFT, MAX_ITER, OPTIMAL, DenseQp, QpSolution
+from .qp import _EIG_FLOOR, _REG_SHIFT, MAX_ITER, OPTIMAL, BlockDiagonal, DenseQp, QpSolution
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
@@ -797,7 +797,11 @@ def _primal_active_set(M, q, c, mu):
 
 @dataclass(eq=False)
 class CentralizedQp:
-    """Single fleet QP over concatenated controls plus per-edge slacks."""
+    """Single fleet QP over concatenated controls plus per-edge slacks.
+
+    ``qp.H`` is a ``BlockDiagonal``: each vehicle's Np x Np tracking block,
+    then one zero 1 x 1 block per slack; ``qp.G`` is dense.
+    """
 
     qp: DenseQp
     vehicle_ids: tuple[int, ...]
@@ -836,7 +840,6 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
     m = sum(local_problems[vid].G.shape[0] for vid in vids) + len(edges) * np_steps
     col = {vid: i * np_steps for i, vid in enumerate(vids)}
 
-    H = np.zeros((n, n))
     f = np.zeros(n)
     lb = np.full(n, -np.inf)
     ub = np.full(n, np.inf)
@@ -847,7 +850,6 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
     for vid in vids:
         lp = local_problems[vid]
         c = col[vid]
-        H[c:c + np_steps, c:c + np_steps] = lp.H0
         f[c:c + np_steps] = lp.f0
         lb[c:c + np_steps] = lp.steer_lb
         ub[c:c + np_steps] = lp.steer_ub
@@ -869,6 +871,11 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
         h[r:r + np_steps] = ep.h
         r += np_steps
 
-    qp = DenseQp(H=H, f=f, G=G, h=h, lb=lb, ub=ub)
+    # H is block diagonal: one tracking block per vehicle, then zero slack entries
+    blocks = [(np.arange(n_u).reshape(len(vids), np_steps),
+               np.stack([local_problems[vid].H0 for vid in vids]))]
+    if edges:
+        blocks.append((np.arange(n_u, n)[:, None], np.zeros((n - n_u, 1, 1))))
+    qp = DenseQp(H=BlockDiagonal(n, blocks), f=f, G=G, h=h, lb=lb, ub=ub)
     return CentralizedQp(qp=qp, vehicle_ids=vids, edges=edges,
                          np_steps=np_steps, const_total=const_total)

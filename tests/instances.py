@@ -12,9 +12,11 @@ import math
 
 import numpy as np
 
-from fleetcoord import (CostWeights, build_constraint_graph, condense, linearize,
-                        make_edge_problem, make_local_problem, rollout)
+from fleetcoord import (CostWeights, build_centralized, build_constraint_graph, condense,
+                        generate_scaled_scenario, linearize, make_edge_problem,
+                        make_local_problem, make_seed, rollout)
 from fleetcoord.scenario import Bounds, VehicleState
+from fleetcoord.simulation import convexify_cycle
 
 
 class InstanceSpec:
@@ -113,3 +115,21 @@ def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0):
                                        seeds[1].positions()[1:],
                                        seeds[2].positions()[1:], d_safe)}
     return local, edges, {vid: s.controls for vid, s in seeds.items()}
+
+
+def lanes_cycle(n_vehicles, seed):
+    """The first cycle's (local_problems, edge_problems) of ``generate_scaled_scenario``."""
+    sc = generate_scaled_scenario(n_vehicles, seed)
+    cfg = sc.config
+    current = {s.id: s.initial_state for s in sc.vehicles}
+    seeds = {s.id: make_seed(None, current[s.id], s, cfg.horizon_steps, cfg.ts)
+             for s in sc.vehicles}
+    graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
+    local, edges = convexify_cycle(sc, current, seeds, graph, 0.0)
+    assert edges                         # the slack block is there to be shifted
+    return local, edges
+
+
+def lanes_centralized(n_vehicles, seed):
+    """The first cycle's ``CentralizedQp`` of ``generate_scaled_scenario``."""
+    return build_centralized(*lanes_cycle(n_vehicles, seed))

@@ -1,7 +1,10 @@
 import pytest
+import yaml
 
 from fleetcoord import (BenchmarkRecord, dump_scenario, generate_scaled_scenario,
-                        build_constraint_graph, run_benchmark, summarize_bench)
+                        build_constraint_graph, load_scenario, run_benchmark,
+                        summarize_bench)
+from fleetcoord import bench as bench_mod
 from fleetcoord.cli import main as cli_main
 
 from oracles import brute_force_edges
@@ -13,6 +16,26 @@ def test_generation_deterministic():
     assert dump_scenario(a) == dump_scenario(b)
     c = generate_scaled_scenario(4, seed=1)
     assert dump_scenario(a) != dump_scenario(c)
+
+
+@pytest.mark.parametrize("n_vehicles", [1, 4, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generation_matches_the_yaml_round_trip(monkeypatch, n_vehicles, seed):
+    # the generator validates its own document; through YAML it must read the same
+    docs = []
+    parse = bench_mod.parse_scenario
+
+    def parse_and_keep(doc):
+        docs.append(doc)
+        return parse(doc)
+
+    monkeypatch.setattr(bench_mod, "parse_scenario", parse_and_keep)
+    sc = generate_scaled_scenario(n_vehicles, seed)
+    monkeypatch.undo()
+    assert len(docs) == 1
+    text = dump_scenario(sc)
+    assert text == dump_scenario(load_scenario(yaml.safe_dump(docs[0])))
+    assert text == dump_scenario(generate_scaled_scenario(n_vehicles, seed))
 
 
 def test_generation_large_fleet_graph():

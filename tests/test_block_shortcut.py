@@ -18,11 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from fleetcoord import (OPTIMAL, DenseQp, build_constraint_graph, build_centralized,
-                        generate_scaled_scenario, kkt_residual, make_seed, solve_qp)
+from fleetcoord import OPTIMAL, DenseQp, kkt_residual, solve_qp
 from fleetcoord import qp as qp_mod
-from fleetcoord.simulation import convexify_cycle
 
+from instances import lanes_centralized
 from oracles import enumerate_qp
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -46,8 +45,8 @@ def _block(rng, size, kind):
     return 0.5 * (B + B.T)
 
 
-def make_instance(seed, specs, shuffle, m):
-    """Block-diagonal QP from (size, kind) specs, every variable boxed.
+def instance_arrays(seed, specs, shuffle, m):
+    """Dense data of a block-diagonal QP from (size, kind) specs, every variable boxed.
 
     Tracking-like variables get steering-like boxes around zero; variables of
     zero blocks get slack-like boxes [0, c] and a positive cost.  Rows of G
@@ -74,18 +73,22 @@ def make_instance(seed, specs, shuffle, m):
     G = rng.normal(size=(m, n))
     anchor = rng.uniform(lb + 0.25 * (ub - lb), ub - 0.25 * (ub - lb))
     h = G @ anchor + rng.uniform(0.05, 1.0, m)
-    return DenseQp(H=H, f=f, G=G, h=h, lb=lb, ub=ub)
+    return {"H": H, "f": f, "G": G, "h": h, "lb": lb, "ub": ub}
 
 
-def instances(max_blocks):
+def dense_instances(max_blocks):
     return st.builds(
-        make_instance,
+        instance_arrays,
         seed=st.integers(0, 2 ** 32 - 1),
         specs=st.lists(st.tuples(st.integers(1, 5), st.sampled_from(KINDS)),
                        min_size=1, max_size=max_blocks),
         shuffle=st.booleans(),
         m=st.integers(0, 3),
     )
+
+
+def instances(max_blocks):
+    return dense_instances(max_blocks).map(lambda data: DenseQp(**data))
 
 
 def small_instances():
@@ -112,23 +115,6 @@ def _starts(H):
     return DenseQp(H=H, f=np.zeros(H.shape[0])).block_starts
 
 
-def _groups(qp):
-    return qp_mod._block_groups(qp.H, qp.block_starts)
-
-
-def lanes_centralized(n_vehicles, seed):
-    """The first cycle's ``CentralizedQp`` of ``generate_scaled_scenario``."""
-    sc = generate_scaled_scenario(n_vehicles, seed)
-    cfg = sc.config
-    current = {s.id: s.initial_state for s in sc.vehicles}
-    seeds = {s.id: make_seed(None, current[s.id], s, cfg.horizon_steps, cfg.ts)
-             for s in sc.vehicles}
-    graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
-    local, edges = convexify_cycle(sc, current, seeds, graph, 0.0)
-    assert edges                         # the slack block is there to be shifted
-    return build_centralized(local, edges)
-
-
 def dense_probe_shifts(H):
     """The dense probe: shift unless H - 1e-10 I has a Cholesky factor."""
     try:
@@ -142,8 +128,9 @@ def dense_bound_shortcut(problem):
     """The bound shortcut on the whole regularized H: (x, objective) or None."""
     n = problem.n
     work = copy.copy(problem)
-    if dense_probe_shifts(problem.H):
-        work.H = problem.H + 1e-9 * np.eye(n)
+    work.H = np.asarray(problem.H)
+    if dense_probe_shifts(work.H):
+        work.H = work.H + 1e-9 * np.eye(n)
     H, f, lb, ub = work.H, work.f, work.lb, work.ub
     try:
         chol = np.linalg.cholesky(H)
@@ -173,26 +160,28 @@ def dense_bound_shortcut(problem):
 
 
 @SETTINGS
-@given(instances(10))
-def test_blocks_partition_indices_and_hold_every_nonzero(qp):
+@given(dense_instances(10))
+def test_blocks_partition_indices_and_hold_every_nonzero(data):
+    qp, H = DenseQp(**data), data["H"]
     n = qp.n
     starts = qp.block_starts
     assert starts[0] == 0 and starts[-1] == n
     assert np.all(np.diff(starts) > 0)           # every index in exactly one block
     block_of = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    rows, cols = np.nonzero(qp.H)
+    rows, cols = np.nonzero(H)
     assert np.array_equal(block_of[rows], block_of[cols])   # no nonzero crosses blocks
     for a, b in zip(starts[:-1], starts[1:]):    # and no block splits further
         for i in range(a, b - 1):
-            assert np.any(qp.H[a:i + 1, i + 1:b] != 0.0)
-    for idx, Hb in _groups(qp):
-        assert np.array_equal(Hb, qp.H[idx[:, :, None], idx[:, None, :]])
+            assert np.any(H[a:i + 1, i + 1:b] != 0.0)
+    for idx, Hb in qp.H.groups:
+        assert Hb.tobytes() == H[idx[:, :, None], idx[:, None, :]].tobytes()
+    assert np.array_equal(np.asarray(qp.H), H)
 
 
 @SETTINGS
-@given(instances(10))
-def test_stored_starts_match_dense_scan(qp):
-    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(qp.H))
+@given(dense_instances(10))
+def test_stored_starts_match_dense_scan(data):
+    assert np.array_equal(DenseQp(**data).block_starts, dense_diagonal_blocks(data["H"]))
 
 
 def test_dense_and_empty_hessians():
@@ -207,7 +196,7 @@ def test_dense_and_empty_hessians():
 def test_centralized_starts_match_dense_scan(seed):
     central = lanes_centralized(16, seed)
     qp, np_steps = central.qp, central.np_steps
-    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(qp.H))
+    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(np.asarray(qp.H)))
     # one tracking block per vehicle, then one 1 x 1 zero block per slack
     sizes = np.diff(qp.block_starts).tolist()
     assert sizes == [np_steps] * 16 + [1] * (len(central.edges) * np_steps)
@@ -216,14 +205,18 @@ def test_centralized_starts_match_dense_scan(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shifted_copy_solves_from_the_same_starts(seed):
     qp = lanes_centralized(16, seed).qp
-    shift = qp_mod._hessian_shift(_groups(qp))
+    shift = qp_mod._hessian_shift(qp.H)
     assert shift == 1e-9                 # the zero slack blocks fail the probe
     work = qp_mod._shifted(qp, shift)
-    slack = np.flatnonzero(np.diag(qp.H) == 0.0)
-    assert len(slack) and np.all(np.diag(work.H)[slack] == 1e-9)
+    H, shifted = np.asarray(qp.H), np.asarray(work.H)
+    slack = np.flatnonzero(np.diag(H) == 0.0)
+    assert len(slack) and np.all(np.diag(shifted)[slack] == 1e-9)
+    want = H.copy()
+    want.flat[::qp.n + 1] += shift
+    assert shifted.tobytes() == want.tobytes()   # the dense shift, value for value
     assert np.array_equal(work.block_starts, qp.block_starts)
-    assert np.array_equal(work.block_starts, dense_diagonal_blocks(work.H))
-    assert qp_mod._hessian_shift(_groups(work)) == 0.0
+    assert np.array_equal(work.block_starts, dense_diagonal_blocks(shifted))
+    assert qp_mod._hessian_shift(work.H) == 0.0
     want, got = solve_qp(qp), solve_qp(work)
     assert got.path == want.path == "bound" and got.status == OPTIMAL
     assert np.array_equal(got.u_star, want.u_star)
@@ -232,16 +225,15 @@ def test_shifted_copy_solves_from_the_same_starts(seed):
 @SETTINGS
 @given(instances(10))
 def test_regularization_decision_matches_dense_probe(qp):
-    shift = qp_mod._hessian_shift(_groups(qp))
+    shift = qp_mod._hessian_shift(qp.H)
     assert shift in (0.0, 1e-9)
-    assert (shift > 0.0) == dense_probe_shifts(qp.H)
+    assert (shift > 0.0) == dense_probe_shifts(np.asarray(qp.H))
 
 
 @SETTINGS
 @given(instances(10))
 def test_block_shortcut_matches_dense_shortcut(qp):
-    groups = _groups(qp)
-    got = qp_mod._bound_shortcut(qp, groups, qp_mod._hessian_shift(groups))
+    got = qp_mod._bound_shortcut(qp, qp_mod._hessian_shift(qp.H))
     want = dense_bound_shortcut(qp)
     assert (got is None) == (want is None)
     if got is None:

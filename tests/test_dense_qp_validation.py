@@ -2,7 +2,8 @@
 
 The reference is the rule it replaced: keep H when ``array_equal(H, H.T)``,
 else use ``0.5 * (H + H.T)``; then require ``isfinite`` everywhere; find G's
-zero rows as ``max(abs(G), axis=1) == 0``.  Hessians are block diagonal,
+zero rows as ``max(abs(G), axis=1) == 0``.  The problem keeps H as its
+diagonal blocks, which must hold the kept H's values bit for bit.  Hessians are block diagonal,
 dense or asymmetric, passed as C-ordered, transposed or strided arrays, with
 entries poked in mirrored pairs: NaN, +-inf, -0.0 against 0.0, and values
 near the largest float whose symmetrized mean overflows.
@@ -82,9 +83,11 @@ def test_hessian_validation_matches_full_matrix_rule(H):
     assert err == want_err
     if err is not None:
         return
-    assert (qp.H is H) == (want is H)                # shared exactly when the rule kept it
-    assert qp.H.tobytes() == np.ascontiguousarray(want).tobytes()
-    assert np.array_equal(qp.H, qp.H.T)
+    for idx, B in qp.H.groups:                       # the blocks hold the kept values
+        assert B.tobytes() == want[idx[:, :, None], idx[:, None, :]].tobytes()
+    dense = np.asarray(qp.H)                         # and nothing lies outside them
+    assert np.array_equal(dense, want)               # (a -0.0 there reads back as 0.0)
+    assert np.array_equal(dense, dense.T)
 
 
 def test_nan_and_inf_whose_mirror_is_zero_are_rejected():
@@ -95,12 +98,12 @@ def test_nan_and_inf_whose_mirror_is_zero_are_rejected():
             DenseQp(H=H, f=np.zeros(3))
 
 
-def test_negative_zero_mirrors_zero_and_is_shared():
+def test_negative_zero_mirrors_zero():
     H = np.eye(3)
     H[0, 1] = -0.0
     qp = DenseQp(H=H, f=np.zeros(3))
-    assert qp.H is H
     assert qp.block_starts.tolist() == [0, 1, 2, 3]
+    assert np.asarray(qp.H).tobytes() == np.eye(3).tobytes()
 
 
 def test_overflowing_symmetrization_is_rejected():

@@ -162,18 +162,19 @@ def test_deterministic_repeat():
     assert a.objective == b.objective
 
 
-def test_symmetric_hessian_is_shared_and_left_unchanged():
-    # an exactly symmetric H is kept as given: no copy, and solve_qp (bound
-    # shortcut and interior point alike) never writes into it
+def test_callers_hessian_is_left_unchanged():
+    # an exactly symmetric H is stored value for value as its blocks, and
+    # neither construction nor solve_qp (bound shortcut and interior point
+    # alike) writes into the caller's array
     rng = np.random.default_rng(21)
     for with_bounds in (False, True):
         qp = random_strictly_convex(rng, 6, 4, with_bounds=with_bounds)
-        H = qp.H.copy()
+        H = np.asarray(qp.H)
         assert np.array_equal(H, H.T)
-        shared = DenseQp(H=H, f=qp.f, G=qp.G, h=qp.h, lb=qp.lb, ub=qp.ub)
-        assert shared.H is H
         before = H.tobytes()
-        sol = solve_qp(shared)
+        kept = DenseQp(H=H, f=qp.f, G=qp.G, h=qp.h, lb=qp.lb, ub=qp.ub)
+        assert np.asarray(kept.H).tobytes() == before
+        sol = solve_qp(kept)
         assert sol.status == OPTIMAL
         assert H.tobytes() == before
 
@@ -181,8 +182,7 @@ def test_symmetric_hessian_is_shared_and_left_unchanged():
 def test_asymmetric_hessian_is_still_symmetrized():
     H = np.array([[2.0, 1.0], [0.0, 2.0]])
     qp = DenseQp(H=H, f=[0.0, 0.0])
-    assert qp.H is not H
-    assert qp.H.tobytes() == np.array([[2.0, 0.5], [0.5, 2.0]]).tobytes()
+    assert np.asarray(qp.H).tobytes() == np.array([[2.0, 0.5], [0.5, 2.0]]).tobytes()
     assert H.tobytes() == np.array([[2.0, 1.0], [0.0, 2.0]]).tobytes()
     with pytest.raises(ParameterError):
         DenseQp(H=[[1.0, np.nan], [0.0, 1.0]], f=[0.0, 0.0])

@@ -7,7 +7,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetcoord import ScenarioError, dump_scenario, load_scenario, load_scenario_file
+from fleetcoord import (ScenarioError, dump_scenario, load_scenario, load_scenario_file,
+                        parse_scenario)
 from fleetcoord.scenario import VehicleState, wrap_angle
 
 
@@ -121,6 +122,29 @@ def _scenario_documents(draw):
 def test_round_trip_exact_on_generated_scenarios(doc):
     first = load_scenario(yaml.safe_dump(doc, sort_keys=False))
     _assert_same_scenario(first, load_scenario(dump_scenario(first)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_scenario_documents())
+def test_parsed_document_matches_the_yaml_round_trip(doc):
+    parsed = parse_scenario(doc)
+    text = dump_scenario(parsed)
+    assert text == dump_scenario(load_scenario(yaml.safe_dump(doc)))
+    doc["vehicles"][0]["waypoints_m"][0][0] = 1.0e9    # shares nothing with doc
+    doc["global"]["ts"] = 1.0e9
+    assert dump_scenario(parsed) == text
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "scenario: expected a mapping"),
+    ({"global": {}}, "scenario: missing required field(s) vehicles"),
+    ({"global": 3, "vehicles": []}, "global: expected a mapping"),
+])
+def test_parse_scenario_messages_match_load_scenario(doc, message):
+    for parse in (parse_scenario, lambda d: load_scenario(yaml.safe_dump(d))):
+        with pytest.raises(ScenarioError) as err:
+            parse(doc)
+        assert str(err.value) == message
 
 
 MINIMAL = """

@@ -362,7 +362,8 @@ def test_centralized_assembly_matches_row_by_row(seed, pruned):
     assert eps
     qp = build_centralized(lps, eps).qp
     ref = _centralized_rows_reference(lps, eps)
+    assert np.array_equal(qp.block_starts, ref.block_starts)
     for name in ("H", "f", "G", "h", "lb", "ub"):
-        got, want = getattr(qp, name), getattr(ref, name)
+        got, want = np.asarray(getattr(qp, name)), np.asarray(getattr(ref, name))
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name

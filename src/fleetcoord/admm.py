@@ -328,8 +328,10 @@ class FleetNodes:
 
 def _check_config(config: AdmmConfig) -> None:
     """Raise ParameterError naming the first AdmmConfig field out of its range."""
-    if config.max_iters < 1:
-        raise ParameterError("max_iters must be at least 1")
+    max_iters = config.max_iters
+    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
+            or max_iters < 1):
+        raise ParameterError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     for name, low, strict in (("rho0", 0.0, True), ("eps_abs", 0.0, False),
                               ("eps_rel", 0.0, False), ("rho_scale", 1.0, True),
                               ("rho_ratio", 1.0, True)):

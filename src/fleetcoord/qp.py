@@ -17,23 +17,22 @@ stalls its last iterates above the KKT target, an equality-constrained
 re-solve on the rows the iterate marks active finishes them if it verifies.
 ``QpSolution.path`` records which path answered.
 
-The centralized Hessian is block diagonal (one tracking block per vehicle,
-then a zero entry per slack), so ``DenseQp`` holds H in one form only: its
-diagonal blocks, same-size blocks stacked (``BlockDiagonal``).  The
-centralized baseline passes its blocks directly and never allocates an
-n x n H; a caller's dense H is read once through its nonzero pattern, whose
-one ``H != 0`` pass yields the exact symmetry test and the contiguous
-diagonal blocks.  The regularization probe and the bound-pinning guess
-factor and solve those blocks, same-size blocks as one batched stack, and
-the guess is verified with H x formed block by block.  G stays dense: one
-``G != 0`` pass yields its finiteness and its all-zero rows, which are
-stored, so G may not be written after construction.  A centralized cycle
-that ends on the bound shortcut therefore costs the blocks' own
-factorizations, one nonzero-pattern pass over G and one dense product with
-it.  Only the interior-point method, the pinned-variable reduction and the
-active-set polish build the dense H, once per call; a call that reaches the
-interior-point method is dominated by forming (O(n^2 m)) and factoring
-(O(n^3)) its n x n Newton matrix.
+``DenseQp`` holds H as its diagonal blocks, same-size blocks stacked
+(``BlockDiagonal``), in the form the caller built them.  The centralized
+baseline passes one tracking block per vehicle and a zero 1 x 1 block per
+slack, so it never allocates an n x n H; a dense H is one block.  The
+regularization probe and the bound-pinning guess factor and solve the
+blocks, same-size blocks as one batched stack, and the guess is verified
+with H x formed block by block.  G stays dense and is stored as given.  A
+centralized cycle that ends on the bound shortcut therefore costs the
+blocks' own factorizations, one finiteness pass over G and one dense
+product with it.  Only the interior-point method, the pinned-variable
+reduction and the active-set polish build the dense H, once per call; a
+call that reaches the interior-point method is dominated by forming
+(O(n^2 m)) and factoring (O(n^3)) its n x n Newton matrix.
+
+``_kkt_measure`` is the one definition of the KKT residual: ``solve_qp``
+and the ADMM node solvers hand it their own stationarity and row vectors.
 
 The interior-point method factors and solves with LAPACK's ``dpotrf`` and
 ``dpotrs``, taken from ``scipy.linalg.lapack`` by ``_lapack`` when
@@ -74,7 +73,8 @@ class BlockDiagonal:
     blocks tile [0, n) contiguously, so that ``H @ x`` writes every entry of
     its result, that every entry is finite, and replaces an asymmetric block
     B by 0.5 (B + B').  The stacks are kept as given when already float and
-    symmetric; nothing in this package writes into them.
+    symmetric; nothing in this package writes into them.  ``DenseQp`` keeps
+    a dense H as the single block (arange(n)[None], H[None]).
 
     ``H @ x`` (x of length n) multiplies block by block, ``np.asarray(H)``
     builds the dense matrix, and ``starts`` holds each block's first index
@@ -116,34 +116,6 @@ class BlockDiagonal:
         self.groups = kept
         self.starts = starts.astype(np.intp, copy=False)
 
-    @classmethod
-    def from_dense(cls, H) -> BlockDiagonal:
-        """The diagonal blocks of the square H, found through its nonzero pattern.
-
-        The one ``H != 0`` pass (which holds NaN and +-inf too) compares the
-        values there with their mirror images for exact symmetry and gives
-        the contiguous diagonal blocks.  An asymmetric H is replaced by
-        0.5 (H + H'), whose pattern is read instead.  Entries outside the
-        blocks are zero, so the blocks hold all of H.
-        """
-        H = np.asarray(H, dtype=float)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ParameterError("H must be a square matrix")
-        n = H.shape[0]
-        rows, cols, vals = _nonzeros(H)
-        # exact symmetry: a zero entry facing a nonzero one is met from the other side
-        if not (vals == H.ravel()[cols * n + rows]).all():
-            with np.errstate(over="ignore", invalid="ignore"):   # caught as non-finite
-                H = 0.5 * (H + H.T)
-            rows, cols, vals = _nonzeros(H)
-        starts = _diagonal_blocks(rows, cols, n)
-        sizes = np.diff(starts)
-        groups = []
-        for s in np.unique(sizes):
-            idx = starts[:-1][sizes == s][:, None] + np.arange(s)
-            groups.append((idx, H[idx[:, :, None], idx[:, None, :]]))
-        return cls(n, groups)
-
     @property
     def shape(self) -> tuple:
         return (self.n, self.n)
@@ -177,15 +149,15 @@ class BlockDiagonal:
 class DenseQp:
     """Problem data: H as its diagonal blocks, G dense; bounds default to open.
 
-    H is held in one form only, a ``BlockDiagonal``.  A caller may pass one
-    (the centralized baseline passes its tracking blocks and zero slack
-    entries, so no n x n array is allocated), or a dense square H, which
-    ``BlockDiagonal.from_dense`` reads once through its nonzero pattern.
-    Either way an asymmetric block becomes 0.5 (B + B') and non-finite
-    entries raise ``ParameterError``; a caller's dense H is never kept or
-    written.  One ``G != 0`` pass gives G's finiteness and its all-zero
-    rows.  That finding is stored, so ``G`` may not be written after
-    construction.
+    H is a ``BlockDiagonal``, kept as the caller passed it (the centralized
+    baseline passes its tracking blocks and zero slack entries, so no n x n
+    array is allocated); a square ndarray H is kept as one block.  Either
+    way an asymmetric block becomes 0.5 (B + B') and non-finite entries
+    raise ``ParameterError``.  G must be m x n, f, lb and ub must have n
+    entries and h m; G, f and h must be finite, lb must not be NaN or +inf,
+    ub must not be NaN or -inf, and lb <= ub.  A caller's arrays are kept
+    uncopied when already float, and nothing in this package writes into
+    them.
     """
 
     H: BlockDiagonal
@@ -194,35 +166,36 @@ class DenseQp:
     h: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
-    # rows of G without a nonzero entry
-    zero_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.H, BlockDiagonal):
-            self.H = BlockDiagonal.from_dense(self.H)
+            H = np.asarray(self.H, dtype=float)
+            if H.ndim != 2 or H.shape[0] != H.shape[1]:
+                raise ParameterError("H must be a square matrix")
+            n = H.shape[0]
+            self.H = BlockDiagonal(n, [(np.arange(n)[None], H[None])] if n else [])
         n = self.H.n
-        self.f = np.asarray(self.f, dtype=float).reshape(n)
-        self.G = (np.zeros((0, n)) if self.G is None
-                  else np.asarray(self.G, dtype=float).reshape(-1, n))
+        if self.G is None:
+            self.G = np.zeros((0, n))
+        else:
+            self.G = np.asarray(self.G, dtype=float)
+            if self.G.ndim != 2 or self.G.shape[1] != n:
+                raise ParameterError(f"G must be a 2-D array with {n} columns, "
+                                     f"got shape {self.G.shape}")
         m = self.G.shape[0]
-        self.h = (np.zeros(0) if self.h is None
-                  else np.asarray(self.h, dtype=float).reshape(m))
-        if self.h.shape[0] != m:
-            raise ParameterError("G and h row counts differ")
-        self.lb = (np.full(n, -np.inf) if self.lb is None
-                   else np.asarray(self.lb, dtype=float).reshape(n))
-        self.ub = (np.full(n, np.inf) if self.ub is None
-                   else np.asarray(self.ub, dtype=float).reshape(n))
-        g_rows, _, g_vals = _nonzeros(self.G)
-        for name, arr in (("f", self.f), ("G", g_vals), ("h", self.h)):
+        self.f = _vector(self.f, n, "f")
+        self.h = np.zeros(0) if self.h is None else _vector(self.h, m, "h")
+        self.lb = np.full(n, -np.inf) if self.lb is None else _vector(self.lb, n, "lb")
+        self.ub = np.full(n, np.inf) if self.ub is None else _vector(self.ub, n, "ub")
+        for name, arr in (("f", self.f), ("G", self.G), ("h", self.h)):
             if not np.isfinite(arr).all():
                 raise ParameterError(f"{name} must be finite")
         if np.isnan(self.lb).any() or np.isnan(self.ub).any():
             raise ParameterError("bounds must not be NaN")
+        if (self.lb == np.inf).any() or (self.ub == -np.inf).any():
+            raise ParameterError("lb must not be +inf and ub must not be -inf")
         if (self.lb > self.ub).any():
             raise ParameterError("need lb <= ub componentwise")
-        self.zero_rows = np.ones(m, dtype=bool)
-        self.zero_rows[g_rows] = False
 
     @property
     def n(self) -> int:
@@ -240,6 +213,14 @@ class DenseQp:
     def objective(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
         return float(0.5 * u @ (self.H @ u) + self.f @ u)
+
+
+def _vector(a, size: int, name: str) -> np.ndarray:
+    """a as a float vector of ``size`` entries; ParameterError naming it otherwise."""
+    a = np.asarray(a, dtype=float)
+    if a.size != size:
+        raise ParameterError(f"{name} must have {size} entries, got shape {a.shape}")
+    return a.reshape(size)
 
 
 @dataclass(eq=False)
@@ -272,29 +253,34 @@ def _kkt_residual(problem: DenseQp, u: np.ndarray, multipliers, Hu: np.ndarray,
     """
     n, m = problem.n, problem.m
     mult = np.asarray(multipliers, dtype=float).reshape(m + 2 * n)
-    z, w, y = mult[:m], mult[m:m + n], mult[m + n:]
-
+    z = mult[:m]
     stat = Hu + problem.f
     if z.any():
         stat = stat + problem.G.T @ z
-    stat = stat - w + y
-    res = float(np.abs(stat).max()) if n else 0.0
+    row = (problem.G @ u if Gu is None else Gu) - problem.h
+    return _kkt_measure(stat, row, u, problem.lb, problem.ub, mult)
 
-    lo = np.isfinite(problem.lb)
-    hi = np.isfinite(problem.ub)
-    slack_g = (problem.G @ u if Gu is None else Gu) - problem.h
-    if m:
-        res = max(res, float(slack_g.max()), float((-z).max()),
-                  float(np.abs(z * slack_g).max()))
-    if lo.any():
-        gap = problem.lb[lo] - u[lo]
-        w_lo = w[lo]
-        res = max(res, float(gap.max()), float((-w_lo).max()), float(np.abs(w_lo * gap).max()))
-    if hi.any():
-        gap = u[hi] - problem.ub[hi]
-        y_hi = y[hi]
-        res = max(res, float(gap.max()), float((-y_hi).max()), float(np.abs(y_hi * gap).max()))
-    return max(res, 0.0)
+
+def _kkt_measure(stat, row, u, lb, ub, multipliers) -> float:
+    """Worst violation of the KKT conditions of a QP with rows G u <= h and lb <= u <= ub.
+
+    ``stat`` is H u + f + G'z and ``row`` is G u - h, as the caller forms
+    them; ``multipliers`` is [z (rows), w (lower), y (upper)].  The terms:
+    stationarity |stat - w + y|, row feasibility row, dual sign -z,
+    complementarity |z row|, and on every finite bound its gap (lb - u or
+    u - ub), the sign of its multiplier and their product.  Every term is
+    0 at an exact optimum; the residual is the largest, and at least 0.
+    """
+    n, m = len(u), len(row)
+    z, w, y = multipliers[:m], multipliers[m:m + n], multipliers[m + n:]
+    lo = np.isfinite(lb)
+    hi = np.isfinite(ub)
+    gap_lo = lb[lo] - u[lo]
+    gap_hi = u[hi] - ub[hi]
+    w_lo, y_hi = w[lo], y[hi]
+    return float(np.concatenate([
+        np.abs(stat - w + y), row, -z, np.abs(z * row), gap_lo, -w_lo, np.abs(w_lo * gap_lo),
+        gap_hi, -y_hi, np.abs(y_hi * gap_hi)]).max(initial=0.0))
 
 
 def _primal_violation(problem: DenseQp, u: np.ndarray, Gu: np.ndarray | None = None) -> float:
@@ -308,35 +294,6 @@ def _primal_violation(problem: DenseQp, u: np.ndarray, Gu: np.ndarray | None = N
     if hi.any():
         viol = max(viol, float((u[hi] - problem.ub[hi]).max()))
     return max(viol, 0.0)
-
-
-def _nonzeros(A: np.ndarray) -> tuple:
-    """(rows, cols, values) of the 2-D A's nonzeros, NaN and +-inf included, row-major."""
-    flat = A.ravel()
-    nz = (flat != 0.0).nonzero()[0]
-    rows, cols = np.divmod(nz, A.shape[1])
-    return rows, cols, flat[nz]
-
-
-def _diagonal_blocks(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Start index of each contiguous diagonal block of a symmetric n x n H, then n.
-
-    ``rows``, ``cols`` locate H's nonzeros in row-major order.  A block ends
-    after index i when no nonzero H[r, c] has r <= i < c.  By symmetry that
-    holds when every row below i has its first nonzero column beyond i, so
-    the first nonzero column of each row (the first entry of its run in the
-    pattern) and their suffix minimum find every boundary.  An all-zero row
-    is a block of its own; a dense H is one block.
-    """
-    if n == 0:
-        return np.zeros(1, dtype=np.intp)
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = rows[1:] != rows[:-1]
-    first = np.full(n, n, dtype=np.intp)
-    first[rows[head]] = cols[head]
-    reach = np.minimum.accumulate(first[::-1])[::-1]    # min first column of rows >= j
-    ends = np.flatnonzero(reach[1:] > np.arange(n - 1))
-    return np.concatenate([[0], ends + 1, [n]])
 
 
 def _positive_definite(Hb: np.ndarray) -> bool:
@@ -551,7 +508,8 @@ def _solve(problem: DenseQp, max_iter: int, allow_probe: bool) -> QpSolution:
         return _solve_with_pinned(_shifted(problem, shift), pinned, max_iter, allow_probe)
 
     # a zero row with negative offset can never be satisfied
-    if (problem.h[problem.zero_rows] < -1e-12).any():
+    negative = problem.h < -1e-12
+    if negative.any() and not problem.G[negative].any(axis=1).all():
         work = _shifted(problem, shift)
         u = np.clip(np.zeros(n), work.lb, work.ub)
         mult = np.zeros(work.m + 2 * n)

@@ -54,7 +54,10 @@ edge whose coupled rows are all inactive (q = rho (G_c v - h_c) <= 0, where
 mu_c = 0 and x = v), bit for bit as ``solve_edge`` would; the rest go to
 ``solve_edge``.
 Both duals go to the finite active set ``_box_active_set``; no node reaches
-``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal reference.
+``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal reference:
+both node solvers score their answer with ``qp._kkt_measure`` on that
+primal's stationarity and row vectors, the residual ``kkt_residual`` gives
+the built QP.  ``build_edge`` passes its diagonal Hessian as 1 x 1 blocks.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import _EIG_FLOOR, _REG_SHIFT, MAX_ITER, OPTIMAL, BlockDiagonal, DenseQp, QpSolution
+from .qp import (_EIG_FLOOR, _REG_SHIFT, MAX_ITER, OPTIMAL, BlockDiagonal, DenseQp, QpSolution,
+                 _kkt_measure)
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
@@ -329,31 +333,11 @@ def solve_local(problem: LocalProblem, z, lam, rho: float, warm_mult=None) -> Qp
         mult[m + np_steps + hi] = dual[m + len(lo):]
         x = np.where(mult[m:m + np_steps] > 0.0, lb, np.where(mult[m + np_steps:] > 0.0, ub, x))
     grad = H0s @ x + rho * x + f
-    kkt = _local_kkt(problem, grad, x, mult)
+    stat = grad + G.T @ mult[:m] if np.any(mult[:m]) else grad
+    kkt = _kkt_measure(stat, G @ x - problem.h, x, lb, ub, mult)
     return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)),
                       status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
                       kkt_residual=kkt, multipliers=mult)
-
-
-def _local_kkt(problem: LocalProblem, grad, x, mult) -> float:
-    """``kkt_residual(build_local(...), x, mult)`` without forming the QP.
-
-    ``grad`` is the objective's gradient (H0s + rho I) x + f at x.
-    """
-    m, n = problem.G.shape
-    z, w, y = mult[:m], mult[m:m + n], mult[m + n:]
-    lb, ub = problem.steer_lb, problem.steer_ub
-    stat = grad
-    if np.any(z):
-        stat = stat + problem.G.T @ z
-    lo = np.isfinite(lb)
-    hi = np.isfinite(ub)
-    row = problem.G @ x - problem.h
-    gap_lo = lb[lo] - x[lo]
-    gap_hi = x[hi] - ub[hi]
-    return max(float(np.max(np.concatenate([
-        np.abs(stat - w + y), row, -z, np.abs(z * row), gap_lo, gap_hi,
-        -w[lo], np.abs(w[lo] * gap_lo), -y[hi], np.abs(y[hi] * gap_hi)]))), 0.0)
 
 
 def _groups(keys) -> list:
@@ -582,8 +566,13 @@ def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> Dens
         rho * (np.asarray(lam_j, dtype=float) - np.asarray(z_j, dtype=float)),
         np.full(np_steps, problem.slack_penalty),
     ])
-    lb = np.concatenate([np.full(2 * np_steps, -np.inf), np.zeros(np_steps)])
-    return DenseQp(H=np.diag(Hd), f=f, G=problem.G, h=problem.h, lb=lb, ub=None)
+    H = BlockDiagonal(n, [(np.arange(n)[:, None], Hd[:, None, None])])   # diagonal: 1 x 1 blocks
+    return DenseQp(H=H, f=f, G=problem.G, h=problem.h, lb=_edge_lb(np_steps), ub=None)
+
+
+def _edge_lb(np_steps: int) -> np.ndarray:
+    """Lower bounds of the edge variables (u_i, u_j, s): only the slacks are bounded, by 0."""
+    return np.concatenate([np.full(2 * np_steps, -np.inf), np.zeros(np_steps)])
 
 
 def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
@@ -621,23 +610,16 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     s = np.where(mu >= c, np.maximum(problem.G_u @ x - h, 0.0), 0.0)
     w_s = c - mu
     f_x = -rho * v
-    kkt = _edge_kkt(problem, rho, f_x, x, s, mu, w_s)
-    objective = float(0.5 * rho * (x @ x) + f_x @ x + c * np.sum(s))
+    u = np.concatenate([x, s])
     mult = np.concatenate([mu, np.zeros(2 * np_steps), w_s, np.zeros(3 * np_steps)])
-    return QpSolution(u_star=np.concatenate([x, s]), objective=objective,
+    # the primal's stationarity: in x, rho x + f_x + G_u' mu; in s, c - mu
+    stat = np.concatenate([rho * x + f_x + problem.G_u.T @ mu, c - mu])
+    kkt = _kkt_measure(stat, problem.G_u @ x - s - h, u, _edge_lb(np_steps),
+                       np.full(3 * np_steps, np.inf), mult)
+    objective = float(0.5 * rho * (x @ x) + f_x @ x + c * np.sum(s))
+    return QpSolution(u_star=u, objective=objective,
                       status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
                       kkt_residual=kkt, multipliers=mult)
-
-
-def _edge_kkt(problem: EdgeProblem, rho, f_x, x, s, mu, w_s) -> float:
-    """``kkt_residual(build_edge(...), [x, s], mult)`` without forming the QP."""
-    c = problem.slack_penalty
-    stat_x = rho * x + f_x + problem.G_u.T @ mu
-    stat_s = c - mu - w_s
-    row = problem.G_u @ x - s - problem.h
-    return max(float(np.max(np.concatenate([
-        np.abs(stat_x), np.abs(stat_s), row, -mu, np.abs(mu * row),
-        -s, -w_s, np.abs(w_s * s)]))), 0.0)
 
 
 class EdgeBatch:
@@ -685,7 +667,7 @@ class EdgeBatch:
         G_ux = np.matmul(self.G_u, x[:, :, None])[:, :, 0]
         s = np.where(mu >= c, np.maximum(G_ux - self.h, 0.0), 0.0)
         w_s = c - mu
-        # _edge_kkt's terms, with G_u' mu = 0
+        # solve_edge's KKT terms (qp._kkt_measure), with G_u' mu = 0
         row = G_ux - s - self.h
         kkt = np.maximum(np.max(np.concatenate([
             np.abs(rho * x + -rho * v), np.abs(c - mu - w_s), row, -mu, np.abs(mu * row),

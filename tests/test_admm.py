@@ -374,7 +374,7 @@ def test_invalid_input_raises_parameter_error():
         init_admm_state(seeds, edges=[(1, 2), (1, 7)], rho0=1.0)
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
-    for max_iters in (0, -2):
+    for max_iters in (0, -2, 2.5, np.float64(3.0), True, "3", None):
         with pytest.raises(ParameterError, match="max_iters"):
             admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=max_iters),
                        seeds=seeds)

@@ -1,26 +1,23 @@
 """The QP's Hessian held as its diagonal blocks (``BlockDiagonal``).
 
-A dense H and the same matrix passed as blocks must give the same block
-starts and bit-identical ``solve_qp`` answers: on criterion 2's random
-dense QPs (one block each), on shuffled block-diagonal instances cut into
-blocks by a dense scan, on the randomized fleets of ``instances.py`` and on
-one 64-vehicle lane-grid cycle.  Blocks that do not tile [0, n), that hold a
-non-finite entry or that are mis-shaped raise ``ParameterError`` naming H;
-an asymmetric block is symmetrized as the dense path does.  A centralized
-cycle of the lane grid never allocates as much as one dense n x n H.
+A dense H is kept as one block: on criterion 2's random dense QPs and on
+the randomized fleets of ``instances.py`` it is stored as that block and
+solves bit-identically to the same block passed as a ``BlockDiagonal``.
+Blocks that do not tile [0, n), that hold a non-finite entry or that are
+mis-shaped raise ``ParameterError`` naming H; an asymmetric block is
+symmetrized as the dense path does.  A centralized cycle of the lane grid
+never allocates as much as one dense n x n H.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
 
 from fleetcoord import BlockDiagonal, DenseQp, ParameterError, build_centralized, solve_qp
 from fleetcoord import qp as qp_mod
 
-from instances import lanes_centralized, lanes_cycle, random_fleet_instance
-from test_block_shortcut import SETTINGS, dense_diagonal_blocks, dense_instances
+from instances import lanes_cycle, random_fleet_instance
 
 
 def assert_same_solution(got, want):
@@ -30,20 +27,10 @@ def assert_same_solution(got, want):
     assert got.kkt_residual == want.kkt_residual
 
 
-def as_dense(qp):
-    """The same problem with H handed over as a dense matrix."""
-    return DenseQp(H=np.asarray(qp.H), f=qp.f, G=qp.G, h=qp.h, lb=qp.lb, ub=qp.ub)
-
-
-def cut_into_blocks(H):
-    """H's diagonal blocks as ``BlockDiagonal`` stacks, cut where the dense scan ends them."""
-    starts = dense_diagonal_blocks(H)
-    sizes = np.diff(starts)
-    groups = []
-    for s in sorted(set(sizes.tolist()), reverse=True):
-        idx = starts[:-1][sizes == s][:, None] + np.arange(s)
-        groups.append((idx, H[idx[:, :, None], idx[:, None, :]]))
-    return BlockDiagonal(H.shape[0], groups)
+def one_block(H):
+    """The n x n H as one explicit block."""
+    n = H.shape[0]
+    return BlockDiagonal(n, [(np.arange(n)[None], H[None])])
 
 
 def test_criterion_2_qps_solve_alike_dense_and_as_one_block():
@@ -57,41 +44,27 @@ def test_criterion_2_qps_solve_alike_dense_and_as_one_block():
         G = rng.normal(size=(m, n))
         h = G @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=m)
         dense = DenseQp(H=H, f=f, G=G, h=h)
-        block = DenseQp(H=BlockDiagonal(n, [(np.arange(n)[None], H[None])]), f=f, G=G, h=h)
+        block = DenseQp(H=one_block(H), f=f, G=G, h=h)
         assert block.block_starts.tolist() == dense.block_starts.tolist() == [0, n]
         assert_same_solution(solve_qp(block), solve_qp(dense))
 
 
-@SETTINGS
-@given(dense_instances(10))
-def test_cut_blocks_solve_alike_the_dense_form(data):
-    dense = DenseQp(**data)
-    block = DenseQp(**{**data, "H": cut_into_blocks(data["H"])})
-    assert np.array_equal(block.block_starts, dense.block_starts)
-    assert_same_solution(solve_qp(block), solve_qp(dense))
-
-
-def test_fleet_instances_solve_alike_dense_and_as_blocks():
+def test_dense_fleet_hessian_is_kept_as_one_block():
     rng = np.random.default_rng(5)
     paths = set()
     for _ in range(12):
         local, edges, _ = random_fleet_instance(rng, np_steps=5)
         qp = build_centralized(local, edges).qp
-        dense = as_dense(qp)
-        assert np.array_equal(qp.block_starts, dense.block_starts)
-        got, want = solve_qp(qp), solve_qp(dense)
-        assert_same_solution(got, want)
+        H = np.asarray(qp.H)
+        data = {"f": qp.f, "G": qp.G, "h": qp.h, "lb": qp.lb, "ub": qp.ub}
+        dense = DenseQp(H=H, **data)
+        ((idx, blocks),) = dense.H.groups
+        assert idx.tolist() == [list(range(qp.n))] and blocks.tobytes() == H[None].tobytes()
+        assert dense.block_starts.tolist() == [0, qp.n]
+        got = solve_qp(dense)
+        assert_same_solution(got, solve_qp(DenseQp(H=one_block(H), **data)))
         paths.add(got.path)
     assert paths == {"bound", "ipm"}     # both solver paths are compared
-
-
-def test_lane_grid_cycle_solves_alike_dense_and_as_blocks():
-    qp = lanes_centralized(64, 0).qp
-    dense = as_dense(qp)
-    assert np.array_equal(qp.block_starts, dense.block_starts)
-    got = solve_qp(qp)
-    assert got.path == "bound"
-    assert_same_solution(got, solve_qp(dense))
 
 
 def test_product_and_dense_matrix():
@@ -172,7 +145,7 @@ def test_asymmetric_block_is_symmetrized():
     assert stack[1].tobytes() == A.tobytes()                        # the caller's stays
     dense = np.zeros((4, 4))
     dense[:2, :2], dense[2:, 2:] = S, A
-    assert np.asarray(H).tobytes() == np.asarray(BlockDiagonal.from_dense(dense)).tobytes()
+    assert np.asarray(H).tobytes() == np.asarray(DenseQp(H=dense, f=np.zeros(4)).H).tobytes()
 
 
 def test_symmetric_float_stacks_are_kept_uncopied():

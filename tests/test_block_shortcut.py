@@ -4,10 +4,10 @@ Hessians are block diagonal with blocks of size 1-5: positive definite ones,
 zero blocks (the slack block of the fleet QP), singular PSD blocks, and
 blocks whose smallest eigenvalue sits at 5e-11 or 2e-10, just below and just
 above the 1e-10 probe floor.  A shuffled variable order interleaves the
-blocks, so the block finder must merge them into larger contiguous blocks.
-The references are the dense versions the block path replaced: a block
-search by a dense ``H != 0`` scan, one Cholesky probe of H - 1e-10 I and one
-dense bound-pinning shortcut on the whole H.
+blocks, which merge into larger contiguous blocks.  Each instance's H is
+handed over as the contiguous blocks that a dense ``H != 0`` scan finds, so
+the shortcut works block by block.  The references are dense: one Cholesky
+probe of H - 1e-10 I and one bound-pinning shortcut on the whole H.
 """
 
 import copy
@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from fleetcoord import OPTIMAL, DenseQp, kkt_residual, solve_qp
+from fleetcoord import OPTIMAL, BlockDiagonal, DenseQp, kkt_residual, solve_qp
 from fleetcoord import qp as qp_mod
 
 from instances import lanes_centralized
-from oracles import enumerate_qp
+from oracles import dense_diagonal_blocks, enumerate_qp
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -87,28 +87,25 @@ def dense_instances(max_blocks):
     )
 
 
+def cut_into_blocks(H):
+    """H's diagonal blocks as ``BlockDiagonal`` stacks, cut where the dense scan ends them."""
+    starts = dense_diagonal_blocks(H)
+    sizes = np.diff(starts)
+    groups = []
+    for s in sorted(set(sizes.tolist()), reverse=True):
+        idx = starts[:-1][sizes == s][:, None] + np.arange(s)
+        groups.append((idx, H[idx[:, :, None], idx[:, None, :]]))
+    return BlockDiagonal(H.shape[0], groups)
+
+
 def instances(max_blocks):
-    return dense_instances(max_blocks).map(lambda data: DenseQp(**data))
+    """``dense_instances`` with H passed as its diagonal blocks, as the fleet QP passes it."""
+    return dense_instances(max_blocks).map(
+        lambda data: DenseQp(**{**data, "H": cut_into_blocks(data["H"])}))
 
 
 def small_instances():
     return instances(3).filter(lambda qp: qp.n <= 6)
-
-
-def dense_diagonal_blocks(H):
-    """The block search as a dense scan: first nonzero column of each row of H != 0.
-
-    A block ends after index i when every row below i has its first nonzero
-    column beyond i (H symmetric); an all-zero row is a block of its own.
-    """
-    n = H.shape[0]
-    if n == 0:
-        return np.zeros(1, dtype=np.intp)
-    nz = H != 0.0
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), n)
-    reach = np.minimum.accumulate(first[::-1])[::-1]    # min first column of rows >= j
-    ends = np.flatnonzero(reach[1:] > np.arange(n - 1))
-    return np.concatenate([[0], ends + 1, [n]])
 
 
 def _starts(H):
@@ -162,7 +159,8 @@ def dense_bound_shortcut(problem):
 @SETTINGS
 @given(dense_instances(10))
 def test_blocks_partition_indices_and_hold_every_nonzero(data):
-    qp, H = DenseQp(**data), data["H"]
+    H = data["H"]
+    qp = DenseQp(**{**data, "H": cut_into_blocks(H)})
     n = qp.n
     starts = qp.block_starts
     assert starts[0] == 0 and starts[-1] == n
@@ -181,14 +179,16 @@ def test_blocks_partition_indices_and_hold_every_nonzero(data):
 @SETTINGS
 @given(dense_instances(10))
 def test_stored_starts_match_dense_scan(data):
-    assert np.array_equal(DenseQp(**data).block_starts, dense_diagonal_blocks(data["H"]))
+    qp = DenseQp(**{**data, "H": cut_into_blocks(data["H"])})
+    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(data["H"]))
 
 
 def test_dense_and_empty_hessians():
+    # a dense H is one block, whatever its pattern
     rng = np.random.default_rng(3)
     A = rng.normal(size=(6, 6))
     assert _starts(A @ A.T).tolist() == [0, 6]
-    assert _starts(np.zeros((3, 3))).tolist() == [0, 1, 2, 3]
+    assert _starts(np.zeros((3, 3))).tolist() == [0, 3]
     assert _starts(np.zeros((0, 0))).tolist() == [0]
 
 

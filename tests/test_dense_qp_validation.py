@@ -1,12 +1,14 @@
-"""DenseQp's one nonzero-pattern pass validates as the full-matrix rule does.
+"""DenseQp validates its data as the full-matrix rules do.
 
-The reference is the rule it replaced: keep H when ``array_equal(H, H.T)``,
-else use ``0.5 * (H + H.T)``; then require ``isfinite`` everywhere; find G's
-zero rows as ``max(abs(G), axis=1) == 0``.  The problem keeps H as its
-diagonal blocks, which must hold the kept H's values bit for bit.  Hessians are block diagonal,
-dense or asymmetric, passed as C-ordered, transposed or strided arrays, with
-entries poked in mirrored pairs: NaN, +-inf, -0.0 against 0.0, and values
-near the largest float whose symmetrized mean overflows.
+The references: keep H when ``array_equal(H, H.T)``, else use
+``0.5 * (H + H.T)``; then require ``isfinite`` everywhere; a row of G is
+zero when ``max(abs(G), axis=1) == 0``, and one with a negative offset makes
+the problem infeasible.  A dense H is kept as one block, which must hold the
+kept H's values bit for bit.  Hessians are block diagonal, dense or
+asymmetric, passed as C-ordered, transposed or strided arrays, with entries
+poked in mirrored pairs: NaN, +-inf, -0.0 against 0.0, and values near the
+largest float whose symmetrized mean overflows.  Mis-shaped data and bounds
+infinite on the wrong side raise ``ParameterError`` naming the field.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fleetcoord import DenseQp, ParameterError
+from fleetcoord import INFEASIBLE, OPTIMAL, DenseQp, ParameterError, solve_qp
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -102,8 +104,9 @@ def test_negative_zero_mirrors_zero():
     H = np.eye(3)
     H[0, 1] = -0.0
     qp = DenseQp(H=H, f=np.zeros(3))
-    assert qp.block_starts.tolist() == [0, 1, 2, 3]
-    assert np.asarray(qp.H).tobytes() == np.eye(3).tobytes()
+    assert qp.block_starts.tolist() == [0, 3]
+    assert qp.H.groups[0][1][0].tobytes() == H.tobytes()    # symmetric: kept as given
+    assert np.array_equal(np.asarray(qp.H), np.eye(3))
 
 
 def test_overflowing_symmetrization_is_rejected():
@@ -132,5 +135,52 @@ def test_row_validation_matches_full_matrix_rule(G):
     finite = bool(np.all(np.isfinite(G)))
     assert err == (None if finite else "G must be finite")
     if finite:
-        want = np.max(np.abs(G), axis=1) == 0.0 if m else np.zeros(0, dtype=bool)
-        assert np.array_equal(qp.zero_rows, want)
+        zero_row = bool(m) and bool(np.any(np.max(np.abs(G), axis=1) == 0.0))
+        # the same zeros (-0.0 kept) and +-1 elsewhere, so the solve cannot overflow
+        signs = np.where(G != 0.0, np.sign(G), G)
+        sol = solve_qp(DenseQp(H=np.eye(n), f=np.zeros(n), G=signs, h=-np.ones(m)))
+        assert (sol.path == "zero_row") == zero_row
+        if zero_row:
+            assert sol.status == INFEASIBLE
+
+
+def test_zero_row_is_infeasible_only_with_a_negative_offset():
+    G = np.array([[1.0, 0.0], [0.0, 0.0]])
+    for h1, path in ((-1e-9, "zero_row"), (-1e-13, "bound"), (0.0, "bound")):
+        sol = solve_qp(DenseQp(H=np.eye(2), f=np.ones(2), G=G, h=[1.0, h1]))
+        assert sol.path == path
+        assert sol.status == (INFEASIBLE if path == "zero_row" else OPTIMAL)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("G", np.arange(6.0).reshape(2, 3)),     # the transposed shape, once read as 3 x 2
+    ("G", np.ones((3, 3))),
+    ("G", np.ones(2)),
+    ("G", np.ones((1, 1, 2))),
+    ("f", np.ones(3)),
+    ("f", np.ones(1)),
+    ("h", np.ones(4)),
+    ("lb", -np.ones(3)),
+    ("ub", np.ones(1)),
+])
+def test_misshaped_data_is_rejected_by_name(field, value):
+    data = {"H": np.eye(2), "f": np.zeros(2), "G": np.ones((3, 2)), "h": np.ones(3),
+            "lb": -np.ones(2), "ub": np.ones(2)}
+    data[field] = value
+    message = {"G": "G must be a 2-D array with 2 columns", "h": "h must have 3 entries"}
+    with pytest.raises(ParameterError, match=message.get(field, f"{field} must have 2 entries")):
+        DenseQp(**data)
+
+
+def test_bounds_infinite_on_the_wrong_side_are_rejected():
+    message = "lb must not be \\+inf and ub must not be -inf"
+    with pytest.raises(ParameterError, match=message):
+        DenseQp(H=np.eye(2), f=np.zeros(2), lb=[np.inf, -1.0])
+    with pytest.raises(ParameterError, match=message):     # with a row x0 <= -1
+        DenseQp(H=np.eye(2), f=np.zeros(2), G=[[1.0, 0.0]], h=[-1.0], lb=[np.inf, -1.0])
+    with pytest.raises(ParameterError, match=message):
+        DenseQp(H=np.eye(2), f=np.zeros(2), ub=[1.0, -np.inf])
+    # +inf above and -inf below are open bounds
+    sol = solve_qp(DenseQp(H=np.eye(2), f=np.ones(2), lb=[-np.inf, -np.inf],
+                           ub=[np.inf, np.inf]))
+    assert sol.status == OPTIMAL and np.array_equal(sol.u_star, [-1.0, -1.0])

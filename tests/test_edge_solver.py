@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from fleetcoord import (build_edge, condense, kkt_residual, linearize, make_edge_problem,
                         rollout, solve_qp)
-from fleetcoord.qp import OPTIMAL
+from fleetcoord.qp import OPTIMAL, _kkt_measure
 from fleetcoord.scenario import VehicleState
-from fleetcoord.subproblems import EdgeProblem, _edge_kkt, solve_edge
+from fleetcoord.subproblems import EdgeProblem, solve_edge
 
 from oracles import enumerate_qp
 
@@ -134,7 +134,7 @@ def test_unrelated_warm_start_gives_the_same_optimum(inst, other):
 
 
 def _edge_kkt_separate_maxima(problem, rho, f_x, x, s, mu, w_s):
-    """_edge_kkt as one np.max per term, the formula it replaced."""
+    """The edge primal's KKT residual as one np.max per term."""
     c = problem.slack_penalty
     stat_x = rho * x + f_x + problem.G_u.T @ mu
     stat_s = c - mu - w_s
@@ -143,6 +143,17 @@ def _edge_kkt_separate_maxima(problem, rho, f_x, x, s, mu, w_s):
                float(np.max(row)), float(np.max(-mu)), float(np.max(np.abs(mu * row))),
                float(np.max(-s)), float(np.max(-w_s)), float(np.max(np.abs(w_s * s))),
                0.0)
+
+
+def _edge_kkt_shared(problem, rho, f_x, x, s, mu, w_s):
+    """The shared measure on the edge primal's vectors, as solve_edge hands them over."""
+    n = problem.horizon
+    c = problem.slack_penalty
+    stat = np.concatenate([rho * x + f_x + problem.G_u.T @ mu, c - mu])
+    lb = np.concatenate([np.full(2 * n, -np.inf), np.zeros(n)])
+    mult = np.concatenate([mu, np.zeros(2 * n), w_s, np.zeros(3 * n)])
+    return _kkt_measure(stat, problem.G_u @ x - s - problem.h, np.concatenate([x, s]),
+                        lb, np.full(3 * n, np.inf), mult)
 
 
 @SETTINGS
@@ -154,13 +165,14 @@ def test_edge_kkt_single_reduction_is_exact(inst, seed):
     v = np.concatenate([args[0] - args[2], args[1] - args[3]])
     x, s = sol.u_star[:2 * n], sol.u_star[2 * n:]
     mu, w_s = sol.multipliers[:n], sol.multipliers[3 * n:4 * n]
+    assert sol.kkt_residual == _edge_kkt_separate_maxima(ep, rho, -rho * v, x, s, mu, w_s)
     rng = np.random.default_rng(seed)
     points = [(x, s, mu, w_s)]          # the optimum, then perturbed points
     for scale in (1e-9, 1e-3, 1.0):
         points.append(tuple(a + scale * rng.standard_normal(a.shape)
                             for a in (x, s, mu, w_s)))
     for point in points:
-        got = _edge_kkt(ep, rho, -rho * v, *point)
+        got = _edge_kkt_shared(ep, rho, -rho * v, *point)
         want = _edge_kkt_separate_maxima(ep, rho, -rho * v, *point)
         assert got == want
 

@@ -63,16 +63,24 @@ from .subproblems import (EdgeBatch, LocalBatch, build_edge, build_local,  # noq
 
 logger = logging.getLogger(__name__)
 
+_RHO_SCALE = 2.0    # tau: rho is doubled or halved
+_RHO_RATIO = 5.0    # mu: when one residual exceeds this multiple of the other
+
 
 @dataclass
 class AdmmConfig:
+    """ADMM settings: initial penalty, stopping tolerances, iteration cap.
+
+    With ``adapt_rho`` set, the penalty follows the residual-balancing rule
+    of the function ``adapt_rho`` (Boyd et al. 2011, section 3.4.1, with
+    tau = 2 and mu = 5); without it rho stays at ``rho0`` for the cycle.
+    """
+
     rho0: float = 1.0
     eps_abs: float = 0.01
     eps_rel: float = 0.01
     max_iters: int = 200
     adapt_rho: bool = True
-    rho_scale: float = 2.0       # tau_incr = tau_decr
-    rho_ratio: float = 5.0       # mu
 
 
 @dataclass
@@ -229,13 +237,12 @@ def init_admm_state(seeds: dict, edges, rho0: float,
     return state
 
 
-def adapt_rho(rho: float, r_norm: float, s_norm: float,
-              scale: float = 2.0, ratio: float = 5.0) -> float:
-    """Double rho when primal lags dual by the ratio, halve in the mirror case."""
-    if r_norm > ratio * s_norm:
-        return rho * scale
-    if s_norm > ratio * r_norm:
-        return rho / scale
+def adapt_rho(rho: float, r_norm: float, s_norm: float) -> float:
+    """Double rho when the primal residual exceeds 5 times the dual, halve in the mirror case."""
+    if r_norm > _RHO_RATIO * s_norm:
+        return rho * _RHO_SCALE
+    if s_norm > _RHO_RATIO * r_norm:
+        return rho / _RHO_SCALE
     return rho
 
 
@@ -333,8 +340,7 @@ def _check_config(config: AdmmConfig) -> None:
             or max_iters < 1):
         raise ParameterError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     for name, low, strict in (("rho0", 0.0, True), ("eps_abs", 0.0, False),
-                              ("eps_rel", 0.0, False), ("rho_scale", 1.0, True),
-                              ("rho_ratio", 1.0, True)):
+                              ("eps_rel", 0.0, False)):
         value = getattr(config, name)
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
             raise ParameterError(f"{name} must be finite and {'>' if strict else '>='} "
@@ -423,8 +429,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
             break
 
         if config.adapt_rho:
-            state.rescale(adapt_rho(rho, report.r_norm, report.s_norm,
-                                    config.rho_scale, config.rho_ratio))
+            state.rescale(adapt_rho(rho, report.r_norm, report.s_norm))
 
     if not report.converged:
         logger.warning("ADMM hit the iteration cap (%d) without converging: "

@@ -7,7 +7,7 @@ of true positions and then held fixed for one whole prediction horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,27 +21,13 @@ class ConstraintGraph:
 
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    d_perc: float
-    d_safe: float
-    _adjacency: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        adjacency = {v: set() for v in self.nodes}
-        for i, j in self.edges:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        object.__setattr__(self, "_adjacency", adjacency)
-
-    @property
-    def num_vehicles(self) -> int:
-        return len(self.nodes)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def degree(self, i: int) -> int:
-        return len(self._adjacency[i])
+        return len(neighbors(self, i))
 
 
 def build_constraint_graph(states, d_perc: float, d_safe: float) -> ConstraintGraph:
@@ -79,11 +65,11 @@ def build_constraint_graph(states, d_perc: float, d_safe: float) -> ConstraintGr
     close = np.triu(np.hypot(diff[:, :, 0], diff[:, :, 1]) <= d_perc, k=1)
     a, b = np.nonzero(close)
     edges = tuple((nodes[i], nodes[j]) for i, j in zip(a.tolist(), b.tolist()))
-    return ConstraintGraph(nodes=nodes, edges=edges, d_perc=d_perc, d_safe=d_safe)
+    return ConstraintGraph(nodes=nodes, edges=edges)
 
 
 def neighbors(graph: ConstraintGraph, i: int) -> set[int]:
-    """All vehicles sharing a coupling edge with vehicle ``i``."""
-    if i not in graph._adjacency:
+    """All vehicles sharing a coupling edge with vehicle ``i``; a scan of the edges."""
+    if i not in graph.nodes:
         raise KeyError(f"unknown vehicle id {i}")
-    return set(graph._adjacency[i])
+    return {b if a == i else a for a, b in graph.edges if i in (a, b)}

@@ -26,10 +26,10 @@ blocks, same-size blocks as one batched stack, and the guess is verified
 with H x formed block by block.  G stays dense and is stored as given.  A
 centralized cycle that ends on the bound shortcut therefore costs the
 blocks' own factorizations, one finiteness pass over G and one dense
-product with it.  Only the interior-point method, the pinned-variable
-reduction and the active-set polish build the dense H, once per call; a
-call that reaches the interior-point method is dominated by forming
-(O(n^2 m)) and factoring (O(n^3)) its n x n Newton matrix.
+product with it.  Only the interior-point method and the active-set polish
+build the dense H, once per call; a call that reaches the interior-point
+method is dominated by forming (O(n^2 m)) and factoring (O(n^3)) its n x n
+Newton matrix.  A variable with lb == ub is an ordinary pair of bound rows.
 
 ``_kkt_measure`` is the one definition of the KKT residual: ``solve_qp``
 and the ADMM node solvers hand it their own stationarity and row vectors.
@@ -62,6 +62,7 @@ _OPTIMAL_KKT = 1e-6      # status=optimal requires at most this
 _OPTIMAL_PVIOL = 1e-8
 _TAU = 0.99              # IPM fraction to the boundary
 _CORRECTORS = 2          # Gondzio centrality correctors per IPM iteration
+_IPM_MAX_ITER = 100      # interior-point iterations per call
 
 
 class BlockDiagonal:
@@ -205,11 +206,6 @@ class DenseQp:
     def m(self) -> int:
         return self.G.shape[0]
 
-    @property
-    def block_starts(self) -> np.ndarray:
-        """Start of each diagonal block of H, then n."""
-        return self.H.starts
-
     def objective(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
         return float(0.5 * u @ (self.H @ u) + self.f @ u)
@@ -232,9 +228,9 @@ class QpSolution:
     multipliers: np.ndarray          # [z (m), w (n, lower), y (n, upper)]
     iterations: int = 0
     trace: list = field(default_factory=list, repr=False)
-    # which solve_qp path answered: "bound", "ipm", "pinned_only"
-    # (every variable fixed by lb == ub) or "zero_row" (an unsatisfiable zero
-    # row of G); None from the ADMM node solvers, which never call solve_qp
+    # which solve_qp path answered: "bound", "ipm" or "zero_row" (an
+    # unsatisfiable zero row of G); None from the ADMM node solvers, which
+    # never call solve_qp
     path: str | None = None
 
 
@@ -443,7 +439,7 @@ def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
     return u, full, kkt_res
 
 
-def _feasibility_gap(problem: DenseQp, max_iter: int) -> float:
+def _feasibility_gap(problem: DenseQp) -> float:
     """Minimum total violation of Gu <= h over the box; > 0 means infeasible."""
     n, m = problem.n, problem.m
     if m == 0:
@@ -454,25 +450,25 @@ def _feasibility_gap(problem: DenseQp, max_iter: int) -> float:
     lbe = np.concatenate([problem.lb, np.zeros(m)])
     ube = np.concatenate([problem.ub, np.full(m, np.inf)])
     elastic = DenseQp(H=He, f=fe, G=Ge, h=problem.h.copy(), lb=lbe, ub=ube)
-    sol = _solve(elastic, max_iter, allow_probe=False)
+    sol = _solve(elastic, allow_probe=False)
     return float(np.sum(np.maximum(sol.u_star[n:], 0.0)))
 
 
-def solve_qp(problem: DenseQp, max_iter: int = 100) -> QpSolution:
+def solve_qp(problem: DenseQp) -> QpSolution:
     """Solve the QP to KKT optimality; deterministic for identical inputs.
 
+    Every problem runs the same pipeline: the regularization probe, the
+    zero-row exit, the bound shortcut, then the interior-point method (at
+    most ``_IPM_MAX_ITER`` iterations) with the elastic feasibility probe.
     status is ``optimal`` when the KKT residual is at most 1e-6 with primal
-    violation at most 1e-8, ``infeasible`` when an elastic relaxation proves
-    the constraints inconsistent, and ``max_iter`` otherwise (best iterate is
-    still returned).  ``max_iter``, the interior-point iteration cap, must be
-    an integer of at least 1.  The first call loads scipy's LAPACK bindings,
-    so that no later call pays for the import mid-run.
+    violation at most 1e-8, ``infeasible`` when an unsatisfiable zero row or
+    an elastic relaxation proves the constraints inconsistent, and
+    ``max_iter`` otherwise (best iterate is still returned).  The first call
+    loads scipy's LAPACK bindings, so that no later call pays for the import
+    mid-run.
     """
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
-            or max_iter < 1):
-        raise ParameterError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     _lapack()
-    return _solve(problem, max_iter, allow_probe=True)
+    return _solve(problem, allow_probe=True)
 
 
 @functools.cache
@@ -498,14 +494,9 @@ def _cho_solve(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _lapack()[1](c, r, lower=0)[0]
 
 
-def _solve(problem: DenseQp, max_iter: int, allow_probe: bool) -> QpSolution:
+def _solve(problem: DenseQp, allow_probe: bool) -> QpSolution:
     n = problem.n
     shift = _hessian_shift(problem.H)
-
-    # variables pinned by lb == ub are eliminated exactly
-    pinned = (problem.ub - problem.lb) <= 1e-9
-    if pinned.any():
-        return _solve_with_pinned(_shifted(problem, shift), pinned, max_iter, allow_probe)
 
     # a zero row with negative offset can never be satisfied
     negative = problem.h < -1e-12
@@ -525,61 +516,22 @@ def _solve(problem: DenseQp, max_iter: int, allow_probe: bool) -> QpSolution:
                           trace=[(objective, pviol)], path="bound")
 
     work = _shifted(problem, shift)
-    sol = _ipm(work, max_iter)
+    sol = _ipm(work)
     if sol.status == MAX_ITER and allow_probe and _primal_violation(work, sol.u_star) > 1e-8:
-        if _feasibility_gap(work, max_iter) > 1e-6 * (1.0 + float(np.max(np.abs(work.h), initial=0.0))):
+        if _feasibility_gap(work) > 1e-6 * (1.0 + float(np.max(np.abs(work.h), initial=0.0))):
             sol.status = INFEASIBLE
     return sol
 
 
-def _solve_with_pinned(problem: DenseQp, pinned, max_iter, allow_probe):
-    n = problem.n
-    H = np.asarray(problem.H)
-    free = ~pinned
-    x_pin = problem.lb[pinned]
-    if not np.any(free):
-        x = problem.lb.copy()
-        grad = H @ x + problem.f
-        mult = np.concatenate([np.zeros(problem.m), np.maximum(grad, 0.0),
-                               np.maximum(-grad, 0.0)])
-        return QpSolution(u_star=x, objective=problem.objective(x), status=OPTIMAL,
-                          kkt_residual=kkt_residual(problem, x, mult), multipliers=mult,
-                          path="pinned_only")
-
-    sub = DenseQp(
-        H=H[np.ix_(free, free)],
-        f=problem.f[free] + H[np.ix_(free, pinned)] @ x_pin,
-        G=problem.G[:, free] if problem.m else None,
-        h=(problem.h - problem.G[:, pinned] @ x_pin) if problem.m else None,
-        lb=problem.lb[free], ub=problem.ub[free])
-    sub_sol = _solve(sub, max_iter, allow_probe)
-
-    x = np.empty(n)
-    x[free] = sub_sol.u_star
-    x[pinned] = x_pin
-    m = problem.m
-    z = sub_sol.multipliers[:m]
-    w = np.zeros(n)
-    y = np.zeros(n)
-    w[free] = sub_sol.multipliers[m:m + free.sum()]
-    y[free] = sub_sol.multipliers[m + free.sum():]
-    grad = H @ x + problem.f + (problem.G.T @ z if m else 0.0)
-    w[pinned] = np.maximum(grad[pinned], 0.0)
-    y[pinned] = np.maximum(-grad[pinned], 0.0)
-    mult = np.concatenate([z, w, y])
-    return QpSolution(u_star=x, objective=problem.objective(x), status=sub_sol.status,
-                      kkt_residual=kkt_residual(problem, x, mult), multipliers=mult,
-                      iterations=sub_sol.iterations, trace=sub_sol.trace, path=sub_sol.path)
-
-
-def _ipm(problem: DenseQp, max_iter: int) -> QpSolution:
+def _ipm(problem: DenseQp) -> QpSolution:
     """Mehrotra predictor-corrector over the rows A = [G; -I_lo; I_hi], b.
 
     One slack s and dual z per row, one ratio test; x need not start inside
     the box.  Per iteration one n x n Cholesky of H + A' diag(z/s) A serves the
     predictor, the corrector and up to ``_CORRECTORS`` Gondzio centrality
     correctors.  Start: x = 0, s and z one affine step from s = z = 1,
-    shifted positive as in Mehrotra (1992).
+    shifted positive as in Mehrotra (1992).  A Newton matrix that overflows
+    ends the loop as a failed Cholesky does.
     """
     H, f, G = np.asarray(problem.H), problem.f, problem.G
     n, m = problem.n, problem.m
@@ -607,9 +559,12 @@ def _ipm(problem: DenseQp, max_iter: int) -> QpSolution:
         return r
 
     def factor():
-        d = z / s
-        M = H + (G.T * d[:m]) @ G
-        M.flat[::n + 1] += np.bincount(np.concatenate([lo, hi]), d[m:], n)
+        with np.errstate(all="ignore"):      # a non-finite M is rejected below
+            d = z / s
+            M = H + (G.T * d[:m]) @ G
+            M.flat[::n + 1] += np.bincount(np.concatenate([lo, hi]), d[m:], n)
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError("the Newton matrix is not finite")
         return _cholesky(M)
 
     def newton(fac, r_d, r_p, r_c):
@@ -647,7 +602,7 @@ def _ipm(problem: DenseQp, max_iter: int) -> QpSolution:
     trace = []
     kkt_hist = []
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _IPM_MAX_ITER + 1):
         Hx = H @ x
         mult = multipliers(z)
         kkt = _kkt_residual(problem, x, mult, Hx)

@@ -380,9 +380,7 @@ def test_invalid_input_raises_parameter_error():
                        seeds=seeds)
     bad = {"rho0": (0.0, -1.0, np.nan, np.inf),
            "eps_abs": (-0.01, np.nan, np.inf),
-           "eps_rel": (-0.01, np.nan, -np.inf),
-           "rho_scale": (1.0, 0.5, np.nan, np.inf),
-           "rho_ratio": (1.0, -5.0, np.nan, np.inf)}
+           "eps_rel": (-0.01, np.nan, -np.inf)}
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ParameterError, match=name):

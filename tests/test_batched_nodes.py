@@ -77,8 +77,7 @@ def reference_admm(local, edges, config, state):
         if report.converged:
             break
         if config.adapt_rho:
-            apply_rho_update(state, adapt_rho(state.rho, report.r_norm, report.s_norm,
-                                              config.rho_scale, config.rho_ratio))
+            apply_rho_update(state, adapt_rho(state.rho, report.r_norm, report.s_norm))
     return state, history
 
 
@@ -151,12 +150,10 @@ def assert_identical_runs(local, edges, config, state):
 
 
 configs = st.builds(
-    lambda log_rho, adapt, scale, iters: AdmmConfig(
-        rho0=10.0 ** log_rho, adapt_rho=adapt, rho_scale=scale, eps_abs=1e-7, eps_rel=1e-7,
-        max_iters=iters),
+    lambda log_rho, adapt, iters: AdmmConfig(
+        rho0=10.0 ** log_rho, adapt_rho=adapt, eps_abs=1e-7, eps_rel=1e-7, max_iters=iters),
     log_rho=st.floats(-2.0, 2.0),
     adapt=st.booleans(),
-    scale=st.sampled_from([2.0, 1.7]),
     iters=st.integers(1, 8),
 )
 

@@ -45,7 +45,7 @@ def test_criterion_2_qps_solve_alike_dense_and_as_one_block():
         h = G @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=m)
         dense = DenseQp(H=H, f=f, G=G, h=h)
         block = DenseQp(H=one_block(H), f=f, G=G, h=h)
-        assert block.block_starts.tolist() == dense.block_starts.tolist() == [0, n]
+        assert block.H.starts.tolist() == dense.H.starts.tolist() == [0, n]
         assert_same_solution(solve_qp(block), solve_qp(dense))
 
 
@@ -60,7 +60,7 @@ def test_dense_fleet_hessian_is_kept_as_one_block():
         dense = DenseQp(H=H, **data)
         ((idx, blocks),) = dense.H.groups
         assert idx.tolist() == [list(range(qp.n))] and blocks.tobytes() == H[None].tobytes()
-        assert dense.block_starts.tolist() == [0, qp.n]
+        assert dense.H.starts.tolist() == [0, qp.n]
         got = solve_qp(dense)
         assert_same_solution(got, solve_qp(DenseQp(H=one_block(H), **data)))
         paths.add(got.path)

@@ -109,7 +109,7 @@ def small_instances():
 
 
 def _starts(H):
-    return DenseQp(H=H, f=np.zeros(H.shape[0])).block_starts
+    return DenseQp(H=H, f=np.zeros(H.shape[0])).H.starts
 
 
 def dense_probe_shifts(H):
@@ -162,7 +162,7 @@ def test_blocks_partition_indices_and_hold_every_nonzero(data):
     H = data["H"]
     qp = DenseQp(**{**data, "H": cut_into_blocks(H)})
     n = qp.n
-    starts = qp.block_starts
+    starts = qp.H.starts
     assert starts[0] == 0 and starts[-1] == n
     assert np.all(np.diff(starts) > 0)           # every index in exactly one block
     block_of = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
@@ -180,7 +180,7 @@ def test_blocks_partition_indices_and_hold_every_nonzero(data):
 @given(dense_instances(10))
 def test_stored_starts_match_dense_scan(data):
     qp = DenseQp(**{**data, "H": cut_into_blocks(data["H"])})
-    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(data["H"]))
+    assert np.array_equal(qp.H.starts, dense_diagonal_blocks(data["H"]))
 
 
 def test_dense_and_empty_hessians():
@@ -196,9 +196,9 @@ def test_dense_and_empty_hessians():
 def test_centralized_starts_match_dense_scan(seed):
     central = lanes_centralized(16, seed)
     qp, np_steps = central.qp, central.np_steps
-    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(np.asarray(qp.H)))
+    assert np.array_equal(qp.H.starts, dense_diagonal_blocks(np.asarray(qp.H)))
     # one tracking block per vehicle, then one 1 x 1 zero block per slack
-    sizes = np.diff(qp.block_starts).tolist()
+    sizes = np.diff(qp.H.starts).tolist()
     assert sizes == [np_steps] * 16 + [1] * (len(central.edges) * np_steps)
 
 
@@ -214,8 +214,8 @@ def test_shifted_copy_solves_from_the_same_starts(seed):
     want = H.copy()
     want.flat[::qp.n + 1] += shift
     assert shifted.tobytes() == want.tobytes()   # the dense shift, value for value
-    assert np.array_equal(work.block_starts, qp.block_starts)
-    assert np.array_equal(work.block_starts, dense_diagonal_blocks(shifted))
+    assert np.array_equal(work.H.starts, qp.H.starts)
+    assert np.array_equal(work.H.starts, dense_diagonal_blocks(shifted))
     assert qp_mod._hessian_shift(work.H) == 0.0
     want, got = solve_qp(qp), solve_qp(work)
     assert got.path == want.path == "bound" and got.status == OPTIMAL

@@ -104,7 +104,7 @@ def test_negative_zero_mirrors_zero():
     H = np.eye(3)
     H[0, 1] = -0.0
     qp = DenseQp(H=H, f=np.zeros(3))
-    assert qp.block_starts.tolist() == [0, 3]
+    assert qp.H.starts.tolist() == [0, 3]
     assert qp.H.groups[0][1][0].tobytes() == H.tobytes()    # symmetric: kept as given
     assert np.array_equal(np.asarray(qp.H), np.eye(3))
 

@@ -26,7 +26,7 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 def run_ipm(problem):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = qp_mod._ipm(problem, 100)
+        sol = qp_mod._ipm(problem)
     assert all(np.isfinite(obj) and np.isfinite(viol) for obj, viol in sol.trace)
     assert np.all(np.isfinite(sol.u_star)) and np.all(np.isfinite(sol.multipliers))
     return sol

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,50 @@ def test_pinned_variable_eliminated():
     assert sol.u_star[1] == pytest.approx(4.0)
 
 
+def test_pinned_variables_are_ordinary_bounds():
+    # criterion-2 data (H = MM' + I, rows satisfiable at an anchor, at least
+    # one row) with a random non-empty subset pinned by lb == ub at the
+    # anchor: the one pipeline answers each like any bounded QP.  n <= 5 and
+    # m <= 6 keep the oracle's enumeration over m + 2 |pinned| rows small.
+    rng = np.random.default_rng(71)
+    for trial in range(200):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 7))
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + np.eye(n)
+        f = rng.normal(size=n)
+        G = rng.normal(size=(m, n))
+        anchor = rng.normal(size=n)
+        h = G @ anchor + rng.uniform(0.1, 1.0, size=m)
+        pinned = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        lb = np.full(n, -np.inf)
+        ub = np.full(n, np.inf)
+        lb[pinned] = ub[pinned] = anchor[pinned]
+        qp = DenseQp(H=H, f=f, G=G, h=h, lb=lb, ub=ub)
+        sol = solve_qp(qp)
+        ref = enumerate_qp(H, f, G, h, lb, ub)
+        assert ref is not None, trial
+        assert sol.status == OPTIMAL, trial
+        assert kkt_residual(qp, sol.u_star, sol.multipliers) <= 1e-8, trial
+        assert np.max(np.abs(sol.u_star - ref[0])) <= 1e-6, trial
+
+
+def test_all_pinned_with_a_violated_row_is_infeasible():
+    # u = (1, 1) is forced by the bounds, and u1 + u2 <= 0 rejects it
+    qp = DenseQp(H=np.eye(2), f=[0.0, 0.0], G=[[1.0, 1.0]], h=[0.0],
+                 lb=[1.0, 1.0], ub=[1.0, 1.0])
+    assert solve_qp(qp).status == INFEASIBLE
+
+
+def test_overflowing_newton_matrix_ends_without_a_warning():
+    # finite data whose Newton matrix G' diag(z/s) G overflows
+    qp = DenseQp(H=np.eye(1), f=np.zeros(1), G=[[1.5e308]], h=[-1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_qp(qp)
+    assert sol.path == "ipm" and sol.status != OPTIMAL
+
+
 def test_validation_errors():
     with pytest.raises(ParameterError):
         DenseQp(H=[[1.0, 0.0]], f=[0.0])                 # not square
@@ -139,18 +185,6 @@ def test_validation_errors():
         DenseQp(H=[[np.nan]], f=[0.0])
     with pytest.raises(ParameterError):
         DenseQp(H=[[1.0]], f=[0.0], lb=[1.0], ub=[-1.0])  # lb > ub
-
-
-def test_max_iter_must_be_a_positive_integer():
-    # the row is active at the optimum, so the bound shortcut fails and the IPM runs
-    qp = DenseQp(H=[[2.0]], f=[-2.0], G=[[1.0]], h=[0.0])
-    assert solve_qp(qp).path == "ipm"
-    for bad in (0, -3, 1.5, 2.0, None, True):
-        with pytest.raises(ParameterError, match="max_iter"):
-            solve_qp(qp, max_iter=bad)
-    for good in (1, np.int64(2)):
-        sol = solve_qp(qp, max_iter=good)
-        assert sol.path == "ipm" and 1 <= sol.iterations <= good
 
 
 def test_deterministic_repeat():

@@ -297,8 +297,8 @@ def test_intersection_centralized_ipm_answers_reach_the_kkt_target(intersection_
     answers = []
     ipm = qp_mod._ipm
 
-    def recording(problem, max_iter):
-        answers.append(ipm(problem, max_iter))
+    def recording(problem):
+        answers.append(ipm(problem))
         return answers[-1]
 
     monkeypatch.setattr(qp_mod, "_ipm", recording)

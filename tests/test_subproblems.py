@@ -362,7 +362,7 @@ def test_centralized_assembly_matches_row_by_row(seed, pruned):
     assert eps
     qp = build_centralized(lps, eps).qp
     ref = _centralized_rows_reference(lps, eps)
-    assert np.array_equal(qp.block_starts, dense_diagonal_blocks(np.asarray(ref.H)))
+    assert np.array_equal(qp.H.starts, dense_diagonal_blocks(np.asarray(ref.H)))
     for name in ("H", "f", "G", "h", "lb", "ub"):
         got, want = np.asarray(getattr(qp, name)), np.asarray(getattr(ref, name))
         assert got.shape == want.shape, name

@@ -12,7 +12,8 @@ Takes about a minute.  Run:  python demos/consensus_vs_centralized.py
 
 from fleetcoord import (AdmmConfig, admm_solve, build_centralized,
                         build_constraint_graph, convexify_cycle, fleet_objective,
-                        load_scenario_file, make_seed, run_simulation, solve_qp)
+                        init_admm_state, load_scenario_file, make_seed, run_simulation,
+                        solve_qp)
 from fleetcoord.scenario import VehicleState
 
 scenario = load_scenario_file("scenarios/overtake.scn")
@@ -37,10 +38,12 @@ print(f"centralized QP optimum: {j_cent:.4f} (status {sol.status})\n")
 
 print("  eps      iterations   consensus objective   relative gap")
 for eps in (1e-2, 1e-3, 1e-4):
+    # every solve starts cold at the seeds' steering
+    start = init_admm_state({vid: seed.controls for vid, seed in seeds.items()},
+                            edge_problems, cfg.rho0)
     result = admm_solve(
         local_problems, edge_problems,
-        AdmmConfig(rho0=cfg.rho0, eps_abs=eps, eps_rel=eps, max_iters=5000),
-        seeds={vid: seeds[vid].controls.copy() for vid in seeds})
+        AdmmConfig(eps_abs=eps, eps_rel=eps, max_iters=5000), start)
     j_admm = fleet_objective(local_problems, result.consensus)
     gap = abs(j_admm - j_cent) / (1 + abs(j_cent))
     print(f"  {eps:.0e}   {result.report.iterations_used:10d}   "

@@ -69,14 +69,15 @@ _RHO_RATIO = 5.0    # mu: when one residual exceeds this multiple of the other
 
 @dataclass
 class AdmmConfig:
-    """ADMM settings: initial penalty, stopping tolerances, iteration cap.
+    """ADMM settings: stopping tolerances, iteration cap, penalty rule.
 
-    With ``adapt_rho`` set, the penalty follows the residual-balancing rule
-    of the function ``adapt_rho`` (Boyd et al. 2011, section 3.4.1, with
-    tau = 2 and mu = 5); without it rho stays at ``rho0`` for the cycle.
+    The starting penalty is the start state's ``rho`` (see
+    ``init_admm_state``).  With ``adapt_rho`` set, the penalty follows the
+    residual-balancing rule of the function ``adapt_rho`` (Boyd et al. 2011,
+    section 3.4.1, with tau = 2 and mu = 5); without it rho stays at the
+    start state's ``rho`` for the cycle.
     """
 
-    rho0: float = 1.0
     eps_abs: float = 0.01
     eps_rel: float = 0.01
     max_iters: int = 200
@@ -94,7 +95,6 @@ class ResidualReport:
     per_node_solve_times: dict = field(default_factory=dict)
     slack_max: float = 0.0
     parallel_time: float = 0.0   # sum over iterations of max node solve time
-    wall_time: float = 0.0
     nonoptimal_nodes: int = 0    # node solutions with status != optimal, all iterations
     local_handed: int = 0        # vehicle nodes the batched pass left to solve_local
     edge_handed: int = 0         # edge nodes the batched pass left to solve_edge
@@ -125,11 +125,14 @@ class AdmmState:
     consensus and ``Z_prev`` the one before the last update.  ``owner`` maps
     a row to its vehicle's consensus row, ``vi``/``vj`` are the consensus rows
     of each edge's endpoints e[0] and e[1], and ``ri``/``rj`` their copy rows.
-    A new state starts every copy at ``Z`` with zero duals.
+    A new state starts every copy at ``Z`` with zero duals.  The fleet must
+    hold at least one vehicle.
     """
 
     def __init__(self, vids: list, ekeys: list, Z: np.ndarray, rho: float):
         n, n_edges = len(vids), len(ekeys)
+        if n == 0:
+            raise ParameterError("the fleet must hold at least one vehicle")
         ends = _endpoint_rows(np.asarray(vids), ekeys)
         if np.any(ends < 0):
             bad = ekeys[int(np.argmax(np.any(ends < 0, axis=1)))]
@@ -251,15 +254,15 @@ class NodeStep:
     """One iteration's node solutions: vehicles sorted, then edges sorted.
 
     ``handed`` maps the index of every node that the batched pass left to
-    ``solve_local``/``solve_edge`` to that solve's ``QpSolution``; every other
-    node is ``optimal``.  ``times`` is each node's accounted time: an equal
-    share of its batched pass, plus its own solve if handed.
+    ``solve_local``/``solve_edge`` to that solve's ``QpSolution``, in index
+    order; every other node is ``optimal``.  ``times`` is each node's
+    accounted time: an equal share of its batched pass, plus its own solve if
+    handed.
     """
 
     u: np.ndarray            # (N, Np) local copies
     x_edge: np.ndarray       # (E, 2Np) edge copies (u_i, u_j)
     slack: np.ndarray        # (E, Np)
-    status: list             # N + E solution statuses
     kkt: np.ndarray          # (N + E,) node KKT residuals
     handed: dict
     times: np.ndarray        # (N + E,) seconds
@@ -305,7 +308,6 @@ class FleetNodes:
         times = np.concatenate([np.full(n, (t1 - t0 + setup_local) / n),
                                 np.full(n_edges, (t2 - t1 + setup_edge) / max(n_edges, 1))])
 
-        status = [OPTIMAL] * (n + n_edges)
         kkt = np.concatenate([kkt_local, kkt_edge])
         handed = {}
         warm_local, self.warm_local = self.warm_local, [None] * n
@@ -314,7 +316,7 @@ class FleetNodes:
             sol = solve_local(self.local_problems[i], Z[i], L[i], rho,
                               warm_mult=warm_local[i])
             times[i] += time.perf_counter() - t
-            handed[i], status[i], kkt[i] = sol, sol.status, sol.kkt_residual
+            handed[i], kkt[i] = sol, sol.kkt_residual
             u[i] = sol.u_star
             self.warm_local[i] = sol.multipliers
         for k in np.flatnonzero(~done_edge).tolist():
@@ -324,13 +326,13 @@ class FleetNodes:
                              warm_mu=None if self.warm_mu is None else self.warm_mu[k])
             i = n + k
             times[i] += time.perf_counter() - t
-            handed[i], status[i], kkt[i] = sol, sol.status, sol.kkt_residual
+            handed[i], kkt[i] = sol, sol.kkt_residual
             x_edge[k] = sol.u_star[:2 * np_steps]
             slack[k] = sol.u_star[2 * np_steps:]
             mu[k] = sol.multipliers[:np_steps]
         self.warm_mu = mu
-        return NodeStep(u=u, x_edge=x_edge, slack=slack, status=status, kkt=kkt,
-                        handed=handed, times=times)
+        return NodeStep(u=u, x_edge=x_edge, slack=slack, kkt=kkt, handed=handed,
+                        times=times)
 
 
 def _check_config(config: AdmmConfig) -> None:
@@ -339,34 +341,27 @@ def _check_config(config: AdmmConfig) -> None:
     if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
             or max_iters < 1):
         raise ParameterError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
-    for name, low, strict in (("rho0", 0.0, True), ("eps_abs", 0.0, False),
-                              ("eps_rel", 0.0, False)):
+    for name in ("eps_abs", "eps_rel"):
         value = getattr(config, name)
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            raise ParameterError(f"{name} must be finite and {'>' if strict else '>='} "
-                                 f"{low:g}, got {value!r}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
-               seeds: dict | None = None, init: AdmmState | None = None,
-               collect_trace: bool = False) -> AdmmResult:
-    """Run consensus ADMM until the stopping criterion or the iteration cap.
+               init: AdmmState, collect_trace: bool = False) -> AdmmResult:
+    """Run consensus ADMM from ``init`` until the stopping criterion or the iteration cap.
 
     ``local_problems`` maps vehicle id to LocalProblem; ``edge_problems`` maps
-    (i, j) to EdgeProblem.  The result is independent of subproblem execution
-    order within a step: every solve reads only the previous barrier's state.
-    Each iteration solves all nodes with ``FleetNodes`` and updates the
-    arrays of ``init`` (or of a new state at ``seeds``) in place; the result
-    holds that state.
+    (i, j) to EdgeProblem.  ``init`` is the start state, from
+    ``init_admm_state`` over the same vehicles and edges (at the seeds, or
+    carried from the last cycle); its ``rho`` is the starting penalty.  The
+    result is independent of subproblem execution order within a step: every
+    solve reads only the previous barrier's state.  Each iteration solves all
+    nodes with ``FleetNodes`` and updates the arrays of ``init`` in place; the
+    result holds that state.
     """
     _check_config(config)
-    if init is None:
-        if seeds is None:
-            seeds = {v: np.zeros(lp.horizon) for v, lp in local_problems.items()}
-        state = init_admm_state(seeds, edge_problems.keys(), config.rho0)
-    else:
-        state = init
-
+    state = init
     vids = sorted(local_problems)
     ekeys = sorted(edge_problems)
     if state.vids != vids or state.ekeys != ekeys:
@@ -375,7 +370,6 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     names = [f"local/{v}" for v in vids] + [f"edge/{e[0]}-{e[1]}" for e in ekeys]
     total_node_time = np.zeros(len(names))
 
-    t_start = time.perf_counter()
     nodes = FleetNodes([local_problems[v] for v in vids], [edge_problems[e] for e in ekeys])
     np_steps = state.Z.shape[1]
     trace = []
@@ -399,8 +393,8 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                 iteration=k)
         local_handed += sum(i < n for i in step.handed)
         edge_handed += sum(i >= n for i in step.handed)
-        flagged = [f"{names[i]} ({status}, kkt {step.kkt[i]:.2e})"
-                   for i, status in enumerate(step.status) if status != OPTIMAL]
+        flagged = [f"{names[i]} ({sol.status}, kkt {step.kkt[i]:.2e})"
+                   for i, sol in step.handed.items() if sol.status != OPTIMAL]
         kkt_max = max(kkt_max, float(np.fmax.reduce(step.kkt)))
         total_node_time += step.times
         max_node_time = float(np.max(step.times))
@@ -438,7 +432,6 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                        report.s_norm, report.eps_dual)
     report = replace(report, per_node_solve_times=dict(zip(names, total_node_time.tolist())),
                      slack_max=slack_max, parallel_time=parallel_time,
-                     wall_time=time.perf_counter() - t_start,
                      nonoptimal_nodes=nonoptimal, local_handed=local_handed,
                      edge_handed=edge_handed, kkt_max=kkt_max)
     consensus = {v: z.copy() for v, z in zip(vids, state.Z)}

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
 from .scenario import Scenario, parse_scenario
 from .simulation import _BLAS_THREAD_VARS, CENTRALIZED, PARALLEL_ADMM, run_simulation
 
@@ -31,9 +32,14 @@ _WARMUP_CYCLES = 10
 
 def generate_scaled_scenario(n_vehicles: int, seed: int,
                              sim_duration: float = 1.0) -> Scenario:
-    """Deterministic N-vehicle multi-lane scenario, reproducible from seed."""
-    if n_vehicles < 1:
-        raise ValueError("need at least one vehicle")
+    """Deterministic N-vehicle multi-lane scenario, reproducible from seed.
+
+    ``n_vehicles`` must be an integer of at least 1 (not a bool); anything
+    else raises ParameterError naming it.
+    """
+    if (isinstance(n_vehicles, bool) or not isinstance(n_vehicles, (int, np.integer))
+            or n_vehicles < 1):
+        raise ParameterError(f"n_vehicles must be an integer of at least 1, got {n_vehicles!r}")
     rng = np.random.default_rng(seed)
     speeds_kmh = 40.0 + 10.0 * rng.random(n_vehicles)
 

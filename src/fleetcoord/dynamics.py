@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -106,11 +105,6 @@ class FleetPrediction:
 
     Phi: np.ndarray        # (N, 3*Np, Np)
     gamma: np.ndarray      # (N, 3*Np)
-
-    @cached_property
-    def vehicles(self) -> tuple[CondensedPrediction, ...]:
-        """One CondensedPrediction per vehicle, viewing this fleet's arrays."""
-        return tuple(CondensedPrediction(Phi=P, gamma=g) for P, g in zip(self.Phi, self.gamma))
 
 
 def _check_step_args(delta: float, v: float, L: float, ts: float) -> None:

@@ -119,12 +119,16 @@ def reference_window(spec: VehicleSpec, t: float, np_steps: int, ts: float) -> n
     return out.reshape(-1)
 
 
-def path_progress(spec: VehicleSpec, position) -> float:
-    """Arc length of the closest point on the reference polyline."""
+def _closest_point(spec: VehicleSpec, position) -> tuple[float, float]:
+    """(distance, arc length) of the reference polyline's point closest to ``position``.
+
+    Zero-length segments are skipped: their point ends a neighbouring
+    segment.  A path without a segment of positive length is its first point.
+    """
     pts, deltas, seg_len, cum = _polyline_geometry(spec.waypoints)
     p = np.asarray(position, dtype=float)
-    if len(pts) == 1 or cum[-1] <= 0:
-        return 0.0
+    if cum[-1] <= 0:
+        return float(np.hypot(*(p - pts[0]))), 0.0
     best = (np.inf, 0.0)
     for seg in range(len(seg_len)):
         if seg_len[seg] == 0:
@@ -134,24 +138,17 @@ def path_progress(spec: VehicleSpec, position) -> float:
         d = float(np.hypot(*(p - proj)))
         if d < best[0]:
             best = (d, float(cum[seg] + fr * seg_len[seg]))
-    return best[1]
+    return best
+
+
+def path_progress(spec: VehicleSpec, position) -> float:
+    """Arc length of the closest point on the reference polyline."""
+    return _closest_point(spec, position)[1]
 
 
 def lateral_deviation(spec: VehicleSpec, position) -> float:
     """Distance from a position to the reference polyline."""
-    pts, deltas, seg_len, _ = _polyline_geometry(spec.waypoints)
-    p = np.asarray(position, dtype=float)
-    if len(pts) == 1:
-        return float(np.hypot(*(p - pts[0])))
-    best = np.inf
-    for seg in range(len(seg_len)):
-        if seg_len[seg] == 0:
-            d = float(np.hypot(*(p - pts[seg])))
-        else:
-            fr = float(np.clip((p - pts[seg]) @ deltas[seg] / seg_len[seg] ** 2, 0.0, 1.0))
-            d = float(np.hypot(*(p - pts[seg] - fr * deltas[seg])))
-        best = min(best, d)
-    return best
+    return _closest_point(spec, position)[0]
 
 
 def _onto_branch(heading, target):
@@ -237,7 +234,7 @@ class Fleet:
         self.steer_min = np.array([spec.steer_min for spec in self.specs], dtype=float)[:, None]
         self.steer_max = np.array([spec.steer_max for spec in self.specs], dtype=float)[:, None]
         self.weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading,
-                                   r_steer=cfg.r_weight, slack_penalty=cfg.slack_penalty)
+                                   r_steer=cfg.r_weight)
         self.reference = _ReferencePaths(self.specs)
 
     def rollout(self, poses: np.ndarray, controls: np.ndarray) -> np.ndarray:
@@ -399,7 +396,7 @@ def convexify_fleet(fleet: Fleet, poses: np.ndarray, seed_poses: np.ndarray,
                                          fleet.weights, x0=poses[:, :2], ts=cfg.ts)
     edge_problems = make_edge_problems(
         graph.edges, pairs, prediction, seed_poses[:, 1:, :2], cfg.d_safe,
-        cfg.slack_penalty, fallback_dirs=poses[pairs[:, 0], :2] - poses[pairs[:, 1], :2])
+        cfg.slack_penalty, poses[pairs[:, 0], :2] - poses[pairs[:, 1], :2])
     return local_problems, edge_problems
 
 
@@ -453,8 +450,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
     duration = cfg.sim_duration if duration is None else float(duration)
     n_cycles = cycle_count(duration, cfg.ts)
 
-    admm_cfg = AdmmConfig(rho0=cfg.rho0, eps_abs=cfg.eps_abs, eps_rel=cfg.eps_rel,
-                          max_iters=cfg.max_iters)
+    admm_cfg = AdmmConfig(eps_abs=cfg.eps_abs, eps_rel=cfg.eps_rel, max_iters=cfg.max_iters)
     fleet = Fleet(scenario)
     vids = fleet.ids
     np_steps = cfg.horizon_steps
@@ -480,12 +476,12 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
         t0 = time.perf_counter()
         if solver_mode == PARALLEL_ADMM:
             init = init_admm_state(dict(zip(vids, seed_controls)), edge_problems,
-                                   admm_cfg.rho0, previous=admm_state)
+                                   cfg.rho0, previous=admm_state)
             rho_start = init.rho
             duals_carried = (0 if admm_state is None else
                              len(set(admm_state.ekeys).intersection(edge_problems)))
             try:
-                result = admm_solve(local_problems, edge_problems, admm_cfg, init=init)
+                result = admm_solve(local_problems, edge_problems, admm_cfg, init)
             except NumericalFailureError as exc:
                 dump = {vid: tuple(row) for vid, row in zip(vids, poses.tolist())}
                 raise NumericalFailureError(

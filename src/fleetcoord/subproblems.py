@@ -12,9 +12,11 @@ complement: with seed difference a = p_i0 - p_j0, the constraint
     2 a'(p_i - p_j) - |a|^2  >=  d_safe^2
 
 implies |p_i - p_j| >= d_safe for any nonzero a, so the convexification only
-ever shrinks the feasible set.  The halfspaces are softened with nonnegative
-slack (heavily penalized) so a deeply violating seed still yields a feasible
-subproblem; final slack is reported as a safety diagnostic.
+ever shrinks the feasible set.  ``linearize_collision`` forms one such
+``Halfspace``; an edge problem keeps only the rows G x <= h they map to, each
+softened with a nonnegative slack (heavily penalized) so a deeply violating
+seed still yields a feasible subproblem; final slack is reported as a safety
+diagnostic.
 
 The closed loop builds every cycle's problems for the whole fleet at once:
 ``make_local_problems`` forms H0, f0 and const0 for all N vehicles in one
@@ -81,12 +83,15 @@ _SINGULAR_GROWTH = 1e10      # _box_active_set: max|M| / lambda_min of a singula
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Tracking weights: position / heading deviation and steering effort."""
+    """Tracking weights: position / heading deviation and steering effort.
+
+    The separation slacks' penalty is not a tracking weight: it is an
+    argument of the edge-problem builders.
+    """
 
     q_pos: float = 1.0
     q_heading: float = 0.1
     r_steer: float = 0.1
-    slack_penalty: float = 1e4
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,32 +117,26 @@ def linearize_collision(p_i0, p_j0, d_safe: float) -> Halfspace:
 
 @dataclass(eq=False)
 class LocalProblem:
-    """Per-vehicle tracking data with precomputed quadratic blocks.
+    """A vehicle's tracking QP over its Np steering inputs.
 
     H0/f0/const0 define the tracking-plus-effort cost
     (Phi u + gamma - ref)' W (Phi u + gamma - ref) + R |u|^2  as
     0.5 u'H0 u + f0'u + const0; G/h carry the position-bound rows mapped
-    through the condensed prediction.  ``condensed``, ``reference_stacked``
-    and ``weights`` are the data those blocks were formed from; the solvers
-    read only the blocks and the steering bounds.
+    through the condensed prediction, and steer_lb/steer_ub the steering box.
     """
 
-    vehicle_id: int
-    condensed: CondensedPrediction
-    reference_stacked: np.ndarray
-    weights: CostWeights
+    H0: np.ndarray = field(repr=False)
+    f0: np.ndarray = field(repr=False)
+    const0: float
+    G: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
     steer_lb: np.ndarray
     steer_ub: np.ndarray
-    H0: np.ndarray = field(repr=False, default=None)
-    f0: np.ndarray = field(repr=False, default=None)
-    const0: float = 0.0
-    G: np.ndarray = field(repr=False, default=None)
-    h: np.ndarray = field(repr=False, default=None)
     _eig: tuple | None = field(init=False, repr=False, default=None)
 
     @property
     def horizon(self) -> int:
-        return self.condensed.horizon
+        return len(self.f0)
 
     def eig(self) -> tuple:
         """(d, V, H0s) with H0s = (H0 + H0')/2 = V diag(d) V', d ascending.
@@ -196,12 +195,9 @@ def make_local_problem(spec: VehicleSpec, condensed: CondensedPrediction,
 
     G = np.array(rows) if rows else np.zeros((0, np_steps))
     h = np.array(rhs) if rhs else np.zeros(0)
-    return LocalProblem(
-        vehicle_id=spec.id, condensed=condensed, reference_stacked=ref,
-        weights=weights,
-        steer_lb=np.full(np_steps, spec.steer_min),
-        steer_ub=np.full(np_steps, spec.steer_max),
-        H0=H0, f0=f0, const0=const0, G=G, h=h)
+    return LocalProblem(H0=H0, f0=f0, const0=const0, G=G, h=h,
+                        steer_lb=np.full(np_steps, spec.steer_min),
+                        steer_ub=np.full(np_steps, spec.steer_max))
 
 
 def _append_row(rows, rhs, coeffs, bound) -> None:
@@ -212,8 +208,8 @@ def _append_row(rows, rhs, coeffs, bound) -> None:
 
 
 def make_local_problems(specs, prediction: FleetPrediction, references, weights: CostWeights,
-                        x0=None, ts: float | None = None) -> dict:
-    """``make_local_problem`` for N vehicles at once, keyed by vehicle id.
+                        x0, ts: float) -> dict:
+    """``make_local_problem(..., x0, ts)`` for N vehicles at once, keyed by vehicle id.
 
     Row n of ``prediction``, ``references`` (N, 3*Np) and ``x0`` (N, 2)
     belongs to ``specs[n]``.  H0, f0 and const0 come from one batched
@@ -245,13 +241,11 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
     q = gamma.reshape(n, np_steps, STATE_DIM)[:, :, :2]             # (N, Np, 2)
     q4 = q[:, :, coord]
     rhs = np.where(sign > 0, lim[:, None, :] - q4, q4 - lim[:, None, :])
-    keep = np.broadcast_to(np.isfinite(lim)[:, None, :], rhs.shape)
-    if x0 is not None and ts is not None:
-        speed = np.array([spec.speed for spec in specs], dtype=float)
-        radius = 2.0 * speed * np_steps * ts + 5.0
-        x0 = np.asarray(x0, dtype=float).reshape(n, -1)[:, coord]
-        dist = np.abs(np.where(sign > 0, lim - x0, x0 - lim))
-        keep = keep & (dist <= radius[:, None])[:, None, :]
+    speed = np.array([spec.speed for spec in specs], dtype=float)
+    radius = 2.0 * speed * np_steps * ts + 5.0
+    x0 = np.asarray(x0, dtype=float).reshape(n, -1)[:, coord]
+    dist = np.abs(np.where(sign > 0, lim - x0, x0 - lim))
+    keep = np.isfinite(lim)[:, None, :] & (dist <= radius[:, None])[:, None, :]
     zero = (np.max(np.abs(P), axis=3)[:, :, coord] < 1e-14) & (rhs >= -1e-9)
     keep = keep & ~zero        # zero rows that hold trivially are dropped
     veh, step, cand = np.nonzero(keep)
@@ -263,16 +257,13 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
                    np_steps, axis=1)
     ub = np.repeat(np.array([spec.steer_max for spec in specs], dtype=float)[:, None],
                    np_steps, axis=1)
-    condensed = prediction.vehicles
     problems = {}
     start = 0
     for i, spec in enumerate(specs):
         end = int(ends[i])
-        problems[spec.id] = LocalProblem(
-            vehicle_id=spec.id, condensed=condensed[i], reference_stacked=ref[i],
-            weights=weights, steer_lb=lb[i], steer_ub=ub[i],
-            H0=H0[i], f0=f0[i], const0=float(const0[i]), G=G_all[start:end],
-            h=h_all[start:end])
+        problems[spec.id] = LocalProblem(H0=H0[i], f0=f0[i], const0=float(const0[i]),
+                                         G=G_all[start:end], h=h_all[start:end],
+                                         steer_lb=lb[i], steer_ub=ub[i])
         start = end
     return problems
 
@@ -414,19 +405,14 @@ def fleet_objective(local_problems: dict, controls: dict) -> float:
 class EdgeProblem:
     """Joint separation problem for one coupled pair over (u_i, u_j, slack).
 
-    Step k's separation halfspace is 2 normals[k]'(p_i - p_j) >= rhs[k];
-    ``halfspaces`` builds the Halfspace objects on access.  G (Np, 3 Np)
-    and h (Np,) hold those halfspaces, softened by one slack per step, as
-    rows G x <= h over x = (u_i, u_j, s); the solvers read G, h and
-    ``slack_penalty``.
+    G (Np, 3 Np) and h (Np,) hold step k's separation halfspace, softened
+    by one slack per step, as row k of G x <= h over x = (u_i, u_j, s);
+    each slack costs ``slack_penalty`` per unit.
     """
 
-    edge: tuple[int, int]
     slack_penalty: float
-    normals: np.ndarray = field(repr=False, default=None)     # (Np, 2)
-    rhs: np.ndarray = field(repr=False, default=None)         # (Np,)
-    G: np.ndarray = field(repr=False, default=None)
-    h: np.ndarray = field(repr=False, default=None)
+    G: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
 
     # dual data for solve_edge, derived from G on first use and kept (a
     # copy made by dataclasses.replace derives it again from its own G)
@@ -458,10 +444,6 @@ class EdgeProblem:
     def horizon(self) -> int:
         return self.G.shape[0]
 
-    @property
-    def halfspaces(self) -> tuple[Halfspace, ...]:
-        return tuple(Halfspace(a=a, rhs=float(r)) for a, r in zip(self.normals, self.rhs))
-
 
 def _fallback_unit(fallback_dir) -> np.ndarray:
     if fallback_dir is None:
@@ -475,9 +457,10 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
                       condensed_j: CondensedPrediction, seed_pos_i, seed_pos_j,
                       d_safe: float, slack_penalty: float = 1e4,
                       fallback_dir=None) -> EdgeProblem:
-    """Linearize the per-step separation constraints at the seed pair.
+    """Linearize the per-step separation constraints of a vehicle pair at its seeds.
 
-    Coincident seed positions at a step are recovered deterministically by
+    ``edge`` names the pair for callers and is not read: the problem holds
+    only its rows.  Coincident seed positions at a step are recovered deterministically by
     substituting ``fallback_dir`` (the unit vector between the vehicles'
     current positions, or the x-axis) for the seed difference.
     """
@@ -486,7 +469,6 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
     seed_pos_j = np.asarray(seed_pos_j, dtype=float).reshape(np_steps, 2)
     fallback = _fallback_unit(fallback_dir)
 
-    halfspaces = []
     n = 3 * np_steps
     G = np.zeros((np_steps, n))
     h = np.zeros(np_steps)
@@ -495,7 +477,6 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
             hs = linearize_collision(seed_pos_i[k], seed_pos_j[k], d_safe)
         except DegenerateSeedError:
             hs = Halfspace(a=fallback.copy(), rhs=1.0 + d_safe ** 2)
-        halfspaces.append(hs)
         P_i, q_i = condensed_i.position_block(k + 1)
         P_j, q_j = condensed_j.position_block(k + 1)
         # 2a'(p_i - p_j) + s_k >= rhs  ->  -2a'P_i u_i + 2a'P_j u_j - s_k <= 2a'(q_i-q_j) - rhs
@@ -504,14 +485,11 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
         G[k, 2 * np_steps + k] = -1.0
         h[k] = float(2.0 * hs.a @ (q_i - q_j)) - hs.rhs
 
-    return EdgeProblem(edge=tuple(edge), slack_penalty=slack_penalty,
-                       normals=np.array([hs.a for hs in halfspaces]).reshape(np_steps, 2),
-                       rhs=np.array([hs.rhs for hs in halfspaces]), G=G, h=h)
+    return EdgeProblem(slack_penalty=slack_penalty, G=G, h=h)
 
 
 def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions,
-                       d_safe: float, slack_penalty: float = 1e4,
-                       fallback_dirs=None) -> dict:
+                       d_safe: float, slack_penalty: float, fallback_dirs) -> dict:
     """``make_edge_problem`` for E edges at once, keyed by edge.
 
     ``pairs`` (E, 2) holds the fleet rows of each edge's endpoints in
@@ -534,7 +512,7 @@ def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions
     coincident = norm_sq < _COINCIDENT_TOL ** 2
     rhs = norm_sq + d_safe ** 2
     if coincident.any():
-        fallback = np.array([_fallback_unit(None if fallback_dirs is None else fallback_dirs[e])
+        fallback = np.array([_fallback_unit(fallback_dirs[e])
                              for e in range(n_edges)]).reshape(n_edges, 2)
         a = np.where(coincident[:, :, None], fallback[:, None, :], a)
         rhs = np.where(coincident, 1.0 + d_safe ** 2, rhs)
@@ -549,8 +527,7 @@ def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions
     G[:, np.arange(np_steps), 2 * np_steps + np.arange(np_steps)] = -1.0
     h = np.matmul(two_a, (q[ii] - q[jj])[:, :, :, None])[:, :, 0, 0] - rhs
 
-    return {edge: EdgeProblem(edge=edge, slack_penalty=slack_penalty, normals=a[e],
-                              rhs=rhs[e], G=G[e], h=h[e])
+    return {edge: EdgeProblem(slack_penalty=slack_penalty, G=G[e], h=h[e])
             for e, edge in enumerate(edges)}
 
 
@@ -787,9 +764,7 @@ class CentralizedQp:
 
     qp: DenseQp
     vehicle_ids: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     np_steps: int
-    const_total: float
 
     @property
     def n_controls(self) -> int:
@@ -802,18 +777,11 @@ class CentralizedQp:
                                   dtype=float).copy()
         return out
 
-    def slacks(self, u_full: np.ndarray) -> dict:
-        base = self.n_controls
-        return {e: np.asarray(u_full[base + k * self.np_steps:
-                                     base + (k + 1) * self.np_steps], dtype=float).copy()
-                for k, e in enumerate(self.edges)}
-
-    def objective_value(self, u_full: np.ndarray) -> float:
-        return self.qp.objective(u_full) + self.const_total
-
 
 def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQp:
     """Stack all tracking blocks and softened edge constraints into one QP."""
+    if not local_problems:
+        raise ParameterError("the fleet must hold at least one vehicle")
     vids = tuple(sorted(local_problems))
     edges = tuple(sorted(edge_problems))
     np_steps = local_problems[vids[0]].horizon
@@ -827,7 +795,6 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
     ub = np.full(n, np.inf)
     G = np.zeros((m, n))
     h = np.empty(m)
-    const_total = 0.0
     r = 0
     for vid in vids:
         lp = local_problems[vid]
@@ -835,7 +802,6 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
         f[c:c + np_steps] = lp.f0
         lb[c:c + np_steps] = lp.steer_lb
         ub[c:c + np_steps] = lp.steer_ub
-        const_total += lp.const0
         rows = lp.G.shape[0]
         G[r:r + rows, c:c + np_steps] = lp.G
         h[r:r + rows] = lp.h
@@ -859,5 +825,4 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
     if edges:
         blocks.append((np.arange(n_u, n)[:, None], np.zeros((n - n_u, 1, 1))))
     qp = DenseQp(H=BlockDiagonal(n, blocks), f=f, G=G, h=h, lb=lb, ub=ub)
-    return CentralizedQp(qp=qp, vehicle_ids=vids, edges=edges,
-                         np_steps=np_steps, const_total=const_total)
+    return CentralizedQp(qp=qp, vehicle_ids=vids, np_steps=np_steps)

@@ -18,6 +18,9 @@ from fleetcoord import (CostWeights, build_centralized, build_constraint_graph, 
 from fleetcoord.scenario import Bounds, VehicleState
 from fleetcoord.simulation import convexify_cycle
 
+# a scenario's edge slack penalty when it sets none
+SLACK_PENALTY = 1e4
+
 
 class InstanceSpec:
     """Minimal vehicle carrier for make_local_problem."""
@@ -86,7 +89,7 @@ def random_fleet_instance(rng, np_steps=5, d_safe=5.0):
     for (i, j) in graph.edges:
         edge_problems[(i, j)] = make_edge_problem(
             (i, j), cond[i], cond[j], seeds[i].positions()[1:],
-            seeds[j].positions()[1:], d_safe, weights.slack_penalty)
+            seeds[j].positions()[1:], d_safe, SLACK_PENALTY)
     return local_problems, edge_problems, {vid: seeds[vid].controls for vid in vids}
 
 
@@ -113,7 +116,7 @@ def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0):
         seeds[vid] = seed
     edges = {(1, 2): make_edge_problem((1, 2), cond[1], cond[2],
                                        seeds[1].positions()[1:],
-                                       seeds[2].positions()[1:], d_safe)}
+                                       seeds[2].positions()[1:], d_safe, SLACK_PENALTY)}
     return local, edges, {vid: s.controls for vid, s in seeds.items()}
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fleetcoord import (AdmmConfig, AdmmState, adapt_rho, admm_solve,
-                        build_centralized, fleet_objective, kkt_residual,
+                        build_centralized, fleet_objective, init_admm_state, kkt_residual,
                         lateral_deviation, linearize, linearize_collision,
                         load_scenario_file, path_progress, rollout,
                         run_benchmark, run_simulation, solve_qp, step_nonlinear)
@@ -39,13 +39,12 @@ def test_criterion_1_admm_centralized_equivalence():
         local_problems, edge_problems, seeds = random_fleet_instance(rng, np_steps=5)
         res = admm_solve(local_problems, edge_problems,
                          AdmmConfig(eps_abs=0.01, eps_rel=0.01, max_iters=200),
-                         seeds=seeds)
+                         init_admm_state(seeds, edge_problems, 1.0))
         central = build_centralized(local_problems, edge_problems)
         sol = solve_qp(central.qp)
         j_cent = fleet_objective(local_problems, central.controls(sol.u_star))
         j_admm = fleet_objective(local_problems, res.consensus)
-        slack = max((float(np.max(s)) for s in central.slacks(sol.u_star).values()),
-                    default=0.0)
+        slack = float(np.max(sol.u_star[central.n_controls:], initial=0.0))
         slack = max(slack, res.report.slack_max)
         assert res.report.converged
         worst_gap = max(worst_gap, abs(j_admm - j_cent) / (1.0 + abs(j_cent)))
@@ -198,15 +197,15 @@ def test_criterion_7_stopping_conformance():
         local_problems, edge_problems, seeds = random_fleet_instance(rng, np_steps=5)
         res = admm_solve(local_problems, edge_problems,
                          AdmmConfig(eps_abs=0.01, eps_rel=0.01, max_iters=200),
-                         seeds={v: s.copy() for v, s in seeds.items()})
+                         init_admm_state(seeds, edge_problems, 1.0))
         final = to_dicts(res.state)
         rep = residuals(final, final.z_prev, eps_abs=0.01, eps_rel=0.01)
         if rep.converged != res.report.converged:
             flag_ok = False
         res_fixed = admm_solve(local_problems, edge_problems,
                                AdmmConfig(eps_abs=0.01, eps_rel=0.01, max_iters=200,
-                                          adapt_rho=False, rho0=1.0),
-                               seeds={v: s.copy() for v, s in seeds.items()})
+                                          adapt_rho=False),
+                               init_admm_state(seeds, edge_problems, 1.0))
         if not (res_fixed.report.converged
                 and res_fixed.report.iterations_used <= 200):
             fixed_ok = False

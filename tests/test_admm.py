@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -172,7 +173,7 @@ def test_single_vehicle_converges_in_two_iterations():
     cond = condense(linearize(seed, 12.0, 2.4, 0.1), x0)
     lp = make_local_problem(InstanceSpec(1, 12.0, 2.4), cond,
                             seed.states_array()[1:].reshape(-1), CostWeights())
-    res = admm_solve({1: lp}, {}, AdmmConfig(), seeds={1: seed.controls})
+    res = admm_solve({1: lp}, {}, AdmmConfig(), init_admm_state({1: seed.controls}, {}, 1.0))
     assert res.report.converged
     assert res.report.iterations_used <= 2
     assert np.max(np.abs(res.consensus[1])) <= 1e-8
@@ -183,7 +184,7 @@ def test_single_vehicle_reaches_standalone_solution():
     local_problems, _, seeds = random_fleet_instance(rng)
     vid = sorted(local_problems)[0]
     lp = {vid: local_problems[vid]}
-    res = admm_solve(lp, {}, AdmmConfig(), seeds={vid: seeds[vid]})
+    res = admm_solve(lp, {}, AdmmConfig(), init_admm_state({vid: seeds[vid]}, {}, 1.0))
     assert res.report.converged
     # at the uncoupled fixed point, consensus solves its own proximal problem
     sol2 = solve_qp(build_local(lp[vid], res.consensus[vid], np.zeros(5), rho=1.0))
@@ -196,7 +197,8 @@ def test_far_apart_pair_equals_independent_solves():
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
         if len(local_problems) == 2:
             break
-    res = admm_solve(local_problems, edge_problems, AdmmConfig(), seeds=seeds)
+    res = admm_solve(local_problems, edge_problems, AdmmConfig(),
+                     init_admm_state(seeds, edge_problems, 1.0))
     assert res.report.converged
     assert res.report.slack_max <= 1e-8
     eps = res.report.eps_pri
@@ -211,7 +213,8 @@ def test_three_vehicle_matches_centralized():
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
         if len(local_problems) == 3 and edge_problems:
             break
-    res = admm_solve(local_problems, edge_problems, AdmmConfig(), seeds=seeds)
+    res = admm_solve(local_problems, edge_problems, AdmmConfig(),
+                     init_admm_state(seeds, edge_problems, 1.0))
     central = build_centralized(local_problems, edge_problems)
     sol = solve_qp(central.qp)
     j_admm = fleet_objective(local_problems, res.consensus)
@@ -226,7 +229,8 @@ def test_consensus_respects_bounds_within_tolerance():
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
         if edge_problems:
             break
-    res = admm_solve(local_problems, edge_problems, AdmmConfig(), seeds=seeds)
+    res = admm_solve(local_problems, edge_problems, AdmmConfig(),
+                     init_admm_state(seeds, edge_problems, 1.0))
     assert res.report.converged
     n_total = sum(lp.horizon for lp in local_problems.values())
     slack = res.report.eps_pri / math.sqrt(n_total)
@@ -239,7 +243,8 @@ def test_consensus_respects_bounds_within_tolerance():
 def test_convergence_flag_matches_recomputation():
     rng = np.random.default_rng(101)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
-    res = admm_solve(local_problems, edge_problems, AdmmConfig(), seeds=seeds)
+    res = admm_solve(local_problems, edge_problems, AdmmConfig(),
+                     init_admm_state(seeds, edge_problems, 1.0))
     state = to_dicts(res.state)
     rep = residuals(state, state.z_prev, eps_abs=0.01, eps_rel=0.01)
     assert rep.converged == res.report.converged
@@ -254,8 +259,8 @@ def test_fixed_rho_residual_product_decreases():
         if edge_problems:
             break
     cfg = AdmmConfig(adapt_rho=False, eps_abs=1e-9, eps_rel=1e-9, max_iters=60)
-    res = admm_solve(local_problems, edge_problems, cfg, seeds=seeds,
-                     collect_trace=True)
+    res = admm_solve(local_problems, edge_problems, cfg,
+                     init_admm_state(seeds, edge_problems, 1.0), collect_trace=True)
     first = res.trace[0]
     last = res.trace[-1]
     prod_first = first["r_norm"] * first["s_norm"]
@@ -272,8 +277,8 @@ def test_input_dict_order_irrelevant():
     rev_lp = dict(reversed(list(local_problems.items())))
     rev_ep = dict(reversed(list(edge_problems.items())))
     res1 = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                      seeds=copy.deepcopy(seeds))
-    res2 = admm_solve(rev_lp, rev_ep, AdmmConfig(), seeds=copy.deepcopy(seeds))
+                      init_admm_state(seeds, edge_problems, 1.0))
+    res2 = admm_solve(rev_lp, rev_ep, AdmmConfig(), init_admm_state(seeds, rev_ep, 1.0))
     for vid in res1.consensus:
         assert np.array_equal(res1.consensus[vid], res2.consensus[vid])
 
@@ -292,7 +297,8 @@ def test_nan_iterate_raises_numerical_failure(monkeypatch):
 
     monkeypatch.setattr(admm_mod.FleetNodes, "solve", bad_solve)
     with pytest.raises(NumericalFailureError) as err:
-        admm_solve(local_problems, edge_problems, AdmmConfig(), seeds=seeds)
+        admm_solve(local_problems, edge_problems, AdmmConfig(),
+                   init_admm_state(seeds, edge_problems, 1.0))
     assert err.value.iteration == 1
 
 
@@ -334,7 +340,7 @@ def test_carried_state_shifts_edge_duals_and_balances_vehicle_duals():
         if len(local_problems) >= 3 and (1, 2) in edge_problems:
             break
     previous = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                          seeds={v: s.copy() for v, s in seeds.items()}).state
+                          init_admm_state(seeds, edge_problems, 1.0)).state
     for total in _dual_sums(previous).values():
         assert np.max(np.abs(total)) <= 1e-12
     assert np.any(previous.L[len(previous.vids):] != 0.0)
@@ -377,40 +383,53 @@ def test_invalid_input_raises_parameter_error():
     for max_iters in (0, -2, 2.5, np.float64(3.0), True, "3", None):
         with pytest.raises(ParameterError, match="max_iters"):
             admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=max_iters),
-                       seeds=seeds)
-    bad = {"rho0": (0.0, -1.0, np.nan, np.inf),
-           "eps_abs": (-0.01, np.nan, np.inf),
+                       init_admm_state(seeds, edge_problems, 1.0))
+    bad = {"eps_abs": (-0.01, np.nan, np.inf),
            "eps_rel": (-0.01, np.nan, -np.inf)}
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ParameterError, match=name):
                 admm_solve(local_problems, edge_problems, AdmmConfig(**{name: value}),
-                           seeds=seeds)
-    for rho0 in (np.nan, np.inf):
+                           init_admm_state(seeds, edge_problems, 1.0))
+    for rho0 in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ParameterError, match="rho0"):
             init_admm_state(seeds, edges=edge_problems.keys(), rho0=rho0)
     # the bounds themselves are accepted
     admm_solve(local_problems, edge_problems, AdmmConfig(eps_abs=0.0, max_iters=2),
-               seeds=seeds)
+               init_admm_state(seeds, edge_problems, 1.0))
 
 
-def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog):
+def test_init_state_without_vehicles_raises_parameter_error():
+    # an edge needs its endpoints, and a state needs at least one vehicle
+    for edges in ([(1, 2)], []):
+        with pytest.raises(ParameterError, match="at least one vehicle"):
+            init_admm_state({}, edges, 1.0)
+    # so admm_solve over an empty fleet can only be handed a state over
+    # other vehicles, which it rejects
+    with pytest.raises(ParameterError, match="vehicles and edges"):
+        admm_solve({}, {}, AdmmConfig(), init_admm_state({1: np.zeros(3)}, [], 1.0))
+
+
+def test_centralized_qp_of_an_empty_fleet_raises_parameter_error():
+    with pytest.raises(ParameterError, match="at least one vehicle"):
+        build_centralized({}, {})
+
+
+def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog, per_node_path):
     import fleetcoord.admm as admm_mod
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
-    real = admm_mod.FleetNodes.solve
+    real = admm_mod.solve_local
 
-    def stalled_solve(self, stack, rho):
-        # every vehicle's answer, from the batched pass or per node, stalled
-        step = real(self, stack, rho)
-        n = len(step.u)
-        step.status[:n] = ["max_iter"] * n
-        return step
+    def stalled(*args, **kwargs):
+        # every vehicle's answer comes from solve_local, stalled
+        return dataclasses.replace(real(*args, **kwargs), status="max_iter")
 
-    monkeypatch.setattr(admm_mod.FleetNodes, "solve", stalled_solve)
+    per_node_path()
+    monkeypatch.setattr(admm_mod, "solve_local", stalled)
     with caplog.at_level("WARNING", logger="fleetcoord.admm"):
         res = admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=5),
-                         seeds=seeds)
+                         init_admm_state(seeds, edge_problems, 1.0))
     # every local solve of every iteration went through the stalled solver
     assert res.report.nonoptimal_nodes == len(local_problems) * res.report.iterations_used
     warned = [r for r in caplog.records if "non-optimal" in r.getMessage()]
@@ -427,10 +446,10 @@ def test_edge_handed_nodes_are_counted(per_node_path):
         if edge_problems:
             break
     plain = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                       seeds=copy.deepcopy(seeds))
+                       init_admm_state(seeds, edge_problems, 1.0))
     per_node_path()
     res = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                     seeds=copy.deepcopy(seeds))
+                     init_admm_state(seeds, edge_problems, 1.0))
     iters = res.report.iterations_used
     assert iters == plain.report.iterations_used
     assert res.report.edge_handed == len(edge_problems) * iters

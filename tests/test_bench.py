@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 import yaml
 
-from fleetcoord import (BenchmarkRecord, dump_scenario, generate_scaled_scenario,
-                        build_constraint_graph, load_scenario, run_benchmark,
-                        summarize_bench)
+from fleetcoord import (BenchmarkRecord, ParameterError, dump_scenario,
+                        generate_scaled_scenario, build_constraint_graph, load_scenario,
+                        run_benchmark, summarize_bench)
 from fleetcoord import bench as bench_mod
 from fleetcoord.cli import main as cli_main
 
@@ -36,6 +37,17 @@ def test_generation_matches_the_yaml_round_trip(monkeypatch, n_vehicles, seed):
     text = dump_scenario(sc)
     assert text == dump_scenario(load_scenario(yaml.safe_dump(docs[0])))
     assert text == dump_scenario(generate_scaled_scenario(n_vehicles, seed))
+
+
+@pytest.mark.parametrize("n_vehicles", [0, -3, 2.5, 4.0, True, False, "4", None])
+def test_generation_rejects_a_vehicle_count_that_is_not_a_positive_integer(n_vehicles):
+    with pytest.raises(ParameterError, match="n_vehicles"):
+        generate_scaled_scenario(n_vehicles, seed=0)
+
+
+def test_generation_takes_a_numpy_integer_count():
+    assert (dump_scenario(generate_scaled_scenario(np.int64(4), seed=0))
+            == dump_scenario(generate_scaled_scenario(4, seed=0)))
 
 
 def test_generation_large_fleet_graph():

@@ -199,7 +199,7 @@ def test_centralized_starts_match_dense_scan(seed):
     assert np.array_equal(qp.H.starts, dense_diagonal_blocks(np.asarray(qp.H)))
     # one tracking block per vehicle, then one 1 x 1 zero block per slack
     sizes = np.diff(qp.H.starts).tolist()
-    assert sizes == [np_steps] * 16 + [1] * (len(central.edges) * np_steps)
+    assert sizes == [np_steps] * 16 + [1] * (qp.n - central.n_controls)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

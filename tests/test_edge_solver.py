@@ -201,7 +201,7 @@ def test_forced_pdas_cycle_still_reaches_the_exact_optimum(monkeypatch):
     G = np.zeros((n, 3 * n))
     G[:, :n] = CYCLE_L
     G[:, 2 * n:] = -np.eye(n)
-    ep = EdgeProblem(edge=(1, 2), slack_penalty=CYCLE_C, G=G, h=-CYCLE_Q / rho)
+    ep = EdgeProblem(slack_penalty=CYCLE_C, G=G, h=-CYCLE_Q / rho)
     continued = []
     real = sub._primal_active_set
 

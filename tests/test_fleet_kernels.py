@@ -20,7 +20,8 @@ from fleetcoord import (CostWeights, ParameterError, build_constraint_graph, con
                         generate_scaled_scenario, linearize, load_scenario_file,
                         make_edge_problem, make_local_problem, make_seed, reference_window,
                         rollout)
-from fleetcoord.dynamics import HorizonTrajectory, condense_fleet, rollout_fleet
+from fleetcoord.dynamics import (CondensedPrediction, HorizonTrajectory, condense_fleet,
+                                 rollout_fleet)
 from fleetcoord.scenario import Bounds, VehicleState
 from fleetcoord.simulation import (_align_reference_headings, _min_pairwise,
                                    _ReferencePaths, convexify_cycle)
@@ -54,6 +55,11 @@ def fleet_instance(seed, n, np_steps):
     return rng, x0, controls, speed, wheelbase, ts
 
 
+def vehicle_prediction(prediction, n):
+    """Row n of a FleetPrediction as the per-vehicle CondensedPrediction."""
+    return CondensedPrediction(Phi=prediction.Phi[n], gamma=prediction.gamma[n])
+
+
 def reference_rollouts(x0, controls, speed, wheelbase, ts):
     return [rollout(VehicleState(*x0[n]), controls[n], speed[n], wheelbase[n], ts)
             for n in range(len(x0))]
@@ -83,8 +89,6 @@ def test_condense_fleet_is_linearize_and_condense(inst):
         ref = condense(linearize(seed, speed[n], wheelbase[n], ts), VehicleState(*x0[n]))
         assert prediction.Phi[n].tobytes() == ref.Phi.tobytes()
         assert prediction.gamma[n].tobytes() == ref.gamma.tobytes()
-        view = prediction.vehicles[n]
-        assert view.Phi.base is not None and np.shares_memory(view.Phi, prediction.Phi)
 
 
 @SETTINGS
@@ -118,8 +122,8 @@ def _bounds(rng, x0, radius):
 
 
 @SETTINGS
-@given(fleets, st.booleans())
-def test_local_problems_match_make_local_problem(inst, pruned):
+@given(fleets)
+def test_local_problems_match_make_local_problem(inst):
     rng, x0, controls, speed, wheelbase, ts = fleet_instance(*inst)
     n, np_steps = controls.shape
     radius = 2.0 * speed * np_steps * ts + 5.0        # make_local_problem's pruning radius
@@ -129,20 +133,18 @@ def test_local_problems_match_make_local_problem(inst, pruned):
     poses = rollout_fleet(x0, controls, speed, wheelbase, ts)
     prediction = condense_fleet(poses, controls, speed, wheelbase, ts)
     refs = poses[:, 1:] + rng.normal(0.0, 1.0, (n, np_steps, 3))
-    extra = dict(x0=x0[:, :2], ts=ts) if pruned else {}
-    fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights, **extra)
+    fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights,
+                                x0=x0[:, :2], ts=ts)
     assert list(fleet) == [s.id for s in specs]
     for i, spec in enumerate(specs):
-        extra = dict(x0=x0[i, :2], ts=ts) if pruned else {}
-        ref = make_local_problem(spec, prediction.vehicles[i], refs[i].reshape(-1), weights,
-                                 **extra)
+        ref = make_local_problem(spec, vehicle_prediction(prediction, i), refs[i].reshape(-1),
+                                 weights, x0=x0[i, :2], ts=ts)
         got = fleet[spec.id]
-        for name in ("H0", "f0", "G", "h", "steer_lb", "steer_ub", "reference_stacked"):
+        for name in ("H0", "f0", "G", "h", "steer_lb", "steer_ub"):
             want = getattr(ref, name)
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
-        assert got.const0 == ref.const0
-        assert got.vehicle_id == spec.id
+        assert got.const0 == ref.const0 and got.horizon == np_steps
 
 
 @SETTINGS
@@ -171,17 +173,14 @@ def test_edge_problems_match_make_edge_problem(inst, coincide):
                                fallback_dirs=fallback_dirs)
     assert list(fleet) == edges
     for e, (i, j) in enumerate(pairs):
-        ref = make_edge_problem(edges[e], prediction.vehicles[i], prediction.vehicles[j],
-                                seed_pos[i], seed_pos[j], d_safe, penalty,
-                                fallback_dir=fallback_dirs[e])
+        ref = make_edge_problem(edges[e], vehicle_prediction(prediction, i),
+                                vehicle_prediction(prediction, j), seed_pos[i], seed_pos[j],
+                                d_safe, penalty, fallback_dir=fallback_dirs[e])
         got = fleet[edges[e]]
-        for name in ("G", "h", "normals", "rhs", "G_u", "fixed_rows", "coupled_rows", "G_c",
-                     "M"):
+        for name in ("G", "h", "G_u", "fixed_rows", "coupled_rows", "G_c", "M"):
             want = getattr(ref, name)
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
-        for hs_got, hs_ref in zip(got.halfspaces, ref.halfspaces, strict=True):
-            assert hs_got.a.tobytes() == hs_ref.a.tobytes() and hs_got.rhs == hs_ref.rhs
         assert got.slack_penalty == penalty and got.horizon == np_steps
 
 
@@ -190,7 +189,8 @@ def test_edge_with_every_row_fixed_has_empty_dual_hessian():
     # is fixed, not only step 1's
     prediction = condense_fleet(np.zeros((2, 4, 3)), np.zeros((2, 3)), 0.0, 2.4, 0.1)
     seed_pos = np.array([[[0.0, 0.0]] * 3, [[3.0, 0.0]] * 3])
-    problem = make_edge_problems([(1, 2)], [(0, 1)], prediction, seed_pos, 5.0)[(1, 2)]
+    problem = make_edge_problems([(1, 2)], [(0, 1)], prediction, seed_pos, 5.0, 1e4,
+                                 [(-3.0, 0.0)])[(1, 2)]
     assert list(problem.fixed_rows) == [0, 1, 2]
     assert problem.coupled_rows.size == 0 and problem.M.shape == (0, 0)
 
@@ -235,8 +235,7 @@ def test_min_pairwise_has_math_hypot_bits(seed, n):
 def _per_vehicle_convexify(scenario, current, seeds, graph, t):
     """The per-vehicle composition the fleet path replaces."""
     cfg = scenario.config
-    weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading,
-                          r_steer=cfg.r_weight, slack_penalty=cfg.slack_penalty)
+    weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading, r_steer=cfg.r_weight)
     condensed, local = {}, {}
     for spec in scenario.vehicles:
         vid = spec.id
@@ -276,7 +275,7 @@ def test_convexify_cycle_equals_per_vehicle_composition(scenario, overtake_path,
         want_local, want_edges = _per_vehicle_convexify(sc, current, seeds, graph, t)
         assert set(local) == set(want_local) and list(edges) == list(want_edges)
         for vid, want in want_local.items():
-            for name in ("H0", "f0", "G", "h", "reference_stacked"):
+            for name in ("H0", "f0", "G", "h"):
                 assert getattr(local[vid], name).tobytes() == getattr(want, name).tobytes()
             assert local[vid].const0 == want.const0
         for e, want in want_edges.items():

@@ -6,7 +6,6 @@ binds, and moves the lateral reference past a position bound so that
 position rows bind and the node is solved on its dual.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -17,8 +16,8 @@ from hypothesis import strategies as st
 import fleetcoord.admm as admm_mod
 import fleetcoord.qp as qp_mod
 from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_local, condense,
-                        kkt_residual, linearize, make_local_problem, rollout, solve_local,
-                        solve_qp)
+                        init_admm_state, kkt_residual, linearize, make_local_problem, rollout,
+                        solve_local, solve_qp)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import VehicleState
 
@@ -167,7 +166,7 @@ def test_fallbacks_are_counted(monkeypatch, per_node_path):
     # the bounded pair pins steering and binds a lane row: its vehicle nodes
     # fall back from the batched pass to solve_local
     local, edges, seeds = bounded_pair()
-    first = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds))
+    first = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
     assert first.report.iterations_used > 1
     assert first.report.local_handed > 0
     assert first.report.nonoptimal_nodes == 0 and first.report.kkt_max <= 1e-8
@@ -176,10 +175,10 @@ def test_fallbacks_are_counted(monkeypatch, per_node_path):
     handed_over = []
 
     def counting(*args, **kwargs):
-        handed_over.append(args[0].vehicle_id)
+        handed_over.append(args[0])
         return solve_local(*args, **kwargs)
 
     per_node_path()
     monkeypatch.setattr(admm_mod, "solve_local", counting)
-    res = admm_solve(local, edges, AdmmConfig(), seeds=copy.deepcopy(seeds))
+    res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
     assert res.report.local_handed == len(handed_over) == len(local) * res.report.iterations_used

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
 from fleetcoord import (ParameterError, generate_scaled_scenario, lateral_deviation,
@@ -154,6 +156,67 @@ def test_progress_and_deviation_helpers():
     spec = sc.vehicle(1)
     assert path_progress(spec, (30.0, 0.0)) == pytest.approx(50.0)  # path starts at -20
     assert lateral_deviation(spec, (30.0, 2.5)) == pytest.approx(2.5)
+
+
+class _Path:
+    """The one VehicleSpec field the closest-point helpers read."""
+
+    def __init__(self, waypoints):
+        self.waypoints = waypoints
+
+
+def _progress_by_segment_loop(waypoints, p):
+    """path_progress as written before the shared closest-point pass."""
+    pts = waypoints[:, :2]
+    deltas = np.diff(pts, axis=0)
+    seg_len = np.hypot(deltas[:, 0], deltas[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    if len(pts) == 1 or cum[-1] <= 0:
+        return 0.0
+    best = (np.inf, 0.0)
+    for seg in range(len(seg_len)):
+        if seg_len[seg] == 0:
+            continue
+        fr = float(np.clip((p - pts[seg]) @ deltas[seg] / seg_len[seg] ** 2, 0.0, 1.0))
+        d = float(np.hypot(*(p - (pts[seg] + fr * deltas[seg]))))
+        if d < best[0]:
+            best = (d, float(cum[seg] + fr * seg_len[seg]))
+    return best[1]
+
+
+def _deviation_by_segment_loop(waypoints, p):
+    """lateral_deviation as written before the shared closest-point pass."""
+    pts = waypoints[:, :2]
+    deltas = np.diff(pts, axis=0)
+    seg_len = np.hypot(deltas[:, 0], deltas[:, 1])
+    if len(pts) == 1:
+        return float(np.hypot(*(p - pts[0])))
+    best = np.inf
+    for seg in range(len(seg_len)):
+        if seg_len[seg] == 0:
+            d = float(np.hypot(*(p - pts[seg])))
+        else:
+            fr = float(np.clip((p - pts[seg]) @ deltas[seg] / seg_len[seg] ** 2, 0.0, 1.0))
+            d = float(np.hypot(*(p - pts[seg] - fr * deltas[seg])))
+        best = min(best, d)
+    return best
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.integers(1, 7),
+       repeats=st.integers(0, 3))
+def test_closest_point_pass_matches_the_segment_loops(seed, n_points, repeats):
+    # random polylines, some with repeated waypoints (zero-length segments)
+    rng = np.random.default_rng(seed)
+    waypoints = rng.uniform(-50.0, 50.0, (n_points, 3))
+    for _ in range(repeats):
+        k = int(rng.integers(n_points))
+        waypoints = np.insert(waypoints, k, waypoints[k], axis=0)
+    path = _Path(waypoints)
+    for p in rng.uniform(-80.0, 80.0, (5, 2)):
+        assert path_progress(path, p) == _progress_by_segment_loop(waypoints, p)
+        assert abs(lateral_deviation(path, p)
+                   - _deviation_by_segment_loop(waypoints, p)) <= 1e-12
 
 
 # ---------------------------------------------------------------- closed loop

@@ -5,7 +5,7 @@ from fleetcoord import (CostWeights, DegenerateSeedError, DenseQp, build_central
                         build_constraint_graph, build_edge, build_local, condense,
                         convexify_cycle, fleet_objective, generate_scaled_scenario,
                         linearize, linearize_collision, make_edge_problem,
-                        make_local_problem, make_seed, rollout, solve_qp,
+                        make_local_problem, make_seed, reference_window, rollout, solve_qp,
                         tracking_objective)
 from fleetcoord.scenario import Bounds, VehicleState
 
@@ -69,9 +69,14 @@ def test_degenerate_seed_fallback_is_conservative():
     pos = seed_i.positions()[1:]
     ep = make_edge_problem((1, 2), cond_i, cond_i, pos, pos, d_safe=5.0,
                            fallback_dir=(0.0, 3.0))
-    for hs in ep.halfspaces:
-        assert np.allclose(hs.a, [0.0, 1.0])
-        assert hs.rhs == pytest.approx(1.0 + 25.0)
+    # every step's halfspace is 2 a'(p_i - p_j) >= 1 + d_safe^2 with a the
+    # unit fallback direction (0, 1)
+    n = ep.horizon
+    for k in range(n):
+        P, _ = cond_i.position_block(k + 1)
+        assert np.allclose(ep.G[k, :n], -2.0 * P[1])
+        assert np.allclose(ep.G[k, n:2 * n], 2.0 * P[1])
+        assert ep.h[k] == pytest.approx(-(1.0 + 25.0))
 
 
 # ---------------------------------------------------------------- local
@@ -271,7 +276,7 @@ def test_centralized_far_apart_separable():
     for vid in (1, 2):
         alone = solve_qp(build_local(lps[vid], np.zeros(5), np.zeros(5), rho=1e-9))
         assert np.max(np.abs(controls[vid] - alone.u_star)) <= 1e-5
-    assert max(float(np.max(s)) for s in central.slacks(sol.u_star).values()) <= 1e-8
+    assert np.max(sol.u_star[central.n_controls:]) <= 1e-8
 
 
 def test_decomposition_consistency():
@@ -289,7 +294,8 @@ def test_decomposition_consistency():
     for _ in range(10):
         u = {1: rng.uniform(-0.3, 0.3, size=5), 2: rng.uniform(-0.3, 0.3, size=5)}
         u_full = np.concatenate([u[1], u[2], np.zeros(5)])
-        assert central.objective_value(u_full) == pytest.approx(
+        const = sum(lp.const0 for lp in lps.values())
+        assert central.qp.objective(u_full) + const == pytest.approx(
             fleet_objective(lps, u), rel=1e-12, abs=1e-9)
 
 
@@ -355,9 +361,13 @@ def test_centralized_assembly_matches_row_by_row(seed, pruned):
              for spec in sc.vehicles}
     lps, eps = convexify_cycle(sc, current, seeds, graph, 0.0)
     if not pruned:     # keep every position-bound row, so G has local rows too
-        lps = {vid: make_local_problem(sc.vehicle(vid), lp.condensed, lp.reference_stacked,
-                                       lp.weights)
-               for vid, lp in lps.items()}
+        weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading,
+                              r_steer=cfg.r_weight)
+        lps = {spec.id: make_local_problem(
+                   spec, condense(linearize(seeds[spec.id], spec.speed, spec.wheelbase, cfg.ts),
+                                  current[spec.id]),
+                   reference_window(spec, 0.0, cfg.horizon_steps, cfg.ts), weights)
+               for spec in sc.vehicles}
         assert sum(lp.G.shape[0] for lp in lps.values()) > 0
     assert eps
     qp = build_centralized(lps, eps).qp

@@ -18,26 +18,23 @@ dual step keep every vehicle's scaled duals (local copy plus incident edge
 copies) summing to zero; a carried vehicle dual would break that sum
 whenever an edge leaves the graph.
 
-Tracking nodes are solved by ``solve_local`` from an eigendecomposition of
-their fixed Hessian, made once per cycle, so rho changes never refactor; edge
-nodes by ``solve_edge``.  Both solve their node's dual box QP exactly, warm
-started from the node's previous multipliers; no per-iteration QP is
-assembled and no node reaches ``solve_qp``.
-
 ``admm_solve`` runs step 1 as one batched pass over the fleet
-(``FleetNodes``): ``LocalBatch`` makes the cycle's eigendecompositions in one
-stacked ``eigh`` and answers every vehicle that pins no steering bound,
-``EdgeBatch`` answers every edge whose coupled rows are inactive, and only
-the remaining nodes are handed, one after another in the calling thread, to
-``solve_local``/``solve_edge``, which stay the reference: the batched answers
-equal theirs bit for bit.  Parallelism is accounted, not executed: each
-iteration is charged its slowest node.  The iterates live in ``AdmmState``
-as arrays, one (N + 2E, Np) row per copy and its scaled dual and one (N, Np)
-consensus, and its methods are steps 2 and 3, the residuals and the rho
-rescaling.  The final state is carried into the next cycle as it is:
-``init_admm_state`` shifts the persisting edges' dual rows.  Accounted time
-charges each node an equal share of its batched pass, plus its own per-node
-solve when it was handed over.
+(``FleetNodes``).  ``LocalBatch`` holds the cycle's tracking problems and
+their eigendecompositions, made in one stacked ``eigh``, so rho changes
+never refactor; it answers every vehicle that pins no steering bound.
+``EdgeBatch`` holds the edge problems and answers every edge whose coupled
+rows are inactive.  Only the remaining nodes are handed, one after another
+in the calling thread, to the batches' ``solve_node``, which solves the
+node's dual box QP exactly, warm started from the node's previous
+multipliers; the batched answers equal ``solve_node``'s bit for bit, and no
+per-iteration QP is assembled or reaches ``solve_qp``.  Parallelism is
+accounted, not executed: each iteration is charged its slowest node.  The
+iterates live in ``AdmmState`` as arrays, one (N + 2E, Np) row per copy and
+its scaled dual and one (N, Np) consensus, and its methods are steps 2 and
+3, the residuals and the rho rescaling.  The final state is carried into the
+next cycle as it is: ``init_admm_state`` shifts the persisting edges' dual
+rows.  Accounted time charges each node an equal share of its batched pass,
+plus its own per-node solve when it was handed over.
 
 Every node solution's status is checked: non-optimal solutions and the
 nodes handed to the per-node solvers are counted in the ``ResidualReport``
@@ -58,8 +55,7 @@ from .errors import NumericalFailureError, ParameterError
 # build_edge, build_local and solve_qp are not called here; they stay
 # importable from this module for span tracers that wrap them by name.
 from .qp import OPTIMAL, solve_qp  # noqa: F401
-from .subproblems import (EdgeBatch, LocalBatch, build_edge, build_local,  # noqa: F401
-                          solve_edge, solve_local)
+from .subproblems import EdgeBatch, LocalBatch, build_edge, build_local  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -96,8 +92,8 @@ class ResidualReport:
     slack_max: float = 0.0
     parallel_time: float = 0.0   # sum over iterations of max node solve time
     nonoptimal_nodes: int = 0    # node solutions with status != optimal, all iterations
-    local_handed: int = 0        # vehicle nodes the batched pass left to solve_local
-    edge_handed: int = 0         # edge nodes the batched pass left to solve_edge
+    local_handed: int = 0        # vehicle nodes the batched pass left to solve_node
+    edge_handed: int = 0         # edge nodes the batched pass left to solve_node
     kkt_max: float = 0.0         # worst node KKT residual, all iterations
 
 
@@ -253,11 +249,10 @@ def adapt_rho(rho: float, r_norm: float, s_norm: float) -> float:
 class NodeStep:
     """One iteration's node solutions: vehicles sorted, then edges sorted.
 
-    ``handed`` maps the index of every node that the batched pass left to
-    ``solve_local``/``solve_edge`` to that solve's ``QpSolution``, in index
-    order; every other node is ``optimal``.  ``times`` is each node's
-    accounted time: an equal share of its batched pass, plus its own solve if
-    handed.
+    ``handed`` maps the index of every node that the batched pass left to its
+    batch's ``solve_node`` to that solve's ``QpSolution``, in index order;
+    every other node is ``optimal``.  ``times`` is each node's accounted time:
+    an equal share of its batched pass, plus its own solve if handed.
     """
 
     u: np.ndarray            # (N, Np) local copies
@@ -269,11 +264,11 @@ class NodeStep:
 
 
 class FleetNodes:
-    """A cycle's node problems, solved as one batched pass per ADMM iteration.
+    """A cycle's node batches, solved as one batched pass per ADMM iteration.
 
     ``LocalBatch`` and ``EdgeBatch`` answer every vehicle that pins no
     steering bound and every edge whose coupled rows are inactive; the nodes
-    they leave go to ``solve_local``/``solve_edge``, vehicles first, warm
+    they leave go to their batch's ``solve_node``, vehicles first, warm
     started from the node's previous multipliers as in a per-node loop.
     Construction (the stacked ``eigh`` and the edge stacks) is charged to the
     first iteration's nodes.
@@ -285,8 +280,6 @@ class FleetNodes:
         t1 = time.perf_counter()
         self.edge = EdgeBatch(edge_problems, self.local.f0.shape[1])
         self.setup_times = (t1 - t0, time.perf_counter() - t1)
-        self.local_problems = local_problems
-        self.edge_problems = edge_problems
         # each vehicle's last multipliers; None where the batched pass answered
         # (its multipliers are all zero)
         self.warm_local = [None] * len(local_problems)
@@ -294,8 +287,8 @@ class FleetNodes:
 
     def solve(self, state: AdmmState, rho: float) -> NodeStep:
         """All node solutions for the consensus and duals in ``state``."""
-        n, n_edges = len(self.local_problems), len(self.edge_problems)
         Z, L = state.Z, state.L
+        n, n_edges = len(Z), len(state.ekeys)
         np_steps = Z.shape[1]
         t0 = time.perf_counter()
         u, kkt_local, done_local = self.local.solve(Z, L[:n], rho)
@@ -313,17 +306,16 @@ class FleetNodes:
         warm_local, self.warm_local = self.warm_local, [None] * n
         for i in np.flatnonzero(~done_local).tolist():
             t = time.perf_counter()
-            sol = solve_local(self.local_problems[i], Z[i], L[i], rho,
-                              warm_mult=warm_local[i])
+            sol = self.local.solve_node(i, Z[i], L[i], rho, warm_mult=warm_local[i])
             times[i] += time.perf_counter() - t
             handed[i], kkt[i] = sol, sol.kkt_residual
             u[i] = sol.u_star
             self.warm_local[i] = sol.multipliers
         for k in np.flatnonzero(~done_edge).tolist():
             t = time.perf_counter()
-            sol = solve_edge(self.edge_problems[k], Z[state.vi[k]], Z[state.vj[k]],
-                             L[state.ri[k]], L[state.rj[k]], rho,
-                             warm_mu=None if self.warm_mu is None else self.warm_mu[k])
+            # x_edge is v itself: solve edge k from a copy of its row
+            sol = self.edge.solve_node(k, v[k].copy(), rho,
+                                       warm_mu=None if self.warm_mu is None else self.warm_mu[k])
             i = n + k
             times[i] += time.perf_counter() - t
             handed[i], kkt[i] = sol, sol.kkt_residual

@@ -13,6 +13,7 @@ which would otherwise land in whichever timed cycles make those calls.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -34,12 +35,15 @@ def generate_scaled_scenario(n_vehicles: int, seed: int,
                              sim_duration: float = 1.0) -> Scenario:
     """Deterministic N-vehicle multi-lane scenario, reproducible from seed.
 
-    ``n_vehicles`` must be an integer of at least 1 (not a bool); anything
-    else raises ParameterError naming it.
+    ``n_vehicles`` must be an integer of at least 1 and ``seed`` one of at
+    least 0 (neither a bool), and ``sim_duration`` must be finite and
+    positive; anything else raises ParameterError naming the argument.
     """
-    if (isinstance(n_vehicles, bool) or not isinstance(n_vehicles, (int, np.integer))
-            or n_vehicles < 1):
-        raise ParameterError(f"n_vehicles must be an integer of at least 1, got {n_vehicles!r}")
+    for name, value, least in (("n_vehicles", n_vehicles, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if not (math.isfinite(sim_duration) and sim_duration > 0):
+        raise ParameterError(f"sim_duration must be finite and positive, got {sim_duration!r}")
     rng = np.random.default_rng(seed)
     speeds_kmh = 40.0 + 10.0 * rng.random(n_vehicles)
 

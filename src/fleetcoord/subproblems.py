@@ -28,44 +28,48 @@ stacked ``matmul``, so the data equals that of ``make_local_problem`` and
 ``make_edge_problem`` bit for bit; those two stay as the reference
 formulation.  The problems' arrays are views into the fleet arrays.
 
-Inside ADMM, tracking problems are solved by ``solve_local``.  Their Hessian
-H0 is fixed for the cycle and each iteration adds rho I and changes the
-linear term, so one eigendecomposition H0 = V diag(d) V' (made by
-``LocalProblem.eig`` on first use) gives P = H0 + rho I and its inverse for
-any rho.  ``solve_local`` solves the dual of the position rows and steering
-bounds, a box QP with Hessian A P^-1 A'.  ``LocalBatch`` makes the cycle's
-eigendecompositions as one stacked ``eigh`` and answers every vehicle whose
-unconstrained minimizer meets all its rows (a zero dual) in one stacked pass,
-bit for bit as ``solve_local`` would.
+The problems are frozen records of a cycle's input data; everything the ADMM
+nodes derive from them lives in the batches.  ``LocalBatch`` holds the
+tracking problems: their Hessian H0 is fixed for the cycle and each
+iteration adds rho I and changes the linear term, so one eigendecomposition
+H0 = V diag(d) V', made for the whole fleet as one stacked ``eigh``, gives
+P = H0 + rho I and its inverse for any rho.  ``LocalBatch.solve`` answers
+every vehicle whose unconstrained minimizer meets all its rows (a zero dual)
+in one stacked pass; ``LocalBatch.solve_node`` solves any one vehicle on the
+dual of its position rows and steering bounds, a box QP with Hessian
+A P^-1 A'.
 
-Edge problems are solved by ``solve_edge`` through their exact dual.  The
-edge objective is proximal in the steering copies, x = (u_i, u_j):
+``EdgeBatch`` holds the edge problems and solves them through their exact
+dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
 
-    min  rho/2 |x - v|^2 + c 1's   s.t.  G_u x - s <= h,  s >= 0,
+    min  rho/2 |x - v|^2 + c 1's   s.t.  G x - s <= h,  s >= 0,
 
 with v = z - lam, so the dual is the box QP
 
-    min  1/2 mu'(G_u G_u' / rho) mu - (G_u v - h)'mu   s.t.  0 <= mu <= c,
+    min  1/2 mu'(G G' / rho) mu - (G v - h)'mu   s.t.  0 <= mu <= c,
 
-and x = v - G_u'mu / rho.  ``EdgeProblem`` forms G_u G_u' from its G on
-first use, once per cycle; each ADMM iteration only changes the linear term,
-and rho enters as a scalar.  Rows of G_u that are identically zero (the
+and x = v - G'mu / rho.  An edge's G holds only the steering copies' columns;
+the slacks' -I block is implied.  Rows of G that are identically zero (the
 step-1 separation, which no steering input can move) get their multiplier
-and slack in closed form.  ``EdgeBatch`` answers, in one stacked pass, every
-edge whose coupled rows are all inactive (q = rho (G_c v - h_c) <= 0, where
-mu_c = 0 and x = v), bit for bit as ``solve_edge`` would; the rest go to
-``solve_edge``.
+and slack in closed form.  ``EdgeBatch.solve`` answers, in one stacked pass,
+every edge whose coupled rows are all inactive (q = rho (G_c v - h_c) <= 0,
+where mu_c = 0 and x = v); ``EdgeBatch.solve_node`` solves any one edge,
+forming G_c G_c' the first time that edge is handed to it in the cycle, so
+each ADMM iteration only changes the linear term and rho enters as a scalar.
+Both batched passes answer bit for bit as ``solve_node`` would.
+``solve_local`` and ``solve_edge`` are ``solve_node`` on a one-node batch.
 Both duals go to the finite active set ``_box_active_set``; no node reaches
 ``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal reference:
 both node solvers score their answer with ``qp._kkt_measure`` on that
 primal's stationarity and row vectors, the residual ``kkt_residual`` gives
-the built QP.  ``build_edge`` passes its diagonal Hessian as 1 x 1 blocks.
+the built QP.  ``build_edge`` appends the slack columns and passes its
+diagonal Hessian as 1 x 1 blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +80,7 @@ from .qp import (_EIG_FLOOR, _REG_SHIFT, MAX_ITER, OPTIMAL, BlockDiagonal, Dense
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
-_NODE_OPTIMAL_KKT = 1e-8     # solve_local/solve_edge report optimal only at or below this
+_NODE_OPTIMAL_KKT = 1e-8     # solve_node reports optimal only at or below this
 _ACTIVE_SET_MAX_ITERS = 50
 _SINGULAR_GROWTH = 1e10      # _box_active_set: max|M| / lambda_min of a singular free block
 
@@ -115,7 +119,7 @@ def linearize_collision(p_i0, p_j0, d_safe: float) -> Halfspace:
     return Halfspace(a=a, rhs=norm_sq + d_safe ** 2)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LocalProblem:
     """A vehicle's tracking QP over its Np steering inputs.
 
@@ -132,24 +136,10 @@ class LocalProblem:
     h: np.ndarray = field(repr=False)
     steer_lb: np.ndarray
     steer_ub: np.ndarray
-    _eig: tuple | None = field(init=False, repr=False, default=None)
 
     @property
     def horizon(self) -> int:
         return len(self.f0)
-
-    def eig(self) -> tuple:
-        """(d, V, H0s) with H0s = (H0 + H0')/2 = V diag(d) V', d ascending.
-
-        Computed on first use and kept, so a cycle's ADMM iterations share one
-        decomposition and the centralized path never pays for it; a
-        ``LocalBatch`` fills it for the whole fleet at once.
-        """
-        if self._eig is None:
-            H0s = 0.5 * (self.H0 + self.H0.T)
-            d, V = np.linalg.eigh(H0s)
-            self._eig = (d, V, H0s)
-        return self._eig
 
 
 def make_local_problem(spec: VehicleSpec, condensed: CondensedPrediction,
@@ -268,10 +258,14 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
     return problems
 
 
+def _check_rho(rho: float) -> None:
+    if not (math.isfinite(rho) and rho > 0):
+        raise ParameterError(f"rho must be finite and positive, got {rho!r}")
+
+
 def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: float) -> DenseQp:
     """Tracking QP plus the consensus proximal term (0.5 rho |u - z + lam|^2)."""
-    if rho <= 0:
-        raise ParameterError("rho must be positive")
+    _check_rho(rho)
     np_steps = problem.horizon
     z = np.asarray(z, dtype=float).reshape(np_steps)
     lam = np.asarray(lam, dtype=float).reshape(np_steps)
@@ -284,51 +278,19 @@ def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: floa
 def solve_local(problem: LocalProblem, z, lam, rho: float, warm_mult=None) -> QpSolution:
     """Exact solution of ``build_local(problem, z, lam, rho)`` through its dual.
 
-    P = H0s + rho I = V diag(d + rho) V' from ``problem.eig()`` (plus 1e-9 I
-    when d0 + rho <= 1e-10, as ``solve_qp`` shifts) has the unconstrained
-    minimizer x0 = -P^-1 f.  The rows A x <= b (position rows, then the finite
-    steering bounds as -I and I rows) are solved on their dual, the box QP
-    min 1/2 l'(A P^-1 A') l - (A x0 - b)'l over l >= 0, by
+    P = H0s + rho I = V diag(d + rho) V', with H0s = (H0 + H0')/2 = V diag(d) V'
+    (plus 1e-9 I when d0 + rho <= 1e-10, as ``solve_qp`` shifts) has the
+    unconstrained minimizer x0 = -P^-1 f.  The rows A x <= b (position rows,
+    then the finite steering bounds as -I and I rows) are solved on their
+    dual, the box QP min 1/2 l'(A P^-1 A') l - (A x0 - b)'l over l >= 0, by
     ``_box_active_set``, warm started from ``warm_mult`` (an earlier solve's
     multipliers; None or all zero starts cold).  Then x = x0 - P^-1 A'l, each
     bound with a positive multiplier met exactly.  The multipliers are
     [z, w, y] as in ``solve_qp``; status is ``optimal`` when the KKT residual,
-    as ``kkt_residual`` defines it for the built QP, is at most 1e-8.
+    as ``kkt_residual`` defines it for the built QP, is at most 1e-8.  This is
+    ``LocalBatch.solve_node`` on a batch of one.
     """
-    if rho <= 0:
-        raise ParameterError("rho must be positive")
-    np_steps = problem.horizon
-    z = np.asarray(z, dtype=float).reshape(np_steps)
-    lam = np.asarray(lam, dtype=float).reshape(np_steps)
-    f = problem.f0 + rho * (lam - z)
-    d, V, H0s = problem.eig()
-    shift = d + rho
-    if not shift[0] > _EIG_FLOOR:
-        shift = shift + _REG_SHIFT
-    x = -(V @ ((V.T @ f) / shift))
-    G, lb, ub = problem.G, problem.steer_lb, problem.steer_ub
-    m = G.shape[0]
-    lo = np.flatnonzero(np.isfinite(lb))
-    hi = np.flatnonzero(np.isfinite(ub))
-    AV = np.concatenate([G @ V, -V[lo], V[hi]])
-    q = np.concatenate([G @ x - problem.h, lb[lo] - x[lo], x[hi] - ub[hi]])
-    start = None
-    if warm_mult is not None and np.any(warm_mult):
-        start = np.concatenate([warm_mult[:m], warm_mult[m + lo], warm_mult[m + np_steps + hi]])
-    dual = _box_active_set((AV / shift) @ AV.T, q, np.inf, start)
-    mult = np.zeros(m + 2 * np_steps)
-    if np.any(dual):
-        x = x - V @ ((AV.T @ dual) / shift)
-        mult[:m] = dual[:m]
-        mult[m + lo] = dual[m:m + len(lo)]
-        mult[m + np_steps + hi] = dual[m + len(lo):]
-        x = np.where(mult[m:m + np_steps] > 0.0, lb, np.where(mult[m + np_steps:] > 0.0, ub, x))
-    grad = H0s @ x + rho * x + f
-    stat = grad + G.T @ mult[:m] if np.any(mult[:m]) else grad
-    kkt = _kkt_measure(stat, G @ x - problem.h, x, lb, ub, mult)
-    return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)),
-                      status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
-                      kkt_residual=kkt, multipliers=mult)
+    return LocalBatch([problem]).solve_node(0, z, lam, rho, warm_mult)
 
 
 def _groups(keys) -> list:
@@ -343,20 +305,18 @@ class LocalBatch:
     """N tracking problems stacked for one closed-form pass per ADMM iteration.
 
     Construction makes one ``eigh`` over the (N, Np, Np) stack of
-    H0s = (H0 + H0')/2 and fills every problem's ``eig()`` with its slice, so
-    ``solve_local`` shares the decomposition.  ``solve`` is
-    ``solve_local``'s closed-form case for every vehicle at once: each product
-    is ``solve_local``'s own, issued as one stacked ``matmul`` (position rows
-    grouped by their count), so an answered row equals ``solve_local``'s bit
-    for bit.
+    H0s = (H0 + H0')/2 = V diag(d) V' (d ascending), which ``solve`` and
+    ``solve_node`` share.  ``solve`` is ``solve_node``'s closed-form case for
+    every vehicle at once: each product is ``solve_node``'s own, issued as one
+    stacked ``matmul`` (position rows grouped by their count), so an answered
+    row equals ``solve_node``'s bit for bit.
     """
 
     def __init__(self, problems):
+        self.problems = problems
         H0 = np.stack([p.H0 for p in problems])
         self.H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
         self.d, self.V = np.linalg.eigh(self.H0s)
-        for n, p in enumerate(problems):
-            p._eig = (self.d[n], self.V[n], self.H0s[n])
         self.f0 = np.stack([p.f0 for p in problems])
         self.lb = np.stack([p.steer_lb for p in problems])
         self.ub = np.stack([p.steer_ub for p in problems])
@@ -370,7 +330,7 @@ class LocalBatch:
         A row is answered when d0 + rho > _EIG_FLOOR, the unconstrained
         minimizer pins no steering bound and meets its position rows, and the
         KKT residual is at most 1e-8; its multipliers are then all zero.
-        Every other row is left to ``solve_local``.
+        Every other row is left to ``solve_node``.
         """
         f = self.f0 + rho * (lam - z)
         shift = self.d + rho
@@ -388,6 +348,45 @@ class LocalBatch:
                 & (row_max <= 0.0))
         return x, kkt, done
 
+    def solve_node(self, i: int, z, lam, rho: float, warm_mult=None) -> QpSolution:
+        """Vehicle i's ``build_local`` QP solved exactly on its dual, as ``solve_local`` states."""
+        _check_rho(rho)
+        problem = self.problems[i]
+        np_steps = problem.horizon
+        z = np.asarray(z, dtype=float).reshape(np_steps)
+        lam = np.asarray(lam, dtype=float).reshape(np_steps)
+        f = problem.f0 + rho * (lam - z)
+        d, V, H0s = self.d[i], self.V[i], self.H0s[i]
+        shift = d + rho
+        if not shift[0] > _EIG_FLOOR:
+            shift = shift + _REG_SHIFT
+        x = -(V @ ((V.T @ f) / shift))
+        G, lb, ub = problem.G, problem.steer_lb, problem.steer_ub
+        m = G.shape[0]
+        lo = np.flatnonzero(np.isfinite(lb))
+        hi = np.flatnonzero(np.isfinite(ub))
+        AV = np.concatenate([G @ V, -V[lo], V[hi]])
+        q = np.concatenate([G @ x - problem.h, lb[lo] - x[lo], x[hi] - ub[hi]])
+        start = None
+        if warm_mult is not None and np.any(warm_mult):
+            start = np.concatenate([warm_mult[:m], warm_mult[m + lo],
+                                    warm_mult[m + np_steps + hi]])
+        dual = _box_active_set((AV / shift) @ AV.T, q, np.inf, start)
+        mult = np.zeros(m + 2 * np_steps)
+        if np.any(dual):
+            x = x - V @ ((AV.T @ dual) / shift)
+            mult[:m] = dual[:m]
+            mult[m + lo] = dual[m:m + len(lo)]
+            mult[m + np_steps + hi] = dual[m + len(lo):]
+            x = np.where(mult[m:m + np_steps] > 0.0, lb,
+                         np.where(mult[m + np_steps:] > 0.0, ub, x))
+        grad = H0s @ x + rho * x + f
+        stat = grad + G.T @ mult[:m] if np.any(mult[:m]) else grad
+        kkt = _kkt_measure(stat, G @ x - problem.h, x, lb, ub, mult)
+        return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)),
+                          status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
+                          kkt_residual=kkt, multipliers=mult)
+
 
 def tracking_objective(problem: LocalProblem, u: np.ndarray) -> float:
     """Tracking-plus-effort cost of one vehicle at steering sequence u."""
@@ -401,44 +400,18 @@ def fleet_objective(local_problems: dict, controls: dict) -> float:
                for v in sorted(local_problems))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EdgeProblem:
     """Joint separation problem for one coupled pair over (u_i, u_j, slack).
 
-    G (Np, 3 Np) and h (Np,) hold step k's separation halfspace, softened
-    by one slack per step, as row k of G x <= h over x = (u_i, u_j, s);
-    each slack costs ``slack_penalty`` per unit.
+    G (Np, 2 Np) and h (Np,) hold step k's separation halfspace as row k of
+    G (u_i, u_j) - s_k <= h: the slack s_k of step k enters only its own row,
+    with coefficient -1, and costs ``slack_penalty`` per unit.
     """
 
     slack_penalty: float
     G: np.ndarray = field(repr=False)
     h: np.ndarray = field(repr=False)
-
-    # dual data for solve_edge, derived from G on first use and kept (a
-    # copy made by dataclasses.replace derives it again from its own G)
-    @cached_property
-    def G_u(self) -> np.ndarray:
-        """Steering block G[:, :2Np]."""
-        return np.ascontiguousarray(self.G[:, :2 * self.horizon])
-
-    @cached_property
-    def fixed_rows(self) -> np.ndarray:
-        """Rows whose steering block is zero."""
-        return np.flatnonzero(np.max(np.abs(self.G_u), axis=1) == 0.0)
-
-    @cached_property
-    def coupled_rows(self) -> np.ndarray:
-        """All other rows."""
-        return np.flatnonzero(np.max(np.abs(self.G_u), axis=1) != 0.0)
-
-    @cached_property
-    def G_c(self) -> np.ndarray:
-        return self.G_u[self.coupled_rows]
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        """G_c G_c', the dual Hessian times rho."""
-        return self.G_c @ self.G_c.T
 
     @property
     def horizon(self) -> int:
@@ -469,8 +442,7 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
     seed_pos_j = np.asarray(seed_pos_j, dtype=float).reshape(np_steps, 2)
     fallback = _fallback_unit(fallback_dir)
 
-    n = 3 * np_steps
-    G = np.zeros((np_steps, n))
+    G = np.zeros((np_steps, 2 * np_steps))
     h = np.zeros(np_steps)
     for k in range(np_steps):
         try:
@@ -481,8 +453,7 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
         P_j, q_j = condensed_j.position_block(k + 1)
         # 2a'(p_i - p_j) + s_k >= rhs  ->  -2a'P_i u_i + 2a'P_j u_j - s_k <= 2a'(q_i-q_j) - rhs
         G[k, :np_steps] = -2.0 * hs.a @ P_i
-        G[k, np_steps:2 * np_steps] = 2.0 * hs.a @ P_j
-        G[k, 2 * np_steps + k] = -1.0
+        G[k, np_steps:] = 2.0 * hs.a @ P_j
         h[k] = float(2.0 * hs.a @ (q_i - q_j)) - hs.rhs
 
     return EdgeProblem(slack_penalty=slack_penalty, G=G, h=h)
@@ -521,10 +492,9 @@ def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions
     P = Phi.reshape(len(Phi), np_steps, STATE_DIM, np_steps)[:, :, :2]
     q = prediction.gamma.reshape(len(Phi), np_steps, STATE_DIM)[:, :, :2]
     two_a = (2.0 * a)[:, :, None, :]
-    G = np.zeros((n_edges, np_steps, 3 * np_steps))
+    G = np.zeros((n_edges, np_steps, 2 * np_steps))
     G[:, :, :np_steps] = np.matmul(-2.0 * a[:, :, None, :], P[ii])[:, :, 0]
-    G[:, :, np_steps:2 * np_steps] = np.matmul(two_a, P[jj])[:, :, 0]
-    G[:, np.arange(np_steps), 2 * np_steps + np.arange(np_steps)] = -1.0
+    G[:, :, np_steps:] = np.matmul(two_a, P[jj])[:, :, 0]
     h = np.matmul(two_a, (q[ii] - q[jj])[:, :, :, None])[:, :, 0, 0] - rhs
 
     return {edge: EdgeProblem(slack_penalty=slack_penalty, G=G[e], h=h[e])
@@ -533,8 +503,7 @@ def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions
 
 def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> DenseQp:
     """Edge QP: proximal terms for both endpoint copies plus slack penalty."""
-    if rho <= 0:
-        raise ParameterError("rho must be positive")
+    _check_rho(rho)
     np_steps = problem.horizon
     n = 3 * np_steps
     Hd = np.concatenate([np.full(2 * np_steps, rho), np.zeros(np_steps)])
@@ -544,7 +513,8 @@ def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> Dens
         np.full(np_steps, problem.slack_penalty),
     ])
     H = BlockDiagonal(n, [(np.arange(n)[:, None], Hd[:, None, None])])   # diagonal: 1 x 1 blocks
-    return DenseQp(H=H, f=f, G=problem.G, h=problem.h, lb=_edge_lb(np_steps), ub=None)
+    G = np.hstack([problem.G, -np.eye(np_steps)])
+    return DenseQp(H=H, f=f, G=G, h=problem.h, lb=_edge_lb(np_steps), ub=None)
 
 
 def _edge_lb(np_steps: int) -> np.ndarray:
@@ -561,62 +531,31 @@ def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
     ``solve_qp`` on the primal: u_star = [u_i, u_j, s] and multipliers
     [mu, w, y] with w = c - mu on the slacks and zero elsewhere.  status is
     ``optimal`` when the primal KKT residual, as ``kkt_residual`` defines it,
-    is at most 1e-8.
+    is at most 1e-8.  This is ``EdgeBatch.solve_node`` on a batch of one.
     """
-    if rho <= 0:
-        raise ParameterError("rho must be positive")
-    np_steps = problem.horizon
-    c = problem.slack_penalty
-    h = problem.h
     v = np.concatenate([np.asarray(z_i, dtype=float) - np.asarray(lam_i, dtype=float),
                         np.asarray(z_j, dtype=float) - np.asarray(lam_j, dtype=float)])
-
-    mu = np.zeros(np_steps)
-    fixed = problem.fixed_rows
-    mu[fixed] = np.where(h[fixed] < 0.0, c, 0.0)
-    rows = problem.coupled_rows
-    # rho times the dual: min 1/2 mu'M mu - rho b'mu, so rho stays a scalar
-    q = rho * (problem.G_c @ v - h[rows])
-    start = None if warm_mu is None else np.asarray(warm_mu, dtype=float)[rows]
-    mu_c = _box_active_set(problem.M, q, c, start)
-    mu[rows] = mu_c
-
-    x = v - (problem.G_c.T @ mu_c) / rho
-    # slack only where its penalty binds (mu = c): elsewhere complementarity
-    # with w = c - mu > 0 requires s = 0, and rounding must not leak into s
-    s = np.where(mu >= c, np.maximum(problem.G_u @ x - h, 0.0), 0.0)
-    w_s = c - mu
-    f_x = -rho * v
-    u = np.concatenate([x, s])
-    mult = np.concatenate([mu, np.zeros(2 * np_steps), w_s, np.zeros(3 * np_steps)])
-    # the primal's stationarity: in x, rho x + f_x + G_u' mu; in s, c - mu
-    stat = np.concatenate([rho * x + f_x + problem.G_u.T @ mu, c - mu])
-    kkt = _kkt_measure(stat, problem.G_u @ x - s - h, u, _edge_lb(np_steps),
-                       np.full(3 * np_steps, np.inf), mult)
-    objective = float(0.5 * rho * (x @ x) + f_x @ x + c * np.sum(s))
-    return QpSolution(u_star=u, objective=objective,
-                      status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
-                      kkt_residual=kkt, multipliers=mult)
+    return EdgeBatch([problem], problem.horizon).solve_node(0, v, rho, warm_mu)
 
 
 class EdgeBatch:
     """E edge problems stacked to answer their inactive case in one pass per iteration.
 
-    Construction stacks G_u, h and the slack penalties and finds every edge's
-    fixed rows, with the coupled rows' G_c grouped by the fixed-row pattern.
-    ``solve`` screens all edges with one stacked q = rho (G_c v - h_c).  When
-    q <= 0 on every coupled row and no warm multiplier on a coupled row is
-    nonzero, ``_box_active_set`` returns mu_c = 0 on its first guess, so
-    ``solve_edge``'s answer is x = v with the fixed rows' multipliers and
-    slacks in closed form; M, the active set and G_u' mu (zero: mu is nonzero
-    only on rows whose G_u row is zero) are skipped.  Each product is
-    ``solve_edge``'s own, issued as one stacked ``matmul``, so an answered
-    row equals ``solve_edge``'s bit for bit.
+    Construction stacks G_u (the edges' G), h and the slack penalties and
+    finds every edge's fixed rows, with the coupled rows' G_c grouped by the
+    fixed-row pattern.  ``solve`` screens all edges with one stacked
+    q = rho (G_c v - h_c).  When q <= 0 on every coupled row and no warm
+    multiplier on a coupled row is nonzero, ``_box_active_set`` returns
+    mu_c = 0 on its first guess, so ``solve_node``'s answer is x = v with the
+    fixed rows' multipliers and slacks in closed form; G_c G_c', the active
+    set and G_u' mu (zero: mu is nonzero only on rows whose G_u row is zero)
+    are skipped.  Each product is ``solve_node``'s own, issued as one stacked
+    ``matmul``, so an answered row equals ``solve_node``'s bit for bit.
     """
 
     def __init__(self, problems, np_steps: int):
-        G = np.array([p.G for p in problems], dtype=float).reshape(-1, np_steps, 3 * np_steps)
-        self.G_u = np.ascontiguousarray(G[:, :, :2 * np_steps])
+        G = np.array([p.G for p in problems], dtype=float)
+        self.G_u = G.reshape(-1, np_steps, 2 * np_steps)
         self.h = np.array([p.h for p in problems], dtype=float).reshape(-1, np_steps)
         self.c = np.array([p.slack_penalty for p in problems], dtype=float)
         self.fixed = np.max(np.abs(self.G_u), axis=2) == 0.0
@@ -625,12 +564,13 @@ class EdgeBatch:
         for _, idx in _groups(row.tobytes() for row in self.fixed):
             rows = ~self.fixed[idx[0]]
             self.coupled.append((idx, self.G_u[idx][:, rows], self.h[idx][:, rows]))
+        self.duals: dict = {}      # edge -> (coupled rows, G_c, G_c G_c') once handed
 
     def solve(self, v, rho: float, warm_mu=None):
         """(x, s, mu, kkt, done) for the rows v = z - lam (E, 2Np) of all edges.
 
         ``warm_mu`` (E, Np) holds each edge's last row multipliers, or None.
-        ``done`` marks the edges answered here; ``solve_edge`` answers the rest.
+        ``done`` marks the edges answered here; ``solve_node`` answers the rest.
         """
         inactive = np.ones(len(v), dtype=bool)
         for idx, G_c, h_c in self.coupled:
@@ -644,7 +584,7 @@ class EdgeBatch:
         G_ux = np.matmul(self.G_u, x[:, :, None])[:, :, 0]
         s = np.where(mu >= c, np.maximum(G_ux - self.h, 0.0), 0.0)
         w_s = c - mu
-        # solve_edge's KKT terms (qp._kkt_measure), with G_u' mu = 0
+        # solve_node's KKT terms (qp._kkt_measure), with G_u' mu = 0
         row = G_ux - s - self.h
         kkt = np.maximum(np.max(np.concatenate([
             np.abs(rho * x + -rho * v), np.abs(c - mu - w_s), row, -mu, np.abs(mu * row),
@@ -652,6 +592,40 @@ class EdgeBatch:
         done = (inactive & np.all(np.isfinite(v), axis=1) & (self.c > 0.0)
                 & (kkt <= _NODE_OPTIMAL_KKT))
         return x, s, mu, kkt, done
+
+    def solve_node(self, k: int, v, rho: float, warm_mu=None) -> QpSolution:
+        """Edge k's ``build_edge`` QP at v = z - lam (2Np,), solved exactly on its dual."""
+        _check_rho(rho)
+        G_u, h, c = self.G_u[k], self.h[k], self.c[k]
+        np_steps = len(h)
+        if k not in self.duals:
+            rows = np.flatnonzero(~self.fixed[k])
+            G_c = G_u[rows]
+            self.duals[k] = (rows, G_c, G_c @ G_c.T)
+        rows, G_c, M = self.duals[k]
+        mu = self.mu_fixed[k].copy()
+        # rho times the dual: min 1/2 mu'M mu - rho b'mu, so rho stays a scalar
+        q = rho * (G_c @ v - h[rows])
+        start = None if warm_mu is None else np.asarray(warm_mu, dtype=float)[rows]
+        mu_c = _box_active_set(M, q, c, start)
+        mu[rows] = mu_c
+
+        x = v - (G_c.T @ mu_c) / rho
+        # slack only where its penalty binds (mu = c): elsewhere complementarity
+        # with w = c - mu > 0 requires s = 0, and rounding must not leak into s
+        s = np.where(mu >= c, np.maximum(G_u @ x - h, 0.0), 0.0)
+        w_s = c - mu
+        f_x = -rho * v
+        u = np.concatenate([x, s])
+        mult = np.concatenate([mu, np.zeros(2 * np_steps), w_s, np.zeros(3 * np_steps)])
+        # the primal's stationarity: in x, rho x + f_x + G_u' mu; in s, c - mu
+        stat = np.concatenate([rho * x + f_x + G_u.T @ mu, c - mu])
+        kkt = _kkt_measure(stat, G_u @ x - s - h, u, _edge_lb(np_steps),
+                           np.full(3 * np_steps, np.inf), mult)
+        objective = float(0.5 * rho * (x @ x) + f_x @ x + c * np.sum(s))
+        return QpSolution(u_star=u, objective=objective,
+                          status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
+                          kkt_residual=kkt, multipliers=mult)
 
 
 def _box_active_set(M, q, c, start=None):
@@ -814,8 +788,8 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
         f[s_col:s_col + np_steps] = ep.slack_penalty
         lb[s_col:s_col + np_steps] = 0.0
         G[r:r + np_steps, col[i]:col[i] + np_steps] = ep.G[:, :np_steps]
-        G[r:r + np_steps, col[j]:col[j] + np_steps] = ep.G[:, np_steps:2 * np_steps]
-        G[r:r + np_steps, s_col:s_col + np_steps] = ep.G[:, 2 * np_steps:]
+        G[r:r + np_steps, col[j]:col[j] + np_steps] = ep.G[:, np_steps:]
+        np.fill_diagonal(G[r:r + np_steps, s_col:s_col + np_steps], -1.0)
         h[r:r + np_steps] = ep.h
         r += np_steps
 

@@ -20,10 +20,11 @@ def intersection_path():
 
 @pytest.fixture
 def per_node_path(monkeypatch):
-    """Call to hand every node of ADMM's batched pass to solve_local/solve_edge.
+    """Call to hand every node of ADMM's batched pass to its batch's ``solve_node``.
 
     The batched kernels still run, but their ``done`` masks come back all
-    False, so a fault injected into the per-node solvers reaches every node.
+    False, so a fault injected into ``LocalBatch.solve_node`` or
+    ``EdgeBatch.solve_node`` reaches every node.
     """
     import numpy as np
 

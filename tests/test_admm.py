@@ -8,6 +8,7 @@ import pytest
 from fleetcoord import (AdmmConfig, NumericalFailureError, ParameterError, adapt_rho,
                         admm_solve, build_centralized, build_local, fleet_objective,
                         init_admm_state, solve_qp)
+from fleetcoord.subproblems import LocalBatch
 
 from instances import random_fleet_instance
 from reference import DictState, residuals, to_arrays, to_dicts
@@ -416,17 +417,16 @@ def test_centralized_qp_of_an_empty_fleet_raises_parameter_error():
 
 
 def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog, per_node_path):
-    import fleetcoord.admm as admm_mod
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
-    real = admm_mod.solve_local
+    real = LocalBatch.solve_node
 
     def stalled(*args, **kwargs):
-        # every vehicle's answer comes from solve_local, stalled
+        # every vehicle's answer comes from solve_node, stalled
         return dataclasses.replace(real(*args, **kwargs), status="max_iter")
 
     per_node_path()
-    monkeypatch.setattr(admm_mod, "solve_local", stalled)
+    monkeypatch.setattr(LocalBatch, "solve_node", stalled)
     with caplog.at_level("WARNING", logger="fleetcoord.admm"):
         res = admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=5),
                          init_admm_state(seeds, edge_problems, 1.0))

@@ -17,14 +17,16 @@ multipliers on coupled rows, zeroed steering rows).
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
-from fleetcoord import (AdmmConfig, adapt_rho, admm_solve, init_admm_state, solve_edge,
-                        solve_local)
+from fleetcoord import (AdmmConfig, ParameterError, adapt_rho, admm_solve, init_admm_state,
+                        solve_edge, solve_local)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.subproblems import EdgeBatch, LocalBatch
 
@@ -242,18 +244,24 @@ def test_local_batch_answers_as_solve_local(seeds, np_steps, steer, lateral, y_r
             assert not np.any(sol.multipliers)
 
 
+def _coupled_rows(ep):
+    """The rows of ``ep.G`` that some steering input moves."""
+    return np.flatnonzero(np.max(np.abs(ep.G), axis=1) != 0.0)
+
+
 def _edge_case(seed, np_steps, gap, log_c, duplicate, zero_row, q_target, rho):
     ep, (z_i, z_j, lam_i, lam_j) = edge_instance(seed, np_steps, gap, 10.0 ** log_c, duplicate)
     if zero_row and np_steps >= 3:
         # a second fixed row: another fixed-row pattern for EdgeBatch to group
         G = ep.G.copy()
-        G[np_steps - 1, :2 * np_steps] = 0.0
+        G[np_steps - 1] = 0.0
         ep = dataclasses.replace(ep, G=G)
-    if q_target is not None and len(ep.coupled_rows):
+    coupled = _coupled_rows(ep)
+    if q_target is not None and len(coupled):
         # move v so one coupled row sits at q_target / rho (within rounding)
-        g = ep.G_u[ep.coupled_rows[0]]
+        g = ep.G[coupled[0]]
         v = np.concatenate([z_i - lam_i, z_j - lam_j])
-        v = v + ((q_target / rho - (g @ v - ep.h[ep.coupled_rows[0]])) / (g @ g)) * g
+        v = v + ((q_target / rho - (g @ v - ep.h[coupled[0]])) / (g @ g)) * g
         z_i, z_j = v[:np_steps] + lam_i, v[np_steps:] + lam_j
     return ep, (z_i, z_j, lam_i, lam_j)
 
@@ -277,8 +285,9 @@ def test_edge_batch_answers_as_solve_edge(cases, np_steps, log_rho, warm_seed):
     rng = np.random.default_rng(warm_seed)
     warm = np.zeros((len(cases), np_steps))
     for k, (case, ep) in enumerate(zip(cases, problems)):
-        if case[-1] == "coupled" and len(ep.coupled_rows):
-            warm[k, rng.choice(ep.coupled_rows)] = ep.slack_penalty * rng.choice([0.5, 1.0])
+        coupled = _coupled_rows(ep)
+        if case[-1] == "coupled" and len(coupled):
+            warm[k, rng.choice(coupled)] = ep.slack_penalty * rng.choice([0.5, 1.0])
     warm_mu = None if all(case[-1] == "none" for case in cases) else warm
     x, s, mu, kkt, done = EdgeBatch(problems, np_steps).solve(v, rho, warm_mu)
     for k, (ep, args) in enumerate(built):
@@ -287,6 +296,19 @@ def test_edge_batch_answers_as_solve_edge(cases, np_steps, log_rho, warm_seed):
             assert sol.status == OPTIMAL
             assert same(x[k], sol.u_star[:2 * np_steps]) and same(s[k], sol.u_star[2 * np_steps:])
             assert same(mu[k], sol.multipliers[:np_steps]) and kkt[k] == sol.kkt_residual
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_node_solvers_reject_a_rho_that_is_not_finite_and_positive(rho):
+    lp, z, lam = local_instance(2, 5, steer=0.61, lateral=1.0, y_room=None)
+    ep, args = edge_instance(3, 5, gap=2.0, slack_penalty=1e4, duplicate=False)
+    v = np.concatenate([args[0] - args[2], args[1] - args[3]])
+    for solve in (lambda: solve_local(lp, z, lam, rho),
+                  lambda: LocalBatch([lp]).solve_node(0, z, lam, rho),
+                  lambda: solve_edge(ep, *args, rho),
+                  lambda: EdgeBatch([ep], 5).solve_node(0, v, rho)):
+        with pytest.raises(ParameterError, match="rho"):
+            solve()
 
 
 def random_state(rng, n_vehicles, edge_prob, np_steps, rho):

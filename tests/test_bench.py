@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -48,6 +50,23 @@ def test_generation_rejects_a_vehicle_count_that_is_not_a_positive_integer(n_veh
 def test_generation_takes_a_numpy_integer_count():
     assert (dump_scenario(generate_scaled_scenario(np.int64(4), seed=0))
             == dump_scenario(generate_scaled_scenario(4, seed=0)))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_generation_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        generate_scaled_scenario(4, seed)
+
+
+@pytest.mark.parametrize("sim_duration", [0.0, -1.0, math.nan, math.inf])
+def test_generation_rejects_a_duration_that_is_not_finite_and_positive(sim_duration):
+    with pytest.raises(ParameterError, match="sim_duration"):
+        generate_scaled_scenario(4, 0, sim_duration=sim_duration)
+
+
+def test_generation_takes_a_numpy_integer_seed():
+    assert (dump_scenario(generate_scaled_scenario(4, seed=np.int64(3)))
+            == dump_scenario(generate_scaled_scenario(4, seed=3)))
 
 
 def test_generation_large_fleet_graph():
@@ -169,6 +188,15 @@ def test_cli_bench_writes_tables(tmp_path, capsys):
 def test_cli_bench_rejects_bad_sizes(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["bench", "--sizes", "4,foo", "--out", str(tmp_path)])
+
+
+def test_cli_bench_rejects_a_negative_seed(tmp_path, capsys):
+    code = cli_main(["bench", "--sizes", "2", "--cycles", "1", "--seed", "-1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not (tmp_path / "bench_records.csv").exists()
 
 
 def test_cli_rejects_nonpositive_workers(tmp_path, overtake_path, capsys):

@@ -38,7 +38,7 @@ def edge_instance(seed, np_steps, gap, slack_penalty, duplicate):
     """Two vehicles ``gap`` metres apart laterally, converging headings.
 
     ``duplicate`` copies one row of the steering block onto another (with a
-    slightly looser right-hand side), so G_u loses rank.
+    slightly looser right-hand side), so G loses rank.
     """
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(-0.3, 0.3))
@@ -53,7 +53,7 @@ def edge_instance(seed, np_steps, gap, slack_penalty, duplicate):
     if duplicate and np_steps >= 3:
         src, dst = (int(k) for k in rng.choice(np.arange(1, np_steps), 2, replace=False))
         G, h = ep.G.copy(), ep.h.copy()
-        G[dst, :2 * np_steps] = G[src, :2 * np_steps]
+        G[dst] = G[src]
         h[dst] = h[src] + float(rng.uniform(0.0, 1.0))
         ep = dataclasses.replace(ep, G=G, h=h)
     z_i, z_j, lam_i, lam_j = rng.uniform(-0.3, 0.3, size=(4, np_steps))
@@ -136,9 +136,9 @@ def test_unrelated_warm_start_gives_the_same_optimum(inst, other):
 def _edge_kkt_separate_maxima(problem, rho, f_x, x, s, mu, w_s):
     """The edge primal's KKT residual as one np.max per term."""
     c = problem.slack_penalty
-    stat_x = rho * x + f_x + problem.G_u.T @ mu
+    stat_x = rho * x + f_x + problem.G.T @ mu
     stat_s = c - mu - w_s
-    row = problem.G_u @ x - s - problem.h
+    row = problem.G @ x - s - problem.h
     return max(float(np.max(np.abs(stat_x))), float(np.max(np.abs(stat_s))),
                float(np.max(row)), float(np.max(-mu)), float(np.max(np.abs(mu * row))),
                float(np.max(-s)), float(np.max(-w_s)), float(np.max(np.abs(w_s * s))),
@@ -149,10 +149,10 @@ def _edge_kkt_shared(problem, rho, f_x, x, s, mu, w_s):
     """The shared measure on the edge primal's vectors, as solve_edge hands them over."""
     n = problem.horizon
     c = problem.slack_penalty
-    stat = np.concatenate([rho * x + f_x + problem.G_u.T @ mu, c - mu])
+    stat = np.concatenate([rho * x + f_x + problem.G.T @ mu, c - mu])
     lb = np.concatenate([np.full(2 * n, -np.inf), np.zeros(n)])
     mult = np.concatenate([mu, np.zeros(2 * n), w_s, np.zeros(3 * n)])
-    return _kkt_measure(stat, problem.G_u @ x - s - problem.h, np.concatenate([x, s]),
+    return _kkt_measure(stat, problem.G @ x - s - problem.h, np.concatenate([x, s]),
                         lb, np.full(3 * n, np.inf), mult)
 
 
@@ -180,7 +180,7 @@ def test_edge_kkt_single_reduction_is_exact(inst, seed):
 def test_zero_row_slack_in_closed_form():
     # seed pair 2 m apart: the step-1 row cannot be fixed by any steering
     ep, args = edge_instance(3, 5, gap=2.0, slack_penalty=1e4, duplicate=False)
-    assert list(ep.fixed_rows) == [0] and ep.h[0] < 0
+    assert list(np.flatnonzero(np.max(np.abs(ep.G), axis=1) == 0.0)) == [0] and ep.h[0] < 0
     sol = solve_edge(ep, *args, 1.0)
     n = ep.horizon
     assert sol.u_star[2 * n] == -ep.h[0]
@@ -196,11 +196,10 @@ CYCLE_Q, CYCLE_C = np.array([-4.0, 1.0, 1.0]), 1.0
 
 def test_forced_pdas_cycle_still_reaches_the_exact_optimum(monkeypatch):
     import fleetcoord.subproblems as sub
-    # an edge whose three rows all steer, with G_u G_u' = CYCLE_L CYCLE_L'
+    # an edge whose three rows all steer, with G G' = CYCLE_L CYCLE_L'
     n, rho = 3, 2.0
-    G = np.zeros((n, 3 * n))
+    G = np.zeros((n, 2 * n))
     G[:, :n] = CYCLE_L
-    G[:, 2 * n:] = -np.eye(n)
     ep = EdgeProblem(slack_penalty=CYCLE_C, G=G, h=-CYCLE_Q / rho)
     continued = []
     real = sub._primal_active_set

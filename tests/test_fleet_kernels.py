@@ -22,10 +22,11 @@ from fleetcoord import (CostWeights, ParameterError, build_constraint_graph, con
                         rollout)
 from fleetcoord.dynamics import (CondensedPrediction, HorizonTrajectory, condense_fleet,
                                  rollout_fleet)
+from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import Bounds, VehicleState
 from fleetcoord.simulation import (_align_reference_headings, _min_pairwise,
                                    _ReferencePaths, convexify_cycle)
-from fleetcoord.subproblems import make_edge_problems, make_local_problems
+from fleetcoord.subproblems import EdgeBatch, make_edge_problems, make_local_problems
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -177,7 +178,7 @@ def test_edge_problems_match_make_edge_problem(inst, coincide):
                                 vehicle_prediction(prediction, j), seed_pos[i], seed_pos[j],
                                 d_safe, penalty, fallback_dir=fallback_dirs[e])
         got = fleet[edges[e]]
-        for name in ("G", "h", "G_u", "fixed_rows", "coupled_rows", "G_c", "M"):
+        for name in ("G", "h"):
             want = getattr(ref, name)
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
@@ -191,8 +192,12 @@ def test_edge_with_every_row_fixed_has_empty_dual_hessian():
     seed_pos = np.array([[[0.0, 0.0]] * 3, [[3.0, 0.0]] * 3])
     problem = make_edge_problems([(1, 2)], [(0, 1)], prediction, seed_pos, 5.0, 1e4,
                                  [(-3.0, 0.0)])[(1, 2)]
-    assert list(problem.fixed_rows) == [0, 1, 2]
-    assert problem.coupled_rows.size == 0 and problem.M.shape == (0, 0)
+    batch = EdgeBatch([problem], 3)
+    assert batch.fixed.tolist() == [[True, True, True]]
+    sol = batch.solve_node(0, np.zeros(6), 1.0)
+    rows, G_c, M = batch.duals[0]
+    assert rows.size == 0 and G_c.shape == (0, 6) and M.shape == (0, 0)
+    assert sol.status == OPTIMAL
 
 
 @SETTINGS
@@ -279,7 +284,7 @@ def test_convexify_cycle_equals_per_vehicle_composition(scenario, overtake_path,
                 assert getattr(local[vid], name).tobytes() == getattr(want, name).tobytes()
             assert local[vid].const0 == want.const0
         for e, want in want_edges.items():
-            for name in ("G", "h", "M"):
+            for name in ("G", "h"):
                 assert getattr(edges[e], name).tobytes() == getattr(want, name).tobytes()
 
 

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import fleetcoord.admm as admm_mod
 import fleetcoord.qp as qp_mod
 from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_local, condense,
                         init_admm_state, kkt_residual, linearize, make_local_problem, rollout,
                         solve_local, solve_qp)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import VehicleState
+from fleetcoord.subproblems import LocalBatch
 
 from instances import BoxedSpec, bounded_pair
 from oracles import enumerate_qp
@@ -152,33 +152,61 @@ def test_binding_position_rows_fall_back_exactly(inst):
     assert abs(sol.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
 
 
-def test_eigendecomposition_is_made_once():
-    lp, z, lam = local_instance(2, 5, steer=0.61, lateral=1.0, y_room=None)
-    first = lp.eig()
-    for rho in (1e-3, 1.0, 1e3):
-        solve_local(lp, z, lam, rho)
-    assert lp.eig() is first
-    d, V, H0s = first
-    assert np.allclose(V @ np.diag(d) @ V.T, lp.H0, atol=1e-10 * np.max(np.abs(lp.H0)))
+def test_one_stacked_eigendecomposition_per_admm_solve(monkeypatch, per_node_path):
+    # every vehicle is handed to solve_node at every iteration, and rho
+    # changes between them: the cycle still decomposes its vehicle Hessians
+    # once, as one stacked eigh, and the handed solves read that decomposition
+    local, edges, seeds = bounded_pair()
+    vids = sorted(local)
+    H0 = np.stack([local[v].H0 for v in vids])
+    H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
+    calls = []
+    real = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        calls.append((np.array(a), out))
+        return out
+
+    per_node_path()
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
+    monkeypatch.undo()
+    assert res.report.iterations_used > 1
+    assert res.report.local_handed == len(local) * res.report.iterations_used
+
+    def is_vehicle_hessian(a):
+        return any(a.shape == h.shape and np.array_equal(a, h) for h in (*H0, *H0s))
+
+    stacked = [out for a, out in calls if a.shape == H0s.shape and np.array_equal(a, H0s)]
+    assert len(stacked) == 1
+    # the handed solves' own eigh calls (the primal active set's, on dual
+    # blocks) touch no vehicle Hessian
+    assert not any(is_vehicle_hessian(a) for a, _ in calls)
+    d, V = stacked[0]
+    for n in range(len(vids)):
+        assert np.allclose(V[n] @ np.diag(d[n]) @ V[n].T, H0[n],
+                           atol=1e-10 * np.max(np.abs(H0[n])))
 
 
 def test_fallbacks_are_counted(monkeypatch, per_node_path):
     # the bounded pair pins steering and binds a lane row: its vehicle nodes
-    # fall back from the batched pass to solve_local
+    # fall back from the batched pass to solve_node
     local, edges, seeds = bounded_pair()
     first = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
     assert first.report.iterations_used > 1
     assert first.report.local_handed > 0
     assert first.report.nonoptimal_nodes == 0 and first.report.kkt_max <= 1e-8
 
-    # the report counts exactly the nodes handed to solve_local
+    # the report counts exactly the nodes handed to solve_node
     handed_over = []
+    real = LocalBatch.solve_node
 
-    def counting(*args, **kwargs):
-        handed_over.append(args[0])
-        return solve_local(*args, **kwargs)
+    def counting(self, i, *args, **kwargs):
+        handed_over.append(i)
+        return real(self, i, *args, **kwargs)
 
     per_node_path()
-    monkeypatch.setattr(admm_mod, "solve_local", counting)
+    monkeypatch.setattr(LocalBatch, "solve_node", counting)
     res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
     assert res.report.local_handed == len(handed_over) == len(local) * res.report.iterations_used

@@ -217,8 +217,7 @@ def test_zero_slack_feasible_controls_keep_linear_distance():
     found = 0
     for _ in range(500):
         u = rng.uniform(-0.5, 0.5, size=2 * n)
-        joint = np.concatenate([u, np.zeros(n)])
-        if np.max(ep.G @ joint - ep.h) > 0:
+        if np.max(ep.G @ u - ep.h) > 0:
             continue
         found += 1
         p_i = cond_i.predict(u[:n])[:, :2]
@@ -341,8 +340,8 @@ def _centralized_rows_reference(local_problems, edge_problems):
         for r in range(np_steps):
             row = np.zeros(n)
             row[col[i]:col[i] + np_steps] = ep.G[r, :np_steps]
-            row[col[j]:col[j] + np_steps] = ep.G[r, np_steps:2 * np_steps]
-            row[s_col:s_col + np_steps] = ep.G[r, 2 * np_steps:]
+            row[col[j]:col[j] + np_steps] = ep.G[r, np_steps:]
+            row[s_col + r] = -1.0
             rows.append(row)
             rhs.append(ep.h[r])
     G = np.array(rows) if rows else np.zeros((0, n))

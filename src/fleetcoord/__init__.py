@@ -2,8 +2,8 @@
 
 from .admm import (AdmmConfig, AdmmResult, AdmmState, ResidualReport, adapt_rho,
                    admm_solve, init_admm_state)
-from .bench import (BenchmarkRecord, BenchSummary, generate_scaled_scenario,
-                    run_benchmark, summarize_bench)
+from .bench import (BenchmarkRecord, BenchSummary, generate_crossing_scenario,
+                    generate_scaled_scenario, run_benchmark, summarize_bench)
 from .dynamics import (CondensedPrediction, HorizonTrajectory, LinearModel,
                        condense, linearize, rollout, step_nonlinear)
 from .errors import (DegenerateSeedError, NumericalFailureError, ParameterError,

@@ -18,10 +18,10 @@ dual step keep every vehicle's scaled duals (local copy plus incident edge
 copies) summing to zero; a carried vehicle dual would break that sum
 whenever an edge leaves the graph.
 
-``admm_solve`` runs step 1 as one batched pass over the fleet
-(``FleetNodes``).  ``LocalBatch`` holds the cycle's tracking problems and
-their eigendecompositions, made in one stacked ``eigh``, so rho changes
-never refactor; it answers every vehicle that pins no steering bound.
+``admm_solve`` runs step 1 as one batched pass over the fleet.  ``LocalBatch``
+holds the cycle's tracking problems and their eigendecompositions, made in
+one stacked ``eigh``, so rho changes never refactor; it answers every
+vehicle that pins no steering bound.
 ``EdgeBatch`` holds the edge problems and answers every edge whose coupled
 rows are inactive.  Only the remaining nodes are handed, one after another
 in the calling thread, to the batches' ``solve_node``, which solves the
@@ -102,7 +102,6 @@ class AdmmResult:
     consensus: dict
     report: ResidualReport
     state: AdmmState
-    trace: list
 
 
 def _endpoint_rows(ids: np.ndarray, edges) -> np.ndarray:
@@ -245,88 +244,6 @@ def adapt_rho(rho: float, r_norm: float, s_norm: float) -> float:
     return rho
 
 
-@dataclass(eq=False)
-class NodeStep:
-    """One iteration's node solutions: vehicles sorted, then edges sorted.
-
-    ``handed`` maps the index of every node that the batched pass left to its
-    batch's ``solve_node`` to that solve's ``QpSolution``, in index order;
-    every other node is ``optimal``.  ``times`` is each node's accounted time:
-    an equal share of its batched pass, plus its own solve if handed.
-    """
-
-    u: np.ndarray            # (N, Np) local copies
-    x_edge: np.ndarray       # (E, 2Np) edge copies (u_i, u_j)
-    slack: np.ndarray        # (E, Np)
-    kkt: np.ndarray          # (N + E,) node KKT residuals
-    handed: dict
-    times: np.ndarray        # (N + E,) seconds
-
-
-class FleetNodes:
-    """A cycle's node batches, solved as one batched pass per ADMM iteration.
-
-    ``LocalBatch`` and ``EdgeBatch`` answer every vehicle that pins no
-    steering bound and every edge whose coupled rows are inactive; the nodes
-    they leave go to their batch's ``solve_node``, vehicles first, warm
-    started from the node's previous multipliers as in a per-node loop.
-    Construction (the stacked ``eigh`` and the edge stacks) is charged to the
-    first iteration's nodes.
-    """
-
-    def __init__(self, local_problems: list, edge_problems: list):
-        t0 = time.perf_counter()
-        self.local = LocalBatch(local_problems)
-        t1 = time.perf_counter()
-        self.edge = EdgeBatch(edge_problems, self.local.f0.shape[1])
-        self.setup_times = (t1 - t0, time.perf_counter() - t1)
-        # each vehicle's last multipliers; None where the batched pass answered
-        # (its multipliers are all zero)
-        self.warm_local = [None] * len(local_problems)
-        self.warm_mu = None           # (E, Np) every edge's last row multipliers
-
-    def solve(self, state: AdmmState, rho: float) -> NodeStep:
-        """All node solutions for the consensus and duals in ``state``."""
-        Z, L = state.Z, state.L
-        n, n_edges = len(Z), len(state.ekeys)
-        np_steps = Z.shape[1]
-        t0 = time.perf_counter()
-        u, kkt_local, done_local = self.local.solve(Z, L[:n], rho)
-        t1 = time.perf_counter()
-        v = np.concatenate([Z[state.vi] - L[state.ri], Z[state.vj] - L[state.rj]], axis=1)
-        x_edge, slack, mu, kkt_edge, done_edge = self.edge.solve(v, rho, self.warm_mu)
-        t2 = time.perf_counter()
-        setup_local, setup_edge = self.setup_times
-        self.setup_times = (0.0, 0.0)
-        times = np.concatenate([np.full(n, (t1 - t0 + setup_local) / n),
-                                np.full(n_edges, (t2 - t1 + setup_edge) / max(n_edges, 1))])
-
-        kkt = np.concatenate([kkt_local, kkt_edge])
-        handed = {}
-        warm_local, self.warm_local = self.warm_local, [None] * n
-        for i in np.flatnonzero(~done_local).tolist():
-            t = time.perf_counter()
-            sol = self.local.solve_node(i, Z[i], L[i], rho, warm_mult=warm_local[i])
-            times[i] += time.perf_counter() - t
-            handed[i], kkt[i] = sol, sol.kkt_residual
-            u[i] = sol.u_star
-            self.warm_local[i] = sol.multipliers
-        for k in np.flatnonzero(~done_edge).tolist():
-            t = time.perf_counter()
-            # x_edge is v itself: solve edge k from a copy of its row
-            sol = self.edge.solve_node(k, v[k].copy(), rho,
-                                       warm_mu=None if self.warm_mu is None else self.warm_mu[k])
-            i = n + k
-            times[i] += time.perf_counter() - t
-            handed[i], kkt[i] = sol, sol.kkt_residual
-            x_edge[k] = sol.u_star[:2 * np_steps]
-            slack[k] = sol.u_star[2 * np_steps:]
-            mu[k] = sol.multipliers[:np_steps]
-        self.warm_mu = mu
-        return NodeStep(u=u, x_edge=x_edge, slack=slack, kkt=kkt, handed=handed,
-                        times=times)
-
-
 def _check_config(config: AdmmConfig) -> None:
     """Raise ParameterError naming the first AdmmConfig field out of its range."""
     max_iters = config.max_iters
@@ -340,7 +257,7 @@ def _check_config(config: AdmmConfig) -> None:
 
 
 def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
-               init: AdmmState, collect_trace: bool = False) -> AdmmResult:
+               init: AdmmState) -> AdmmResult:
     """Run consensus ADMM from ``init`` until the stopping criterion or the iteration cap.
 
     ``local_problems`` maps vehicle id to LocalProblem; ``edge_problems`` maps
@@ -348,9 +265,13 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     ``init_admm_state`` over the same vehicles and edges (at the seeds, or
     carried from the last cycle); its ``rho`` is the starting penalty.  The
     result is independent of subproblem execution order within a step: every
-    solve reads only the previous barrier's state.  Each iteration solves all
-    nodes with ``FleetNodes`` and updates the arrays of ``init`` in place; the
-    result holds that state.
+    solve reads only the previous barrier's state.  Each iteration answers the
+    nodes with one ``LocalBatch`` and one ``EdgeBatch`` pass, hands the nodes
+    they leave to the batches' ``solve_node`` (vehicles first, each warm
+    started from its previous multipliers), and updates the arrays of
+    ``init`` in place; the result holds that state.  Building the batches
+    (the stacked ``eigh`` and the edge stacks) is charged to the first
+    iteration's nodes.  Each iteration's residuals are logged at DEBUG level.
     """
     _check_config(config)
     state = init
@@ -358,13 +279,19 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     ekeys = sorted(edge_problems)
     if state.vids != vids or state.ekeys != ekeys:
         raise ParameterError("the ADMM state must hold the problems' vehicles and edges")
-    n = len(vids)
+    n, n_edges = len(vids), len(ekeys)
     names = [f"local/{v}" for v in vids] + [f"edge/{e[0]}-{e[1]}" for e in ekeys]
     total_node_time = np.zeros(len(names))
 
-    nodes = FleetNodes([local_problems[v] for v in vids], [edge_problems[e] for e in ekeys])
+    t0 = time.perf_counter()
+    local = LocalBatch([local_problems[v] for v in vids])
+    t1 = time.perf_counter()
+    edge = EdgeBatch([edge_problems[e] for e in ekeys], local.f0.shape[1])
+    setup_local, setup_edge = t1 - t0, time.perf_counter() - t1
+    # each vehicle's last multipliers (None where the batched pass answered:
+    # they are all zero), and every edge's last row multipliers (E, Np)
+    warm_local, warm_mu = [None] * n, None
     np_steps = state.Z.shape[1]
-    trace = []
     report = None
     slack_max = 0.0
     parallel_time = 0.0
@@ -372,45 +299,70 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     local_handed = edge_handed = 0
     kkt_max = 0.0
     for k in range(1, config.max_iters + 1):
-        rho = state.rho
+        rho, Z, L = state.rho, state.Z, state.L
 
         # Step 1: all local and edge solves, mutually independent
-        step = nodes.solve(state, rho)
-        finite = np.concatenate([np.all(np.isfinite(step.u), axis=1),
-                                 np.all(np.isfinite(step.x_edge), axis=1)
-                                 & np.all(np.isfinite(step.slack), axis=1)])
+        t0 = time.perf_counter()
+        u, kkt_local, done_local = local.solve(Z, L[:n], rho)
+        t1 = time.perf_counter()
+        v = np.concatenate([Z[state.vi] - L[state.ri], Z[state.vj] - L[state.rj]], axis=1)
+        x_edge, slack, mu, kkt_edge, done_edge = edge.solve(v, rho, warm_mu)
+        t2 = time.perf_counter()
+        times = np.concatenate([np.full(n, (t1 - t0 + setup_local) / n),
+                                np.full(n_edges, (t2 - t1 + setup_edge) / max(n_edges, 1))])
+        setup_local = setup_edge = 0.0
+        kkt = np.concatenate([kkt_local, kkt_edge])
+        flagged = []
+        handed_local = np.flatnonzero(~done_local).tolist()
+        handed_edge = np.flatnonzero(~done_edge).tolist()
+        last_local, warm_local = warm_local, [None] * n
+        for i in handed_local:
+            t = time.perf_counter()
+            sol = local.solve_node(i, Z[i], L[i], rho, warm_mult=last_local[i])
+            times[i] += time.perf_counter() - t
+            u[i], kkt[i], warm_local[i] = sol.u_star, sol.kkt_residual, sol.multipliers
+            if sol.status != OPTIMAL:
+                flagged.append(f"{names[i]} ({sol.status}, kkt {kkt[i]:.2e})")
+        for j in handed_edge:
+            t = time.perf_counter()
+            # x_edge is v itself: solve edge j from a copy of its row
+            sol = edge.solve_node(j, v[j].copy(), rho,
+                                  warm_mu=None if warm_mu is None else warm_mu[j])
+            times[n + j] += time.perf_counter() - t
+            x_edge[j], slack[j] = sol.u_star[:2 * np_steps], sol.u_star[2 * np_steps:]
+            mu[j], kkt[n + j] = sol.multipliers[:np_steps], sol.kkt_residual
+            if sol.status != OPTIMAL:
+                flagged.append(f"{names[n + j]} ({sol.status}, kkt {kkt[n + j]:.2e})")
+        warm_mu = mu
+        finite = np.concatenate([np.all(np.isfinite(u), axis=1),
+                                 np.all(np.isfinite(x_edge), axis=1)
+                                 & np.all(np.isfinite(slack), axis=1)])
         if not finite.all():
             raise NumericalFailureError(
                 f"non-finite iterate from {names[int(np.argmin(finite))]} at iteration {k}",
                 iteration=k)
-        local_handed += sum(i < n for i in step.handed)
-        edge_handed += sum(i >= n for i in step.handed)
-        flagged = [f"{names[i]} ({sol.status}, kkt {step.kkt[i]:.2e})"
-                   for i, sol in step.handed.items() if sol.status != OPTIMAL]
-        kkt_max = max(kkt_max, float(np.fmax.reduce(step.kkt)))
-        total_node_time += step.times
-        max_node_time = float(np.max(step.times))
+        local_handed += len(handed_local)
+        edge_handed += len(handed_edge)
+        kkt_max = max(kkt_max, float(np.fmax.reduce(kkt)))
+        total_node_time += times
+        max_node_time = float(np.max(times))
         parallel_time += max_node_time
-        slack_max = float(np.max(step.slack, initial=0.0))
+        slack_max = float(np.max(slack, initial=0.0))
         if flagged:
             nonoptimal += len(flagged)
             logger.warning("ADMM iteration %d: non-optimal node solution(s) enter "
                            "consensus: %s", k, ", ".join(flagged))
-        state.C[:n] = step.u
-        state.C[state.ri] = step.x_edge[:, :np_steps]
-        state.C[state.rj] = step.x_edge[:, np_steps:]
+        state.C[:n] = u
+        state.C[state.ri] = x_edge[:, :np_steps]
+        state.C[state.rj] = x_edge[:, np_steps:]
 
         # Step 2: consensus averaging; step 3: dual ascent
         state.update(state.consensus())
         state.iteration = k
 
         report = state.residuals(config.eps_abs, config.eps_rel)
-        if collect_trace or logger.isEnabledFor(logging.DEBUG):
-            logger.debug("admm k=%d r=%.6e s=%.6e rho=%.3e tmax=%.6e",
-                         k, report.r_norm, report.s_norm, rho, max_node_time)
-        if collect_trace:
-            trace.append({"k": k, "r_norm": report.r_norm, "s_norm": report.s_norm,
-                          "rho": rho, "max_node_time": max_node_time})
+        logger.debug("admm k=%d r=%.6e s=%.6e rho=%.3e tmax=%.6e",
+                     k, report.r_norm, report.s_norm, rho, max_node_time)
         if report.converged:
             break
 
@@ -427,4 +379,4 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                      nonoptimal_nodes=nonoptimal, local_handed=local_handed,
                      edge_handed=edge_handed, kkt_max=kkt_max)
     consensus = {v: z.copy() for v, z in zip(vids, state.Z)}
-    return AdmmResult(consensus=consensus, report=report, state=state, trace=trace)
+    return AdmmResult(consensus=consensus, report=report, state=state)

@@ -31,19 +31,26 @@ _BENCH_HORIZON = 15
 _WARMUP_CYCLES = 10
 
 
-def generate_scaled_scenario(n_vehicles: int, seed: int,
-                             sim_duration: float = 1.0) -> Scenario:
-    """Deterministic N-vehicle multi-lane scenario, reproducible from seed.
+def _check_generator_args(n_vehicles, seed, sim_duration) -> None:
+    """Raise ParameterError naming the first generator argument out of its range.
 
     ``n_vehicles`` must be an integer of at least 1 and ``seed`` one of at
-    least 0 (neither a bool), and ``sim_duration`` must be finite and
-    positive; anything else raises ParameterError naming the argument.
+    least 0 (neither a bool), and ``sim_duration`` must be finite and positive.
     """
     for name, value, least in (("n_vehicles", n_vehicles, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
     if not (math.isfinite(sim_duration) and sim_duration > 0):
         raise ParameterError(f"sim_duration must be finite and positive, got {sim_duration!r}")
+
+
+def generate_scaled_scenario(n_vehicles: int, seed: int,
+                             sim_duration: float = 1.0) -> Scenario:
+    """Deterministic N-vehicle multi-lane scenario, reproducible from seed.
+
+    Arguments out of range raise ParameterError naming the argument.
+    """
+    _check_generator_args(n_vehicles, seed, sim_duration)
     rng = np.random.default_rng(seed)
     speeds_kmh = 40.0 + 10.0 * rng.random(n_vehicles)
 
@@ -80,6 +87,61 @@ def generate_scaled_scenario(n_vehicles: int, seed: int,
             "q_weight": 1.0,
             "q_heading": 0.1,
             "r_weight": 0.1,
+            "rho0": 1.0,
+            "eps_abs": 0.01,
+            "eps_rel": 0.01,
+            "max_iters": 200,
+            "sim_duration": float(sim_duration),
+        },
+        "vehicles": vehicles,
+    }
+    return parse_scenario(doc)
+
+
+def generate_crossing_scenario(n_vehicles: int, seed: int,
+                               sim_duration: float = 3.0) -> Scenario:
+    """Two platoons crossing at right angles, with the weights of ``intersection.scn``.
+
+    With k = i // 2, vehicle i (id i + 1) is the k-th of its platoon: even i
+    drive east along y = 0 from x = -25 - 12k at 50 km/h, odd i north along
+    x = 3 from y = -21 - 12k at 45 km/h, so the platoons reach the crossing
+    together.  Seed 0 starts each vehicle exactly there; a positive seed
+    moves each start along its axis by at most 0.25 m.  Position bounds are
+    +-400 m, which hold up to 64 vehicles (a larger fleet raises
+    ScenarioError); arguments out of range raise ParameterError naming the
+    argument.
+    """
+    _check_generator_args(n_vehicles, seed, sim_duration)
+    jitter = (np.random.default_rng(seed).uniform(-0.25, 0.25, n_vehicles) if seed
+              else np.zeros(n_vehicles))
+    bounds = {"x_min": -400.0, "x_max": 400.0, "y_min": -400.0, "y_max": 400.0}
+    vehicles = []
+    for i in range(n_vehicles):
+        k = i // 2
+        if i % 2 == 0:
+            x0, y0, theta, speed = -25.0 - 12.0 * k + jitter[i], 0.0, 0.0, 50.0
+            waypoints = [[x0 - 10.0, y0, theta], [390.0, y0, theta]]
+        else:
+            x0, y0, theta, speed = 3.0, -21.0 - 12.0 * k + jitter[i], math.pi / 2, 45.0
+            waypoints = [[x0, y0 - 10.0, theta], [x0, 390.0, theta]]
+        vehicles.append({
+            "id": i + 1,
+            "wheelbase_m": 2.4,
+            "speed_kmh": speed,
+            "steer_min_deg": -35.0,
+            "steer_max_deg": 35.0,
+            "position_bounds_m": dict(bounds),
+            "initial_pose": {"x_m": float(x0), "y_m": float(y0), "theta_rad": theta},
+            "waypoints_m": [[float(c) for c in wp] for wp in waypoints],
+        })
+    doc = {
+        "global": {
+            "ts": 0.1,
+            "horizon_steps": 15,
+            "d_safe": 5.0,
+            "q_weight": 1.0,
+            "q_heading": 2.0,
+            "r_weight": 1.0,
             "rho0": 1.0,
             "eps_abs": 0.01,
             "eps_rel": 0.01,

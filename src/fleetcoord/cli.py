@@ -65,9 +65,9 @@ def main(argv=None) -> int:
 
         if args.command == "simulate":
             scenario = _load_named(args.scenario)
+            run = run_simulation(scenario, args.mode, duration=args.duration)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            run = run_simulation(scenario, args.mode, duration=args.duration)
             csv_path = out / "trajectories.csv"
             json_path = out / "summary.json"
             run.to_csv(csv_path)
@@ -88,9 +88,9 @@ def main(argv=None) -> int:
                 parser.error("--sizes: need positive integers")
             if args.cycles < 1:
                 parser.error(f"--cycles: need a positive integer, got {args.cycles}")
+            records = run_benchmark(sizes, seed=args.seed, cycles=args.cycles)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            records = run_benchmark(sizes, seed=args.seed, cycles=args.cycles)
             rec_path = out / "bench_records.csv"
             with open(rec_path, "w", encoding="utf-8") as fh:
                 fh.write("n_vehicles,mode,cycle,accounted_time,wall_time,iterations\n")

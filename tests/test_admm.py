@@ -260,12 +260,13 @@ def test_fixed_rho_residual_product_decreases():
         if edge_problems:
             break
     cfg = AdmmConfig(adapt_rho=False, eps_abs=1e-9, eps_rel=1e-9, max_iters=60)
-    res = admm_solve(local_problems, edge_problems, cfg,
-                     init_admm_state(seeds, edge_problems, 1.0), collect_trace=True)
-    first = res.trace[0]
-    last = res.trace[-1]
-    prod_first = first["r_norm"] * first["s_norm"]
-    prod_last = last["r_norm"] * last["s_norm"]
+    # the first iteration's residuals are those of a run capped after it
+    first = admm_solve(local_problems, edge_problems, dataclasses.replace(cfg, max_iters=1),
+                       init_admm_state(seeds, edge_problems, 1.0)).report
+    last = admm_solve(local_problems, edge_problems, cfg,
+                      init_admm_state(seeds, edge_problems, 1.0)).report
+    prod_first = first.r_norm * first.s_norm
+    prod_last = last.r_norm * last.s_norm
     assert prod_last < prod_first / 10.0
 
 
@@ -285,18 +286,16 @@ def test_input_dict_order_irrelevant():
 
 
 def test_nan_iterate_raises_numerical_failure(monkeypatch):
-    import fleetcoord.admm as admm_mod
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
-    real = admm_mod.FleetNodes.solve
+    real = LocalBatch.solve
 
-    def bad_solve(self, stack, rho):
-        # every vehicle's answer, from the batched pass or per node, is NaN
-        step = real(self, stack, rho)
-        step.u[:] = np.nan
-        return step
+    def bad_solve(self, z, lam, rho):
+        # the batched pass answers every vehicle, each with NaN
+        x, kkt, done = real(self, z, lam, rho)
+        return np.full_like(x, np.nan), kkt, np.ones_like(done)
 
-    monkeypatch.setattr(admm_mod.FleetNodes, "solve", bad_solve)
+    monkeypatch.setattr(LocalBatch, "solve", bad_solve)
     with pytest.raises(NumericalFailureError) as err:
         admm_solve(local_problems, edge_problems, AdmmConfig(),
                    init_admm_state(seeds, edge_problems, 1.0))

@@ -18,6 +18,7 @@ multipliers on coupled rows, zeroed steering rows).
 import copy
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,20 +85,90 @@ def reference_admm(local, edges, config, state):
 
 
 def recorded_admm(local, edges, config, state):
-    """admm_solve, recording each iteration's NodeStep and the warm starts it leaves."""
-    real = admm_mod.FleetNodes.solve
-    steps = []
+    """admm_solve, with each iteration rebuilt from the batches' own calls.
 
-    def recording(self, stack, rho):
-        step = real(self, stack, rho)
-        steps.append((copy.deepcopy(step), list(self.warm_local), self.warm_mu.copy()))
-        return step
+    Per iteration: the batched passes' answers with the ``solve_node``
+    answers written over the rows they hand (``u``, ``x_edge``, ``slack``,
+    ``kkt``, ``handed``), the warm starts this leaves for the next iteration
+    (``warm_local``, None where the batch answered; ``warm_mu``), the rho every
+    call was given and the residuals ``AdmmState.residuals`` returned.  Each
+    warm start a call receives must be the one the iteration before left.
+    """
+    targets = [(LocalBatch, "solve"), (LocalBatch, "solve_node"), (EdgeBatch, "solve"),
+               (EdgeBatch, "solve_node"), (admm_mod.AdmmState, "residuals")]
+    real = {target: getattr(*target) for target in targets}
+    calls = []
 
-    admm_mod.FleetNodes.solve = recording
+    def local_solve(self, z, lam, rho):
+        answers = real[LocalBatch, "solve"](self, z, lam, rho)
+        calls.append({"rho": {rho}, "local": [a.copy() for a in answers], "local_node": {},
+                      "edge_node": {}})
+        return answers
+
+    def edge_solve(self, v, rho, warm_mu=None):
+        answers = real[EdgeBatch, "solve"](self, v, rho, warm_mu)
+        calls[-1]["rho"].add(rho)
+        calls[-1]["edge"] = [a.copy() for a in answers]
+        calls[-1]["warm_mu_in"] = None if warm_mu is None else warm_mu.copy()
+        return answers
+
+    def local_node(self, i, z, lam, rho, warm_mult=None):
+        sol = real[LocalBatch, "solve_node"](self, i, z, lam, rho, warm_mult)
+        calls[-1]["rho"].add(rho)
+        calls[-1]["local_node"][i] = (sol, warm_mult)
+        return sol
+
+    def edge_node(self, k, v, rho, warm_mu=None):
+        sol = real[EdgeBatch, "solve_node"](self, k, v, rho, warm_mu)
+        calls[-1]["rho"].add(rho)
+        calls[-1]["edge_node"][k] = (sol, None if warm_mu is None else warm_mu.copy())
+        return sol
+
+    def residuals(self, eps_abs, eps_rel):
+        report = real[admm_mod.AdmmState, "residuals"](self, eps_abs, eps_rel)
+        calls[-1]["rho"].add(self.rho)
+        calls[-1]["report"] = report
+        return report
+
+    for (cls, name), patched in zip(targets, (local_solve, local_node, edge_solve, edge_node,
+                                              residuals)):
+        setattr(cls, name, patched)
     try:
-        result = admm_solve(local, edges, config, init=state, collect_trace=True)
+        result = admm_solve(local, edges, config, init=state)
     finally:
-        admm_mod.FleetNodes.solve = real
+        for (cls, name), method in real.items():
+            setattr(cls, name, method)
+
+    n, np_steps = len(local), local[min(local)].horizon
+    steps = []
+    warm_local, warm_mu = [None] * n, None
+    for call in calls:
+        (rho,) = call["rho"]
+        u, kkt_local, done_local = call["local"]
+        x_edge, slack, mu, kkt_edge, done_edge = call["edge"]
+        kkt = np.concatenate([kkt_local, kkt_edge])
+        assert sorted(call["local_node"]) == np.flatnonzero(~done_local).tolist()
+        assert sorted(call["edge_node"]) == np.flatnonzero(~done_edge).tolist()
+        if warm_mu is None:
+            assert call["warm_mu_in"] is None
+        else:
+            assert same(call["warm_mu_in"], warm_mu)
+        handed = {}
+        last_local, warm_local = warm_local, [None] * n
+        for i, (sol, warm_mult) in call["local_node"].items():
+            assert warm_mult is last_local[i]
+            handed[i], u[i], kkt[i] = sol, sol.u_star, sol.kkt_residual
+            warm_local[i] = sol.multipliers
+        for k, (sol, warm_mu_k) in call["edge_node"].items():
+            assert (warm_mu_k is None) if warm_mu is None else same(warm_mu_k, warm_mu[k])
+            handed[n + k], kkt[n + k] = sol, sol.kkt_residual
+            x_edge[k], slack[k] = sol.u_star[:2 * np_steps], sol.u_star[2 * np_steps:]
+            mu[k] = sol.multipliers[:np_steps]
+        warm_mu = mu
+        steps.append(SimpleNamespace(
+            u=u, x_edge=x_edge, slack=slack, kkt=kkt, handed=dict(sorted(handed.items())),
+            warm_local=list(warm_local), warm_mu=mu.copy(), rho=rho,
+            r_norm=call["report"].r_norm, s_norm=call["report"].s_norm))
     return result, steps
 
 
@@ -119,8 +190,7 @@ def assert_identical_runs(local, edges, config, state):
     n, np_steps = len(vids), local[vids[0]].horizon
     assert len(steps) == len(history) == result.report.iterations_used
     handed = 0
-    for (step, warm_local, warm_mu), (sols, report, rho), trace in zip(
-            steps, history, result.trace):
+    for step, (sols, report, rho) in zip(steps, history):
         handed += len(step.handed)
         for i, v in enumerate(vids):
             sol = sols[v]
@@ -128,18 +198,18 @@ def assert_identical_runs(local, edges, config, state):
             assert node_status(step, i) == sol.status and step.kkt[i] == sol.kkt_residual
             # the warm start the next iteration hands to solve_local: None
             # stands for multipliers that are all zero
-            if warm_local[i] is None:
+            if step.warm_local[i] is None:
                 assert not np.any(sol.multipliers)
             else:
-                assert same(warm_local[i], sol.multipliers)
+                assert same(step.warm_local[i], sol.multipliers)
         for k, e in enumerate(ekeys):
             sol = sols[e]
             assert same(step.x_edge[k], sol.u_star[:2 * np_steps])
             assert same(step.slack[k], sol.u_star[2 * np_steps:])
             assert node_status(step, n + k) == sol.status and step.kkt[n + k] == sol.kkt_residual
-            assert same(warm_mu[k], sol.multipliers[:np_steps])
-        assert trace["r_norm"] == report.r_norm and trace["s_norm"] == report.s_norm
-        assert trace["rho"] == rho
+            assert same(step.warm_mu[k], sol.multipliers[:np_steps])
+        assert step.r_norm == report.r_norm and step.s_norm == report.s_norm
+        assert step.rho == rho
     final = history[-1][1]
     rep = result.report
     assert (rep.r_norm, rep.s_norm, rep.eps_pri, rep.eps_dual, rep.converged) == (
@@ -206,7 +276,7 @@ def test_instances_exercise_both_paths():
         state = init_admm_state(seeds, edges, 1.0)
         result, steps = recorded_admm(local, edges, config, copy.deepcopy(state))
         n = len(local)
-        for step, _, _ in steps:
+        for step in steps:
             for i in range(n + len(edges)):
                 kind = "local" if i < n else "edge"
                 (handed if i in step.handed else answered)[kind] += 1

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import yaml
 
-from fleetcoord import (BenchmarkRecord, ParameterError, dump_scenario,
-                        generate_scaled_scenario, build_constraint_graph, load_scenario,
-                        run_benchmark, summarize_bench)
+from fleetcoord import (CENTRALIZED, PARALLEL_ADMM, BenchmarkRecord, ParameterError,
+                        dump_scenario, generate_crossing_scenario, generate_scaled_scenario,
+                        build_constraint_graph, load_scenario, run_benchmark, run_simulation,
+                        summarize_bench)
 from fleetcoord import bench as bench_mod
 from fleetcoord.cli import main as cli_main
 
@@ -84,6 +85,65 @@ def test_generated_speeds_staggered_in_range():
     speeds = [v.speed_kmh for v in sc.vehicles]
     assert all(40.0 <= s <= 50.0 for s in speeds)
     assert len(set(round(s, 6) for s in speeds)) > 1
+
+
+def has_cycle(edges) -> bool:
+    """Whether the undirected graph of ``edges`` holds a cycle (union-find)."""
+    root = {}
+
+    def find(v):
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    for i, j in edges:
+        a, b = find(i), find(j)
+        if a == b:
+            return True
+        root[a] = b
+    return False
+
+
+def test_crossing_platoons_couple_through_cyclic_graphs():
+    sc = generate_crossing_scenario(4, seed=0)
+    admm = run_simulation(sc, PARALLEL_ADMM)
+    central = run_simulation(sc, CENTRALIZED)
+    assert len(admm.cycles) == len(central.cycles) == 30
+    assert any(has_cycle(c.graph_edges) for c in admm.cycles)
+    assert any(c.iterations > 1 for c in admm.cycles)
+    # a separation row activates: the batched edge pass hands edges over
+    assert sum(c.admm_report.edge_handed for c in admm.cycles) > 0
+    for run in (admm, central):
+        assert math.isfinite(min(c.min_distance for c in run.cycles))
+
+
+def test_crossing_generation_is_seeded():
+    base = generate_crossing_scenario(6, seed=0)
+    assert dump_scenario(base) == dump_scenario(generate_crossing_scenario(6, seed=0))
+    for i, v in enumerate(base.vehicles):
+        k = i // 2
+        pose = (v.initial_state.rx, v.initial_state.ry, v.initial_state.theta)
+        assert pose == ((-25.0 - 12.0 * k, 0.0, 0.0) if i % 2 == 0
+                        else (3.0, -21.0 - 12.0 * k, math.pi / 2))
+    moved = generate_crossing_scenario(6, seed=3)
+    assert dump_scenario(moved) == dump_scenario(generate_crossing_scenario(6, seed=3))
+    assert dump_scenario(moved) != dump_scenario(base)
+    for i, (a, b) in enumerate(zip(base.vehicles, moved.vehicles)):
+        along, across = ((b.initial_state.rx - a.initial_state.rx,
+                          b.initial_state.ry - a.initial_state.ry) if i % 2 == 0 else
+                         (b.initial_state.ry - a.initial_state.ry,
+                          b.initial_state.rx - a.initial_state.rx))
+        assert abs(along) <= 0.25 and across == 0.0
+        assert (b.speed_kmh, b.initial_state.theta) == (a.speed_kmh, a.initial_state.theta)
+
+
+@pytest.mark.parametrize("args, name", [((0, 0), "n_vehicles"), ((True, 0), "n_vehicles"),
+                                        ((4, -1), "seed"), ((4, 1.5), "seed"),
+                                        ((4, 0, math.nan), "sim_duration"),
+                                        ((4, 0, 0.0), "sim_duration")])
+def test_crossing_generation_rejects_bad_arguments(args, name):
+    with pytest.raises(ParameterError, match=name):
+        generate_crossing_scenario(*args)
 
 
 def test_run_benchmark_small_sizes():
@@ -197,6 +257,23 @@ def test_cli_bench_rejects_a_negative_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
     assert not (tmp_path / "bench_records.csv").exists()
+
+
+def test_cli_bench_rejected_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "new_dir"
+    code = cli_main(["bench", "--sizes", "2", "--cycles", "1", "--seed", "-1",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_cli_simulate_rejected_leaves_no_output_directory(tmp_path, overtake_path, capsys):
+    out = tmp_path / "new_dir"
+    code = cli_main(["simulate", str(overtake_path), "--duration", "0.05", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_cli_rejects_nonpositive_workers(tmp_path, overtake_path, capsys):

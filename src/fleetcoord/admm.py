@@ -26,8 +26,8 @@ vehicle that pins no steering bound.
 rows are inactive.  Only the remaining nodes are handed, one after another
 in the calling thread, to the batches' ``solve_node``, which solves the
 node's dual box QP exactly, warm started from the node's previous
-multipliers; the batched answers equal ``solve_node``'s bit for bit, and no
-per-iteration QP is assembled or reaches ``solve_qp``.  Parallelism is
+multipliers, and returns the node's row as the batched pass would, bit for
+bit; no per-iteration QP is assembled or reaches ``solve_qp``.  Parallelism is
 accounted, not executed: each iteration is charged its slowest node.  The
 iterates live in ``AdmmState`` as arrays, one (N + 2E, Np) row per copy and
 its scaled dual and one (N, Np) consensus, and its methods are steps 2 and
@@ -36,10 +36,10 @@ next cycle as it is: ``init_admm_state`` shifts the persisting edges' dual
 rows.  Accounted time charges each node an equal share of its batched pass,
 plus its own per-node solve when it was handed over.
 
-Every node solution's status is checked: non-optimal solutions and the
-nodes handed to the per-node solvers are counted in the ``ResidualReport``
-along with the worst node KKT residual, and a warning is logged whenever a
-non-optimal solution enters consensus.
+Every node answer's KKT residual is checked against 1e-8, the batched
+passes' own target: non-optimal answers and handed nodes are counted in the
+``ResidualReport`` with the worst node KKT residual, and a warning names
+each non-optimal node and its residual as it enters consensus.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalFailureError, ParameterError
+from .subproblems import _NODE_OPTIMAL_KKT, EdgeBatch, LocalBatch
 # build_edge, build_local and solve_qp are not called here; they stay
 # importable from this module for span tracers that wrap them by name.
-from .qp import OPTIMAL, solve_qp  # noqa: F401
-from .subproblems import EdgeBatch, LocalBatch, build_edge, build_local  # noqa: F401
+from .qp import solve_qp  # noqa: F401
+from .subproblems import build_edge, build_local  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +92,7 @@ class ResidualReport:
     per_node_solve_times: dict = field(default_factory=dict)
     slack_max: float = 0.0
     parallel_time: float = 0.0   # sum over iterations of max node solve time
-    nonoptimal_nodes: int = 0    # node solutions with status != optimal, all iterations
+    nonoptimal_nodes: int = 0    # node answers with KKT residual above 1e-8, all iterations
     local_handed: int = 0        # vehicle nodes the batched pass left to solve_node
     edge_handed: int = 0         # edge nodes the batched pass left to solve_node
     kkt_max: float = 0.0         # worst node KKT residual, all iterations
@@ -312,28 +313,26 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
                                 np.full(n_edges, (t2 - t1 + setup_edge) / max(n_edges, 1))])
         setup_local = setup_edge = 0.0
         kkt = np.concatenate([kkt_local, kkt_edge])
-        flagged = []
         handed_local = np.flatnonzero(~done_local).tolist()
         handed_edge = np.flatnonzero(~done_edge).tolist()
         last_local, warm_local = warm_local, [None] * n
         for i in handed_local:
             t = time.perf_counter()
-            sol = local.solve_node(i, Z[i], L[i], rho, warm_mult=last_local[i])
+            row = local.solve_node(i, Z[i], L[i], rho, warm_mult=last_local[i])
             times[i] += time.perf_counter() - t
-            u[i], kkt[i], warm_local[i] = sol.u_star, sol.kkt_residual, sol.multipliers
-            if sol.status != OPTIMAL:
-                flagged.append(f"{names[i]} ({sol.status}, kkt {kkt[i]:.2e})")
+            u[i], kkt[i], warm_local[i] = row
         for j in handed_edge:
             t = time.perf_counter()
             # x_edge is v itself: solve edge j from a copy of its row
-            sol = edge.solve_node(j, v[j].copy(), rho,
+            row = edge.solve_node(j, v[j].copy(), rho,
                                   warm_mu=None if warm_mu is None else warm_mu[j])
             times[n + j] += time.perf_counter() - t
-            x_edge[j], slack[j] = sol.u_star[:2 * np_steps], sol.u_star[2 * np_steps:]
-            mu[j], kkt[n + j] = sol.multipliers[:np_steps], sol.kkt_residual
-            if sol.status != OPTIMAL:
-                flagged.append(f"{names[n + j]} ({sol.status}, kkt {kkt[n + j]:.2e})")
+            x_edge[j], slack[j], mu[j], kkt[n + j] = row
         warm_mu = mu
+        # not <=: a NaN residual is flagged too
+        flagged = [f"{names[i]} (kkt {kkt[i]:.2e})"
+                   for i in handed_local + [n + j for j in handed_edge]
+                   if not kkt[i] <= _NODE_OPTIMAL_KKT]
         finite = np.concatenate([np.all(np.isfinite(u), axis=1),
                                  np.all(np.isfinite(x_edge), axis=1)
                                  & np.all(np.isfinite(slack), axis=1)])

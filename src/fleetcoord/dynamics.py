@@ -108,11 +108,14 @@ class FleetPrediction:
 
 
 def _check_step_args(delta: float, v: float, L: float, ts: float) -> None:
-    if ts <= 0:
-        raise ParameterError("Ts must be positive")
-    if L <= 0:
-        raise ParameterError("wheelbase must be positive")
-    if abs(delta) >= math.pi / 2:
+    # each test is written so that NaN fails it
+    if not (math.isfinite(ts) and ts > 0):
+        raise ParameterError(f"Ts must be finite and positive, got {ts!r}")
+    if not (math.isfinite(L) and L > 0):
+        raise ParameterError(f"wheelbase must be finite and positive, got {L!r}")
+    if not math.isfinite(v):
+        raise ParameterError(f"speed must be finite, got {v!r}")
+    if not abs(delta) < math.pi / 2:
         raise ParameterError(f"steering angle {delta} is outside the tan domain (-pi/2, pi/2)")
 
 
@@ -137,13 +140,15 @@ def rollout(x0: VehicleState, controls, v: float, L: float, ts: float) -> Horizo
                              controls=controls, ts=ts)
 
 
-def _check_fleet_args(controls: np.ndarray, L: np.ndarray, ts: float) -> None:
+def _check_fleet_args(controls: np.ndarray, v: np.ndarray, L: np.ndarray, ts: float) -> None:
     """``_check_step_args`` for every (vehicle, step) at once."""
-    if ts <= 0:
-        raise ParameterError("Ts must be positive")
-    if np.any(L <= 0):
-        raise ParameterError("wheelbase must be positive")
-    outside = np.abs(controls) >= math.pi / 2
+    if not (math.isfinite(ts) and ts > 0):
+        raise ParameterError(f"Ts must be finite and positive, got {ts!r}")
+    if not np.all(np.isfinite(L) & (L > 0)):
+        raise ParameterError("wheelbase must be finite and positive")
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("speed must be finite")
+    outside = ~(np.abs(controls) < math.pi / 2)
     if outside.any():
         raise ParameterError(f"steering angle {controls[outside][0]} is outside the tan "
                              f"domain (-pi/2, pi/2)")
@@ -178,7 +183,7 @@ def rollout_fleet(x0, controls, v, L, ts: float) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).reshape(-1, STATE_DIM)
     n = len(x0)
     controls, v, L = _fleet_arrays(controls, v, L, n)
-    _check_fleet_args(controls, L, ts)
+    _check_fleet_args(controls, v, L, ts)
     tan = _per_element(math.tan, controls)
     step = ts * v
     turn = ts * (v / L)
@@ -255,7 +260,7 @@ def condense_fleet(poses, controls, v, L, ts: float) -> FleetPrediction:
     np_steps = controls.shape[1]
     if poses.shape != (n, np_steps + 1, STATE_DIM):
         raise ParameterError("need poses of shape (N, Np+1, 3) for controls (N, Np)")
-    _check_fleet_args(controls, L, ts)
+    _check_fleet_args(controls, v, L, ts)
     theta = poses[:, :-1, 2]
     A = np.zeros((n, np_steps, STATE_DIM, STATE_DIM))
     A[:, :, 0, 0] = A[:, :, 1, 1] = A[:, :, 2, 2] = 1.0

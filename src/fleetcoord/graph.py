@@ -7,6 +7,7 @@ of true positions and then held fixed for one whole prediction horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,9 @@ def build_constraint_graph(states, d_perc: float, d_safe: float) -> ConstraintGr
     All pairwise distances are computed in one array pass; edges come out
     sorted.
     """
-    if d_safe <= 0 or d_perc <= 0:
-        raise ParameterError("d_perc and d_safe must be positive")
+    for name, value in (("d_perc", d_perc), ("d_safe", d_safe)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
     if d_perc < d_safe:
         raise ParameterError(f"d_perc ({d_perc}) must be >= d_safe ({d_safe})")
 

@@ -32,7 +32,9 @@ method is dominated by forming (O(n^2 m)) and factoring (O(n^3)) its n x n
 Newton matrix.  A variable with lb == ub is an ordinary pair of bound rows.
 
 ``_kkt_measure`` is the one definition of the KKT residual: ``solve_qp``
-and the ADMM node solvers hand it their own stationarity and row vectors.
+and the ADMM vehicle nodes hand it their own stationarity and row vectors,
+and ``subproblems._edge_kkt`` writes its terms out, in its order, for the
+edge QP's primal vectors.
 
 The interior-point method factors and solves with LAPACK's ``dpotrf`` and
 ``dpotrs``, taken from ``scipy.linalg.lapack`` by ``_lapack`` when
@@ -229,8 +231,7 @@ class QpSolution:
     iterations: int = 0
     trace: list = field(default_factory=list, repr=False)
     # which solve_qp path answered: "bound", "ipm" or "zero_row" (an
-    # unsatisfiable zero row of G); None from the ADMM node solvers, which
-    # never call solve_qp
+    # unsatisfiable zero row of G); only solve_qp builds a QpSolution
     path: str | None = None
 
 

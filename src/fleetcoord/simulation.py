@@ -246,7 +246,6 @@ class CycleRecord:
     index: int
     time: float
     graph_edges: tuple
-    mode: str
     solve_wall_time: float
     accounted_time: float        # parallel: sum of per-iteration max node time
     iterations: int
@@ -492,7 +491,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
             admm_state = result.state
             controls = result.consensus
             record = CycleRecord(
-                index=cycle, time=t, graph_edges=graph.edges, mode=solver_mode,
+                index=cycle, time=t, graph_edges=graph.edges,
                 solve_wall_time=wall, accounted_time=result.report.parallel_time,
                 iterations=result.report.iterations_used,
                 converged=result.report.converged,
@@ -514,7 +513,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                 logger.warning("centralized QP returned status=%s at cycle %d",
                                sol.status, cycle)
             record = CycleRecord(
-                index=cycle, time=t, graph_edges=graph.edges, mode=solver_mode,
+                index=cycle, time=t, graph_edges=graph.edges,
                 solve_wall_time=wall, accounted_time=wall,
                 iterations=sol.iterations, converged=sol.status == OPTIMAL,
                 slack_max=slack_max, min_distance=float("nan"),

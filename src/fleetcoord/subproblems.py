@@ -37,7 +37,8 @@ P = H0 + rho I and its inverse for any rho.  ``LocalBatch.solve`` answers
 every vehicle whose unconstrained minimizer meets all its rows (a zero dual)
 in one stacked pass; ``LocalBatch.solve_node`` solves any one vehicle on the
 dual of its position rows and steering bounds, a box QP with Hessian
-A P^-1 A'.
+A P^-1 A', and answers with the row ``solve`` gives an answered vehicle plus
+its multipliers.
 
 ``EdgeBatch`` holds the edge problems and solves them through their exact
 dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
@@ -56,14 +57,15 @@ every edge whose coupled rows are all inactive (q = rho (G_c v - h_c) <= 0,
 where mu_c = 0 and x = v); ``EdgeBatch.solve_node`` solves any one edge,
 forming G_c G_c' the first time that edge is handed to it in the cycle, so
 each ADMM iteration only changes the linear term and rho enters as a scalar.
-Both batched passes answer bit for bit as ``solve_node`` would.
-``solve_local`` and ``solve_edge`` are ``solve_node`` on a one-node batch.
+Each ``solve_node`` returns the row its batched pass returns for an answered
+node, and both batched passes answer bit for bit as ``solve_node`` would.
 Both duals go to the finite active set ``_box_active_set``; no node reaches
 ``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal reference:
-both node solvers score their answer with ``qp._kkt_measure`` on that
-primal's stationarity and row vectors, the residual ``kkt_residual`` gives
-the built QP.  ``build_edge`` appends the slack columns and passes its
-diagonal Hessian as 1 x 1 blocks.
+a node's KKT residual is the one ``kkt_residual`` gives the built QP, formed
+for a vehicle by ``qp._kkt_measure`` on the primal's stationarity and row
+vectors and for an edge by ``_edge_kkt``, which writes that measure's terms
+out once for both edge paths.  ``build_edge`` appends the slack columns and
+passes its diagonal Hessian as 1 x 1 blocks.
 """
 
 from __future__ import annotations
@@ -75,12 +77,11 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import (_EIG_FLOOR, _REG_SHIFT, MAX_ITER, OPTIMAL, BlockDiagonal, DenseQp, QpSolution,
-                 _kkt_measure)
+from .qp import _EIG_FLOOR, _REG_SHIFT, BlockDiagonal, DenseQp, _kkt_measure
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
-_NODE_OPTIMAL_KKT = 1e-8     # solve_node reports optimal only at or below this
+_NODE_OPTIMAL_KKT = 1e-8     # a node's answer is optimal at or below this KKT residual
 _ACTIVE_SET_MAX_ITERS = 50
 _SINGULAR_GROWTH = 1e10      # _box_active_set: max|M| / lambda_min of a singular free block
 
@@ -275,24 +276,6 @@ def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: floa
                    lb=problem.steer_lb, ub=problem.steer_ub)
 
 
-def solve_local(problem: LocalProblem, z, lam, rho: float, warm_mult=None) -> QpSolution:
-    """Exact solution of ``build_local(problem, z, lam, rho)`` through its dual.
-
-    P = H0s + rho I = V diag(d + rho) V', with H0s = (H0 + H0')/2 = V diag(d) V'
-    (plus 1e-9 I when d0 + rho <= 1e-10, as ``solve_qp`` shifts) has the
-    unconstrained minimizer x0 = -P^-1 f.  The rows A x <= b (position rows,
-    then the finite steering bounds as -I and I rows) are solved on their
-    dual, the box QP min 1/2 l'(A P^-1 A') l - (A x0 - b)'l over l >= 0, by
-    ``_box_active_set``, warm started from ``warm_mult`` (an earlier solve's
-    multipliers; None or all zero starts cold).  Then x = x0 - P^-1 A'l, each
-    bound with a positive multiplier met exactly.  The multipliers are
-    [z, w, y] as in ``solve_qp``; status is ``optimal`` when the KKT residual,
-    as ``kkt_residual`` defines it for the built QP, is at most 1e-8.  This is
-    ``LocalBatch.solve_node`` on a batch of one.
-    """
-    return LocalBatch([problem]).solve_node(0, z, lam, rho, warm_mult)
-
-
 def _groups(keys) -> list:
     """Row indices grouped by equal key, in first-seen order of the keys."""
     groups: dict = {}
@@ -348,8 +331,21 @@ class LocalBatch:
                 & (row_max <= 0.0))
         return x, kkt, done
 
-    def solve_node(self, i: int, z, lam, rho: float, warm_mult=None) -> QpSolution:
-        """Vehicle i's ``build_local`` QP solved exactly on its dual, as ``solve_local`` states."""
+    def solve_node(self, i: int, z, lam, rho: float, warm_mult=None):
+        """(x, kkt, multipliers): vehicle i's ``build_local`` QP solved exactly on its dual.
+
+        P = H0s + rho I = V diag(d + rho) V' (plus 1e-9 I when
+        d0 + rho <= 1e-10, as ``solve_qp`` shifts) has the unconstrained
+        minimizer x0 = -P^-1 f.  The rows A x <= b (position rows, then the
+        finite steering bounds as -I and I rows) are solved on their dual, the
+        box QP min 1/2 l'(A P^-1 A') l - (A x0 - b)'l over l >= 0, by
+        ``_box_active_set``, warm started from ``warm_mult`` (an earlier
+        solve's multipliers; None or all zero starts cold).  Then
+        x = x0 - P^-1 A'l, each bound with a positive multiplier met exactly.
+        kkt is the KKT residual as ``kkt_residual`` defines it for the built
+        QP, and the multipliers are [z, w, y] as in ``solve_qp``: the next
+        iteration's warm start.
+        """
         _check_rho(rho)
         problem = self.problems[i]
         np_steps = problem.horizon
@@ -382,10 +378,7 @@ class LocalBatch:
                          np.where(mult[m + np_steps:] > 0.0, ub, x))
         grad = H0s @ x + rho * x + f
         stat = grad + G.T @ mult[:m] if np.any(mult[:m]) else grad
-        kkt = _kkt_measure(stat, G @ x - problem.h, x, lb, ub, mult)
-        return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)),
-                          status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
-                          kkt_residual=kkt, multipliers=mult)
+        return x, _kkt_measure(stat, G @ x - problem.h, x, lb, ub, mult), mult
 
 
 def tracking_objective(problem: LocalProblem, u: np.ndarray) -> float:
@@ -514,28 +507,33 @@ def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> Dens
     ])
     H = BlockDiagonal(n, [(np.arange(n)[:, None], Hd[:, None, None])])   # diagonal: 1 x 1 blocks
     G = np.hstack([problem.G, -np.eye(np_steps)])
-    return DenseQp(H=H, f=f, G=G, h=problem.h, lb=_edge_lb(np_steps), ub=None)
+    # only the slacks are bounded, from below by 0
+    lb = np.concatenate([np.full(2 * np_steps, -np.inf), np.zeros(np_steps)])
+    return DenseQp(H=H, f=f, G=G, h=problem.h, lb=lb, ub=None)
 
 
-def _edge_lb(np_steps: int) -> np.ndarray:
-    """Lower bounds of the edge variables (u_i, u_j, s): only the slacks are bounded, by 0."""
-    return np.concatenate([np.full(2 * np_steps, -np.inf), np.zeros(np_steps)])
+def _edge_slack(G_ux, h, mu, c):
+    """Edge slacks from G_u x and the row multipliers: max(G_u x - h, 0) where mu = c, else 0.
 
-
-def solve_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float,
-               warm_mu=None) -> QpSolution:
-    """Exact solution of ``build_edge(problem, ...)`` through its dual box QP.
-
-    ``warm_mu`` (the row multipliers of an earlier solve, any length-Np
-    vector) seeds the active-set guess.  The solution uses the layout of
-    ``solve_qp`` on the primal: u_star = [u_i, u_j, s] and multipliers
-    [mu, w, y] with w = c - mu on the slacks and zero elsewhere.  status is
-    ``optimal`` when the primal KKT residual, as ``kkt_residual`` defines it,
-    is at most 1e-8.  This is ``EdgeBatch.solve_node`` on a batch of one.
+    Only where the penalty binds (mu = c) may a slack be positive: elsewhere
+    complementarity with w = c - mu > 0 requires s = 0, and rounding must not
+    leak into s.  Works on one edge's rows or on a stack of them.
     """
-    v = np.concatenate([np.asarray(z_i, dtype=float) - np.asarray(lam_i, dtype=float),
-                        np.asarray(z_j, dtype=float) - np.asarray(lam_j, dtype=float)])
-    return EdgeBatch([problem], problem.horizon).solve_node(0, v, rho, warm_mu)
+    return np.where(mu >= c, np.maximum(G_ux - h, 0.0), 0.0)
+
+
+def _edge_kkt(stat_x, G_ux, h, s, mu, c):
+    """KKT residual of ``build_edge``'s QP, per edge over the last axis.
+
+    ``stat_x`` is the stationarity in x, rho x - rho v + G_u' mu.  The terms
+    and their order are ``qp._kkt_measure``'s on the primal's vectors
+    u = [x, s] and multipliers [mu, w, y] with w = c - mu on the slacks and
+    zero elsewhere.
+    """
+    w_s = c - mu
+    row = G_ux - s - h
+    return np.concatenate([np.abs(stat_x), np.abs(c - mu - w_s), row, -mu, np.abs(mu * row),
+                           -s, -w_s, np.abs(w_s * s)], axis=-1).max(axis=-1, initial=0.0)
 
 
 class EdgeBatch:
@@ -582,22 +580,22 @@ class EdgeBatch:
         mu = self.mu_fixed.copy()
         x = v
         G_ux = np.matmul(self.G_u, x[:, :, None])[:, :, 0]
-        s = np.where(mu >= c, np.maximum(G_ux - self.h, 0.0), 0.0)
-        w_s = c - mu
-        # solve_node's KKT terms (qp._kkt_measure), with G_u' mu = 0
-        row = G_ux - s - self.h
-        kkt = np.maximum(np.max(np.concatenate([
-            np.abs(rho * x + -rho * v), np.abs(c - mu - w_s), row, -mu, np.abs(mu * row),
-            -s, -w_s, np.abs(w_s * s)], axis=1), axis=1), 0.0)
+        s = _edge_slack(G_ux, self.h, mu, c)
+        # mu is nonzero only on rows whose G_u row is zero, so G_u' mu = 0
+        kkt = _edge_kkt(rho * x + -rho * v, G_ux, self.h, s, mu, c)
         done = (inactive & np.all(np.isfinite(v), axis=1) & (self.c > 0.0)
                 & (kkt <= _NODE_OPTIMAL_KKT))
         return x, s, mu, kkt, done
 
-    def solve_node(self, k: int, v, rho: float, warm_mu=None) -> QpSolution:
-        """Edge k's ``build_edge`` QP at v = z - lam (2Np,), solved exactly on its dual."""
+    def solve_node(self, k: int, v, rho: float, warm_mu=None):
+        """(x, s, mu, kkt): edge k's ``build_edge`` QP at v = z - lam (2Np,), solved on its dual.
+
+        ``warm_mu`` (the row multipliers of an earlier solve, any length-Np
+        vector) seeds the active-set guess.  The answer is the row ``solve``
+        returns for an answered edge.
+        """
         _check_rho(rho)
         G_u, h, c = self.G_u[k], self.h[k], self.c[k]
-        np_steps = len(h)
         if k not in self.duals:
             rows = np.flatnonzero(~self.fixed[k])
             G_c = G_u[rows]
@@ -611,21 +609,9 @@ class EdgeBatch:
         mu[rows] = mu_c
 
         x = v - (G_c.T @ mu_c) / rho
-        # slack only where its penalty binds (mu = c): elsewhere complementarity
-        # with w = c - mu > 0 requires s = 0, and rounding must not leak into s
-        s = np.where(mu >= c, np.maximum(G_u @ x - h, 0.0), 0.0)
-        w_s = c - mu
-        f_x = -rho * v
-        u = np.concatenate([x, s])
-        mult = np.concatenate([mu, np.zeros(2 * np_steps), w_s, np.zeros(3 * np_steps)])
-        # the primal's stationarity: in x, rho x + f_x + G_u' mu; in s, c - mu
-        stat = np.concatenate([rho * x + f_x + G_u.T @ mu, c - mu])
-        kkt = _kkt_measure(stat, G_u @ x - s - h, u, _edge_lb(np_steps),
-                           np.full(3 * np_steps, np.inf), mult)
-        objective = float(0.5 * rho * (x @ x) + f_x @ x + c * np.sum(s))
-        return QpSolution(u_star=u, objective=objective,
-                          status=OPTIMAL if kkt <= _NODE_OPTIMAL_KKT else MAX_ITER,
-                          kkt_residual=kkt, multipliers=mult)
+        G_ux = G_u @ x
+        s = _edge_slack(G_ux, h, mu, c)
+        return x, s, mu, _edge_kkt(rho * x + -rho * v + G_u.T @ mu, G_ux, h, s, mu, c)
 
 
 def _box_active_set(M, q, c, start=None):

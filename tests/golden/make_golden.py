@@ -1,7 +1,10 @@
 """Write the closed-loop fixture ``closed_loop.json`` that Tier-1 compares against.
 
-Runs overtake for 10 s (its coupling spans 5-11 s) and intersection for 4 s
-(through its hardest ADMM cycle, 34) in both modes, and keeps per cycle the
+Runs overtake for 10 s (its coupling spans 5-11 s), intersection for 4 s
+(through its hardest ADMM cycle, 34) and the crossing platoons of
+``generate_crossing_scenario(4, 0)`` for 3 s (edges whose steering rows are
+zero beyond step 1, batches with several fixed-row patterns) in both modes,
+and keeps per cycle the
 iteration count, ``converged``, the handed and non-optimal node counts
 (ADMM), the answering ``qp_path`` (centralized) and the fleet's minimum
 distance after the step, plus every vehicle's final pose.  The host, Python,
@@ -25,19 +28,27 @@ from pathlib import Path
 
 import numpy as np
 
-from fleetcoord import CENTRALIZED, PARALLEL_ADMM, load_scenario_file, run_simulation
+from fleetcoord import (CENTRALIZED, PARALLEL_ADMM, generate_crossing_scenario,
+                        load_scenario_file, run_simulation)
 from fleetcoord.simulation import _BLAS_THREAD_VARS
 
 FIXTURE = Path(__file__).with_name("closed_loop.json")
 SCENARIO_DIR = Path(__file__).resolve().parents[2] / "scenarios"
-RUNS = (("overtake", 10.0), ("intersection", 4.0))
+RUNS = (("overtake", 10.0), ("intersection", 4.0), ("crossing4", 3.0))
 MODES = (PARALLEL_ADMM, CENTRALIZED)
+GENERATED = {"crossing4": lambda: generate_crossing_scenario(4, 0)}
+
+
+def load(scene: str):
+    """A generated scene by its name in ``GENERATED``, else ``scenarios/<scene>.scn``."""
+    if scene in GENERATED:
+        return GENERATED[scene]()
+    return load_scenario_file(SCENARIO_DIR / f"{scene}.scn")
 
 
 def record(scene: str, mode: str, duration: float) -> dict:
     """One closed-loop run, reduced to the values the fixture pins."""
-    run = run_simulation(load_scenario_file(SCENARIO_DIR / f"{scene}.scn"), mode,
-                         duration=duration)
+    run = run_simulation(load(scene), mode, duration=duration)
     cycles = []
     for c in run.cycles:
         rep = c.admm_report

@@ -6,6 +6,10 @@ its methods.  The functions here are the same steps written the plain way,
 one dict entry per vehicle copy and per edge endpoint copy, and serve as the
 reference those methods are tested against bit for bit.  ``to_dicts`` and
 ``to_arrays`` convert between the two forms.
+
+``solve_local`` and ``solve_edge`` solve one node through its batch's
+``solve_node`` and give the answer in ``solve_qp``'s layout, so that it can
+be checked against the built primal QP and the enumeration oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fleetcoord import AdmmState, ParameterError, ResidualReport
+from fleetcoord import AdmmState, ParameterError, QpSolution, ResidualReport
+from fleetcoord.qp import MAX_ITER, OPTIMAL
+from fleetcoord.subproblems import EdgeBatch, LocalBatch
 
 
 @dataclass
@@ -175,3 +181,43 @@ def apply_rho_update(state: DictState, new_rho: float) -> None:
         for v in state.lam_edge[e]:
             state.lam_edge[e][v] = state.lam_edge[e][v] * factor
     state.rho = new_rho
+
+
+def node_status(kkt: float) -> str:
+    """A node answer's status as ``solve_qp`` names it: optimal at KKT residual <= 1e-8."""
+    return OPTIMAL if kkt <= 1e-8 else MAX_ITER
+
+
+def solve_local(problem, z, lam, rho: float, warm_mult=None) -> QpSolution:
+    """``build_local(problem, z, lam, rho)`` solved by ``LocalBatch.solve_node``.
+
+    The objective is the built QP's, 1/2 x'(H0 + rho I) x + f'x with
+    f = f0 + rho (lam - z), formed here without building the QP; status is
+    ``optimal`` when the KKT residual is at most 1e-8.
+    """
+    np_steps = problem.horizon
+    z = np.asarray(z, dtype=float).reshape(np_steps)
+    lam = np.asarray(lam, dtype=float).reshape(np_steps)
+    x, kkt, mult = LocalBatch([problem]).solve_node(0, z, lam, rho, warm_mult)
+    f = problem.f0 + rho * (lam - z)
+    grad = 0.5 * (problem.H0 + problem.H0.T) @ x + rho * x + f
+    return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)), status=node_status(kkt),
+                      kkt_residual=float(kkt), multipliers=mult)
+
+
+def solve_edge(problem, z_i, z_j, lam_i, lam_j, rho: float, warm_mu=None) -> QpSolution:
+    """``build_edge(problem, ...)`` solved by ``EdgeBatch.solve_node``.
+
+    u_star = [u_i, u_j, s] and multipliers [mu, w, y] with w = c - mu on the
+    slacks and zero elsewhere, as ``solve_qp`` lays out the primal; the
+    objective is the built QP's, formed here without building it.
+    """
+    n = problem.horizon
+    v = np.concatenate([np.asarray(z_i, dtype=float) - np.asarray(lam_i, dtype=float),
+                        np.asarray(z_j, dtype=float) - np.asarray(lam_j, dtype=float)])
+    x, s, mu, kkt = EdgeBatch([problem], n).solve_node(0, v, rho, warm_mu)
+    c = problem.slack_penalty
+    objective = float(0.5 * rho * (x @ x) + -rho * v @ x + c * np.sum(s))
+    return QpSolution(u_star=np.concatenate([x, s]), objective=objective, status=node_status(kkt),
+                      kkt_residual=float(kkt),
+                      multipliers=np.concatenate([mu, np.zeros(2 * n), c - mu, np.zeros(3 * n)]))

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criterion 6 (the scaling benchmark) takes a few minutes; everything
-else finishes in seconds.
+Run with ``pytest tests/test_acceptance.py -q -s`` to see the per-criterion
+lines.  Every criterion finishes in seconds; criterion 6 (the scaling
+benchmark) takes about 1 s.
 """
 
 import time

@@ -421,8 +421,9 @@ def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog, per_node_pat
     real = LocalBatch.solve_node
 
     def stalled(*args, **kwargs):
-        # every vehicle's answer comes from solve_node, stalled
-        return dataclasses.replace(real(*args, **kwargs), status="max_iter")
+        # every vehicle's answer comes from solve_node, stalled short of 1e-8
+        x, _, multipliers = real(*args, **kwargs)
+        return x, 1e-6, multipliers
 
     per_node_path()
     monkeypatch.setattr(LocalBatch, "solve_node", stalled)
@@ -433,7 +434,8 @@ def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog, per_node_pat
     assert res.report.nonoptimal_nodes == len(local_problems) * res.report.iterations_used
     warned = [r for r in caplog.records if "non-optimal" in r.getMessage()]
     assert len(warned) == res.report.iterations_used
-    assert "local/" in warned[0].getMessage() and "max_iter" in warned[0].getMessage()
+    assert "local/" in warned[0].getMessage() and "kkt 1.00e-06" in warned[0].getMessage()
+    assert res.report.kkt_max == 1e-6
 
 
 def test_edge_handed_nodes_are_counted(per_node_path):

@@ -1,12 +1,13 @@
 """ADMM's batched node pass and array state against the per-node loop.
 
 ``admm_solve`` answers most nodes with ``LocalBatch``/``EdgeBatch`` and keeps
-its iterates as the arrays of an ``AdmmState``; the per-node solvers
+its iterates as the arrays of an ``AdmmState``; the one-node solvers
 ``solve_local`` and ``solve_edge`` and the dict functions of
 ``reference.py`` (``update_consensus``, ``update_duals``, ``residuals``,
 ``apply_rho_update`` and the dict ``init_dict_state``) are the reference.
-Every comparison here is bit for bit: node answers, statuses, the warm starts
-handed to the next iteration, the iterates, the residuals and rho.
+Every comparison here is bit for bit: node answers, KKT residuals and the
+statuses they give, the warm starts handed to the next iteration, the
+iterates, the residuals and rho.
 Instances: random fleets, the bounded pair (pinned steering and binding lane
 rows, which ``solve_local`` answers on its dual), crossing pairs whose edge
 rows activate, and the single-node instances of the local and edge solver tests
@@ -26,14 +27,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
-from fleetcoord import (AdmmConfig, ParameterError, adapt_rho, admm_solve, init_admm_state,
-                        solve_edge, solve_local)
+from fleetcoord import AdmmConfig, ParameterError, adapt_rho, admm_solve, init_admm_state
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.subproblems import EdgeBatch, LocalBatch
 
 from instances import bounded_pair, random_fleet_instance
-from reference import (DictState, apply_rho_update, init_dict_state, residuals, to_arrays,
-                       to_dicts, update_consensus, update_duals)
+from reference import (DictState, apply_rho_update, init_dict_state, node_status, residuals,
+                       solve_edge, solve_local, to_arrays, to_dicts, update_consensus,
+                       update_duals)
 from test_edge_solver import edge_instance
 from test_local_solver import local_instance
 
@@ -87,12 +88,13 @@ def reference_admm(local, edges, config, state):
 def recorded_admm(local, edges, config, state):
     """admm_solve, with each iteration rebuilt from the batches' own calls.
 
-    Per iteration: the batched passes' answers with the ``solve_node``
-    answers written over the rows they hand (``u``, ``x_edge``, ``slack``,
-    ``kkt``, ``handed``), the warm starts this leaves for the next iteration
-    (``warm_local``, None where the batch answered; ``warm_mu``), the rho every
-    call was given and the residuals ``AdmmState.residuals`` returned.  Each
-    warm start a call receives must be the one the iteration before left.
+    Per iteration: the batched passes' answers with the ``solve_node`` rows
+    written over the rows they hand (``u``, ``x_edge``, ``slack``, ``kkt``;
+    ``handed`` lists the handed nodes), the warm starts this leaves for the
+    next iteration (``warm_local``, None where the batch answered;
+    ``warm_mu``), the rho every call was given and the residuals
+    ``AdmmState.residuals`` returned.  Each warm start a call receives must
+    be the one the iteration before left.
     """
     targets = [(LocalBatch, "solve"), (LocalBatch, "solve_node"), (EdgeBatch, "solve"),
                (EdgeBatch, "solve_node"), (admm_mod.AdmmState, "residuals")]
@@ -113,16 +115,16 @@ def recorded_admm(local, edges, config, state):
         return answers
 
     def local_node(self, i, z, lam, rho, warm_mult=None):
-        sol = real[LocalBatch, "solve_node"](self, i, z, lam, rho, warm_mult)
+        row = real[LocalBatch, "solve_node"](self, i, z, lam, rho, warm_mult)
         calls[-1]["rho"].add(rho)
-        calls[-1]["local_node"][i] = (sol, warm_mult)
-        return sol
+        calls[-1]["local_node"][i] = (row, warm_mult)
+        return row
 
     def edge_node(self, k, v, rho, warm_mu=None):
-        sol = real[EdgeBatch, "solve_node"](self, k, v, rho, warm_mu)
+        row = real[EdgeBatch, "solve_node"](self, k, v, rho, warm_mu)
         calls[-1]["rho"].add(rho)
-        calls[-1]["edge_node"][k] = (sol, None if warm_mu is None else warm_mu.copy())
-        return sol
+        calls[-1]["edge_node"][k] = (row, None if warm_mu is None else warm_mu.copy())
+        return row
 
     def residuals(self, eps_abs, eps_rel):
         report = real[admm_mod.AdmmState, "residuals"](self, eps_abs, eps_rel)
@@ -139,7 +141,7 @@ def recorded_admm(local, edges, config, state):
         for (cls, name), method in real.items():
             setattr(cls, name, method)
 
-    n, np_steps = len(local), local[min(local)].horizon
+    n = len(local)
     steps = []
     warm_local, warm_mu = [None] * n, None
     for call in calls:
@@ -153,20 +155,19 @@ def recorded_admm(local, edges, config, state):
             assert call["warm_mu_in"] is None
         else:
             assert same(call["warm_mu_in"], warm_mu)
-        handed = {}
+        handed = []
         last_local, warm_local = warm_local, [None] * n
-        for i, (sol, warm_mult) in call["local_node"].items():
+        for i, (row, warm_mult) in call["local_node"].items():
             assert warm_mult is last_local[i]
-            handed[i], u[i], kkt[i] = sol, sol.u_star, sol.kkt_residual
-            warm_local[i] = sol.multipliers
-        for k, (sol, warm_mu_k) in call["edge_node"].items():
+            handed.append(i)
+            u[i], kkt[i], warm_local[i] = row
+        for k, (row, warm_mu_k) in call["edge_node"].items():
             assert (warm_mu_k is None) if warm_mu is None else same(warm_mu_k, warm_mu[k])
-            handed[n + k], kkt[n + k] = sol, sol.kkt_residual
-            x_edge[k], slack[k] = sol.u_star[:2 * np_steps], sol.u_star[2 * np_steps:]
-            mu[k] = sol.multipliers[:np_steps]
+            handed.append(n + k)
+            x_edge[k], slack[k], mu[k], kkt[n + k] = row
         warm_mu = mu
         steps.append(SimpleNamespace(
-            u=u, x_edge=x_edge, slack=slack, kkt=kkt, handed=dict(sorted(handed.items())),
+            u=u, x_edge=x_edge, slack=slack, kkt=kkt, handed=sorted(handed),
             warm_local=list(warm_local), warm_mu=mu.copy(), rho=rho,
             r_norm=call["report"].r_norm, s_norm=call["report"].s_norm))
     return result, steps
@@ -175,11 +176,6 @@ def recorded_admm(local, edges, config, state):
 def same(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def node_status(step, i):
-    """Node i's status in ``step``: its handed solution's, else optimal."""
-    return step.handed[i].status if i in step.handed else OPTIMAL
 
 
 def assert_identical_runs(local, edges, config, state):
@@ -195,7 +191,7 @@ def assert_identical_runs(local, edges, config, state):
         for i, v in enumerate(vids):
             sol = sols[v]
             assert same(step.u[i], sol.u_star)
-            assert node_status(step, i) == sol.status and step.kkt[i] == sol.kkt_residual
+            assert node_status(step.kkt[i]) == sol.status and step.kkt[i] == sol.kkt_residual
             # the warm start the next iteration hands to solve_local: None
             # stands for multipliers that are all zero
             if step.warm_local[i] is None:
@@ -206,7 +202,8 @@ def assert_identical_runs(local, edges, config, state):
             sol = sols[e]
             assert same(step.x_edge[k], sol.u_star[:2 * np_steps])
             assert same(step.slack[k], sol.u_star[2 * np_steps:])
-            assert node_status(step, n + k) == sol.status and step.kkt[n + k] == sol.kkt_residual
+            assert node_status(step.kkt[n + k]) == sol.status
+            assert step.kkt[n + k] == sol.kkt_residual
             assert same(step.warm_mu[k], sol.multipliers[:np_steps])
         assert step.r_norm == report.r_norm and step.s_norm == report.s_norm
         assert step.rho == rho

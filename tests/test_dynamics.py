@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fleetcoord import ParameterError, condense, linearize, rollout, step_nonlinear
+from fleetcoord.dynamics import condense_fleet, rollout_fleet
 from fleetcoord.scenario import VehicleState
 
 from oracles import rk4_fine_step
@@ -30,6 +31,36 @@ def test_tan_singularity_rejected():
         step_nonlinear(VehicleState(0, 0, 0), 0.1, v=10.0, L=-2.4, ts=0.1)
     with pytest.raises(ParameterError):
         step_nonlinear(VehicleState(0, 0, 0), 0.1, v=10.0, L=2.4, ts=0.0)
+
+
+@pytest.mark.parametrize("bad, name", [
+    ({"delta": math.nan}, "steering"),
+    ({"ts": math.nan}, "Ts"), ({"ts": math.inf}, "Ts"), ({"ts": -0.1}, "Ts"),
+    ({"L": math.nan}, "wheelbase"), ({"L": math.inf}, "wheelbase"), ({"L": 0.0}, "wheelbase"),
+    ({"v": math.nan}, "speed"), ({"v": math.inf}, "speed"), ({"v": -math.inf}, "speed"),
+])
+def test_non_finite_arguments_rejected(bad, name):
+    # each of these gave NaN poses, or none of them raised
+    a = {"delta": 0.1, "v": 10.0, "L": 2.4, "ts": 0.1, **bad}
+    with pytest.raises(ParameterError, match=name):
+        step_nonlinear(VehicleState(0, 0, 0), a["delta"], v=a["v"], L=a["L"], ts=a["ts"])
+    with pytest.raises(ParameterError, match=name):
+        rollout(VehicleState(0, 0, 0), [0.0, a["delta"]], a["v"], a["L"], a["ts"])
+    controls = np.array([[0.0, 0.0], [0.0, a["delta"]]])
+    fleet = (controls, [10.0, a["v"]], [2.4, a["L"]], a["ts"])
+    with pytest.raises(ParameterError, match=name):
+        rollout_fleet(np.zeros((2, 3)), *fleet)
+    with pytest.raises(ParameterError, match=name):
+        condense_fleet(np.zeros((2, 3, 3)), *fleet)
+    if "delta" not in bad:
+        seed = rollout(VehicleState(0, 0, 0), [0.0, 0.1], 10.0, 2.4, 0.1)
+        with pytest.raises(ParameterError, match=name):
+            linearize(seed, a["v"], a["L"], a["ts"])
+
+
+def test_vehicle_at_rest_is_accepted():
+    out = step_nonlinear(VehicleState(1.0, 2.0, 0.3), 0.2, v=0.0, L=2.4, ts=0.1)
+    assert (out.rx, out.ry, out.theta) == (1.0, 2.0, 0.3)
 
 
 def test_heading_stays_normalized():

@@ -1,4 +1,7 @@
-"""solve_edge (the dual box-QP edge solver) against the primal edge QP.
+"""EdgeBatch.solve_node (the dual box-QP edge solver) against the primal edge QP.
+
+``solve_edge`` of ``reference.py`` solves one edge with it and lays the
+answer out as ``solve_qp`` would.
 
 Instances come from real condensed predictions of two vehicles, so the first
 separation row has no steering dependence; hypothesis adds rank-deficient
@@ -18,9 +21,10 @@ from fleetcoord import (build_edge, condense, kkt_residual, linearize, make_edge
                         rollout, solve_qp)
 from fleetcoord.qp import OPTIMAL, _kkt_measure
 from fleetcoord.scenario import VehicleState
-from fleetcoord.subproblems import EdgeProblem, solve_edge
+from fleetcoord.subproblems import EdgeProblem, _edge_kkt
 
 from oracles import enumerate_qp
+from reference import solve_edge
 
 TS, L = 0.1, 2.4
 D_SAFE = 5.0
@@ -146,7 +150,7 @@ def _edge_kkt_separate_maxima(problem, rho, f_x, x, s, mu, w_s):
 
 
 def _edge_kkt_shared(problem, rho, f_x, x, s, mu, w_s):
-    """The shared measure on the edge primal's vectors, as solve_edge hands them over."""
+    """The shared measure ``_kkt_measure`` on the edge primal's vectors."""
     n = problem.horizon
     c = problem.slack_penalty
     stat = np.concatenate([rho * x + f_x + problem.G.T @ mu, c - mu])
@@ -175,6 +179,12 @@ def test_edge_kkt_single_reduction_is_exact(inst, seed):
         got = _edge_kkt_shared(ep, rho, -rho * v, *point)
         want = _edge_kkt_separate_maxima(ep, rho, -rho * v, *point)
         assert got == want
+        # the edge solvers' own formula, where w = c - mu as they set it
+        x_p, s_p, mu_p, _ = point
+        c = ep.slack_penalty
+        stat_x = rho * x_p + -rho * v + ep.G.T @ mu_p
+        assert _edge_kkt(stat_x, ep.G @ x_p, ep.h, s_p, mu_p, c) == _edge_kkt_shared(
+            ep, rho, -rho * v, x_p, s_p, mu_p, c - mu_p)
 
 
 def test_zero_row_slack_in_closed_form():

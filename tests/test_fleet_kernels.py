@@ -22,7 +22,6 @@ from fleetcoord import (CostWeights, ParameterError, build_constraint_graph, con
                         rollout)
 from fleetcoord.dynamics import (CondensedPrediction, HorizonTrajectory, condense_fleet,
                                  rollout_fleet)
-from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import Bounds, VehicleState
 from fleetcoord.simulation import (_align_reference_headings, _min_pairwise,
                                    _ReferencePaths, convexify_cycle)
@@ -194,10 +193,10 @@ def test_edge_with_every_row_fixed_has_empty_dual_hessian():
                                  [(-3.0, 0.0)])[(1, 2)]
     batch = EdgeBatch([problem], 3)
     assert batch.fixed.tolist() == [[True, True, True]]
-    sol = batch.solve_node(0, np.zeros(6), 1.0)
+    _, _, _, kkt = batch.solve_node(0, np.zeros(6), 1.0)
     rows, G_c, M = batch.duals[0]
     assert rows.size == 0 and G_c.shape == (0, 6) and M.shape == (0, 0)
-    assert sol.status == OPTIMAL
+    assert kkt <= 1e-8
 
 
 @SETTINGS

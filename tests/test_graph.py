@@ -66,6 +66,16 @@ def test_nonpositive_distances_rejected():
         build_constraint_graph(_states({1: (0, 0)}), d_perc=3, d_safe=5)
 
 
+@pytest.mark.parametrize("d_perc, d_safe, name", [
+    (float("nan"), 5.0, "d_perc"), (float("inf"), 5.0, "d_perc"),
+    (30.0, float("nan"), "d_safe"), (30.0, float("-inf"), "d_safe"),
+])
+def test_non_finite_distances_rejected(d_perc, d_safe, name):
+    # a NaN d_perc gave a graph with no edges
+    with pytest.raises(ParameterError, match=name):
+        build_constraint_graph(_states({1: (0, 0), 2: (1, 0)}), d_perc, d_safe)
+
+
 def test_duplicate_ids_rejected():
     pairs = [(1, VehicleState(0, 0, 0)), (1, VehicleState(3, 0, 0))]
     with pytest.raises(ScenarioError, match="duplicate"):

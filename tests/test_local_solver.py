@@ -1,4 +1,7 @@
-"""solve_local (the tracking-node solver) against the built QP.
+"""LocalBatch.solve_node (the tracking-node solver) against the built QP.
+
+``solve_local`` of ``reference.py`` solves one vehicle with it and lays the
+answer out as ``solve_qp`` would.
 
 Instances come from real condensed predictions of one vehicle.  Hypothesis
 varies the penalty rho over six decades, narrows the steering box until it
@@ -16,13 +19,14 @@ from hypothesis import strategies as st
 import fleetcoord.qp as qp_mod
 from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_local, condense,
                         init_admm_state, kkt_residual, linearize, make_local_problem, rollout,
-                        solve_local, solve_qp)
+                        solve_qp)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import VehicleState
 from fleetcoord.subproblems import LocalBatch
 
 from instances import BoxedSpec, bounded_pair
 from oracles import enumerate_qp
+from reference import solve_local
 
 TS, L = 0.1, 2.4
 

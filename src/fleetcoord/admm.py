@@ -31,10 +31,13 @@ bit; no per-iteration QP is assembled or reaches ``solve_qp``.  Parallelism is
 accounted, not executed: each iteration is charged its slowest node.  The
 iterates live in ``AdmmState`` as arrays, one (N + 2E, Np) row per copy and
 its scaled dual and one (N, Np) consensus, and its methods are steps 2 and
-3, the residuals and the rho rescaling.  The final state is carried into the
-next cycle as it is: ``init_admm_state`` shifts the persisting edges' dual
-rows.  Accounted time charges each node an equal share of its batched pass,
-plus its own per-node solve when it was handed over.
+3, the residuals and the rho rescaling.  Edge k's two copies are rows
+N + 2k and N + 2k + 1, its endpoints in key order, so the edge rows reshape
+to and from the edge batch's (E, 2Np) rows without a gather.  The final
+state is carried into the next cycle as it is: ``init_admm_state`` finds
+each persisting edge by its key and shifts its dual rows.  Accounted time
+charges each node an equal share of its batched pass, plus its own
+per-node solve when it was handed over.
 
 Every node answer's KKT residual is checked against 1e-8, the batched
 passes' own target: non-optimal answers and handed nodes are counted in the
@@ -105,44 +108,36 @@ class AdmmResult:
     state: AdmmState
 
 
-def _endpoint_rows(ids: np.ndarray, edges) -> np.ndarray:
-    """Each edge's endpoint rows in the sorted ``ids``, -1 where an endpoint is absent."""
-    pairs = np.array(edges if len(edges) else np.empty((0, 2), ids.dtype)).reshape(-1, 2)
-    rows = np.minimum(np.searchsorted(ids, pairs), len(ids) - 1)
-    return np.where(ids[rows] == pairs, rows, -1)
-
-
 class AdmmState:
     """All ADMM iterates as arrays, one row per copy.
 
     ``C`` and ``L`` (N + 2E, Np) hold every copy and its scaled dual: the N
-    local copies (``vids``, sorted), then each edge's two endpoint copies
-    (``ekeys``, sorted; endpoints in vehicle order).  ``Z`` (N, Np) is the
-    consensus and ``Z_prev`` the one before the last update.  ``owner`` maps
-    a row to its vehicle's consensus row, ``vi``/``vj`` are the consensus rows
-    of each edge's endpoints e[0] and e[1], and ``ri``/``rj`` their copy rows.
-    A new state starts every copy at ``Z`` with zero duals.  The fleet must
-    hold at least one vehicle.
+    local copies (``vids``, sorted), then edge k's copies of its endpoints
+    e[0] and e[1] in rows ``ri[k]`` = N + 2k and ``rj[k]`` = N + 2k + 1
+    (``ekeys``, sorted), so ``C[N:]`` reshapes to the edge batch's (E, 2Np)
+    rows.  ``Z`` (N, Np) is the consensus and ``Z_prev`` the one before the
+    last update.  ``owner`` maps a row to its vehicle's consensus row.  A new
+    state starts every copy at ``Z`` with zero duals.  The fleet must hold at
+    least one vehicle.
     """
 
     def __init__(self, vids: list, ekeys: list, Z: np.ndarray, rho: float):
         n, n_edges = len(vids), len(ekeys)
         if n == 0:
             raise ParameterError("the fleet must hold at least one vehicle")
-        ends = _endpoint_rows(np.asarray(vids), ekeys)
-        if np.any(ends < 0):
-            bad = ekeys[int(np.argmax(np.any(ends < 0, axis=1)))]
-            raise ParameterError(f"edge {bad} has an endpoint without a seed")
+        row = {v: k for k, v in enumerate(vids)}
+        for e in ekeys:
+            if e[0] not in row or e[1] not in row:
+                raise ParameterError(f"edge {e} has an endpoint without a seed")
         self.vids, self.ekeys = vids, ekeys
-        self.vi, self.vj = ends[:, 0], ends[:, 1]
-        swap = (self.vi > self.vj).astype(int)
-        self.ri = n + 2 * np.arange(n_edges) + swap
-        self.rj = n + 2 * np.arange(n_edges) + 1 - swap
-        self.owner = np.concatenate([np.arange(n), np.sort(ends, axis=1).ravel()])
+        self.ri = n + 2 * np.arange(n_edges)
+        self.rj = self.ri + 1
+        # each edge's endpoint rows in key order, e[0] then e[1]
+        vehicle = np.array([row[v] for e in ekeys for v in e], dtype=int)
+        self.owner = np.concatenate([np.arange(n), vehicle])
         # each vehicle's copy rows in edge order: round r holds the r-th one
         # of every vehicle that has one
-        vehicle = ends.ravel()
-        rows = np.stack([self.ri, self.rj], axis=1).ravel()
+        rows = n + np.arange(2 * n_edges)
         degree = np.bincount(vehicle, minlength=n)
         by_vehicle = np.argsort(vehicle, kind="stable")
         rank = np.arange(len(vehicle)) - np.repeat(np.cumsum(degree) - degree, degree)
@@ -218,15 +213,10 @@ def init_admm_state(seeds: dict, edges, rho0: float,
     Z = np.array([np.asarray(seeds[v], dtype=float) for v in vids])
     state = AdmmState(vids, sorted(tuple(e) for e in edges), Z, rho)
     if previous is not None and previous.ekeys and state.ekeys:
-        # an edge persists when its code (endpoint rows in this cycle's
-        # vehicles) is among the codes of this cycle's edges, which ascend
-        n, L = len(vids), state.L
-        ends = _endpoint_rows(np.asarray(vids), previous.ekeys)
-        codes = state.vi * n + state.vj
-        old_codes = np.where(np.all(ends >= 0, axis=1), ends[:, 0] * n + ends[:, 1], -1)
-        k_new = np.minimum(np.searchsorted(codes, old_codes), len(codes) - 1)
-        k_old = np.flatnonzero(codes[k_new] == old_codes)
-        k_new = k_new[k_old]
+        # an edge persists when its key is among the last cycle's edges
+        L, old = state.L, {e: k for k, e in enumerate(previous.ekeys)}
+        kept = [(k, old[e]) for k, e in enumerate(state.ekeys) if e in old]
+        k_new, k_old = np.array(kept, dtype=int).reshape(-1, 2).T
         new_rows = np.concatenate([state.ri[k_new], state.rj[k_new]])
         old_rows = np.concatenate([previous.ri[k_old], previous.rj[k_old]])
         L[new_rows] = np.concatenate([previous.L[old_rows, 1:], previous.L[old_rows, -1:]],
@@ -306,7 +296,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
         t0 = time.perf_counter()
         u, kkt_local, done_local = local.solve(Z, L[:n], rho)
         t1 = time.perf_counter()
-        v = np.concatenate([Z[state.vi] - L[state.ri], Z[state.vj] - L[state.rj]], axis=1)
+        v = (Z[state.owner[n:]] - L[n:]).reshape(n_edges, 2 * np_steps)
         x_edge, slack, mu, kkt_edge, done_edge = edge.solve(v, rho, warm_mu)
         t2 = time.perf_counter()
         times = np.concatenate([np.full(n, (t1 - t0 + setup_local) / n),
@@ -331,8 +321,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
         warm_mu = mu
         # not <=: a NaN residual is flagged too
         flagged = [f"{names[i]} (kkt {kkt[i]:.2e})"
-                   for i in handed_local + [n + j for j in handed_edge]
-                   if not kkt[i] <= _NODE_OPTIMAL_KKT]
+                   for i in np.flatnonzero(~(kkt <= _NODE_OPTIMAL_KKT))]
         finite = np.concatenate([np.all(np.isfinite(u), axis=1),
                                  np.all(np.isfinite(x_edge), axis=1)
                                  & np.all(np.isfinite(slack), axis=1)])
@@ -352,8 +341,7 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
             logger.warning("ADMM iteration %d: non-optimal node solution(s) enter "
                            "consensus: %s", k, ", ".join(flagged))
         state.C[:n] = u
-        state.C[state.ri] = x_edge[:, :np_steps]
-        state.C[state.rj] = x_edge[:, np_steps:]
+        state.C[n:] = x_edge.reshape(2 * n_edges, np_steps)
 
         # Step 2: consensus averaging; step 3: dual ascent
         state.update(state.consensus())

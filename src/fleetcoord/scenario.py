@@ -108,10 +108,6 @@ class VehicleSpec:
             raise ScenarioError(
                 f"{name}.steer_min_deg/steer_max_deg: must lie strictly inside "
                 "(-90, 90) degrees")
-        if self.waypoints.ndim != 2 or self.waypoints.shape[1] != 3 or len(self.waypoints) == 0:
-            raise ScenarioError(f"{name}.waypoints_m: need a non-empty list of [x, y, heading]")
-        if not np.all(np.isfinite(self.waypoints)):
-            raise ScenarioError(f"{name}.waypoints_m: entries must be finite")
         if not self.bounds.contains(self.initial_state.rx, self.initial_state.ry):
             raise ScenarioError(f"{name}.initial_pose: lies outside position_bounds_m")
 
@@ -213,12 +209,13 @@ def _parse_vehicle(block, index: int) -> VehicleSpec:
     raw_wps = block["waypoints_m"]
     if not isinstance(raw_wps, list) or not raw_wps:
         raise ScenarioError(f"{where}.waypoints_m: expected a non-empty list")
-    try:
-        waypoints = np.asarray(raw_wps, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}.waypoints_m: entries must be numeric triples") from exc
-    if waypoints.ndim != 2 or waypoints.shape[1] != 3:
-        raise ScenarioError(f"{where}.waypoints_m: each entry must be [x, y, heading_rad]")
+    waypoints = []
+    for k, wp in enumerate(raw_wps):
+        at = f"{where}.waypoints_m[{k}]"
+        if not isinstance(wp, (list, tuple)) or len(wp) != 3:
+            raise ScenarioError(f"{at}: each entry must be [x, y, heading_rad]")
+        entry = dict(zip(("x", "y", "heading_rad"), wp))
+        waypoints.append([_number(entry, key, at) for key in entry])
 
     speed_kmh = _positive(block, "speed_kmh", where)
     steer_min_deg = _number(block, "steer_min_deg", where)
@@ -230,7 +227,7 @@ def _parse_vehicle(block, index: int) -> VehicleSpec:
         steer_min=steer_min_deg * DEG_TO_RAD,
         steer_max=steer_max_deg * DEG_TO_RAD,
         bounds=bounds,
-        waypoints=waypoints,
+        waypoints=np.array(waypoints),
         initial_state=initial,
         speed_kmh=speed_kmh,
         steer_min_deg=steer_min_deg,
@@ -314,7 +311,11 @@ def parse_scenario(doc) -> Scenario:
 
 def load_scenario_file(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return load_scenario(text)
 
 
 def dump_scenario(scenario: Scenario) -> str:

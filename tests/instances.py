@@ -93,14 +93,15 @@ def random_fleet_instance(rng, np_steps=5, d_safe=5.0):
     return local_problems, edge_problems, {vid: seeds[vid].controls for vid in vids}
 
 
-def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0):
+def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0, key=(1, 2)):
     """Two vehicles whose references cross; a lane bound and a tight steering box bind.
 
     Vehicle 1 starts ``half_gap`` m left of the x-axis and is sent 2 m right
     of it, vehicle 2 mirrored; both drive at 12 m/s within a steering box of
     +-``steer`` rad, and vehicle 2 stays below y = ``y_max``.  Returns
-    (local_problems, edge_problems, seed_controls) with one edge, (1, 2),
-    whose separation rows activate as the references pull the pair together.
+    (local_problems, edge_problems, seed_controls) with one edge, ``key``
+    ((1, 2) or (2, 1), its endpoints in that order), whose separation rows
+    activate as the references pull the pair together.
     """
     ts, L = 0.1, 2.4
     weights = CostWeights(q_pos=1.0, q_heading=0.5, r_steer=1.0)
@@ -114,9 +115,9 @@ def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0):
         spec = BoxedSpec(vid, 12.0, steer, y_max if vid == 2 else math.inf)
         local[vid] = make_local_problem(spec, cond[vid], ref.reshape(-1), weights)
         seeds[vid] = seed
-    edges = {(1, 2): make_edge_problem((1, 2), cond[1], cond[2],
-                                       seeds[1].positions()[1:],
-                                       seeds[2].positions()[1:], d_safe, SLACK_PENALTY)}
+    i, j = key
+    edges = {key: make_edge_problem(key, cond[i], cond[j], seeds[i].positions()[1:],
+                                    seeds[j].positions()[1:], d_safe, SLACK_PENALTY)}
     return local, edges, {vid: s.controls for vid, s in seeds.items()}
 
 

@@ -10,7 +10,7 @@ from fleetcoord import (AdmmConfig, NumericalFailureError, ParameterError, adapt
                         init_admm_state, solve_qp)
 from fleetcoord.subproblems import LocalBatch
 
-from instances import random_fleet_instance
+from instances import bounded_pair, random_fleet_instance
 from reference import DictState, residuals, to_arrays, to_dicts
 
 
@@ -306,6 +306,28 @@ def _edge_row(state, e, v):
     """The row of endpoint ``v``'s copy of edge ``e``."""
     k = state.ekeys.index(e)
     return state.ri[k] if v == e[0] else state.rj[k]
+
+
+def test_edge_copies_sit_in_key_order():
+    # an edge keyed (2, 1) is the (1, 2) problem with its endpoints swapped:
+    # the same fleet solves alike, and either way the edge rows of C reshape
+    # to the edge batch's rows, e[0]'s copy first
+    results = {}
+    for key in ((1, 2), (2, 1)):
+        local, edges, seeds = bounded_pair(key=key)
+        res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
+        state, n = res.state, len(local)
+        assert state.ekeys == [key]
+        rows = state.C[n:].reshape(1, -1)
+        np_steps = state.Z.shape[1]
+        assert np.array_equal(rows[0, :np_steps], state.C[_edge_row(state, key, key[0])])
+        assert np.array_equal(rows[0, np_steps:], state.C[_edge_row(state, key, key[1])])
+        assert list(state.owner[n:]) == [state.vids.index(v) for v in key]
+        results[key] = res
+    forward, backward = results[(1, 2)], results[(2, 1)]
+    assert forward.report.iterations_used == backward.report.iterations_used
+    for vid in forward.consensus:
+        assert np.max(np.abs(forward.consensus[vid] - backward.consensus[vid])) <= 1e-12
 
 
 def test_init_state_warm_starts_at_seed():

@@ -201,6 +201,15 @@ def test_cli_validate_missing_file(capsys):
     assert cli_main(["validate", "/nonexistent/file.scn"]) == 2
 
 
+def test_cli_validate_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "not-utf8.scn"
+    bad.write_bytes(b"\xff\xfebad")
+    assert cli_main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "not-utf8.scn" in err and "not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_cli_validate_rejects_what_simulate_rejects(tmp_path, overtake_path, capsys):
     # a scene whose sim_duration is no multiple of ts loads, but cannot be run
     text = overtake_path.read_text()

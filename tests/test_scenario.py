@@ -222,6 +222,26 @@ def test_steer_bounds_order_rejected():
         load_scenario(text)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ('["100.0", 0.0, 0.0]', r"waypoints_m\[1\]\.x: expected a number, got '100.0'"),
+    ("[100.0, 0.0, true]", r"waypoints_m\[1\]\.heading_rad: expected a number, got True"),
+    ("[100.0, .nan, 0.0]", r"waypoints_m\[1\]\.y: must be finite"),
+    ("[100.0, 0.0]", r"waypoints_m\[1\]: each entry must be \[x, y, heading_rad\]"),
+])
+def test_waypoint_entries_are_numbers(entry, message):
+    # each coordinate follows the rule of every other number: no strings, no booleans
+    text = MINIMAL.replace("[100.0, 0.0, 0.0]]", entry + "]")
+    with pytest.raises(ScenarioError, match=r"vehicles\[0\]\." + message):
+        load_scenario(text)
+
+
+def test_non_utf8_file_is_a_scenario_error(tmp_path):
+    path = tmp_path / "not-utf8.scn"
+    path.write_bytes(b"\xff\xfebad")
+    with pytest.raises(ScenarioError, match="not UTF-8 text"):
+        load_scenario_file(path)
+
+
 def test_vehicle_state_normalizes_heading():
     s = VehicleState(0.0, 0.0, 3 * math.pi)
     assert -math.pi < s.theta <= math.pi

@@ -27,7 +27,8 @@ def wrap_angle(theta):
 
     Values already in range pass through unchanged, so the map is idempotent
     bit for bit.  Finite Python floats take a scalar path with the same
-    operations, and the same bits, as the array path.
+    operations, and the same bits, as the array path.  An array whose
+    elements are all in range comes back as a copy, without the modulo.
     """
     if type(theta) is float and math.isfinite(theta):
         if -math.pi < theta <= math.pi:
@@ -35,9 +36,13 @@ def wrap_angle(theta):
         w = theta % (2.0 * math.pi)
         return w - 2.0 * math.pi if w > math.pi else w
     t = np.asarray(theta, dtype=float)
-    w = np.mod(t, 2.0 * math.pi)
-    w = np.where(w > math.pi, w - 2.0 * math.pi, w)
-    w = np.where((t > -math.pi) & (t <= math.pi), t, w)
+    inside = (t > -math.pi) & (t <= math.pi)
+    if inside.all():
+        w = t.copy()
+    else:
+        w = np.mod(t, 2.0 * math.pi)
+        w = np.where(w > math.pi, w - 2.0 * math.pi, w)
+        w = np.where(inside, t, w)
     return float(w) if np.ndim(theta) == 0 else w
 
 

@@ -333,6 +333,10 @@ class SimulationRun:
                     "local_handed": c.admm_report.local_handed if c.admm_report else None,
                     "edge_handed": c.admm_report.edge_handed if c.admm_report else None,
                     "kkt_max": sig9(c.admm_report.kkt_max) if c.admm_report else None,
+                    "anderson_accepted": (c.admm_report.anderson_accepted
+                                          if c.admm_report else None),
+                    "anderson_rejected": (c.admm_report.anderson_rejected
+                                          if c.admm_report else None),
                     "per_node_solve_times": (
                         {name: sig9(t) for name, t in c.admm_report.per_node_solve_times.items()}
                         if c.admm_report else None),

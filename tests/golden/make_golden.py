@@ -15,7 +15,10 @@ the repository, with
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
-and says in CHANGES.md which values moved and by how much.
+and says in CHANGES.md which values moved and by how much.  Before it
+overwrites the file it prints, for each run, what moved against the old
+fixture: total iterations, handed vehicle and edge nodes, the smallest
+``min_distance`` and the largest change of a final pose coordinate.
 """
 
 from __future__ import annotations
@@ -85,8 +88,44 @@ def host() -> dict:
     }
 
 
+def totals(run: dict) -> dict:
+    """A run's totals over its cycles: iterations, handed nodes, smallest distance."""
+    cycles = run["cycles"]
+    return {
+        "iterations": sum(c["iterations"] for c in cycles),
+        "local_handed": sum(c["local_handed"] or 0 for c in cycles),
+        "edge_handed": sum(c["edge_handed"] or 0 for c in cycles),
+        "min_distance": min(c["min_distance"] for c in cycles),
+    }
+
+
+def what_moved(old: dict, new: dict) -> list[str]:
+    """One line per run of ``new``: its totals against ``old``'s, and the
+    largest final pose change."""
+    lines = []
+    for key, run in new.items():
+        now = totals(run)
+        if key not in old:
+            lines.append(f"{key}: new run, {now}")
+            continue
+        was = totals(old[key])
+        parts = [f"{name} {was[name]} -> {now[name]}" for name in
+                 ("iterations", "local_handed", "edge_handed")]
+        parts.append(f"min_distance {was['min_distance']:.6f} -> {now['min_distance']:.6f} "
+                     f"({now['min_distance'] - was['min_distance']:+.2e})")
+        before, after = old[key]["final_poses"], run["final_poses"]
+        shift = max((abs(a - b) for vid in after if vid in before
+                     for a, b in zip(after[vid], before[vid])), default=float("nan"))
+        parts.append(f"final pose change max {shift:.3e}")
+        lines.append(f"{key}: " + ", ".join(parts))
+    return lines
+
+
 def main() -> int:
     doc = {"host": host(), "runs": record_all()}
+    if FIXTURE.exists():
+        old = json.loads(FIXTURE.read_text(encoding="utf-8"))["runs"]
+        print("\n".join(what_moved(old, doc["runs"])))
     FIXTURE.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {FIXTURE}")
     return 0

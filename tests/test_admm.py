@@ -8,6 +8,7 @@ import pytest
 from fleetcoord import (AdmmConfig, NumericalFailureError, ParameterError, adapt_rho,
                         admm_solve, build_centralized, build_local, fleet_objective,
                         init_admm_state, solve_qp)
+from fleetcoord.admm import ANDERSON_MEMORY, Anderson
 from fleetcoord.subproblems import LocalBatch
 
 from instances import bounded_pair, random_fleet_instance
@@ -481,3 +482,119 @@ def test_edge_handed_nodes_are_counted(per_node_path):
     assert res.report.nonoptimal_nodes == 0
     for vid in plain.consensus:
         assert res.consensus[vid].tobytes() == plain.consensus[vid].tobytes()
+
+
+# ------------------------------------------------------ Anderson acceleration
+
+def _accelerated_points(monkeypatch, local_problems, edge_problems, seeds, config):
+    """Run admm_solve and return, per ``Anderson.step`` call, a record of the
+    point it chose: the state's rho, the kind returned, whether the point is
+    accelerated, the memory's difference count and each vehicle's dual sum."""
+    state = init_admm_state(seeds, edge_problems, 1.0)
+    real = Anderson.step
+    calls = []
+
+    def step(self, Z, L, Zg, Lg, extrapolate):
+        Z_next, L_next, kind = real(self, Z, L, Zg, Lg, extrapolate)
+        sums = np.zeros_like(Z_next)
+        np.add.at(sums, state.owner, L_next)
+        calls.append({"rho": state.rho, "kind": kind, "accelerated": self.plain is not None,
+                      "differences": len(self.dF), "sums": sums,
+                      "scale": float(np.max(np.abs(L_next)))})
+        return Z_next, L_next, kind
+
+    monkeypatch.setattr(Anderson, "step", step)
+    result = admm_solve(local_problems, edge_problems, config, state)
+    return result, calls
+
+
+def test_accelerated_points_keep_each_vehicles_duals_summing_to_zero(monkeypatch):
+    # init_admm_state balances a vehicle's own dual against its edge duals,
+    # and each plain step keeps the sum; an accelerated point is an affine
+    # combination of plain images, so it keeps the sum to rounding
+    result, calls = _accelerated_points(monkeypatch, *bounded_pair(), AdmmConfig(max_iters=60))
+    accelerated = [c for c in calls if c["accelerated"]]
+    assert accelerated and result.report.anderson_accepted > 0
+    for c in accelerated:
+        assert np.max(np.abs(c["sums"])) <= 1e-12 * max(1.0, c["scale"])
+    for total in _dual_sums(result.state).values():
+        assert np.max(np.abs(total)) <= 1e-12 * max(1.0, float(np.max(np.abs(result.state.L))))
+
+
+def test_no_accelerated_point_mixes_two_rhos(monkeypatch):
+    # the memory's differences come from the last (differences + 1) plain
+    # steps, which must all have been taken at the rho of the point they make
+    result, calls = _accelerated_points(monkeypatch, *bounded_pair(), AdmmConfig(max_iters=60))
+    steps_at_rho, rho, changed = 0, calls[0]["rho"], False
+    for c in calls:
+        if c["rho"] != rho:
+            rho, steps_at_rho, changed = c["rho"], 0, True
+        steps_at_rho += 1
+        if c["accelerated"]:
+            assert c["differences"] + 1 <= steps_at_rho
+    assert changed and calls[-1]["accelerated"] is False
+    assert sum(c["accelerated"] for c in calls) > 0
+
+
+def test_a_new_rho_or_cycle_starts_with_an_empty_memory():
+    local_problems, edge_problems, seeds = bounded_pair()
+    result = admm_solve(local_problems, edge_problems, AdmmConfig(adapt_rho=False, max_iters=10),
+                        init_admm_state(seeds, edge_problems, 1.0))
+    state = result.state
+    assert result.report.anderson_accepted > 0 and state.anderson.dF
+    state.rescale(state.rho)
+    assert state.anderson.dF
+    state.rescale(2.0 * state.rho)
+    assert not state.anderson.dF and state.anderson.f is None
+    carried = init_admm_state(seeds, edge_problems, 1.0, previous=result.state)
+    assert not carried.anderson.dF and carried.anderson.plain is None
+
+
+def _linear_map(x):
+    """A contraction with fixed point 1, on (Z, L) pairs."""
+    return tuple(0.5 * a + 0.5 for a in x)
+
+
+def test_rejected_point_restores_the_plain_image_and_clears_the_memory():
+    rng = np.random.default_rng(7)
+    anderson = Anderson()
+    x0 = (rng.normal(size=(2, 3)), rng.normal(size=(4, 3)))
+    g0 = _linear_map(x0)
+    Z, L, kind = anderson.step(*x0, *g0, extrapolate=True)
+    assert kind == "plain" and Z is g0[0] and L is g0[1]
+    g1 = _linear_map(g0)
+    *x2, kind = anderson.step(*g0, *g1, extrapolate=True)
+    assert kind == "plain" and len(anderson.dF) == 1
+    assert anderson.plain[0] is g1[0] and anderson.plain[1] is g1[1]
+    # on this map one difference finds the fixed point
+    assert all(np.allclose(a, 1.0) for a in x2)
+    # a plain step from the accelerated point that leaves a larger residual
+    far = tuple(a + 10.0 for a in x2)
+    Z, L, kind = anderson.step(*x2, *far, extrapolate=True)
+    assert kind == "rejected" and Z is g1[0] and L is g1[1]
+    assert not anderson.dF and anderson.f is None and anderson.plain is None
+    assert anderson.norm == math.inf
+    # the restored image is a plain point: its step is plain and not judged
+    assert anderson.step(Z, L, *far, extrapolate=True)[2] == "plain"
+
+
+def test_accepted_points_fill_the_memory_to_its_length():
+    # a diagonal contraction with twelve rates: each accepted point adds one
+    # difference until the memory holds ANDERSON_MEMORY, then the oldest goes
+    anderson = Anderson()
+    rng = np.random.default_rng(8)
+    A = np.diag(rng.uniform(0.6, 0.95, size=12))
+    kinds, sizes = [], []
+    x = (rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
+    for _ in range(2 * ANDERSON_MEMORY):
+        g = A @ np.concatenate([a.ravel() for a in x])
+        *x, kind = anderson.step(*x, g[:6].reshape(2, 3), g[6:].reshape(2, 3), extrapolate=True)
+        kinds.append(kind)
+        sizes.append(len(anderson.dF))
+    assert kinds == ["plain"] * 2 + ["accepted"] * (2 * ANDERSON_MEMORY - 2)
+    assert sizes == [min(k, ANDERSON_MEMORY) for k in range(2 * ANDERSON_MEMORY)]
+    # without extrapolation the plain image is kept and nothing is computed
+    image = (np.zeros((2, 3)), np.zeros((2, 3)))
+    Z, L, kind = anderson.step(*x, *image, extrapolate=False)
+    assert kind == "accepted" and Z is image[0] and L is image[1]
+    assert anderson.plain is None

@@ -5,9 +5,11 @@ its iterates as the arrays of an ``AdmmState``; the one-node solvers
 ``solve_local`` and ``solve_edge`` and the dict functions of
 ``reference.py`` (``update_consensus``, ``update_duals``, ``residuals``,
 ``apply_rho_update`` and the dict ``init_dict_state``) are the reference.
+Both loops take their next point from the same ``Anderson.step``.
 Every comparison here is bit for bit: node answers, KKT residuals and the
 statuses they give, the warm starts handed to the next iteration, the
-iterates, the residuals and rho.
+iterates, the residuals and rho, and the counts of accepted and rejected
+accelerated points.
 Instances: random fleets, the bounded pair (pinned steering and binding lane
 rows, which ``solve_local`` answers on its dual), crossing pairs whose edge
 rows activate, and the single-node instances of the local and edge solver tests
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
 from fleetcoord import AdmmConfig, ParameterError, adapt_rho, admm_solve, init_admm_state
+from fleetcoord.admm import Anderson
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.subproblems import EdgeBatch, LocalBatch
 
@@ -45,16 +48,22 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
 def reference_admm(local, edges, config, state):
     """The per-node loop: every node through solve_local/solve_edge, dict steps.
 
-    Starts from the dicts of the array ``state``; returns the final dict state
-    and, per iteration, (node solutions, report, rho).
+    Starts from the dicts of the array ``state``; returns the final dict state,
+    per iteration (node solutions, report, rho), and the counts of accepted
+    and rejected accelerated points.  The next point comes from the same
+    ``Anderson.step`` that ``admm_solve`` calls, on the dicts' rows stacked
+    in the array state's layout.
     """
     state = to_dicts(state)
     vids, ekeys = sorted(local), sorted(edges)
     np_steps = local[vids[0]].horizon
+    anderson = Anderson()
+    kinds = {"plain": 0, "accepted": 0, "rejected": 0}
     warm: dict = {}
     history = []
     for k in range(1, config.max_iters + 1):
         rho = state.rho
+        point = to_arrays(state)
         sols = {}
         for v in vids:
             prev = warm.get(v)
@@ -78,11 +87,21 @@ def reference_admm(local, edges, config, state):
         state.z, state.z_prev, state.iteration = z_new, z_prev, k
         report = residuals(state, z_prev, config.eps_abs, config.eps_rel)
         history.append((sols, report, rho))
+        rho_next = rho
+        if config.adapt_rho and not report.converged:
+            rho_next = adapt_rho(rho, report.r_norm, report.s_norm)
+        image = to_arrays(state)
+        image.Z, image.L, kind = anderson.step(
+            point.Z, point.L, image.Z, image.L,
+            extrapolate=not report.converged and rho_next == rho and k < config.max_iters)
+        kinds[kind] += 1
         if report.converged:
             break
-        if config.adapt_rho:
-            apply_rho_update(state, adapt_rho(state.rho, report.r_norm, report.s_norm))
-    return state, history
+        state = to_dicts(image)
+        apply_rho_update(state, rho_next)
+        if rho_next != rho:
+            anderson.clear()
+    return state, history, kinds
 
 
 def recorded_admm(local, edges, config, state):
@@ -180,7 +199,7 @@ def same(a, b):
 
 def assert_identical_runs(local, edges, config, state):
     """The batched admm_solve and the per-node loop agree bit for bit."""
-    ref_state, history = reference_admm(local, edges, config, copy.deepcopy(state))
+    ref_state, history, kinds = reference_admm(local, edges, config, copy.deepcopy(state))
     result, steps = recorded_admm(local, edges, config, copy.deepcopy(state))
     vids, ekeys = sorted(local), sorted(edges)
     n, np_steps = len(vids), local[vids[0]].horizon
@@ -211,6 +230,8 @@ def assert_identical_runs(local, edges, config, state):
     rep = result.report
     assert (rep.r_norm, rep.s_norm, rep.eps_pri, rep.eps_dual, rep.converged) == (
         final.r_norm, final.s_norm, final.eps_pri, final.eps_dual, final.converged)
+    assert (rep.anderson_accepted, rep.anderson_rejected) == (kinds["accepted"],
+                                                              kinds["rejected"])
     got = to_dicts(result.state)
     assert got.rho == ref_state.rho and got.iteration == ref_state.iteration
     for name in ("u", "z", "lam", "z_prev"):
@@ -259,7 +280,8 @@ def test_crossing_pairs_match_the_per_node_loop(np_steps, steer, y_max, half_gap
 def test_instances_exercise_both_paths():
     # a random fleet (nodes the batched pass answers) and the bounded pair
     # (pinned steering, a binding lane row, active edge rows: nodes handed
-    # to the per-node path), each handed node counted in the report
+    # to the per-node path), each handed node counted in the report; the
+    # accelerated points include accepted and rejected ones
     rng = np.random.default_rng(99)
     while True:
         fleet = random_fleet_instance(rng)
@@ -268,6 +290,7 @@ def test_instances_exercise_both_paths():
     answered = {"local": 0, "edge": 0}
     handed = {"local": 0, "edge": 0}
     reported = {"local": 0, "edge": 0}
+    accelerated = {"accepted": 0, "rejected": 0}
     for local, edges, seeds in (fleet, bounded_pair()):
         config = AdmmConfig(max_iters=40)
         state = init_admm_state(seeds, edges, 1.0)
@@ -279,8 +302,12 @@ def test_instances_exercise_both_paths():
                 (handed if i in step.handed else answered)[kind] += 1
         reported["local"] += result.report.local_handed
         reported["edge"] += result.report.edge_handed
+        accelerated["accepted"] += result.report.anderson_accepted
+        accelerated["rejected"] += result.report.anderson_rejected
         assert_identical_runs(local, edges, config, state)
     assert min(answered.values()) > 0 and min(handed.values()) > 0 and reported == handed
+    # both outcomes of the Anderson safeguard are compared bit for bit
+    assert min(accelerated.values()) > 0
 
 
 @SETTINGS

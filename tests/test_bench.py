@@ -117,6 +117,16 @@ def test_crossing_platoons_couple_through_cyclic_graphs():
         assert math.isfinite(min(c.min_distance for c in run.cycles))
 
 
+def test_crossing_8_converges_every_cycle_within_the_plain_admm_count():
+    # eight vehicles through the crossing: plain ADMM took 188 iterations
+    # with no cycle at the cap; acceleration must not take more
+    run = run_simulation(generate_crossing_scenario(8, seed=0), PARALLEL_ADMM)
+    assert len(run.cycles) == 30
+    assert all(c.converged for c in run.cycles)
+    assert sum(c.iterations for c in run.cycles) <= 188
+    assert sum(c.admm_report.anderson_accepted for c in run.cycles) > 0
+
+
 def test_crossing_generation_is_seeded():
     base = generate_crossing_scenario(6, seed=0)
     assert dump_scenario(base) == dump_scenario(generate_crossing_scenario(6, seed=0))

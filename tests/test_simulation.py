@@ -304,6 +304,8 @@ def test_csv_and_json_outputs(tmp_path):
         assert cycle["edge_handed"] == record.admm_report.edge_handed
         assert cycle["local_handed"] == record.admm_report.local_handed == 0
         assert cycle["kkt_max"] == pytest.approx(record.admm_report.kkt_max, rel=1e-8)
+        assert cycle["anderson_accepted"] == record.admm_report.anderson_accepted
+        assert cycle["anderson_rejected"] == record.admm_report.anderson_rejected
         assert cycle["qp_status"] is None and cycle["qp_path"] is None
         assert 0.0 <= cycle["kkt_max"] <= 1e-8
         times = cycle["per_node_solve_times"]
@@ -333,6 +335,7 @@ def test_lane_grid_centralized_cycles_take_the_bound_shortcut(tmp_path):
     for cycle, record in zip(cycles, run.cycles):
         assert record.qp_path == cycle["qp_path"] == "bound"
         assert cycle["local_handed"] is None and cycle["edge_handed"] is None
+        assert cycle["anderson_accepted"] is None and cycle["anderson_rejected"] is None
         assert cycle["qp_status"] == "optimal"
         assert cycle["iterations"] == 0
         assert cycle["edges"]

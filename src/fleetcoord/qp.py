@@ -7,29 +7,30 @@ Cholesky-factors the n x n reduced Newton matrix H + A' diag(z/s) A once, and
 the predictor, the corrector and the centrality correctors share the factor.
 Everything is deterministic: no randomization.
 
-Problems here are small by construction (the fleet decomposition caps
-subproblem size), with the exception of the centralized baseline.  Every
-problem is solved cold.  An exact shortcut covers the hot case before the
-interior-point loop runs: a bound-pinning guess for problems where only box
-bounds are active, verified against the full KKT conditions; when the guess
-is not optimal the interior-point method runs from x = 0.  Where rounding
-stalls its last iterates above the KKT target, an equality-constrained
-re-solve on the rows the iterate marks active finishes them if it verifies.
-``QpSolution.path`` records which path answered.
+Every problem is solved cold.  The regularization shift is decided and
+applied once, to a copy of the problem that every later step works on.  An
+exact shortcut covers the hot case before the interior-point loop runs: a
+bound-pinning guess for problems where only box bounds are active, verified
+against the full KKT conditions; when the guess is not optimal the
+interior-point method runs from x = 0.  Where rounding stalls its last
+iterates above the KKT target, an equality-constrained re-solve on the rows
+the iterate marks active finishes them if it verifies.  ``QpSolution.path``
+records which path answered.
 
-``DenseQp`` holds H as its diagonal blocks, same-size blocks stacked
-(``BlockDiagonal``), in the form the caller built them.  The centralized
-baseline passes one tracking block per vehicle and a zero 1 x 1 block per
-slack, so it never allocates an n x n H; a dense H is one block.  The
-regularization probe and the bound-pinning guess factor and solve the
-blocks, same-size blocks as one batched stack, and the guess is verified
-with H x formed block by block.  G stays dense and is stored as given.  A
-centralized cycle that ends on the bound shortcut therefore costs the
-blocks' own factorizations, one finiteness pass over G and one dense
-product with it.  Only the interior-point method and the active-set polish
-build the dense H, once per call; a call that reaches the interior-point
-method is dominated by forming (O(n^2 m)) and factoring (O(n^3)) its n x n
-Newton matrix.  A variable with lb == ub is an ordinary pair of bound rows.
+``DenseQp`` holds H as ``BlockDiagonal(blocks, diag)``: k equal diagonal
+blocks stacked (k, s, s), then a diagonal.  The centralized baseline passes
+one tracking block per vehicle and a zero diagonal over the slacks, so it
+never allocates an n x n H; the edge QP and the elastic probe pass only a
+diagonal, and a dense H is one block.  The regularization probe and the
+bound-pinning guess factor and solve the blocks as one batched stack and
+read the diagonal entry by entry, and the guess is verified with H x formed
+block by block.  G stays dense and is stored as given.  A centralized cycle
+that ends on the bound shortcut therefore costs the blocks' own
+factorizations, one finiteness pass over G and one dense product with it.
+Only the interior-point method and the active-set polish build the dense H,
+once per call; a call that reaches the interior-point method is dominated
+by forming (O(n^2 m)) and factoring (O(n^3)) its n x n Newton matrix.  A
+variable with lb == ub is an ordinary pair of bound rows.
 
 ``_kkt_measure`` is the one definition of the KKT residual: ``solve_qp``
 and the ADMM vehicle nodes hand it their own stationarity and row vectors,
@@ -68,56 +69,37 @@ _IPM_MAX_ITER = 100      # interior-point iterations per call
 
 
 class BlockDiagonal:
-    """A symmetric n x n matrix held as its diagonal blocks, same-size blocks stacked.
+    """A symmetric n x n matrix held as k equal diagonal blocks, then a diagonal.
 
-    ``groups`` is a list of (idx, blocks): idx (k, s) holds the indices of k
-    contiguous diagonal blocks of size s, blocks (k, s, s) their values, and
-    every entry outside the blocks is zero.  Construction checks that the
-    blocks tile [0, n) contiguously, so that ``H @ x`` writes every entry of
-    its result, that every entry is finite, and replaces an asymmetric block
-    B by 0.5 (B + B').  The stacks are kept as given when already float and
-    symmetric; nothing in this package writes into them.  ``DenseQp`` keeps
-    a dense H as the single block (arange(n)[None], H[None]).
+    ``blocks`` (k, s, s) holds the blocks over [0, k s), ``split`` = k s, and
+    ``diag`` the entries over [split, n); every other entry is zero.  Either
+    part may be empty.  Construction checks the shapes, replaces an
+    asymmetric block B by 0.5 (B + B') and checks that every entry is finite.
+    The arrays are kept as given when already float and symmetric; nothing
+    in this package writes into them.  ``DenseQp`` keeps a dense H as the
+    single block H[None].
 
-    ``H @ x`` (x of length n) multiplies block by block, ``np.asarray(H)``
-    builds the dense matrix, and ``starts`` holds each block's first index
-    in order, then n.
+    ``H @ x`` (x of length n) multiplies block by block and ``np.asarray(H)``
+    builds the dense matrix.
     """
 
-    def __init__(self, n: int, groups):
-        kept = []
-        for idx, blocks in groups:
-            idx = np.asarray(idx)
-            blocks = np.asarray(blocks, dtype=float)
-            if (idx.ndim != 2 or idx.dtype.kind not in "iu" or idx.shape[1] < 1
-                    or blocks.shape != (*idx.shape, idx.shape[1])):
-                raise ParameterError("H's blocks must be stacks of indices (k, s) "
-                                     "and values (k, s, s) with s >= 1")
-            if idx.shape[1] > 1:
-                if not (idx[:, 1:] - idx[:, :-1] == 1).all():
-                    raise ParameterError("H's blocks must tile [0, n) contiguously")
-                mirror = blocks.transpose(0, 2, 1)
-                asym = (blocks != mirror).any(axis=(1, 2))
-                if asym.any():
-                    with np.errstate(over="ignore", invalid="ignore"):  # caught below
-                        blocks = np.where(asym[:, None, None], 0.5 * (blocks + mirror), blocks)
-            if not np.isfinite(blocks).all():
-                raise ParameterError("H must be finite")
-            if len(idx):
-                kept.append((idx, blocks))
-        # smallest blocks first: the regularization probe stops at the first
-        # failing block, and a zero 1 x 1 slack block fails without a Cholesky
-        kept.sort(key=lambda group: group[0].shape[1])
-        # Each block [a, b) is an edge a -> b.  Edges only go forward, so the
-        # heads with n and the ends with 0 agree as multisets exactly when the
-        # edges form one path 0 -> n: when the blocks tile [0, n).
-        starts = np.sort(np.concatenate([idx[:, 0] for idx, _ in kept] + [[n]]))
-        ends = np.sort(np.concatenate([[0]] + [idx[:, -1] + 1 for idx, _ in kept]))
-        if not (starts == ends).all():
-            raise ParameterError("H's blocks must tile [0, n) contiguously")
-        self.n = n
-        self.groups = kept
-        self.starts = starts.astype(np.intp, copy=False)
+    def __init__(self, blocks=None, diag=None):
+        blocks = np.zeros((0, 0, 0)) if blocks is None else np.asarray(blocks, dtype=float)
+        diag = np.zeros(0) if diag is None else np.asarray(diag, dtype=float)
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or diag.ndim != 1:
+            raise ParameterError("H's blocks must be a (k, s, s) stack and its diagonal "
+                                 "a vector")
+        mirror = blocks.transpose(0, 2, 1)
+        asym = (blocks != mirror).any(axis=(1, 2))
+        if asym.any():
+            with np.errstate(over="ignore", invalid="ignore"):  # caught below
+                blocks = np.where(asym[:, None, None], 0.5 * (blocks + mirror), blocks)
+        if not (np.isfinite(blocks).all() and np.isfinite(diag).all()):
+            raise ParameterError("H must be finite")
+        self.blocks = blocks
+        self.diag = diag
+        self.split = blocks.shape[0] * blocks.shape[1]
+        self.n = self.split + len(diag)
 
     @property
     def shape(self) -> tuple:
@@ -125,42 +107,41 @@ class BlockDiagonal:
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.empty(self.n)           # the blocks tile [0, n): every entry is written
-        for idx, B in self.groups:
-            out[idx] = (B @ x[idx][..., None])[..., 0]
-        return out
+        k, s, _ = self.blocks.shape
+        top = self.blocks @ x[:self.split].reshape(k, s, 1)
+        return np.concatenate([top.reshape(self.split), self.diag * x[self.split:]])
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros((self.n, self.n), dtype=dtype)
-        for idx, B in self.groups:
-            dense[idx[:, :, None], idx[:, None, :]] = B
+        s = self.blocks.shape[1]
+        for b, B in enumerate(self.blocks):
+            dense[b * s:(b + 1) * s, b * s:(b + 1) * s] = B
+        np.fill_diagonal(dense[self.split:, self.split:], self.diag)
         return dense
 
     def shifted(self, shift: float) -> BlockDiagonal:
-        """This matrix plus shift I; a diagonal shift moves no block boundary."""
+        """This matrix plus shift I, without re-validation."""
         out = copy.copy(self)
-        out.groups = []
-        for idx, B in self.groups:
-            B = B.copy()
-            diag = np.arange(B.shape[1])
-            B[:, diag, diag] += shift
-            out.groups.append((idx, B))
+        out.blocks = self.blocks.copy()
+        i = np.arange(self.blocks.shape[1])
+        out.blocks[:, i, i] += shift
+        out.diag = self.diag + shift
         return out
 
 
 @dataclass(eq=False)
 class DenseQp:
-    """Problem data: H as its diagonal blocks, G dense; bounds default to open.
+    """Problem data: H as blocks and a diagonal, G dense; bounds default to open.
 
     H is a ``BlockDiagonal``, kept as the caller passed it (the centralized
-    baseline passes its tracking blocks and zero slack entries, so no n x n
-    array is allocated); a square ndarray H is kept as one block.  Either
-    way an asymmetric block becomes 0.5 (B + B') and non-finite entries
-    raise ``ParameterError``.  G must be m x n, f, lb and ub must have n
-    entries and h m; G, f and h must be finite, lb must not be NaN or +inf,
-    ub must not be NaN or -inf, and lb <= ub.  A caller's arrays are kept
-    uncopied when already float, and nothing in this package writes into
-    them.
+    baseline passes its tracking blocks and a zero slack diagonal, so no
+    n x n array is allocated); a square ndarray H is kept as the one block
+    H[None].  Either way an asymmetric block becomes 0.5 (B + B') and
+    non-finite entries raise ``ParameterError``.  G must be m x n, f, lb and
+    ub must have n entries and h m; G, f and h must be finite, lb must not be
+    NaN or +inf, ub must not be NaN or -inf, and lb <= ub.  A caller's arrays
+    are kept uncopied when already float, and nothing in this package writes
+    into them.
     """
 
     H: BlockDiagonal
@@ -175,8 +156,7 @@ class DenseQp:
             H = np.asarray(self.H, dtype=float)
             if H.ndim != 2 or H.shape[0] != H.shape[1]:
                 raise ParameterError("H must be a square matrix")
-            n = H.shape[0]
-            self.H = BlockDiagonal(n, [(np.arange(n)[None], H[None])] if n else [])
+            self.H = BlockDiagonal(H[None])
         n = self.H.n
         if self.G is None:
             self.G = np.zeros((0, n))
@@ -293,27 +273,25 @@ def _primal_violation(problem: DenseQp, u: np.ndarray, Gu: np.ndarray | None = N
     return max(viol, 0.0)
 
 
-def _positive_definite(Hb: np.ndarray) -> bool:
-    """Whether every block of the (k, s, s) stack has a Cholesky factor."""
-    if Hb.shape[1] == 1:
-        return bool((Hb[:, 0, 0] > 0.0).all())   # a 1 x 1 Cholesky fails iff a <= 0
+def _positive_definite(H: BlockDiagonal, floor: float = 0.0) -> bool:
+    """Whether H - floor I has a Cholesky factor.
+
+    A block-diagonal matrix's eigenvalues are its blocks' eigenvalues and
+    its diagonal entries, so the diagonal is compared with floor (first: it
+    needs no factorization) and the blocks are factored as one stack.
+    """
+    if not (H.diag > floor).all():
+        return False
     try:
-        np.linalg.cholesky(Hb)
+        np.linalg.cholesky(H.blocks - floor * np.eye(H.blocks.shape[1]) if floor else H.blocks)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
 def _hessian_shift(H: BlockDiagonal) -> float:
-    """1e-9 when some block fails the Cholesky probe of H_b - 1e-10 I, else 0.
-
-    A block-diagonal matrix's eigenvalues are its blocks' eigenvalues, so
-    this is the decision of the same probe on the whole H.
-    """
-    for _, Hb in H.groups:
-        if not _positive_definite(Hb - _EIG_FLOOR * np.eye(Hb.shape[1])):
-            return _REG_SHIFT
-    return 0.0
+    """1e-9 when H - 1e-10 I fails the Cholesky probe, else 0."""
+    return 0.0 if _positive_definite(H, _EIG_FLOOR) else _REG_SHIFT
 
 
 def _shifted(problem: DenseQp, shift: float) -> DenseQp:
@@ -326,46 +304,40 @@ def _shifted(problem: DenseQp, shift: float) -> DenseQp:
     return work
 
 
-def _bound_shortcut(problem: DenseQp, shift: float) -> tuple | None:
-    """Exact solution of the problem with H + shift I when only box bounds are active.
+def _bound_shortcut(problem: DenseQp) -> tuple | None:
+    """Exact solution of the problem when only box bounds are active.
 
     Solves the unconstrained problem block by block, pins bound violators,
     re-solves once the free part of each block that holds both pinned and
-    free entries (no other block changes) and verifies the full KKT
-    conditions, forming H x (block by block) and G x once each.  Returns
-    (x, multipliers, kkt, objective, primal violation), or None when a block
-    is not positive definite or the guess is not optimal.
+    free entries (no other block changes, and a diagonal entry is pinned or
+    free) and verifies the full KKT conditions, forming H x (block by block)
+    and G x once each.  Returns (x, multipliers, kkt, objective, primal
+    violation), or None when H is not positive definite or the guess is not
+    optimal.
     """
     H, f, lb, ub = problem.H, problem.f, problem.lb, problem.ub
-    x = np.empty(problem.n)
-    blocks = []
-    for idx, Hb in H.groups:
-        if shift:
-            Hb = Hb + shift * np.eye(Hb.shape[1])
-        if not _positive_definite(Hb):
-            return None
-        if Hb.shape[1] == 1:
-            x[idx[:, 0]] = -f[idx[:, 0]] / Hb[:, 0, 0]
-        else:
-            x[idx] = -np.linalg.solve(Hb, f[idx][..., None])[..., 0]
-            blocks.append((idx, Hb))
+    if not _positive_definite(H):
+        return None
+    k, s, _ = H.blocks.shape
+    split = H.split
+    x = np.concatenate([-np.linalg.solve(H.blocks, f[:split].reshape(k, s, 1)).reshape(split),
+                        -f[split:] / H.diag])
 
     at_lo = x < lb
     at_hi = x > ub
     pinned = at_lo | at_hi
     if pinned.any():
         x = np.where(at_lo, lb, np.where(at_hi, ub, x))
-        for idx, Hb in blocks:          # a 1 x 1 block is pinned or free, never both
-            pin = pinned[idx]
-            for b in np.flatnonzero(pin.any(axis=1) & ~pin.all(axis=1)):
-                p, fr = pin[b], ~pin[b]
-                rhs = f[idx[b, fr]] + Hb[b][np.ix_(fr, p)] @ x[idx[b, p]]
-                try:
-                    x[idx[b, fr]] = -np.linalg.solve(Hb[b][np.ix_(fr, fr)], rhs)
-                except np.linalg.LinAlgError:
-                    return None
+        pin = pinned[:split].reshape(k, s)
+        for b in np.flatnonzero(pin.any(axis=1) & ~pin.all(axis=1)):
+            p, fr = pin[b], ~pin[b]
+            Hb, xb, fb = H.blocks[b], x[b * s:(b + 1) * s], f[b * s:(b + 1) * s]
+            try:
+                xb[fr] = -np.linalg.solve(Hb[np.ix_(fr, fr)], fb[fr] + Hb[np.ix_(fr, p)] @ xb[p])
+            except np.linalg.LinAlgError:
+                return None
 
-    Hx = H @ x + shift * x
+    Hx = H @ x
     grad = Hx + f
     w = np.where(at_lo, np.maximum(grad, 0.0), 0.0)
     y = np.where(at_hi, np.maximum(-grad, 0.0), 0.0)
@@ -445,13 +417,15 @@ def _feasibility_gap(problem: DenseQp) -> float:
     n, m = problem.n, problem.m
     if m == 0:
         return 0.0
-    He = BlockDiagonal(n + m, [(np.arange(n + m)[:, None], np.full((n + m, 1, 1), 1e-8))])
+    He = BlockDiagonal(diag=np.full(n + m, 1e-8))
     fe = np.concatenate([np.zeros(n), np.ones(m)])
     Ge = np.hstack([problem.G, -np.eye(m)])
     lbe = np.concatenate([problem.lb, np.zeros(m)])
     ube = np.concatenate([problem.ub, np.full(m, np.inf)])
     elastic = DenseQp(H=He, f=fe, G=Ge, h=problem.h.copy(), lb=lbe, ub=ube)
-    sol = _solve(elastic, allow_probe=False)
+    # straight to the IPM: H needs no shift, every row holds its -1, and the
+    # bound shortcut could only answer where the gap is 0 anyway
+    sol = _ipm(elastic)
     return float(np.sum(np.maximum(sol.u_star[n:], 0.0)))
 
 
@@ -460,16 +434,40 @@ def solve_qp(problem: DenseQp) -> QpSolution:
 
     Every problem runs the same pipeline: the regularization probe, the
     zero-row exit, the bound shortcut, then the interior-point method (at
-    most ``_IPM_MAX_ITER`` iterations) with the elastic feasibility probe.
-    status is ``optimal`` when the KKT residual is at most 1e-6 with primal
-    violation at most 1e-8, ``infeasible`` when an unsatisfiable zero row or
-    an elastic relaxation proves the constraints inconsistent, and
-    ``max_iter`` otherwise (best iterate is still returned).  The first call
-    loads scipy's LAPACK bindings, so that no later call pays for the import
+    most ``_IPM_MAX_ITER`` iterations) with the elastic feasibility probe;
+    all but the probe work on the regularized problem.  status is
+    ``optimal`` when the KKT residual is at most 1e-6 with primal violation
+    at most 1e-8, ``infeasible`` when an unsatisfiable zero row or an
+    elastic relaxation proves the constraints inconsistent, and ``max_iter``
+    otherwise (best iterate is still returned).  The first call loads
+    scipy's LAPACK bindings, so that no later call pays for the import
     mid-run.
     """
     _lapack()
-    return _solve(problem, allow_probe=True)
+    n = problem.n
+    work = _shifted(problem, _hessian_shift(problem.H))
+
+    # a zero row with negative offset can never be satisfied
+    negative = work.h < -1e-12
+    if negative.any() and not work.G[negative].any(axis=1).all():
+        u = np.clip(np.zeros(n), work.lb, work.ub)
+        mult = np.zeros(work.m + 2 * n)
+        return QpSolution(u_star=u, objective=work.objective(u), status=INFEASIBLE,
+                          kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
+                          path="zero_row")
+
+    shortcut = _bound_shortcut(work)
+    if shortcut is not None:
+        x, mult, kkt, objective, pviol = shortcut
+        return QpSolution(u_star=x, objective=objective, status=OPTIMAL,
+                          kkt_residual=kkt, multipliers=mult, iterations=0,
+                          trace=[(objective, pviol)], path="bound")
+
+    sol = _ipm(work)
+    if sol.status == MAX_ITER and _primal_violation(work, sol.u_star) > 1e-8:
+        if _feasibility_gap(work) > 1e-6 * (1.0 + float(np.max(np.abs(work.h), initial=0.0))):
+            sol.status = INFEASIBLE
+    return sol
 
 
 @functools.cache
@@ -493,35 +491,6 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
 def _cho_solve(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """M^-1 r from M's factor ``_cholesky(M)``, as scipy's ``cho_solve`` returns it."""
     return _lapack()[1](c, r, lower=0)[0]
-
-
-def _solve(problem: DenseQp, allow_probe: bool) -> QpSolution:
-    n = problem.n
-    shift = _hessian_shift(problem.H)
-
-    # a zero row with negative offset can never be satisfied
-    negative = problem.h < -1e-12
-    if negative.any() and not problem.G[negative].any(axis=1).all():
-        work = _shifted(problem, shift)
-        u = np.clip(np.zeros(n), work.lb, work.ub)
-        mult = np.zeros(work.m + 2 * n)
-        return QpSolution(u_star=u, objective=work.objective(u), status=INFEASIBLE,
-                          kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
-                          path="zero_row")
-
-    shortcut = _bound_shortcut(problem, shift)
-    if shortcut is not None:
-        x, mult, kkt, objective, pviol = shortcut
-        return QpSolution(u_star=x, objective=objective, status=OPTIMAL,
-                          kkt_residual=kkt, multipliers=mult, iterations=0,
-                          trace=[(objective, pviol)], path="bound")
-
-    work = _shifted(problem, shift)
-    sol = _ipm(work)
-    if sol.status == MAX_ITER and allow_probe and _primal_violation(work, sol.u_star) > 1e-8:
-        if _feasibility_gap(work) > 1e-6 * (1.0 + float(np.max(np.abs(work.h), initial=0.0))):
-            sol.status = INFEASIBLE
-    return sol
 
 
 def _ipm(problem: DenseQp) -> QpSolution:

@@ -65,7 +65,7 @@ a node's KKT residual is the one ``kkt_residual`` gives the built QP, formed
 for a vehicle by ``qp._kkt_measure`` on the primal's stationarity and row
 vectors and for an edge by ``_edge_kkt``, which writes that measure's terms
 out once for both edge paths.  ``build_edge`` appends the slack columns and
-passes its diagonal Hessian as 1 x 1 blocks.
+passes its Hessian as a diagonal alone.
 """
 
 from __future__ import annotations
@@ -498,14 +498,12 @@ def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> Dens
     """Edge QP: proximal terms for both endpoint copies plus slack penalty."""
     _check_rho(rho)
     np_steps = problem.horizon
-    n = 3 * np_steps
-    Hd = np.concatenate([np.full(2 * np_steps, rho), np.zeros(np_steps)])
+    H = BlockDiagonal(diag=np.concatenate([np.full(2 * np_steps, rho), np.zeros(np_steps)]))
     f = np.concatenate([
         rho * (np.asarray(lam_i, dtype=float) - np.asarray(z_i, dtype=float)),
         rho * (np.asarray(lam_j, dtype=float) - np.asarray(z_j, dtype=float)),
         np.full(np_steps, problem.slack_penalty),
     ])
-    H = BlockDiagonal(n, [(np.arange(n)[:, None], Hd[:, None, None])])   # diagonal: 1 x 1 blocks
     G = np.hstack([problem.G, -np.eye(np_steps)])
     # only the slacks are bounded, from below by 0
     lb = np.concatenate([np.full(2 * np_steps, -np.inf), np.zeros(np_steps)])
@@ -718,8 +716,9 @@ def _primal_active_set(M, q, c, mu):
 class CentralizedQp:
     """Single fleet QP over concatenated controls plus per-edge slacks.
 
-    ``qp.H`` is a ``BlockDiagonal``: each vehicle's Np x Np tracking block,
-    then one zero 1 x 1 block per slack; ``qp.G`` is dense.
+    ``qp.H`` is a ``BlockDiagonal``: ``H.blocks`` stacks each vehicle's
+    Np x Np tracking block over the controls, and ``H.diag`` is zero over the
+    slacks, from ``H.split`` on; ``qp.G`` is dense.
     """
 
     qp: DenseQp
@@ -780,9 +779,6 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
         r += np_steps
 
     # H is block diagonal: one tracking block per vehicle, then zero slack entries
-    blocks = [(np.arange(n_u).reshape(len(vids), np_steps),
-               np.stack([local_problems[vid].H0 for vid in vids]))]
-    if edges:
-        blocks.append((np.arange(n_u, n)[:, None], np.zeros((n - n_u, 1, 1))))
-    qp = DenseQp(H=BlockDiagonal(n, blocks), f=f, G=G, h=h, lb=lb, ub=ub)
+    H = BlockDiagonal(np.stack([local_problems[vid].H0 for vid in vids]), np.zeros(n - n_u))
+    qp = DenseQp(H=H, f=f, G=G, h=h, lb=lb, ub=ub)
     return CentralizedQp(qp=qp, vehicle_ids=vids, np_steps=np_steps)

@@ -1,7 +1,13 @@
+import os
 import sys
 from pathlib import Path
 
-import pytest
+# The golden fixture was made with one BLAS thread, and CI pins the same;
+# set it here too, before anything imports numpy, unless the caller chose.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 

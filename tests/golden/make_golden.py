@@ -3,8 +3,10 @@
 Runs overtake for 10 s (its coupling spans 5-11 s), intersection for 4 s
 (through its hardest ADMM cycle, 34) and the crossing platoons of
 ``generate_crossing_scenario(4, 0)`` for 3 s (edges whose steering rows are
-zero beyond step 1, batches with several fixed-row patterns) in both modes,
-and keeps per cycle the
+zero beyond step 1, batches with several fixed-row patterns) and the
+64-vehicle lane grid of ``generate_scaled_scenario(64, 0)`` for 1 s (64
+tracking blocks and the slack diagonal through the bound shortcut on every
+centralized cycle) in both modes, and keeps per cycle the
 iteration count, ``converged``, the handed and non-optimal node counts
 (ADMM), the answering ``qp_path`` (centralized) and the fleet's minimum
 distance after the step, plus every vehicle's final pose.  The host, Python,
@@ -32,14 +34,15 @@ from pathlib import Path
 import numpy as np
 
 from fleetcoord import (CENTRALIZED, PARALLEL_ADMM, generate_crossing_scenario,
-                        load_scenario_file, run_simulation)
+                        generate_scaled_scenario, load_scenario_file, run_simulation)
 from fleetcoord.simulation import _BLAS_THREAD_VARS
 
 FIXTURE = Path(__file__).with_name("closed_loop.json")
 SCENARIO_DIR = Path(__file__).resolve().parents[2] / "scenarios"
-RUNS = (("overtake", 10.0), ("intersection", 4.0), ("crossing4", 3.0))
+RUNS = (("overtake", 10.0), ("intersection", 4.0), ("crossing4", 3.0), ("lanes64", 1.0))
 MODES = (PARALLEL_ADMM, CENTRALIZED)
-GENERATED = {"crossing4": lambda: generate_crossing_scenario(4, 0)}
+GENERATED = {"crossing4": lambda: generate_crossing_scenario(4, 0),
+             "lanes64": lambda: generate_scaled_scenario(64, 0)}
 
 
 def load(scene: str):

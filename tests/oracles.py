@@ -91,22 +91,6 @@ def enumerate_qp(H, f, G=None, h=None, lb=None, ub=None, tol=1e-8):
     return best
 
 
-def dense_diagonal_blocks(H):
-    """Start of each contiguous diagonal block of the symmetric H, then n, by a dense scan.
-
-    A block ends after index i when every row below i has its first nonzero
-    column (of H != 0) beyond i; an all-zero row is a block of its own.
-    """
-    n = H.shape[0]
-    if n == 0:
-        return np.zeros(1, dtype=np.intp)
-    nz = H != 0.0
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), n)
-    reach = np.minimum.accumulate(first[::-1])[::-1]    # min first column of rows >= j
-    ends = np.flatnonzero(reach[1:] > np.arange(n - 1))
-    return np.concatenate([[0], ends + 1, [n]])
-
-
 def brute_force_edges(positions: dict, d_perc: float):
     """All-pairs distance scan over {id: (x, y)}."""
     ids = sorted(positions)

@@ -1,13 +1,15 @@
-"""The centralized QP's bound shortcut and regularization probe, per diagonal block.
+"""The centralized QP's bound shortcut and regularization probe, per block and diagonal.
 
-Hessians are block diagonal with blocks of size 1-5: positive definite ones,
-zero blocks (the slack block of the fleet QP), singular PSD blocks, and
-blocks whose smallest eigenvalue sits at 5e-11 or 2e-10, just below and just
-above the 1e-10 probe floor.  A shuffled variable order interleaves the
-blocks, which merge into larger contiguous blocks.  Each instance's H is
-handed over as the contiguous blocks that a dense ``H != 0`` scan finds, so
-the shortcut works block by block.  The references are dense: one Cholesky
-probe of H - 1e-10 I and one bound-pinning shortcut on the whole H.
+Hessians are k diagonal blocks of one size s (1-5), then a diagonal tail.
+Each block is of a sampled kind: positive definite, zero (a slack block),
+singular PSD, or with its smallest eigenvalue at 5e-11 or 2e-10, just below
+and just above the 1e-10 probe floor.  The tail's entries are zero (the
+slack diagonal of the fleet QP), positive, 5e-11 or 2e-10.  Each instance's
+H is built dense and handed over as the blocks and tail cut from it, so the
+shortcut works block by block.  The references are dense: one Cholesky
+probe of H - 1e-10 I and one bound-pinning shortcut on the whole H.  The
+zero-row exit, the shortcut and the interior-point method all report on the
+one regularized copy of the problem.
 """
 
 import copy
@@ -22,12 +24,13 @@ from fleetcoord import OPTIMAL, BlockDiagonal, DenseQp, kkt_residual, solve_qp
 from fleetcoord import qp as qp_mod
 
 from instances import lanes_centralized
-from oracles import dense_diagonal_blocks, enumerate_qp
+from oracles import enumerate_qp
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 KINDS = ("pd", "zero", "singular", "below_floor", "above_floor")
+TAIL = ("zero", "positive", "below_floor", "above_floor")
 
 
 def _block(rng, size, kind):
@@ -45,71 +48,72 @@ def _block(rng, size, kind):
     return 0.5 * (B + B.T)
 
 
-def instance_arrays(seed, specs, shuffle, m):
-    """Dense data of a block-diagonal QP from (size, kind) specs, every variable boxed.
+def _entry(rng, kind):
+    return {"zero": 0.0, "below_floor": 5e-11, "above_floor": 2e-10}.get(
+        kind, float(rng.uniform(0.5, 3.0)))
 
-    Tracking-like variables get steering-like boxes around zero; variables of
-    zero blocks get slack-like boxes [0, c] and a positive cost.  Rows of G
-    are random and hold at an interior anchor point.
+
+def instance_arrays(seed, size, kinds, tail, m):
+    """Dense data of a QP with len(kinds) blocks of ``size``, then the ``tail`` entries.
+
+    Every variable is boxed.  Tracking-like variables get steering-like
+    boxes around zero; variables of zero blocks and zero tail entries get
+    slack-like boxes [0, c] and a positive cost.  Rows of G are random and
+    hold at an interior anchor point.  ``split`` is where the tail starts.
     """
     rng = np.random.default_rng(seed)
-    n = sum(size for size, _ in specs)
+    split = size * len(kinds)
+    n = split + len(tail)
     H = np.zeros((n, n))
     f = rng.normal(size=n)
     lb = -rng.uniform(0.05, 0.6, n)
     ub = rng.uniform(0.05, 0.6, n)
-    start = 0
-    for size, kind in specs:
-        blk = slice(start, start + size)
+    slack = np.zeros(n, dtype=bool)
+    for b, kind in enumerate(kinds):
+        blk = slice(b * size, (b + 1) * size)
         H[blk, blk] = _block(rng, size, kind)
-        if kind == "zero":
-            f[blk] = rng.uniform(0.1, 2.0, size)
-            lb[blk] = 0.0
-            ub[blk] = rng.uniform(0.5, 2.0, size)
-        start += size
-    if shuffle:
-        perm = rng.permutation(n)
-        H, f, lb, ub = H[np.ix_(perm, perm)], f[perm], lb[perm], ub[perm]
+        slack[blk] = kind == "zero"
+    for i, kind in enumerate(tail, start=split):
+        H[i, i] = _entry(rng, kind)
+        slack[i] = kind == "zero"
+    f[slack] = rng.uniform(0.1, 2.0, slack.sum())
+    lb[slack] = 0.0
+    ub[slack] = rng.uniform(0.5, 2.0, slack.sum())
     G = rng.normal(size=(m, n))
     anchor = rng.uniform(lb + 0.25 * (ub - lb), ub - 0.25 * (ub - lb))
     h = G @ anchor + rng.uniform(0.05, 1.0, m)
-    return {"H": H, "f": f, "G": G, "h": h, "lb": lb, "ub": ub}
+    return {"H": H, "split": split, "size": size,
+            "f": f, "G": G, "h": h, "lb": lb, "ub": ub}
 
 
 def dense_instances(max_blocks):
     return st.builds(
         instance_arrays,
         seed=st.integers(0, 2 ** 32 - 1),
-        specs=st.lists(st.tuples(st.integers(1, 5), st.sampled_from(KINDS)),
-                       min_size=1, max_size=max_blocks),
-        shuffle=st.booleans(),
+        size=st.integers(1, 5),
+        kinds=st.lists(st.sampled_from(KINDS), max_size=max_blocks),
+        tail=st.lists(st.sampled_from(TAIL), max_size=6),
         m=st.integers(0, 3),
-    )
+    ).filter(lambda data: len(data["f"]))
 
 
-def cut_into_blocks(H):
-    """H's diagonal blocks as ``BlockDiagonal`` stacks, cut where the dense scan ends them."""
-    starts = dense_diagonal_blocks(H)
-    sizes = np.diff(starts)
-    groups = []
-    for s in sorted(set(sizes.tolist()), reverse=True):
-        idx = starts[:-1][sizes == s][:, None] + np.arange(s)
-        groups.append((idx, H[idx[:, :, None], idx[:, None, :]]))
-    return BlockDiagonal(H.shape[0], groups)
+def cut(data):
+    """The dense H of ``instance_arrays`` as its blocks and tail, as the fleet QP passes it."""
+    H, split, s = data["H"], data["split"], data["size"]
+    blocks = np.array([H[a:a + s, a:a + s] for a in range(0, split, s)]).reshape(-1, s, s)
+    return BlockDiagonal(blocks, np.diag(H)[split:].copy())
+
+
+def problem(data):
+    return DenseQp(H=cut(data), **{k: data[k] for k in ("f", "G", "h", "lb", "ub")})
 
 
 def instances(max_blocks):
-    """``dense_instances`` with H passed as its diagonal blocks, as the fleet QP passes it."""
-    return dense_instances(max_blocks).map(
-        lambda data: DenseQp(**{**data, "H": cut_into_blocks(data["H"])}))
+    return dense_instances(max_blocks).map(problem)
 
 
 def small_instances():
     return instances(3).filter(lambda qp: qp.n <= 6)
-
-
-def _starts(H):
-    return DenseQp(H=H, f=np.zeros(H.shape[0])).H.starts
 
 
 def dense_probe_shifts(H):
@@ -159,67 +163,63 @@ def dense_bound_shortcut(problem):
 @SETTINGS
 @given(dense_instances(10))
 def test_blocks_partition_indices_and_hold_every_nonzero(data):
-    H = data["H"]
-    qp = DenseQp(**{**data, "H": cut_into_blocks(H)})
-    n = qp.n
-    starts = qp.H.starts
-    assert starts[0] == 0 and starts[-1] == n
-    assert np.all(np.diff(starts) > 0)           # every index in exactly one block
-    block_of = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    rows, cols = np.nonzero(H)
-    assert np.array_equal(block_of[rows], block_of[cols])   # no nonzero crosses blocks
-    for a, b in zip(starts[:-1], starts[1:]):    # and no block splits further
-        for i in range(a, b - 1):
-            assert np.any(H[a:i + 1, i + 1:b] != 0.0)
-    for idx, Hb in qp.H.groups:
-        assert Hb.tobytes() == H[idx[:, :, None], idx[:, None, :]].tobytes()
-    assert np.array_equal(np.asarray(qp.H), H)
-
-
-@SETTINGS
-@given(dense_instances(10))
-def test_stored_starts_match_dense_scan(data):
-    qp = DenseQp(**{**data, "H": cut_into_blocks(data["H"])})
-    assert np.array_equal(qp.H.starts, dense_diagonal_blocks(data["H"]))
+    H, s = data["H"], data["size"]
+    qp = problem(data)
+    n, split = qp.n, qp.H.split
+    assert split == data["split"] and split + len(qp.H.diag) == n == len(H)
+    for b, Hb in enumerate(qp.H.blocks):         # the blocks hold H's values
+        assert Hb.tobytes() == H[b * s:(b + 1) * s, b * s:(b + 1) * s].tobytes()
+    assert np.array_equal(qp.H.diag, np.diag(H)[split:])
+    assert np.array_equal(np.asarray(qp.H), H)   # and nothing lies outside them
 
 
 def test_dense_and_empty_hessians():
-    # a dense H is one block, whatever its pattern
+    # a dense H is one block and no diagonal, whatever its pattern
     rng = np.random.default_rng(3)
     A = rng.normal(size=(6, 6))
-    assert _starts(A @ A.T).tolist() == [0, 6]
-    assert _starts(np.zeros((3, 3))).tolist() == [0, 3]
-    assert _starts(np.zeros((0, 0))).tolist() == [0]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_centralized_starts_match_dense_scan(seed):
-    central = lanes_centralized(16, seed)
-    qp, np_steps = central.qp, central.np_steps
-    assert np.array_equal(qp.H.starts, dense_diagonal_blocks(np.asarray(qp.H)))
-    # one tracking block per vehicle, then one 1 x 1 zero block per slack
-    sizes = np.diff(qp.H.starts).tolist()
-    assert sizes == [np_steps] * 16 + [1] * (qp.n - central.n_controls)
+    for H in (A @ A.T, np.zeros((3, 3)), np.zeros((0, 0))):
+        kept = DenseQp(H=H, f=np.zeros(len(H))).H
+        assert kept.blocks.shape == (1, *H.shape) and kept.diag.shape == (0,)
+        assert kept.split == kept.n == len(H)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shifted_copy_solves_from_the_same_starts(seed):
-    qp = lanes_centralized(16, seed).qp
+    central = lanes_centralized(16, seed)
+    qp = central.qp
     shift = qp_mod._hessian_shift(qp.H)
-    assert shift == 1e-9                 # the zero slack blocks fail the probe
+    assert shift == 1e-9                 # the zero slack diagonal fails the probe
     work = qp_mod._shifted(qp, shift)
+    assert qp.H.split == work.H.split == central.n_controls
+    assert work.H.blocks.shape == qp.H.blocks.shape == (16, central.np_steps, central.np_steps)
+    assert not qp.H.diag.any() and np.all(work.H.diag == 1e-9)
     H, shifted = np.asarray(qp.H), np.asarray(work.H)
-    slack = np.flatnonzero(np.diag(H) == 0.0)
-    assert len(slack) and np.all(np.diag(shifted)[slack] == 1e-9)
     want = H.copy()
     want.flat[::qp.n + 1] += shift
     assert shifted.tobytes() == want.tobytes()   # the dense shift, value for value
-    assert np.array_equal(work.H.starts, qp.H.starts)
-    assert np.array_equal(work.H.starts, dense_diagonal_blocks(shifted))
     assert qp_mod._hessian_shift(work.H) == 0.0
     want, got = solve_qp(qp), solve_qp(work)
     assert got.path == want.path == "bound" and got.status == OPTIMAL
     assert np.array_equal(got.u_star, want.u_star)
+
+
+ROWS = {"zero_row": {"G": [[0.0, 0.0, 0.0]], "h": [-1.0]},   # a row that cannot hold
+        "bound": {},
+        "ipm": {"G": [[-1.0, -1.0, -1.0]], "h": [-1.5]}}        # active at the optimum
+
+
+@pytest.mark.parametrize("path", sorted(ROWS))
+def test_every_path_answers_the_regularized_problem(path):
+    # the zero slack entry fails the probe: every path reports on H + 1e-9 I
+    H = BlockDiagonal(np.array([[[2.0, 0.5], [0.5, 1.0]]]), np.zeros(1))
+    qp = DenseQp(H=H, f=[1.0, -0.5, 1.0], lb=[0.25, -1.0, 0.0], ub=[1.0, 1.0, 2.0], **ROWS[path])
+    work = qp_mod._shifted(qp, qp_mod._hessian_shift(qp.H))
+    assert np.array_equal(np.asarray(work.H), np.asarray(H) + 1e-9 * np.eye(3))
+    sol = solve_qp(qp)
+    assert sol.path == path
+    assert sol.objective == work.objective(sol.u_star) != qp.objective(sol.u_star)
+    assert sol.kkt_residual == pytest.approx(kkt_residual(work, sol.u_star, sol.multipliers),
+                                             rel=1e-6, abs=1e-12)
 
 
 @SETTINGS
@@ -233,7 +233,7 @@ def test_regularization_decision_matches_dense_probe(qp):
 @SETTINGS
 @given(instances(10))
 def test_block_shortcut_matches_dense_shortcut(qp):
-    got = qp_mod._bound_shortcut(qp, qp_mod._hessian_shift(qp.H))
+    got = qp_mod._bound_shortcut(qp_mod._shifted(qp, qp_mod._hessian_shift(qp.H)))
     want = dense_bound_shortcut(qp)
     assert (got is None) == (want is None)
     if got is None:

@@ -85,8 +85,7 @@ def test_hessian_validation_matches_full_matrix_rule(H):
     assert err == want_err
     if err is not None:
         return
-    for idx, B in qp.H.groups:                       # the blocks hold the kept values
-        assert B.tobytes() == want[idx[:, :, None], idx[:, None, :]].tobytes()
+    assert qp.H.blocks.tobytes() == want[None].tobytes()    # the block holds the kept values
     dense = np.asarray(qp.H)                         # and nothing lies outside them
     assert np.array_equal(dense, want)               # (a -0.0 there reads back as 0.0)
     assert np.array_equal(dense, dense.T)
@@ -104,8 +103,8 @@ def test_negative_zero_mirrors_zero():
     H = np.eye(3)
     H[0, 1] = -0.0
     qp = DenseQp(H=H, f=np.zeros(3))
-    assert qp.H.starts.tolist() == [0, 3]
-    assert qp.H.groups[0][1][0].tobytes() == H.tobytes()    # symmetric: kept as given
+    assert qp.H.blocks.shape == (1, 3, 3) and qp.H.diag.size == 0
+    assert qp.H.blocks[0].tobytes() == H.tobytes()          # symmetric: kept as given
     assert np.array_equal(np.asarray(qp.H), np.eye(3))
 
 

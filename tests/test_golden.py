@@ -2,7 +2,7 @@
 
 Criteria 4 and 5 accept any run that stays near ``d_safe`` and criterion 9
 compares a run only with itself, so neither sees a trajectory move.  This
-test reruns the fixture's six short runs and compares every pinned value:
+test reruns the fixture's eight short runs and compares every pinned value:
 counts, flags and solver paths exactly, floats to 1e-9 relative plus 1e-9
 absolute, so a different BLAS build may round differently without failing.
 A change that moves the closed loop regenerates the fixture with

@@ -6,6 +6,8 @@ import pytest
 from fleetcoord import (INFEASIBLE, OPTIMAL, DenseQp, ParameterError,
                         kkt_residual, solve_qp)
 
+from fleetcoord import qp as qp_mod
+
 from oracles import enumerate_qp
 
 
@@ -108,6 +110,13 @@ def test_infeasible_rows_detected():
     # u <= -1 and -u <= -1 cannot hold together
     sol = solve_qp(DenseQp(H=[[2.0]], f=[0.0], G=[[1.0], [-1.0]], h=[-1.0, -1.0]))
     assert sol.status == INFEASIBLE
+
+
+@pytest.mark.parametrize("h, gap", [([-1.0, -3.0], 4.0), ([-0.5, 0.0], 0.5), ([1.0, 0.0], 0.0)])
+def test_feasibility_gap_is_the_least_total_row_violation(h, gap):
+    # over 0 <= u <= 1, the rows u <= h0 and -u <= h1 miss by (u - h0)+ + (-u - h1)+
+    qp = DenseQp(H=[[1.0]], f=[0.0], G=[[1.0], [-1.0]], h=h, lb=[0.0], ub=[1.0])
+    assert qp_mod._feasibility_gap(qp) == pytest.approx(gap, abs=1e-6)
 
 
 def test_zero_row_infeasibility_detected():

@@ -10,7 +10,7 @@ from fleetcoord import (CostWeights, DegenerateSeedError, DenseQp, build_central
 from fleetcoord.scenario import Bounds, VehicleState
 
 from instances import InstanceSpec
-from oracles import dense_diagonal_blocks, enumerate_qp
+from oracles import enumerate_qp
 
 
 def make_vehicle_data(rng, vid=1, np_steps=5, theta=None, pos=None, v=None):
@@ -371,7 +371,9 @@ def test_centralized_assembly_matches_row_by_row(seed, pruned):
     assert eps
     qp = build_centralized(lps, eps).qp
     ref = _centralized_rows_reference(lps, eps)
-    assert np.array_equal(qp.H.starts, dense_diagonal_blocks(np.asarray(ref.H)))
+    # the tracking blocks, then the slack diagonal, with the reference's values
+    assert qp.H.split == len(lps) * cfg.horizon_steps
+    assert np.asarray(qp.H).tobytes() == np.asarray(ref.H).tobytes()
     for name in ("H", "f", "G", "h", "lb", "ub"):
         got, want = np.asarray(getattr(qp, name)), np.asarray(getattr(ref, name))
         assert got.shape == want.shape, name

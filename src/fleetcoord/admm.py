@@ -33,9 +33,10 @@ copies) summing to zero; a carried vehicle dual would break that sum
 whenever an edge leaves the graph.
 
 ``admm_solve`` runs step 1 as one batched pass over the fleet.  ``LocalBatch``
-holds the cycle's tracking problems and their eigendecompositions, made in
-one stacked ``eigh``, so rho changes never refactor; it answers every
-vehicle that pins no steering bound.
+holds the cycle's tracking problems and, for each rho the cycle has solved
+at, their Hessians H0 + rho I, formed and probed with one stacked Cholesky
+by the first pass at that rho; it answers every vehicle that pins no
+steering bound.
 ``EdgeBatch`` holds the edge problems and answers every edge whose coupled
 rows are inactive.  Only the remaining nodes are handed, one after another
 in the calling thread, to the batches' ``solve_node``, which solves the
@@ -51,8 +52,11 @@ to and from the edge batch's (E, 2Np) rows without a gather.  The final
 state is carried into the next cycle as it is: ``init_admm_state`` finds
 each persisting edge by its key and shifts its dual rows.  Accounted time
 charges each node an equal share of its batched pass, plus its own
-per-node solve when it was handed over.  The consensus average, the dual
-step and the Anderson step are coordinator work: no node is charged for them.
+per-node solve when it was handed over.  So the Hessians formed at a new
+rho are charged to the vehicles of the iteration whose pass forms them, and
+a handed vehicle's dual data to that vehicle.  The consensus average, the
+dual step and the Anderson step are coordinator work: no node is charged
+for them.
 
 Every node answer's KKT residual is checked against 1e-8, the batched
 passes' own target: non-optimal answers and handed nodes are counted in the
@@ -348,8 +352,10 @@ def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
     started from its previous multipliers), and updates the arrays of
     ``init`` in place; the result holds that state.  After each plain step
     that goes on at the same rho, the state's ``Anderson`` chooses the next
-    point.  Building the batches (the stacked ``eigh`` and the edge stacks)
-    is charged to the first iteration's nodes.  Each iteration's residuals
+    point.  Building the batches (stacking the problems' arrays) is charged
+    to the first iteration's nodes, and forming the vehicle Hessians at a
+    rho to the nodes of the iteration whose pass is the first at that rho.
+    Each iteration's residuals
     and the kind of its point are logged at DEBUG level.
     """
     _check_config(config)

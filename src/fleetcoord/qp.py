@@ -273,6 +273,15 @@ def _primal_violation(problem: DenseQp, u: np.ndarray, Gu: np.ndarray | None = N
     return max(viol, 0.0)
 
 
+def _factorable(blocks: np.ndarray, floor: float = 0.0) -> bool:
+    """Whether the matrix, or every matrix of a stack, less floor I has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(blocks - floor * np.eye(blocks.shape[-1]) if floor else blocks)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _positive_definite(H: BlockDiagonal, floor: float = 0.0) -> bool:
     """Whether H - floor I has a Cholesky factor.
 
@@ -280,18 +289,26 @@ def _positive_definite(H: BlockDiagonal, floor: float = 0.0) -> bool:
     its diagonal entries, so the diagonal is compared with floor (first: it
     needs no factorization) and the blocks are factored as one stack.
     """
-    if not (H.diag > floor).all():
-        return False
-    try:
-        np.linalg.cholesky(H.blocks - floor * np.eye(H.blocks.shape[1]) if floor else H.blocks)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return bool((H.diag > floor).all()) and _factorable(H.blocks, floor)
 
 
 def _hessian_shift(H: BlockDiagonal) -> float:
     """1e-9 when H - 1e-10 I fails the Cholesky probe, else 0."""
     return 0.0 if _positive_definite(H, _EIG_FLOOR) else _REG_SHIFT
+
+
+def _block_shifts(blocks: np.ndarray) -> np.ndarray:
+    """``_hessian_shift`` of each matrix of a (k, s, s) stack, as if each were an H alone.
+
+    One stacked Cholesky probe decides for the whole stack; only when it
+    fails is each matrix probed on its own.
+    """
+    shifts = np.zeros(len(blocks))
+    if not _factorable(blocks, _EIG_FLOOR):
+        for n, block in enumerate(blocks):
+            if not _factorable(block, _EIG_FLOOR):
+                shifts[n] = _REG_SHIFT
+    return shifts
 
 
 def _shifted(problem: DenseQp, shift: float) -> DenseQp:

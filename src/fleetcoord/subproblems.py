@@ -31,14 +31,17 @@ formulation.  The problems' arrays are views into the fleet arrays.
 The problems are frozen records of a cycle's input data; everything the ADMM
 nodes derive from them lives in the batches.  ``LocalBatch`` holds the
 tracking problems: their Hessian H0 is fixed for the cycle and each
-iteration adds rho I and changes the linear term, so one eigendecomposition
-H0 = V diag(d) V', made for the whole fleet as one stacked ``eigh``, gives
-P = H0 + rho I and its inverse for any rho.  ``LocalBatch.solve`` answers
-every vehicle whose unconstrained minimizer meets all its rows (a zero dual)
-in one stacked pass; ``LocalBatch.solve_node`` solves any one vehicle on the
-dual of its position rows and steering bounds, a box QP with Hessian
-A P^-1 A', and answers with the row ``solve`` gives an answered vehicle plus
-its multipliers.
+iteration adds rho I and changes the linear term.  rho changes on few
+iterations and takes few values in a cycle (overtake: 5 changes in 200
+cycles; intersection: at most 5 values in one cycle), so P = H0 + rho I is
+formed and probed for definiteness, with one stacked Cholesky for the
+fleet, the first time the cycle solves at a rho, and kept under that rho.
+``LocalBatch.solve`` answers every vehicle whose unconstrained minimizer
+meets all its rows (a zero dual) in one stacked ``np.linalg.solve`` on the
+P stack; ``LocalBatch.solve_node`` solves any one vehicle on the dual of its
+position rows and steering bounds, a box QP with Hessian A P^-1 A' formed
+once per vehicle and rho, and answers with the row ``solve`` gives an
+answered vehicle plus its multipliers.
 
 ``EdgeBatch`` holds the edge problems and solves them through their exact
 dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
@@ -77,7 +80,7 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import _EIG_FLOOR, _REG_SHIFT, BlockDiagonal, DenseQp, _kkt_measure
+from .qp import BlockDiagonal, DenseQp, _block_shifts, _kkt_measure
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
@@ -287,38 +290,52 @@ def _groups(keys) -> list:
 class LocalBatch:
     """N tracking problems stacked for one closed-form pass per ADMM iteration.
 
-    Construction makes one ``eigh`` over the (N, Np, Np) stack of
-    H0s = (H0 + H0')/2 = V diag(d) V' (d ascending), which ``solve`` and
-    ``solve_node`` share.  ``solve`` is ``solve_node``'s closed-form case for
-    every vehicle at once: each product is ``solve_node``'s own, issued as one
-    stacked ``matmul`` (position rows grouped by their count), so an answered
-    row equals ``solve_node``'s bit for bit.
+    At penalty rho a vehicle's Hessian is P = H0s + rho I, H0s = (H0 + H0')/2,
+    plus 1e-9 I when P - 1e-10 I has no Cholesky factor (``qp._block_shifts``,
+    the rule ``solve_qp`` applies).  The first solve at a rho forms the
+    (N, Np, Np) stack of P and probes it with one stacked Cholesky; the stack
+    is kept for the cycle under its rho, so an iteration at a rho already
+    seen forms nothing.  ``solve`` is ``solve_node``'s closed-form case for
+    every vehicle at once: each solve and product is ``solve_node``'s own,
+    issued as one stacked call (position rows grouped by their count), so an
+    answered row equals ``solve_node``'s bit for bit.
     """
 
     def __init__(self, problems):
         self.problems = problems
-        H0 = np.stack([p.H0 for p in problems])
+        H0 = np.array([p.H0 for p in problems])
         self.H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
-        self.d, self.V = np.linalg.eigh(self.H0s)
-        self.f0 = np.stack([p.f0 for p in problems])
-        self.lb = np.stack([p.steer_lb for p in problems])
-        self.ub = np.stack([p.steer_ub for p in problems])
+        self.f0 = np.array([p.f0 for p in problems])
+        self.lb = np.array([p.steer_lb for p in problems])
+        self.ub = np.array([p.steer_ub for p in problems])
         self.rows = [(idx, np.stack([problems[n].G for n in idx]),
                       np.stack([problems[n].h for n in idx]))
                      for m, idx in _groups(p.G.shape[0] for p in problems) if m]
+        self.hessians: dict = {}   # rho -> (P stack, per-vehicle shift) once solved at rho
+        self.duals: dict = {}      # (vehicle, rho) -> (lo, hi, P^-1 A', A P^-1 A') once handed
+
+    def hessian(self, rho: float):
+        """(P, shift): the (N, Np, Np) stack of P at rho and each vehicle's regularization shift."""
+        if rho not in self.hessians:
+            eye = np.eye(self.H0s.shape[1])
+            P = self.H0s + rho * eye
+            shift = _block_shifts(P)
+            if shift.any():
+                P = P + shift[:, None, None] * eye
+            self.hessians[rho] = (P, shift)
+        return self.hessians[rho]
 
     def solve(self, z, lam, rho: float):
         """(x, kkt, done) for rows z, lam (N, Np); ``done`` marks the rows answered.
 
-        A row is answered when d0 + rho > _EIG_FLOOR, the unconstrained
-        minimizer pins no steering bound and meets its position rows, and the
-        KKT residual is at most 1e-8; its multipliers are then all zero.
-        Every other row is left to ``solve_node``.
+        A row is answered when its P needs no regularization shift, the
+        unconstrained minimizer pins no steering bound and meets its position
+        rows, and the KKT residual is at most 1e-8; its multipliers are then
+        all zero.  Every other row is left to ``solve_node``.
         """
+        P, shift = self.hessian(rho)
         f = self.f0 + rho * (lam - z)
-        shift = self.d + rho
-        y = np.matmul(self.V.transpose(0, 2, 1), f[:, :, None]) / shift[:, :, None]
-        x = -np.matmul(self.V, y)[:, :, 0]
+        x = -np.linalg.solve(P, f[:, :, None])[:, :, 0]
         grad = np.matmul(self.H0s, x[:, :, None])[:, :, 0] + rho * x + f
         row_max = np.full(len(x), -np.inf)
         for idx, G, h in self.rows:
@@ -327,24 +344,23 @@ class LocalBatch:
         # the largest of |grad|, the row violations and 0
         kkt = np.maximum(np.maximum(np.max(np.abs(grad), axis=1), row_max), 0.0)
         pinned = np.any((x < self.lb) | (x > self.ub), axis=1)
-        done = ((shift[:, 0] > _EIG_FLOOR) & ~pinned & (kkt <= _NODE_OPTIMAL_KKT)
-                & (row_max <= 0.0))
+        done = (shift == 0.0) & ~pinned & (kkt <= _NODE_OPTIMAL_KKT) & (row_max <= 0.0)
         return x, kkt, done
 
     def solve_node(self, i: int, z, lam, rho: float, warm_mult=None):
         """(x, kkt, multipliers): vehicle i's ``build_local`` QP solved exactly on its dual.
 
-        P = H0s + rho I = V diag(d + rho) V' (plus 1e-9 I when
-        d0 + rho <= 1e-10, as ``solve_qp`` shifts) has the unconstrained
-        minimizer x0 = -P^-1 f.  The rows A x <= b (position rows, then the
-        finite steering bounds as -I and I rows) are solved on their dual, the
-        box QP min 1/2 l'(A P^-1 A') l - (A x0 - b)'l over l >= 0, by
+        P (from ``hessian``) gives the unconstrained minimizer x0 = -P^-1 f.
+        The rows A x <= b (position rows, then the finite steering bounds as
+        -I and I rows) are solved on their dual, the box QP
+        min 1/2 l'(A P^-1 A') l - (A x0 - b)'l over l >= 0, by
         ``_box_active_set``, warm started from ``warm_mult`` (an earlier
         solve's multipliers; None or all zero starts cold).  Then
         x = x0 - P^-1 A'l, each bound with a positive multiplier met exactly.
-        kkt is the KKT residual as ``kkt_residual`` defines it for the built
-        QP, and the multipliers are [z, w, y] as in ``solve_qp``: the next
-        iteration's warm start.
+        P^-1 A' and A P^-1 A' are formed the first time vehicle i is handed
+        over at this rho.  kkt is the KKT residual as ``kkt_residual``
+        defines it for the built QP, and the multipliers are [z, w, y] as in
+        ``solve_qp``: the next iteration's warm start.
         """
         _check_rho(rho)
         problem = self.problems[i]
@@ -352,31 +368,33 @@ class LocalBatch:
         z = np.asarray(z, dtype=float).reshape(np_steps)
         lam = np.asarray(lam, dtype=float).reshape(np_steps)
         f = problem.f0 + rho * (lam - z)
-        d, V, H0s = self.d[i], self.V[i], self.H0s[i]
-        shift = d + rho
-        if not shift[0] > _EIG_FLOOR:
-            shift = shift + _REG_SHIFT
-        x = -(V @ ((V.T @ f) / shift))
+        P = self.hessian(rho)[0][i]
+        x = -np.linalg.solve(P, f[:, None])[:, 0]
         G, lb, ub = problem.G, problem.steer_lb, problem.steer_ub
         m = G.shape[0]
-        lo = np.flatnonzero(np.isfinite(lb))
-        hi = np.flatnonzero(np.isfinite(ub))
-        AV = np.concatenate([G @ V, -V[lo], V[hi]])
+        if (i, rho) not in self.duals:
+            lo = np.flatnonzero(np.isfinite(lb))
+            hi = np.flatnonzero(np.isfinite(ub))
+            eye = np.eye(np_steps)
+            A = np.concatenate([G, -eye[lo], eye[hi]])
+            PA = np.linalg.solve(P, A.T)
+            self.duals[i, rho] = (lo, hi, PA, A @ PA)
+        lo, hi, PA, M = self.duals[i, rho]
         q = np.concatenate([G @ x - problem.h, lb[lo] - x[lo], x[hi] - ub[hi]])
         start = None
         if warm_mult is not None and np.any(warm_mult):
             start = np.concatenate([warm_mult[:m], warm_mult[m + lo],
                                     warm_mult[m + np_steps + hi]])
-        dual = _box_active_set((AV / shift) @ AV.T, q, np.inf, start)
+        dual = _box_active_set(M, q, np.inf, start)
         mult = np.zeros(m + 2 * np_steps)
         if np.any(dual):
-            x = x - V @ ((AV.T @ dual) / shift)
+            x = x - PA @ dual
             mult[:m] = dual[:m]
             mult[m + lo] = dual[m:m + len(lo)]
             mult[m + np_steps + hi] = dual[m + len(lo):]
             x = np.where(mult[m:m + np_steps] > 0.0, lb,
                          np.where(mult[m + np_steps:] > 0.0, ub, x))
-        grad = H0s @ x + rho * x + f
+        grad = self.H0s[i] @ x + rho * x + f
         stat = grad + G.T @ mult[:m] if np.any(mult[:m]) else grad
         return x, _kkt_measure(stat, G @ x - problem.h, x, lb, ub, mult), mult
 
@@ -388,9 +406,23 @@ def tracking_objective(problem: LocalProblem, u: np.ndarray) -> float:
 
 
 def fleet_objective(local_problems: dict, controls: dict) -> float:
-    """Convexified fleet cost (sum of tracking terms) at the given controls."""
-    return sum(tracking_objective(local_problems[v], controls[v])
-               for v in sorted(local_problems))
+    """Convexified fleet cost (sum of tracking terms) at the given controls.
+
+    Each vehicle's term is ``tracking_objective``'s, its products issued for
+    the fleet as stacked ``matmul`` calls, and the terms are summed in
+    vehicle-id order, so the value equals the sum of ``tracking_objective``
+    over the sorted ids bit for bit.
+    """
+    vids = sorted(local_problems)
+    if not vids:
+        return 0.0
+    problems = [local_problems[v] for v in vids]
+    u = np.array([controls[v] for v in vids], dtype=float)[:, :, None]
+    H0 = np.array([p.H0 for p in problems])
+    f0 = np.array([p.f0 for p in problems])[:, None, :]
+    half_uH = np.matmul((0.5 * u).transpose(0, 2, 1), H0)
+    terms = (np.matmul(half_uH, u) + np.matmul(f0, u))[:, 0, 0]
+    return sum((terms + np.array([p.const0 for p in problems])).tolist())
 
 
 @dataclass(frozen=True, eq=False)

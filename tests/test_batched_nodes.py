@@ -15,7 +15,10 @@ rows, which ``solve_local`` answers on its dual), crossing pairs whose edge
 rows activate, and the single-node instances of the local and edge solver tests
 moved onto the batched passes' decision boundaries (a position row violated
 by 1e-11 to 1e-8, an edge row with q within rounding of zero, warm
-multipliers on coupled rows, zeroed steering rows).
+multipliers on coupled rows, zeroed steering rows).  Two fixed cases cover
+``LocalBatch``'s Hessians per rho: a vehicle with H0 = 0 at rho = 1e-11,
+whose P fails the stacked Cholesky probe and takes the 1e-9 shift, and a
+rho that returns to an earlier value.
 """
 
 import copy
@@ -29,7 +32,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
-from fleetcoord import AdmmConfig, ParameterError, adapt_rho, admm_solve, init_admm_state
+from fleetcoord import (AdmmConfig, ParameterError, adapt_rho, admm_solve, build_local,
+                        init_admm_state, kkt_residual, solve_qp)
 from fleetcoord.admm import Anderson
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.subproblems import EdgeBatch, LocalBatch
@@ -336,6 +340,67 @@ def test_local_batch_answers_as_solve_local(seeds, np_steps, steer, lateral, y_r
             assert sol.status == OPTIMAL
             assert same(x[n], sol.u_star) and kkt[n] == sol.kkt_residual
             assert not np.any(sol.multipliers)
+
+
+def _local_rows(batch, z, lam, rho, nodes):
+    """The batched pass's (x, kkt, done) and ``solve_node``'s rows for ``nodes``."""
+    x, kkt, done = batch.solve(z, lam, rho)
+    return (x, kkt, done), {i: batch.solve_node(i, z[i], lam[i], rho) for i in nodes}
+
+
+def _same_rows(a, b):
+    return all(same(u, v) for u, v in zip(a, b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_vehicle_needing_the_shift_is_handed_and_the_others_keep_their_rows(seed):
+    # H0 = 0 at rho = 1e-11: P - 1e-10 I has no Cholesky factor, so the
+    # stacked probe fails and each vehicle is probed alone; only the zero
+    # vehicle gets P + 1e-9 I, as solve_qp shifts the built QP
+    rho = 1e-11
+    cases = [local_instance(seed + 10 * k, 6, 0.1, 1.0, None if k == 1 else 0.1)
+             for k in range(3)]
+    problems = [lp for lp, _, _ in cases]
+    problems[1] = dataclasses.replace(problems[1], H0=np.zeros_like(problems[1].H0))
+    z = np.array([z for _, z, _ in cases])
+    lam = np.array([lam for _, _, lam in cases])
+    batch = LocalBatch(problems)
+    (x, kkt, done), nodes = _local_rows(batch, z, lam, rho, range(3))
+    assert batch.hessian(rho)[1].tolist() == [0.0, 1e-9, 0.0]
+    assert not done[1]
+
+    qp = build_local(problems[1], z[1], lam[1], rho)
+    ref = solve_qp(qp)
+    assert ref.status == OPTIMAL
+    x1, kkt1, mult1 = nodes[1]
+    assert kkt1 <= 1e-8 and kkt_residual(qp, x1, mult1) <= 1e-8
+    assert np.max(np.abs(x1 - ref.u_star)) <= 1e-8
+
+    # without the zero vehicle, the others' rows are the same bits
+    others = [problems[0], problems[2]]
+    (x_, kkt_, done_), nodes_ = _local_rows(LocalBatch(others), z[[0, 2]], lam[[0, 2]], rho,
+                                            range(2))
+    assert same(x[[0, 2]], x_) and same(kkt[[0, 2]], kkt_) and same(done[[0, 2]], done_)
+    assert _same_rows(nodes[0], nodes_[0]) and _same_rows(nodes[2], nodes_[1])
+
+
+def test_a_return_to_an_earlier_rho_answers_as_a_fresh_batch():
+    # rho 1 -> 2 -> 1 on one batch, a handed vehicle among them: every row
+    # equals a fresh batch's at that rho, so no P or dual data of another rho
+    # is reused
+    cases = [local_instance(seed, 8, 0.02, 2.0, 0.1) for seed in (3, 4, 5)]
+    problems = [lp for lp, _, _ in cases]
+    z = np.array([z for _, z, _ in cases])
+    lam = np.array([lam for _, _, lam in cases])
+    batch = LocalBatch(problems)
+    handed = 0
+    for rho in (1.0, 2.0, 1.0):
+        (x, kkt, done), nodes = _local_rows(batch, z, lam, rho, range(3))
+        (x_, kkt_, done_), nodes_ = _local_rows(LocalBatch(problems), z, lam, rho, range(3))
+        assert same(x, x_) and same(kkt, kkt_) and same(done, done_)
+        assert all(_same_rows(nodes[i], nodes_[i]) for i in range(3))
+        handed += np.count_nonzero(~done)
+    assert handed and sorted(batch.hessians) == [1.0, 2.0]
 
 
 def _coupled_rows(ep):

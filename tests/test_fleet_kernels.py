@@ -17,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fleetcoord import (CostWeights, ParameterError, build_constraint_graph, condense,
-                        generate_scaled_scenario, linearize, load_scenario_file,
-                        make_edge_problem, make_local_problem, make_seed, reference_window,
-                        rollout)
+                        fleet_objective, generate_scaled_scenario, linearize,
+                        load_scenario_file, make_edge_problem, make_local_problem, make_seed,
+                        reference_window, rollout, tracking_objective)
 from fleetcoord.dynamics import (CondensedPrediction, HorizonTrajectory, condense_fleet,
                                  rollout_fleet)
 from fleetcoord.scenario import Bounds, VehicleState
@@ -145,6 +145,28 @@ def test_local_problems_match_make_local_problem(inst):
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
         assert got.const0 == ref.const0 and got.horizon == np_steps
+
+
+@SETTINGS
+@given(st.tuples(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 5, 17]),
+                 st.integers(1, 8)))
+def test_fleet_objective_is_the_sum_of_tracking_objectives(inst):
+    # one stacked pass, summed in vehicle-id order: the per-vehicle sum's bits
+    rng, x0, controls, speed, wheelbase, ts = fleet_instance(*inst)
+    n, np_steps = controls.shape
+    unbounded = Bounds(-math.inf, math.inf, -math.inf, math.inf)
+    specs = [Spec(int(vid), speed[i], 0.5, unbounded) for i, vid in
+             enumerate(rng.permutation(np.arange(1, n + 1) * 7))]
+    weights = CostWeights(q_pos=float(rng.uniform(0.0, 2.0)), q_heading=0.3, r_steer=0.1)
+    poses = rollout_fleet(x0, controls, speed, wheelbase, ts)
+    prediction = condense_fleet(poses, controls, speed, wheelbase, ts)
+    refs = poses[:, 1:] + rng.normal(0.0, 1.0, (n, np_steps, 3))
+    fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights,
+                                x0=x0[:, :2], ts=ts)
+    for scale in (1e-3, 1.0, 1e3):
+        u = {vid: rng.normal(0.0, scale, np_steps) for vid in fleet}
+        want = sum(tracking_objective(fleet[vid], u[vid]) for vid in sorted(fleet))
+        assert fleet_objective(fleet, u) == want
 
 
 @SETTINGS

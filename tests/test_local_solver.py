@@ -156,41 +156,76 @@ def test_binding_position_rows_fall_back_exactly(inst):
     assert abs(sol.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
 
 
-def test_one_stacked_eigendecomposition_per_admm_solve(monkeypatch, per_node_path):
+def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path):
     # every vehicle is handed to solve_node at every iteration, and rho
-    # changes between them: the cycle still decomposes its vehicle Hessians
-    # once, as one stacked eigh, and the handed solves read that decomposition
+    # changes and returns to earlier values: the cycle probes its vehicle
+    # Hessians P = H0s + rho I with one stacked Cholesky per distinct rho,
+    # decomposes no vehicle Hessian with eigh, and forms each handed
+    # vehicle's dual data once per rho
     local, edges, seeds = bounded_pair()
     vids = sorted(local)
     H0 = np.stack([local[v].H0 for v in vids])
     H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
-    calls = []
-    real = np.linalg.eigh
+    eye = np.eye(H0.shape[1])
+    rhos, handed, cholesky, eigh, dual, formed = [], set(), [], [], [], []
+    real_solve, real_node = LocalBatch.solve, LocalBatch.solve_node
+    real_cholesky, real_eigh, real_linsolve = np.linalg.cholesky, np.linalg.eigh, np.linalg.solve
 
-    def recording(a, *args, **kwargs):
-        out = real(a, *args, **kwargs)
-        calls.append((np.array(a), out))
-        return out
+    def batch_solve(self, z, lam, rho):
+        rhos.append(rho)
+        return real_solve(self, z, lam, rho)
+
+    def node(self, i, z, lam, rho, warm_mult=None):
+        handed.add((i, rho))
+        before = len(dual)
+        row = real_node(self, i, z, lam, rho, warm_mult)
+        formed.extend([(i, rho)] * (len(dual) - before))
+        return row
+
+    def recording(calls, real):
+        def call(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return real(a, *args, **kwargs)
+        return call
+
+    def linsolve(a, b):
+        if np.ndim(a) == 2 and np.ndim(b) == 2 and np.shape(b)[1] > 1:
+            dual.append(np.array(a))      # P^-1 A': the dual data of a handed vehicle
+        return real_linsolve(a, b)
 
     per_node_path()
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(LocalBatch, "solve", batch_solve)
+    monkeypatch.setattr(LocalBatch, "solve_node", node)
+    monkeypatch.setattr(np.linalg, "cholesky", recording(cholesky, real_cholesky))
+    monkeypatch.setattr(np.linalg, "eigh", recording(eigh, real_eigh))
+    monkeypatch.setattr(np.linalg, "solve", linsolve)
     res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
     monkeypatch.undo()
-    assert res.report.iterations_used > 1
+    assert res.report.iterations_used == len(rhos) > 1
     assert res.report.local_handed == len(local) * res.report.iterations_used
+    distinct = set(rhos)
+    assert 1 < len(distinct) < sum(a != b for a, b in zip(rhos, rhos[1:])) + 1
 
-    def is_vehicle_hessian(a):
-        return any(a.shape == h.shape and np.array_equal(a, h) for h in (*H0, *H0s))
+    # the stacked probes: P - 1e-10 I at each distinct rho, once each
+    probes = [a for a in cholesky if a.shape == H0s.shape]
+    assert len(probes) == len(cholesky) == len(distinct)
+    for rho in distinct:
+        P = H0s + rho * eye
+        assert sum(np.array_equal(a, P - 1e-10 * eye) for a in probes) == 1
 
-    stacked = [out for a, out in calls if a.shape == H0s.shape and np.array_equal(a, H0s)]
-    assert len(stacked) == 1
     # the handed solves' own eigh calls (the primal active set's, on dual
     # blocks) touch no vehicle Hessian
-    assert not any(is_vehicle_hessian(a) for a, _ in calls)
-    d, V = stacked[0]
-    for n in range(len(vids)):
-        assert np.allclose(V[n] @ np.diag(d[n]) @ V[n].T, H0[n],
-                           atol=1e-10 * np.max(np.abs(H0[n])))
+    def is_vehicle_hessian(a):
+        return a.shape == eye.shape and any(
+            np.array_equal(a, h) for h in (*H0, *H0s, *(H0s + rho * eye for rho in distinct)))
+
+    assert not any(is_vehicle_hessian(a) for a in eigh)
+
+    # dual data formed exactly once for each (vehicle, rho) handed over, on
+    # that vehicle's P
+    assert len(formed) == len(dual)
+    assert sorted(formed) == sorted(handed)
+    assert all(np.array_equal(a, H0s[i] + rho * eye) for a, (i, rho) in zip(dual, formed))
 
 
 def test_fallbacks_are_counted(monkeypatch, per_node_path):

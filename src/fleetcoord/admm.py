@@ -32,14 +32,16 @@ dual step keep every vehicle's scaled duals (local copy plus incident edge
 copies) summing to zero; a carried vehicle dual would break that sum
 whenever an edge leaves the graph.
 
-``admm_solve`` runs step 1 as one batched pass over the fleet.  ``LocalBatch``
-holds the cycle's tracking problems and, for each rho the cycle has solved
-at, their Hessians H0 + rho I, formed and probed with one stacked Cholesky
-by the first pass at that rho; it answers every vehicle that pins no
-steering bound.
-``EdgeBatch`` holds the edge problems and answers every edge whose coupled
-rows are inactive.  Only the remaining nodes are handed, one after another
-in the calling thread, to the batches' ``solve_node``, which solves the
+``admm_solve`` runs step 1 as one batched pass over the fleet.  The cycle's
+problems arrive stacked (``LocalProblems``, ``EdgeProblems``; a dict of
+problems is stacked once on entry), and the batches read those arrays as
+they are: building them re-stacks nothing.  ``LocalBatch`` holds the
+tracking problems and, for each rho the cycle has solved at, their
+Hessians H0 + rho I, formed and probed with one stacked Cholesky by the
+first pass at that rho; it answers every vehicle that pins no steering
+bound.  ``EdgeBatch`` holds the edge problems and answers every edge whose
+coupled rows are inactive.  Only the remaining nodes are handed, one after
+another in the calling thread, to the batches' ``solve_node``, which solves the
 node's dual box QP exactly, warm started from the node's previous
 multipliers, and returns the node's row as the batched pass would, bit for
 bit; no per-iteration QP is assembled or reaches ``solve_qp``.  Parallelism is
@@ -49,8 +51,9 @@ its scaled dual and one (N, Np) consensus, and its methods are steps 2 and
 3, the residuals and the rho rescaling.  Edge k's two copies are rows
 N + 2k and N + 2k + 1, its endpoints in key order, so the edge rows reshape
 to and from the edge batch's (E, 2Np) rows without a gather.  The final
-state is carried into the next cycle as it is: ``init_admm_state`` finds
-each persisting edge by its key and shifts its dual rows.  Accounted time
+state is carried into the next cycle as it is: ``init_admm_state`` takes the
+(N, Np) seed array and the edge container's endpoint rows, finds each
+persisting edge by its key and shifts its dual rows.  Accounted time
 charges each node an equal share of its batched pass, plus its own
 per-node solve when it was handed over.  So the Hessians formed at a new
 rho are charged to the vehicles of the iteration whose pass forms them, and
@@ -73,12 +76,14 @@ import logging
 import math
 import time
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericalFailureError, ParameterError
-from .subproblems import _NODE_OPTIMAL_KKT, EdgeBatch, LocalBatch
+from .subproblems import (_NODE_OPTIMAL_KKT, EdgeBatch, EdgeProblems, LocalBatch, LocalProblems,
+                          _endpoint_rows)
 # build_edge, build_local and solve_qp are not called here; they stay
 # importable from this module for span tracers that wrap them by name.
 from .qp import solve_qp  # noqa: F401
@@ -89,6 +94,7 @@ logger = logging.getLogger(__name__)
 _RHO_SCALE = 2.0    # tau: rho is doubled or halved
 _RHO_RATIO = 5.0    # mu: when one residual exceeds this multiple of the other
 ANDERSON_MEMORY = 6  # m: the Anderson step mixes the last m differences
+_STATE_MISMATCH = "the ADMM state must hold the problems' vehicles and edges"
 
 
 @dataclass
@@ -201,24 +207,23 @@ class AdmmState:
     e[0] and e[1] in rows ``ri[k]`` = N + 2k and ``rj[k]`` = N + 2k + 1
     (``ekeys``, sorted), so ``C[N:]`` reshapes to the edge batch's (E, 2Np)
     rows.  ``Z`` (N, Np) is the consensus and ``Z_prev`` the one before the
-    last update.  ``anderson`` is the cycle's acceleration memory.  ``owner`` maps a row to its vehicle's consensus row.  A new
-    state starts every copy at ``Z`` with zero duals.  The fleet must hold at
-    least one vehicle.
+    last update.  ``anderson`` is the cycle's acceleration memory.
+    ``pairs`` (E, 2) holds each edge's endpoint rows of ``Z``, e[0] then
+    e[1], looked up among ``vids`` when not given, and ``owner`` maps a row
+    to its vehicle's consensus row.  A new state starts every copy at ``Z``
+    with zero duals.  The fleet must hold at least one vehicle.
     """
 
-    def __init__(self, vids: list, ekeys: list, Z: np.ndarray, rho: float):
+    def __init__(self, vids: list, ekeys: list, Z: np.ndarray, rho: float, pairs=None):
         n, n_edges = len(vids), len(ekeys)
         if n == 0:
             raise ParameterError("the fleet must hold at least one vehicle")
-        row = {v: k for k, v in enumerate(vids)}
-        for e in ekeys:
-            if e[0] not in row or e[1] not in row:
-                raise ParameterError(f"edge {e} has an endpoint without a seed")
+        if pairs is None:
+            pairs = _endpoint_rows(vids, ekeys)
         self.vids, self.ekeys = vids, ekeys
         self.ri = n + 2 * np.arange(n_edges)
         self.rj = self.ri + 1
-        # each edge's endpoint rows in key order, e[0] then e[1]
-        vehicle = np.array([row[v] for e in ekeys for v in e], dtype=int)
+        vehicle = pairs.reshape(-1)
         self.owner = np.concatenate([np.arange(n), vehicle])
         # each vehicle's copy rows in edge order: round r holds the r-th one
         # of every vehicle that has one
@@ -281,9 +286,17 @@ class AdmmState:
             self.anderson.clear()
 
 
-def init_admm_state(seeds: dict, edges, rho0: float,
-                    previous: AdmmState | None = None) -> AdmmState:
+def init_admm_state(seeds, edges, rho0: float, previous: AdmmState | None = None,
+                    ids=None) -> AdmmState:
     """Start at the seed steering: all copies and the consensus equal the seeds.
+
+    ``seeds`` maps each vehicle id to its seed steering, or is the (N, Np)
+    array of them with rows in the order of ``ids``, which must be sorted.
+    ``edges`` holds the edge keys.  With seeds as an array, an
+    ``EdgeProblems`` gives each edge's endpoint rows as its ``pairs``;
+    otherwise each endpoint is looked up among the ids.  The fleet must hold
+    at least one vehicle, and an edge endpoint without a seed raises
+    ParameterError.
 
     With no ``previous`` state every dual is zero and rho is ``rho0``.  With
     the final state of the previous MPC cycle, rho is its final rho (the scaled
@@ -299,9 +312,22 @@ def init_admm_state(seeds: dict, edges, rho0: float,
     rho = rho0 if previous is None or not previous.ekeys else previous.rho
     if not (math.isfinite(rho) and rho > 0):
         raise ParameterError(f"rho0 must be finite and positive, got {rho!r}")
-    vids = sorted(seeds)
-    Z = np.array([np.asarray(seeds[v], dtype=float) for v in vids])
-    state = AdmmState(vids, sorted(tuple(e) for e in edges), Z, rho)
+    pairs = None
+    if isinstance(seeds, Mapping):
+        ids = sorted(seeds)
+        Z = np.array([np.asarray(seeds[v], dtype=float) for v in ids])
+    else:
+        ids = [] if ids is None else list(ids)
+        if len(ids) != len(seeds) or ids != sorted(ids):
+            raise ParameterError("an array of seeds needs its rows' ids, sorted")
+        Z = np.array(seeds, dtype=float)
+        if isinstance(edges, EdgeProblems):
+            pairs = edges.pairs
+            outside = np.flatnonzero(((pairs < 0) | (pairs >= len(ids))).any(axis=1))
+            if len(outside):
+                raise ParameterError(f"edge {edges.edges[outside[0]]} has an endpoint "
+                                     f"without a seed")
+    state = AdmmState(ids, sorted(tuple(e) for e in edges), Z, rho, pairs)
     if previous is not None and previous.ekeys and state.ekeys:
         # an edge persists when its key is among the last cycle's edges
         L, old = state.L, {e: k for k, e in enumerate(previous.ekeys)}
@@ -337,46 +363,53 @@ def _check_config(config: AdmmConfig) -> None:
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def admm_solve(local_problems: dict, edge_problems: dict, config: AdmmConfig,
+def admm_solve(local_problems, edge_problems, config: AdmmConfig,
                init: AdmmState) -> AdmmResult:
     """Run consensus ADMM from ``init`` until the stopping criterion or the iteration cap.
 
-    ``local_problems`` maps vehicle id to LocalProblem; ``edge_problems`` maps
-    (i, j) to EdgeProblem.  ``init`` is the start state, from
-    ``init_admm_state`` over the same vehicles and edges (at the seeds, or
-    carried from the last cycle); its ``rho`` is the starting penalty.  The
-    result is independent of subproblem execution order within a step: every
-    solve reads only the previous barrier's state.  Each iteration answers the
-    nodes with one ``LocalBatch`` and one ``EdgeBatch`` pass, hands the nodes
-    they leave to the batches' ``solve_node`` (vehicles first, each warm
-    started from its previous multipliers), and updates the arrays of
-    ``init`` in place; the result holds that state.  After each plain step
-    that goes on at the same rho, the state's ``Anderson`` chooses the next
-    point.  Building the batches (stacking the problems' arrays) is charged
-    to the first iteration's nodes, and forming the vehicle Hessians at a
-    rho to the nodes of the iteration whose pass is the first at that rho.
-    Each iteration's residuals
-    and the kind of its point are logged at DEBUG level.
+    ``local_problems`` is a ``LocalProblems`` or a dict mapping vehicle id to
+    LocalProblem; ``edge_problems`` an ``EdgeProblems`` or a dict mapping
+    (i, j) to EdgeProblem.  A dict is stacked once on entry.  ``init`` is
+    the start state, from ``init_admm_state`` over the same vehicles and
+    edges (at the seeds, or carried from the last cycle); its ``rho`` is the
+    starting penalty.  The result is independent of subproblem execution
+    order within a step: every solve reads only the previous barrier's
+    state.  Each iteration answers the nodes with one ``LocalBatch`` and one
+    ``EdgeBatch`` pass, hands the nodes they leave to the batches'
+    ``solve_node`` (vehicles first, each warm started from its previous
+    multipliers), and updates the arrays of ``init`` in place; the result
+    holds that state.  After each plain step that goes on at the same rho,
+    the state's ``Anderson`` chooses the next point.  Building the batches
+    is charged to the first iteration's nodes; they read the stacked
+    problems' arrays as they are, so that is the symmetrized H0 and the
+    grouped position and coupled rows, with nothing re-stacked.  Forming the
+    vehicle Hessians at a rho is charged to the nodes of the iteration whose
+    pass is the first at that rho.  Each iteration's residuals and the kind
+    of its point are logged at DEBUG level.
     """
     _check_config(config)
     state = init
-    vids = sorted(local_problems)
-    ekeys = sorted(edge_problems)
-    if state.vids != vids or state.ekeys != ekeys:
-        raise ParameterError("the ADMM state must hold the problems' vehicles and edges")
+    local_problems = LocalProblems.stack(local_problems)
+    vids = list(local_problems.ids)
+    if state.vids != vids:
+        raise ParameterError(_STATE_MISMATCH)
+    edge_problems = EdgeProblems.stack(edge_problems, vids)
+    ekeys = list(edge_problems.edges)
+    if state.ekeys != ekeys:
+        raise ParameterError(_STATE_MISMATCH)
     n, n_edges = len(vids), len(ekeys)
     names = [f"local/{v}" for v in vids] + [f"edge/{e[0]}-{e[1]}" for e in ekeys]
     total_node_time = np.zeros(len(names))
+    np_steps = state.Z.shape[1]
 
     t0 = time.perf_counter()
-    local = LocalBatch([local_problems[v] for v in vids])
+    local = LocalBatch(local_problems)
     t1 = time.perf_counter()
-    edge = EdgeBatch([edge_problems[e] for e in ekeys], local.f0.shape[1])
+    edge = EdgeBatch(edge_problems, np_steps)
     setup_local, setup_edge = t1 - t0, time.perf_counter() - t1
     # each vehicle's last multipliers (None where the batched pass answered:
     # they are all zero), and every edge's last row multipliers (E, Np)
     warm_local, warm_mu = [None] * n, None
-    np_steps = state.Z.shape[1]
     report = None
     slack_max = 0.0
     parallel_time = 0.0

@@ -18,6 +18,9 @@ code's own small matrix product, issued once for the whole fleet as a stacked
 ``matmul``, so it too reproduces ``condense(linearize(...))`` bit for bit.
 Both take sin, cos and tan per element with ``math``, as the reference does,
 because numpy's vectorized versions may round differently on some hosts.
+``rollout_fleet_trig`` also returns the cos and sin of every heading it
+stepped from, and ``condense_fleet`` takes a slice of them instead of
+calling ``math`` again on the same headings.
 ``step_nonlinear``, ``rollout``, ``linearize`` and ``condense`` are the
 per-vehicle reference formulation that the fleet kernels are tested against.
 """
@@ -180,6 +183,15 @@ def rollout_fleet(x0, controls, v, L, ts: float) -> np.ndarray:
     for bit: the same float operations in the same order as
     ``step_nonlinear``, with sin, cos and tan taken per element by ``math``.
     """
+    return rollout_fleet_trig(x0, controls, v, L, ts)[0]
+
+
+def rollout_fleet_trig(x0, controls, v, L, ts: float):
+    """``rollout_fleet``'s poses plus the cos and sin (N, Np) of every heading it stepped from.
+
+    Column k of the trig arrays is taken at poses[:, k, 2], so a slice of
+    them is what ``condense_fleet`` takes at any window of these poses.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(-1, STATE_DIM)
     n = len(x0)
     controls, v, L = _fleet_arrays(controls, v, L, n)
@@ -188,16 +200,20 @@ def rollout_fleet(x0, controls, v, L, ts: float) -> np.ndarray:
     step = ts * v
     turn = ts * (v / L)
     poses = np.empty((n, controls.shape[1] + 1, STATE_DIM))
+    cos = np.empty(controls.shape)
+    sin = np.empty(controls.shape)
     poses[:, 0] = x0
     rx, ry, theta = x0[:, 0], x0[:, 1], x0[:, 2]
     for k in range(controls.shape[1]):
-        rx = rx + step * _per_element(math.cos, theta)
-        ry = ry + step * _per_element(math.sin, theta)
+        cos[:, k] = _per_element(math.cos, theta)
+        sin[:, k] = _per_element(math.sin, theta)
+        rx = rx + step * cos[:, k]
+        ry = ry + step * sin[:, k]
         theta = wrap_angle(theta + turn * tan[:, k])
         poses[:, k + 1, 0] = rx
         poses[:, k + 1, 1] = ry
         poses[:, k + 1, 2] = theta
-    return poses
+    return poses, cos, sin
 
 
 def linearize(seed: HorizonTrajectory, v: float, L: float, ts: float) -> list[LinearModel]:
@@ -242,17 +258,20 @@ def condense(models: list[LinearModel], x0: VehicleState) -> CondensedPrediction
     return CondensedPrediction(Phi=Phi, gamma=gamma)
 
 
-def condense_fleet(poses, controls, v, L, ts: float) -> FleetPrediction:
+def condense_fleet(poses, controls, v, L, ts: float, trig=None) -> FleetPrediction:
     """``condense(linearize(...))`` for N vehicles at once, bit for bit.
 
     ``poses`` (N, Np+1, 3) must be the rollout of ``controls`` (N, Np), as
     ``rollout_fleet`` returns it: the step taken at each seed point is read
-    from the next pose instead of being recomputed.  Every product is the
-    reference's own 3x3 product issued as one stacked ``matmul`` over the
-    fleet, which makes the same BLAS call per vehicle; an axpy form of
-    A = I + (A[0, 2], A[1, 2]) in the third column would round differently
-    wherever BLAS fuses the multiply-add, and the centralized interior-point
-    method amplifies such last-bit differences into different iterates.
+    from the next pose instead of being recomputed.  ``trig``, when given,
+    is the (cos, sin) pair (N, Np) of the headings poses[:, :-1, 2], as
+    ``rollout_fleet_trig`` took them; otherwise they are taken here, with
+    the same bits.  Every product is the reference's own 3x3 product issued
+    as one stacked ``matmul`` over the fleet, which makes the same BLAS call
+    per vehicle; an axpy form of A = I + (A[0, 2], A[1, 2]) in the third
+    column would round differently wherever BLAS fuses the multiply-add, and
+    the centralized interior-point method amplifies such last-bit
+    differences into different iterates.
     """
     poses = np.asarray(poses, dtype=float)
     n = poses.shape[0]
@@ -261,11 +280,16 @@ def condense_fleet(poses, controls, v, L, ts: float) -> FleetPrediction:
     if poses.shape != (n, np_steps + 1, STATE_DIM):
         raise ParameterError("need poses of shape (N, Np+1, 3) for controls (N, Np)")
     _check_fleet_args(controls, v, L, ts)
-    theta = poses[:, :-1, 2]
+    if trig is None:
+        theta = poses[:, :-1, 2]
+        trig = _per_element(math.cos, theta), _per_element(math.sin, theta)
+    cos, sin = trig
+    if np.shape(cos) != controls.shape or np.shape(sin) != controls.shape:
+        raise ParameterError("need heading cos and sin of shape (N, Np) for controls (N, Np)")
     A = np.zeros((n, np_steps, STATE_DIM, STATE_DIM))
     A[:, :, 0, 0] = A[:, :, 1, 1] = A[:, :, 2, 2] = 1.0
-    A[:, :, 0, 2] = (-ts * v)[:, None] * _per_element(math.sin, theta)
-    A[:, :, 1, 2] = (ts * v)[:, None] * _per_element(math.cos, theta)
+    A[:, :, 0, 2] = (-ts * v)[:, None] * sin
+    A[:, :, 1, 2] = (ts * v)[:, None] * cos
     B = np.zeros((n, np_steps, STATE_DIM))
     # cos(delta) ** 2 per element as in linearize: Python's float power is
     # C pow(), which can round differently from numpy's x * x

@@ -16,17 +16,22 @@ and sets each vehicle's dual row so that its duals sum to zero.  The
 centralized QP is solved cold every cycle.
 
 The loop keeps the fleet as arrays in vehicle-id order: (N, 3) poses and
-(N, Np) steering.  Per cycle it makes one ``rollout_fleet`` of the applied
+(N, Np) steering.  Per cycle it makes one ``rollout_fleet_trig`` of the applied
 plans over Np+1 steps, the last input repeated: its first Np+1 poses are the
 plan's prediction and its last Np+1 the next cycle's seed, since the plant
 step is the same float computation from the same pose.  It also makes one
 ``condense_fleet``, one vectorized reference sample over all vehicles and
 steps (each vehicle's polyline and its start progress s0 are prepared once
 per run by ``Fleet``), and one batched pass each for the tracking and edge
-problems (``convexify_fleet``).  ``make_seed``, ``reference_window`` and
-``convexify_cycle`` take and give per-vehicle objects; the first two are the
-per-vehicle reference the fleet path is tested against, and
-``convexify_cycle`` wraps ``convexify_fleet`` for callers that hold
+problems (``convexify_fleet``), which stay stacked (``LocalProblems``,
+``EdgeProblems``) through the solver and the objective.  The rollout also
+keeps the cos and sin of every heading it steps from; the slice at the next
+seed's headings goes to the next cycle's ``condense_fleet``, which would
+otherwise take them again.  The ADMM cycle starts from the (N, Np) seed
+array and applies the final consensus array.  ``make_seed``,
+``reference_window`` and ``convexify_cycle`` take per-vehicle objects; the
+first two are the per-vehicle reference the fleet path is tested against,
+and ``convexify_cycle`` wraps ``convexify_fleet`` for callers that hold
 per-vehicle states and seeds.
 """
 
@@ -47,7 +52,7 @@ from .admm import AdmmConfig, ResidualReport, admm_solve, init_admm_state
 # not called here; they stay importable from this module for span tracers
 # that wrap them by name.
 from .dynamics import (HorizonTrajectory, condense, condense_fleet,  # noqa: F401
-                       linearize, rollout, rollout_fleet)
+                       linearize, rollout, rollout_fleet_trig)
 from .errors import NumericalFailureError, ParameterError, ScenarioError
 from .graph import ConstraintGraph, build_constraint_graph
 from .qp import OPTIMAL, solve_qp
@@ -237,8 +242,9 @@ class Fleet:
                                    r_steer=cfg.r_weight)
         self.reference = _ReferencePaths(self.specs)
 
-    def rollout(self, poses: np.ndarray, controls: np.ndarray) -> np.ndarray:
-        return rollout_fleet(poses, controls, self.speed, self.wheelbase, self.config.ts)
+    def rollout(self, poses: np.ndarray, controls: np.ndarray):
+        """(poses, cos, sin): ``rollout_fleet_trig`` of the fleet's plants."""
+        return rollout_fleet_trig(poses, controls, self.speed, self.wheelbase, self.config.ts)
 
 
 @dataclass
@@ -378,19 +384,20 @@ def _min_pairwise(positions: np.ndarray) -> float:
 
 
 def convexify_fleet(fleet: Fleet, poses: np.ndarray, seed_poses: np.ndarray,
-                    seed_controls: np.ndarray, graph: ConstraintGraph, t: float):
+                    seed_controls: np.ndarray, graph: ConstraintGraph, t: float, trig):
     """Linearize dynamics and separation constraints at the fleet's seeds.
 
     ``poses`` (N, 3) are the current states and ``seed_poses`` (N, Np+1, 3)
     the rollout of ``seed_controls`` (N, Np) from them, rows in
-    ``fleet.ids`` order.  Returns (local_problems, edge_problems) keyed by
-    vehicle id and by edge, consumed identically by the parallel and
-    centralized solution paths.
+    ``fleet.ids`` order; ``trig`` is the (cos, sin) of the seed headings,
+    as that rollout took them, for ``condense_fleet``.  Returns
+    (``LocalProblems``, ``EdgeProblems``), consumed identically by the
+    parallel and centralized solution paths.
     """
     cfg = fleet.config
     np_steps = cfg.horizon_steps
     prediction = condense_fleet(seed_poses, seed_controls, fleet.speed, fleet.wheelbase,
-                                cfg.ts)
+                                cfg.ts, trig)
     ref = fleet.reference.window(t, np_steps, cfg.ts)
     ref[:, :, 2] = _onto_branch(ref[:, :, 2], seed_poses[:, 1:, 2])
     pairs = np.array([(fleet.row[i], fleet.row[j]) for i, j in graph.edges],
@@ -415,10 +422,11 @@ def convexify_cycle(scenario: Scenario, current: dict, seeds: dict,
     poses = np.array([current[vid].as_array() for vid in fleet.ids])
     seed_poses = np.array([seeds[vid].poses for vid in fleet.ids])
     seed_controls = np.array([seeds[vid].controls for vid in fleet.ids])
-    if not np.array_equal(fleet.rollout(poses, seed_controls), seed_poses):
+    rolled, cos, sin = fleet.rollout(poses, seed_controls)
+    if not np.array_equal(rolled, seed_poses):
         raise ParameterError("each seed must be the rollout of its controls from the "
                              "vehicle's current state")
-    return convexify_fleet(fleet, poses, seed_poses, seed_controls, graph, t)
+    return convexify_fleet(fleet, poses, seed_poses, seed_controls, graph, t, (cos, sin))
 
 
 def cycle_count(duration: float, ts: float, name: str = "duration") -> int:
@@ -460,7 +468,8 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
     poses = np.array([spec.initial_state.as_array() for spec in fleet.specs])
     # make_seed's first seed: zero steering, clipped
     seed_controls = np.clip(np.zeros((len(vids), np_steps)), fleet.steer_min, fleet.steer_max)
-    seed_poses = fleet.rollout(poses, seed_controls)
+    seed_poses, cos, sin = fleet.rollout(poses, seed_controls)
+    seed_trig = cos, sin           # the seed headings' cos and sin, handed to condense_fleet
 
     poses_log = [poses]
     controls_log = []
@@ -475,15 +484,15 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
         t = cycle * cfg.ts
         graph = build_constraint_graph(zip(vids, poses), cfg.d_perc, cfg.d_safe)
         local_problems, edge_problems = convexify_fleet(fleet, poses, seed_poses,
-                                                        seed_controls, graph, t)
+                                                        seed_controls, graph, t, seed_trig)
 
         t0 = time.perf_counter()
         if solver_mode == PARALLEL_ADMM:
-            init = init_admm_state(dict(zip(vids, seed_controls)), edge_problems,
-                                   cfg.rho0, previous=admm_state)
+            init = init_admm_state(seed_controls, edge_problems, cfg.rho0,
+                                   previous=admm_state, ids=vids)
             rho_start = init.rho
             duals_carried = (0 if admm_state is None else
-                             len(set(admm_state.ekeys).intersection(edge_problems)))
+                             len(set(admm_state.ekeys).intersection(edge_problems.edges)))
             try:
                 result = admm_solve(local_problems, edge_problems, admm_cfg, init)
             except NumericalFailureError as exc:
@@ -493,7 +502,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                     f"states={dump}", iteration=exc.iteration) from exc
             wall = time.perf_counter() - t0
             admm_state = result.state
-            controls = result.consensus
+            controls = admm_state.Z
             record = CycleRecord(
                 index=cycle, time=t, graph_edges=graph.edges,
                 solve_wall_time=wall, accounted_time=result.report.parallel_time,
@@ -511,7 +520,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
             previous, central = central, build_centralized(local_problems, edge_problems)
             sol = solve_qp(central.qp)
             wall = time.perf_counter() - t0
-            controls = central.controls(sol.u_star)
+            controls = sol.u_star[:central.n_controls].reshape(len(vids), np_steps)
             slack_max = float(np.max(sol.u_star[central.n_controls:], initial=0.0))
             if sol.status != OPTIMAL:
                 logger.warning("centralized QP returned status=%s at cycle %d",
@@ -525,8 +534,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                 objective=fleet_objective(local_problems, controls))
 
         # apply the first input of each vehicle and advance all plants
-        plans = np.clip(np.array([np.asarray(controls[vid], dtype=float) for vid in vids]),
-                        fleet.steer_min, fleet.steer_max)
+        plans = np.clip(controls, fleet.steer_min, fleet.steer_max)
         finite = np.all(np.isfinite(plans), axis=1)
         if not finite.all():
             raise NumericalFailureError(
@@ -535,11 +543,12 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
         # one rollout serves as this plan's prediction and as the next seed
         # (the plan shifted one step, its last input repeated)
         rolled_controls = np.concatenate([plans, plans[:, -1:]], axis=1)
-        rolled = fleet.rollout(poses, rolled_controls)
+        rolled, cos, sin = fleet.rollout(poses, rolled_controls)
         for n, vid in enumerate(vids):
             predicted[vid].append(HorizonTrajectory(poses=rolled[n, :np_steps + 1],
                                                     controls=plans[n], ts=cfg.ts))
         seed_poses, seed_controls = rolled[:, 1:], rolled_controls[:, 1:]
+        seed_trig = cos[:, 1:], sin[:, 1:]
         poses = rolled[:, 1].copy()
         controls_log.append(plans[:, 0])
         poses_log.append(poses)

@@ -26,7 +26,14 @@ all Np steps in one pass over (E, Np), including the coincident-seed
 fallback.  Each product is the per-vehicle function's own, issued as one
 stacked ``matmul``, so the data equals that of ``make_local_problem`` and
 ``make_edge_problem`` bit for bit; those two stay as the reference
-formulation.  The problems' arrays are views into the fleet arrays.
+formulation.  The fleet arrays are what the builders return: ``LocalProblems``
+and ``EdgeProblems`` keep them stacked, in sorted id and key order, and the
+batches, ``fleet_objective`` and ``build_centralized`` read them as they
+are, with no per-vehicle or per-edge record in between.  Both are read-only
+mappings: indexing by vehicle id or by edge key builds that node's
+``LocalProblem`` or ``EdgeProblem`` on access, with views into the fleet
+arrays.  A plain dict of hand-built problems is stacked once on entry by
+``LocalProblems.stack`` or ``EdgeProblems.stack``.
 
 The problems are frozen records of a cycle's input data; everything the ADMM
 nodes derive from them lives in the batches.  ``LocalBatch`` holds the
@@ -74,6 +81,7 @@ passes its Hessian as a diagonal alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +154,66 @@ class LocalProblem:
         return len(self.f0)
 
 
+class LocalProblems(Mapping):
+    """N vehicles' tracking problems as stacked arrays: a read-only mapping id -> LocalProblem.
+
+    Row n of ``H0`` (N, Np, Np), ``f0`` (N, Np), ``const0`` (N,),
+    ``steer_lb`` and ``steer_ub`` (N, Np) belongs to ``ids[n]``, and the ids
+    are sorted.  ``G`` (M, Np) and ``h`` (M,) hold every vehicle's position
+    rows, vehicle n's in rows ``starts[n]:starts[n + 1]``.  ``problems[vid]``
+    builds vehicle vid's ``LocalProblem`` from views into these arrays.
+    """
+
+    def __init__(self, ids, H0, f0, const0, G, h, starts, steer_lb, steer_ub):
+        self.ids = tuple(ids)
+        self.row = {vid: n for n, vid in enumerate(self.ids)}
+        self.H0, self.f0, self.const0 = H0, f0, const0
+        self.G, self.h, self.starts = G, h, starts
+        self.steer_lb, self.steer_ub = steer_lb, steer_ub
+
+    @classmethod
+    def stack(cls, problems) -> LocalProblems:
+        """``problems`` as is when it is a ``LocalProblems``; a dict id -> LocalProblem stacked."""
+        if isinstance(problems, cls):
+            return problems
+        ids = sorted(problems)
+        items = [problems[vid] for vid in ids]
+        n = len(items)
+        np_steps = items[0].horizon if items else 0
+
+        def rows(name, shape):
+            return np.array([getattr(p, name) for p in items], dtype=float).reshape(shape)
+
+        G = [np.asarray(p.G, dtype=float).reshape(-1, np_steps) for p in items]
+        h = [np.asarray(p.h, dtype=float).reshape(-1) for p in items]
+        return cls(ids, rows("H0", (n, np_steps, np_steps)), rows("f0", (n, np_steps)),
+                   rows("const0", (n,)),
+                   np.concatenate(G) if G else np.zeros((0, np_steps)),
+                   np.concatenate(h) if h else np.zeros(0),
+                   np.concatenate([[0], np.cumsum([len(r) for r in h], dtype=int)]),
+                   rows("steer_lb", (n, np_steps)), rows("steer_ub", (n, np_steps)))
+
+    @property
+    def horizon(self) -> int:
+        return self.f0.shape[1]
+
+    def __getitem__(self, vid) -> LocalProblem:
+        n = self.row[vid]
+        start, end = self.starts[n], self.starts[n + 1]
+        return LocalProblem(H0=self.H0[n], f0=self.f0[n], const0=float(self.const0[n]),
+                            G=self.G[start:end], h=self.h[start:end],
+                            steer_lb=self.steer_lb[n], steer_ub=self.steer_ub[n])
+
+    def __contains__(self, vid) -> bool:
+        return vid in self.row
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 def make_local_problem(spec: VehicleSpec, condensed: CondensedPrediction,
                        reference_stacked: np.ndarray, weights: CostWeights,
                        x0=None, ts: float | None = None) -> LocalProblem:
@@ -202,19 +270,23 @@ def _append_row(rows, rhs, coeffs, bound) -> None:
 
 
 def make_local_problems(specs, prediction: FleetPrediction, references, weights: CostWeights,
-                        x0, ts: float) -> dict:
-    """``make_local_problem(..., x0, ts)`` for N vehicles at once, keyed by vehicle id.
+                        x0, ts: float) -> LocalProblems:
+    """``make_local_problem(..., x0, ts)`` for N vehicles at once, as ``LocalProblems``.
 
     Row n of ``prediction``, ``references`` (N, 3*Np) and ``x0`` (N, 2)
-    belongs to ``specs[n]``.  H0, f0 and const0 come from one batched
-    product over the fleet, and the position-bound rows are selected by one
-    mask with the same order, pruning radius and zero-row rule as
-    ``make_local_problem``.  Each problem's arrays are views into the fleet
-    arrays.
+    belongs to ``specs[n]``; the result's rows are in sorted id order.  H0,
+    f0 and const0 come from one batched product over the fleet, and the
+    position-bound rows are selected by one mask with the same order,
+    pruning radius and zero-row rule as ``make_local_problem``.
     """
     Phi, gamma = prediction.Phi, prediction.gamma
     n, _, np_steps = Phi.shape
     ref = np.asarray(references, dtype=float).reshape(n, STATE_DIM * np_steps)
+    x0 = np.asarray(x0, dtype=float).reshape(n, -1)
+    order = sorted(range(n), key=lambda k: specs[k].id)
+    if order != list(range(n)):
+        specs = [specs[k] for k in order]
+        Phi, gamma, ref, x0 = Phi[order], gamma[order], ref[order], x0[order]
     if weights.q_pos <= 0 and weights.q_heading <= 0 and weights.r_steer <= 0:
         raise ParameterError("cost must be nontrivial: some weight must be positive")
 
@@ -237,29 +309,24 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
     rhs = np.where(sign > 0, lim[:, None, :] - q4, q4 - lim[:, None, :])
     speed = np.array([spec.speed for spec in specs], dtype=float)
     radius = 2.0 * speed * np_steps * ts + 5.0
-    x0 = np.asarray(x0, dtype=float).reshape(n, -1)[:, coord]
+    x0 = x0[:, coord]
     dist = np.abs(np.where(sign > 0, lim - x0, x0 - lim))
-    keep = np.isfinite(lim)[:, None, :] & (dist <= radius[:, None])[:, None, :]
-    zero = (np.max(np.abs(P), axis=3)[:, :, coord] < 1e-14) & (rhs >= -1e-9)
-    keep = keep & ~zero        # zero rows that hold trivially are dropped
-    veh, step, cand = np.nonzero(keep)
+    keep = np.isfinite(lim) & (dist <= radius[:, None])
+    veh, step, cand = np.nonzero(np.broadcast_to(keep[:, None, :], rhs.shape))
     G_all = sign[cand, None] * P[veh, step, coord[cand]]
     h_all = rhs[veh, step, cand]
-    ends = np.cumsum(np.count_nonzero(keep.reshape(n, -1), axis=1))
+    # zero rows that hold trivially are dropped; only kept candidates are tested
+    row = ~((np.max(np.abs(G_all), axis=1) < 1e-14) & (h_all >= -1e-9))
+    G_all, h_all, veh = G_all[row], h_all[row], veh[row]
+    starts = np.zeros(n + 1, dtype=int)
+    np.cumsum(np.bincount(veh, minlength=n), out=starts[1:])
 
     lb = np.repeat(np.array([spec.steer_min for spec in specs], dtype=float)[:, None],
                    np_steps, axis=1)
     ub = np.repeat(np.array([spec.steer_max for spec in specs], dtype=float)[:, None],
                    np_steps, axis=1)
-    problems = {}
-    start = 0
-    for i, spec in enumerate(specs):
-        end = int(ends[i])
-        problems[spec.id] = LocalProblem(H0=H0[i], f0=f0[i], const0=float(const0[i]),
-                                         G=G_all[start:end], h=h_all[start:end],
-                                         steer_lb=lb[i], steer_ub=ub[i])
-        start = end
-    return problems
+    return LocalProblems([spec.id for spec in specs], H0, f0, const0, G_all, h_all, starts,
+                         lb, ub)
 
 
 def _check_rho(rho: float) -> None:
@@ -299,18 +366,21 @@ class LocalBatch:
     every vehicle at once: each solve and product is ``solve_node``'s own,
     issued as one stacked call (position rows grouped by their count), so an
     answered row equals ``solve_node``'s bit for bit.
+
+    Construction reads the ``LocalProblems`` arrays as they are: it forms
+    H0s and gathers each group's position rows by their row ranges.
     """
 
-    def __init__(self, problems):
-        self.problems = problems
-        H0 = np.array([p.H0 for p in problems])
+    def __init__(self, problems: LocalProblems):
+        H0 = problems.H0
         self.H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
-        self.f0 = np.array([p.f0 for p in problems])
-        self.lb = np.array([p.steer_lb for p in problems])
-        self.ub = np.array([p.steer_ub for p in problems])
-        self.rows = [(idx, np.stack([problems[n].G for n in idx]),
-                      np.stack([problems[n].h for n in idx]))
-                     for m, idx in _groups(p.G.shape[0] for p in problems) if m]
+        self.f0, self.lb, self.ub = problems.f0, problems.steer_lb, problems.steer_ub
+        self.G, self.h, self.starts = problems.G, problems.h, problems.starts
+        self.rows = []
+        for m, idx in _groups(np.diff(self.starts).tolist()):
+            if m:
+                rows = self.starts[idx][:, None] + np.arange(m)
+                self.rows.append((idx, self.G[rows], self.h[rows]))
         self.hessians: dict = {}   # rho -> (P stack, per-vehicle shift) once solved at rho
         self.duals: dict = {}      # (vehicle, rho) -> (lo, hi, P^-1 A', A P^-1 A') once handed
 
@@ -363,14 +433,15 @@ class LocalBatch:
         ``solve_qp``: the next iteration's warm start.
         """
         _check_rho(rho)
-        problem = self.problems[i]
-        np_steps = problem.horizon
+        f0, lb, ub = self.f0[i], self.lb[i], self.ub[i]
+        np_steps = len(f0)
         z = np.asarray(z, dtype=float).reshape(np_steps)
         lam = np.asarray(lam, dtype=float).reshape(np_steps)
-        f = problem.f0 + rho * (lam - z)
+        f = f0 + rho * (lam - z)
         P = self.hessian(rho)[0][i]
         x = -np.linalg.solve(P, f[:, None])[:, 0]
-        G, lb, ub = problem.G, problem.steer_lb, problem.steer_ub
+        start, end = self.starts[i], self.starts[i + 1]
+        G, h = self.G[start:end], self.h[start:end]
         m = G.shape[0]
         if (i, rho) not in self.duals:
             lo = np.flatnonzero(np.isfinite(lb))
@@ -380,7 +451,7 @@ class LocalBatch:
             PA = np.linalg.solve(P, A.T)
             self.duals[i, rho] = (lo, hi, PA, A @ PA)
         lo, hi, PA, M = self.duals[i, rho]
-        q = np.concatenate([G @ x - problem.h, lb[lo] - x[lo], x[hi] - ub[hi]])
+        q = np.concatenate([G @ x - h, lb[lo] - x[lo], x[hi] - ub[hi]])
         start = None
         if warm_mult is not None and np.any(warm_mult):
             start = np.concatenate([warm_mult[:m], warm_mult[m + lo],
@@ -396,7 +467,7 @@ class LocalBatch:
                          np.where(mult[m + np_steps:] > 0.0, ub, x))
         grad = self.H0s[i] @ x + rho * x + f
         stat = grad + G.T @ mult[:m] if np.any(mult[:m]) else grad
-        return x, _kkt_measure(stat, G @ x - problem.h, x, lb, ub, mult), mult
+        return x, _kkt_measure(stat, G @ x - h, x, lb, ub, mult), mult
 
 
 def tracking_objective(problem: LocalProblem, u: np.ndarray) -> float:
@@ -405,24 +476,28 @@ def tracking_objective(problem: LocalProblem, u: np.ndarray) -> float:
     return float(0.5 * u @ problem.H0 @ u + problem.f0 @ u + problem.const0)
 
 
-def fleet_objective(local_problems: dict, controls: dict) -> float:
+def fleet_objective(local_problems, controls) -> float:
     """Convexified fleet cost (sum of tracking terms) at the given controls.
 
-    Each vehicle's term is ``tracking_objective``'s, its products issued for
-    the fleet as stacked ``matmul`` calls, and the terms are summed in
-    vehicle-id order, so the value equals the sum of ``tracking_objective``
-    over the sorted ids bit for bit.
+    ``local_problems`` is a ``LocalProblems`` or a dict id -> LocalProblem;
+    ``controls`` maps each id to its steering, or is the (N, Np) array of
+    them in sorted id order.  Each vehicle's term is
+    ``tracking_objective``'s, its products issued for the fleet as stacked
+    ``matmul`` calls, and the terms are summed in vehicle-id order, so the
+    value equals the sum of ``tracking_objective`` over the sorted ids bit
+    for bit.
     """
-    vids = sorted(local_problems)
-    if not vids:
+    problems = LocalProblems.stack(local_problems)
+    if not len(problems):
         return 0.0
-    problems = [local_problems[v] for v in vids]
-    u = np.array([controls[v] for v in vids], dtype=float)[:, :, None]
-    H0 = np.array([p.H0 for p in problems])
-    f0 = np.array([p.f0 for p in problems])[:, None, :]
-    half_uH = np.matmul((0.5 * u).transpose(0, 2, 1), H0)
-    terms = (np.matmul(half_uH, u) + np.matmul(f0, u))[:, 0, 0]
-    return sum((terms + np.array([p.const0 for p in problems])).tolist())
+    if isinstance(controls, Mapping):
+        u = np.array([controls[v] for v in problems.ids], dtype=float)
+    else:
+        u = np.array(controls, dtype=float)
+    u = u.reshape(problems.f0.shape)[:, :, None]
+    half_uH = np.matmul((0.5 * u).transpose(0, 2, 1), problems.H0)
+    terms = (np.matmul(half_uH, u) + np.matmul(problems.f0[:, None, :], u))[:, 0, 0]
+    return sum((terms + problems.const0).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,6 +516,70 @@ class EdgeProblem:
     @property
     def horizon(self) -> int:
         return self.G.shape[0]
+
+
+class EdgeProblems(Mapping):
+    """E edges' separation problems as stacked arrays: a read-only mapping key -> EdgeProblem.
+
+    Row k of ``pairs`` (E, 2), ``G`` (E, Np, 2 Np), ``h`` (E, Np) and
+    ``slack_penalty`` (E,) belongs to ``edges[k]``, and the keys are sorted.
+    ``pairs[k]`` holds the fleet rows of edge k's endpoints, e[0] then e[1],
+    where row n is the fleet's n-th vehicle in sorted id order.
+    ``problems[key]`` builds that edge's ``EdgeProblem`` from views into
+    these arrays.
+    """
+
+    def __init__(self, edges, pairs, G, h, slack_penalty):
+        self.edges = tuple(edges)
+        self.row = {edge: k for k, edge in enumerate(self.edges)}
+        self.pairs, self.G, self.h, self.slack_penalty = pairs, G, h, slack_penalty
+
+    @classmethod
+    def stack(cls, problems, ids) -> EdgeProblems:
+        """``problems`` as is when it is an ``EdgeProblems``; a dict key -> EdgeProblem stacked.
+
+        ``ids`` are the fleet's sorted vehicle ids, whose rows ``pairs``
+        indexes; an edge with an endpoint outside them raises ParameterError.
+        """
+        if isinstance(problems, cls):
+            return problems
+        edges = sorted(problems)
+        items = [problems[edge] for edge in edges]
+        np_steps = items[0].horizon if items else 0
+        G = np.array([p.G for p in items], dtype=float).reshape(len(items), np_steps,
+                                                                 2 * np_steps)
+        h = np.array([p.h for p in items], dtype=float).reshape(len(items), np_steps)
+        return cls(edges, _endpoint_rows(ids, edges), G, h,
+                   np.array([p.slack_penalty for p in items], dtype=float))
+
+    @property
+    def horizon(self) -> int:
+        return self.G.shape[1]
+
+    def __getitem__(self, edge) -> EdgeProblem:
+        k = self.row[edge]
+        return EdgeProblem(slack_penalty=float(self.slack_penalty[k]), G=self.G[k], h=self.h[k])
+
+    def __contains__(self, edge) -> bool:
+        return edge in self.row
+
+    def __iter__(self):
+        return iter(self.edges)
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+
+def _endpoint_rows(ids, edges) -> np.ndarray:
+    """(E, 2) rows of each edge's endpoints among ``ids``, in key order.
+
+    Raises ParameterError naming the first edge with an endpoint outside ``ids``.
+    """
+    row = {vid: n for n, vid in enumerate(ids)}
+    for edge in edges:
+        if edge[0] not in row or edge[1] not in row:
+            raise ParameterError(f"edge {edge} has an endpoint without a seed")
+    return np.array([(row[i], row[j]) for i, j in edges], dtype=int).reshape(-1, 2)
 
 
 def _fallback_unit(fallback_dir) -> np.ndarray:
@@ -485,20 +624,25 @@ def make_edge_problem(edge: tuple[int, int], condensed_i: CondensedPrediction,
 
 
 def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions,
-                       d_safe: float, slack_penalty: float, fallback_dirs) -> dict:
-    """``make_edge_problem`` for E edges at once, keyed by edge.
+                       d_safe: float, slack_penalty: float, fallback_dirs) -> EdgeProblems:
+    """``make_edge_problem`` for E edges at once, as ``EdgeProblems``.
 
     ``pairs`` (E, 2) holds the fleet rows of each edge's endpoints in
-    ``prediction`` and ``seed_positions`` (N, Np, 2); ``fallback_dirs``
-    (E, 2), one per edge, replaces the seed difference wherever the seeds
-    coincide, as in ``make_edge_problem``.  G and h come from one pass over
-    (E, Np); each problem's arrays are views into the fleet arrays.
+    ``prediction`` and ``seed_positions`` (N, Np, 2), whose rows are the
+    vehicles in sorted id order; ``fallback_dirs`` (E, 2), one per edge,
+    replaces the seed difference wherever the seeds coincide, as in
+    ``make_edge_problem``.  The result's rows are in sorted key order.  G
+    and h come from one pass over (E, Np).
     """
     edges = [tuple(e) for e in edges]
     Phi = prediction.Phi
     np_steps = Phi.shape[2]
     n_edges = len(edges)
     pairs = np.asarray(pairs, dtype=int).reshape(n_edges, 2)
+    order = sorted(range(n_edges), key=edges.__getitem__)
+    if order != list(range(n_edges)):
+        edges, pairs = [edges[k] for k in order], pairs[order]
+        fallback_dirs = [fallback_dirs[k] for k in order]
     ii, jj = pairs[:, 0], pairs[:, 1]
     seed = np.asarray(seed_positions, dtype=float)
     # every product below is make_edge_problem's own, issued as one stacked
@@ -522,8 +666,7 @@ def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions
     G[:, :, np_steps:] = np.matmul(two_a, P[jj])[:, :, 0]
     h = np.matmul(two_a, (q[ii] - q[jj])[:, :, :, None])[:, :, 0, 0] - rhs
 
-    return {edge: EdgeProblem(slack_penalty=slack_penalty, G=G[e], h=h[e])
-            for e, edge in enumerate(edges)}
+    return EdgeProblems(edges, pairs, G, h, np.full(n_edges, slack_penalty, dtype=float))
 
 
 def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> DenseQp:
@@ -569,9 +712,10 @@ def _edge_kkt(stat_x, G_ux, h, s, mu, c):
 class EdgeBatch:
     """E edge problems stacked to answer their inactive case in one pass per iteration.
 
-    Construction stacks G_u (the edges' G), h and the slack penalties and
-    finds every edge's fixed rows, with the coupled rows' G_c grouped by the
-    fixed-row pattern.  ``solve`` screens all edges with one stacked
+    Construction reads G_u (the edges' G), h and the slack penalties from
+    the ``EdgeProblems`` arrays as they are and finds every edge's fixed
+    rows, with the coupled rows' G_c grouped by the fixed-row pattern.
+    ``solve`` screens all edges with one stacked
     q = rho (G_c v - h_c).  When q <= 0 on every coupled row and no warm
     multiplier on a coupled row is nonzero, ``_box_active_set`` returns
     mu_c = 0 on its first guess, so ``solve_node``'s answer is x = v with the
@@ -581,11 +725,10 @@ class EdgeBatch:
     ``matmul``, so an answered row equals ``solve_node``'s bit for bit.
     """
 
-    def __init__(self, problems, np_steps: int):
-        G = np.array([p.G for p in problems], dtype=float)
-        self.G_u = G.reshape(-1, np_steps, 2 * np_steps)
-        self.h = np.array([p.h for p in problems], dtype=float).reshape(-1, np_steps)
-        self.c = np.array([p.slack_penalty for p in problems], dtype=float)
+    def __init__(self, problems: EdgeProblems, np_steps: int):
+        self.G_u = problems.G.reshape(-1, np_steps, 2 * np_steps)
+        self.h = problems.h.reshape(-1, np_steps)
+        self.c = problems.slack_penalty
         self.fixed = np.max(np.abs(self.G_u), axis=2) == 0.0
         self.mu_fixed = np.where(self.fixed & (self.h < 0.0), self.c[:, None], 0.0)
         self.coupled = []
@@ -769,17 +912,20 @@ class CentralizedQp:
         return out
 
 
-def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQp:
-    """Stack all tracking blocks and softened edge constraints into one QP."""
+def build_centralized(local_problems, edge_problems) -> CentralizedQp:
+    """Stack all tracking blocks and softened edge constraints into one QP.
+
+    Either argument may be the stacked container or a plain dict of problems.
+    """
     if not local_problems:
         raise ParameterError("the fleet must hold at least one vehicle")
-    vids = tuple(sorted(local_problems))
-    edges = tuple(sorted(edge_problems))
-    np_steps = local_problems[vids[0]].horizon
+    local = LocalProblems.stack(local_problems)
+    edge = EdgeProblems.stack(edge_problems, local.ids)
+    vids = local.ids
+    np_steps = local.horizon
     n_u = len(vids) * np_steps
-    n = n_u + len(edges) * np_steps
-    m = sum(local_problems[vid].G.shape[0] for vid in vids) + len(edges) * np_steps
-    col = {vid: i * np_steps for i, vid in enumerate(vids)}
+    n = n_u + len(edge) * np_steps
+    m = len(local.h) + len(edge) * np_steps
 
     f = np.zeros(n)
     lb = np.full(n, -np.inf)
@@ -787,30 +933,29 @@ def build_centralized(local_problems: dict, edge_problems: dict) -> CentralizedQ
     G = np.zeros((m, n))
     h = np.empty(m)
     r = 0
-    for vid in vids:
-        lp = local_problems[vid]
-        c = col[vid]
-        f[c:c + np_steps] = lp.f0
-        lb[c:c + np_steps] = lp.steer_lb
-        ub[c:c + np_steps] = lp.steer_ub
-        rows = lp.G.shape[0]
-        G[r:r + rows, c:c + np_steps] = lp.G
-        h[r:r + rows] = lp.h
+    for v in range(len(vids)):
+        c = v * np_steps
+        f[c:c + np_steps] = local.f0[v]
+        lb[c:c + np_steps] = local.steer_lb[v]
+        ub[c:c + np_steps] = local.steer_ub[v]
+        start, end = local.starts[v], local.starts[v + 1]
+        rows = end - start
+        G[r:r + rows, c:c + np_steps] = local.G[start:end]
+        h[r:r + rows] = local.h[start:end]
         r += rows
 
-    for k, e in enumerate(edges):
-        ep = edge_problems[e]
-        i, j = e
+    for k, (i, j) in enumerate((edge.pairs * np_steps).tolist()):
+        ep_G = edge.G[k]
         s_col = n_u + k * np_steps
-        f[s_col:s_col + np_steps] = ep.slack_penalty
+        f[s_col:s_col + np_steps] = edge.slack_penalty[k]
         lb[s_col:s_col + np_steps] = 0.0
-        G[r:r + np_steps, col[i]:col[i] + np_steps] = ep.G[:, :np_steps]
-        G[r:r + np_steps, col[j]:col[j] + np_steps] = ep.G[:, np_steps:]
+        G[r:r + np_steps, i:i + np_steps] = ep_G[:, :np_steps]
+        G[r:r + np_steps, j:j + np_steps] = ep_G[:, np_steps:]
         np.fill_diagonal(G[r:r + np_steps, s_col:s_col + np_steps], -1.0)
-        h[r:r + np_steps] = ep.h
+        h[r:r + np_steps] = edge.h[k]
         r += np_steps
 
     # H is block diagonal: one tracking block per vehicle, then zero slack entries
-    H = BlockDiagonal(np.stack([local_problems[vid].H0 for vid in vids]), np.zeros(n - n_u))
+    H = BlockDiagonal(local.H0, np.zeros(n - n_u))
     qp = DenseQp(H=H, f=f, G=G, h=h, lb=lb, ub=ub)
     return CentralizedQp(qp=qp, vehicle_ids=vids, np_steps=np_steps)

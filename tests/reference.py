@@ -21,7 +21,7 @@ import numpy as np
 
 from fleetcoord import AdmmState, ParameterError, QpSolution, ResidualReport
 from fleetcoord.qp import MAX_ITER, OPTIMAL
-from fleetcoord.subproblems import EdgeBatch, LocalBatch
+from fleetcoord.subproblems import EdgeBatch, EdgeProblems, LocalBatch, LocalProblems
 
 
 @dataclass
@@ -198,7 +198,8 @@ def solve_local(problem, z, lam, rho: float, warm_mult=None) -> QpSolution:
     np_steps = problem.horizon
     z = np.asarray(z, dtype=float).reshape(np_steps)
     lam = np.asarray(lam, dtype=float).reshape(np_steps)
-    x, kkt, mult = LocalBatch([problem]).solve_node(0, z, lam, rho, warm_mult)
+    x, kkt, mult = LocalBatch(LocalProblems.stack({0: problem})).solve_node(0, z, lam, rho,
+                                                                           warm_mult)
     f = problem.f0 + rho * (lam - z)
     grad = 0.5 * (problem.H0 + problem.H0.T) @ x + rho * x + f
     return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)), status=node_status(kkt),
@@ -215,7 +216,8 @@ def solve_edge(problem, z_i, z_j, lam_i, lam_j, rho: float, warm_mu=None) -> QpS
     n = problem.horizon
     v = np.concatenate([np.asarray(z_i, dtype=float) - np.asarray(lam_i, dtype=float),
                         np.asarray(z_j, dtype=float) - np.asarray(lam_j, dtype=float)])
-    x, s, mu, kkt = EdgeBatch([problem], n).solve_node(0, v, rho, warm_mu)
+    edge = EdgeProblems.stack({(0, 1): problem}, (0, 1))
+    x, s, mu, kkt = EdgeBatch(edge, n).solve_node(0, v, rho, warm_mu)
     c = problem.slack_penalty
     objective = float(0.5 * rho * (x @ x) + -rho * v @ x + c * np.sum(s))
     return QpSolution(u_star=np.concatenate([x, s]), objective=objective, status=node_status(kkt),

@@ -7,9 +7,10 @@ import pytest
 
 from fleetcoord import (AdmmConfig, NumericalFailureError, ParameterError, adapt_rho,
                         admm_solve, build_centralized, build_local, fleet_objective,
-                        init_admm_state, solve_qp)
+                        init_admm_state, load_scenario_file, run_simulation, solve_qp)
+from fleetcoord import simulation
 from fleetcoord.admm import ANDERSON_MEMORY, Anderson
-from fleetcoord.subproblems import LocalBatch
+from fleetcoord.subproblems import EdgeProblems, LocalBatch, LocalProblems
 
 from instances import bounded_pair, random_fleet_instance
 from reference import DictState, residuals, to_arrays, to_dicts
@@ -598,3 +599,88 @@ def test_accepted_points_fill_the_memory_to_its_length():
     Z, L, kind = anderson.step(*x, *image, extrapolate=False)
     assert kind == "accepted" and Z is image[0] and L is image[1]
     assert anderson.plain is None
+
+
+def _recorded_cycles(path, monkeypatch):
+    """(local, edges, config, init, final state) of each ADMM cycle of a 4 s run."""
+    calls = []
+    solve = simulation.admm_solve
+
+    def recording(local, edges, config, init):
+        start = copy.deepcopy(init)
+        result = solve(local, edges, config, init)
+        calls.append((local, edges, config, start, copy.deepcopy(result.state)))
+        return result
+
+    monkeypatch.setattr(simulation, "admm_solve", recording)
+    run_simulation(load_scenario_file(path), "parallel_admm", duration=4.0)
+    return calls
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_containers_and_dicts_of_their_problems_give_identical_results(intersection_path,
+                                                                        monkeypatch):
+    # admm_solve, build_centralized and fleet_objective stack a dict of
+    # problems on entry; on a dict of a container's own views they answer
+    # as on the container, bit for bit
+    calls = _recorded_cycles(intersection_path, monkeypatch)
+    hardest = sorted(calls, key=lambda call: -call[4].iteration)[:3]
+    assert min(call[4].iteration for call in hardest) > 10
+    assert all(len(call[1]) for call in hardest)
+    timing = {"per_node_solve_times", "parallel_time"}
+    handed = 0
+    for local, edges, config, init, _ in hardest:
+        assert isinstance(local, LocalProblems) and isinstance(edges, EdgeProblems)
+        as_dicts = (dict(local), dict(edges))
+        stacked = admm_solve(local, edges, config, copy.deepcopy(init))
+        plain = admm_solve(*as_dicts, config, copy.deepcopy(init))
+        for name in ("C", "L", "Z", "Z_prev", "owner"):
+            assert _same_bits(getattr(stacked.state, name), getattr(plain.state, name)), name
+        for field in dataclasses.fields(stacked.report):
+            if field.name not in timing:
+                assert (getattr(stacked.report, field.name)
+                        == getattr(plain.report, field.name)), field.name
+        assert all(_same_bits(stacked.consensus[v], plain.consensus[v]) for v in local)
+        handed += stacked.report.local_handed * stacked.report.edge_handed
+
+        want = build_centralized(local, edges)
+        got = build_centralized(*as_dicts)
+        assert got.vehicle_ids == want.vehicle_ids
+        for name in ("H", "f", "G", "h", "lb", "ub"):
+            assert _same_bits(getattr(got.qp, name), getattr(want.qp, name)), name
+
+        objective = fleet_objective(local, stacked.consensus)
+        assert objective == fleet_objective(as_dicts[0], stacked.consensus)
+        assert objective == fleet_objective(local, stacked.state.Z)
+    assert handed > 0         # both kinds of node were handed to solve_node
+
+
+def test_array_seeds_and_endpoint_rows_start_the_state_the_dicts_start(intersection_path,
+                                                                      monkeypatch):
+    # the closed loop starts each cycle from its (N, Np) seed array and the
+    # edge container's endpoint rows; a dict of the seeds and the edge keys
+    # give the same state, carried duals included
+    calls = _recorded_cycles(intersection_path, monkeypatch)
+    rho0 = load_scenario_file(intersection_path).config.rho0
+    previous = None
+    for local, edges, _, init, final in calls:
+        seeds = dict(zip(local.ids, init.Z))
+        for start in (init_admm_state(init.Z, edges, rho0, previous=previous, ids=local.ids),
+                      init_admm_state(seeds, list(edges), rho0, previous=previous)):
+            assert start.vids == list(local.ids) and start.ekeys == list(edges.edges)
+            assert start.rho == init.rho
+            for name in ("C", "L", "Z", "owner", "count"):
+                assert _same_bits(getattr(start, name), getattr(init, name)), name
+        previous = final
+    with pytest.raises(ParameterError, match="ids"):
+        init_admm_state(init.Z, edges, rho0)
+    with pytest.raises(ParameterError, match="ids"):
+        init_admm_state(init.Z, edges, rho0, ids=local.ids[::-1])
+    short = EdgeProblems(edges.edges, np.full_like(edges.pairs, len(local)), edges.G,
+                         edges.h, edges.slack_penalty)
+    with pytest.raises(ParameterError, match="without a seed"):
+        init_admm_state(init.Z, short, rho0, ids=local.ids)

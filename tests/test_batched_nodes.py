@@ -36,7 +36,7 @@ from fleetcoord import (AdmmConfig, ParameterError, adapt_rho, admm_solve, build
                         init_admm_state, kkt_residual, solve_qp)
 from fleetcoord.admm import Anderson
 from fleetcoord.qp import OPTIMAL
-from fleetcoord.subproblems import EdgeBatch, LocalBatch
+from fleetcoord.subproblems import EdgeBatch, EdgeProblems, LocalBatch, LocalProblems
 
 from instances import bounded_pair, random_fleet_instance
 from reference import (DictState, apply_rho_update, init_dict_state, node_status, residuals,
@@ -314,6 +314,18 @@ def test_instances_exercise_both_paths():
     assert min(accelerated.values()) > 0
 
 
+def local_batch(problems):
+    """A ``LocalBatch`` over a list of problems, row n holding problems[n]."""
+    return LocalBatch(LocalProblems.stack(dict(enumerate(problems))))
+
+
+def edge_batch(problems, np_steps):
+    """An ``EdgeBatch`` over a list of problems, row k holding problems[k]."""
+    edges = [(2 * k, 2 * k + 1) for k in range(len(problems))]
+    stacked = EdgeProblems.stack(dict(zip(edges, problems)), range(2 * len(problems)))
+    return EdgeBatch(stacked, np_steps)
+
+
 @SETTINGS
 @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4),
        np_steps=st.integers(2, 8), steer=st.sampled_from([0.02, 0.1, 0.61]),
@@ -329,11 +341,11 @@ def test_local_batch_answers_as_solve_local(seeds, np_steps, steer, lateral, y_r
     if gap is not None and problems[0].G.shape[0]:
         # move the first vehicle's first position row to ``gap`` from its
         # unconstrained minimizer: violated by gap > 0, slack by gap < 0
-        x = LocalBatch(problems).solve(z, lam, rho)[0][0]
+        x = local_batch(problems).solve(z, lam, rho)[0][0]
         h = problems[0].h.copy()
         h[0] = problems[0].G[0] @ x - gap
         problems[0] = dataclasses.replace(problems[0], h=h)
-    x, kkt, done = LocalBatch(problems).solve(z, lam, rho)
+    x, kkt, done = local_batch(problems).solve(z, lam, rho)
     for n, lp in enumerate(problems):
         if done[n]:
             sol = solve_local(lp, z[n], lam[n], rho)
@@ -364,7 +376,7 @@ def test_a_vehicle_needing_the_shift_is_handed_and_the_others_keep_their_rows(se
     problems[1] = dataclasses.replace(problems[1], H0=np.zeros_like(problems[1].H0))
     z = np.array([z for _, z, _ in cases])
     lam = np.array([lam for _, _, lam in cases])
-    batch = LocalBatch(problems)
+    batch = local_batch(problems)
     (x, kkt, done), nodes = _local_rows(batch, z, lam, rho, range(3))
     assert batch.hessian(rho)[1].tolist() == [0.0, 1e-9, 0.0]
     assert not done[1]
@@ -378,7 +390,7 @@ def test_a_vehicle_needing_the_shift_is_handed_and_the_others_keep_their_rows(se
 
     # without the zero vehicle, the others' rows are the same bits
     others = [problems[0], problems[2]]
-    (x_, kkt_, done_), nodes_ = _local_rows(LocalBatch(others), z[[0, 2]], lam[[0, 2]], rho,
+    (x_, kkt_, done_), nodes_ = _local_rows(local_batch(others), z[[0, 2]], lam[[0, 2]], rho,
                                             range(2))
     assert same(x[[0, 2]], x_) and same(kkt[[0, 2]], kkt_) and same(done[[0, 2]], done_)
     assert _same_rows(nodes[0], nodes_[0]) and _same_rows(nodes[2], nodes_[1])
@@ -392,11 +404,11 @@ def test_a_return_to_an_earlier_rho_answers_as_a_fresh_batch():
     problems = [lp for lp, _, _ in cases]
     z = np.array([z for _, z, _ in cases])
     lam = np.array([lam for _, _, lam in cases])
-    batch = LocalBatch(problems)
+    batch = local_batch(problems)
     handed = 0
     for rho in (1.0, 2.0, 1.0):
         (x, kkt, done), nodes = _local_rows(batch, z, lam, rho, range(3))
-        (x_, kkt_, done_), nodes_ = _local_rows(LocalBatch(problems), z, lam, rho, range(3))
+        (x_, kkt_, done_), nodes_ = _local_rows(local_batch(problems), z, lam, rho, range(3))
         assert same(x, x_) and same(kkt, kkt_) and same(done, done_)
         assert all(_same_rows(nodes[i], nodes_[i]) for i in range(3))
         handed += np.count_nonzero(~done)
@@ -448,7 +460,7 @@ def test_edge_batch_answers_as_solve_edge(cases, np_steps, log_rho, warm_seed):
         if case[-1] == "coupled" and len(coupled):
             warm[k, rng.choice(coupled)] = ep.slack_penalty * rng.choice([0.5, 1.0])
     warm_mu = None if all(case[-1] == "none" for case in cases) else warm
-    x, s, mu, kkt, done = EdgeBatch(problems, np_steps).solve(v, rho, warm_mu)
+    x, s, mu, kkt, done = edge_batch(problems, np_steps).solve(v, rho, warm_mu)
     for k, (ep, args) in enumerate(built):
         if done[k]:
             sol = solve_edge(ep, *args, rho, warm_mu=None if warm_mu is None else warm[k])
@@ -463,9 +475,9 @@ def test_node_solvers_reject_a_rho_that_is_not_finite_and_positive(rho):
     ep, args = edge_instance(3, 5, gap=2.0, slack_penalty=1e4, duplicate=False)
     v = np.concatenate([args[0] - args[2], args[1] - args[3]])
     for solve in (lambda: solve_local(lp, z, lam, rho),
-                  lambda: LocalBatch([lp]).solve_node(0, z, lam, rho),
+                  lambda: local_batch([lp]).solve_node(0, z, lam, rho),
                   lambda: solve_edge(ep, *args, rho),
-                  lambda: EdgeBatch([ep], 5).solve_node(0, v, rho)):
+                  lambda: edge_batch([ep], 5).solve_node(0, v, rho)):
         with pytest.raises(ParameterError, match="rho"):
             solve()
 

@@ -20,12 +20,13 @@ from fleetcoord import (CostWeights, ParameterError, build_constraint_graph, con
                         fleet_objective, generate_scaled_scenario, linearize,
                         load_scenario_file, make_edge_problem, make_local_problem, make_seed,
                         reference_window, rollout, tracking_objective)
-from fleetcoord.dynamics import (CondensedPrediction, HorizonTrajectory, condense_fleet,
-                                 rollout_fleet)
+from fleetcoord.dynamics import (CondensedPrediction, FleetPrediction, HorizonTrajectory,
+                                 condense_fleet, rollout_fleet, rollout_fleet_trig)
 from fleetcoord.scenario import Bounds, VehicleState
 from fleetcoord.simulation import (_align_reference_headings, _min_pairwise,
                                    _ReferencePaths, convexify_cycle)
-from fleetcoord.subproblems import EdgeBatch, make_edge_problems, make_local_problems
+from fleetcoord.subproblems import (EdgeBatch, EdgeProblems, LocalProblems, make_edge_problems,
+                                    make_local_problems)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -92,6 +93,28 @@ def test_condense_fleet_is_linearize_and_condense(inst):
 
 
 @SETTINGS
+@given(fleets)
+def test_condense_fleet_with_the_rollouts_heading_trig_is_bit_identical(inst):
+    # the closed loop's shapes: one rollout over Np + 1 inputs, condensed at
+    # its first Np + 1 poses (this cycle's plan) and its last (the next seed)
+    _, x0, controls, speed, wheelbase, ts = fleet_instance(*inst)
+    n, np_steps = controls.shape
+    extended = np.concatenate([controls, controls[:, -1:]], axis=1)
+    poses, cos, sin = rollout_fleet_trig(x0, extended, speed, wheelbase, ts)
+    assert poses.tobytes() == rollout_fleet(x0, extended, speed, wheelbase, ts).tobytes()
+    for first in (0, 1):
+        window = slice(first, first + np_steps)
+        seed_poses = poses[:, first:first + np_steps + 1]
+        want = condense_fleet(seed_poses, extended[:, window], speed, wheelbase, ts)
+        got = condense_fleet(seed_poses, extended[:, window], speed, wheelbase, ts,
+                             trig=(cos[:, window], sin[:, window]))
+        assert got.Phi.tobytes() == want.Phi.tobytes()
+        assert got.gamma.tobytes() == want.gamma.tobytes()
+    with pytest.raises(ParameterError, match="cos and sin"):
+        condense_fleet(poses[:, :-1], extended[:, :-1], speed, wheelbase, ts, trig=(cos, sin))
+
+
+@SETTINGS
 @given(fleets, st.sampled_from([math.pi / 2, -math.pi / 2, 1.6, -3.0]))
 def test_steering_outside_the_tan_domain_is_rejected(inst, bad):
     rng, x0, controls, speed, wheelbase, ts = fleet_instance(*inst)
@@ -145,6 +168,23 @@ def test_local_problems_match_make_local_problem(inst):
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
         assert got.const0 == ref.const0 and got.horizon == np_steps
+    # the vehicles' rows come out in id order whatever order they go in
+    back = slice(None, None, -1)
+    reversed_prediction = FleetPrediction(Phi=prediction.Phi[back], gamma=prediction.gamma[back])
+    reversed_fleet = make_local_problems(specs[back], reversed_prediction,
+                                         refs[back].reshape(n, -1), weights, x0=x0[back, :2],
+                                         ts=ts)
+    assert_same_local_arrays(reversed_fleet, fleet)
+    # a dict of the views stacks back to the same arrays
+    assert LocalProblems.stack(fleet) is fleet
+    assert_same_local_arrays(LocalProblems.stack(dict(fleet)), fleet)
+
+
+def assert_same_local_arrays(got, want):
+    assert got.ids == want.ids
+    for name in ("H0", "f0", "const0", "G", "h", "starts", "steer_lb", "steer_ub"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @SETTINGS
@@ -204,6 +244,19 @@ def test_edge_problems_match_make_edge_problem(inst, coincide):
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
         assert got.slack_penalty == penalty and got.horizon == np_steps
+    # the edges' rows come out in key order whatever order they go in, and a
+    # dict of the views stacks back to the same arrays (an empty dict has no
+    # horizon to shape them by)
+    back = slice(None, None, -1)
+    reversed_fleet = make_edge_problems(edges[back], pairs[back], prediction, seed_pos, d_safe,
+                                        penalty, fallback_dirs=fallback_dirs[back])
+    ids = [10 + i for i in range(n)]
+    assert EdgeProblems.stack(fleet, ids) is fleet
+    for got in [reversed_fleet] + ([EdgeProblems.stack(dict(fleet), ids)] if fleet else []):
+        assert got.edges == fleet.edges
+        for name in ("pairs", "G", "h", "slack_penalty"):
+            a, b = getattr(got, name), getattr(fleet, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_edge_with_every_row_fixed_has_empty_dual_hessian():
@@ -211,9 +264,9 @@ def test_edge_with_every_row_fixed_has_empty_dual_hessian():
     # is fixed, not only step 1's
     prediction = condense_fleet(np.zeros((2, 4, 3)), np.zeros((2, 3)), 0.0, 2.4, 0.1)
     seed_pos = np.array([[[0.0, 0.0]] * 3, [[3.0, 0.0]] * 3])
-    problem = make_edge_problems([(1, 2)], [(0, 1)], prediction, seed_pos, 5.0, 1e4,
-                                 [(-3.0, 0.0)])[(1, 2)]
-    batch = EdgeBatch([problem], 3)
+    problems = make_edge_problems([(1, 2)], [(0, 1)], prediction, seed_pos, 5.0, 1e4,
+                                  [(-3.0, 0.0)])
+    batch = EdgeBatch(problems, 3)
     assert batch.fixed.tolist() == [[True, True, True]]
     _, _, _, kkt = batch.solve_node(0, np.zeros(6), 1.0)
     rows, G_c, M = batch.duals[0]

@@ -13,7 +13,7 @@ from fleetcoord import (ParameterError, generate_scaled_scenario, lateral_deviat
                         load_scenario, load_scenario_file, make_seed, path_progress,
                         reference_window, rollout, run_simulation, step_nonlinear)
 from fleetcoord import qp as qp_mod
-from fleetcoord import simulation
+from fleetcoord import simulation, subproblems
 from fleetcoord.bench import _BLAS_THREAD_VARS
 from fleetcoord.scenario import VehicleState
 
@@ -68,12 +68,16 @@ def test_closed_loop_seeds_equal_make_seed(overtake_path, mode, monkeypatch):
     # the loop takes each seed from the previous plan's rollout; it must be
     # make_seed's shifted, repeated and clipped plan rolled out from the new
     # state.  7 s: consensus ADMM keeps every plan at zero steering until 5.8 s.
+    # The heading trig handed along is math's cos and sin of the seed headings.
     seen = []
     convexify = simulation.convexify_fleet
 
-    def recording(fleet, poses, seed_poses, seed_controls, graph, t):
+    def recording(fleet, poses, seed_poses, seed_controls, graph, t, trig):
         seen.append((seed_poses.copy(), seed_controls.copy()))
-        return convexify(fleet, poses, seed_poses, seed_controls, graph, t)
+        headings = seed_poses[:, :-1, 2].tolist()
+        for fn, got in zip((math.cos, math.sin), trig):
+            assert got.tobytes() == np.array([[fn(x) for x in row] for row in headings]).tobytes()
+        return convexify(fleet, poses, seed_poses, seed_controls, graph, t, trig)
 
     monkeypatch.setattr(simulation, "convexify_fleet", recording)
     sc = load_scenario_file(overtake_path)
@@ -88,6 +92,25 @@ def test_closed_loop_seeds_equal_make_seed(overtake_path, mode, monkeypatch):
                              cfg.horizon_steps, cfg.ts)
             assert seed_poses[n].tobytes() == want.poses.tobytes()
             assert seed_controls[n].tobytes() == want.controls.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["parallel_admm", "centralized"])
+def test_a_closed_loop_builds_no_per_node_problem(overtake_path, mode, monkeypatch):
+    # the fleet's problems stay stacked from convexification to the solvers:
+    # no LocalProblem or EdgeProblem is built on the way
+    built = []
+    for cls in (subproblems.LocalProblem, subproblems.EdgeProblem):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    run = run_simulation(load_scenario_file(overtake_path), mode, duration=2.0)
+    assert sum(len(c.graph_edges) for c in run.cycles) > 0
+    assert built == []
+    # the counter counts
+    subproblems.EdgeProblem(slack_penalty=1.0, G=np.zeros((1, 2)), h=np.zeros(1))
+    assert built == ["EdgeProblem"]
 
 
 # ---------------------------------------------------------------- references

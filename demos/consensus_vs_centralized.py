@@ -10,6 +10,8 @@ the tolerance drives the consensus objective onto the centralized optimum.
 Takes about a minute.  Run:  python demos/consensus_vs_centralized.py
 """
 
+import numpy as np
+
 from fleetcoord import (AdmmConfig, admm_solve, build_centralized,
                         build_constraint_graph, convexify_cycle, fleet_objective,
                         init_admm_state, load_scenario_file, make_seed, run_simulation,
@@ -39,8 +41,8 @@ print(f"centralized QP optimum: {j_cent:.4f} (status {sol.status})\n")
 print("  eps      iterations   consensus objective   relative gap")
 for eps in (1e-2, 1e-3, 1e-4):
     # every solve starts cold at the seeds' steering
-    start = init_admm_state({vid: seed.controls for vid, seed in seeds.items()},
-                            edge_problems, cfg.rho0)
+    start = init_admm_state(np.array([seeds[vid].controls for vid in local_problems.ids]),
+                            edge_problems, cfg.rho0, ids=local_problems.ids)
     result = admm_solve(
         local_problems, edge_problems,
         AdmmConfig(eps_abs=eps, eps_rel=eps, max_iters=5000), start)

@@ -33,13 +33,12 @@ copies) summing to zero; a carried vehicle dual would break that sum
 whenever an edge leaves the graph.
 
 ``admm_solve`` runs step 1 as one batched pass over the fleet.  The cycle's
-problems arrive stacked (``LocalProblems``, ``EdgeProblems``; a dict of
-problems is stacked once on entry), and the batches read those arrays as
-they are: building them re-stacks nothing.  ``LocalBatch`` holds the
-tracking problems and, for each rho the cycle has solved at, their
-Hessians H0 + rho I, formed and probed with one stacked Cholesky by the
-first pass at that rho; it answers every vehicle that pins no steering
-bound.  ``EdgeBatch`` holds the edge problems and answers every edge whose
+problems arrive stacked (``LocalProblems``, ``EdgeProblems``), and the
+batches read those arrays as they are: building them re-stacks nothing.
+``LocalBatch`` holds the tracking problems and, for each rho the cycle has
+solved at, their Hessians H0 + rho I, formed and probed with one stacked
+Cholesky by the first pass at that rho; it answers every vehicle that pins
+no steering bound.  ``EdgeBatch`` holds the edge problems and answers every edge whose
 coupled rows are inactive.  Only the remaining nodes are handed, one after
 another in the calling thread, to the batches' ``solve_node``, which solves the
 node's dual box QP exactly, warm started from the node's previous
@@ -52,10 +51,10 @@ its scaled dual and one (N, Np) consensus, and its methods are steps 2 and
 N + 2k and N + 2k + 1, its endpoints in key order, so the edge rows reshape
 to and from the edge batch's (E, 2Np) rows without a gather.  The final
 state is carried into the next cycle as it is: ``init_admm_state`` takes the
-(N, Np) seed array and the edge container's endpoint rows, finds each
-persisting edge by its key and shifts its dual rows.  Accounted time
-charges each node an equal share of its batched pass, plus its own
-per-node solve when it was handed over.  So the Hessians formed at a new
+(N, Np) seed array and the edge container, whose ``pairs`` are the
+endpoint rows, finds each persisting edge by its key and shifts its dual
+rows.  Accounted time charges each node an equal share of its batched
+pass, plus its own per-node solve when it was handed over.  So the Hessians formed at a new
 rho are charged to the vehicles of the iteration whose pass forms them, and
 a handed vehicle's dual data to that vehicle.  The consensus average, the
 dual step and the Anderson step are coordinator work: no node is charged
@@ -76,14 +75,12 @@ import logging
 import math
 import time
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericalFailureError, ParameterError
-from .subproblems import (_NODE_OPTIMAL_KKT, EdgeBatch, EdgeProblems, LocalBatch, LocalProblems,
-                          _endpoint_rows)
+from .subproblems import _NODE_OPTIMAL_KKT, EdgeBatch, EdgeProblems, LocalBatch, LocalProblems
 # build_edge, build_local and solve_qp are not called here; they stay
 # importable from this module for span tracers that wrap them by name.
 from .qp import solve_qp  # noqa: F401
@@ -94,7 +91,7 @@ logger = logging.getLogger(__name__)
 _RHO_SCALE = 2.0    # tau: rho is doubled or halved
 _RHO_RATIO = 5.0    # mu: when one residual exceeds this multiple of the other
 ANDERSON_MEMORY = 6  # m: the Anderson step mixes the last m differences
-_STATE_MISMATCH = "the ADMM state must hold the problems' vehicles and edges"
+_STATE_MISMATCH = "the ADMM state must hold the problems' vehicles, edges and horizon"
 
 
 @dataclass
@@ -209,17 +206,19 @@ class AdmmState:
     rows.  ``Z`` (N, Np) is the consensus and ``Z_prev`` the one before the
     last update.  ``anderson`` is the cycle's acceleration memory.
     ``pairs`` (E, 2) holds each edge's endpoint rows of ``Z``, e[0] then
-    e[1], looked up among ``vids`` when not given, and ``owner`` maps a row
-    to its vehicle's consensus row.  A new state starts every copy at ``Z``
-    with zero duals.  The fleet must hold at least one vehicle.
+    e[1], and ``owner`` maps a row to its vehicle's consensus row.  A new
+    state starts every copy at ``Z`` with zero duals.  The fleet must hold
+    at least one vehicle, and an endpoint row outside ``Z`` raises
+    ParameterError naming its edge.
     """
 
-    def __init__(self, vids: list, ekeys: list, Z: np.ndarray, rho: float, pairs=None):
+    def __init__(self, vids: list, ekeys: list, Z: np.ndarray, rho: float, pairs: np.ndarray):
         n, n_edges = len(vids), len(ekeys)
         if n == 0:
             raise ParameterError("the fleet must hold at least one vehicle")
-        if pairs is None:
-            pairs = _endpoint_rows(vids, ekeys)
+        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+        if len(outside):
+            raise ParameterError(f"edge {ekeys[outside[0]]} has an endpoint without a seed")
         self.vids, self.ekeys = vids, ekeys
         self.ri = n + 2 * np.arange(n_edges)
         self.rj = self.ri + 1
@@ -286,16 +285,14 @@ class AdmmState:
             self.anderson.clear()
 
 
-def init_admm_state(seeds, edges, rho0: float, previous: AdmmState | None = None,
-                    ids=None) -> AdmmState:
+def init_admm_state(seeds: np.ndarray, edges: EdgeProblems, rho0: float,
+                    previous: AdmmState | None = None, *, ids) -> AdmmState:
     """Start at the seed steering: all copies and the consensus equal the seeds.
 
-    ``seeds`` maps each vehicle id to its seed steering, or is the (N, Np)
-    array of them with rows in the order of ``ids``, which must be sorted.
-    ``edges`` holds the edge keys.  With seeds as an array, an
-    ``EdgeProblems`` gives each edge's endpoint rows as its ``pairs``;
-    otherwise each endpoint is looked up among the ids.  The fleet must hold
-    at least one vehicle, and an edge endpoint without a seed raises
+    ``seeds`` is the (N, Np) array of the seed steering, row n belonging to
+    ``ids[n]``; the ids must be sorted.  ``edges`` gives the edge keys as
+    its ``edges`` and their endpoint rows as its ``pairs``.  The fleet must
+    hold at least one vehicle, and an edge endpoint without a seed raises
     ParameterError.
 
     With no ``previous`` state every dual is zero and rho is ``rho0``.  With
@@ -312,22 +309,10 @@ def init_admm_state(seeds, edges, rho0: float, previous: AdmmState | None = None
     rho = rho0 if previous is None or not previous.ekeys else previous.rho
     if not (math.isfinite(rho) and rho > 0):
         raise ParameterError(f"rho0 must be finite and positive, got {rho!r}")
-    pairs = None
-    if isinstance(seeds, Mapping):
-        ids = sorted(seeds)
-        Z = np.array([np.asarray(seeds[v], dtype=float) for v in ids])
-    else:
-        ids = [] if ids is None else list(ids)
-        if len(ids) != len(seeds) or ids != sorted(ids):
-            raise ParameterError("an array of seeds needs its rows' ids, sorted")
-        Z = np.array(seeds, dtype=float)
-        if isinstance(edges, EdgeProblems):
-            pairs = edges.pairs
-            outside = np.flatnonzero(((pairs < 0) | (pairs >= len(ids))).any(axis=1))
-            if len(outside):
-                raise ParameterError(f"edge {edges.edges[outside[0]]} has an endpoint "
-                                     f"without a seed")
-    state = AdmmState(ids, sorted(tuple(e) for e in edges), Z, rho, pairs)
+    ids = list(ids)
+    if len(ids) != len(seeds) or ids != sorted(ids):
+        raise ParameterError("the seeds need their rows' ids, sorted")
+    state = AdmmState(ids, list(edges.edges), np.array(seeds, dtype=float), rho, edges.pairs)
     if previous is not None and previous.ekeys and state.ekeys:
         # an edge persists when its key is among the last cycle's edges
         L, old = state.L, {e: k for k, e in enumerate(previous.ekeys)}
@@ -363,16 +348,14 @@ def _check_config(config: AdmmConfig) -> None:
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def admm_solve(local_problems, edge_problems, config: AdmmConfig,
-               init: AdmmState) -> AdmmResult:
+def admm_solve(local_problems: LocalProblems, edge_problems: EdgeProblems,
+               config: AdmmConfig, init: AdmmState) -> AdmmResult:
     """Run consensus ADMM from ``init`` until the stopping criterion or the iteration cap.
 
-    ``local_problems`` is a ``LocalProblems`` or a dict mapping vehicle id to
-    LocalProblem; ``edge_problems`` an ``EdgeProblems`` or a dict mapping
-    (i, j) to EdgeProblem.  A dict is stacked once on entry.  ``init`` is
-    the start state, from ``init_admm_state`` over the same vehicles and
-    edges (at the seeds, or carried from the last cycle); its ``rho`` is the
-    starting penalty.  The result is independent of subproblem execution
+    ``init`` is the start state, from ``init_admm_state`` over the same
+    vehicles, edges and horizon (at the seeds, or carried from the last
+    cycle); any other raises ParameterError.  Its ``rho`` is the starting
+    penalty.  The result is independent of subproblem execution
     order within a step: every solve reads only the previous barrier's
     state.  Each iteration answers the nodes with one ``LocalBatch`` and one
     ``EdgeBatch`` pass, hands the nodes they leave to the batches'
@@ -389,18 +372,12 @@ def admm_solve(local_problems, edge_problems, config: AdmmConfig,
     """
     _check_config(config)
     state = init
-    local_problems = LocalProblems.stack(local_problems)
-    vids = list(local_problems.ids)
-    if state.vids != vids:
+    vids, ekeys = list(local_problems.ids), list(edge_problems.edges)
+    n, n_edges, np_steps = len(vids), len(ekeys), local_problems.horizon
+    if state.vids != vids or state.ekeys != ekeys or state.Z.shape != (n, np_steps):
         raise ParameterError(_STATE_MISMATCH)
-    edge_problems = EdgeProblems.stack(edge_problems, vids)
-    ekeys = list(edge_problems.edges)
-    if state.ekeys != ekeys:
-        raise ParameterError(_STATE_MISMATCH)
-    n, n_edges = len(vids), len(ekeys)
     names = [f"local/{v}" for v in vids] + [f"edge/{e[0]}-{e[1]}" for e in ekeys]
     total_node_time = np.zeros(len(names))
-    np_steps = state.Z.shape[1]
 
     t0 = time.perf_counter()
     local = LocalBatch(local_problems)

@@ -24,12 +24,14 @@ step is the same float computation from the same pose.  It also makes one
 steps (each vehicle's polyline and its start progress s0 are prepared once
 per run by ``Fleet``), and one batched pass each for the tracking and edge
 problems (``convexify_fleet``), which stay stacked (``LocalProblems``,
-``EdgeProblems``) through the solver and the objective.  The rollout also
-keeps the cos and sin of every heading it steps from; the slice at the next
-seed's headings goes to the next cycle's ``condense_fleet``, which would
-otherwise take them again.  The ADMM cycle starts from the (N, Np) seed
-array and applies the final consensus array.  ``make_seed``,
-``reference_window`` and ``convexify_cycle`` take per-vehicle objects; the
+``EdgeProblems``), the only form the solvers and the objective take.  The
+rollout also keeps the cos and sin of every heading it steps from; the
+slice at the next seed's headings goes to the next cycle's
+``condense_fleet``, which would otherwise take them again.  The ADMM
+cycle starts from the (N, Np) seed array and applies the final consensus
+array.  The applied plan is the solver's clipped to the steering box, and
+each cycle records the largest input clipped off (``steer_clipped``).
+``make_seed``, ``reference_window`` and ``convexify_cycle`` take per-vehicle objects; the
 first two are the per-vehicle reference the fleet path is tested against,
 and ``convexify_cycle`` wraps ``convexify_fleet`` for callers that hold
 per-vehicle states and seeds.
@@ -258,6 +260,7 @@ class CycleRecord:
     converged: bool
     slack_max: float
     min_distance: float
+    steer_clipped: float = 0.0       # max |controls - plans|: steering the box clipped off
     admm_report: ResidualReport | None = None
     qp_status: str | None = None
     qp_path: str | None = None       # centralized: the solve_qp path that answered
@@ -328,6 +331,7 @@ class SimulationRun:
                     "solve_wall_time": sig9(c.solve_wall_time),
                     "accounted_time": sig9(c.accounted_time),
                     "slack_max": sig9(c.slack_max),
+                    "steer_clipped": sig9(c.steer_clipped),
                     "min_distance": sig9(c.min_distance),
                     "objective": None if math.isnan(c.objective) else sig9(c.objective),
                     "r_norm": sig9(c.admm_report.r_norm) if c.admm_report else None,
@@ -540,6 +544,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
             raise NumericalFailureError(
                 f"solver produced non-finite steering for vehicle "
                 f"{vids[int(np.argmin(finite))]} at cycle {cycle} (t={t:.2f}s)")
+        record.steer_clipped = float(np.max(np.abs(controls - plans)))
         # one rollout serves as this plan's prediction and as the next seed
         # (the plan shifted one step, its last input repeated)
         rolled_controls = np.concatenate([plans, plans[:, -1:]], axis=1)

@@ -28,12 +28,9 @@ stacked ``matmul``, so the data equals that of ``make_local_problem`` and
 ``make_edge_problem`` bit for bit; those two stay as the reference
 formulation.  The fleet arrays are what the builders return: ``LocalProblems``
 and ``EdgeProblems`` keep them stacked, in sorted id and key order, and the
-batches, ``fleet_objective`` and ``build_centralized`` read them as they
-are, with no per-vehicle or per-edge record in between.  Both are read-only
-mappings: indexing by vehicle id or by edge key builds that node's
-``LocalProblem`` or ``EdgeProblem`` on access, with views into the fleet
-arrays.  A plain dict of hand-built problems is stacked once on entry by
-``LocalProblems.stack`` or ``EdgeProblems.stack``.
+batches, ``fleet_objective`` and ``build_centralized`` take them as they
+are, with no per-vehicle or per-edge record in between.  They are the
+solvers' only input form.
 
 The problems are frozen records of a cycle's input data; everything the ADMM
 nodes derive from them lives in the batches.  ``LocalBatch`` holds the
@@ -154,64 +151,24 @@ class LocalProblem:
         return len(self.f0)
 
 
-class LocalProblems(Mapping):
-    """N vehicles' tracking problems as stacked arrays: a read-only mapping id -> LocalProblem.
+class LocalProblems:
+    """N vehicles' tracking problems as stacked arrays.
 
     Row n of ``H0`` (N, Np, Np), ``f0`` (N, Np), ``const0`` (N,),
     ``steer_lb`` and ``steer_ub`` (N, Np) belongs to ``ids[n]``, and the ids
     are sorted.  ``G`` (M, Np) and ``h`` (M,) hold every vehicle's position
-    rows, vehicle n's in rows ``starts[n]:starts[n + 1]``.  ``problems[vid]``
-    builds vehicle vid's ``LocalProblem`` from views into these arrays.
+    rows, vehicle n's in rows ``starts[n]:starts[n + 1]``.
     """
 
     def __init__(self, ids, H0, f0, const0, G, h, starts, steer_lb, steer_ub):
         self.ids = tuple(ids)
-        self.row = {vid: n for n, vid in enumerate(self.ids)}
         self.H0, self.f0, self.const0 = H0, f0, const0
         self.G, self.h, self.starts = G, h, starts
         self.steer_lb, self.steer_ub = steer_lb, steer_ub
 
-    @classmethod
-    def stack(cls, problems) -> LocalProblems:
-        """``problems`` as is when it is a ``LocalProblems``; a dict id -> LocalProblem stacked."""
-        if isinstance(problems, cls):
-            return problems
-        ids = sorted(problems)
-        items = [problems[vid] for vid in ids]
-        n = len(items)
-        np_steps = items[0].horizon if items else 0
-
-        def rows(name, shape):
-            return np.array([getattr(p, name) for p in items], dtype=float).reshape(shape)
-
-        G = [np.asarray(p.G, dtype=float).reshape(-1, np_steps) for p in items]
-        h = [np.asarray(p.h, dtype=float).reshape(-1) for p in items]
-        return cls(ids, rows("H0", (n, np_steps, np_steps)), rows("f0", (n, np_steps)),
-                   rows("const0", (n,)),
-                   np.concatenate(G) if G else np.zeros((0, np_steps)),
-                   np.concatenate(h) if h else np.zeros(0),
-                   np.concatenate([[0], np.cumsum([len(r) for r in h], dtype=int)]),
-                   rows("steer_lb", (n, np_steps)), rows("steer_ub", (n, np_steps)))
-
     @property
     def horizon(self) -> int:
         return self.f0.shape[1]
-
-    def __getitem__(self, vid) -> LocalProblem:
-        n = self.row[vid]
-        start, end = self.starts[n], self.starts[n + 1]
-        return LocalProblem(H0=self.H0[n], f0=self.f0[n], const0=float(self.const0[n]),
-                            G=self.G[start:end], h=self.h[start:end],
-                            steer_lb=self.steer_lb[n], steer_ub=self.steer_ub[n])
-
-    def __contains__(self, vid) -> bool:
-        return vid in self.row
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def make_local_problem(spec: VehicleSpec, condensed: CondensedPrediction,
@@ -476,10 +433,9 @@ def tracking_objective(problem: LocalProblem, u: np.ndarray) -> float:
     return float(0.5 * u @ problem.H0 @ u + problem.f0 @ u + problem.const0)
 
 
-def fleet_objective(local_problems, controls) -> float:
+def fleet_objective(problems: LocalProblems, controls) -> float:
     """Convexified fleet cost (sum of tracking terms) at the given controls.
 
-    ``local_problems`` is a ``LocalProblems`` or a dict id -> LocalProblem;
     ``controls`` maps each id to its steering, or is the (N, Np) array of
     them in sorted id order.  Each vehicle's term is
     ``tracking_objective``'s, its products issued for the fleet as stacked
@@ -487,8 +443,7 @@ def fleet_objective(local_problems, controls) -> float:
     value equals the sum of ``tracking_objective`` over the sorted ids bit
     for bit.
     """
-    problems = LocalProblems.stack(local_problems)
-    if not len(problems):
+    if not problems.ids:
         return 0.0
     if isinstance(controls, Mapping):
         u = np.array([controls[v] for v in problems.ids], dtype=float)
@@ -518,68 +473,18 @@ class EdgeProblem:
         return self.G.shape[0]
 
 
-class EdgeProblems(Mapping):
-    """E edges' separation problems as stacked arrays: a read-only mapping key -> EdgeProblem.
+class EdgeProblems:
+    """E edges' separation problems as stacked arrays.
 
     Row k of ``pairs`` (E, 2), ``G`` (E, Np, 2 Np), ``h`` (E, Np) and
     ``slack_penalty`` (E,) belongs to ``edges[k]``, and the keys are sorted.
     ``pairs[k]`` holds the fleet rows of edge k's endpoints, e[0] then e[1],
     where row n is the fleet's n-th vehicle in sorted id order.
-    ``problems[key]`` builds that edge's ``EdgeProblem`` from views into
-    these arrays.
     """
 
     def __init__(self, edges, pairs, G, h, slack_penalty):
         self.edges = tuple(edges)
-        self.row = {edge: k for k, edge in enumerate(self.edges)}
         self.pairs, self.G, self.h, self.slack_penalty = pairs, G, h, slack_penalty
-
-    @classmethod
-    def stack(cls, problems, ids) -> EdgeProblems:
-        """``problems`` as is when it is an ``EdgeProblems``; a dict key -> EdgeProblem stacked.
-
-        ``ids`` are the fleet's sorted vehicle ids, whose rows ``pairs``
-        indexes; an edge with an endpoint outside them raises ParameterError.
-        """
-        if isinstance(problems, cls):
-            return problems
-        edges = sorted(problems)
-        items = [problems[edge] for edge in edges]
-        np_steps = items[0].horizon if items else 0
-        G = np.array([p.G for p in items], dtype=float).reshape(len(items), np_steps,
-                                                                 2 * np_steps)
-        h = np.array([p.h for p in items], dtype=float).reshape(len(items), np_steps)
-        return cls(edges, _endpoint_rows(ids, edges), G, h,
-                   np.array([p.slack_penalty for p in items], dtype=float))
-
-    @property
-    def horizon(self) -> int:
-        return self.G.shape[1]
-
-    def __getitem__(self, edge) -> EdgeProblem:
-        k = self.row[edge]
-        return EdgeProblem(slack_penalty=float(self.slack_penalty[k]), G=self.G[k], h=self.h[k])
-
-    def __contains__(self, edge) -> bool:
-        return edge in self.row
-
-    def __iter__(self):
-        return iter(self.edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def _endpoint_rows(ids, edges) -> np.ndarray:
-    """(E, 2) rows of each edge's endpoints among ``ids``, in key order.
-
-    Raises ParameterError naming the first edge with an endpoint outside ``ids``.
-    """
-    row = {vid: n for n, vid in enumerate(ids)}
-    for edge in edges:
-        if edge[0] not in row or edge[1] not in row:
-            raise ParameterError(f"edge {edge} has an endpoint without a seed")
-    return np.array([(row[i], row[j]) for i, j in edges], dtype=int).reshape(-1, 2)
 
 
 def _fallback_unit(fallback_dir) -> np.ndarray:
@@ -912,20 +817,15 @@ class CentralizedQp:
         return out
 
 
-def build_centralized(local_problems, edge_problems) -> CentralizedQp:
-    """Stack all tracking blocks and softened edge constraints into one QP.
-
-    Either argument may be the stacked container or a plain dict of problems.
-    """
-    if not local_problems:
-        raise ParameterError("the fleet must hold at least one vehicle")
-    local = LocalProblems.stack(local_problems)
-    edge = EdgeProblems.stack(edge_problems, local.ids)
+def build_centralized(local: LocalProblems, edge: EdgeProblems) -> CentralizedQp:
+    """Stack all tracking blocks and softened edge constraints into one QP."""
     vids = local.ids
+    if not vids:
+        raise ParameterError("the fleet must hold at least one vehicle")
     np_steps = local.horizon
     n_u = len(vids) * np_steps
-    n = n_u + len(edge) * np_steps
-    m = len(local.h) + len(edge) * np_steps
+    n = n_u + len(edge.edges) * np_steps
+    m = len(local.h) + len(edge.edges) * np_steps
 
     f = np.zeros(n)
     lb = np.full(n, -np.inf)

@@ -6,6 +6,10 @@ large unreachable along-track offset (giving a solid cost floor) plus mild
 lateral and curvature demands, and separation constraints over every pair.
 Seed trajectories keep at least d_safe + 0.5 m of pairwise clearance, so the
 softened constraints are satisfiable with zero slack.
+
+The instances are built per vehicle and per edge and handed over as the
+containers the solvers take: ``stack`` puts dicts of such problems into a
+``LocalProblems`` and an ``EdgeProblems``; ``unstack`` takes the rows out.
 """
 
 import math
@@ -17,6 +21,7 @@ from fleetcoord import (CostWeights, build_centralized, build_constraint_graph, 
                         make_local_problem, make_seed, rollout)
 from fleetcoord.scenario import Bounds, VehicleState
 from fleetcoord.simulation import convexify_cycle
+from fleetcoord.subproblems import EdgeProblem, EdgeProblems, LocalProblem, LocalProblems
 
 # a scenario's edge slack penalty when it sets none
 SLACK_PENALTY = 1e4
@@ -44,8 +49,66 @@ class BoxedSpec(InstanceSpec):
         self.bounds = Bounds(-math.inf, math.inf, -math.inf, y_max)
 
 
+def stack(local: dict, edges: dict, ids=None):
+    """(LocalProblems, EdgeProblems) holding the problems of ``local`` and ``edges``.
+
+    ``local`` maps vehicle id -> LocalProblem and ``edges`` key ->
+    EdgeProblem; the rows are in sorted id and key order, as the fleet
+    builders return them.  ``pairs`` indexes the sorted ``ids`` (default:
+    those of ``local``); an endpoint outside them gets row ``len(ids)``,
+    which ``init_admm_state`` rejects.
+    """
+    vids, keys = sorted(local), sorted(edges)
+    vehicles, pairs = [local[v] for v in vids], [edges[e] for e in keys]
+    np_steps = (vehicles or pairs)[0].horizon if vehicles or pairs else 0
+    n, m = len(vehicles), len(pairs)
+
+    def rows(items, name, shape):
+        return np.array([getattr(p, name) for p in items], dtype=float).reshape(shape)
+
+    local_problems = LocalProblems(
+        vids, rows(vehicles, "H0", (n, np_steps, np_steps)), rows(vehicles, "f0", (n, np_steps)),
+        rows(vehicles, "const0", (n,)),
+        np.concatenate([p.G for p in vehicles] + [np.zeros((0, np_steps))]),
+        np.concatenate([p.h for p in vehicles] + [np.zeros(0)]),
+        np.cumsum([0] + [len(p.h) for p in vehicles]),
+        rows(vehicles, "steer_lb", (n, np_steps)), rows(vehicles, "steer_ub", (n, np_steps)))
+    ids = vids if ids is None else sorted(ids)
+    row = {vid: k for k, vid in enumerate(ids)}
+    edge_problems = EdgeProblems(
+        keys, np.array([[row.get(v, len(ids)) for v in e] for e in keys], dtype=int).reshape(m, 2),
+        rows(pairs, "G", (m, np_steps, 2 * np_steps)), rows(pairs, "h", (m, np_steps)),
+        rows(pairs, "slack_penalty", (m,)))
+    return local_problems, edge_problems
+
+
+def keyed_edges(keys, ids, np_steps: int) -> EdgeProblems:
+    """``stack``'s edge container over ``keys`` with zero rows, ``pairs`` indexing ``ids``.
+
+    ``init_admm_state`` reads only an edge container's keys and endpoint rows.
+    """
+    blank = EdgeProblem(slack_penalty=SLACK_PENALTY, G=np.zeros((np_steps, 2 * np_steps)),
+                        h=np.zeros(np_steps))
+    return stack({}, dict.fromkeys(keys, blank), ids)[1]
+
+
+def unstack(problems) -> dict:
+    """A container's rows as views in per-node problems, by vehicle id or by edge key."""
+    if isinstance(problems, EdgeProblems):
+        return {e: EdgeProblem(slack_penalty=float(problems.slack_penalty[k]),
+                               G=problems.G[k], h=problems.h[k])
+                for k, e in enumerate(problems.edges)}
+    starts = problems.starts
+    return {vid: LocalProblem(H0=problems.H0[n], f0=problems.f0[n],
+                              const0=float(problems.const0[n]),
+                              G=problems.G[starts[n]:starts[n + 1]],
+                              h=problems.h[starts[n]:starts[n + 1]],
+                              steer_lb=problems.steer_lb[n], steer_ub=problems.steer_ub[n])
+            for n, vid in enumerate(problems.ids)}
+
+
 def random_fleet_instance(rng, np_steps=5, d_safe=5.0):
-    """Returns (local_problems, edge_problems, seed_controls)."""
+    """Returns (local_problems, edge_problems, seed_controls) as containers and an (N, Np) array."""
     n = int(rng.integers(2, 5))
     ts, L = 0.1, 2.4
     weights = CostWeights(q_pos=1.0, q_heading=0.5, r_steer=1.0)
@@ -90,7 +153,8 @@ def random_fleet_instance(rng, np_steps=5, d_safe=5.0):
         edge_problems[(i, j)] = make_edge_problem(
             (i, j), cond[i], cond[j], seeds[i].positions()[1:],
             seeds[j].positions()[1:], d_safe, SLACK_PENALTY)
-    return local_problems, edge_problems, {vid: seeds[vid].controls for vid in vids}
+    return (*stack(local_problems, edge_problems),
+            np.array([seeds[vid].controls for vid in vids]))
 
 
 def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0, key=(1, 2)):
@@ -99,9 +163,10 @@ def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0, k
     Vehicle 1 starts ``half_gap`` m left of the x-axis and is sent 2 m right
     of it, vehicle 2 mirrored; both drive at 12 m/s within a steering box of
     +-``steer`` rad, and vehicle 2 stays below y = ``y_max``.  Returns
-    (local_problems, edge_problems, seed_controls) with one edge, ``key``
-    ((1, 2) or (2, 1), its endpoints in that order), whose separation rows
-    activate as the references pull the pair together.
+    (local_problems, edge_problems, seed_controls), containers and an
+    (N, Np) array, with one edge, ``key`` ((1, 2) or (2, 1), its endpoints in
+    that order), whose separation rows activate as the references pull the
+    pair together.
     """
     ts, L = 0.1, 2.4
     weights = CostWeights(q_pos=1.0, q_heading=0.5, r_steer=1.0)
@@ -118,7 +183,7 @@ def bounded_pair(np_steps=8, steer=0.08, y_max=-1.0, half_gap=3.0, d_safe=5.0, k
     i, j = key
     edges = {key: make_edge_problem(key, cond[i], cond[j], seeds[i].positions()[1:],
                                     seeds[j].positions()[1:], d_safe, SLACK_PENALTY)}
-    return local, edges, {vid: s.controls for vid, s in seeds.items()}
+    return (*stack(local, edges), np.array([seeds[vid].controls for vid in sorted(seeds)]))
 
 
 def lanes_cycle(n_vehicles, seed):
@@ -130,7 +195,7 @@ def lanes_cycle(n_vehicles, seed):
              for s in sc.vehicles}
     graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
     local, edges = convexify_cycle(sc, current, seeds, graph, 0.0)
-    assert edges                         # the slack block is there to be shifted
+    assert edges.edges                   # the slack block is there to be shifted
     return local, edges
 
 

@@ -8,8 +8,9 @@ reference those methods are tested against bit for bit.  ``to_dicts`` and
 ``to_arrays`` convert between the two forms.
 
 ``solve_local`` and ``solve_edge`` solve one node through its batch's
-``solve_node`` and give the answer in ``solve_qp``'s layout, so that it can
-be checked against the built primal QP and the enumeration oracle.
+``solve_node``, over a one-node container from ``instances.stack``, and
+give the answer in ``solve_qp``'s layout, so that it can be checked against
+the built primal QP and the enumeration oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import numpy as np
 
 from fleetcoord import AdmmState, ParameterError, QpSolution, ResidualReport
 from fleetcoord.qp import MAX_ITER, OPTIMAL
-from fleetcoord.subproblems import EdgeBatch, EdgeProblems, LocalBatch, LocalProblems
+from fleetcoord.subproblems import EdgeBatch, LocalBatch
+
+from instances import stack
 
 
 @dataclass
@@ -60,7 +63,9 @@ def to_arrays(ds: DictState) -> AdmmState:
     def rows(per_vehicle):
         return np.array([per_vehicle[v] for v in vids], dtype=float).reshape(len(vids), -1)
 
-    state = AdmmState(vids, ekeys, rows(ds.z), ds.rho)
+    row = {vid: n for n, vid in enumerate(vids)}
+    pairs = np.array([(row[i], row[j]) for i, j in ekeys], dtype=int).reshape(-1, 2)
+    state = AdmmState(vids, ekeys, rows(ds.z), ds.rho, pairs)
     state.C[:len(vids)] = rows(ds.u)
     state.L[:len(vids)] = rows(ds.lam)
     for k, e in enumerate(ekeys):
@@ -198,8 +203,7 @@ def solve_local(problem, z, lam, rho: float, warm_mult=None) -> QpSolution:
     np_steps = problem.horizon
     z = np.asarray(z, dtype=float).reshape(np_steps)
     lam = np.asarray(lam, dtype=float).reshape(np_steps)
-    x, kkt, mult = LocalBatch(LocalProblems.stack({0: problem})).solve_node(0, z, lam, rho,
-                                                                           warm_mult)
+    x, kkt, mult = LocalBatch(stack({0: problem}, {})[0]).solve_node(0, z, lam, rho, warm_mult)
     f = problem.f0 + rho * (lam - z)
     grad = 0.5 * (problem.H0 + problem.H0.T) @ x + rho * x + f
     return QpSolution(u_star=x, objective=float(0.5 * x @ (grad + f)), status=node_status(kkt),
@@ -216,7 +220,7 @@ def solve_edge(problem, z_i, z_j, lam_i, lam_j, rho: float, warm_mu=None) -> QpS
     n = problem.horizon
     v = np.concatenate([np.asarray(z_i, dtype=float) - np.asarray(lam_i, dtype=float),
                         np.asarray(z_j, dtype=float) - np.asarray(lam_j, dtype=float)])
-    edge = EdgeProblems.stack({(0, 1): problem}, (0, 1))
+    edge = stack({}, {(0, 1): problem}, (0, 1))[1]
     x, s, mu, kkt = EdgeBatch(edge, n).solve_node(0, v, rho, warm_mu)
     c = problem.slack_penalty
     objective = float(0.5 * rho * (x @ x) + -rho * v @ x + c * np.sum(s))

@@ -39,7 +39,7 @@ def test_criterion_1_admm_centralized_equivalence():
         local_problems, edge_problems, seeds = random_fleet_instance(rng, np_steps=5)
         res = admm_solve(local_problems, edge_problems,
                          AdmmConfig(eps_abs=0.01, eps_rel=0.01, max_iters=200),
-                         init_admm_state(seeds, edge_problems, 1.0))
+                         init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
         central = build_centralized(local_problems, edge_problems)
         sol = solve_qp(central.qp)
         j_cent = fleet_objective(local_problems, central.controls(sol.u_star))
@@ -197,7 +197,7 @@ def test_criterion_7_stopping_conformance():
         local_problems, edge_problems, seeds = random_fleet_instance(rng, np_steps=5)
         res = admm_solve(local_problems, edge_problems,
                          AdmmConfig(eps_abs=0.01, eps_rel=0.01, max_iters=200),
-                         init_admm_state(seeds, edge_problems, 1.0))
+                         init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
         final = to_dicts(res.state)
         rep = residuals(final, final.z_prev, eps_abs=0.01, eps_rel=0.01)
         if rep.converged != res.report.converged:
@@ -205,7 +205,7 @@ def test_criterion_7_stopping_conformance():
         res_fixed = admm_solve(local_problems, edge_problems,
                                AdmmConfig(eps_abs=0.01, eps_rel=0.01, max_iters=200,
                                           adapt_rho=False),
-                               init_admm_state(seeds, edge_problems, 1.0))
+                               init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
         if not (res_fixed.report.converged
                 and res_fixed.report.iterations_used <= 200):
             fixed_ok = False
@@ -223,7 +223,7 @@ def test_criterion_8_adaptive_rho_rule():
                and adapt_rho(4.0, 5.0, 1.0) == 4.0)     # boundary is strict
 
     rng = np.random.default_rng(3)
-    state = AdmmState([1, 2], [(1, 2)], np.zeros((2, 6)), rho=2.0)
+    state = AdmmState([1, 2], [(1, 2)], np.zeros((2, 6)), rho=2.0, pairs=np.array([[0, 1]]))
     state.L = rng.normal(size=state.L.shape)   # vehicle rows 0-1, then edge rows
     lam = state.L.copy()
     state.rescale(1.0)   # halving event

@@ -9,10 +9,10 @@ from fleetcoord import (AdmmConfig, NumericalFailureError, ParameterError, adapt
                         admm_solve, build_centralized, build_local, fleet_objective,
                         init_admm_state, load_scenario_file, run_simulation, solve_qp)
 from fleetcoord import simulation
-from fleetcoord.admm import ANDERSON_MEMORY, Anderson
-from fleetcoord.subproblems import EdgeProblems, LocalBatch, LocalProblems
+from fleetcoord.admm import ANDERSON_MEMORY, AdmmState, Anderson
+from fleetcoord.subproblems import LocalBatch
 
-from instances import bounded_pair, random_fleet_instance
+from instances import bounded_pair, keyed_edges, random_fleet_instance, stack, unstack
 from reference import DictState, residuals, to_arrays, to_dicts
 
 
@@ -176,7 +176,9 @@ def test_single_vehicle_converges_in_two_iterations():
     cond = condense(linearize(seed, 12.0, 2.4, 0.1), x0)
     lp = make_local_problem(InstanceSpec(1, 12.0, 2.4), cond,
                             seed.states_array()[1:].reshape(-1), CostWeights())
-    res = admm_solve({1: lp}, {}, AdmmConfig(), init_admm_state({1: seed.controls}, {}, 1.0))
+    local, edges = stack({1: lp}, {})
+    res = admm_solve(local, edges, AdmmConfig(),
+                     init_admm_state(seed.controls[None], edges, 1.0, ids=local.ids))
     assert res.report.converged
     assert res.report.iterations_used <= 2
     assert np.max(np.abs(res.consensus[1])) <= 1e-8
@@ -185,12 +187,14 @@ def test_single_vehicle_converges_in_two_iterations():
 def test_single_vehicle_reaches_standalone_solution():
     rng = np.random.default_rng(73)
     local_problems, _, seeds = random_fleet_instance(rng)
-    vid = sorted(local_problems)[0]
-    lp = {vid: local_problems[vid]}
-    res = admm_solve(lp, {}, AdmmConfig(), init_admm_state({vid: seeds[vid]}, {}, 1.0))
+    vid = local_problems.ids[0]
+    lp = unstack(local_problems)[vid]
+    local, edges = stack({vid: lp}, {})
+    res = admm_solve(local, edges, AdmmConfig(),
+                     init_admm_state(seeds[:1], edges, 1.0, ids=local.ids))
     assert res.report.converged
     # at the uncoupled fixed point, consensus solves its own proximal problem
-    sol2 = solve_qp(build_local(lp[vid], res.consensus[vid], np.zeros(5), rho=1.0))
+    sol2 = solve_qp(build_local(lp, res.consensus[vid], np.zeros(5), rho=1.0))
     assert np.max(np.abs(res.consensus[vid] - sol2.u_star)) <= 1e-2
 
 
@@ -198,14 +202,14 @@ def test_far_apart_pair_equals_independent_solves():
     rng = np.random.default_rng(91)
     while True:
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
-        if len(local_problems) == 2:
+        if len(local_problems.ids) == 2:
             break
     res = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                     init_admm_state(seeds, edge_problems, 1.0))
+                     init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     assert res.report.converged
     assert res.report.slack_max <= 1e-8
     eps = res.report.eps_pri
-    for vid, lp in local_problems.items():
+    for vid, lp in unstack(local_problems).items():
         alone = solve_qp(build_local(lp, res.consensus[vid], np.zeros(5), rho=1e-9))
         assert np.max(np.abs(res.consensus[vid] - alone.u_star)) <= max(eps, 1e-3) * 2
 
@@ -214,10 +218,10 @@ def test_three_vehicle_matches_centralized():
     rng = np.random.default_rng(97)
     while True:
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
-        if len(local_problems) == 3 and edge_problems:
+        if len(local_problems.ids) == 3 and edge_problems.edges:
             break
     res = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                     init_admm_state(seeds, edge_problems, 1.0))
+                     init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     central = build_centralized(local_problems, edge_problems)
     sol = solve_qp(central.qp)
     j_admm = fleet_objective(local_problems, res.consensus)
@@ -230,24 +234,23 @@ def test_consensus_respects_bounds_within_tolerance():
     rng = np.random.default_rng(99)
     while True:
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
-        if edge_problems:
+        if edge_problems.edges:
             break
     res = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                     init_admm_state(seeds, edge_problems, 1.0))
+                     init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     assert res.report.converged
-    n_total = sum(lp.horizon for lp in local_problems.values())
-    slack = res.report.eps_pri / math.sqrt(n_total)
-    for vid, lp in local_problems.items():
+    slack = res.report.eps_pri / math.sqrt(local_problems.f0.size)
+    for n, vid in enumerate(local_problems.ids):
         z = res.consensus[vid]
-        assert np.all(z >= lp.steer_lb - slack)
-        assert np.all(z <= lp.steer_ub + slack)
+        assert np.all(z >= local_problems.steer_lb[n] - slack)
+        assert np.all(z <= local_problems.steer_ub[n] + slack)
 
 
 def test_convergence_flag_matches_recomputation():
     rng = np.random.default_rng(101)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
     res = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                     init_admm_state(seeds, edge_problems, 1.0))
+                     init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     state = to_dicts(res.state)
     rep = residuals(state, state.z_prev, eps_abs=0.01, eps_rel=0.01)
     assert rep.converged == res.report.converged
@@ -259,30 +262,34 @@ def test_fixed_rho_residual_product_decreases():
     rng = np.random.default_rng(103)
     while True:
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
-        if edge_problems:
+        if edge_problems.edges:
             break
     cfg = AdmmConfig(adapt_rho=False, eps_abs=1e-9, eps_rel=1e-9, max_iters=60)
     # the first iteration's residuals are those of a run capped after it
     first = admm_solve(local_problems, edge_problems, dataclasses.replace(cfg, max_iters=1),
-                       init_admm_state(seeds, edge_problems, 1.0)).report
+                       init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids)).report
     last = admm_solve(local_problems, edge_problems, cfg,
-                      init_admm_state(seeds, edge_problems, 1.0)).report
+                      init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids)).report
     prod_first = first.r_norm * first.s_norm
     prod_last = last.r_norm * last.s_norm
     assert prod_last < prod_first / 10.0
 
 
 def test_input_dict_order_irrelevant():
+    # the containers keep their rows in id and key order, so problems handed
+    # over in reverse order solve to the same bits
     rng = np.random.default_rng(109)
     while True:
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
-        if len(local_problems) >= 3:
+        if len(local_problems.ids) >= 3:
             break
-    rev_lp = dict(reversed(list(local_problems.items())))
-    rev_ep = dict(reversed(list(edge_problems.items())))
+    rev_lp = dict(reversed(list(unstack(local_problems).items())))
+    rev_ep = dict(reversed(list(unstack(edge_problems).items())))
+    rev_local, rev_edges = stack(rev_lp, rev_ep)
     res1 = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                      init_admm_state(seeds, edge_problems, 1.0))
-    res2 = admm_solve(rev_lp, rev_ep, AdmmConfig(), init_admm_state(seeds, rev_ep, 1.0))
+                      init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
+    res2 = admm_solve(rev_local, rev_edges, AdmmConfig(),
+                      init_admm_state(seeds, rev_edges, 1.0, ids=rev_local.ids))
     for vid in res1.consensus:
         assert np.array_equal(res1.consensus[vid], res2.consensus[vid])
 
@@ -300,7 +307,7 @@ def test_nan_iterate_raises_numerical_failure(monkeypatch):
     monkeypatch.setattr(LocalBatch, "solve", bad_solve)
     with pytest.raises(NumericalFailureError) as err:
         admm_solve(local_problems, edge_problems, AdmmConfig(),
-                   init_admm_state(seeds, edge_problems, 1.0))
+                   init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     assert err.value.iteration == 1
 
 
@@ -317,8 +324,9 @@ def test_edge_copies_sit_in_key_order():
     results = {}
     for key in ((1, 2), (2, 1)):
         local, edges, seeds = bounded_pair(key=key)
-        res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
-        state, n = res.state, len(local)
+        res = admm_solve(local, edges, AdmmConfig(),
+                         init_admm_state(seeds, edges, 1.0, ids=local.ids))
+        state, n = res.state, len(local.ids)
         assert state.ekeys == [key]
         rows = state.C[n:].reshape(1, -1)
         np_steps = state.Z.shape[1]
@@ -333,15 +341,15 @@ def test_edge_copies_sit_in_key_order():
 
 
 def test_init_state_warm_starts_at_seed():
-    seeds = {1: np.array([0.1, 0.2, 0.3]), 2: np.array([-0.1, 0.0, 0.1])}
-    state = init_admm_state(seeds, edges=[(1, 2)], rho0=1.5)
+    seeds = np.array([[0.1, 0.2, 0.3], [-0.1, 0.0, 0.1]])
+    state = init_admm_state(seeds, keyed_edges([(1, 2)], [1, 2], 3), rho0=1.5, ids=[1, 2])
     assert state.rho == 1.5
     assert state.vids == [1, 2] and state.ekeys == [(1, 2)]
     for k, v in enumerate((1, 2)):
-        assert np.array_equal(state.C[k], seeds[v])
-        assert np.array_equal(state.Z[k], seeds[v])
+        assert np.array_equal(state.C[k], seeds[k])
+        assert np.array_equal(state.Z[k], seeds[k])
         assert np.all(state.L[k] == 0.0)
-        assert np.array_equal(state.C[_edge_row(state, (1, 2), v)], seeds[v])
+        assert np.array_equal(state.C[_edge_row(state, (1, 2), v)], seeds[k])
         assert np.all(state.L[_edge_row(state, (1, 2), v)] == 0.0)
 
 
@@ -361,19 +369,21 @@ def test_carried_state_shifts_edge_duals_and_balances_vehicle_duals():
     rng = np.random.default_rng(5)
     while True:
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
-        if len(local_problems) >= 3 and (1, 2) in edge_problems:
+        if len(local_problems.ids) >= 3 and (1, 2) in edge_problems.edges:
             break
     previous = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                          init_admm_state(seeds, edge_problems, 1.0)).state
+                          init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids)).state
     for total in _dual_sums(previous).values():
         assert np.max(np.abs(total)) <= 1e-12
     assert np.any(previous.L[len(previous.vids):] != 0.0)
 
-    last = max(local_problems)
+    last = max(local_problems.ids)
     joining, lone = last + 1, last + 2
-    edges = [e for e in edge_problems if last not in e] + [(1, joining)]
-    new_seeds = {v: rng.normal(size=5) for v in [*local_problems, joining, lone]}
-    state = init_admm_state(new_seeds, edges, rho0=123.0, previous=previous)
+    edges = [e for e in edge_problems.edges if last not in e] + [(1, joining)]
+    ids = [*local_problems.ids, joining, lone]
+    new_seeds = rng.normal(size=(len(ids), 5))
+    state = init_admm_state(new_seeds, keyed_edges(edges, ids, 5), rho0=123.0,
+                            previous=previous, ids=ids)
 
     assert state.rho == previous.rho
     assert state.iteration == 0 and state.Z_prev is None
@@ -390,53 +400,87 @@ def test_carried_state_shifts_edge_duals_and_balances_vehicle_duals():
         assert np.max(np.abs(total)) <= 1e-12, v
     for v in (last, lone):
         assert np.all(state.L[state.vids.index(v)] == 0.0)
-    for v, seed in new_seeds.items():
-        k = state.vids.index(v)
+    for k, seed in enumerate(new_seeds):
         assert np.array_equal(state.C[k], seed) and np.array_equal(state.Z[k], seed)
     for e in edges:
         for v in e:
-            assert np.array_equal(state.C[_edge_row(state, e, v)], new_seeds[v])
+            assert np.array_equal(state.C[_edge_row(state, e, v)], new_seeds[ids.index(v)])
 
 
 def test_invalid_input_raises_parameter_error():
-    seeds = {1: np.zeros(3), 2: np.zeros(3)}
     with pytest.raises(ParameterError, match=r"\(1, 7\)"):
-        init_admm_state(seeds, edges=[(1, 2), (1, 7)], rho0=1.0)
+        init_admm_state(np.zeros((2, 3)), keyed_edges([(1, 2), (1, 7)], [1, 2], 3), rho0=1.0,
+                        ids=[1, 2])
     rng = np.random.default_rng(113)
     local_problems, edge_problems, seeds = random_fleet_instance(rng)
+    ids = local_problems.ids
     for max_iters in (0, -2, 2.5, np.float64(3.0), True, "3", None):
         with pytest.raises(ParameterError, match="max_iters"):
             admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=max_iters),
-                       init_admm_state(seeds, edge_problems, 1.0))
+                       init_admm_state(seeds, edge_problems, 1.0, ids=ids))
     bad = {"eps_abs": (-0.01, np.nan, np.inf),
            "eps_rel": (-0.01, np.nan, -np.inf)}
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ParameterError, match=name):
                 admm_solve(local_problems, edge_problems, AdmmConfig(**{name: value}),
-                           init_admm_state(seeds, edge_problems, 1.0))
+                           init_admm_state(seeds, edge_problems, 1.0, ids=ids))
     for rho0 in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ParameterError, match="rho0"):
-            init_admm_state(seeds, edges=edge_problems.keys(), rho0=rho0)
+            init_admm_state(seeds, edge_problems, rho0=rho0, ids=ids)
     # the bounds themselves are accepted
     admm_solve(local_problems, edge_problems, AdmmConfig(eps_abs=0.0, max_iters=2),
-               init_admm_state(seeds, edge_problems, 1.0))
+               init_admm_state(seeds, edge_problems, 1.0, ids=ids))
+
+
+def test_seed_rows_need_their_sorted_ids_and_every_endpoint():
+    local, edges, seeds = random_fleet_instance(np.random.default_rng(5))
+    ids = list(local.ids)
+    init_admm_state(seeds, edges, 1.0, ids=ids)
+    for bad in (ids[::-1], ids[:-1], ids + [ids[-1] + 1]):
+        with pytest.raises(ParameterError, match="ids"):
+            init_admm_state(seeds, edges, 1.0, ids=bad)
+    # an edge whose endpoint is not among the seeds' ids: a row past them,
+    # as the test helper gives it, or a negative one
+    for row in (len(ids), -1):
+        outside = keyed_edges([(ids[0], ids[-1] + 1)], ids, seeds.shape[1])
+        outside.pairs[0, 1] = row
+        with pytest.raises(ParameterError, match="without a seed"):
+            init_admm_state(seeds, outside, 1.0, ids=ids)
+        with pytest.raises(ParameterError, match="without a seed"):
+            AdmmState(ids, list(outside.edges), seeds, 1.0, outside.pairs)
+
+
+def test_a_start_state_of_another_horizon_raises_parameter_error():
+    # a seed one column short starts a state the problems cannot be solved
+    # from: admm_solve names the mismatch before its first iteration
+    local, edges, seeds = random_fleet_instance(np.random.default_rng(5))
+    for width in (seeds.shape[1] - 1, seeds.shape[1] + 1):
+        short = np.zeros((len(seeds), width))
+        with pytest.raises(ParameterError, match="horizon"):
+            admm_solve(local, edges, AdmmConfig(),
+                       init_admm_state(short, edges, 1.0, ids=local.ids))
 
 
 def test_init_state_without_vehicles_raises_parameter_error():
     # an edge needs its endpoints, and a state needs at least one vehicle
-    for edges in ([(1, 2)], []):
+    for keys in ([(1, 2)], []):
+        edges = keyed_edges(keys, [], 3)
         with pytest.raises(ParameterError, match="at least one vehicle"):
-            init_admm_state({}, edges, 1.0)
+            init_admm_state(np.zeros((0, 3)), edges, 1.0, ids=[])
+        with pytest.raises(ParameterError, match="at least one vehicle"):
+            AdmmState([], list(edges.edges), np.zeros((0, 3)), 1.0, edges.pairs)
     # so admm_solve over an empty fleet can only be handed a state over
     # other vehicles, which it rejects
-    with pytest.raises(ParameterError, match="vehicles and edges"):
-        admm_solve({}, {}, AdmmConfig(), init_admm_state({1: np.zeros(3)}, [], 1.0))
+    local, edges = stack({}, {})
+    with pytest.raises(ParameterError, match="vehicles, edges and horizon"):
+        admm_solve(local, edges, AdmmConfig(),
+                   init_admm_state(np.zeros((1, 3)), edges, 1.0, ids=[1]))
 
 
 def test_centralized_qp_of_an_empty_fleet_raises_parameter_error():
     with pytest.raises(ParameterError, match="at least one vehicle"):
-        build_centralized({}, {})
+        build_centralized(*stack({}, {}))
 
 
 def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog, per_node_path):
@@ -453,9 +497,9 @@ def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog, per_node_pat
     monkeypatch.setattr(LocalBatch, "solve_node", stalled)
     with caplog.at_level("WARNING", logger="fleetcoord.admm"):
         res = admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=5),
-                         init_admm_state(seeds, edge_problems, 1.0))
+                         init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     # every local solve of every iteration went through the stalled solver
-    assert res.report.nonoptimal_nodes == len(local_problems) * res.report.iterations_used
+    assert res.report.nonoptimal_nodes == len(local_problems.ids) * res.report.iterations_used
     warned = [r for r in caplog.records if "non-optimal" in r.getMessage()]
     assert len(warned) == res.report.iterations_used
     assert "local/" in warned[0].getMessage() and "kkt 1.00e-06" in warned[0].getMessage()
@@ -468,17 +512,17 @@ def test_edge_handed_nodes_are_counted(per_node_path):
     rng = np.random.default_rng(99)
     while True:
         local_problems, edge_problems, seeds = random_fleet_instance(rng)
-        if edge_problems:
+        if edge_problems.edges:
             break
     plain = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                       init_admm_state(seeds, edge_problems, 1.0))
+                       init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     per_node_path()
     res = admm_solve(local_problems, edge_problems, AdmmConfig(),
-                     init_admm_state(seeds, edge_problems, 1.0))
+                     init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     iters = res.report.iterations_used
     assert iters == plain.report.iterations_used
-    assert res.report.edge_handed == len(edge_problems) * iters
-    assert res.report.local_handed == len(local_problems) * iters
+    assert res.report.edge_handed == len(edge_problems.edges) * iters
+    assert res.report.local_handed == len(local_problems.ids) * iters
     assert plain.report.edge_handed < res.report.edge_handed
     assert res.report.nonoptimal_nodes == 0
     for vid in plain.consensus:
@@ -491,7 +535,7 @@ def _accelerated_points(monkeypatch, local_problems, edge_problems, seeds, confi
     """Run admm_solve and return, per ``Anderson.step`` call, a record of the
     point it chose: the state's rho, the kind returned, whether the point is
     accelerated, the memory's difference count and each vehicle's dual sum."""
-    state = init_admm_state(seeds, edge_problems, 1.0)
+    state = init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids)
     real = Anderson.step
     calls = []
 
@@ -540,14 +584,15 @@ def test_no_accelerated_point_mixes_two_rhos(monkeypatch):
 def test_a_new_rho_or_cycle_starts_with_an_empty_memory():
     local_problems, edge_problems, seeds = bounded_pair()
     result = admm_solve(local_problems, edge_problems, AdmmConfig(adapt_rho=False, max_iters=10),
-                        init_admm_state(seeds, edge_problems, 1.0))
+                        init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
     state = result.state
     assert result.report.anderson_accepted > 0 and state.anderson.dF
     state.rescale(state.rho)
     assert state.anderson.dF
     state.rescale(2.0 * state.rho)
     assert not state.anderson.dF and state.anderson.f is None
-    carried = init_admm_state(seeds, edge_problems, 1.0, previous=result.state)
+    carried = init_admm_state(seeds, edge_problems, 1.0, previous=result.state,
+                              ids=local_problems.ids)
     assert not carried.anderson.dF and carried.anderson.plain is None
 
 
@@ -622,65 +667,21 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_containers_and_dicts_of_their_problems_give_identical_results(intersection_path,
-                                                                        monkeypatch):
-    # admm_solve, build_centralized and fleet_objective stack a dict of
-    # problems on entry; on a dict of a container's own views they answer
-    # as on the container, bit for bit
-    calls = _recorded_cycles(intersection_path, monkeypatch)
-    hardest = sorted(calls, key=lambda call: -call[4].iteration)[:3]
-    assert min(call[4].iteration for call in hardest) > 10
-    assert all(len(call[1]) for call in hardest)
-    timing = {"per_node_solve_times", "parallel_time"}
-    handed = 0
-    for local, edges, config, init, _ in hardest:
-        assert isinstance(local, LocalProblems) and isinstance(edges, EdgeProblems)
-        as_dicts = (dict(local), dict(edges))
-        stacked = admm_solve(local, edges, config, copy.deepcopy(init))
-        plain = admm_solve(*as_dicts, config, copy.deepcopy(init))
-        for name in ("C", "L", "Z", "Z_prev", "owner"):
-            assert _same_bits(getattr(stacked.state, name), getattr(plain.state, name)), name
-        for field in dataclasses.fields(stacked.report):
-            if field.name not in timing:
-                assert (getattr(stacked.report, field.name)
-                        == getattr(plain.report, field.name)), field.name
-        assert all(_same_bits(stacked.consensus[v], plain.consensus[v]) for v in local)
-        handed += stacked.report.local_handed * stacked.report.edge_handed
-
-        want = build_centralized(local, edges)
-        got = build_centralized(*as_dicts)
-        assert got.vehicle_ids == want.vehicle_ids
-        for name in ("H", "f", "G", "h", "lb", "ub"):
-            assert _same_bits(getattr(got.qp, name), getattr(want.qp, name)), name
-
-        objective = fleet_objective(local, stacked.consensus)
-        assert objective == fleet_objective(as_dicts[0], stacked.consensus)
-        assert objective == fleet_objective(local, stacked.state.Z)
-    assert handed > 0         # both kinds of node were handed to solve_node
-
-
-def test_array_seeds_and_endpoint_rows_start_the_state_the_dicts_start(intersection_path,
-                                                                      monkeypatch):
+def test_array_seeds_and_endpoint_rows_start_the_closed_loops_state(intersection_path,
+                                                                    monkeypatch):
     # the closed loop starts each cycle from its (N, Np) seed array and the
-    # edge container's endpoint rows; a dict of the seeds and the edge keys
-    # give the same state, carried duals included
+    # edge container's endpoint rows; the same seeds and container, carried
+    # duals included, start the same state again
     calls = _recorded_cycles(intersection_path, monkeypatch)
     rho0 = load_scenario_file(intersection_path).config.rho0
     previous = None
+    carried = 0
     for local, edges, _, init, final in calls:
-        seeds = dict(zip(local.ids, init.Z))
-        for start in (init_admm_state(init.Z, edges, rho0, previous=previous, ids=local.ids),
-                      init_admm_state(seeds, list(edges), rho0, previous=previous)):
-            assert start.vids == list(local.ids) and start.ekeys == list(edges.edges)
-            assert start.rho == init.rho
-            for name in ("C", "L", "Z", "owner", "count"):
-                assert _same_bits(getattr(start, name), getattr(init, name)), name
+        start = init_admm_state(init.Z, edges, rho0, previous=previous, ids=local.ids)
+        assert start.vids == list(local.ids) and start.ekeys == list(edges.edges)
+        assert start.rho == init.rho
+        for name in ("C", "L", "Z", "owner", "count"):
+            assert _same_bits(getattr(start, name), getattr(init, name)), name
+        carried += previous is not None and np.any(start.L != 0.0)
         previous = final
-    with pytest.raises(ParameterError, match="ids"):
-        init_admm_state(init.Z, edges, rho0)
-    with pytest.raises(ParameterError, match="ids"):
-        init_admm_state(init.Z, edges, rho0, ids=local.ids[::-1])
-    short = EdgeProblems(edges.edges, np.full_like(edges.pairs, len(local)), edges.G,
-                         edges.h, edges.slack_penalty)
-    with pytest.raises(ParameterError, match="without a seed"):
-        init_admm_state(init.Z, short, rho0, ids=local.ids)
+    assert carried

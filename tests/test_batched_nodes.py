@@ -36,9 +36,9 @@ from fleetcoord import (AdmmConfig, ParameterError, adapt_rho, admm_solve, build
                         init_admm_state, kkt_residual, solve_qp)
 from fleetcoord.admm import Anderson
 from fleetcoord.qp import OPTIMAL
-from fleetcoord.subproblems import EdgeBatch, EdgeProblems, LocalBatch, LocalProblems
+from fleetcoord.subproblems import EdgeBatch, LocalBatch
 
-from instances import bounded_pair, random_fleet_instance
+from instances import bounded_pair, keyed_edges, random_fleet_instance, stack, unstack
 from reference import (DictState, apply_rho_update, init_dict_state, node_status, residuals,
                        solve_edge, solve_local, to_arrays, to_dicts, update_consensus,
                        update_duals)
@@ -59,8 +59,9 @@ def reference_admm(local, edges, config, state):
     in the array state's layout.
     """
     state = to_dicts(state)
-    vids, ekeys = sorted(local), sorted(edges)
-    np_steps = local[vids[0]].horizon
+    vids, ekeys = list(local.ids), list(edges.edges)
+    np_steps = local.horizon
+    local, edges = unstack(local), unstack(edges)
     anderson = Anderson()
     kinds = {"plain": 0, "accepted": 0, "rejected": 0}
     warm: dict = {}
@@ -164,7 +165,7 @@ def recorded_admm(local, edges, config, state):
         for (cls, name), method in real.items():
             setattr(cls, name, method)
 
-    n = len(local)
+    n = len(local.ids)
     steps = []
     warm_local, warm_mu = [None] * n, None
     for call in calls:
@@ -205,8 +206,8 @@ def assert_identical_runs(local, edges, config, state):
     """The batched admm_solve and the per-node loop agree bit for bit."""
     ref_state, history, kinds = reference_admm(local, edges, config, copy.deepcopy(state))
     result, steps = recorded_admm(local, edges, config, copy.deepcopy(state))
-    vids, ekeys = sorted(local), sorted(edges)
-    n, np_steps = len(vids), local[vids[0]].horizon
+    vids, ekeys = local.ids, edges.edges
+    n, np_steps = len(vids), local.horizon
     assert len(steps) == len(history) == result.report.iterations_used
     handed = 0
     for step, (sols, report, rho) in zip(steps, history):
@@ -261,12 +262,12 @@ rho0s = st.floats(-2.0, 2.0).map(lambda log_rho: 10.0 ** log_rho)
 @given(seed=st.integers(0, 2 ** 32 - 1), config=configs, rho0=rho0s, carried=st.booleans())
 def test_random_fleets_match_the_per_node_loop(seed, config, rho0, carried):
     local, edges, seeds = random_fleet_instance(np.random.default_rng(seed))
-    state = init_admm_state(seeds, edges, rho0)
+    state = init_admm_state(seeds, edges, rho0, ids=local.ids)
     if carried:
         # a second MPC cycle: carried rho and shifted, balanced duals
         previous = admm_solve(local, edges, AdmmConfig(max_iters=5),
                               init=copy.deepcopy(state)).state
-        state = init_admm_state(seeds, edges, rho0, previous=previous)
+        state = init_admm_state(seeds, edges, rho0, previous=previous, ids=local.ids)
     assert_identical_runs(local, edges, config, state)
 
 
@@ -277,7 +278,7 @@ def test_random_fleets_match_the_per_node_loop(seed, config, rho0, carried):
 def test_crossing_pairs_match_the_per_node_loop(np_steps, steer, y_max, half_gap, config,
                                                 rho0):
     local, edges, seeds = bounded_pair(np_steps, steer, y_max, half_gap)
-    state = init_admm_state(seeds, edges, rho0)
+    state = init_admm_state(seeds, edges, rho0, ids=local.ids)
     assert_identical_runs(local, edges, config, state)
 
 
@@ -289,7 +290,7 @@ def test_instances_exercise_both_paths():
     rng = np.random.default_rng(99)
     while True:
         fleet = random_fleet_instance(rng)
-        if fleet[1]:
+        if fleet[1].edges:
             break
     answered = {"local": 0, "edge": 0}
     handed = {"local": 0, "edge": 0}
@@ -297,11 +298,11 @@ def test_instances_exercise_both_paths():
     accelerated = {"accepted": 0, "rejected": 0}
     for local, edges, seeds in (fleet, bounded_pair()):
         config = AdmmConfig(max_iters=40)
-        state = init_admm_state(seeds, edges, 1.0)
+        state = init_admm_state(seeds, edges, 1.0, ids=local.ids)
         result, steps = recorded_admm(local, edges, config, copy.deepcopy(state))
-        n = len(local)
+        n = len(local.ids)
         for step in steps:
-            for i in range(n + len(edges)):
+            for i in range(n + len(edges.edges)):
                 kind = "local" if i < n else "edge"
                 (handed if i in step.handed else answered)[kind] += 1
         reported["local"] += result.report.local_handed
@@ -316,14 +317,13 @@ def test_instances_exercise_both_paths():
 
 def local_batch(problems):
     """A ``LocalBatch`` over a list of problems, row n holding problems[n]."""
-    return LocalBatch(LocalProblems.stack(dict(enumerate(problems))))
+    return LocalBatch(stack(dict(enumerate(problems)), {})[0])
 
 
 def edge_batch(problems, np_steps):
     """An ``EdgeBatch`` over a list of problems, row k holding problems[k]."""
     edges = [(2 * k, 2 * k + 1) for k in range(len(problems))]
-    stacked = EdgeProblems.stack(dict(zip(edges, problems)), range(2 * len(problems)))
-    return EdgeBatch(stacked, np_steps)
+    return EdgeBatch(stack({}, dict(zip(edges, problems)), range(2 * len(problems)))[1], np_steps)
 
 
 @SETTINGS
@@ -566,7 +566,9 @@ def test_carried_state_matches_the_dict_init(seed, n_cycles, np_steps, log_rho0)
         edges = [edges[k] for k in rng.permutation(len(edges))]
         ref = init_dict_state(seeds, edges, rho0,
                               previous=None if previous is None else to_dicts(previous))
-        state = init_admm_state(seeds, edges, rho0, previous=previous)
+        state = init_admm_state(np.array([seeds[v] for v in vids]),
+                                keyed_edges(edges, vids, np_steps), rho0, previous=previous,
+                                ids=vids)
         got = to_dicts(state)
         assert got.rho == ref.rho
         if c == 1:

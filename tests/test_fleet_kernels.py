@@ -25,8 +25,9 @@ from fleetcoord.dynamics import (CondensedPrediction, FleetPrediction, HorizonTr
 from fleetcoord.scenario import Bounds, VehicleState
 from fleetcoord.simulation import (_align_reference_headings, _min_pairwise,
                                    _ReferencePaths, convexify_cycle)
-from fleetcoord.subproblems import (EdgeBatch, EdgeProblems, LocalProblems, make_edge_problems,
-                                    make_local_problems)
+from fleetcoord.subproblems import EdgeBatch, make_edge_problems, make_local_problems
+
+from instances import stack, unstack
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -158,11 +159,12 @@ def test_local_problems_match_make_local_problem(inst):
     refs = poses[:, 1:] + rng.normal(0.0, 1.0, (n, np_steps, 3))
     fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights,
                                 x0=x0[:, :2], ts=ts)
-    assert list(fleet) == [s.id for s in specs]
+    assert list(fleet.ids) == [s.id for s in specs]
+    rows = unstack(fleet)                 # row n of the arrays as vehicle n's problem
     for i, spec in enumerate(specs):
         ref = make_local_problem(spec, vehicle_prediction(prediction, i), refs[i].reshape(-1),
                                  weights, x0=x0[i, :2], ts=ts)
-        got = fleet[spec.id]
+        got = rows[spec.id]
         for name in ("H0", "f0", "G", "h", "steer_lb", "steer_ub"):
             want = getattr(ref, name)
             assert getattr(got, name).shape == want.shape, name
@@ -175,9 +177,8 @@ def test_local_problems_match_make_local_problem(inst):
                                          refs[back].reshape(n, -1), weights, x0=x0[back, :2],
                                          ts=ts)
     assert_same_local_arrays(reversed_fleet, fleet)
-    # a dict of the views stacks back to the same arrays
-    assert LocalProblems.stack(fleet) is fleet
-    assert_same_local_arrays(LocalProblems.stack(dict(fleet)), fleet)
+    # the test helper's stack of the rows gives back the same arrays
+    assert_same_local_arrays(stack(rows, {})[0], fleet)
 
 
 def assert_same_local_arrays(got, want):
@@ -203,10 +204,13 @@ def test_fleet_objective_is_the_sum_of_tracking_objectives(inst):
     refs = poses[:, 1:] + rng.normal(0.0, 1.0, (n, np_steps, 3))
     fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights,
                                 x0=x0[:, :2], ts=ts)
+    rows = unstack(fleet)
     for scale in (1e-3, 1.0, 1e3):
-        u = {vid: rng.normal(0.0, scale, np_steps) for vid in fleet}
-        want = sum(tracking_objective(fleet[vid], u[vid]) for vid in sorted(fleet))
+        u = {vid: rng.normal(0.0, scale, np_steps) for vid in fleet.ids}
+        want = sum(tracking_objective(rows[vid], u[vid]) for vid in sorted(fleet.ids))
         assert fleet_objective(fleet, u) == want
+        # the (N, Np) array of the same controls, rows in id order
+        assert fleet_objective(fleet, np.array([u[vid] for vid in fleet.ids])) == want
 
 
 @SETTINGS
@@ -233,26 +237,26 @@ def test_edge_problems_match_make_edge_problem(inst, coincide):
     d_safe, penalty = float(rng.uniform(1.0, 6.0)), float(rng.uniform(1.0, 1e4))
     fleet = make_edge_problems(edges, pairs, prediction, seed_pos, d_safe, penalty,
                                fallback_dirs=fallback_dirs)
-    assert list(fleet) == edges
+    assert list(fleet.edges) == edges
+    rows = unstack(fleet)                 # row k of the arrays as edge k's problem
     for e, (i, j) in enumerate(pairs):
         ref = make_edge_problem(edges[e], vehicle_prediction(prediction, i),
                                 vehicle_prediction(prediction, j), seed_pos[i], seed_pos[j],
                                 d_safe, penalty, fallback_dir=fallback_dirs[e])
-        got = fleet[edges[e]]
+        got = rows[edges[e]]
         for name in ("G", "h"):
             want = getattr(ref, name)
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
         assert got.slack_penalty == penalty and got.horizon == np_steps
-    # the edges' rows come out in key order whatever order they go in, and a
-    # dict of the views stacks back to the same arrays (an empty dict has no
-    # horizon to shape them by)
+    # the edges' rows come out in key order whatever order they go in, and the
+    # test helper's stack of the rows gives back the same arrays (an empty
+    # dict has no horizon to shape them by)
     back = slice(None, None, -1)
     reversed_fleet = make_edge_problems(edges[back], pairs[back], prediction, seed_pos, d_safe,
                                         penalty, fallback_dirs=fallback_dirs[back])
     ids = [10 + i for i in range(n)]
-    assert EdgeProblems.stack(fleet, ids) is fleet
-    for got in [reversed_fleet] + ([EdgeProblems.stack(dict(fleet), ids)] if fleet else []):
+    for got in [reversed_fleet] + ([stack({}, rows, ids)[1]] if edges else []):
         assert got.edges == fleet.edges
         for name in ("pairs", "G", "h", "slack_penalty"):
             a, b = getattr(got, name), getattr(fleet, name)
@@ -350,7 +354,8 @@ def test_convexify_cycle_equals_per_vehicle_composition(scenario, overtake_path,
              for s in sc.vehicles}
     graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
     for t in (0.0, 3.7, 1e3):
-        local, edges = convexify_cycle(sc, current, seeds, graph, t)
+        local, edges = (unstack(problems)
+                        for problems in convexify_cycle(sc, current, seeds, graph, t))
         want_local, want_edges = _per_vehicle_convexify(sc, current, seeds, graph, t)
         assert set(local) == set(want_local) and list(edges) == list(want_edges)
         for vid, want in want_local.items():

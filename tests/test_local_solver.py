@@ -163,8 +163,7 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
     # decomposes no vehicle Hessian with eigh, and forms each handed
     # vehicle's dual data once per rho
     local, edges, seeds = bounded_pair()
-    vids = sorted(local)
-    H0 = np.stack([local[v].H0 for v in vids])
+    H0 = local.H0
     H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
     eye = np.eye(H0.shape[1])
     rhos, handed, cholesky, eigh, dual, formed = [], set(), [], [], [], []
@@ -199,10 +198,10 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
     monkeypatch.setattr(np.linalg, "cholesky", recording(cholesky, real_cholesky))
     monkeypatch.setattr(np.linalg, "eigh", recording(eigh, real_eigh))
     monkeypatch.setattr(np.linalg, "solve", linsolve)
-    res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
+    res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0, ids=local.ids))
     monkeypatch.undo()
     assert res.report.iterations_used == len(rhos) > 1
-    assert res.report.local_handed == len(local) * res.report.iterations_used
+    assert res.report.local_handed == len(local.ids) * res.report.iterations_used
     distinct = set(rhos)
     assert 1 < len(distinct) < sum(a != b for a, b in zip(rhos, rhos[1:])) + 1
 
@@ -232,7 +231,8 @@ def test_fallbacks_are_counted(monkeypatch, per_node_path):
     # the bounded pair pins steering and binds a lane row: its vehicle nodes
     # fall back from the batched pass to solve_node
     local, edges, seeds = bounded_pair()
-    first = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
+    first = admm_solve(local, edges, AdmmConfig(),
+                       init_admm_state(seeds, edges, 1.0, ids=local.ids))
     assert first.report.iterations_used > 1
     assert first.report.local_handed > 0
     assert first.report.nonoptimal_nodes == 0 and first.report.kkt_max <= 1e-8
@@ -247,5 +247,6 @@ def test_fallbacks_are_counted(monkeypatch, per_node_path):
 
     per_node_path()
     monkeypatch.setattr(LocalBatch, "solve_node", counting)
-    res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0))
-    assert res.report.local_handed == len(handed_over) == len(local) * res.report.iterations_used
+    res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0, ids=local.ids))
+    assert res.report.local_handed == len(handed_over)
+    assert len(handed_over) == len(local.ids) * res.report.iterations_used

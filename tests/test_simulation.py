@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
-from fleetcoord import (ParameterError, generate_scaled_scenario, lateral_deviation,
-                        load_scenario, load_scenario_file, make_seed, path_progress,
-                        reference_window, rollout, run_simulation, step_nonlinear)
+from fleetcoord import (ParameterError, generate_crossing_scenario, generate_scaled_scenario,
+                        lateral_deviation, load_scenario, load_scenario_file, make_seed,
+                        path_progress, reference_window, rollout, run_simulation,
+                        step_nonlinear)
 from fleetcoord import qp as qp_mod
 from fleetcoord import simulation, subproblems
 from fleetcoord.bench import _BLAS_THREAD_VARS
@@ -471,6 +472,37 @@ def test_summary_reports_the_carried_admm_state(intersection_path, tmp_path):
         carried = {tuple(e) for e in prev["edges"]} & {tuple(e) for e in cycle["edges"]}
         assert cycle["duals_carried"] == len(carried)
     assert max(c["duals_carried"] for c in cycles) > 0
+
+
+def test_summary_records_the_steering_the_loop_clips(tmp_path, monkeypatch):
+    # crossing 4 (3 s): the ADMM consensus leaves the steering box in some
+    # cycles and the loop clips it into the box before applying it; the
+    # centralized QP holds the box as bounds, so nothing is clipped there
+    consensus = []
+    solve = simulation.admm_solve
+
+    def recording(*args):
+        result = solve(*args)
+        consensus.append(result.state.Z.copy())
+        return result
+
+    monkeypatch.setattr(simulation, "admm_solve", recording)
+    sc = generate_crossing_scenario(4, 0, sim_duration=3.0)
+    for mode in ("parallel_admm", "centralized"):
+        run = run_simulation(sc, mode)
+        run.write_summary(tmp_path / "summary.json")
+        summary = json.loads((tmp_path / "summary.json").read_text())["cycles"]
+        assert [c["steer_clipped"] for c in summary] == [
+            float(f"{c.steer_clipped:.9g}") for c in run.cycles]
+        clipped = [c.steer_clipped for c in run.cycles]
+        assert len(clipped) == 30
+        if mode == "centralized":
+            assert all(x == 0.0 for x in clipped)
+            continue
+        assert max(clipped) > 0.0
+        for k, (record, z) in enumerate(zip(run.cycles, consensus)):
+            plans = np.array([run.predicted[vid][k].controls for vid in run.vehicle_ids])
+            assert record.steer_clipped == float(np.max(np.abs(z - plans)))
 
 
 def test_lane_grid_of_256_vehicles_runs():

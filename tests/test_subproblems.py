@@ -9,7 +9,7 @@ from fleetcoord import (CostWeights, DegenerateSeedError, DenseQp, build_central
                         tracking_objective)
 from fleetcoord.scenario import Bounds, VehicleState
 
-from instances import InstanceSpec
+from instances import InstanceSpec, stack, unstack
 from oracles import enumerate_qp
 
 
@@ -250,7 +250,7 @@ def test_centralized_single_vehicle_matches_local():
     spec, x0, seed, cond = make_vehicle_data(rng)
     ref = rng.normal(size=3 * cond.horizon)
     lp = make_local_problem(spec, cond, ref, CostWeights())
-    central = build_centralized({1: lp}, {})
+    central = build_centralized(*stack({1: lp}, {}))
     assert np.allclose(central.qp.H, lp.H0)
     assert np.allclose(central.qp.f, lp.f0)
     sol_c = solve_qp(central.qp)
@@ -269,7 +269,7 @@ def test_centralized_far_apart_separable():
            2: make_local_problem(spec2, cond2, refs[2], CostWeights())}
     eps = {(1, 2): make_edge_problem((1, 2), cond1, cond2, seed1.positions()[1:],
                                      seed2.positions()[1:], d_safe=5.0)}
-    central = build_centralized(lps, eps)
+    central = build_centralized(*stack(lps, eps))
     sol = solve_qp(central.qp)
     controls = central.controls(sol.u_star)
     for vid in (1, 2):
@@ -289,13 +289,13 @@ def test_decomposition_consistency():
            2: make_local_problem(spec2, cond2, refs[2], CostWeights())}
     eps = {(1, 2): make_edge_problem((1, 2), cond1, cond2, seed1.positions()[1:],
                                      seed2.positions()[1:], d_safe=5.0)}
-    central = build_centralized(lps, eps)
+    central = build_centralized(*stack(lps, eps))
     for _ in range(10):
         u = {1: rng.uniform(-0.3, 0.3, size=5), 2: rng.uniform(-0.3, 0.3, size=5)}
         u_full = np.concatenate([u[1], u[2], np.zeros(5)])
         const = sum(lp.const0 for lp in lps.values())
         assert central.qp.objective(u_full) + const == pytest.approx(
-            fleet_objective(lps, u), rel=1e-12, abs=1e-9)
+            fleet_objective(stack(lps, {})[0], u), rel=1e-12, abs=1e-9)
 
 
 def test_nontrivial_cost_required():
@@ -358,7 +358,7 @@ def test_centralized_assembly_matches_row_by_row(seed, pruned):
     graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
     seeds = {spec.id: make_seed(None, current[spec.id], spec, cfg.horizon_steps, cfg.ts)
              for spec in sc.vehicles}
-    lps, eps = convexify_cycle(sc, current, seeds, graph, 0.0)
+    lps, eps = (unstack(problems) for problems in convexify_cycle(sc, current, seeds, graph, 0.0))
     if not pruned:     # keep every position-bound row, so G has local rows too
         weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading,
                               r_steer=cfg.r_weight)
@@ -369,7 +369,7 @@ def test_centralized_assembly_matches_row_by_row(seed, pruned):
                for spec in sc.vehicles}
         assert sum(lp.G.shape[0] for lp in lps.values()) > 0
     assert eps
-    qp = build_centralized(lps, eps).qp
+    qp = build_centralized(*stack(lps, eps)).qp
     ref = _centralized_rows_reference(lps, eps)
     # the tracking blocks, then the slack diagonal, with the reference's values
     assert qp.H.split == len(lps) * cfg.horizon_steps

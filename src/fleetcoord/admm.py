@@ -27,10 +27,13 @@ final state (``init_admm_state(..., previous=state)``): copies and consensus
 start at the new seeds, rho is the last final rho (rho0 when the last cycle
 had no edge), each edge that persists keeps its scaled duals shifted one
 step, and a new edge starts at zero.  A vehicle's own dual is not carried
-but set to minus the sum of its edge duals.  The consensus average and the
-dual step keep every vehicle's scaled duals (local copy plus incident edge
-copies) summing to zero; a carried vehicle dual would break that sum
-whenever an edge leaves the graph.
+but set to minus the sum of its edge duals, so every vehicle's scaled duals
+(local copy plus incident edge copies) sum to zero, which a carried vehicle
+dual would break whenever an edge leaves the graph.  The consensus is then
+the plain mean of the copies (Boyd et al. 2011, section 7.1) and does not
+read the duals; the dual step alone keeps their sum, since it adds each
+copy's gap to that mean and those gaps sum to zero.  Both per-vehicle sums,
+the mean and the reset of the vehicle duals, are one scatter over ``owner``.
 
 ``admm_solve`` runs step 1 as one batched pass over the fleet.  The cycle's
 problems arrive stacked (``LocalProblems``, ``EdgeProblems``), and the
@@ -38,27 +41,27 @@ batches read those arrays as they are: building them re-stacks nothing.
 ``LocalBatch`` holds the tracking problems and, for each rho the cycle has
 solved at, their Hessians H0 + rho I, formed and probed with one stacked
 Cholesky by the first pass at that rho; it answers every vehicle that pins
-no steering bound.  ``EdgeBatch`` holds the edge problems and answers every edge whose
-coupled rows are inactive.  Only the remaining nodes are handed, one after
-another in the calling thread, to the batches' ``solve_node``, which solves the
-node's dual box QP exactly, warm started from the node's previous
-multipliers, and returns the node's row as the batched pass would, bit for
-bit; no per-iteration QP is assembled or reaches ``solve_qp``.  Parallelism is
-accounted, not executed: each iteration is charged its slowest node.  The
-iterates live in ``AdmmState`` as arrays, one (N + 2E, Np) row per copy and
-its scaled dual and one (N, Np) consensus, and its methods are steps 2 and
-3, the residuals and the rho rescaling.  Edge k's two copies are rows
-N + 2k and N + 2k + 1, its endpoints in key order, so the edge rows reshape
-to and from the edge batch's (E, 2Np) rows without a gather.  The final
-state is carried into the next cycle as it is: ``init_admm_state`` takes the
-(N, Np) seed array and the edge container, whose ``pairs`` are the
-endpoint rows, finds each persisting edge by its key and shifts its dual
-rows.  Accounted time charges each node an equal share of its batched
-pass, plus its own per-node solve when it was handed over.  So the Hessians formed at a new
-rho are charged to the vehicles of the iteration whose pass forms them, and
-a handed vehicle's dual data to that vehicle.  The consensus average, the
-dual step and the Anderson step are coordinator work: no node is charged
-for them.
+no steering bound.  ``EdgeBatch`` holds the edge problems and answers every
+edge with no active row that steering can move.  Only the remaining nodes
+are handed, one after another in the calling thread, to the batches'
+``solve_node``, which solves the node's dual box QP exactly, warm started
+from the node's previous multipliers, and returns the node's row as the
+batched pass would, bit for bit; no per-iteration QP is assembled or reaches
+``solve_qp``.  Parallelism is accounted, not executed: each iteration is
+charged its slowest node.  The iterates live in ``AdmmState`` as arrays, one
+(N + 2E, Np) row per copy and its scaled dual and one (N, Np) consensus, and
+its methods are steps 2 and 3, the residuals and the rho rescaling.  Edge
+k's two copies are rows N + 2k and N + 2k + 1, its endpoints in key order,
+so the edge rows reshape to and from the edge batch's (E, 2Np) rows without
+a gather.  The final state is carried into the next cycle as it is:
+``init_admm_state`` takes the (N, Np) seed array and the edge container,
+whose ``pairs`` are the endpoint rows, finds each persisting edge by its key
+and shifts its dual rows.  Accounted time charges each node an equal share
+of its batched pass, plus its own per-node solve when it was handed over.
+So the Hessians formed at a new rho are charged to the vehicles of the
+iteration whose pass forms them, and a handed vehicle's dual data to that
+vehicle.  The consensus average, the dual step and the Anderson step are
+coordinator work: no node is charged for them.
 
 Every node answer's KKT residual is checked against 1e-8, the batched
 passes' own target: non-optimal answers and handed nodes are counted in the
@@ -80,7 +83,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalFailureError, ParameterError
-from .subproblems import _NODE_OPTIMAL_KKT, EdgeBatch, EdgeProblems, LocalBatch, LocalProblems
+from .subproblems import (_NODE_OPTIMAL_KKT, EdgeBatch, EdgeProblems, LocalBatch, LocalProblems,
+                          _check_fleet)
 # build_edge, build_local and solve_qp are not called here; they stay
 # importable from this module for span tracers that wrap them by name.
 from .qp import solve_qp  # noqa: F401
@@ -201,38 +205,23 @@ class AdmmState:
 
     ``C`` and ``L`` (N + 2E, Np) hold every copy and its scaled dual: the N
     local copies (``vids``, sorted), then edge k's copies of its endpoints
-    e[0] and e[1] in rows ``ri[k]`` = N + 2k and ``rj[k]`` = N + 2k + 1
-    (``ekeys``, sorted), so ``C[N:]`` reshapes to the edge batch's (E, 2Np)
-    rows.  ``Z`` (N, Np) is the consensus and ``Z_prev`` the one before the
-    last update.  ``anderson`` is the cycle's acceleration memory.
-    ``pairs`` (E, 2) holds each edge's endpoint rows of ``Z``, e[0] then
-    e[1], and ``owner`` maps a row to its vehicle's consensus row.  A new
-    state starts every copy at ``Z`` with zero duals.  The fleet must hold
-    at least one vehicle, and an endpoint row outside ``Z`` raises
-    ParameterError naming its edge.
+    e[0] and e[1] in rows N + 2k and N + 2k + 1 (``ekeys``, sorted), so
+    ``C[N:]`` reshapes to the edge batch's (E, 2Np) rows.  ``Z`` (N, Np) is
+    the consensus and ``Z_prev`` the one before the last update; ``owner``
+    maps a row to its vehicle's row of ``Z`` (``pairs`` for the edge rows),
+    and ``count`` counts each vehicle's rows.  ``anderson`` is the cycle's
+    acceleration memory, and ``carried`` counts the edges whose duals
+    ``init_admm_state`` carried in.  A new state starts every copy at ``Z``
+    with zero duals.  The fleet must hold at least one vehicle, and an
+    endpoint row outside ``Z`` raises ParameterError naming its edge.
     """
 
     def __init__(self, vids: list, ekeys: list, Z: np.ndarray, rho: float, pairs: np.ndarray):
-        n, n_edges = len(vids), len(ekeys)
-        if n == 0:
-            raise ParameterError("the fleet must hold at least one vehicle")
-        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
-        if len(outside):
-            raise ParameterError(f"edge {ekeys[outside[0]]} has an endpoint without a seed")
+        _check_fleet(ekeys, pairs, len(vids))
         self.vids, self.ekeys = vids, ekeys
-        self.ri = n + 2 * np.arange(n_edges)
-        self.rj = self.ri + 1
-        vehicle = pairs.reshape(-1)
-        self.owner = np.concatenate([np.arange(n), vehicle])
-        # each vehicle's copy rows in edge order: round r holds the r-th one
-        # of every vehicle that has one
-        rows = n + np.arange(2 * n_edges)
-        degree = np.bincount(vehicle, minlength=n)
-        by_vehicle = np.argsort(vehicle, kind="stable")
-        rank = np.arange(len(vehicle)) - np.repeat(np.cumsum(degree) - degree, degree)
-        self.rounds = [(vehicle[by_vehicle[rank == r]], rows[by_vehicle[rank == r]])
-                       for r in range(int(degree.max(initial=0)))]
-        self.count = (1 + degree)[:, None]
+        self.owner = np.concatenate([np.arange(len(vids)), pairs.reshape(-1)])
+        self.count = np.bincount(self.owner)[:, None]
+        self.carried = 0
         self.Z = Z
         self.Z_prev = None
         self.C = Z[self.owner]
@@ -242,12 +231,9 @@ class AdmmState:
         self.anderson = Anderson()
 
     def consensus(self) -> np.ndarray:
-        """Each vehicle's average of its copies plus their scaled duals."""
-        scaled = self.L / self.rho
-        n = len(self.Z)
-        total = self.C[:n] + scaled[:n]
-        for vehicles, rows in self.rounds:
-            total[vehicles] = total[vehicles] + self.C[rows] + scaled[rows]
+        """Each vehicle's mean of its copies: its local copy and its edge copies."""
+        total = np.zeros_like(self.Z)
+        np.add.at(total, self.owner, self.C)
         return total / self.count
 
     def update(self, z_new: np.ndarray) -> None:
@@ -304,7 +290,7 @@ def init_admm_state(seeds: np.ndarray, edges: EdgeProblems, rho0: float,
     last repeated), and a new edge starts at zero.  Each vehicle's own dual is
     then the negated sum of its edge duals, so a vehicle's scaled duals sum to
     zero, as every ADMM iteration leaves them; a vehicle without edges starts
-    at zero.
+    at zero.  ``carried`` counts the edges that kept their duals.
     """
     rho = rho0 if previous is None or not previous.ekeys else previous.rho
     if not (math.isfinite(rho) and rho > 0):
@@ -315,15 +301,15 @@ def init_admm_state(seeds: np.ndarray, edges: EdgeProblems, rho0: float,
     state = AdmmState(ids, list(edges.edges), np.array(seeds, dtype=float), rho, edges.pairs)
     if previous is not None and previous.ekeys and state.ekeys:
         # an edge persists when its key is among the last cycle's edges
-        L, old = state.L, {e: k for k, e in enumerate(previous.ekeys)}
+        L, n, old = state.L, len(ids), {e: k for k, e in enumerate(previous.ekeys)}
         kept = [(k, old[e]) for k, e in enumerate(state.ekeys) if e in old]
         k_new, k_old = np.array(kept, dtype=int).reshape(-1, 2).T
-        new_rows = np.concatenate([state.ri[k_new], state.rj[k_new]])
-        old_rows = np.concatenate([previous.ri[k_old], previous.rj[k_old]])
-        L[new_rows] = np.concatenate([previous.L[old_rows, 1:], previous.L[old_rows, -1:]],
-                                     axis=1)
-        for vehicles, rows in state.rounds:
-            L[vehicles] = L[vehicles] - L[rows]
+        # edge k's copies are rows N + 2k and N + 2k + 1: (E, 2, Np) views
+        edge_L = L[n:].reshape(-1, 2, L.shape[1])
+        last = previous.L[len(previous.vids):].reshape(-1, 2, L.shape[1])[k_old]
+        edge_L[k_new] = np.concatenate([last[..., 1:], last[..., -1:]], axis=2)
+        np.subtract.at(L, state.owner[n:], L[n:])
+        state.carried = len(kept)
     return state
 
 
@@ -364,8 +350,8 @@ def admm_solve(local_problems: LocalProblems, edge_problems: EdgeProblems,
     holds that state.  After each plain step that goes on at the same rho,
     the state's ``Anderson`` chooses the next point.  Building the batches
     is charged to the first iteration's nodes; they read the stacked
-    problems' arrays as they are, so that is the symmetrized H0 and the
-    grouped position and coupled rows, with nothing re-stacked.  Forming the
+    problems' arrays as they are, so that is the symmetrized H0, each
+    position row's vehicle and each edge's fixed rows.  Forming the
     vehicle Hessians at a rho is charged to the nodes of the iteration whose
     pass is the first at that rho.  Each iteration's residuals and the kind
     of its point are logged at DEBUG level.

@@ -495,8 +495,6 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
             init = init_admm_state(seed_controls, edge_problems, cfg.rho0,
                                    previous=admm_state, ids=vids)
             rho_start = init.rho
-            duals_carried = (0 if admm_state is None else
-                             len(set(admm_state.ekeys).intersection(edge_problems.edges)))
             try:
                 result = admm_solve(local_problems, edge_problems, admm_cfg, init)
             except NumericalFailureError as exc:
@@ -514,7 +512,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                 converged=result.report.converged,
                 slack_max=result.report.slack_max, min_distance=float("nan"),
                 admm_report=result.report, rho_start=rho_start,
-                rho_final=admm_state.rho, duals_carried=duals_carried,
+                rho_final=admm_state.rho, duals_carried=init.carried,
                 objective=fleet_objective(local_problems, controls))
         else:
             # Free the QP of two cycles ago only now, so its blocks go straight

@@ -58,12 +58,13 @@ with v = z - lam, so the dual is the box QP
 
 and x = v - G'mu / rho.  An edge's G holds only the steering copies' columns;
 the slacks' -I block is implied.  Rows of G that are identically zero (the
-step-1 separation, which no steering input can move) get their multiplier
-and slack in closed form.  ``EdgeBatch.solve`` answers, in one stacked pass,
-every edge whose coupled rows are all inactive (q = rho (G_c v - h_c) <= 0,
-where mu_c = 0 and x = v); ``EdgeBatch.solve_node`` solves any one edge,
-forming G_c G_c' the first time that edge is handed to it in the cycle, so
-each ADMM iteration only changes the linear term and rho enters as a scalar.
+step-1 separation, which no steering input can move) are fixed: they get
+their multiplier and slack in closed form, and G_c, h_c are the other rows.
+``EdgeBatch.solve`` answers, in one stacked pass, every edge whose other rows
+are all inactive (q = rho (G_c v - h_c) <= 0, where mu_c = 0 and x = v);
+``EdgeBatch.solve_node`` solves any one edge, forming G_c G_c' the first
+time that edge is handed to it in the cycle, so each ADMM iteration only
+changes the linear term and rho enters as a scalar.
 Each ``solve_node`` returns the row its batched pass returns for an answered
 node, and both batched passes answer bit for bit as ``solve_node`` would.
 Both duals go to the finite active set ``_box_active_set``; no node reaches
@@ -231,19 +232,19 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
     """``make_local_problem(..., x0, ts)`` for N vehicles at once, as ``LocalProblems``.
 
     Row n of ``prediction``, ``references`` (N, 3*Np) and ``x0`` (N, 2)
-    belongs to ``specs[n]``; the result's rows are in sorted id order.  H0,
-    f0 and const0 come from one batched product over the fleet, and the
-    position-bound rows are selected by one mask with the same order,
-    pruning radius and zero-row rule as ``make_local_problem``.
+    belongs to ``specs[n]``, and the ids must be sorted, as the result's rows
+    are; unsorted ids raise ParameterError.  H0, f0 and const0 come from one
+    batched product over the fleet, and the position-bound rows are selected
+    by one mask with the same order, pruning radius and zero-row rule as
+    ``make_local_problem``.
     """
     Phi, gamma = prediction.Phi, prediction.gamma
     n, _, np_steps = Phi.shape
     ref = np.asarray(references, dtype=float).reshape(n, STATE_DIM * np_steps)
     x0 = np.asarray(x0, dtype=float).reshape(n, -1)
-    order = sorted(range(n), key=lambda k: specs[k].id)
-    if order != list(range(n)):
-        specs = [specs[k] for k in order]
-        Phi, gamma, ref, x0 = Phi[order], gamma[order], ref[order], x0[order]
+    ids = [spec.id for spec in specs]
+    if ids != sorted(ids):
+        raise ParameterError("the specs must be in sorted id order")
     if weights.q_pos <= 0 and weights.q_heading <= 0 and weights.r_steer <= 0:
         raise ParameterError("cost must be nontrivial: some weight must be positive")
 
@@ -282,8 +283,7 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
                    np_steps, axis=1)
     ub = np.repeat(np.array([spec.steer_max for spec in specs], dtype=float)[:, None],
                    np_steps, axis=1)
-    return LocalProblems([spec.id for spec in specs], H0, f0, const0, G_all, h_all, starts,
-                         lb, ub)
+    return LocalProblems(ids, H0, f0, const0, G_all, h_all, starts, lb, ub)
 
 
 def _check_rho(rho: float) -> None:
@@ -303,14 +303,6 @@ def build_local(problem: LocalProblem, z: np.ndarray, lam: np.ndarray, rho: floa
                    lb=problem.steer_lb, ub=problem.steer_ub)
 
 
-def _groups(keys) -> list:
-    """Row indices grouped by equal key, in first-seen order of the keys."""
-    groups: dict = {}
-    for n, key in enumerate(keys):
-        groups.setdefault(key, []).append(n)
-    return [(key, np.array(rows)) for key, rows in groups.items()]
-
-
 class LocalBatch:
     """N tracking problems stacked for one closed-form pass per ADMM iteration.
 
@@ -320,12 +312,10 @@ class LocalBatch:
     (N, Np, Np) stack of P and probes it with one stacked Cholesky; the stack
     is kept for the cycle under its rho, so an iteration at a rho already
     seen forms nothing.  ``solve`` is ``solve_node``'s closed-form case for
-    every vehicle at once: each solve and product is ``solve_node``'s own,
-    issued as one stacked call (position rows grouped by their count), so an
-    answered row equals ``solve_node``'s bit for bit.
-
-    Construction reads the ``LocalProblems`` arrays as they are: it forms
-    H0s and gathers each group's position rows by their row ranges.
+    every vehicle at once, each solve issued as one stacked call, so an
+    answered row equals ``solve_node``'s bit for bit; all position rows'
+    products are one call, reduced to each vehicle's largest violation.
+    Construction reads the ``LocalProblems`` arrays as they are.
     """
 
     def __init__(self, problems: LocalProblems):
@@ -333,11 +323,7 @@ class LocalBatch:
         self.H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
         self.f0, self.lb, self.ub = problems.f0, problems.steer_lb, problems.steer_ub
         self.G, self.h, self.starts = problems.G, problems.h, problems.starts
-        self.rows = []
-        for m, idx in _groups(np.diff(self.starts).tolist()):
-            if m:
-                rows = self.starts[idx][:, None] + np.arange(m)
-                self.rows.append((idx, self.G[rows], self.h[rows]))
+        self.vehicle = np.repeat(np.arange(len(self.f0)), np.diff(self.starts))  # row -> vehicle
         self.hessians: dict = {}   # rho -> (P stack, per-vehicle shift) once solved at rho
         self.duals: dict = {}      # (vehicle, rho) -> (lo, hi, P^-1 A', A P^-1 A') once handed
 
@@ -365,8 +351,8 @@ class LocalBatch:
         x = -np.linalg.solve(P, f[:, :, None])[:, :, 0]
         grad = np.matmul(self.H0s, x[:, :, None])[:, :, 0] + rho * x + f
         row_max = np.full(len(x), -np.inf)
-        for idx, G, h in self.rows:
-            row_max[idx] = np.max(np.matmul(G, x[idx][:, :, None])[:, :, 0] - h, axis=1)
+        Gx = np.matmul(self.G[:, None, :], x[self.vehicle][:, :, None])[:, 0, 0]
+        np.maximum.at(row_max, self.vehicle, Gx - self.h)
         # unpinned, the bound gaps are <= 0 and w = y = 0: the KKT residual is
         # the largest of |grad|, the row violations and 0
         kkt = np.maximum(np.maximum(np.max(np.abs(grad), axis=1), row_max), 0.0)
@@ -487,6 +473,15 @@ class EdgeProblems:
         self.pairs, self.G, self.h, self.slack_penalty = pairs, G, h, slack_penalty
 
 
+def _check_fleet(keys, pairs: np.ndarray, n: int) -> None:
+    """Raise ParameterError on no vehicle, or naming an edge with an endpoint row outside 0..n-1."""
+    if n == 0:
+        raise ParameterError("the fleet must hold at least one vehicle")
+    outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if len(outside):
+        raise ParameterError(f"edge {keys[outside[0]]} has an endpoint outside the fleet")
+
+
 def _fallback_unit(fallback_dir) -> np.ndarray:
     if fallback_dir is None:
         return np.array([1.0, 0.0])
@@ -536,18 +531,17 @@ def make_edge_problems(edges, pairs, prediction: FleetPrediction, seed_positions
     ``prediction`` and ``seed_positions`` (N, Np, 2), whose rows are the
     vehicles in sorted id order; ``fallback_dirs`` (E, 2), one per edge,
     replaces the seed difference wherever the seeds coincide, as in
-    ``make_edge_problem``.  The result's rows are in sorted key order.  G
-    and h come from one pass over (E, Np).
+    ``make_edge_problem``.  The keys must be sorted, as the result's rows
+    are; unsorted keys raise ParameterError.  G and h come from one pass
+    over (E, Np).
     """
     edges = [tuple(e) for e in edges]
     Phi = prediction.Phi
     np_steps = Phi.shape[2]
     n_edges = len(edges)
     pairs = np.asarray(pairs, dtype=int).reshape(n_edges, 2)
-    order = sorted(range(n_edges), key=edges.__getitem__)
-    if order != list(range(n_edges)):
-        edges, pairs = [edges[k] for k in order], pairs[order]
-        fallback_dirs = [fallback_dirs[k] for k in order]
+    if edges != sorted(edges):
+        raise ParameterError("the edges must be in sorted key order")
     ii, jj = pairs[:, 0], pairs[:, 1]
     seed = np.asarray(seed_positions, dtype=float)
     # every product below is make_edge_problem's own, issued as one stacked
@@ -619,10 +613,10 @@ class EdgeBatch:
 
     Construction reads G_u (the edges' G), h and the slack penalties from
     the ``EdgeProblems`` arrays as they are and finds every edge's fixed
-    rows, with the coupled rows' G_c grouped by the fixed-row pattern.
-    ``solve`` screens all edges with one stacked
-    q = rho (G_c v - h_c).  When q <= 0 on every coupled row and no warm
-    multiplier on a coupled row is nonzero, ``_box_active_set`` returns
+    rows.  ``solve`` screens all edges on q = rho (G_u v - h), from the
+    stacked product G_u v that the KKT residual reads too, with the fixed
+    rows masked.  When q <= 0 on every other row and no warm multiplier on
+    one of them is nonzero, ``_box_active_set`` returns
     mu_c = 0 on its first guess, so ``solve_node``'s answer is x = v with the
     fixed rows' multipliers and slacks in closed form; G_c G_c', the active
     set and G_u' mu (zero: mu is nonzero only on rows whose G_u row is zero)
@@ -636,11 +630,7 @@ class EdgeBatch:
         self.c = problems.slack_penalty
         self.fixed = np.max(np.abs(self.G_u), axis=2) == 0.0
         self.mu_fixed = np.where(self.fixed & (self.h < 0.0), self.c[:, None], 0.0)
-        self.coupled = []
-        for _, idx in _groups(row.tobytes() for row in self.fixed):
-            rows = ~self.fixed[idx[0]]
-            self.coupled.append((idx, self.G_u[idx][:, rows], self.h[idx][:, rows]))
-        self.duals: dict = {}      # edge -> (coupled rows, G_c, G_c G_c') once handed
+        self.duals: dict = {}      # edge -> (unfixed rows, G_c, G_c G_c') once handed
 
     def solve(self, v, rho: float, warm_mu=None):
         """(x, s, mu, kkt, done) for the rows v = z - lam (E, 2Np) of all edges.
@@ -648,16 +638,13 @@ class EdgeBatch:
         ``warm_mu`` (E, Np) holds each edge's last row multipliers, or None.
         ``done`` marks the edges answered here; ``solve_node`` answers the rest.
         """
-        inactive = np.ones(len(v), dtype=bool)
-        for idx, G_c, h_c in self.coupled:
-            q = rho * (np.matmul(G_c, v[idx][:, :, None])[:, :, 0] - h_c)
-            inactive[idx] = np.all(q <= 0.0, axis=1)
+        x = v
+        G_ux = np.matmul(self.G_u, x[:, :, None])[:, :, 0]
+        inactive = np.all((rho * (G_ux - self.h) <= 0.0) | self.fixed, axis=1)
         if warm_mu is not None:
             inactive &= np.all((warm_mu == 0.0) | self.fixed, axis=1)
         c = self.c[:, None]
         mu = self.mu_fixed.copy()
-        x = v
-        G_ux = np.matmul(self.G_u, x[:, :, None])[:, :, 0]
         s = _edge_slack(G_ux, self.h, mu, c)
         # mu is nonzero only on rows whose G_u row is zero, so G_u' mu = 0
         kkt = _edge_kkt(rho * x + -rho * v, G_ux, self.h, s, mu, c)
@@ -818,10 +805,9 @@ class CentralizedQp:
 
 
 def build_centralized(local: LocalProblems, edge: EdgeProblems) -> CentralizedQp:
-    """Stack all tracking blocks and softened edge constraints into one QP."""
+    """Stack all tracking blocks and softened edge constraints into one QP; see ``_check_fleet``."""
     vids = local.ids
-    if not vids:
-        raise ParameterError("the fleet must hold at least one vehicle")
+    _check_fleet(edge.edges, edge.pairs, len(vids))
     np_steps = local.horizon
     n_u = len(vids) * np_steps
     n = n_u + len(edge.edges) * np_steps

@@ -46,8 +46,10 @@ def to_dicts(state: AdmmState) -> DictState:
     def per_vehicle(rows):
         return {v: rows[k].copy() for k, v in enumerate(state.vids)}
 
-    def per_edge(rows):
-        return {e: {e[0]: rows[state.ri[k]].copy(), e[1]: rows[state.rj[k]].copy()}
+    n = len(state.vids)
+
+    def per_edge(rows):       # edge k's copies are rows N + 2k and N + 2k + 1
+        return {e: {e[0]: rows[n + 2 * k].copy(), e[1]: rows[n + 2 * k + 1].copy()}
                 for k, e in enumerate(state.ekeys)}
 
     return DictState(u=per_vehicle(state.C), z=per_vehicle(state.Z),
@@ -69,8 +71,9 @@ def to_arrays(ds: DictState) -> AdmmState:
     state.C[:len(vids)] = rows(ds.u)
     state.L[:len(vids)] = rows(ds.lam)
     for k, e in enumerate(ekeys):
-        state.C[state.ri[k]], state.C[state.rj[k]] = ds.u_edge[e][e[0]], ds.u_edge[e][e[1]]
-        state.L[state.ri[k]], state.L[state.rj[k]] = ds.lam_edge[e][e[0]], ds.lam_edge[e][e[1]]
+        i = len(vids) + 2 * k
+        state.C[i], state.C[i + 1] = ds.u_edge[e][e[0]], ds.u_edge[e][e[1]]
+        state.L[i], state.L[i + 1] = ds.lam_edge[e][e[0]], ds.lam_edge[e][e[1]]
     state.iteration = ds.iteration
     state.Z_prev = None if ds.z_prev is None else rows(ds.z_prev)
     return state
@@ -119,12 +122,11 @@ def incident_edges(vehicles, edges) -> dict:
 def update_consensus(state: DictState) -> dict:
     """Per-vehicle average of the local copy and all incident edge copies."""
     incident = incident_edges(state.u, state.u_edge)
-    rho = state.rho
     z_new = {}
     for v in sorted(state.u):
-        total = state.u[v] + state.lam[v] / rho
+        total = state.u[v]
         for e in incident[v]:
-            total = total + state.u_edge[e][v] + state.lam_edge[e][v] / rho
+            total = total + state.u_edge[e][v]
         z_new[v] = total / (1 + len(incident[v]))
     return z_new
 

@@ -170,13 +170,14 @@ def test_local_problems_match_make_local_problem(inst):
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
         assert got.const0 == ref.const0 and got.horizon == np_steps
-    # the vehicles' rows come out in id order whatever order they go in
-    back = slice(None, None, -1)
-    reversed_prediction = FleetPrediction(Phi=prediction.Phi[back], gamma=prediction.gamma[back])
-    reversed_fleet = make_local_problems(specs[back], reversed_prediction,
-                                         refs[back].reshape(n, -1), weights, x0=x0[back, :2],
-                                         ts=ts)
-    assert_same_local_arrays(reversed_fleet, fleet)
+    # the vehicles must go in in id order, the order their rows come out in
+    if n > 1:
+        back = slice(None, None, -1)
+        reversed_prediction = FleetPrediction(Phi=prediction.Phi[back],
+                                              gamma=prediction.gamma[back])
+        with pytest.raises(ParameterError, match="sorted id order"):
+            make_local_problems(specs[back], reversed_prediction, refs[back].reshape(n, -1),
+                                weights, x0=x0[back, :2], ts=ts)
     # the test helper's stack of the rows gives back the same arrays
     assert_same_local_arrays(stack(rows, {})[0], fleet)
 
@@ -197,7 +198,7 @@ def test_fleet_objective_is_the_sum_of_tracking_objectives(inst):
     n, np_steps = controls.shape
     unbounded = Bounds(-math.inf, math.inf, -math.inf, math.inf)
     specs = [Spec(int(vid), speed[i], 0.5, unbounded) for i, vid in
-             enumerate(rng.permutation(np.arange(1, n + 1) * 7))]
+             enumerate(sorted(rng.permutation(np.arange(1, n + 1) * 7)))]
     weights = CostWeights(q_pos=float(rng.uniform(0.0, 2.0)), q_heading=0.3, r_steer=0.1)
     poses = rollout_fleet(x0, controls, speed, wheelbase, ts)
     prediction = condense_fleet(poses, controls, speed, wheelbase, ts)
@@ -249,14 +250,16 @@ def test_edge_problems_match_make_edge_problem(inst, coincide):
             assert getattr(got, name).shape == want.shape, name
             assert getattr(got, name).tobytes() == want.tobytes(), name
         assert got.slack_penalty == penalty and got.horizon == np_steps
-    # the edges' rows come out in key order whatever order they go in, and the
-    # test helper's stack of the rows gives back the same arrays (an empty
-    # dict has no horizon to shape them by)
-    back = slice(None, None, -1)
-    reversed_fleet = make_edge_problems(edges[back], pairs[back], prediction, seed_pos, d_safe,
-                                        penalty, fallback_dirs=fallback_dirs[back])
+    # the edges must go in in key order, the order their rows come out in
+    if len(edges) > 1:
+        back = slice(None, None, -1)
+        with pytest.raises(ParameterError, match="sorted key order"):
+            make_edge_problems(edges[back], pairs[back], prediction, seed_pos, d_safe, penalty,
+                               fallback_dirs=fallback_dirs[back])
+    # the test helper's stack of the rows gives back the same arrays (an
+    # empty dict has no horizon to shape them by)
     ids = [10 + i for i in range(n)]
-    for got in [reversed_fleet] + ([stack({}, rows, ids)[1]] if edges else []):
+    for got in [stack({}, rows, ids)[1]] if edges else []:
         assert got.edges == fleet.edges
         for name in ("pairs", "G", "h", "slack_penalty"):
             a, b = getattr(got, name), getattr(fleet, name)

@@ -1,15 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from fleetcoord import (CostWeights, DegenerateSeedError, DenseQp, build_centralized,
-                        build_constraint_graph, build_edge, build_local, condense,
-                        convexify_cycle, fleet_objective, generate_scaled_scenario,
+from fleetcoord import (CostWeights, DegenerateSeedError, DenseQp, ParameterError,
+                        build_centralized, build_constraint_graph, build_edge, build_local,
+                        condense, convexify_cycle, fleet_objective, generate_scaled_scenario,
                         linearize, linearize_collision, make_edge_problem,
                         make_local_problem, make_seed, reference_window, rollout, solve_qp,
                         tracking_objective)
 from fleetcoord.scenario import Bounds, VehicleState
 
-from instances import InstanceSpec, stack, unstack
+from instances import InstanceSpec, random_fleet_instance, stack, unstack
 from oracles import enumerate_qp
 
 
@@ -296,6 +298,18 @@ def test_decomposition_consistency():
         const = sum(lp.const0 for lp in lps.values())
         assert central.qp.objective(u_full) + const == pytest.approx(
             fleet_objective(stack(lps, {})[0], u), rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("row", [4, -1])
+def test_centralized_rejects_an_endpoint_outside_the_fleet(row):
+    # the fleet's rows are 0..N-1: a row past them or a negative one names no
+    # vehicle, and would write its coefficients into the wrong columns
+    local, edges, _ = random_fleet_instance(np.random.default_rng(5))
+    assert len(local.ids) == 4 and edges.edges
+    edges.pairs[0, 1] = row
+    message = re.escape(f"edge {edges.edges[0]} has an endpoint outside the fleet")
+    with pytest.raises(ParameterError, match=message):
+        build_centralized(local, edges)
 
 
 def test_nontrivial_cost_required():

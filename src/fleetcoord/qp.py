@@ -1,36 +1,51 @@
 """Dense convex QP solver: minimize 0.5 u'Hu + f'u  s.t.  Gu <= h,  lb <= u <= ub.
 
-The solver is a Mehrotra predictor-corrector primal-dual interior-point
-method.  Every finite bound is an inequality row like those of G, so one
-slack/dual pair per row carries all of the complementarity.  Each iteration
-Cholesky-factors the n x n reduced Newton matrix H + A' diag(z/s) A once, and
-the predictor, the corrector and the centrality correctors share the factor.
-Everything is deterministic: no randomization.
+Every problem is solved cold, by one pipeline: the regularization probe, the
+zero-row exit, the bound shortcut, the dual active set, then the
+interior-point method.  The regularization shift is decided and applied
+once, to a copy of the problem that every later step works on.  Each exact
+stage returns only an answer verified against the full KKT conditions and
+otherwise passes the problem on; ``QpSolution.path`` records which stage
+answered.  Everything is deterministic: no randomization.
 
-Every problem is solved cold.  The regularization shift is decided and
-applied once, to a copy of the problem that every later step works on.  An
-exact shortcut covers the hot case before the interior-point loop runs: a
-bound-pinning guess for problems where only box bounds are active, verified
-against the full KKT conditions; when the guess is not optimal the
-interior-point method runs from x = 0.  Where rounding stalls its last
-iterates above the KKT target, an equality-constrained re-solve on the rows
-the iterate marks active finishes them if it verifies.  ``QpSolution.path``
-records which path answered.
+- ``bound``: a bound-pinning guess for problems where only box bounds are
+  active.
+- ``dual``: the QP on its dual over H's blocks.  Where every diagonal column
+  is an elastic slack (zero Hessian entry, lb = 0, no upper bound, positive
+  cost, one negative coefficient in G, one slack per row), each slack is
+  eliminated exactly into an upper bound on its row's multiplier, and the
+  rest is the box-constrained dual that the ADMM vehicle and edge nodes
+  solve: ``_box_active_set``, a primal-dual active set (Hintermueller, Ito
+  & Kunisch, SIAM J. Optim. 13, 2002) continued by a primal active set.  The
+  centralized baseline's fleet QP always has this form, and so does a dense
+  H with no diagonal.
+- ``ipm``: a Mehrotra predictor-corrector primal-dual interior-point method.
+  Every finite bound is an inequality row like those of G, so one
+  slack/dual pair per row carries all of the complementarity.  Each
+  iteration Cholesky-factors the n x n reduced Newton matrix
+  H + A' diag(z/s) A once, and the predictor, the corrector and the
+  centrality correctors share the factor.  It starts from x = 0.  Where
+  rounding stalls its last iterates above the KKT target, an
+  equality-constrained re-solve on the rows the iterate marks active
+  finishes them if it verifies.  An elastic probe then tells an infeasible
+  problem from one that ran out of iterations.
 
 ``DenseQp`` holds H as ``BlockDiagonal(blocks, diag)``: k equal diagonal
 blocks stacked (k, s, s), then a diagonal.  The centralized baseline passes
 one tracking block per vehicle and a zero diagonal over the slacks, so it
 never allocates an n x n H; the edge QP and the elastic probe pass only a
-diagonal, and a dense H is one block.  The regularization probe and the
-bound-pinning guess factor and solve the blocks as one batched stack and
-read the diagonal entry by entry, and the guess is verified with H x formed
-block by block.  G stays dense and is stored as given.  A centralized cycle
-that ends on the bound shortcut therefore costs the blocks' own
-factorizations, one finiteness pass over G and one dense product with it.
-Only the interior-point method and the active-set polish build the dense H,
-once per call; a call that reaches the interior-point method is dominated
-by forming (O(n^2 m)) and factoring (O(n^3)) its n x n Newton matrix.  A
-variable with lb == ub is an ordinary pair of bound rows.
+diagonal, and a dense H is one block.  The regularization probe, the
+bound-pinning guess and the dual factor and solve the blocks as one batched
+stack and read the diagonal entry by entry, and their answers are verified
+with H x formed block by block.  G stays dense and is stored as given.  A
+centralized cycle that ends on the bound shortcut therefore costs the
+blocks' own factorizations, one finiteness pass over G and one dense product
+with it.  One that ends on the dual also forms the dual Hessian A P^-1 A',
+whose rows are G's rows with a steering coefficient plus two per bounded
+steering input.  Only the interior-point method and the active-set polish
+build the dense H, once per call; a call that reaches the interior-point
+method is dominated by forming (O(n^2 m)) and factoring (O(n^3)) its n x n
+Newton matrix.  A variable with lb == ub is an ordinary pair of bound rows.
 
 ``_kkt_measure`` is the one definition of the KKT residual: ``solve_qp``
 and the ADMM vehicle nodes hand it their own stationarity and row vectors,
@@ -38,10 +53,11 @@ and ``subproblems._edge_kkt`` writes its terms out, in its order, for the
 edge QP's primal vectors.
 
 The interior-point method factors and solves with LAPACK's ``dpotrf`` and
-``dpotrs``, taken from ``scipy.linalg.lapack`` by ``_lapack`` when
-``solve_qp`` is first called.  Importing scipy costs about 100 ms and 20 MB,
-and only the centralized baseline calls ``solve_qp``: the ADMM node solvers
-and ``fleetcoord validate`` never do, so those runs never load scipy.
+``dpotrs``, taken from ``scipy.linalg.lapack`` by ``_lapack`` when ``_ipm``
+is first called.  Importing scipy costs about 100 ms and 20 MB.  The ADMM
+node solvers and ``fleetcoord validate`` never call ``solve_qp``, and the
+shipped scenes and the lane grid answer every centralized cycle on the bound
+shortcut or the dual, so none of those runs loads scipy.
 """
 
 from __future__ import annotations
@@ -66,6 +82,8 @@ _OPTIMAL_PVIOL = 1e-8
 _TAU = 0.99              # IPM fraction to the boundary
 _CORRECTORS = 2          # Gondzio centrality correctors per IPM iteration
 _IPM_MAX_ITER = 100      # interior-point iterations per call
+_ACTIVE_SET_MAX_ITERS = 50
+_SINGULAR_GROWTH = 1e10  # _box_active_set: max|M| / lambda_min of a singular free block
 
 
 class BlockDiagonal:
@@ -210,7 +228,7 @@ class QpSolution:
     multipliers: np.ndarray          # [z (m), w (n, lower), y (n, upper)]
     iterations: int = 0
     trace: list = field(default_factory=list, repr=False)
-    # which solve_qp path answered: "bound", "ipm" or "zero_row" (an
+    # which solve_qp path answered: "bound", "dual", "ipm" or "zero_row" (an
     # unsatisfiable zero row of G); only solve_qp builds a QpSolution
     path: str | None = None
 
@@ -369,6 +387,88 @@ def _bound_shortcut(problem: DenseQp) -> tuple | None:
     return x, mult, kkt, float(0.5 * x @ Hx + f @ x), pviol
 
 
+def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
+    """Exact solution of the problem on its dual over H's blocks, the slack columns eliminated.
+
+    Applies when H's blocks (P) are non-empty and factorable and every
+    diagonal column j is an elastic slack: its entry is ``shift`` alone (0
+    before the regularization shift), lb_j = 0, ub_j = +inf, f_j > 0, and its
+    one nonzero in G, G_rj, is negative, in a row r that holds no other
+    slack.  Minimizing over s_j >= 0 then bounds row r's multiplier by
+    c_r = f_j / -G_rj, exactly, and the rest is the box-constrained dual the
+    ADMM vehicle nodes solve: with x0 = -P^-1 f and the rows
+    A x <= b = [G on the block columns; -I on finite lb; I on finite ub],
+
+        min 1/2 mu'(A P^-1 A')mu - (A x0 - b)'mu   over 0 <= mu <= c
+
+    (c = +inf off the slack rows), solved cold by ``_box_active_set``.  A
+    row with no block coefficient is fixed first: mu = c when violated, else
+    0 (None when violated with c = +inf).  Then x = x0 - P^-1 A'mu, each bound
+    with a positive multiplier met exactly; a slack is positive only where
+    its row's multiplier is c, as complementarity requires, and its bound
+    multiplier is f_j + G_rj mu_r.  Returns ``_bound_shortcut``'s tuple, or
+    None when the form does not apply, a product is not finite, or the answer
+    is not verified (primal violation above 1e-9 or KKT residual above the
+    target).
+    """
+    H, f, G, h, lb, ub = problem.H, problem.f, problem.G, problem.h, problem.lb, problem.ub
+    k, s, _ = H.blocks.shape
+    n, m, split = problem.n, problem.m, H.split
+    nz = G[:, split:] != 0.0
+    if not (k and np.all(H.diag == shift) and np.all(lb[split:] == 0.0)
+            and np.all(ub[split:] == np.inf) and np.all(f[split:] > 0.0)
+            and np.all(nz.sum(axis=0) == 1)):
+        return None
+    row = np.nonzero(nz.T)[1]                        # each slack's row
+    g = G[row, np.arange(split, n)]
+    if not (np.all(g < 0.0) and len(np.unique(row)) == len(row) and _factorable(H.blocks)):
+        return None
+    c = np.full(m, np.inf)
+    G_u = G[:, :split]
+    lo = np.flatnonzero(np.isfinite(lb[:split]))
+    hi = np.flatnonzero(np.isfinite(ub[:split]))
+    keep = np.flatnonzero(G_u.any(axis=1))
+    r, r_lo = len(keep), len(keep) + len(lo)
+    with np.errstate(all="ignore"):                  # every answer is verified below
+        c[row] = f[split:] / -g
+        violated = h < 0.0                           # A x0 - b = -h on a row with no block part
+        violated[keep] = False
+        if np.isinf(c[violated]).any():
+            return None
+        eye = np.eye(split)
+        A = np.concatenate([G_u[keep], -eye[lo], eye[hi]])
+        x0 = -np.linalg.solve(H.blocks, f[:split].reshape(k, s, 1)).reshape(split)
+        PA = np.linalg.solve(H.blocks, A.T.reshape(k, s, -1)).reshape(split, -1)
+        M = np.concatenate([G_u[keep] @ PA, -PA[lo], PA[hi]])
+        q = np.concatenate([G_u[keep] @ x0 - h[keep], lb[lo] - x0[lo], x0[hi] - ub[hi]])
+        if not (np.isfinite(M).all() and np.isfinite(q).all()):
+            return None
+        try:
+            dual = _box_active_set(M, q, np.concatenate([c[keep], np.full(len(A) - r, np.inf)]))
+        except np.linalg.LinAlgError:
+            return None
+        mu = np.where(violated, c, 0.0)
+        mu[keep] = dual[:r]
+        mult = np.zeros(m + 2 * n)
+        mult[:m] = mu
+        mult[m + lo] = dual[r:r_lo]
+        mult[m + n + hi] = dual[r_lo:]
+        x = x0 - PA @ dual
+        x = np.where(mult[m:m + split] > 0.0, lb[:split],
+                     np.where(mult[m + n:m + n + split] > 0.0, ub[:split], x))
+        gap = (G_u @ x - h)[row]
+        slack = np.where(mu[row] >= c[row], np.maximum(gap / -g, 0.0), 0.0)
+        mult[m + split:m + n] = f[split:] + g * mu[row]
+        u = np.concatenate([x, slack])
+        Hu = H @ u
+        Gu = G @ u
+        pviol = _primal_violation(problem, u, Gu)
+        kkt = _kkt_residual(problem, u, mult, Hu, Gu)
+        if not (pviol <= 1e-9 and kkt <= _STOP_KKT):
+            return None
+        return u, mult, kkt, float(0.5 * u @ Hu + f @ u), pviol
+
+
 def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
     """Exact solve assuming the rows and bounds with a multiplier in ``mult`` are active.
 
@@ -429,6 +529,111 @@ def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
     return u, full, kkt_res
 
 
+def _box_active_set(M, q, c, start=None):
+    """Minimizer of 1/2 mu'M mu - q'mu over 0 <= mu <= c (M PSD, c > 0, entries may be inf).
+
+    c is one bound for every row (a scalar) or one per row (a vector).
+
+    A primal-dual active set runs first.  Its first guess takes the bounds
+    ``start`` sits on (a warm start's sets usually still hold); cold, it is
+    q / diag(M).  Each step pins the guessed bounds, solves the free block
+    exactly and guesses again from mu - g / diag(M), g = M mu - q, until a
+    guess reproduces the sets: the box QP's KKT condition.  These steps can
+    cycle when M is not an M-matrix; on a repeated set pair, a free block
+    singular to working precision or the step cap, ``_primal_active_set``
+    continues from the last guess clipped into the box.
+    """
+    n = len(q)
+    if n == 0:
+        return np.zeros(0)
+    d = np.diag(M)
+    if not d.min() > 0.0:
+        return _primal_active_set(M, q, c, np.clip(np.zeros(n) if start is None else start, 0.0, c))
+    trial = q / d if start is None else np.asarray(start, dtype=float)
+    # |mu_f| / |rhs| bounds 1 / lambda_min(M_ff) from below, and max(d) is
+    # M's largest entry: past this the block is singular to working precision
+    growth = _SINGULAR_GROWTH / d.max()
+    seen = set()
+    key = None
+    for _ in range(_ACTIVE_SET_MAX_ITERS):
+        at_hi = trial >= c
+        free = (trial > 0.0) & ~at_hi
+        prev, key = key, (at_hi.tobytes(), free.tobytes())
+        if key == prev:
+            return mu
+        if key in seen:
+            break
+        seen.add(key)
+        mu = np.where(at_hi, c, 0.0)
+        if free.any():
+            rhs = q[free]
+            if at_hi.any():
+                M_fh = M[np.ix_(free, at_hi)]
+                rhs = rhs - (c * M_fh.sum(axis=1) if np.ndim(c) == 0 else M_fh @ c[at_hi])
+            try:
+                mu_f = np.linalg.solve(M[np.ix_(free, free)], rhs)
+            except np.linalg.LinAlgError:
+                break
+            if not abs(mu_f).max() <= growth * abs(rhs).max():
+                break
+            mu[free] = mu_f
+        trial = mu - (M @ mu - q) / d
+    return _primal_active_set(M, q, c, np.clip(trial, 0.0, c))
+
+
+def _primal_active_set(M, q, c, mu):
+    """``_box_active_set``'s QP by a primal active set from a feasible mu.
+
+    (Nocedal & Wright, Numerical Optimization, 2006, section 16.5.)  The
+    working set holds the bounds mu sits on.  A step minimizes over the free
+    coordinates with the working set fixed and stops at the first bound it
+    meets (ratio test), which joins the set.  At a working-set minimizer the
+    bound with the most negative multiplier leaves; with none negative beyond
+    rounding, mu is optimal.  On a singular free block whose gradient has a
+    null-space component the step follows that component, along which the
+    objective falls linearly.  Returns the last iterate at the step cap.
+    """
+    c = np.broadcast_to(c, mu.shape)     # elementwise as the scalar: same rounding
+    abs_M = np.abs(M)
+    lo, hi = mu <= 0.0, mu >= c
+    mu = np.where(lo, 0.0, np.where(hi, c, mu))
+    at_min = False
+    for _ in range(_ACTIVE_SET_MAX_ITERS + 4 * len(q)):
+        free = np.flatnonzero(~(lo | hi))
+        g = M @ mu - q
+        tol = 1e-14 * (abs_M @ np.abs(mu) + np.abs(q))        # rounding level of g
+        if len(free) and not at_min:
+            w, U = np.linalg.eigh(M[np.ix_(free, free)])
+            null = w <= len(w) * np.finfo(float).eps * max(w[-1], 0.0)
+            r = U.T @ g[free]
+            p = -(U[:, null] @ r[null])
+            linear = np.max(np.abs(p), initial=0.0) > np.max(tol[free])
+            if not linear:
+                p = -(U[:, ~null] @ (r[~null] / w[~null]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(p < 0.0, -mu[free] / p,
+                                np.where(p > 0.0, (c[free] - mu[free]) / p, np.inf))
+            k = int(np.argmin(room))
+            if not linear and room[k] >= 1.0:
+                mu[free] += p
+                at_min = True
+            elif np.isfinite(room[k]):
+                mu[free] = np.clip(mu[free] + max(room[k], 0.0) * p, 0.0, c[free])
+                mu[free[k]] = 0.0 if p[k] < 0.0 else c[free[k]]
+                lo[free[k]], hi[free[k]] = p[k] < 0.0, p[k] > 0.0
+            else:
+                return mu           # unbounded below: no bound stops the descent
+            continue
+        mult = np.where(lo, g, -g) + tol
+        mult[free] = 0.0
+        j = int(np.argmin(mult))
+        if mult[j] >= 0.0:
+            return mu
+        lo[j] = hi[j] = False
+        at_min = False
+    return mu
+
+
 def _feasibility_gap(problem: DenseQp) -> float:
     """Minimum total violation of Gu <= h over the box; > 0 means infeasible."""
     n, m = problem.n, problem.m
@@ -450,19 +655,19 @@ def solve_qp(problem: DenseQp) -> QpSolution:
     """Solve the QP to KKT optimality; deterministic for identical inputs.
 
     Every problem runs the same pipeline: the regularization probe, the
-    zero-row exit, the bound shortcut, then the interior-point method (at
-    most ``_IPM_MAX_ITER`` iterations) with the elastic feasibility probe;
-    all but the probe work on the regularized problem.  status is
+    zero-row exit, the bound shortcut (path ``bound``), the dual active set
+    (``dual``), then the interior-point method (``ipm``, at most
+    ``_IPM_MAX_ITER`` iterations) with the elastic feasibility probe; all but
+    the probe work on the regularized problem.  The first call that reaches
+    the interior-point method imports scipy.  status is
     ``optimal`` when the KKT residual is at most 1e-6 with primal violation
     at most 1e-8, ``infeasible`` when an unsatisfiable zero row or an
     elastic relaxation proves the constraints inconsistent, and ``max_iter``
-    otherwise (best iterate is still returned).  The first call loads
-    scipy's LAPACK bindings, so that no later call pays for the import
-    mid-run.
+    otherwise (best iterate is still returned).
     """
-    _lapack()
     n = problem.n
-    work = _shifted(problem, _hessian_shift(problem.H))
+    shift = _hessian_shift(problem.H)
+    work = _shifted(problem, shift)
 
     # a zero row with negative offset can never be satisfied
     negative = work.h < -1e-12
@@ -473,12 +678,14 @@ def solve_qp(problem: DenseQp) -> QpSolution:
                           kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
                           path="zero_row")
 
-    shortcut = _bound_shortcut(work)
+    path, shortcut = "bound", _bound_shortcut(work)
+    if shortcut is None:
+        path, shortcut = "dual", _dual_active_set(work, shift)
     if shortcut is not None:
         x, mult, kkt, objective, pviol = shortcut
         return QpSolution(u_star=x, objective=objective, status=OPTIMAL,
                           kkt_residual=kkt, multipliers=mult, iterations=0,
-                          trace=[(objective, pviol)], path="bound")
+                          trace=[(objective, pviol)], path=path)
 
     sol = _ipm(work)
     if sol.status == MAX_ITER and _primal_violation(work, sol.u_star) > 1e-8:
@@ -518,8 +725,9 @@ def _ipm(problem: DenseQp) -> QpSolution:
     predictor, the corrector and up to ``_CORRECTORS`` Gondzio centrality
     correctors.  Start: x = 0, s and z one affine step from s = z = 1,
     shifted positive as in Mehrotra (1992).  A Newton matrix that overflows
-    ends the loop as a failed Cholesky does.
+    ends the loop as a failed Cholesky does.  The first call imports scipy.
     """
+    _lapack()
     H, f, G = np.asarray(problem.H), problem.f, problem.G
     n, m = problem.n, problem.m
     lo = np.flatnonzero(np.isfinite(problem.lb))

@@ -67,10 +67,10 @@ time that edge is handed to it in the cycle, so each ADMM iteration only
 changes the linear term and rho enters as a scalar.
 Each ``solve_node`` returns the row its batched pass returns for an answered
 node, and both batched passes answer bit for bit as ``solve_node`` would.
-Both duals go to the finite active set ``_box_active_set``; no node reaches
-``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal reference:
-a node's KKT residual is the one ``kkt_residual`` gives the built QP, formed
-for a vehicle by ``qp._kkt_measure`` on the primal's stationarity and row
+Both duals go to the finite active set ``qp._box_active_set``; no node
+reaches ``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal
+reference: a node's KKT residual is the one ``kkt_residual`` gives the built
+QP, formed for a vehicle by ``qp._kkt_measure`` on the primal's stationarity and row
 vectors and for an edge by ``_edge_kkt``, which writes that measure's terms
 out once for both edge paths.  ``build_edge`` appends the slack columns and
 passes its Hessian as a diagonal alone.
@@ -86,13 +86,11 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import BlockDiagonal, DenseQp, _block_shifts, _kkt_measure
+from .qp import BlockDiagonal, DenseQp, _block_shifts, _box_active_set, _kkt_measure
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
 _NODE_OPTIMAL_KKT = 1e-8     # a node's answer is optimal at or below this KKT residual
-_ACTIVE_SET_MAX_ITERS = 50
-_SINGULAR_GROWTH = 1e10      # _box_active_set: max|M| / lambda_min of a singular free block
 
 
 @dataclass(frozen=True)
@@ -677,106 +675,6 @@ class EdgeBatch:
         G_ux = G_u @ x
         s = _edge_slack(G_ux, h, mu, c)
         return x, s, mu, _edge_kkt(rho * x + -rho * v + G_u.T @ mu, G_ux, h, s, mu, c)
-
-
-def _box_active_set(M, q, c, start=None):
-    """Minimizer of 1/2 mu'M mu - q'mu over 0 <= mu <= c (M PSD, scalar c > 0, may be inf).
-
-    A primal-dual active set runs first.  Its first guess takes the bounds
-    ``start`` sits on (a warm start's sets usually still hold); cold, it is
-    q / diag(M).  Each step pins the guessed bounds, solves the free block
-    exactly and guesses again from mu - g / diag(M), g = M mu - q, until a
-    guess reproduces the sets: the box QP's KKT condition.  These steps can
-    cycle when M is not an M-matrix; on a repeated set pair, a free block
-    singular to working precision or the step cap, ``_primal_active_set``
-    continues from the last guess clipped into the box.
-    """
-    n = len(q)
-    if n == 0:
-        return np.zeros(0)
-    d = np.diag(M)
-    if not d.min() > 0.0:
-        return _primal_active_set(M, q, c, np.clip(np.zeros(n) if start is None else start, 0.0, c))
-    trial = q / d if start is None else np.asarray(start, dtype=float)
-    # |mu_f| / |rhs| bounds 1 / lambda_min(M_ff) from below, and max(d) is
-    # M's largest entry: past this the block is singular to working precision
-    growth = _SINGULAR_GROWTH / d.max()
-    seen = set()
-    key = None
-    for _ in range(_ACTIVE_SET_MAX_ITERS):
-        at_hi = trial >= c
-        free = (trial > 0.0) & ~at_hi
-        prev, key = key, (at_hi.tobytes(), free.tobytes())
-        if key == prev:
-            return mu
-        if key in seen:
-            break
-        seen.add(key)
-        mu = np.where(at_hi, c, 0.0)
-        if free.any():
-            rhs = q[free]
-            if at_hi.any():
-                rhs = rhs - c * M[np.ix_(free, at_hi)].sum(axis=1)
-            try:
-                mu_f = np.linalg.solve(M[np.ix_(free, free)], rhs)
-            except np.linalg.LinAlgError:
-                break
-            if not abs(mu_f).max() <= growth * abs(rhs).max():
-                break
-            mu[free] = mu_f
-        trial = mu - (M @ mu - q) / d
-    return _primal_active_set(M, q, c, np.clip(trial, 0.0, c))
-
-
-def _primal_active_set(M, q, c, mu):
-    """``_box_active_set``'s QP by a primal active set from a feasible mu.
-
-    (Nocedal & Wright, Numerical Optimization, 2006, section 16.5.)  The
-    working set holds the bounds mu sits on.  A step minimizes over the free
-    coordinates with the working set fixed and stops at the first bound it
-    meets (ratio test), which joins the set.  At a working-set minimizer the
-    bound with the most negative multiplier leaves; with none negative beyond
-    rounding, mu is optimal.  On a singular free block whose gradient has a
-    null-space component the step follows that component, along which the
-    objective falls linearly.  Returns the last iterate at the step cap.
-    """
-    lo, hi = mu <= 0.0, mu >= c
-    mu = np.where(lo, 0.0, np.where(hi, c, mu))
-    at_min = False
-    for _ in range(_ACTIVE_SET_MAX_ITERS + 4 * len(q)):
-        free = np.flatnonzero(~(lo | hi))
-        g = M @ mu - q
-        tol = 1e-14 * (np.abs(M) @ np.abs(mu) + np.abs(q))    # rounding level of g
-        if len(free) and not at_min:
-            w, U = np.linalg.eigh(M[np.ix_(free, free)])
-            null = w <= len(w) * np.finfo(float).eps * max(w[-1], 0.0)
-            r = U.T @ g[free]
-            p = -(U[:, null] @ r[null])
-            linear = np.max(np.abs(p), initial=0.0) > np.max(tol[free])
-            if not linear:
-                p = -(U[:, ~null] @ (r[~null] / w[~null]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                room = np.where(p < 0.0, -mu[free] / p,
-                                np.where(p > 0.0, (c - mu[free]) / p, np.inf))
-            k = int(np.argmin(room))
-            if not linear and room[k] >= 1.0:
-                mu[free] += p
-                at_min = True
-            elif np.isfinite(room[k]):
-                mu[free] = np.clip(mu[free] + max(room[k], 0.0) * p, 0.0, c)
-                mu[free[k]] = 0.0 if p[k] < 0.0 else c
-                lo[free[k]], hi[free[k]] = p[k] < 0.0, p[k] > 0.0
-            else:
-                return mu           # unbounded below: no bound stops the descent
-            continue
-        mult = np.where(lo, g, -g) + tol
-        mult[free] = 0.0
-        j = int(np.argmin(mult))
-        if mult[j] >= 0.0:
-            return mu
-        lo[j] = hi[j] = False
-        at_min = False
-    return mu
 
 
 @dataclass(eq=False)

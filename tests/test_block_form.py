@@ -56,18 +56,23 @@ def test_criterion_2_qps_solve_alike_dense_and_as_one_block():
 def test_dense_fleet_hessian_is_kept_as_one_block():
     rng = np.random.default_rng(5)
     paths = set()
-    for _ in range(12):
+    for trial in range(13):
         local, edges, _ = random_fleet_instance(rng, np_steps=5)
         qp = build_centralized(local, edges).qp
         H = np.asarray(qp.H)
         data = {"f": qp.f, "G": qp.G, "h": qp.h, "lb": qp.lb, "ub": qp.ub}
+        if trial == 12:
+            # u_0 <= -1 and -u_0 <= -1 contradict: the dual is unbounded
+            extra = np.zeros((2, qp.n))
+            extra[:, 0] = [1.0, -1.0]
+            data.update(G=np.vstack([qp.G, extra]), h=np.concatenate([qp.h, [-1.0, -1.0]]))
         dense = DenseQp(H=H, **data)
         assert dense.H.blocks.tobytes() == H[None].tobytes() and dense.H.diag.size == 0
         assert dense.H.split == qp.n
         got = solve_qp(dense)
         assert_same_solution(got, solve_qp(DenseQp(H=one_block(H), **data)))
         paths.add(got.path)
-    assert paths == {"bound", "ipm"}     # both solver paths are compared
+    assert paths == {"bound", "dual", "ipm"}     # every solver path is compared
 
 
 @st.composite

@@ -1,9 +1,11 @@
-"""scipy is loaded by the first ``solve_qp`` and by nothing else.
+"""scipy is loaded by the first QP that reaches the interior-point method, and by nothing else.
 
-ADMM runs and ``fleetcoord validate`` never call ``solve_qp``, so they must
-never import scipy (~100 ms and ~20 MB per process).  Each import check runs
-in a fresh interpreter, since this test process has imported scipy already.
-The IPM's direct LAPACK calls must answer as scipy's Cholesky wrappers do.
+ADMM runs and ``fleetcoord validate`` never call ``solve_qp``, and a
+centralized overtake run answers every fleet QP on the bound shortcut or the
+dual active set, so none of them may import scipy (~100 ms and ~20 MB per
+process).  Each import check runs in a fresh interpreter, since this test
+process has imported scipy already.  The IPM's direct LAPACK calls must
+answer as scipy's Cholesky wrappers do.
 """
 
 import json
@@ -52,30 +54,24 @@ print(json.dumps(seen))
                     "validate": [0, False], "scaled": [False, 2]}
 
 
-def test_centralized_run_loads_scipy_at_its_first_solve_qp():
-    calls = run_fresh("""
+def test_scipy_loads_only_when_a_qp_reaches_the_ipm():
+    seen = run_fresh("""
 import json, sys
-import fleetcoord.simulation as simulation
-from fleetcoord import load_scenario_file
-calls = []
-real = simulation.solve_qp
-def recording(problem, *args, **kwargs):
-    before = "scipy" in sys.modules
-    sol = real(problem, *args, **kwargs)
-    calls.append([before, "scipy" in sys.modules, sol.path])
-    return sol
-simulation.solve_qp = recording
-sc = load_scenario_file("scenarios/overtake.scn")
-loaded = "scipy" in sys.modules
-simulation.run_simulation(sc, "centralized", duration=0.3)
-print(json.dumps([loaded, calls]))
+import numpy as np
+from fleetcoord import BlockDiagonal, DenseQp, load_scenario_file, run_simulation, solve_qp
+run = run_simulation(load_scenario_file("scenarios/overtake.scn"), "centralized")
+seen = {"overtake": [sorted({c.qp_path for c in run.cycles}), len(run.cycles),
+                     "scipy" in sys.modules]}
+# the diagonal column is boxed above, so it is no elastic slack: the IPM answers
+H = BlockDiagonal(np.array([[[2.0, 0.5], [0.5, 1.0]]]), np.zeros(1))
+sol = solve_qp(DenseQp(H=H, f=[1.0, -0.5, 1.0], G=[[-1.0, -1.0, -1.0]], h=[-1.5],
+                       lb=[0.25, -1.0, 0.0], ub=[1.0, 1.0, 2.0]))
+seen["ipm"] = [sol.path, sol.status, "scipy" in sys.modules]
+print(json.dumps(seen))
 """)
-    loaded, calls = calls
-    assert not loaded
-    assert len(calls) == 3
-    # bound on entry: the first fleet QP loads scipy although the IPM is not reached
-    assert calls[0] == [False, True, "bound"]
-    assert all(before and after for before, after, _ in calls[1:])
+    # the full overtake run answers every fleet QP without the IPM
+    assert seen == {"overtake": [["bound", "dual"], 200, False],
+                    "ipm": ["ipm", "optimal", True]}
 
 
 def test_lapack_calls_match_scipy_wrappers_bit_for_bit():

@@ -205,20 +205,20 @@ CYCLE_Q, CYCLE_C = np.array([-4.0, 1.0, 1.0]), 1.0
 
 
 def test_forced_pdas_cycle_still_reaches_the_exact_optimum(monkeypatch):
-    import fleetcoord.subproblems as sub
+    import fleetcoord.qp as qp_mod
     # an edge whose three rows all steer, with G G' = CYCLE_L CYCLE_L'
     n, rho = 3, 2.0
     G = np.zeros((n, 2 * n))
     G[:, :n] = CYCLE_L
     ep = EdgeProblem(slack_penalty=CYCLE_C, G=G, h=-CYCLE_Q / rho)
     continued = []
-    real = sub._primal_active_set
+    real = qp_mod._primal_active_set
 
     def spy(*args):
         continued.append(True)
         return real(*args)
 
-    monkeypatch.setattr(sub, "_primal_active_set", spy)
+    monkeypatch.setattr(qp_mod, "_primal_active_set", spy)
     args = tuple(np.zeros(n) for _ in range(4))
     sol = solve_edge(ep, *args, rho)
     assert continued
@@ -231,20 +231,23 @@ def test_forced_pdas_cycle_still_reaches_the_exact_optimum(monkeypatch):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.integers(1, 5), rank=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1),
-       c=st.sampled_from([0.5, 3.0, 1e4, math.inf]),
+       c=st.sampled_from([0.5, 3.0, 1e4, math.inf, "per_row"]),
        start=st.sampled_from([None, "random", "wide"]))
 @example(n=3, rank=3, seed=0, c=CYCLE_C, start="cycle")    # forces the primal continuation
 def test_box_active_set_matches_enumeration(n, rank, seed, c, start):
     # PSD M = B B' of rank <= min(n, rank), some rows of B zero; q = M y - r
-    # with r >= 0, so the box QP stays bounded when c is infinite
-    from fleetcoord.subproblems import _box_active_set
+    # with r >= 0, so the box QP stays bounded where c is infinite.  "per_row"
+    # gives each row its own bound, finite or infinite
+    from fleetcoord.qp import _box_active_set
     rng = np.random.default_rng(seed)
+    if c == "per_row":
+        c = np.where(rng.random(n) < 0.5, rng.choice([0.5, 3.0, 1e4], n), math.inf)
     B = rng.normal(size=(n, rank)) * (rng.random((n, 1)) < 0.9)
     M = B @ B.T
     q = M @ rng.normal(size=n) * 3.0 - rng.exponential(size=n) * (rng.random(n) < 0.5)
     if start == "cycle":
         M, q = CYCLE_L @ CYCLE_L.T, CYCLE_Q
-    warm = {None: None, "cycle": None, "random": rng.uniform(-1.0, 2.0, n) * min(c, 10.0),
+    warm = {None: None, "cycle": None, "random": rng.uniform(-1.0, 2.0, n) * np.minimum(c, 10.0),
             "wide": rng.normal(size=n) * 1e3}[start]
     mu = _box_active_set(M, q, c, warm)
     assert np.all(mu >= 0.0) and np.all(mu <= c)
@@ -257,9 +260,9 @@ def test_box_active_set_matches_enumeration(n, rank, seed, c, start):
     assert np.all(np.abs(g[free]) <= tol[free])
     # a singular M can make the optimal set unbounded and its optimum large,
     # so past a box of 1e3 mu is only held to be no worse than the oracle's
-    ref = enumerate_qp(M, -q, lb=np.zeros(n), ub=np.full(n, min(c, 1e3)))
+    ref = enumerate_qp(M, -q, lb=np.zeros(n), ub=np.broadcast_to(np.minimum(c, 1e3), n))
     assert ref is not None
     objective = 0.5 * mu @ M @ mu - q @ mu
     assert objective <= ref[1] + 1e-8 * (1.0 + abs(ref[1]))
-    if c <= 1e3:
+    if np.all(c <= 1e3):
         assert objective >= ref[1] - 1e-8 * (1.0 + abs(ref[1]))

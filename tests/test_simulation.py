@@ -343,7 +343,7 @@ def test_centralized_mode_runs_and_matches_admm_closely():
     run_a = run_simulation(sc, "parallel_admm", duration=1.5)
     run_c = run_simulation(sc, "centralized", duration=1.5)
     assert all(c.qp_status == "optimal" for c in run_c.cycles)
-    assert all(c.qp_path in ("bound", "ipm") for c in run_c.cycles)
+    assert all(c.qp_path in ("bound", "dual", "ipm") for c in run_c.cycles)
     for vid in run_a.vehicle_ids:
         assert np.max(np.abs(run_a.states[vid][-1] - run_c.states[vid][-1])) <= 0.05
 
@@ -365,38 +365,39 @@ def test_lane_grid_centralized_cycles_take_the_bound_shortcut(tmp_path):
         assert cycle["edges"]
 
 
-def test_overtake_centralized_ipm_cycles_are_optimal_in_few_iterations(overtake_path,
-                                                                      tmp_path):
-    # the first fleet QPs that reach the interior-point method come at cycle 58;
-    # each must end optimal within 25 iterations
+def test_overtake_centralized_coupled_cycles_are_answered_on_the_dual(overtake_path,
+                                                                     tmp_path):
+    # the first fleet QPs that the bound shortcut cannot answer (a separation
+    # row binds) come at cycle 58; the dual active set answers each one
+    # exactly, with no interior-point iteration
     run = run_simulation(load_scenario_file(overtake_path), "centralized", duration=6.5)
     path = tmp_path / "summary.json"
     run.write_summary(path)
-    ipm = [c for c in json.loads(path.read_text())["cycles"] if c["qp_path"] == "ipm"]
-    assert ipm and ipm[0]["index"] == 58
-    for cycle in ipm:
-        assert cycle["qp_status"] == "optimal"
-        assert 0 < cycle["iterations"] <= 25
+    cycles = json.loads(path.read_text())["cycles"]
+    coupled = [c for c in cycles if c["qp_path"] != "bound"]
+    assert coupled and coupled[0]["index"] == 58
+    for cycle in coupled:
+        assert cycle["qp_path"] == "dual" and cycle["qp_status"] == "optimal"
+        assert cycle["iterations"] == 0
 
 
-def test_intersection_centralized_ipm_answers_reach_the_kkt_target(intersection_path,
-                                                                   monkeypatch):
-    # rounding in the reduced Newton system can stall the last iterates above
-    # the 1e-8 target (cycles 34 and 36 here); the exact re-solve on the rows
-    # the iterate marks active must finish them
+def test_intersection_centralized_dual_answers_reach_the_kkt_target(intersection_path,
+                                                                    monkeypatch):
+    # every fleet QP past the bound shortcut is answered on its dual, verified
+    # to the 1e-8 KKT target; none falls back to the interior-point method
     answers = []
-    ipm = qp_mod._ipm
+    dual = qp_mod._dual_active_set
 
-    def recording(problem):
-        answers.append(ipm(problem))
+    def recording(*args):
+        answers.append(dual(*args))
         return answers[-1]
 
-    monkeypatch.setattr(qp_mod, "_ipm", recording)
+    monkeypatch.setattr(qp_mod, "_dual_active_set", recording)
     run = run_simulation(load_scenario_file(intersection_path), "centralized")
-    assert len(answers) == sum(c.qp_path == "ipm" for c in run.cycles) > 0
-    for sol in answers:
-        assert sol.status == "optimal" and sol.kkt_residual <= 1e-8
-        assert 0 < sol.iterations <= 25
+    assert len(answers) == sum(c.qp_path == "dual" for c in run.cycles) > 0
+    assert all(c.qp_path in ("bound", "dual") and c.qp_status == "optimal" for c in run.cycles)
+    for answer in answers:
+        assert answer is not None and answer[2] <= 1e-8
 
 
 def test_summary_records_blas_threads(tmp_path, monkeypatch):

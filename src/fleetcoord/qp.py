@@ -10,15 +10,12 @@ answered.  Everything is deterministic: no randomization.
 
 - ``bound``: a bound-pinning guess for problems where only box bounds are
   active.
-- ``dual``: the QP on its dual over H's blocks.  Where every diagonal column
-  is an elastic slack (zero Hessian entry, lb = 0, no upper bound, positive
-  cost, one negative coefficient in G, one slack per row), each slack is
-  eliminated exactly into an upper bound on its row's multiplier, and the
-  rest is the box-constrained dual that the ADMM vehicle and edge nodes
-  solve: ``_box_active_set``, a primal-dual active set (Hintermueller, Ito
-  & Kunisch, SIAM J. Optim. 13, 2002) continued by a primal active set.  The
-  centralized baseline's fleet QP always has this form, and so does a dense
-  H with no diagonal.
+- ``dual``: where every diagonal column is an elastic slack, each slack is
+  eliminated into a cap on its row's multiplier and the rest is
+  ``_BoxDual``'s box-constrained dual over H's blocks, the kernel the ADMM
+  vehicle nodes use; ``_box_active_set`` solves it, a primal-dual active set
+  (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002) continued by a
+  primal active set.  The centralized fleet QP always has this form.
 - ``ipm``: a Mehrotra predictor-corrector primal-dual interior-point method.
   Every finite bound is an inequality row like those of G, so one
   slack/dual pair per row carries all of the complementarity.  Each
@@ -40,12 +37,11 @@ stack and read the diagonal entry by entry, and their answers are verified
 with H x formed block by block.  G stays dense and is stored as given.  A
 centralized cycle that ends on the bound shortcut therefore costs the
 blocks' own factorizations, one finiteness pass over G and one dense product
-with it.  One that ends on the dual also forms the dual Hessian A P^-1 A',
-whose rows are G's rows with a steering coefficient plus two per bounded
-steering input.  Only the interior-point method and the active-set polish
-build the dense H, once per call; a call that reaches the interior-point
-method is dominated by forming (O(n^2 m)) and factoring (O(n^3)) its n x n
-Newton matrix.  A variable with lb == ub is an ordinary pair of bound rows.
+with it; one on the dual also forms ``_BoxDual``'s M.  Only the
+interior-point method and the active-set polish build the dense H, once per
+call; a call that reaches the interior-point method is dominated by forming
+(O(n^2 m)) and factoring (O(n^3)) its n x n Newton matrix.  A variable with
+lb == ub is an ordinary pair of bound rows.
 
 ``_kkt_measure`` is the one definition of the KKT residual: ``solve_qp``
 and the ADMM vehicle nodes hand it their own stationarity and row vectors,
@@ -387,6 +383,81 @@ def _bound_shortcut(problem: DenseQp) -> tuple | None:
     return x, mult, kkt, float(0.5 * x @ Hx + f @ x), pviol
 
 
+def _elastic_fixed(G, h, c):
+    """(fixed, mu): the rows no column of G moves, and their multipliers.
+
+    Such an elastic row G x - s <= h (slack cost c per unit) holds whatever x
+    is, or its slack takes the violation: mu = c where h < 0 (+inf for a hard
+    row: no answer), else 0.  Works over G's last axis, so on a stack too.
+    """
+    fixed = ~G.any(axis=-1)
+    return fixed, np.where(fixed & (h < 0.0), c, 0.0)
+
+
+def _elastic_slack(gap, mu, c):
+    """Elastic rows' slacks from their violations ``gap``: max(gap, 0) where mu = c, else 0.
+
+    Only where the penalty binds (mu = c) may a slack be positive: elsewhere
+    complementarity with its bound multiplier c - mu > 0 requires s = 0, and
+    rounding must not leak into s.
+    """
+    return np.where(mu >= c, np.maximum(gap, 0.0), 0.0)
+
+
+class _BoxDual:
+    """The dual of min 1/2 x'Px + f'x  s.t.  G x <= h,  lb <= x <= ub, P a (k, s, s) block stack.
+
+    With the rows A x <= b = [G; -I on finite lb; I on finite ub] and the
+    unconstrained minimizer x0 = -P^-1 f, the Lagrangian's minimizer is
+    x = x0 - P^-1 A'mu, and the dual is the box QP
+
+        min 1/2 mu'M mu - q'mu  over 0 <= mu <= c,   M = A P^-1 A',  q = A x0 - b,
+
+    where G's rows are capped by c (the unit cost of an elastic row's
+    slack, +inf for a hard row) and the bound rows are uncapped.
+    Construction forms P^-1 A' with one stacked solve and M as
+    [G P^-1 A'; -(P^-1 A')[lo]; (P^-1 A')[hi]]: the bound rows only select
+    rows of P^-1 A'.  Both depend on P, G and the bounds alone, so a caller
+    keeps the kernel while only f and h change.
+    """
+
+    def __init__(self, P_blocks, G, lb, ub):
+        k, s, _ = P_blocks.shape
+        self.G, self.lb, self.ub = G, lb, ub
+        self.lo = np.flatnonzero(np.isfinite(lb))
+        self.hi = np.flatnonzero(np.isfinite(ub))
+        eye = np.eye(k * s)
+        A = np.concatenate([G, -eye[self.lo], eye[self.hi]])
+        self.PA = np.linalg.solve(P_blocks, A.T.reshape(k, s, -1)).reshape(k * s, -1)
+        self.M = np.concatenate([G @ self.PA, -self.PA[self.lo], self.PA[self.hi]])
+
+    def solve(self, x0, h, c, start=None):
+        """(x, [z, w, y]) at x0 = -P^-1 f and right-hand sides h, G's rows capped by c.
+
+        ``_box_active_set`` solves the dual, warm started from ``start`` (an
+        earlier answer's multipliers; None or all zero starts cold).  Then
+        x = x0 - P^-1 A'mu, each bound with a positive multiplier met
+        exactly; x0 itself when mu = 0.
+        """
+        G, lo, hi, lb, ub = self.G, self.lo, self.hi, self.lb, self.ub
+        m, n = G.shape
+        q = np.concatenate([G @ x0 - h, lb[lo] - x0[lo], x0[hi] - ub[hi]])
+        if start is not None and np.any(start):
+            start = np.concatenate([start[:m], start[m + lo], start[m + n + hi]])
+        else:
+            start = None
+        caps = np.concatenate([np.broadcast_to(c, m), np.full(len(lo) + len(hi), np.inf)])
+        dual = _box_active_set(self.M, q, caps, start)
+        mult = np.zeros(m + 2 * n)
+        if not dual.any():
+            return x0, mult
+        mult[:m] = dual[:m]
+        mult[m + lo] = dual[m:m + len(lo)]
+        mult[m + n + hi] = dual[m + len(lo):]
+        x = x0 - self.PA @ dual
+        return np.where(mult[m:m + n] > 0.0, lb, np.where(mult[m + n:] > 0.0, ub, x)), mult
+
+
 def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
     """Exact solution of the problem on its dual over H's blocks, the slack columns eliminated.
 
@@ -394,22 +465,15 @@ def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
     diagonal column j is an elastic slack: its entry is ``shift`` alone (0
     before the regularization shift), lb_j = 0, ub_j = +inf, f_j > 0, and its
     one nonzero in G, G_rj, is negative, in a row r that holds no other
-    slack.  Minimizing over s_j >= 0 then bounds row r's multiplier by
-    c_r = f_j / -G_rj, exactly, and the rest is the box-constrained dual the
-    ADMM vehicle nodes solve: with x0 = -P^-1 f and the rows
-    A x <= b = [G on the block columns; -I on finite lb; I on finite ub],
-
-        min 1/2 mu'(A P^-1 A')mu - (A x0 - b)'mu   over 0 <= mu <= c
-
-    (c = +inf off the slack rows), solved cold by ``_box_active_set``.  A
-    row with no block coefficient is fixed first: mu = c when violated, else
-    0 (None when violated with c = +inf).  Then x = x0 - P^-1 A'mu, each bound
-    with a positive multiplier met exactly; a slack is positive only where
-    its row's multiplier is c, as complementarity requires, and its bound
-    multiplier is f_j + G_rj mu_r.  Returns ``_bound_shortcut``'s tuple, or
-    None when the form does not apply, a product is not finite, or the answer
-    is not verified (primal violation above 1e-9 or KKT residual above the
-    target).
+    slack.  Minimizing over s_j >= 0 then caps row r's multiplier at
+    c_r = f_j / -G_rj, exactly, and the rest is ``_BoxDual``'s dual over the
+    block columns, solved cold.  Rows with no block coefficient are fixed
+    first by ``_elastic_fixed`` (None when one is violated with c = +inf).
+    The slacks are ``_elastic_slack`` of their rows' gaps / -G_rj, and a
+    slack's bound multiplier is f_j + G_rj mu_r.  Returns
+    ``_bound_shortcut``'s tuple, or None when the form does not apply, M is
+    not finite, or the answer is not verified (primal violation above 1e-9 or
+    KKT residual above the target).
     """
     H, f, G, h, lb, ub = problem.H, problem.f, problem.G, problem.h, problem.lb, problem.ub
     k, s, _ = H.blocks.shape
@@ -425,41 +489,25 @@ def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
         return None
     c = np.full(m, np.inf)
     G_u = G[:, :split]
-    lo = np.flatnonzero(np.isfinite(lb[:split]))
-    hi = np.flatnonzero(np.isfinite(ub[:split]))
-    keep = np.flatnonzero(G_u.any(axis=1))
-    r, r_lo = len(keep), len(keep) + len(lo)
     with np.errstate(all="ignore"):                  # every answer is verified below
         c[row] = f[split:] / -g
-        violated = h < 0.0                           # A x0 - b = -h on a row with no block part
-        violated[keep] = False
-        if np.isinf(c[violated]).any():
+        fixed, mu = _elastic_fixed(G_u, h, c)
+        if np.isinf(mu).any():
             return None
-        eye = np.eye(split)
-        A = np.concatenate([G_u[keep], -eye[lo], eye[hi]])
+        keep = np.flatnonzero(~fixed)
+        box = _BoxDual(H.blocks, G_u[keep], lb[:split], ub[:split])
+        if not np.isfinite(box.M).all():
+            return None
         x0 = -np.linalg.solve(H.blocks, f[:split].reshape(k, s, 1)).reshape(split)
-        PA = np.linalg.solve(H.blocks, A.T.reshape(k, s, -1)).reshape(split, -1)
-        M = np.concatenate([G_u[keep] @ PA, -PA[lo], PA[hi]])
-        q = np.concatenate([G_u[keep] @ x0 - h[keep], lb[lo] - x0[lo], x0[hi] - ub[hi]])
-        if not (np.isfinite(M).all() and np.isfinite(q).all()):
-            return None
         try:
-            dual = _box_active_set(M, q, np.concatenate([c[keep], np.full(len(A) - r, np.inf)]))
+            x, dual = box.solve(x0, h[keep], c[keep])
         except np.linalg.LinAlgError:
             return None
-        mu = np.where(violated, c, 0.0)
+        r = len(keep)
         mu[keep] = dual[:r]
-        mult = np.zeros(m + 2 * n)
-        mult[:m] = mu
-        mult[m + lo] = dual[r:r_lo]
-        mult[m + n + hi] = dual[r_lo:]
-        x = x0 - PA @ dual
-        x = np.where(mult[m:m + split] > 0.0, lb[:split],
-                     np.where(mult[m + n:m + n + split] > 0.0, ub[:split], x))
-        gap = (G_u @ x - h)[row]
-        slack = np.where(mu[row] >= c[row], np.maximum(gap / -g, 0.0), 0.0)
-        mult[m + split:m + n] = f[split:] + g * mu[row]
-        u = np.concatenate([x, slack])
+        mult = np.concatenate([mu, dual[r:r + split], f[split:] + g * mu[row],
+                               dual[r + split:], np.zeros(n - split)])
+        u = np.concatenate([x, _elastic_slack((G_u @ x - h)[row] / -g, mu[row], c[row])])
         Hu = H @ u
         Gu = G @ u
         pviol = _primal_violation(problem, u, Gu)
@@ -654,16 +702,12 @@ def _feasibility_gap(problem: DenseQp) -> float:
 def solve_qp(problem: DenseQp) -> QpSolution:
     """Solve the QP to KKT optimality; deterministic for identical inputs.
 
-    Every problem runs the same pipeline: the regularization probe, the
-    zero-row exit, the bound shortcut (path ``bound``), the dual active set
-    (``dual``), then the interior-point method (``ipm``, at most
-    ``_IPM_MAX_ITER`` iterations) with the elastic feasibility probe; all but
-    the probe work on the regularized problem.  The first call that reaches
-    the interior-point method imports scipy.  status is
-    ``optimal`` when the KKT residual is at most 1e-6 with primal violation
-    at most 1e-8, ``infeasible`` when an unsatisfiable zero row or an
-    elastic relaxation proves the constraints inconsistent, and ``max_iter``
-    otherwise (best iterate is still returned).
+    Runs the module's pipeline, every stage but the elastic probe on the
+    regularized problem, the IPM for at most ``_IPM_MAX_ITER`` iterations.
+    status is ``optimal`` when the KKT residual is at most 1e-6 with primal
+    violation at most 1e-8, ``infeasible`` when an unsatisfiable zero row or
+    an elastic relaxation proves the constraints inconsistent, and
+    ``max_iter`` otherwise (best iterate is still returned).
     """
     n = problem.n
     shift = _hessian_shift(problem.H)

@@ -34,46 +34,32 @@ solvers' only input form.
 
 The problems are frozen records of a cycle's input data; everything the ADMM
 nodes derive from them lives in the batches.  ``LocalBatch`` holds the
-tracking problems: their Hessian H0 is fixed for the cycle and each
-iteration adds rho I and changes the linear term.  rho changes on few
-iterations and takes few values in a cycle (overtake: 5 changes in 200
-cycles; intersection: at most 5 values in one cycle), so P = H0 + rho I is
-formed and probed for definiteness, with one stacked Cholesky for the
-fleet, the first time the cycle solves at a rho, and kept under that rho.
-``LocalBatch.solve`` answers every vehicle whose unconstrained minimizer
-meets all its rows (a zero dual) in one stacked ``np.linalg.solve`` on the
-P stack; ``LocalBatch.solve_node`` solves any one vehicle on the dual of its
-position rows and steering bounds, a box QP with Hessian A P^-1 A' formed
-once per vehicle and rho, and answers with the row ``solve`` gives an
-answered vehicle plus its multipliers.
+tracking problems; rho takes few values in a cycle (overtake: 5 changes in
+200 cycles; intersection: at most 5 values in one cycle), so it keeps
+P = H0 + rho I per rho.  ``LocalBatch.solve`` answers every vehicle whose
+unconstrained minimizer meets all its rows in one stacked pass;
+``LocalBatch.solve_node`` solves any one vehicle on ``qp._BoxDual``'s dual,
+whose kernel it builds once per vehicle and rho.
 
-``EdgeBatch`` holds the edge problems and solves them through their exact
-dual.  The edge objective is proximal in the steering copies, x = (u_i, u_j):
+``EdgeBatch`` solves the edge problems through their own dual.  The edge
+objective is proximal in the steering copies, x = (u_i, u_j), v = z - lam:
 
     min  rho/2 |x - v|^2 + c 1's   s.t.  G x - s <= h,  s >= 0,
 
-with v = z - lam, so the dual is the box QP
-
-    min  1/2 mu'(G G' / rho) mu - (G v - h)'mu   s.t.  0 <= mu <= c,
-
-and x = v - G'mu / rho.  An edge's G holds only the steering copies' columns;
-the slacks' -I block is implied.  Rows of G that are identically zero (the
-step-1 separation, which no steering input can move) are fixed: they get
-their multiplier and slack in closed form, and G_c, h_c are the other rows.
-``EdgeBatch.solve`` answers, in one stacked pass, every edge whose other rows
-are all inactive (q = rho (G_c v - h_c) <= 0, where mu_c = 0 and x = v);
-``EdgeBatch.solve_node`` solves any one edge, forming G_c G_c' the first
-time that edge is handed to it in the cycle, so each ADMM iteration only
-changes the linear term and rho enters as a scalar.
-Each ``solve_node`` returns the row its batched pass returns for an answered
-node, and both batched passes answer bit for bit as ``solve_node`` would.
-Both duals go to the finite active set ``qp._box_active_set``; no node
-reaches ``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal
-reference: a node's KKT residual is the one ``kkt_residual`` gives the built
-QP, formed for a vehicle by ``qp._kkt_measure`` on the primal's stationarity and row
-vectors and for an edge by ``_edge_kkt``, which writes that measure's terms
-out once for both edge paths.  ``build_edge`` appends the slack columns and
-passes its Hessian as a diagonal alone.
+whose dual is min 1/2 mu'(G G' / rho) mu - (G v - h)'mu over 0 <= mu <= c,
+with x = v - G'mu / rho.  An edge's G holds only the steering copies'
+columns; the slacks' -I block is implied.  Rows no steering input moves (the
+step-1 separation) are fixed by ``qp._elastic_fixed``; G_c, h_c are the
+other rows.  ``EdgeBatch.solve`` answers, in one stacked pass, every edge
+whose other rows are all inactive (q = rho (G_c v - h_c) <= 0: mu_c = 0 and
+x = v); ``EdgeBatch.solve_node`` solves any one edge, forming G_c G_c' the
+first time the cycle hands it over, so rho enters as a scalar.  Each
+``solve_node`` returns, bit for bit, the row its batched pass returns for an
+answered node; no node reaches ``solve_qp``.  ``build_local`` and
+``build_edge`` stay the primal reference: a node's KKT residual is the one
+``kkt_residual`` gives the built QP, formed for a vehicle by
+``qp._kkt_measure`` and for an edge by ``_edge_kkt``, which writes that
+measure's terms out for both edge paths.
 """
 
 from __future__ import annotations
@@ -86,7 +72,8 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import BlockDiagonal, DenseQp, _block_shifts, _box_active_set, _kkt_measure
+from .qp import (BlockDiagonal, DenseQp, _block_shifts, _box_active_set, _BoxDual,
+                 _elastic_fixed, _elastic_slack, _kkt_measure)
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
@@ -323,7 +310,7 @@ class LocalBatch:
         self.G, self.h, self.starts = problems.G, problems.h, problems.starts
         self.vehicle = np.repeat(np.arange(len(self.f0)), np.diff(self.starts))  # row -> vehicle
         self.hessians: dict = {}   # rho -> (P stack, per-vehicle shift) once solved at rho
-        self.duals: dict = {}      # (vehicle, rho) -> (lo, hi, P^-1 A', A P^-1 A') once handed
+        self.duals: dict = {}      # (vehicle, rho) -> qp._BoxDual once handed
 
     def hessian(self, rho: float):
         """(P, shift): the (N, Np, Np) stack of P at rho and each vehicle's regularization shift."""
@@ -361,15 +348,11 @@ class LocalBatch:
     def solve_node(self, i: int, z, lam, rho: float, warm_mult=None):
         """(x, kkt, multipliers): vehicle i's ``build_local`` QP solved exactly on its dual.
 
-        P (from ``hessian``) gives the unconstrained minimizer x0 = -P^-1 f.
-        The rows A x <= b (position rows, then the finite steering bounds as
-        -I and I rows) are solved on their dual, the box QP
-        min 1/2 l'(A P^-1 A') l - (A x0 - b)'l over l >= 0, by
-        ``_box_active_set``, warm started from ``warm_mult`` (an earlier
-        solve's multipliers; None or all zero starts cold).  Then
-        x = x0 - P^-1 A'l, each bound with a positive multiplier met exactly.
-        P^-1 A' and A P^-1 A' are formed the first time vehicle i is handed
-        over at this rho.  kkt is the KKT residual as ``kkt_residual``
+        The dual is ``qp._BoxDual``'s over P (from ``hessian``), the position
+        rows and the steering box, every multiplier uncapped.  Its kernel is
+        built the first time vehicle i is handed over at this rho, and warm
+        started from ``warm_mult`` (an earlier solve's multipliers; None or
+        all zero starts cold).  kkt is the KKT residual as ``kkt_residual``
         defines it for the built QP, and the multipliers are [z, w, y] as in
         ``solve_qp``: the next iteration's warm start.
         """
@@ -379,33 +362,14 @@ class LocalBatch:
         z = np.asarray(z, dtype=float).reshape(np_steps)
         lam = np.asarray(lam, dtype=float).reshape(np_steps)
         f = f0 + rho * (lam - z)
-        P = self.hessian(rho)[0][i]
-        x = -np.linalg.solve(P, f[:, None])[:, 0]
+        P = self.hessian(rho)[0]
         start, end = self.starts[i], self.starts[i + 1]
         G, h = self.G[start:end], self.h[start:end]
-        m = G.shape[0]
         if (i, rho) not in self.duals:
-            lo = np.flatnonzero(np.isfinite(lb))
-            hi = np.flatnonzero(np.isfinite(ub))
-            eye = np.eye(np_steps)
-            A = np.concatenate([G, -eye[lo], eye[hi]])
-            PA = np.linalg.solve(P, A.T)
-            self.duals[i, rho] = (lo, hi, PA, A @ PA)
-        lo, hi, PA, M = self.duals[i, rho]
-        q = np.concatenate([G @ x - h, lb[lo] - x[lo], x[hi] - ub[hi]])
-        start = None
-        if warm_mult is not None and np.any(warm_mult):
-            start = np.concatenate([warm_mult[:m], warm_mult[m + lo],
-                                    warm_mult[m + np_steps + hi]])
-        dual = _box_active_set(M, q, np.inf, start)
-        mult = np.zeros(m + 2 * np_steps)
-        if np.any(dual):
-            x = x - PA @ dual
-            mult[:m] = dual[:m]
-            mult[m + lo] = dual[m:m + len(lo)]
-            mult[m + np_steps + hi] = dual[m + len(lo):]
-            x = np.where(mult[m:m + np_steps] > 0.0, lb,
-                         np.where(mult[m + np_steps:] > 0.0, ub, x))
+            self.duals[i, rho] = _BoxDual(P[i][None], G, lb, ub)
+        x0 = -np.linalg.solve(P[i], f[:, None])[:, 0]
+        x, mult = self.duals[i, rho].solve(x0, h, np.inf, warm_mult)
+        m = len(h)
         grad = self.H0s[i] @ x + rho * x + f
         stat = grad + G.T @ mult[:m] if np.any(mult[:m]) else grad
         return x, _kkt_measure(stat, G @ x - h, x, lb, ub, mult), mult
@@ -582,16 +546,6 @@ def build_edge(problem: EdgeProblem, z_i, z_j, lam_i, lam_j, rho: float) -> Dens
     return DenseQp(H=H, f=f, G=G, h=problem.h, lb=lb, ub=None)
 
 
-def _edge_slack(G_ux, h, mu, c):
-    """Edge slacks from G_u x and the row multipliers: max(G_u x - h, 0) where mu = c, else 0.
-
-    Only where the penalty binds (mu = c) may a slack be positive: elsewhere
-    complementarity with w = c - mu > 0 requires s = 0, and rounding must not
-    leak into s.  Works on one edge's rows or on a stack of them.
-    """
-    return np.where(mu >= c, np.maximum(G_ux - h, 0.0), 0.0)
-
-
 def _edge_kkt(stat_x, G_ux, h, s, mu, c):
     """KKT residual of ``build_edge``'s QP, per edge over the last axis.
 
@@ -626,8 +580,7 @@ class EdgeBatch:
         self.G_u = problems.G.reshape(-1, np_steps, 2 * np_steps)
         self.h = problems.h.reshape(-1, np_steps)
         self.c = problems.slack_penalty
-        self.fixed = np.max(np.abs(self.G_u), axis=2) == 0.0
-        self.mu_fixed = np.where(self.fixed & (self.h < 0.0), self.c[:, None], 0.0)
+        self.fixed, self.mu_fixed = _elastic_fixed(self.G_u, self.h, self.c[:, None])
         self.duals: dict = {}      # edge -> (unfixed rows, G_c, G_c G_c') once handed
 
     def solve(self, v, rho: float, warm_mu=None):
@@ -643,7 +596,7 @@ class EdgeBatch:
             inactive &= np.all((warm_mu == 0.0) | self.fixed, axis=1)
         c = self.c[:, None]
         mu = self.mu_fixed.copy()
-        s = _edge_slack(G_ux, self.h, mu, c)
+        s = _elastic_slack(G_ux - self.h, mu, c)
         # mu is nonzero only on rows whose G_u row is zero, so G_u' mu = 0
         kkt = _edge_kkt(rho * x + -rho * v, G_ux, self.h, s, mu, c)
         done = (inactive & np.all(np.isfinite(v), axis=1) & (self.c > 0.0)
@@ -673,7 +626,7 @@ class EdgeBatch:
 
         x = v - (G_c.T @ mu_c) / rho
         G_ux = G_u @ x
-        s = _edge_slack(G_ux, h, mu, c)
+        s = _elastic_slack(G_ux - h, mu, c)
         return x, s, mu, _edge_kkt(rho * x + -rho * v + G_u.T @ mu, G_ux, h, s, mu, c)
 
 

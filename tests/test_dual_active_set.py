@@ -8,7 +8,10 @@ so its slack is positive and the bound shortcut cannot answer; a row whose
 steering part is zero is fixed in closed form.  ``solve_qp`` must answer
 them on the ``dual`` path, KKT-verified, at the objective that exhaustive
 enumeration finds on the regularized problem.  A diagonal column that
-breaks the pattern sends the QP to the interior-point method.
+breaks the pattern sends the QP to the interior-point method.  The dual's
+kernel, ``qp._BoxDual``, which the ADMM vehicle nodes share, is checked on
+its own against the same enumeration, its capped rows posed as slack
+columns.
 """
 
 import warnings
@@ -100,3 +103,67 @@ def test_a_column_outside_the_slack_pattern_goes_to_the_ipm(breaks):
     assert qp_mod._dual_active_set(qp_mod._shifted(qp, shift), shift) is None
     sol = solve_quietly(qp)
     assert sol.path == "ipm" and sol.status == OPTIMAL
+
+
+def box_dual_data(seed, k, s, m, capped, bounded):
+    """P (k, s, s), f, G (m, k s), h, lb, ub and row caps c for ``qp._BoxDual``.
+
+    Hard rows hold with margin at a point inside the box, so every instance
+    is feasible; a capped row may be violated there.  Each entry of x has a
+    finite lower and upper bound with probability ``bounded``.
+    """
+    rng = np.random.default_rng(seed)
+    n = k * s
+    B = rng.normal(size=(k, s, s))
+    P = B @ B.transpose(0, 2, 1) + 0.5 * np.eye(s)
+    lb = np.where(rng.random(n) < bounded, -rng.uniform(0.2, 2.0, n), -np.inf)
+    ub = np.where(rng.random(n) < bounded, rng.uniform(0.2, 2.0, n), np.inf)
+    G = rng.normal(size=(m, n))
+    anchor = rng.uniform(-0.1, 0.1, n)
+    c = np.where(rng.random(m) < capped, rng.uniform(0.5, 10.0, m), np.inf)
+    h = G @ anchor + np.where(np.isfinite(c), rng.uniform(-2.0, 1.0, m), rng.uniform(0.1, 1.0, m))
+    return P, rng.normal(size=n) * rng.choice([1.0, 5.0]), G, h, lb, ub, c
+
+
+def elastic_form(P, f, G, h, lb, ub, c):
+    """The kernel's problem with a slack column (cost c_r, coefficient -1) per finite cap."""
+    cap = np.flatnonzero(np.isfinite(c))
+    E = np.zeros((len(G), len(cap)))
+    E[cap, np.arange(len(cap))] = -1.0
+    return DenseQp(H=BlockDiagonal(P, np.zeros(len(cap))), f=np.concatenate([f, c[cap]]),
+                   G=np.hstack([G, E]), h=h, lb=np.concatenate([lb, np.zeros(len(cap))]),
+                   ub=np.concatenate([ub, np.full(len(cap), np.inf)])), cap
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       shape=st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]), m=st.integers(0, 3),
+       capped=st.sampled_from([0.0, 0.5, 1.0]),
+       bounded=st.sampled_from([0.0, 0.5, 1.0]), start=st.sampled_from([None, "random", "warm"]))
+def test_box_dual_matches_enumeration(seed, shape, m, capped, bounded, start):
+    # the kernel's answer, its capped rows' slacks posed as slack columns, is
+    # a KKT point of the elastic QP at exhaustive enumeration's optimum, cold
+    # or warm started
+    k, s = shape
+    n = k * s
+    P, f, G, h, lb, ub, c = box_dual_data(seed, k, s, m, capped, bounded)
+    box = qp_mod._BoxDual(P, G, lb, ub)
+    x0 = -np.linalg.solve(P, f.reshape(k, s, 1)).reshape(n)
+    warm = {None: None,
+            "random": np.random.default_rng(seed).uniform(0.0, 2.0, m + 2 * n),
+            "warm": box.solve(x0, h + 0.3, c)[1]}[start]
+    x, mult = box.solve(x0, h, c, warm)
+    z = mult[:m]
+    assert np.all(z >= 0.0) and np.all(z <= c)
+
+    qp, cap = elastic_form(P, f, G, h, lb, ub, c)
+    slack = qp_mod._elastic_slack((G @ x - h)[cap], z[cap], c[cap])
+    u = np.concatenate([x, slack])
+    ns = len(cap)
+    full = np.concatenate([z, mult[m:m + n], c[cap] - z[cap], mult[m + n:], np.zeros(ns)])
+    assert kkt_residual(qp, u, full) <= 1e-8
+    # the slacks' zero curvature makes some enumerated KKT systems singular
+    H = np.asarray(qp.H) + np.diag(np.r_[np.zeros(n), np.full(ns, 1e-12)])
+    ref = enumerate_qp(H, qp.f, qp.G, qp.h, qp.lb, qp.ub)
+    assert ref is not None
+    assert abs(qp.objective(u) - ref[1]) <= 1e-6 * (1.0 + abs(ref[1]))

@@ -168,7 +168,8 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
     eye = np.eye(H0.shape[1])
     rhos, handed, cholesky, eigh, dual, formed = [], set(), [], [], [], []
     real_solve, real_node = LocalBatch.solve, LocalBatch.solve_node
-    real_cholesky, real_eigh, real_linsolve = np.linalg.cholesky, np.linalg.eigh, np.linalg.solve
+    real_cholesky, real_eigh = np.linalg.cholesky, np.linalg.eigh
+    real_kernel = qp_mod._BoxDual.__init__
 
     def batch_solve(self, z, lam, rho):
         rhos.append(rho)
@@ -187,17 +188,16 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
             return real(a, *args, **kwargs)
         return call
 
-    def linsolve(a, b):
-        if np.ndim(a) == 2 and np.ndim(b) == 2 and np.shape(b)[1] > 1:
-            dual.append(np.array(a))      # P^-1 A': the dual data of a handed vehicle
-        return real_linsolve(a, b)
+    def kernel(self, P_blocks, *args):
+        dual.append(np.array(P_blocks))   # the (1, Np, Np) stack of a handed vehicle's dual
+        real_kernel(self, P_blocks, *args)
 
     per_node_path()
     monkeypatch.setattr(LocalBatch, "solve", batch_solve)
     monkeypatch.setattr(LocalBatch, "solve_node", node)
     monkeypatch.setattr(np.linalg, "cholesky", recording(cholesky, real_cholesky))
     monkeypatch.setattr(np.linalg, "eigh", recording(eigh, real_eigh))
-    monkeypatch.setattr(np.linalg, "solve", linsolve)
+    monkeypatch.setattr(qp_mod._BoxDual, "__init__", kernel)
     res = admm_solve(local, edges, AdmmConfig(), init_admm_state(seeds, edges, 1.0, ids=local.ids))
     monkeypatch.undo()
     assert res.report.iterations_used == len(rhos) > 1
@@ -224,7 +224,8 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
     # that vehicle's P
     assert len(formed) == len(dual)
     assert sorted(formed) == sorted(handed)
-    assert all(np.array_equal(a, H0s[i] + rho * eye) for a, (i, rho) in zip(dual, formed))
+    assert all(a.shape == (1, *eye.shape) and np.array_equal(a[0], H0s[i] + rho * eye)
+               for a, (i, rho) in zip(dual, formed))
 
 
 def test_fallbacks_are_counted(monkeypatch, per_node_path):

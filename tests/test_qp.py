@@ -97,11 +97,18 @@ def test_row_scaling_invariance():
 
 
 def test_objective_monotone_after_feasibility():
+    # the interior point's objective does not rise once its iterates are
+    # feasible.  solve_qp answers these instances on the dual, with a
+    # one-entry trace, so they go to the interior point directly, and each
+    # trace must hold two feasible iterates for the test to compare anything
     rng = np.random.default_rng(43)
     for _ in range(10):
         qp = random_strictly_convex(rng, 5, 6)
-        sol = solve_qp(qp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = qp_mod._ipm(qp)
         feas = [(obj, v) for obj, v in sol.trace if v <= 1e-8]
+        assert len(feas) >= 2
         for (o1, _), (o2, _) in zip(feas, feas[1:]):
             assert o2 <= o1 + 1e-10 * (1 + abs(o1))
 
@@ -205,13 +212,29 @@ def test_deterministic_repeat():
     assert a.objective == b.objective
 
 
+def stiff_strictly_convex(rng, n, m):
+    """H's eigenvalues span 1e-9 to 1e3, so the dual's Hessian G H^-1 G' reaches 1e13."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    H = (Q * np.logspace(-9, 3, n)) @ Q.T
+    G = rng.normal(size=(m, n)) * 100.0
+    h = G @ rng.normal(size=n) + rng.uniform(0.0, 1.0, m)
+    return DenseQp(H=0.5 * (H + H.T), f=rng.normal(size=n) * 100.0, G=G, h=h)
+
+
 def test_callers_hessian_is_left_unchanged():
     # an exactly symmetric H is stored value for value as its blocks, and
-    # neither construction nor solve_qp (bound shortcut and interior point
-    # alike) writes into the caller's array
+    # neither construction nor any solve_qp stage writes into the caller's
+    # array: the bound shortcut, the dual (whose kernel reads H through
+    # H[None] views) and the interior point alike.  The third instance's
+    # unconstrained minimizer lies inside its box; the fourth is too stiff
+    # for its dual answer to verify
     rng = np.random.default_rng(21)
-    for with_bounds in (False, True):
-        qp = random_strictly_convex(rng, 6, 4, with_bounds=with_bounds)
+    instances = [random_strictly_convex(rng, 6, 4, with_bounds=wb) for wb in (False, True)]
+    inside = random_strictly_convex(rng, 6, 4)
+    instances += [DenseQp(H=inside.H, f=inside.f, lb=np.full(6, -1e3), ub=np.full(6, 1e3)),
+                  stiff_strictly_convex(rng, 6, 8)]
+    paths = []
+    for qp in instances:
         H = np.asarray(qp.H)
         assert np.array_equal(H, H.T)
         before = H.tobytes()
@@ -220,6 +243,8 @@ def test_callers_hessian_is_left_unchanged():
         sol = solve_qp(kept)
         assert sol.status == OPTIMAL
         assert H.tobytes() == before
+        paths.append(sol.path)
+    assert paths == ["dual", "dual", "bound", "ipm"]
 
 
 def test_asymmetric_hessian_is_still_symmetrized():

@@ -368,7 +368,7 @@ def admm_solve(local_problems: LocalProblems, edge_problems: EdgeProblems,
     t0 = time.perf_counter()
     local = LocalBatch(local_problems)
     t1 = time.perf_counter()
-    edge = EdgeBatch(edge_problems, np_steps)
+    edge = EdgeBatch(edge_problems)
     setup_local, setup_edge = t1 - t0, time.perf_counter() - t1
     # each vehicle's last multipliers (None where the batched pass answered:
     # they are all zero), and every edge's last row multipliers (E, Np)

@@ -12,8 +12,8 @@ answered.  Everything is deterministic: no randomization.
   active.
 - ``dual``: where every diagonal column is an elastic slack, each slack is
   eliminated into a cap on its row's multiplier and the rest is
-  ``_BoxDual``'s box-constrained dual over H's blocks, the kernel the ADMM
-  vehicle nodes use; ``_box_active_set`` solves it, a primal-dual active set
+  ``_BoxDual``'s box-constrained dual over H's blocks, the kernel every ADMM
+  node uses; ``_box_active_set`` solves it, a primal-dual active set
   (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002) continued by a
   primal active set.  The centralized fleet QP always has this form.
 - ``ipm``: a Mehrotra predictor-corrector primal-dual interior-point method.
@@ -418,7 +418,9 @@ class _BoxDual:
     Construction forms P^-1 A' with one stacked solve and M as
     [G P^-1 A'; -(P^-1 A')[lo]; (P^-1 A')[hi]]: the bound rows only select
     rows of P^-1 A'.  Both depend on P, G and the bounds alone, so a caller
-    keeps the kernel while only f and h change.
+    keeps the kernel while only f and h change.  An ADMM edge node is the
+    case P = rho I (1 x 1 blocks), no bounds and x0 = v: M = G G' / rho,
+    q = G v - h and x = v - G'mu / rho, every row capped by the slack cost.
     """
 
     def __init__(self, P_blocks, G, lb, ub):
@@ -446,7 +448,8 @@ class _BoxDual:
             start = np.concatenate([start[:m], start[m + lo], start[m + n + hi]])
         else:
             start = None
-        caps = np.concatenate([np.broadcast_to(c, m), np.full(len(lo) + len(hi), np.inf)])
+        caps = np.full(len(q), np.inf)
+        caps[:m] = c
         dual = _box_active_set(self.M, q, caps, start)
         mult = np.zeros(m + 2 * n)
         if not dual.any():
@@ -578,9 +581,7 @@ def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
 
 
 def _box_active_set(M, q, c, start=None):
-    """Minimizer of 1/2 mu'M mu - q'mu over 0 <= mu <= c (M PSD, c > 0, entries may be inf).
-
-    c is one bound for every row (a scalar) or one per row (a vector).
+    """Minimizer of 1/2 mu'M mu - q'mu over 0 <= mu <= c (M PSD, c > 0 per row, may be inf).
 
     A primal-dual active set runs first.  Its first guess takes the bounds
     ``start`` sits on (a warm start's sets usually still hold); cold, it is
@@ -616,8 +617,7 @@ def _box_active_set(M, q, c, start=None):
         if free.any():
             rhs = q[free]
             if at_hi.any():
-                M_fh = M[np.ix_(free, at_hi)]
-                rhs = rhs - (c * M_fh.sum(axis=1) if np.ndim(c) == 0 else M_fh @ c[at_hi])
+                rhs = rhs - M[np.ix_(free, at_hi)] @ c[at_hi]
             try:
                 mu_f = np.linalg.solve(M[np.ix_(free, free)], rhs)
             except np.linalg.LinAlgError:
@@ -641,7 +641,6 @@ def _primal_active_set(M, q, c, mu):
     null-space component the step follows that component, along which the
     objective falls linearly.  Returns the last iterate at the step cap.
     """
-    c = np.broadcast_to(c, mu.shape)     # elementwise as the scalar: same rounding
     abs_M = np.abs(M)
     lo, hi = mu <= 0.0, mu >= c
     mu = np.where(lo, 0.0, np.where(hi, c, mu))

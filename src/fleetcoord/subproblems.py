@@ -41,25 +41,24 @@ unconstrained minimizer meets all its rows in one stacked pass;
 ``LocalBatch.solve_node`` solves any one vehicle on ``qp._BoxDual``'s dual,
 whose kernel it builds once per vehicle and rho.
 
-``EdgeBatch`` solves the edge problems through their own dual.  The edge
-objective is proximal in the steering copies, x = (u_i, u_j), v = z - lam:
+``EdgeBatch`` holds the edge problems.  The edge objective is proximal in
+the steering copies, x = (u_i, u_j), v = z - lam:
 
     min  rho/2 |x - v|^2 + c 1's   s.t.  G x - s <= h,  s >= 0,
 
-whose dual is min 1/2 mu'(G G' / rho) mu - (G v - h)'mu over 0 <= mu <= c,
-with x = v - G'mu / rho.  An edge's G holds only the steering copies'
-columns; the slacks' -I block is implied.  Rows no steering input moves (the
-step-1 separation) are fixed by ``qp._elastic_fixed``; G_c, h_c are the
-other rows.  ``EdgeBatch.solve`` answers, in one stacked pass, every edge
-whose other rows are all inactive (q = rho (G_c v - h_c) <= 0: mu_c = 0 and
-x = v); ``EdgeBatch.solve_node`` solves any one edge, forming G_c G_c' the
-first time the cycle hands it over, so rho enters as a scalar.  Each
-``solve_node`` returns, bit for bit, the row its batched pass returns for an
-answered node; no node reaches ``solve_qp``.  ``build_local`` and
-``build_edge`` stay the primal reference: a node's KKT residual is the one
-``kkt_residual`` gives the built QP, formed for a vehicle by
-``qp._kkt_measure`` and for an edge by ``_edge_kkt``, which writes that
-measure's terms out for both edge paths.
+and an edge's G holds only the steering copies' columns; the slacks' -I
+block is implied.  Rows no steering input moves (the step-1 separation) are
+fixed by ``qp._elastic_fixed``; the other rows are ``qp._BoxDual``'s
+problem with P = rho I, no bounds and caps c, whose docstring gives the
+dual.  ``EdgeBatch.solve`` answers, in one stacked pass, every edge whose
+other rows are all inactive at x = v (their multipliers are 0);
+``EdgeBatch.solve_node`` solves any one edge on the kernel, which it builds
+once per edge and rho.  Each ``solve_node`` returns, bit for bit, the row
+its batched pass returns for an answered node; no node reaches
+``solve_qp``.  ``build_local`` and ``build_edge`` stay the primal reference:
+a node's KKT residual is the one ``kkt_residual`` gives the built QP, formed
+for a vehicle by ``qp._kkt_measure`` and for an edge by ``_edge_kkt``, which
+writes that measure's terms out for both edge paths.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ import numpy as np
 
 from .dynamics import STATE_DIM, CondensedPrediction, FleetPrediction
 from .errors import DegenerateSeedError, ParameterError
-from .qp import (BlockDiagonal, DenseQp, _block_shifts, _box_active_set, _BoxDual,
-                 _elastic_fixed, _elastic_slack, _kkt_measure)
+from .qp import (BlockDiagonal, DenseQp, _block_shifts, _BoxDual, _elastic_fixed, _elastic_slack,
+                 _kkt_measure)
 from .scenario import VehicleSpec
 
 _COINCIDENT_TOL = 1e-9
@@ -563,25 +562,23 @@ def _edge_kkt(stat_x, G_ux, h, s, mu, c):
 class EdgeBatch:
     """E edge problems stacked to answer their inactive case in one pass per iteration.
 
-    Construction reads G_u (the edges' G), h and the slack penalties from
-    the ``EdgeProblems`` arrays as they are and finds every edge's fixed
-    rows.  ``solve`` screens all edges on q = rho (G_u v - h), from the
-    stacked product G_u v that the KKT residual reads too, with the fixed
-    rows masked.  When q <= 0 on every other row and no warm multiplier on
-    one of them is nonzero, ``_box_active_set`` returns
-    mu_c = 0 on its first guess, so ``solve_node``'s answer is x = v with the
-    fixed rows' multipliers and slacks in closed form; G_c G_c', the active
-    set and G_u' mu (zero: mu is nonzero only on rows whose G_u row is zero)
-    are skipped.  Each product is ``solve_node``'s own, issued as one stacked
+    Construction reads G_u (the edges' G, (E, Np, 2Np)), h (E, Np) and the
+    slack penalties from the ``EdgeProblems`` arrays as they are and finds
+    every edge's fixed rows.  ``solve`` screens all edges on G_u v - h, the
+    kernel's q, from the stacked product G_u v that the KKT residual reads
+    too, with the fixed rows masked.  When it is <= 0 on every other row and
+    no warm multiplier on one of them is nonzero, the kernel's active set
+    returns mu = 0 on its first guess, so ``solve_node``'s answer is x = v
+    with the fixed rows' multipliers and slacks in closed form; the kernel
+    and G_u' mu (zero: mu is nonzero only on rows whose G_u row is zero) are
+    skipped.  Each product is ``solve_node``'s own, issued as one stacked
     ``matmul``, so an answered row equals ``solve_node``'s bit for bit.
     """
 
-    def __init__(self, problems: EdgeProblems, np_steps: int):
-        self.G_u = problems.G.reshape(-1, np_steps, 2 * np_steps)
-        self.h = problems.h.reshape(-1, np_steps)
-        self.c = problems.slack_penalty
+    def __init__(self, problems: EdgeProblems):
+        self.G_u, self.h, self.c = problems.G, problems.h, problems.slack_penalty
         self.fixed, self.mu_fixed = _elastic_fixed(self.G_u, self.h, self.c[:, None])
-        self.duals: dict = {}      # edge -> (unfixed rows, G_c, G_c G_c') once handed
+        self.duals: dict = {}      # (edge, rho) -> qp._BoxDual once handed
 
     def solve(self, v, rho: float, warm_mu=None):
         """(x, s, mu, kkt, done) for the rows v = z - lam (E, 2Np) of all edges.
@@ -591,12 +588,13 @@ class EdgeBatch:
         """
         x = v
         G_ux = np.matmul(self.G_u, x[:, :, None])[:, :, 0]
-        inactive = np.all((rho * (G_ux - self.h) <= 0.0) | self.fixed, axis=1)
+        gap = G_ux - self.h
+        inactive = np.all((gap <= 0.0) | self.fixed, axis=1)
         if warm_mu is not None:
             inactive &= np.all((warm_mu == 0.0) | self.fixed, axis=1)
         c = self.c[:, None]
         mu = self.mu_fixed.copy()
-        s = _elastic_slack(G_ux - self.h, mu, c)
+        s = _elastic_slack(gap, mu, c)
         # mu is nonzero only on rows whose G_u row is zero, so G_u' mu = 0
         kkt = _edge_kkt(rho * x + -rho * v, G_ux, self.h, s, mu, c)
         done = (inactive & np.all(np.isfinite(v), axis=1) & (self.c > 0.0)
@@ -606,25 +604,24 @@ class EdgeBatch:
     def solve_node(self, k: int, v, rho: float, warm_mu=None):
         """(x, s, mu, kkt): edge k's ``build_edge`` QP at v = z - lam (2Np,), solved on its dual.
 
-        ``warm_mu`` (the row multipliers of an earlier solve, any length-Np
-        vector) seeds the active-set guess.  The answer is the row ``solve``
-        returns for an answered edge.
+        The dual is ``qp._BoxDual``'s over P = rho I (2Np blocks of 1 x 1)
+        and the unfixed rows, each capped by c, with no bounds, solved at
+        x0 = v.  Its kernel is built the first time edge k is handed over at
+        this rho.  ``warm_mu`` (the row multipliers of an earlier solve, any
+        length-Np vector) seeds the active-set guess.  The answer is the row
+        ``solve`` returns for an answered edge.
         """
         _check_rho(rho)
         G_u, h, c = self.G_u[k], self.h[k], self.c[k]
-        if k not in self.duals:
-            rows = np.flatnonzero(~self.fixed[k])
-            G_c = G_u[rows]
-            self.duals[k] = (rows, G_c, G_c @ G_c.T)
-        rows, G_c, M = self.duals[k]
-        mu = self.mu_fixed[k].copy()
-        # rho times the dual: min 1/2 mu'M mu - rho b'mu, so rho stays a scalar
-        q = rho * (G_c @ v - h[rows])
+        rows = np.flatnonzero(~self.fixed[k])
+        if (k, rho) not in self.duals:
+            n = G_u.shape[1]
+            self.duals[k, rho] = _BoxDual(np.full((n, 1, 1), rho), G_u[rows],
+                                          np.full(n, -np.inf), np.full(n, np.inf))
         start = None if warm_mu is None else np.asarray(warm_mu, dtype=float)[rows]
-        mu_c = _box_active_set(M, q, c, start)
-        mu[rows] = mu_c
-
-        x = v - (G_c.T @ mu_c) / rho
+        x, mult = self.duals[k, rho].solve(v, h[rows], c, start)
+        mu = self.mu_fixed[k].copy()
+        mu[rows] = mult[:len(rows)]
         G_ux = G_u @ x
         s = _elastic_slack(G_ux - h, mu, c)
         return x, s, mu, _edge_kkt(rho * x + -rho * v + G_u.T @ mu, G_ux, h, s, mu, c)

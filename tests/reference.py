@@ -223,7 +223,7 @@ def solve_edge(problem, z_i, z_j, lam_i, lam_j, rho: float, warm_mu=None) -> QpS
     v = np.concatenate([np.asarray(z_i, dtype=float) - np.asarray(lam_i, dtype=float),
                         np.asarray(z_j, dtype=float) - np.asarray(lam_j, dtype=float)])
     edge = stack({}, {(0, 1): problem}, (0, 1))[1]
-    x, s, mu, kkt = EdgeBatch(edge, n).solve_node(0, v, rho, warm_mu)
+    x, s, mu, kkt = EdgeBatch(edge).solve_node(0, v, rho, warm_mu)
     c = problem.slack_penalty
     objective = float(0.5 * rho * (x @ x) + -rho * v @ x + c * np.sum(s))
     return QpSolution(u_star=np.concatenate([x, s]), objective=objective, status=node_status(kkt),

@@ -16,9 +16,9 @@ rows activate, and the single-node instances of the local and edge solver tests
 moved onto the batched passes' decision boundaries (a position row violated
 by 1e-11 to 1e-8, an edge row with q within rounding of zero, warm
 multipliers on coupled rows, zeroed steering rows).  Two fixed cases cover
-``LocalBatch``'s Hessians per rho: a vehicle with H0 = 0 at rho = 1e-11,
-whose P fails the stacked Cholesky probe and takes the 1e-9 shift, and a
-rho that returns to an earlier value.
+the batches' data per rho: a vehicle with H0 = 0 at rho = 1e-11, whose P
+fails the stacked Cholesky probe and takes the 1e-9 shift, and a rho that
+returns to an earlier value, on vehicles and on edges.
 """
 
 import copy
@@ -320,10 +320,10 @@ def local_batch(problems):
     return LocalBatch(stack(dict(enumerate(problems)), {})[0])
 
 
-def edge_batch(problems, np_steps):
+def edge_batch(problems):
     """An ``EdgeBatch`` over a list of problems, row k holding problems[k]."""
     edges = [(2 * k, 2 * k + 1) for k in range(len(problems))]
-    return EdgeBatch(stack({}, dict(zip(edges, problems)), range(2 * len(problems)))[1], np_steps)
+    return EdgeBatch(stack({}, dict(zip(edges, problems)), range(2 * len(problems)))[1])
 
 
 @SETTINGS
@@ -396,23 +396,40 @@ def test_a_vehicle_needing_the_shift_is_handed_and_the_others_keep_their_rows(se
     assert _same_rows(nodes[0], nodes_[0]) and _same_rows(nodes[2], nodes_[1])
 
 
+def _edge_rows(batch, v, rho):
+    """The batched pass's (x, s, mu, kkt, done), each edge it leaves answered by ``solve_node``."""
+    x, s, mu, kkt, done = batch.solve(v.copy(), rho)
+    for k in np.flatnonzero(~done):
+        x[k], s[k], mu[k], kkt[k] = batch.solve_node(k, v[k].copy(), rho)
+    return x, s, mu, kkt, done
+
+
 def test_a_return_to_an_earlier_rho_answers_as_a_fresh_batch():
-    # rho 1 -> 2 -> 1 on one batch, a handed vehicle among them: every row
-    # equals a fresh batch's at that rho, so no P or dual data of another rho
-    # is reused
+    # rho 1 -> 2 -> 1 on one batch of vehicles and one of edges, handed nodes
+    # among them: every row equals a fresh batch's at that rho, so no P or
+    # dual kernel of another rho is reused
     cases = [local_instance(seed, 8, 0.02, 2.0, 0.1) for seed in (3, 4, 5)]
     problems = [lp for lp, _, _ in cases]
     z = np.array([z for _, z, _ in cases])
     lam = np.array([lam for _, _, lam in cases])
     batch = local_batch(problems)
-    handed = 0
+    built = [edge_instance(seed, 8, gap, 1e4, False) for seed, gap in ((3, 2.0), (4, 12.0))]
+    edge_problems = [ep for ep, _ in built]
+    v = np.array([np.concatenate([z_i - lam_i, z_j - lam_j])
+                  for _, (z_i, z_j, lam_i, lam_j) in built])
+    edges = edge_batch(edge_problems)
+    handed = edges_handed = 0
     for rho in (1.0, 2.0, 1.0):
         (x, kkt, done), nodes = _local_rows(batch, z, lam, rho, range(3))
         (x_, kkt_, done_), nodes_ = _local_rows(local_batch(problems), z, lam, rho, range(3))
         assert same(x, x_) and same(kkt, kkt_) and same(done, done_)
         assert all(_same_rows(nodes[i], nodes_[i]) for i in range(3))
         handed += np.count_nonzero(~done)
+        rows = _edge_rows(edges, v, rho)
+        assert _same_rows(rows, _edge_rows(edge_batch(edge_problems), v, rho))
+        edges_handed += np.count_nonzero(~rows[-1])
     assert handed and sorted(batch.hessians) == [1.0, 2.0]
+    assert edges_handed and sorted(edges.duals) == [(0, 1.0), (0, 2.0)]
 
 
 def _coupled_rows(ep):
@@ -460,7 +477,7 @@ def test_edge_batch_answers_as_solve_edge(cases, np_steps, log_rho, warm_seed):
         if case[-1] == "coupled" and len(coupled):
             warm[k, rng.choice(coupled)] = ep.slack_penalty * rng.choice([0.5, 1.0])
     warm_mu = None if all(case[-1] == "none" for case in cases) else warm
-    x, s, mu, kkt, done = edge_batch(problems, np_steps).solve(v, rho, warm_mu)
+    x, s, mu, kkt, done = edge_batch(problems).solve(v, rho, warm_mu)
     for k, (ep, args) in enumerate(built):
         if done[k]:
             sol = solve_edge(ep, *args, rho, warm_mu=None if warm_mu is None else warm[k])
@@ -477,7 +494,7 @@ def test_node_solvers_reject_a_rho_that_is_not_finite_and_positive(rho):
     for solve in (lambda: solve_local(lp, z, lam, rho),
                   lambda: local_batch([lp]).solve_node(0, z, lam, rho),
                   lambda: solve_edge(ep, *args, rho),
-                  lambda: edge_batch([ep], 5).solve_node(0, v, rho)):
+                  lambda: edge_batch([ep]).solve_node(0, v, rho)):
         with pytest.raises(ParameterError, match="rho"):
             solve()
 

@@ -9,9 +9,9 @@ steering part is zero is fixed in closed form.  ``solve_qp`` must answer
 them on the ``dual`` path, KKT-verified, at the objective that exhaustive
 enumeration finds on the regularized problem.  A diagonal column that
 breaks the pattern sends the QP to the interior-point method.  The dual's
-kernel, ``qp._BoxDual``, which the ADMM vehicle nodes share, is checked on
-its own against the same enumeration, its capped rows posed as slack
-columns.
+kernel, ``qp._BoxDual``, which every ADMM node shares, is checked on its own
+against the same enumeration, its capped rows posed as slack columns, also
+in an edge node's shape.
 """
 
 import warnings
@@ -139,14 +139,21 @@ def elastic_form(P, f, G, h, lb, ub, c):
 @given(seed=st.integers(0, 2 ** 31 - 1),
        shape=st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]), m=st.integers(0, 3),
        capped=st.sampled_from([0.0, 0.5, 1.0]),
-       bounded=st.sampled_from([0.0, 0.5, 1.0]), start=st.sampled_from([None, "random", "warm"]))
-def test_box_dual_matches_enumeration(seed, shape, m, capped, bounded, start):
+       bounded=st.sampled_from([0.0, 0.5, 1.0]), start=st.sampled_from([None, "random", "warm"]),
+       log_rho=st.one_of(st.none(), st.floats(-3.0, 3.0)))
+def test_box_dual_matches_enumeration(seed, shape, m, capped, bounded, start, log_rho):
     # the kernel's answer, its capped rows' slacks posed as slack columns, is
     # a KKT point of the elastic QP at exhaustive enumeration's optimum, cold
-    # or warm started
+    # or warm started.  With log_rho the draw has an edge node's shape:
+    # P = rho I as 1 x 1 blocks, f = -rho v, no bounds and every row capped
     k, s = shape
+    if log_rho is not None:
+        k, s, capped, bounded = k * s, 1, 1.0, 0.0
     n = k * s
     P, f, G, h, lb, ub, c = box_dual_data(seed, k, s, m, capped, bounded)
+    if log_rho is not None:
+        rho = 10.0 ** log_rho
+        P, f = np.full((k, 1, 1), rho), rho * f
     box = qp_mod._BoxDual(P, G, lb, ub)
     x0 = -np.linalg.solve(P, f.reshape(k, s, 1)).reshape(n)
     warm = {None: None,
@@ -155,6 +162,10 @@ def test_box_dual_matches_enumeration(seed, shape, m, capped, bounded, start):
     x, mult = box.solve(x0, h, c, warm)
     z = mult[:m]
     assert np.all(z >= 0.0) and np.all(z <= c)
+    # a violated row's slack is positive only where its multiplier is at the
+    # cap, c exactly, as ``_elastic_slack`` tests it
+    violated = G @ x - h > 1e-9
+    assert np.all(z[violated] == c[violated])
 
     qp, cap = elastic_form(P, f, G, h, lb, ub, c)
     slack = qp_mod._elastic_slack((G @ x - h)[cap], z[cap], c[cap])

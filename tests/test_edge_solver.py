@@ -1,7 +1,8 @@
-"""EdgeBatch.solve_node (the dual box-QP edge solver) against the primal edge QP.
+"""EdgeBatch.solve_node, the edge QP solved on ``qp._BoxDual``'s dual, against the primal.
 
 ``solve_edge`` of ``reference.py`` solves one edge with it and lays the
-answer out as ``solve_qp`` would.
+answer out as ``solve_qp`` would.  The kernel's box QP solver,
+``qp._box_active_set``, is checked on its own against enumeration.
 
 Instances come from real condensed predictions of two vehicles, so the first
 separation row has no steering dependence; hypothesis adds rank-deficient
@@ -236,12 +237,14 @@ def test_forced_pdas_cycle_still_reaches_the_exact_optimum(monkeypatch):
 @example(n=3, rank=3, seed=0, c=CYCLE_C, start="cycle")    # forces the primal continuation
 def test_box_active_set_matches_enumeration(n, rank, seed, c, start):
     # PSD M = B B' of rank <= min(n, rank), some rows of B zero; q = M y - r
-    # with r >= 0, so the box QP stays bounded where c is infinite.  "per_row"
-    # gives each row its own bound, finite or infinite
+    # with r >= 0, so the box QP stays bounded where c is infinite.  Every row
+    # has the bound c, or with "per_row" its own, finite or infinite
     from fleetcoord.qp import _box_active_set
     rng = np.random.default_rng(seed)
     if c == "per_row":
         c = np.where(rng.random(n) < 0.5, rng.choice([0.5, 3.0, 1e4], n), math.inf)
+    else:
+        c = np.full(n, c)
     B = rng.normal(size=(n, rank)) * (rng.random((n, 1)) < 0.9)
     M = B @ B.T
     q = M @ rng.normal(size=n) * 3.0 - rng.exponential(size=n) * (rng.random(n) < 0.5)
@@ -260,7 +263,7 @@ def test_box_active_set_matches_enumeration(n, rank, seed, c, start):
     assert np.all(np.abs(g[free]) <= tol[free])
     # a singular M can make the optimal set unbounded and its optimum large,
     # so past a box of 1e3 mu is only held to be no worse than the oracle's
-    ref = enumerate_qp(M, -q, lb=np.zeros(n), ub=np.broadcast_to(np.minimum(c, 1e3), n))
+    ref = enumerate_qp(M, -q, lb=np.zeros(n), ub=np.minimum(c, 1e3))
     assert ref is not None
     objective = 0.5 * mu @ M @ mu - q @ mu
     assert objective <= ref[1] + 1e-8 * (1.0 + abs(ref[1]))

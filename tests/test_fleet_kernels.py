@@ -273,11 +273,11 @@ def test_edge_with_every_row_fixed_has_empty_dual_hessian():
     seed_pos = np.array([[[0.0, 0.0]] * 3, [[3.0, 0.0]] * 3])
     problems = make_edge_problems([(1, 2)], [(0, 1)], prediction, seed_pos, 5.0, 1e4,
                                   [(-3.0, 0.0)])
-    batch = EdgeBatch(problems, 3)
+    batch = EdgeBatch(problems)
     assert batch.fixed.tolist() == [[True, True, True]]
     _, _, _, kkt = batch.solve_node(0, np.zeros(6), 1.0)
-    rows, G_c, M = batch.duals[0]
-    assert rows.size == 0 and G_c.shape == (0, 6) and M.shape == (0, 0)
+    box = batch.duals[0, 1.0]
+    assert box.G.shape == (0, 6) and box.M.shape == (0, 0)
     assert kkt <= 1e-8
 
 

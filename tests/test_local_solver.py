@@ -22,7 +22,7 @@ from fleetcoord import (AdmmConfig, CostWeights, admm_solve, build_local, conden
                         solve_qp)
 from fleetcoord.qp import OPTIMAL
 from fleetcoord.scenario import VehicleState
-from fleetcoord.subproblems import LocalBatch
+from fleetcoord.subproblems import EdgeBatch, LocalBatch
 
 from instances import BoxedSpec, bounded_pair
 from oracles import enumerate_qp
@@ -161,13 +161,14 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
     # changes and returns to earlier values: the cycle probes its vehicle
     # Hessians P = H0s + rho I with one stacked Cholesky per distinct rho,
     # decomposes no vehicle Hessian with eigh, and forms each handed
-    # vehicle's dual data once per rho
+    # vehicle's and edge's dual kernel once per rho
     local, edges, seeds = bounded_pair()
     H0 = local.H0
     H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
     eye = np.eye(H0.shape[1])
-    rhos, handed, cholesky, eigh, dual, formed = [], set(), [], [], [], []
+    rhos, handed, handed_edges, cholesky, eigh, dual, formed = [], set(), set(), [], [], [], []
     real_solve, real_node = LocalBatch.solve, LocalBatch.solve_node
+    real_edge_node = EdgeBatch.solve_node
     real_cholesky, real_eigh = np.linalg.cholesky, np.linalg.eigh
     real_kernel = qp_mod._BoxDual.__init__
 
@@ -179,7 +180,14 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
         handed.add((i, rho))
         before = len(dual)
         row = real_node(self, i, z, lam, rho, warm_mult)
-        formed.extend([(i, rho)] * (len(dual) - before))
+        formed.extend([("vehicle", i, rho)] * (len(dual) - before))
+        return row
+
+    def edge_node(self, k, v, rho, warm_mu=None):
+        handed_edges.add((k, rho))
+        before = len(dual)
+        row = real_edge_node(self, k, v, rho, warm_mu)
+        formed.extend([("edge", k, rho)] * (len(dual) - before))
         return row
 
     def recording(calls, real):
@@ -189,12 +197,13 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
         return call
 
     def kernel(self, P_blocks, *args):
-        dual.append(np.array(P_blocks))   # the (1, Np, Np) stack of a handed vehicle's dual
+        dual.append(np.array(P_blocks))
         real_kernel(self, P_blocks, *args)
 
     per_node_path()
     monkeypatch.setattr(LocalBatch, "solve", batch_solve)
     monkeypatch.setattr(LocalBatch, "solve_node", node)
+    monkeypatch.setattr(EdgeBatch, "solve_node", edge_node)
     monkeypatch.setattr(np.linalg, "cholesky", recording(cholesky, real_cholesky))
     monkeypatch.setattr(np.linalg, "eigh", recording(eigh, real_eigh))
     monkeypatch.setattr(qp_mod._BoxDual, "__init__", kernel)
@@ -220,12 +229,18 @@ def test_one_stacked_cholesky_per_rho_per_admm_solve(monkeypatch, per_node_path)
 
     assert not any(is_vehicle_hessian(a) for a in eigh)
 
-    # dual data formed exactly once for each (vehicle, rho) handed over, on
-    # that vehicle's P
+    # a kernel formed exactly once for each (vehicle, rho) and each (edge,
+    # rho) handed over: a vehicle's on its P, a (1, Np, Np) stack, an edge's
+    # on rho I as 2Np blocks of 1 x 1
     assert len(formed) == len(dual)
-    assert sorted(formed) == sorted(handed)
-    assert all(a.shape == (1, *eye.shape) and np.array_equal(a[0], H0s[i] + rho * eye)
-               for a, (i, rho) in zip(dual, formed))
+    assert sorted((i, rho) for kind, i, rho in formed if kind == "vehicle") == sorted(handed)
+    assert sorted((k, rho) for kind, k, rho in formed if kind == "edge") == sorted(handed_edges)
+    assert handed_edges
+    for a, (kind, i, rho) in zip(dual, formed):
+        if kind == "vehicle":
+            assert a.shape == (1, *eye.shape) and np.array_equal(a[0], H0s[i] + rho * eye)
+        else:
+            assert a.shape == (2 * len(eye), 1, 1) and np.all(a == rho)
 
 
 def test_fallbacks_are_counted(monkeypatch, per_node_path):

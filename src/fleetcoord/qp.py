@@ -11,11 +11,15 @@ answered.  Everything is deterministic: no randomization.
 - ``bound``: a bound-pinning guess for problems where only box bounds are
   active.
 - ``dual``: where every diagonal column is an elastic slack, each slack is
-  eliminated into a cap on its row's multiplier and the rest is
-  ``_BoxDual``'s box-constrained dual over H's blocks, the kernel every ADMM
-  node uses; ``_box_active_set`` solves it, a primal-dual active set
-  (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002) continued by a
-  primal active set.  The centralized fleet QP always has this form.
+  eliminated into a cap on its row's multiplier, and Goldfarb & Idnani's
+  dual method (Math. Programming 27, 1983) solves the rest over H's
+  blocks.  From the unconstrained minimizer it adds one violated row per
+  step, the most violated first, keeping the active rows linearly
+  independent; a multiplier that reaches its cap lets the row's slack in.
+  A step costs one product G x plus O(n q) work on the q active rows.  On
+  the fleet QPs of the shipped scenes and of 8- and 16-vehicle crossings,
+  q ended at 29 or fewer, where G has up to 1215 rows.  The centralized
+  fleet QP always has this form.
 - ``ipm``: a Mehrotra predictor-corrector primal-dual interior-point method.
   Every finite bound is an inequality row like those of G, so one
   slack/dual pair per row carries all of the complementarity.  Each
@@ -37,11 +41,17 @@ stack and read the diagonal entry by entry, and their answers are verified
 with H x formed block by block.  G stays dense and is stored as given.  A
 centralized cycle that ends on the bound shortcut therefore costs the
 blocks' own factorizations, one finiteness pass over G and one dense product
-with it; one on the dual also forms ``_BoxDual``'s M.  Only the
-interior-point method and the active-set polish build the dense H, once per
-call; a call that reaches the interior-point method is dominated by forming
-(O(n^2 m)) and factoring (O(n^3)) its n x n Newton matrix.  A variable with
-lb == ub is an ordinary pair of bound rows.
+with it.  One on the dual copies G's block columns once and adds one
+product with them per step; it keeps P^-1 a and the inverse Gram matrix
+only for the active rows.  Only the interior-point method and the active-set polish
+build the dense H, once per call; a call that reaches the interior-point
+method is dominated by forming (O(n^2 m)) and factoring (O(n^3)) its n x n
+Newton matrix.  A variable with lb == ub is an ordinary pair of bound rows.
+
+``_BoxDual`` is the kernel every ADMM node uses: a node's box-constrained
+dual, solved warm by ``_box_active_set``, a primal-dual active set
+(Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002) continued by a
+primal active set.
 
 ``_kkt_measure`` is the one definition of the KKT residual: ``solve_qp``
 and the ADMM vehicle nodes hand it their own stationarity and row vectors,
@@ -80,6 +90,8 @@ _CORRECTORS = 2          # Gondzio centrality correctors per IPM iteration
 _IPM_MAX_ITER = 100      # interior-point iterations per call
 _ACTIVE_SET_MAX_ITERS = 50
 _SINGULAR_GROWTH = 1e10  # _box_active_set: max|M| / lambda_min of a singular free block
+_GI_TOL = 1e-10          # _goldfarb_idnani: a row's violation past this adds it
+_GI_DEPENDENT = 1e-10    # _goldfarb_idnani: d / a'P^-1 a below this, a is in the active span
 
 
 class BlockDiagonal:
@@ -414,7 +426,9 @@ class _BoxDual:
         min 1/2 mu'M mu - q'mu  over 0 <= mu <= c,   M = A P^-1 A',  q = A x0 - b,
 
     where G's rows are capped by c (the unit cost of an elastic row's
-    slack, +inf for a hard row) and the bound rows are uncapped.
+    slack, +inf for a hard row) and the bound rows are uncapped.  This is
+    the ADMM nodes' kernel (``subproblems.LocalBatch`` and ``EdgeBatch``);
+    the fleet QP's ``dual`` stage forms no M and uses ``_goldfarb_idnani``.
     Construction forms P^-1 A' with one stacked solve and M as
     [G P^-1 A'; -(P^-1 A')[lo]; (P^-1 A')[hi]]: the bound rows only select
     rows of P^-1 A'.  Both depend on P, G and the bounds alone, so a caller
@@ -443,11 +457,16 @@ class _BoxDual:
         """
         G, lo, hi, lb, ub = self.G, self.lo, self.hi, self.lb, self.ub
         m, n = G.shape
-        q = np.concatenate([G @ x0 - h, lb[lo] - x0[lo], x0[hi] - ub[hi]])
-        if start is not None and np.any(start):
+        bounded = len(lo) or len(hi)
+        q = G @ x0 - h
+        if bounded:
+            q = np.concatenate([q, lb[lo] - x0[lo], x0[hi] - ub[hi]])
+        if start is None or not np.any(start):
+            start = None
+        elif bounded:
             start = np.concatenate([start[:m], start[m + lo], start[m + n + hi]])
         else:
-            start = None
+            start = start[:m]
         caps = np.full(len(q), np.inf)
         caps[:m] = c
         dual = _box_active_set(self.M, q, caps, start)
@@ -455,28 +474,31 @@ class _BoxDual:
         if not dual.any():
             return x0, mult
         mult[:m] = dual[:m]
+        x = x0 - self.PA @ dual
+        if not bounded:                    # an edge node: no bound to scatter or meet
+            return x, mult
         mult[m + lo] = dual[m:m + len(lo)]
         mult[m + n + hi] = dual[m + len(lo):]
-        x = x0 - self.PA @ dual
         return np.where(mult[m:m + n] > 0.0, lb, np.where(mult[m + n:] > 0.0, ub, x)), mult
 
 
 def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
-    """Exact solution of the problem on its dual over H's blocks, the slack columns eliminated.
+    """Exact solution of the problem by a dual active set over H's blocks, the slacks eliminated.
 
     Applies when H's blocks (P) are non-empty and factorable and every
     diagonal column j is an elastic slack: its entry is ``shift`` alone (0
     before the regularization shift), lb_j = 0, ub_j = +inf, f_j > 0, and its
     one nonzero in G, G_rj, is negative, in a row r that holds no other
     slack.  Minimizing over s_j >= 0 then caps row r's multiplier at
-    c_r = f_j / -G_rj, exactly, and the rest is ``_BoxDual``'s dual over the
-    block columns, solved cold.  Rows with no block coefficient are fixed
-    first by ``_elastic_fixed`` (None when one is violated with c = +inf).
-    The slacks are ``_elastic_slack`` of their rows' gaps / -G_rj, and a
-    slack's bound multiplier is f_j + G_rj mu_r.  Returns
-    ``_bound_shortcut``'s tuple, or None when the form does not apply, M is
-    not finite, or the answer is not verified (primal violation above 1e-9 or
-    KKT residual above the target).
+    c_r = f_j / -G_rj, exactly, and ``_goldfarb_idnani`` solves the rest over
+    the block columns, cold, with P^-1 from the blocks' Cholesky factors.
+    Rows with no block coefficient are fixed first by ``_elastic_fixed``
+    (None when one is violated with c = +inf).  The slacks are
+    ``_elastic_slack`` of their rows' gaps / -G_rj, and a slack's bound
+    multiplier is f_j + G_rj mu_r.  Returns ``_bound_shortcut``'s tuple, or
+    None when the form does not apply, the method stops without an answer
+    or the answer is not verified (primal violation above 1e-9 or KKT
+    residual above the target).
     """
     H, f, G, h, lb, ub = problem.H, problem.f, problem.G, problem.h, problem.lb, problem.ub
     k, s, _ = H.blocks.shape
@@ -486,10 +508,15 @@ def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
             and np.all(ub[split:] == np.inf) and np.all(f[split:] > 0.0)
             and np.all(nz.sum(axis=0) == 1)):
         return None
-    row = np.nonzero(nz.T)[1]                        # each slack's row
+    row = nz.argmax(axis=0) if m else np.zeros(0, dtype=int)   # each slack's row; m = 0: none
     g = G[row, np.arange(split, n)]
-    if not (np.all(g < 0.0) and len(np.unique(row)) == len(row) and _factorable(H.blocks)):
+    if not (np.all(g < 0.0) and len(np.unique(row)) == len(row)):
         return None
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(H.blocks))
+    except np.linalg.LinAlgError:
+        return None
+    P_inv = L_inv.transpose(0, 2, 1) @ L_inv         # symmetric by construction
     c = np.full(m, np.inf)
     G_u = G[:, :split]
     with np.errstate(all="ignore"):                  # every answer is verified below
@@ -498,14 +525,14 @@ def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
         if np.isinf(mu).any():
             return None
         keep = np.flatnonzero(~fixed)
-        box = _BoxDual(H.blocks, G_u[keep], lb[:split], ub[:split])
-        if not np.isfinite(box.M).all():
-            return None
-        x0 = -np.linalg.solve(H.blocks, f[:split].reshape(k, s, 1)).reshape(split)
         try:
-            x, dual = box.solve(x0, h[keep], c[keep])
+            answer = _goldfarb_idnani(P_inv, f[:split], G_u[keep], h[keep], c[keep],
+                                      lb[:split], ub[:split])
         except np.linalg.LinAlgError:
             return None
+        if answer is None:
+            return None
+        x, dual = answer
         r = len(keep)
         mu[keep] = dual[:r]
         mult = np.concatenate([mu, dual[r:r + split], f[split:] + g * mu[row],
@@ -518,6 +545,137 @@ def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
         if not (pviol <= 1e-9 and kkt <= _STOP_KKT):
             return None
         return u, mult, kkt, float(0.5 * u @ Hu + f @ u), pviol
+
+
+def _goldfarb_idnani(P_inv, f, G, h, c, lb, ub):
+    """(x, [z, w, y]) for min 1/2 x'Px + f'x  s.t.  G x <= h,  lb <= x <= ub,  z_r capped by c_r.
+
+    Goldfarb & Idnani's dual method (Math. Programming 27, 1983) over the
+    rows a'x <= b of [G; -I on finite lb; I on finite ub], with P^-1 given
+    as its (k, s, s) blocks.  It starts at x = -P^-1 f with no active row.
+    Each step adds the most violated row p and raises its multiplier by t:
+    x moves by -t z and the active multipliers by -t r, where
+    r = S^-1 W a_p and z = P^-1 a_p - W'r.  Here N holds the active rows'
+    normals, W = N P^-1 and S = N P^-1 N' is their Gram matrix, so the
+    active rows stay met.  The step stops at the first of:
+
+    - p is met: p joins the active set;
+    - an active multiplier reaches 0: its row leaves and p's step goes on;
+    - a multiplier reaches its cap c_r: the row's slack enters.  c_r a_r
+      joins the linear term and the row is kept reversed, -a'x <= -b with
+      multiplier c_r - z_r, to be added again if its gap turns negative.
+      An active row that reaches its cap leaves and p's step goes on.
+
+    If p's normal lies in the span of the active ones (d = a_p'z at
+    rounding level), p cannot be met and only the multipliers move.  A row
+    counts as violated past ``_GI_TOL``.  A reversed row's gap multiplies
+    c_r in the complementarity term, so it counts past 1e-9 / c_r.  Only
+    the active rows' N and W and S^-1 are held; S^-1 is updated by bordering
+    on each change.  One refinement step on the active rows ends the run.
+    Returns None on a hard row that no step can meet, or at the step cap.
+    It runs under ``_dual_active_set``'s ``np.errstate``: an r_i of 0
+    divides by zero.
+    """
+    k, s, _ = P_inv.shape
+    m, n = G.shape
+    lo, hi = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
+    col = np.concatenate([lo, hi])         # bound row m + i is coef_i x_col_i <= b_(m + i)
+    coef = np.repeat([-1.0, 1.0], [len(lo), len(hi)])
+    b = np.concatenate([h, -lb[lo], ub[hi]])
+    caps = np.concatenate([c, np.full(len(col), np.inf)])
+    sign = np.ones(len(b))                 # -1 on a row kept reversed
+    tol = np.full(len(b), _GI_TOL)         # +inf on an active row
+    x = -(P_inv @ f.reshape(k, s, 1)).reshape(n)
+    active = []
+    # row i of each: active row i's normal, P^-1 normal, multiplier and cap
+    N, W, lam_a, cap_a = np.empty((8, n)), np.empty((8, n)), np.empty(8), np.empty(8)
+    S_inv = np.empty((0, 0))
+    viol = np.empty(len(b))
+    steps = 0
+    while True:
+        np.matmul(G, x, out=viol[:m])
+        np.multiply(coef, x[col], out=viol[m:])
+        viol -= b
+        viol *= sign
+        viol -= tol
+        p = int(viol.argmax())
+        if not viol[p] > 0.0:
+            break
+        if p < m:
+            a = sign[p] * G[p]
+        else:
+            a = np.zeros(n)
+            a[col[p - m]] = coef[p - m]
+        b_p, cap = sign[p] * b[p], caps[p]
+        v = (P_inv @ a.reshape(k, s, 1)).reshape(n)
+        av = a @ v
+        t_p = 0.0
+        while True:
+            steps += 1
+            if steps > _ACTIVE_SET_MAX_ITERS + 4 * len(b):
+                return None
+            q = len(active)
+            t, j = cap - t_p, -1
+            if q:
+                r = S_inv @ (N[:q] @ v)
+                z = v - r @ W[:q]
+                # each active multiplier's room to 0 (r > 0) or to its cap (r < 0)
+                room = np.where(r > 0.0, lam_a[:q], cap_a[:q] - lam_a[:q]) / np.abs(r)
+                room[r == 0.0] = np.inf
+                j = int(room.argmin())
+                if room[j] < t:
+                    t = max(room[j], 0.0)
+                else:
+                    j = -1
+            else:
+                r, z = np.zeros(0), v
+            d = a @ z
+            full = max(a @ x - b_p, 0.0) / d if d > _GI_DEPENDENT * av else np.inf
+            if full <= t:
+                t, j = full, -2
+            if not t < np.inf:
+                return None                # a hard row no step can meet
+            x -= t * z
+            lam_a[:q] -= t * r
+            t_p += t
+            if j == -2:                    # p is met: it joins the active set
+                if q == len(N):
+                    N, W = np.concatenate([N, N]), np.concatenate([W, W])
+                    lam_a, cap_a = np.concatenate([lam_a, lam_a]), np.concatenate([cap_a, cap_a])
+                N[q], W[q], lam_a[q], cap_a[q] = a, v, t_p, cap
+                rd = r / d
+                grown = np.empty((q + 1, q + 1))
+                grown[:q, :q] = S_inv + rd[:, None] * r
+                grown[:q, q] = grown[q, :q] = -rd
+                grown[q, q] = 1.0 / d
+                S_inv = grown
+                active.append(p)
+                tol[p] = np.inf
+                break
+            if j == -1:                    # p's multiplier reached its cap
+                sign[p] = -sign[p]
+                tol[p] = _GI_TOL if sign[p] > 0.0 else 0.1 * _STOP_KKT / cap
+                break
+            i = active.pop(j)              # an active multiplier reached 0 or its cap
+            if r[j] < 0.0:
+                sign[i] = -sign[i]
+            tol[i] = _GI_TOL if sign[i] > 0.0 else 0.1 * _STOP_KKT / caps[i]
+            for B in (N, W, lam_a, cap_a):
+                B[j:q - 1] = B[j + 1:q]
+            keep = np.arange(q) != j
+            border = S_inv[keep, j]
+            S_inv = S_inv[np.ix_(keep, keep)] - border[:, None] * (border / S_inv[j, j])
+    lam = np.zeros(len(b))
+    q = len(active)
+    if q:                                  # meet the active rows again, past the steps' rounding
+        step = np.linalg.solve(N[:q] @ W[:q].T, N[:q] @ x - (sign * b)[active])
+        lam[active] = lam_a[:q] + step
+        x -= step @ W[:q]
+    mult = np.zeros(m + 2 * n)
+    mult[:m] = np.where(sign[:m] > 0.0, lam[:m], c - lam[:m])
+    mult[m + lo] = lam[m:m + len(lo)]
+    mult[m + n + hi] = lam[m + len(lo):]
+    return np.where(mult[m:m + n] > 0.0, lb, np.where(mult[m + n:] > 0.0, ub, x)), mult
 
 
 def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:

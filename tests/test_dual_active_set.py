@@ -1,19 +1,23 @@
-"""The centralized QP solved on its dual, the elastic slack columns eliminated.
+"""The centralized QP solved by its dual active set, the elastic slack columns eliminated.
 
 Instances have the fleet QP's slack pattern: steering-like boxed variables
-in one positive definite block, then one slack column per row with a zero
-Hessian entry, lb = 0, no upper bound and a positive linear cost; its one
-coefficient in G is negative.  Row 0 cannot hold within the steering box,
-so its slack is positive and the bound shortcut cannot answer; a row whose
+in one to three positive definite blocks, then one slack column per row
+with a zero Hessian entry, lb = 0, no upper bound and a positive linear
+cost from 1 to 1e4; its one coefficient in G is negative.  With several
+blocks each row's steering part spans two of them, as a separation row
+spans two vehicles.  Row 0 cannot hold within the steering box, so its
+slack is positive and the bound shortcut cannot answer; a row whose
 steering part is zero is fixed in closed form.  ``solve_qp`` must answer
 them on the ``dual`` path, KKT-verified, at the objective that exhaustive
 enumeration finds on the regularized problem.  A diagonal column that
-breaks the pattern sends the QP to the interior-point method.  The dual's
-kernel, ``qp._BoxDual``, which every ADMM node shares, is checked on its own
-against the same enumeration, its capped rows posed as slack columns, also
-in an edge node's shape.
+breaks the pattern sends the QP to the interior-point method.  One dual
+solve of a recorded crossing fleet QP stays within half the memory of the
+dual Hessian over all its rows.  The ADMM nodes' kernel, ``qp._BoxDual``,
+is checked on its own against the same enumeration, its capped rows posed
+as slack columns, also in an edge node's shape.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fleetcoord import OPTIMAL, BlockDiagonal, DenseQp, kkt_residual, solve_qp
+from fleetcoord import (OPTIMAL, BlockDiagonal, DenseQp, generate_crossing_scenario, kkt_residual,
+                        run_simulation, solve_qp)
 from fleetcoord import qp as qp_mod
 
 from oracles import enumerate_qp
@@ -30,26 +35,35 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def slack_data(seed, n_steer, cost, fixed_row=False):
-    """Steering block, one slack per row (zero curvature, cost ``cost``), as arrays."""
+def slack_data(seed, shape, costs, fixed_row=False):
+    """k steering blocks of size s (shape), one slack per row at costs[r], as arrays.
+
+    With k > 1 each row's steering part spans two blocks, the way an edge
+    row spans its two vehicles' steering.
+    """
     rng = np.random.default_rng(seed)
-    m = n_steer
-    B = rng.normal(size=(n_steer, n_steer))
-    block = B @ B.T + 0.1 * np.eye(n_steer)
-    f = np.concatenate([rng.normal(size=n_steer), np.full(m, cost)])
+    k, s = shape
+    n_steer, m = k * s, len(costs)
+    B = rng.normal(size=(k, s, s))
+    blocks = B @ B.transpose(0, 2, 1) + 0.1 * np.eye(s)
+    f = np.concatenate([rng.normal(size=n_steer), costs])
     G_u = rng.normal(size=(m, n_steer))
+    if k > 1:
+        for r in range(m):
+            G_u[r] *= np.repeat(np.isin(np.arange(k), rng.choice(k, 2, replace=False)), s)
     h = rng.uniform(-3.0, 1.0, m)
     box = rng.uniform(0.1, 0.7, n_steer)
     h[0] = -np.abs(G_u[0]) @ box - rng.uniform(0.1, 2.0)   # beyond the box
     if fixed_row and m > 1:
         G_u[1] = 0.0
-    return {"block": block, "f": f, "G": np.hstack([G_u, -np.eye(m) * rng.uniform(0.5, 2.0, m)]),
+    return {"blocks": blocks, "f": f,
+            "G": np.hstack([G_u, -np.eye(m) * rng.uniform(0.5, 2.0, m)]),
             "h": h, "lb": np.concatenate([-box, np.zeros(m)]),
             "ub": np.concatenate([box, np.full(m, np.inf)]), "diag": np.zeros(m)}
 
 
 def problem(data):
-    return DenseQp(H=BlockDiagonal(data["block"][None], data["diag"]),
+    return DenseQp(H=BlockDiagonal(data["blocks"], data["diag"]),
                    **{k: data[k] for k in ("f", "G", "h", "lb", "ub")})
 
 
@@ -60,10 +74,13 @@ def solve_quietly(qp):
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2 ** 31 - 1), n_steer=st.integers(1, 3),
-       log_cost=st.floats(0.0, 4.0), fixed_row=st.booleans())
-def test_slack_pattern_qps_are_answered_on_the_dual(seed, n_steer, log_cost, fixed_row):
-    qp = problem(slack_data(seed, n_steer, 10.0 ** log_cost, fixed_row))
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       shape=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (2, 2)]),
+       log_costs=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3), fixed_row=st.booleans())
+def test_slack_pattern_qps_are_answered_on_the_dual(seed, shape, log_costs, fixed_row):
+    # each row's slack costs 1 to 1e4 per unit, so a multiplier may reach its
+    # cap while its row is active, or as its row is added
+    qp = problem(slack_data(seed, shape, 10.0 ** np.array(log_costs), fixed_row))
     sol = solve_quietly(qp)
     assert sol.path == "dual" and sol.status == OPTIMAL and sol.iterations == 0
     work = qp_mod._shifted(qp, qp_mod._hessian_shift(qp.H))
@@ -77,13 +94,13 @@ def test_slack_pattern_qps_are_answered_on_the_dual(seed, n_steer, log_cost, fix
 def _second_row(data):
     # slack 0 also enters a new row of its own
     G = np.vstack([data["G"], np.zeros(data["G"].shape[1])])
-    G[-1, len(data["block"])] = -1.0
+    G[-1, len(data["f"]) - len(data["diag"])] = -1.0
     return {**data, "G": G, "h": np.append(data["h"], 5.0)}
 
 
 def _free_slack(data):
     f = data["f"].copy()
-    f[len(data["block"])] = 0.0
+    f[len(data["f"]) - len(data["diag"])] = 0.0
     return {**data, "f": f}
 
 
@@ -96,13 +113,45 @@ def _curved_slack(data):
 @pytest.mark.parametrize("breaks", [_second_row, _free_slack, _curved_slack],
                          ids=["two_rows", "zero_cost", "nonzero_entry"])
 def test_a_column_outside_the_slack_pattern_goes_to_the_ipm(breaks):
-    data = slack_data(3, 3, 100.0)
+    data = slack_data(3, (1, 3), np.full(3, 100.0))
     assert solve_quietly(problem(data)).path == "dual"
     qp = problem(breaks(data))
     shift = qp_mod._hessian_shift(qp.H)
     assert qp_mod._dual_active_set(qp_mod._shifted(qp, shift), shift) is None
     sol = solve_quietly(qp)
     assert sol.path == "ipm" and sol.status == OPTIMAL
+
+
+def test_a_fleet_dual_solve_takes_under_half_the_memory_of_its_dual_hessian(monkeypatch):
+    # the fleet QPs that 2 s of centralized crossing of 8 vehicles hands to
+    # the dual stage, regularized as ``solve_qp`` hands them; the one with
+    # the most rows is solved again under tracemalloc, after a first call
+    # that pays numpy's one-time allocations.  A dual Hessian over all its
+    # rows (those of G with a steering coefficient, plus the finite steering
+    # bounds) would take 8 rows^2 bytes
+    recorded = []
+    dual = qp_mod._dual_active_set
+
+    def recording(problem, shift=0.0):
+        recorded.append((problem, shift))
+        return dual(problem, shift)
+
+    monkeypatch.setattr(qp_mod, "_dual_active_set", recording)
+    run_simulation(generate_crossing_scenario(8, 0, sim_duration=2.0), "centralized")
+    problem, shift = max(recorded, key=lambda pair: pair[0].m)
+    split = problem.H.split
+    rows = (np.count_nonzero(problem.G[:, :split].any(axis=1))
+            + np.count_nonzero(np.isfinite(problem.lb[:split]))
+            + np.count_nonzero(np.isfinite(problem.ub[:split])))
+    assert dual(problem, shift) is not None
+    tracemalloc.start()
+    try:
+        answer = dual(problem, shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer is not None and answer[2] <= 1e-8
+    assert peak < 0.5 * 8 * rows ** 2
 
 
 def box_dual_data(seed, k, s, m, capped, bounded):

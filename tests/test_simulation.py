@@ -365,12 +365,26 @@ def test_lane_grid_centralized_cycles_take_the_bound_shortcut(tmp_path):
         assert cycle["edges"]
 
 
+def _spy_node_kernels(monkeypatch):
+    """The names of the ADMM nodes' box QP solvers, one per call, as they are called."""
+    calls = []
+    for name in ("_box_active_set", "_primal_active_set"):
+        def spy(*args, name=name, real=getattr(qp_mod, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(qp_mod, name, spy)
+    return calls
+
+
 def test_overtake_centralized_coupled_cycles_are_answered_on_the_dual(overtake_path,
-                                                                     tmp_path):
+                                                                     tmp_path, monkeypatch):
     # the first fleet QPs that the bound shortcut cannot answer (a separation
     # row binds) come at cycle 58; the dual active set answers each one
-    # exactly, with no interior-point iteration
-    run = run_simulation(load_scenario_file(overtake_path), "centralized", duration=6.5)
+    # exactly, with no interior-point iteration, and reaches neither of the
+    # ADMM nodes' box QP solvers, not even on the cycles whose active rows
+    # include a separation row that two steering bounds span
+    kernel_calls = _spy_node_kernels(monkeypatch)
+    run = run_simulation(load_scenario_file(overtake_path), "centralized")
     path = tmp_path / "summary.json"
     run.write_summary(path)
     cycles = json.loads(path.read_text())["cycles"]
@@ -379,12 +393,14 @@ def test_overtake_centralized_coupled_cycles_are_answered_on_the_dual(overtake_p
     for cycle in coupled:
         assert cycle["qp_path"] == "dual" and cycle["qp_status"] == "optimal"
         assert cycle["iterations"] == 0
+    assert kernel_calls == []
 
 
 def test_intersection_centralized_dual_answers_reach_the_kkt_target(intersection_path,
                                                                     monkeypatch):
     # every fleet QP past the bound shortcut is answered on its dual, verified
-    # to the 1e-8 KKT target; none falls back to the interior-point method
+    # to the 1e-8 KKT target; none falls back to the interior-point method,
+    # and none reaches the ADMM nodes' box QP solvers
     answers = []
     dual = qp_mod._dual_active_set
 
@@ -393,11 +409,13 @@ def test_intersection_centralized_dual_answers_reach_the_kkt_target(intersection
         return answers[-1]
 
     monkeypatch.setattr(qp_mod, "_dual_active_set", recording)
+    kernel_calls = _spy_node_kernels(monkeypatch)
     run = run_simulation(load_scenario_file(intersection_path), "centralized")
     assert len(answers) == sum(c.qp_path == "dual" for c in run.cycles) > 0
     assert all(c.qp_path in ("bound", "dual") and c.qp_status == "optimal" for c in run.cycles)
     for answer in answers:
         assert answer is not None and answer[2] <= 1e-8
+    assert kernel_calls == []
 
 
 def test_summary_records_blas_threads(tmp_path, monkeypatch):

@@ -270,8 +270,8 @@ def condense_fleet(poses, controls, v, L, ts: float, trig=None) -> FleetPredicti
     as one stacked ``matmul`` over the fleet, which makes the same BLAS call
     per vehicle; an axpy form of A = I + (A[0, 2], A[1, 2]) in the third
     column would round differently wherever BLAS fuses the multiply-add, and
-    the centralized interior-point method amplifies such last-bit
-    differences into different iterates.
+    the closed loop, chaotic under rounding at 16 vehicles and more,
+    amplifies such last-bit differences into different trajectories.
     """
     poses = np.asarray(poses, dtype=float)
     n = poses.shape[0]

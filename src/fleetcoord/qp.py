@@ -1,35 +1,35 @@
 """Dense convex QP solver: minimize 0.5 u'Hu + f'u  s.t.  Gu <= h,  lb <= u <= ub.
 
 Every problem is solved cold, by one pipeline: the regularization probe, the
-zero-row exit, the bound shortcut, the dual active set, then the
-interior-point method.  The regularization shift is decided and applied
-once, to a copy of the problem that every later step works on.  Each exact
-stage returns only an answer verified against the full KKT conditions and
-otherwise passes the problem on; ``QpSolution.path`` records which stage
-answered.  Everything is deterministic: no randomization.
+zero-row exit, the bound shortcut, then the dual active set.  The
+regularization shift is decided and applied once, to a copy of the problem
+that every later step works on.  Each exact stage returns only an answer
+verified against the full KKT conditions and otherwise passes the problem
+on; ``QpSolution.path`` records which stage answered.  Everything is
+deterministic: no randomization.
 
 - ``bound``: a bound-pinning guess for problems where only box bounds are
   active.
-- ``dual``: where every diagonal column is an elastic slack, each slack is
-  eliminated into a cap on its row's multiplier, and Goldfarb & Idnani's
-  dual method (Math. Programming 27, 1983) solves the rest over H's
-  blocks.  From the unconstrained minimizer it adds one violated row per
-  step, the most violated first, keeping the active rows linearly
-  independent; a multiplier that reaches its cap lets the row's slack in.
-  A step costs one product G x plus O(n q) work on the q active rows.  On
-  the fleet QPs of the shipped scenes and of 8- and 16-vehicle crossings,
-  q ended at 29 or fewer, where G has up to 1215 rows.  The centralized
-  fleet QP always has this form.
-- ``ipm``: a Mehrotra predictor-corrector primal-dual interior-point method.
-  Every finite bound is an inequality row like those of G, so one
-  slack/dual pair per row carries all of the complementarity.  Each
-  iteration Cholesky-factors the n x n reduced Newton matrix
-  H + A' diag(z/s) A once, and the predictor, the corrector and the
-  centrality correctors share the factor.  It starts from x = 0.  Where
-  rounding stalls its last iterates above the KKT target, an
-  equality-constrained re-solve on the rows the iterate marks active
-  finishes them if it verifies.  An elastic probe then tells an infeasible
-  problem from one that ran out of iterations.
+- ``dual``: each diagonal column that is an elastic slack is eliminated
+  into a cap on its row's multiplier, and Goldfarb & Idnani's dual method
+  (Math. Programming 27, 1983) solves the rest over P: H's blocks and the
+  other diagonal entries, each a 1 x 1 block.  From the unconstrained
+  minimizer it adds one violated row per step, the most violated first,
+  keeping the active rows linearly independent; a multiplier that reaches
+  its cap lets the row's slack in.  A step costs one product G x plus
+  O(n q) work on the q active rows.  On the fleet QPs of the shipped scenes
+  and of 8- and 16-vehicle crossings, q ended at 29 or fewer, where G has
+  up to 1215 rows, and every answer verified as it came.  An answer that
+  does not verify is polished: re-solved exactly on its active set by one
+  dense KKT solve.  When the method gives no answer (P^-1 so large that
+  rounding turns a step's curvature negative) or the polish fails, it runs
+  once more on the proximal P + delta I (Rockafellar, SIAM J. Control Optim.
+  14, 1976), delta = ``_PROX`` max|H|, and that run's active set is
+  polished on the problem itself.
+
+Where neither stage answers, an elastic infeasibility probe, itself solved
+by the dual stage, tells an infeasible problem from one no stage could
+answer.
 
 ``DenseQp`` holds H as ``BlockDiagonal(blocks, diag)``: k equal diagonal
 blocks stacked (k, s, s), then a diagonal.  The centralized baseline passes
@@ -43,10 +43,9 @@ centralized cycle that ends on the bound shortcut therefore costs the
 blocks' own factorizations, one finiteness pass over G and one dense product
 with it.  One on the dual copies G's block columns once and adds one
 product with them per step; it keeps P^-1 a and the inverse Gram matrix
-only for the active rows.  Only the interior-point method and the active-set polish
-build the dense H, once per call; a call that reaches the interior-point
-method is dominated by forming (O(n^2 m)) and factoring (O(n^3)) its n x n
-Newton matrix.  A variable with lb == ub is an ordinary pair of bound rows.
+only for the active rows.  Only the active-set polish builds the dense H,
+once per call, and its KKT solve over the free variables and active rows
+costs O(n^3).  A variable with lb == ub is an ordinary pair of bound rows.
 
 ``_BoxDual`` is the kernel every ADMM node uses: a node's box-constrained
 dual, solved warm by ``_box_active_set``, a primal-dual active set
@@ -56,21 +55,13 @@ primal active set.
 ``_kkt_measure`` is the one definition of the KKT residual: ``solve_qp``
 and the ADMM vehicle nodes hand it their own stationarity and row vectors,
 and ``subproblems._edge_kkt`` writes its terms out, in its order, for the
-edge QP's primal vectors.
-
-The interior-point method factors and solves with LAPACK's ``dpotrf`` and
-``dpotrs``, taken from ``scipy.linalg.lapack`` by ``_lapack`` when ``_ipm``
-is first called.  Importing scipy costs about 100 ms and 20 MB.  The ADMM
-node solvers and ``fleetcoord validate`` never call ``solve_qp``, and the
-shipped scenes and the lane grid answer every centralized cycle on the bound
-shortcut or the dual, so none of those runs loads scipy.
+edge QP's primal vectors.  The module needs numpy alone.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,12 +73,9 @@ INFEASIBLE = "infeasible"
 
 _EIG_FLOOR = 1e-10       # below this smallest-eigenvalue estimate, regularize
 _REG_SHIFT = 1e-9
-_STOP_KKT = 1e-8         # absolute KKT residual target
-_OPTIMAL_KKT = 1e-6      # status=optimal requires at most this
-_OPTIMAL_PVIOL = 1e-8
-_TAU = 0.99              # IPM fraction to the boundary
-_CORRECTORS = 2          # Gondzio centrality correctors per IPM iteration
-_IPM_MAX_ITER = 100      # interior-point iterations per call
+_STOP_KKT = 1e-8         # absolute KKT residual target; status=optimal requires at most this
+_PROX = 1e-6             # _dual_active_set's retry: P + _PROX max|H| I
+_PROBE_CURVATURE = 1e-8  # _feasibility_gap: the probe's curvature on u
 _ACTIVE_SET_MAX_ITERS = 50
 _SINGULAR_GROWTH = 1e10  # _box_active_set: max|M| / lambda_min of a singular free block
 _GI_TOL = 1e-10          # _goldfarb_idnani: a row's violation past this adds it
@@ -147,12 +135,19 @@ class BlockDiagonal:
 
     def shifted(self, shift: float) -> BlockDiagonal:
         """This matrix plus shift I, without re-validation."""
-        out = copy.copy(self)
-        out.blocks = self.blocks.copy()
-        i = np.arange(self.blocks.shape[1])
-        out.blocks[:, i, i] += shift
-        out.diag = self.diag + shift
-        return out
+        blocks = self.blocks.copy()
+        i = np.arange(blocks.shape[1])
+        blocks[:, i, i] += shift
+        return _unchecked(blocks, self.diag + shift)
+
+
+def _unchecked(blocks: np.ndarray, diag: np.ndarray) -> BlockDiagonal:
+    """BlockDiagonal(blocks, diag) for symmetric, finite parts built here, without re-validation."""
+    out = BlockDiagonal.__new__(BlockDiagonal)
+    out.blocks, out.diag = blocks, diag
+    out.split = blocks.shape[0] * blocks.shape[1]
+    out.n = out.split + len(diag)
+    return out
 
 
 @dataclass(eq=False)
@@ -234,10 +229,10 @@ class QpSolution:
     status: str
     kkt_residual: float
     multipliers: np.ndarray          # [z (m), w (n, lower), y (n, upper)]
-    iterations: int = 0
-    trace: list = field(default_factory=list, repr=False)
-    # which solve_qp path answered: "bound", "dual", "ipm" or "zero_row" (an
-    # unsatisfiable zero row of G); only solve_qp builds a QpSolution
+    iterations: int = 0              # always 0: every stage is exact, none iterates to a tolerance
+    # which solve_qp stage answered: "bound", "dual" or "zero_row" (an
+    # unsatisfiable zero row of G); "dual" also when no stage answered, with a
+    # status other than optimal.  Only solve_qp builds a QpSolution
     path: str | None = None
 
 
@@ -483,68 +478,113 @@ class _BoxDual:
 
 
 def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
-    """Exact solution of the problem by a dual active set over H's blocks, the slacks eliminated.
+    """Exact solution of the problem by Goldfarb-Idnani's dual method, the elastic slacks eliminated.
 
-    Applies when H's blocks (P) are non-empty and factorable and every
-    diagonal column j is an elastic slack: its entry is ``shift`` alone (0
-    before the regularization shift), lb_j = 0, ub_j = +inf, f_j > 0, and its
-    one nonzero in G, G_rj, is negative, in a row r that holds no other
-    slack.  Minimizing over s_j >= 0 then caps row r's multiplier at
-    c_r = f_j / -G_rj, exactly, and ``_goldfarb_idnani`` solves the rest over
-    the block columns, cold, with P^-1 from the blocks' Cholesky factors.
-    Rows with no block coefficient are fixed first by ``_elastic_fixed``
-    (None when one is violated with c = +inf).  The slacks are
-    ``_elastic_slack`` of their rows' gaps / -G_rj, and a slack's bound
-    multiplier is f_j + G_rj mu_r.  Returns ``_bound_shortcut``'s tuple, or
-    None when the form does not apply, the method stops without an answer
-    or the answer is not verified (primal violation above 1e-9 or KKT
-    residual above the target).
+    A diagonal column j is an elastic slack when its entry is ``shift`` alone
+    (0 before the regularization shift), lb_j = 0, ub_j = +inf, f_j > 0,
+    and its one nonzero in G, G_rj, is negative, in a row r that holds no
+    other slack.  Minimizing over s_j >= 0 then caps row r's multiplier at
+    c_r = f_j / -G_rj, exactly.  Every other column stays: H's blocks and
+    the remaining diagonal entries, each a 1 x 1 block, make up P, and
+    ``_goldfarb_idnani`` solves over them, cold, with P^-1 from the blocks'
+    Cholesky factors.  Rows with no coefficient on P's columns are fixed
+    first by ``_elastic_fixed`` (None when one is violated with
+    c = +inf).  The slacks are ``_elastic_slack`` of their rows' gaps / -G_rj,
+    and a slack's bound multiplier is f_j + G_rj mu_r.
+
+    An answer that does not verify (primal violation above 1e-9 or KKT
+    residual above the target: the slacks' own ``shift`` curvature, which
+    the caps leave out, can be enough) is re-solved exactly on its active
+    set by ``_active_set_shortcut``.  When the method gives no answer or
+    that polish fails, it runs once more on P + delta I, delta =
+    ``_PROX`` max|H|, a proximal step that bounds P^-1 where P is singular
+    to rounding, and that run's active set is polished on the problem
+    itself.  Returns ``_bound_shortcut``'s tuple, or None when P is not
+    positive definite or no verified answer is found.
     """
     H, f, G, h, lb, ub = problem.H, problem.f, problem.G, problem.h, problem.lb, problem.ub
-    k, s, _ = H.blocks.shape
     n, m, split = problem.n, problem.m, H.split
+    tail = np.arange(split, n)
     nz = G[:, split:] != 0.0
-    if not (k and np.all(H.diag == shift) and np.all(lb[split:] == 0.0)
-            and np.all(ub[split:] == np.inf) and np.all(f[split:] > 0.0)
-            and np.all(nz.sum(axis=0) == 1)):
-        return None
-    row = nz.argmax(axis=0) if m else np.zeros(0, dtype=int)   # each slack's row; m = 0: none
-    g = G[row, np.arange(split, n)]
-    if not (np.all(g < 0.0) and len(np.unique(row)) == len(row)):
-        return None
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(H.blocks))
-    except np.linalg.LinAlgError:
-        return None
-    P_inv = L_inv.transpose(0, 2, 1) @ L_inv         # symmetric by construction
+    is_slack = ((H.diag == shift) & (lb[split:] == 0.0) & (ub[split:] == np.inf)
+                & (f[split:] > 0.0) & (nz.sum(axis=0) == 1))     # never with m = 0
+    row = nz.argmax(axis=0) if m else np.zeros(n - split, dtype=int)
+    if m:
+        is_slack &= G[row, tail] < 0.0
+        is_slack &= np.bincount(row[is_slack], minlength=m)[row] == 1     # alone in its row
+    slack, row = tail[is_slack], row[is_slack]
+    g = G[row, slack]
+    P = _unchecked(H.blocks, H.diag[~is_slack])
+    cols = np.concatenate([np.arange(split), tail[~is_slack]])       # P's columns
+    G_x = G[:, :split] if len(cols) == split else G[:, cols]         # a view where it can be
     c = np.full(m, np.inf)
-    G_u = G[:, :split]
     with np.errstate(all="ignore"):                  # every answer is verified below
-        c[row] = f[split:] / -g
-        fixed, mu = _elastic_fixed(G_u, h, c)
+        c[row] = f[slack] / -g
+        fixed, mu = _elastic_fixed(G_x, h, c)
         if np.isinf(mu).any():
             return None
         keep = np.flatnonzero(~fixed)
-        try:
-            answer = _goldfarb_idnani(P_inv, f[:split], G_u[keep], h[keep], c[keep],
-                                      lb[:split], ub[:split])
-        except np.linalg.LinAlgError:
+
+        def solve_over(P_inv):
+            """(u, [z, w, y]) of the problem from the method's run with P^-1; None without one."""
+            if P_inv is None:
+                return None
+            try:
+                answer = _goldfarb_idnani(P_inv, f[cols], G_x[keep], h[keep], c[keep],
+                                          lb[cols], ub[cols])
+            except np.linalg.LinAlgError:
+                return None
+            if answer is None:
+                return None
+            x, dual = answer
+            r, q = len(keep), len(cols)
+            z = mu.copy()
+            z[keep] = dual[:r]
+            mult = np.zeros(m + 2 * n)
+            mult[:m] = z
+            mult[m + cols] = dual[r:r + q]
+            mult[m + slack] = f[slack] + g * z[row]
+            mult[m + n + cols] = dual[r + q:]
+            u = np.zeros(n)
+            u[cols] = x
+            u[slack] = _elastic_slack((G_x @ x - h)[row] / -g, z[row], c[row])
+            return u, mult
+
+        P_inv = _inverse(P)
+        if P_inv is None:
             return None
-        if answer is None:
-            return None
-        x, dual = answer
-        r = len(keep)
-        mu[keep] = dual[:r]
-        mult = np.concatenate([mu, dual[r:r + split], f[split:] + g * mu[row],
-                               dual[r + split:], np.zeros(n - split)])
-        u = np.concatenate([x, _elastic_slack((G_u @ x - h)[row] / -g, mu[row], c[row])])
-        Hu = H @ u
-        Gu = G @ u
-        pviol = _primal_violation(problem, u, Gu)
-        kkt = _kkt_residual(problem, u, mult, Hu, Gu)
-        if not (pviol <= 1e-9 and kkt <= _STOP_KKT):
-            return None
-        return u, mult, kkt, float(0.5 * u @ Hu + f @ u), pviol
+        first = solve_over(P_inv)
+        if first is not None:
+            answer = _verified(problem, *first) or _active_set_shortcut(problem, first[1])
+            if answer is not None:
+                return answer
+        largest = max(np.abs(H.blocks).max(initial=0.0), np.abs(H.diag).max(initial=0.0))
+        retry = solve_over(_inverse(P.shifted(_PROX * largest)))
+        return None if retry is None else _active_set_shortcut(problem, retry[1])
+
+
+def _inverse(P: BlockDiagonal) -> BlockDiagonal | None:
+    """P^-1, the blocks' from their Cholesky factors; None when P is not positive definite."""
+    if not (P.diag > 0.0).all():
+        return None
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(P.blocks))
+    except np.linalg.LinAlgError:
+        return None
+    return _unchecked(L_inv.transpose(0, 2, 1) @ L_inv, 1.0 / P.diag)   # symmetric by construction
+
+
+def _verified(problem: DenseQp, u: np.ndarray, mult: np.ndarray) -> tuple | None:
+    """(u, mult, kkt, objective, primal violation) when u is feasible to 1e-9 and KKT-optimal."""
+    Hu = problem.H @ u
+    Gu = problem.G @ u
+    pviol = _primal_violation(problem, u, Gu)
+    if not pviol <= 1e-9:
+        return None
+    kkt = _kkt_residual(problem, u, mult, Hu, Gu)
+    if not kkt <= _STOP_KKT:
+        return None
+    return u, mult, kkt, float(0.5 * u @ Hu + problem.f @ u), pviol
 
 
 def _goldfarb_idnani(P_inv, f, G, h, c, lb, ub):
@@ -552,7 +592,7 @@ def _goldfarb_idnani(P_inv, f, G, h, c, lb, ub):
 
     Goldfarb & Idnani's dual method (Math. Programming 27, 1983) over the
     rows a'x <= b of [G; -I on finite lb; I on finite ub], with P^-1 given
-    as its (k, s, s) blocks.  It starts at x = -P^-1 f with no active row.
+    as a ``BlockDiagonal``.  It starts at x = -P^-1 f with no active row.
     Each step adds the most violated row p and raises its multiplier by t:
     x moves by -t z and the active multipliers by -t r, where
     r = S^-1 W a_p and z = P^-1 a_p - W'r.  Here N holds the active rows'
@@ -576,7 +616,6 @@ def _goldfarb_idnani(P_inv, f, G, h, c, lb, ub):
     It runs under ``_dual_active_set``'s ``np.errstate``: an r_i of 0
     divides by zero.
     """
-    k, s, _ = P_inv.shape
     m, n = G.shape
     lo, hi = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
     col = np.concatenate([lo, hi])         # bound row m + i is coef_i x_col_i <= b_(m + i)
@@ -585,14 +624,14 @@ def _goldfarb_idnani(P_inv, f, G, h, c, lb, ub):
     caps = np.concatenate([c, np.full(len(col), np.inf)])
     sign = np.ones(len(b))                 # -1 on a row kept reversed
     tol = np.full(len(b), _GI_TOL)         # +inf on an active row
-    x = -(P_inv @ f.reshape(k, s, 1)).reshape(n)
+    x = -(P_inv @ f)
     active = []
     # row i of each: active row i's normal, P^-1 normal, multiplier and cap
     N, W, lam_a, cap_a = np.empty((8, n)), np.empty((8, n)), np.empty(8), np.empty(8)
     S_inv = np.empty((0, 0))
     viol = np.empty(len(b))
     steps = 0
-    while True:
+    while len(b):
         np.matmul(G, x, out=viol[:m])
         np.multiply(coef, x[col], out=viol[m:])
         viol -= b
@@ -607,7 +646,7 @@ def _goldfarb_idnani(P_inv, f, G, h, c, lb, ub):
             a = np.zeros(n)
             a[col[p - m]] = coef[p - m]
         b_p, cap = sign[p] * b[p], caps[p]
-        v = (P_inv @ a.reshape(k, s, 1)).reshape(n)
+        v = P_inv @ a
         av = a @ v
         t_p = 0.0
         while True:
@@ -682,9 +721,9 @@ def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
     """Exact solve assuming the rows and bounds with a multiplier in ``mult`` are active.
 
     ``mult`` has the QpSolution layout.  Solves the equality-constrained QP
-    over those rows and bounds, then verifies multiplier signs, feasibility
-    and the full KKT conditions.  Returns None whenever the guess is not
-    optimal.
+    over those rows and bounds with the dense H, then checks the multipliers'
+    signs and, by ``_verified``, feasibility and the full KKT conditions.
+    Returns ``_verified``'s tuple, or None whenever the guess is not optimal.
     """
     n, m = problem.n, problem.m
     z_g, w_g, y_g = mult[:m], mult[m:m + n], mult[m + n:]
@@ -723,19 +762,13 @@ def _active_set_shortcut(problem: DenseQp, mult: np.ndarray) -> tuple | None:
     if np.any(nu < -1e-9):
         return None
 
-    Hu = H @ u
-    grad = Hu + f + (G.T @ nu if m else 0.0)
+    grad = H @ u + f + (G.T @ nu if m else 0.0)
     w = np.where(act_lo, grad, 0.0)
     y = np.where(act_hi, -grad, 0.0)
     if np.any(w[act_lo] < -1e-9) or np.any(y[act_hi] < -1e-9):
         return None
-    full = np.concatenate([np.maximum(nu, 0.0), np.maximum(w, 0.0), np.maximum(y, 0.0)])
-    if _primal_violation(problem, u) > 1e-9:
-        return None
-    kkt_res = _kkt_residual(problem, u, full, Hu)
-    if kkt_res > _STOP_KKT:
-        return None
-    return u, full, kkt_res
+    return _verified(problem, u, np.concatenate([np.maximum(nu, 0.0), np.maximum(w, 0.0),
+                                                 np.maximum(y, 0.0)]))
 
 
 def _box_active_set(M, q, c, start=None):
@@ -839,226 +872,62 @@ def _primal_active_set(M, q, c, mu):
     return mu
 
 
-def _feasibility_gap(problem: DenseQp) -> float:
-    """Minimum total violation of Gu <= h over the box; > 0 means infeasible."""
+def _feasibility_gap(problem: DenseQp) -> float | None:
+    """Least total violation of G u <= h over the box, > 0 when infeasible; None without an answer.
+
+    The probe is min eps/2 |u|^2 + sum sigma  s.t.  G u - sigma <= h, the box
+    on u, sigma >= 0, with eps = ``_PROBE_CURVATURE`` (on u alone: each sigma
+    is an elastic slack of zero curvature, eliminated into a unit cap on its
+    row's multiplier), and ``_dual_active_set`` solves it.
+    """
     n, m = problem.n, problem.m
     if m == 0:
         return 0.0
-    He = BlockDiagonal(diag=np.full(n + m, 1e-8))
-    fe = np.concatenate([np.zeros(n), np.ones(m)])
-    Ge = np.hstack([problem.G, -np.eye(m)])
-    lbe = np.concatenate([problem.lb, np.zeros(m)])
-    ube = np.concatenate([problem.ub, np.full(m, np.inf)])
-    elastic = DenseQp(H=He, f=fe, G=Ge, h=problem.h.copy(), lb=lbe, ub=ube)
-    # straight to the IPM: H needs no shift, every row holds its -1, and the
-    # bound shortcut could only answer where the gap is 0 anyway
-    sol = _ipm(elastic)
-    return float(np.sum(np.maximum(sol.u_star[n:], 0.0)))
+    probe = DenseQp(H=BlockDiagonal(diag=np.concatenate([np.full(n, _PROBE_CURVATURE),
+                                                         np.zeros(m)])),
+                    f=np.concatenate([np.zeros(n), np.ones(m)]),
+                    G=np.hstack([problem.G, -np.eye(m)]), h=problem.h,
+                    lb=np.concatenate([problem.lb, np.zeros(m)]),
+                    ub=np.concatenate([problem.ub, np.full(m, np.inf)]))
+    answer = _dual_active_set(probe)
+    return None if answer is None else float(np.sum(answer[0][n:]))
 
 
 def solve_qp(problem: DenseQp) -> QpSolution:
     """Solve the QP to KKT optimality; deterministic for identical inputs.
 
-    Runs the module's pipeline, every stage but the elastic probe on the
-    regularized problem, the IPM for at most ``_IPM_MAX_ITER`` iterations.
-    status is ``optimal`` when the KKT residual is at most 1e-6 with primal
-    violation at most 1e-8, ``infeasible`` when an unsatisfiable zero row or
-    an elastic relaxation proves the constraints inconsistent, and
-    ``max_iter`` otherwise (best iterate is still returned).
+    Runs the module's pipeline on the regularized problem.  status is
+    ``optimal`` when a stage's answer verifies (KKT residual at most 1e-8,
+    primal violation at most 1e-9); ``infeasible`` when an unsatisfiable
+    zero row or ``_feasibility_gap`` proves the constraints inconsistent;
+    ``max_iter`` when no stage answers and the probe proves nothing.  Without
+    an answer u is the origin clipped into the box, with zero multipliers.
+    ``iterations`` is always 0.
     """
-    n = problem.n
     shift = _hessian_shift(problem.H)
     work = _shifted(problem, shift)
 
     # a zero row with negative offset can never be satisfied
     negative = work.h < -1e-12
     if negative.any() and not work.G[negative].any(axis=1).all():
-        u = np.clip(np.zeros(n), work.lb, work.ub)
-        mult = np.zeros(work.m + 2 * n)
-        return QpSolution(u_star=u, objective=work.objective(u), status=INFEASIBLE,
-                          kkt_residual=kkt_residual(work, u, mult), multipliers=mult,
-                          path="zero_row")
+        return _unanswered(work, INFEASIBLE, "zero_row")
 
-    path, shortcut = "bound", _bound_shortcut(work)
-    if shortcut is None:
-        path, shortcut = "dual", _dual_active_set(work, shift)
-    if shortcut is not None:
-        x, mult, kkt, objective, pviol = shortcut
-        return QpSolution(u_star=x, objective=objective, status=OPTIMAL,
-                          kkt_residual=kkt, multipliers=mult, iterations=0,
-                          trace=[(objective, pviol)], path=path)
-
-    sol = _ipm(work)
-    if sol.status == MAX_ITER and _primal_violation(work, sol.u_star) > 1e-8:
-        if _feasibility_gap(work) > 1e-6 * (1.0 + float(np.max(np.abs(work.h), initial=0.0))):
-            sol.status = INFEASIBLE
-    return sol
+    path, answer = "bound", _bound_shortcut(work)
+    if answer is None:
+        path, answer = "dual", _dual_active_set(work, shift)
+    if answer is None:
+        gap = _feasibility_gap(work)
+        limit = 1e-6 * (1.0 + float(np.max(np.abs(work.h), initial=0.0)))
+        return _unanswered(work, INFEASIBLE if gap is not None and gap > limit else MAX_ITER,
+                           path)
+    u, mult, kkt, objective, _ = answer
+    return QpSolution(u_star=u, objective=objective, status=OPTIMAL, kkt_residual=kkt,
+                      multipliers=mult, path=path)
 
 
-@functools.cache
-def _lapack() -> tuple:
-    """LAPACK's (dpotrf, dpotrs), imported from scipy on the first call."""
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    return dpotrf, dpotrs
-
-
-def _cholesky(M: np.ndarray) -> np.ndarray:
-    """The symmetric M's upper Cholesky factor, as scipy's ``cho_factor(M)`` returns it.
-
-    Raises LinAlgError when M is not positive definite.
-    """
-    c, info = _lapack()[0](M, lower=0, clean=0)
-    if info:
-        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
-    return c
-
-
-def _cho_solve(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """M^-1 r from M's factor ``_cholesky(M)``, as scipy's ``cho_solve`` returns it."""
-    return _lapack()[1](c, r, lower=0)[0]
-
-
-def _ipm(problem: DenseQp) -> QpSolution:
-    """Mehrotra predictor-corrector over the rows A = [G; -I_lo; I_hi], b.
-
-    One slack s and dual z per row, one ratio test; x need not start inside
-    the box.  Per iteration one n x n Cholesky of H + A' diag(z/s) A serves the
-    predictor, the corrector and up to ``_CORRECTORS`` Gondzio centrality
-    correctors.  Start: x = 0, s and z one affine step from s = z = 1,
-    shifted positive as in Mehrotra (1992).  A Newton matrix that overflows
-    ends the loop as a failed Cholesky does.  The first call imports scipy.
-    """
-    _lapack()
-    H, f, G = np.asarray(problem.H), problem.f, problem.G
-    n, m = problem.n, problem.m
-    lo = np.flatnonzero(np.isfinite(problem.lb))
-    hi = np.flatnonzero(np.isfinite(problem.ub))
-    k = m + len(lo)                      # first upper-bound row
-    n_comp = k + len(hi)
-
-    x = np.zeros(n)
-    if n_comp == 0:
-        x = -np.linalg.solve(H, f)
-        mult = np.zeros(m + 2 * n)
-        return QpSolution(u_star=x, objective=problem.objective(x), status=OPTIMAL,
-                          kkt_residual=kkt_residual(problem, x, mult), multipliers=mult,
-                          path="ipm")
-    b = np.concatenate([problem.h, -problem.lb[lo], problem.ub[hi]])
-
-    def rows(v):                         # A v
-        return np.concatenate([G @ v, -v[lo], v[hi]])
-
-    def rows_t(u):                       # A' u
-        r = G.T @ u[:m]
-        r[lo] -= u[m:k]
-        r[hi] += u[k:]
-        return r
-
-    def factor():
-        with np.errstate(all="ignore"):      # a non-finite M is rejected below
-            d = z / s
-            M = H + (G.T * d[:m]) @ G
-            M.flat[::n + 1] += np.bincount(np.concatenate([lo, hi]), d[m:], n)
-        if not np.isfinite(M).all():
-            raise np.linalg.LinAlgError("the Newton matrix is not finite")
-        return _cholesky(M)
-
-    def newton(fac, r_d, r_p, r_c):
-        """(dx, ds, dz) with H dx + A'dz = -r_d, A dx + ds = -r_p, z ds + s dz = -r_c."""
-        dx = _cho_solve(fac, -r_d - rows_t((z * r_p - r_c) / s))
-        ds = -r_p - rows(dx)
-        return dx, ds, -(r_c + z * ds) / s
-
-    def max_step(ds, dz):                # largest step keeping s, z >= 0
-        v, dv = np.concatenate([s, z]), np.concatenate([ds, dz])
-        neg = dv < 0
-        return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
-
-    slot = np.concatenate([np.arange(m), m + lo, m + n + hi])   # row -> QpSolution layout
-
-    def multipliers(v):
-        mult = np.zeros(m + 2 * n)
-        mult[slot] = v
-        return mult
-
-    s = np.ones(n_comp)
-    z = np.ones(n_comp)
-    try:
-        _, ds, dz = newton(factor(), H @ x + f + rows_t(z), rows(x) + s - b, s * z)
-        s_aff = s + ds + max(-1.5 * float(np.min(s + ds)), 0.0)
-        z_aff = z + dz + max(-1.5 * float(np.min(z + dz)), 0.0)
-        gap = float(s_aff @ z_aff)
-        if gap > 0.0 and np.isfinite(gap):
-            s = s_aff + 0.5 * gap / float(np.sum(z_aff))
-            z = z_aff + 0.5 * gap / float(np.sum(s_aff))
-    except np.linalg.LinAlgError:
-        pass                             # keep s = z = 1; the loop's factor decides
-
-    best = None
-    trace = []
-    kkt_hist = []
-    it = 0
-    for it in range(1, _IPM_MAX_ITER + 1):
-        Hx = H @ x
-        mult = multipliers(z)
-        kkt = _kkt_residual(problem, x, mult, Hx)
-        objective = float(0.5 * x @ Hx + f @ x)
-        trace.append((objective, _primal_violation(problem, x)))
-        if best is None or kkt < best[2]:
-            best = (x, mult, kkt)        # x is rebound by each step, never written into
-        kkt_hist.append(kkt)
-        if kkt <= _STOP_KKT:
-            break
-        mu = float(s @ z) / n_comp
-        stalled = (len(kkt_hist) > 6 and kkt > 0.9 * kkt_hist[-6]
-                   and mu <= 1e-13 * (1.0 + abs(objective)))
-        if stalled or kkt > 1e8 * best[2]:   # or diverging along an infeasibility ray
-            break
-        try:
-            fac = factor()
-        except np.linalg.LinAlgError:
-            break
-        r_d = Hx + f + rows_t(z)
-        r_p = rows(x) + s - b
-
-        dx, ds, dz = newton(fac, r_d, r_p, s * z)                      # predictor
-        alpha = min(1.0, max_step(ds, dz))
-        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / n_comp
-        target = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8)) * mu
-        dx, ds, dz = newton(fac, r_d, r_p, s * z + ds * dz - target)  # corrector
-        alpha = max_step(ds, dz)
-        for _ in range(_CORRECTORS):
-            if _TAU * alpha >= 1.0:
-                break
-            trial = min(1.0, 1.5 * alpha + 0.3)
-            v = (s + trial * ds) * (z + trial * dz)
-            excess = np.maximum(np.clip(v, 0.1 * target, 10.0 * target) - v, -10.0 * target)
-            cx, cs, cz = newton(fac, 0.0, 0.0, -excess)
-            alpha_c = max_step(ds + cs, dz + cz)
-            if alpha_c < 1.01 * alpha:
-                break
-            dx, ds, dz, alpha = dx + cx, ds + cs, dz + cz, alpha_c
-
-        # one refinement of the stationarity row, whose rounding grows like z/s
-        ex = _cho_solve(fac, -(r_d + H @ dx + rows_t(dz)))
-        es = -rows(ex)
-        dx, ds, dz = dx + ex, ds + es, dz - z * es / s
-        step = min(1.0, _TAU * max_step(ds, dz))
-        x = x + step * dx
-        s = s + step * ds
-        z = z + step * dz
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(z))):
-            break
-
-    x_best, mult_best, kkt_best = best
-    if kkt_best > _STOP_KKT:
-        # the reduced system's rounding grows like z/s and can stall the last iterates
-        # above the target: re-solve on the rows marked active (z > s), if KKT-verified
-        polished = _active_set_shortcut(problem, multipliers(np.where(z > s, z, 0.0)))
-        if polished is not None:
-            x_best, mult_best, kkt_best = polished
-    pviol = _primal_violation(problem, x_best)
-    status = OPTIMAL if (kkt_best <= _OPTIMAL_KKT and pviol <= _OPTIMAL_PVIOL) else MAX_ITER
-    return QpSolution(u_star=x_best, objective=problem.objective(x_best), status=status,
-                      kkt_residual=kkt_best, multipliers=mult_best,
-                      iterations=it, trace=trace, path="ipm")
+def _unanswered(work: DenseQp, status: str, path: str) -> QpSolution:
+    """The origin clipped into the box, with zero multipliers, reported on the regularized problem."""
+    u = np.clip(np.zeros(work.n), work.lb, work.ub)
+    mult = np.zeros(work.m + 2 * work.n)
+    return QpSolution(u_star=u, objective=work.objective(u), status=status,
+                      kkt_residual=kkt_residual(work, u, mult), multipliers=mult, path=path)

@@ -8,8 +8,8 @@ slack diagonal of the fleet QP), positive, 5e-11 or 2e-10.  Each instance's
 H is built dense and handed over as the blocks and tail cut from it, so the
 shortcut works block by block.  The references are dense: one Cholesky
 probe of H - 1e-10 I and one bound-pinning shortcut on the whole H.  The
-zero-row exit, the shortcut, the dual active set and the interior-point
-method all report on the one regularized copy of the problem.
+zero-row exit, the shortcut and the dual active set all report on the one
+regularized copy of the problem.
 """
 
 import copy
@@ -205,7 +205,7 @@ def test_shifted_copy_solves_from_the_same_starts(seed):
 
 ROWS = {"zero_row": {"G": [[0.0, 0.0, 0.0]], "h": [-1.0]},   # a row that cannot hold
         "bound": {},
-        "ipm": {"G": [[-1.0, -1.0, -1.0]], "h": [-1.5]}}        # active at the optimum
+        "dual": {"G": [[-1.0, -1.0, -1.0]], "h": [-1.5]}}       # active at the optimum
 
 
 @pytest.mark.parametrize("path", sorted(ROWS))
@@ -253,7 +253,7 @@ def test_block_shortcut_matches_dense_shortcut(qp):
 def test_solve_qp_matches_enumeration(qp):
     sol = solve_qp(qp)
     assert sol.status == OPTIMAL
-    assert sol.path in ("bound", "dual", "ipm")
+    assert sol.path in ("bound", "dual")
     assert qp_mod._primal_violation(qp, sol.u_star) <= 1e-8
     ref = enumerate_qp(qp.H, qp.f, qp.G, qp.h, qp.lb, qp.ub)
     assert ref is not None

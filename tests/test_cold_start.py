@@ -1,11 +1,11 @@
-"""scipy is loaded by the first QP that reaches the interior-point method, and by nothing else.
+"""The package never imports scipy (~100 ms and ~20 MB per process).
 
-ADMM runs and ``fleetcoord validate`` never call ``solve_qp``, and a
-centralized overtake run answers every fleet QP on the bound shortcut or the
-dual active set, so none of them may import scipy (~100 ms and ~20 MB per
-process).  Each import check runs in a fresh interpreter, since this test
-process has imported scipy already.  The IPM's direct LAPACK calls must
-answer as scipy's Cholesky wrappers do.
+ADMM runs and ``fleetcoord validate`` never call ``solve_qp``; a centralized
+overtake run answers every fleet QP on the bound shortcut or the dual active
+set; a QP whose diagonal column is no elastic slack, and an infeasible one,
+go through the dual stage and the infeasibility probe.  None of them may
+import scipy.  Each import check runs in a fresh interpreter, since the test
+suite may have imported scipy already.
 """
 
 import json
@@ -13,12 +13,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
-import pytest
-from scipy.linalg import cho_factor, cho_solve
-
-from fleetcoord import qp
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,7 +48,7 @@ print(json.dumps(seen))
                     "validate": [0, False], "scaled": [False, 2]}
 
 
-def test_scipy_loads_only_when_a_qp_reaches_the_ipm():
+def test_no_solve_qp_call_imports_scipy():
     seen = run_fresh("""
 import json, sys
 import numpy as np
@@ -62,35 +56,17 @@ from fleetcoord import BlockDiagonal, DenseQp, load_scenario_file, run_simulatio
 run = run_simulation(load_scenario_file("scenarios/overtake.scn"), "centralized")
 seen = {"overtake": [sorted({c.qp_path for c in run.cycles}), len(run.cycles),
                      "scipy" in sys.modules]}
-# the diagonal column is boxed above, so it is no elastic slack: the IPM answers
+# the diagonal column is boxed above, so it is no elastic slack: the dual
+# keeps it as a 1 x 1 block
 H = BlockDiagonal(np.array([[[2.0, 0.5], [0.5, 1.0]]]), np.zeros(1))
 sol = solve_qp(DenseQp(H=H, f=[1.0, -0.5, 1.0], G=[[-1.0, -1.0, -1.0]], h=[-1.5],
                        lb=[0.25, -1.0, 0.0], ub=[1.0, 1.0, 2.0]))
-seen["ipm"] = [sol.path, sol.status, "scipy" in sys.modules]
+seen["boxed"] = [sol.path, sol.status, "scipy" in sys.modules]
+# u <= -1 and -u <= -1 contradict: the infeasibility probe runs
+sol = solve_qp(DenseQp(H=[[2.0]], f=[0.0], G=[[1.0], [-1.0]], h=[-1.0, -1.0]))
+seen["infeasible"] = [sol.path, sol.status, "scipy" in sys.modules]
 print(json.dumps(seen))
 """)
-    # the full overtake run answers every fleet QP without the IPM
     assert seen == {"overtake": [["bound", "dual"], 200, False],
-                    "ipm": ["ipm", "optimal", True]}
-
-
-def test_lapack_calls_match_scipy_wrappers_bit_for_bit():
-    rng = np.random.default_rng(2018)
-    for n in range(1, 101):
-        A = rng.normal(size=(n, n))
-        M = A @ A.T + 1e-3 * np.eye(n)
-        c = qp._cholesky(M)
-        c_ref, lower = cho_factor(M, check_finite=False)
-        assert not lower
-        assert c.tobytes() == c_ref.tobytes()      # the unwritten lower triangle too
-        for b in (rng.normal(size=n), rng.normal(size=(n, 1))):
-            x = qp._cho_solve(c, b)
-            x_ref = cho_solve((c_ref, False), b, check_finite=False)
-            assert x.shape == x_ref.shape
-            assert x.tobytes() == x_ref.tobytes()
-
-
-def test_factor_of_indefinite_matrix_raises_linalg_error():
-    for M in (np.diag([1.0, -1.0, 2.0]), np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
-        with pytest.raises(np.linalg.LinAlgError):
-            qp._cholesky(M)
+                    "boxed": ["dual", "optimal", False],
+                    "infeasible": ["dual", "infeasible", False]}

@@ -10,7 +10,7 @@ slack is positive and the bound shortcut cannot answer; a row whose
 steering part is zero is fixed in closed form.  ``solve_qp`` must answer
 them on the ``dual`` path, KKT-verified, at the objective that exhaustive
 enumeration finds on the regularized problem.  A diagonal column that
-breaks the pattern sends the QP to the interior-point method.  One dual
+breaks the pattern stays in the dual as a 1 x 1 block.  One dual
 solve of a recorded crossing fleet QP stays within half the memory of the
 dual Hessian over all its rows.  The ADMM nodes' kernel, ``qp._BoxDual``,
 is checked on its own against the same enumeration, its capped rows posed
@@ -80,7 +80,11 @@ def solve_quietly(qp):
 def test_slack_pattern_qps_are_answered_on_the_dual(seed, shape, log_costs, fixed_row):
     # each row's slack costs 1 to 1e4 per unit, so a multiplier may reach its
     # cap while its row is active, or as its row is added
-    qp = problem(slack_data(seed, shape, 10.0 ** np.array(log_costs), fixed_row))
+    assert_dual_matches_enumeration(
+        problem(slack_data(seed, shape, 10.0 ** np.array(log_costs), fixed_row)))
+
+
+def assert_dual_matches_enumeration(qp):
     sol = solve_quietly(qp)
     assert sol.path == "dual" and sol.status == OPTIMAL and sol.iterations == 0
     work = qp_mod._shifted(qp, qp_mod._hessian_shift(qp.H))
@@ -112,14 +116,12 @@ def _curved_slack(data):
 
 @pytest.mark.parametrize("breaks", [_second_row, _free_slack, _curved_slack],
                          ids=["two_rows", "zero_cost", "nonzero_entry"])
-def test_a_column_outside_the_slack_pattern_goes_to_the_ipm(breaks):
+def test_a_column_outside_the_slack_pattern_is_kept_as_a_block(breaks):
+    # the column is no slack: it stays among the dual's columns as a 1 x 1
+    # block of P, and the other slacks are still eliminated
     data = slack_data(3, (1, 3), np.full(3, 100.0))
     assert solve_quietly(problem(data)).path == "dual"
-    qp = problem(breaks(data))
-    shift = qp_mod._hessian_shift(qp.H)
-    assert qp_mod._dual_active_set(qp_mod._shifted(qp, shift), shift) is None
-    sol = solve_quietly(qp)
-    assert sol.path == "ipm" and sol.status == OPTIMAL
+    assert_dual_matches_enumeration(problem(breaks(data)))
 
 
 def test_a_fleet_dual_solve_takes_under_half_the_memory_of_its_dual_hessian(monkeypatch):

@@ -96,12 +96,12 @@ def test_matches_primal_qp(inst):
     qp = _check_exact(ep, args, rho, sol)
     ref = solve_qp(qp)
     if ref.status != OPTIMAL:
-        # the interior point can stall on the primal (large rho, deeply
-        # infeasible seed); the KKT check above already proves sol optimal
+        # solve_qp may find no verified answer (large rho, deeply infeasible
+        # seed); the KKT check above already proves sol optimal
         return
     # ref.objective includes the 1e-9 I that solve_qp adds to the singular
     # slack block, so compare both points on the edge QP itself; the gap is
-    # relative to 1 + |J| because the interior point stops near 1e-8 absolute
+    # relative to 1 + |J| because each answer is verified to 1e-8 absolute
     j_ref = qp.objective(ref.u_star)
     assert abs(sol.objective - j_ref) <= 1e-6 * (1.0 + abs(j_ref))
 

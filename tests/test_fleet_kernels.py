@@ -5,8 +5,8 @@ steering arrays.  Each kernel here is compared with the per-vehicle function
 it replaces, on random poses, speeds, wheelbases, steering and bounds for
 N in {1, 2, 5}.  The fleet kernels issue the same float operations (and, for
 products, the same BLAS calls) as the references, so every comparison is bit
-for bit: the centralized interior-point method turns last-bit differences in
-its data into different iterates.
+for bit: the closed loop turns last-bit differences in its data into
+different trajectories.
 """
 
 import math

@@ -152,7 +152,7 @@ def test_binding_position_rows_fall_back_exactly(inst):
         sol = solve_local(lp, z, lam, rho)
     assert np.any(sol.multipliers[:qp.m] > 0.0)
     _check_exact(lp, z, lam, rho, sol)
-    # the interior point stops at a 1e-8 KKT residual, short of the exact optimum
+    # solve_qp verifies its answer to a 1e-8 KKT residual, short of the exact optimum
     assert abs(sol.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
 
 

@@ -300,16 +300,25 @@ def init_admm_state(seeds: np.ndarray, edges: EdgeProblems, rho0: float,
         raise ParameterError("the seeds need their rows' ids, sorted")
     state = AdmmState(ids, list(edges.edges), np.array(seeds, dtype=float), rho, edges.pairs)
     if previous is not None and previous.ekeys and state.ekeys:
-        # an edge persists when its key is among the last cycle's edges
-        L, n, old = state.L, len(ids), {e: k for k, e in enumerate(previous.ekeys)}
-        kept = [(k, old[e]) for k, e in enumerate(state.ekeys) if e in old]
-        k_new, k_old = np.array(kept, dtype=int).reshape(-1, 2).T
+        # an edge persists when its key is among the last cycle's edges.  Coded
+        # by endpoint rows of this cycle's fleet, key = row(e[0]) (N+1) +
+        # row(e[1]), with row N for a vehicle that left it, the sorted new
+        # keys have sorted codes, so one search finds every old key among them
+        L, n, m = state.L, len(ids), len(previous.vids)
+        vids, old_ids = np.asarray(ids), np.asarray(previous.vids)
+        row = np.searchsorted(vids, old_ids)
+        row[vids.take(row, mode="clip") != old_ids] = n
+        old_code = row[previous.owner[m::2]] * (n + 1) + row[previous.owner[m + 1::2]]
+        new_code = state.owner[n::2] * (n + 1) + state.owner[n + 1::2]
+        at = np.searchsorted(new_code, old_code)
+        kept = new_code.take(at, mode="clip") == old_code
+        k_new, k_old = at[kept], np.flatnonzero(kept)
         # edge k's copies are rows N + 2k and N + 2k + 1: (E, 2, Np) views
         edge_L = L[n:].reshape(-1, 2, L.shape[1])
-        last = previous.L[len(previous.vids):].reshape(-1, 2, L.shape[1])[k_old]
+        last = previous.L[m:].reshape(-1, 2, L.shape[1])[k_old]
         edge_L[k_new] = np.concatenate([last[..., 1:], last[..., -1:]], axis=2)
         np.subtract.at(L, state.owner[n:], L[n:])
-        state.carried = len(kept)
+        state.carried = len(k_new)
     return state
 
 

@@ -12,10 +12,14 @@ those into a single map  x_stacked = Phi u + gamma  over the whole horizon.
 The closed loop works on the whole fleet at once, with (N, 3) pose arrays and
 (N, Np) steering arrays.  ``rollout_fleet`` steps all N plants together with
 the same float operations, in the same order, as ``step_nonlinear``, so each
-row equals the per-vehicle ``rollout`` bit for bit.  ``condense_fleet`` fuses
-linearization and condensation; each of its products is the per-vehicle
-code's own small matrix product, issued once for the whole fleet as a stacked
-``matmul``, so it too reproduces ``condense(linearize(...))`` bit for bit.
+row equals the per-vehicle ``rollout`` bit for bit; it takes them as
+inclusive scans over the horizon (``np.add.accumulate``), with a step loop
+only for the headings from the first step that leaves (-pi, pi] and has to
+be wrapped (Blelloch, *Prefix Sums and Their Applications*, 1990).
+``condense_fleet`` fuses linearization and condensation; each of its
+products is the per-vehicle code's own small matrix product, issued once for
+the whole fleet as a stacked ``matmul``, so it too reproduces
+``condense(linearize(...))`` bit for bit.
 Both take sin, cos and tan per element with ``math``, as the reference does,
 because numpy's vectorized versions may round differently on some hosts.
 ``rollout_fleet_trig`` also returns the cos and sin of every heading it
@@ -147,13 +151,13 @@ def _check_fleet_args(controls: np.ndarray, v: np.ndarray, L: np.ndarray, ts: fl
     """``_check_step_args`` for every (vehicle, step) at once."""
     if not (math.isfinite(ts) and ts > 0):
         raise ParameterError(f"Ts must be finite and positive, got {ts!r}")
-    if not np.all(np.isfinite(L) & (L > 0)):
+    if not (np.isfinite(L) & (L > 0)).all():
         raise ParameterError("wheelbase must be finite and positive")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ParameterError("speed must be finite")
-    outside = ~(np.abs(controls) < math.pi / 2)
-    if outside.any():
-        raise ParameterError(f"steering angle {controls[outside][0]} is outside the tan "
+    inside = np.abs(controls) < math.pi / 2
+    if not inside.all():
+        raise ParameterError(f"steering angle {controls[~inside][0]} is outside the tan "
                              f"domain (-pi/2, pi/2)")
 
 
@@ -165,13 +169,13 @@ def _per_element(fn, x: np.ndarray) -> np.ndarray:
     depending on the numpy build and the CPU, so the fleet kernels take them
     per element.
     """
-    return np.array([fn(t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _fleet_arrays(controls, v, L, n: int):
     controls = np.asarray(controls, dtype=float).reshape(n, -1)
-    v = np.broadcast_to(np.asarray(v, dtype=float), (n,))
-    L = np.broadcast_to(np.asarray(L, dtype=float), (n,))
+    v = np.full(n, v, dtype=float)
+    L = np.full(n, L, dtype=float)
     return controls, v, L
 
 
@@ -189,30 +193,36 @@ def rollout_fleet(x0, controls, v, L, ts: float) -> np.ndarray:
 def rollout_fleet_trig(x0, controls, v, L, ts: float):
     """``rollout_fleet``'s poses plus the cos and sin (N, Np) of every heading it stepped from.
 
-    Column k of the trig arrays is taken at poses[:, k, 2], so a slice of
-    them is what ``condense_fleet`` takes at any window of these poses.
+    The rollout is an inclusive scan.  The headings are one
+    ``np.add.accumulate`` over [theta0, turn * tan(delta)], which adds in
+    the step loop's order; ``wrap_angle`` leaves a heading in (-pi, pi]
+    unchanged, so each heading up to the first sum that leaves that range
+    has the loop's bits.  From that step on (over all vehicles), the step
+    loop itself repairs the headings, one ``wrap_angle`` per step; when no
+    sum leaves the range it starts after the last step and does nothing.
+    cos and sin are then taken once over all the headings stepped from,
+    and the positions are the two scans [rx0, v ts cos] and
+    [ry0, v ts sin].  Column k of the trig arrays is taken at
+    poses[:, k, 2], so a slice of them is what ``condense_fleet`` takes at
+    any window of these poses.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1, STATE_DIM)
     n = len(x0)
     controls, v, L = _fleet_arrays(controls, v, L, n)
     _check_fleet_args(controls, v, L, ts)
-    tan = _per_element(math.tan, controls)
-    step = ts * v
-    turn = ts * (v / L)
-    poses = np.empty((n, controls.shape[1] + 1, STATE_DIM))
-    cos = np.empty(controls.shape)
-    sin = np.empty(controls.shape)
-    poses[:, 0] = x0
-    rx, ry, theta = x0[:, 0], x0[:, 1], x0[:, 2]
-    for k in range(controls.shape[1]):
-        cos[:, k] = _per_element(math.cos, theta)
-        sin[:, k] = _per_element(math.sin, theta)
-        rx = rx + step * cos[:, k]
-        ry = ry + step * sin[:, k]
-        theta = wrap_angle(theta + turn * tan[:, k])
-        poses[:, k + 1, 0] = rx
-        poses[:, k + 1, 1] = ry
-        poses[:, k + 1, 2] = theta
+    np_steps = controls.shape[1]
+    step = (ts * v)[:, None]
+    turn = (ts * (v / L))[:, None] * _per_element(math.tan, controls)
+    theta = np.add.accumulate(np.concatenate([x0[:, 2:], turn], axis=1), axis=1)
+    outside = ~np.all((theta[:, 1:] > -math.pi) & (theta[:, 1:] <= math.pi), axis=0)
+    for k in range(int(np.argmax(outside)) if outside.any() else np_steps, np_steps):
+        theta[:, k + 1] = wrap_angle(theta[:, k] + turn[:, k])
+    cos = _per_element(math.cos, theta[:, :-1])
+    sin = _per_element(math.sin, theta[:, :-1])
+    poses = np.empty((n, np_steps + 1, STATE_DIM))
+    poses[:, :, 0] = np.add.accumulate(np.concatenate([x0[:, :1], step * cos], axis=1), axis=1)
+    poses[:, :, 1] = np.add.accumulate(np.concatenate([x0[:, 1:2], step * sin], axis=1), axis=1)
+    poses[:, :, 2] = theta
     return poses, cos, sin
 
 
@@ -296,18 +306,19 @@ def condense_fleet(poses, controls, v, L, ts: float, trig=None) -> FleetPredicti
     cos_sq = _per_element(lambda d: math.cos(d) ** 2, controls)
     B[:, :, 2] = (ts * (v / L))[:, None] / cos_sq
     # c = f(x, u) - A x - B u at each seed point; f(x, u) is the next pose
-    Ax = np.matmul(A, poses[:, :-1, :, None])[..., 0]
-    c = poses[:, 1:] - Ax - B * controls[:, :, None]
+    Ax = np.matmul(A, poses[:, :-1, :, None])
+    c = poses[:, 1:, :, None] - Ax - (B * controls[:, :, None])[..., None]
 
+    # step k's products land in place: its row block of Phi is A_k times
+    # step k-1's, with B_k in column k, and its gamma rows A_k g + c_k
     Phi = np.empty((n, np_steps, STATE_DIM, np_steps))
-    gamma = np.empty((n, np_steps, STATE_DIM))
+    gamma = np.empty((n, np_steps, STATE_DIM, 1))
     row = np.zeros((n, STATE_DIM, np_steps))
     g = poses[:, 0, :, None]
     for k in range(np_steps):
-        row = np.matmul(A[:, k], row)
+        A_k = A[:, k]
+        row = np.matmul(A_k, row, out=Phi[:, k])
         row[:, :, k] = B[:, k]
-        g = np.matmul(A[:, k], g) + c[:, k, :, None]
-        Phi[:, k] = row
-        gamma[:, k] = g[:, :, 0]
+        g = np.add(np.matmul(A_k, g), c[:, k], out=gamma[:, k])
     return FleetPrediction(Phi=Phi.reshape(n, STATE_DIM * np_steps, np_steps),
                            gamma=gamma.reshape(n, STATE_DIM * np_steps))

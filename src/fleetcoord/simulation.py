@@ -21,10 +21,12 @@ plans over Np+1 steps, the last input repeated: its first Np+1 poses are the
 plan's prediction and its last Np+1 the next cycle's seed, since the plant
 step is the same float computation from the same pose.  It also makes one
 ``condense_fleet``, one vectorized reference sample over all vehicles and
-steps (each vehicle's polyline and its start progress s0 are prepared once
-per run by ``Fleet``), and one batched pass each for the tracking and edge
-problems (``convexify_fleet``), which stay stacked (``LocalProblems``,
-``EdgeProblems``), the only form the solvers and the objective take.  The
+steps, and one batched pass each for the tracking and edge problems
+(``convexify_fleet``), which stay stacked (``LocalProblems``,
+``EdgeProblems``), the only form the solvers and the objective take.
+Everything a cycle reads that does not change in a run is built once by
+``Fleet``: each vehicle's polyline and its start progress s0, the tracking
+problems' ``LocalConstants`` and the pair indices of ``_min_pairwise``.  The
 rollout also keeps the cos and sin of every heading it steps from; the
 slice at the next seed's headings goes to the next cycle's
 ``condense_fleet``, which would otherwise take them again.  The ADMM
@@ -59,9 +61,9 @@ from .errors import NumericalFailureError, ParameterError, ScenarioError
 from .graph import ConstraintGraph, build_constraint_graph
 from .qp import OPTIMAL, solve_qp
 from .scenario import Scenario, VehicleSpec, VehicleState
-from .subproblems import (CostWeights, build_centralized, fleet_objective,  # noqa: F401
-                          make_edge_problem, make_edge_problems, make_local_problem,
-                          make_local_problems)
+from .subproblems import (CostWeights, LocalConstants, build_centralized,  # noqa: F401
+                          fleet_objective, make_edge_problem, make_edge_problems,
+                          make_local_problem, make_local_problems)
 
 logger = logging.getLogger(__name__)
 
@@ -175,7 +177,9 @@ class _ReferencePaths:
 
     ``window`` performs ``reference_window`` for all vehicles and steps at
     once, with the same float operations per sample; segment headings come
-    from ``math.atan2`` as there, and s0 from ``path_progress``.
+    from ``math.atan2`` as there, and s0 from ``path_progress``.  Each
+    segment's data is one row of ``segments`` (start arc length, length,
+    start point, direction, heading), so a window gathers it in one index.
     """
 
     def __init__(self, specs):
@@ -184,51 +188,56 @@ class _ReferencePaths:
             if len(spec.waypoints) == 0:
                 raise ScenarioError(f"vehicle {spec.id}: empty reference path")
         n_seg = max(max(len(spec.waypoints) for spec in specs) - 1, 1)
-        self.start = np.array([spec.waypoints[0, :3] for spec in specs], dtype=float)
-        self.pts = np.zeros((n, n_seg, 2))
-        self.deltas = np.zeros((n, n_seg, 2))
-        self.seg_len = np.zeros((n, n_seg))
+        start = np.array([spec.waypoints[0, :3] for spec in specs], dtype=float)
+        self.segments = np.zeros((n, n_seg, 7))
         self.cum = np.full((n, n_seg + 1), np.inf)   # +inf pads never count as <= s
-        self.heading = np.zeros((n, n_seg))
-        self.last_seg = np.zeros(n, dtype=int)
-        self.total = np.zeros(n)
-        self.s0 = np.zeros(n)
-        self.speed = np.array([spec.speed for spec in specs], dtype=float)
+        self.last_seg = np.zeros((n, 1), dtype=int)
+        self.total = np.zeros((n, 1))
+        self.s0 = np.zeros((n, 1))
+        self.speed = np.array([spec.speed for spec in specs], dtype=float)[:, None]
+        self.rows = np.arange(n)[:, None]
         for v, spec in enumerate(specs):
             pts, deltas, seg_len, cum = _polyline_geometry(spec.waypoints)
             m = len(seg_len)
-            self.pts[v, :m] = pts[:-1]
-            self.deltas[v, :m] = deltas
-            self.seg_len[v, :m] = seg_len
+            self.segments[v, :m, 0] = cum[:-1]
+            self.segments[v, :m, 1] = seg_len
+            self.segments[v, :m, 2:4] = pts[:-1]
+            self.segments[v, :m, 4:6] = deltas
+            self.segments[v, :m, 6] = [math.atan2(dy, dx) for dx, dy in deltas.tolist()]
             self.cum[v, :m + 1] = cum
-            self.heading[v, :m] = [math.atan2(dy, dx) for dx, dy in deltas.tolist()]
             self.last_seg[v] = m - 1
             self.total[v] = cum[-1]
             if cum[-1] > 0:
                 self.s0[v] = path_progress(spec, spec.initial_state.position)
+        self.still = np.flatnonzero(self.total[:, 0] <= 0.0)   # paths without length
+        self.still_pose = start[self.still, None, :]
 
     def window(self, t: float, np_steps: int, ts: float) -> np.ndarray:
         """(N, Np, 3) reference samples for steps 1..Np, as ``reference_window``."""
-        k = np.arange(1, np_steps + 1)
-        s = self.s0[:, None] + self.speed[:, None] * (t + k * ts)
-        s = np.minimum(np.maximum(s, 0.0), self.total[:, None])
+        s = self.s0 + self.speed * (t + np.arange(1, np_steps + 1) * ts)
+        s = np.minimum(np.maximum(s, 0.0), self.total)
         seg = np.count_nonzero(self.cum[:, None, :] <= s[:, :, None], axis=2) - 1
-        seg = np.maximum(np.minimum(seg, self.last_seg[:, None]), 0)
-        rows = np.arange(len(s))[:, None]
-        seg_len = self.seg_len[rows, seg]
+        seg = np.maximum(np.minimum(seg, self.last_seg), 0)
+        data = self.segments[self.rows, seg]
+        seg_len = data[:, :, 1]
         moving = seg_len > 0
-        frac = np.where(moving, (s - self.cum[rows, seg]) / np.where(moving, seg_len, 1.0), 0.0)
+        frac = np.where(moving, (s - data[:, :, 0]) / np.where(moving, seg_len, 1.0), 0.0)
         out = np.empty(s.shape + (3,))
-        out[:, :, :2] = self.pts[rows, seg] + frac[:, :, None] * self.deltas[rows, seg]
-        out[:, :, 2] = self.heading[rows, seg]
-        still = self.total <= 0.0
-        if still.any():
-            out[still] = self.start[still, None, :]
+        out[:, :, :2] = data[:, :, 2:4] + frac[:, :, None] * data[:, :, 4:6]
+        out[:, :, 2] = data[:, :, 6]
+        if len(self.still):
+            out[self.still] = self.still_pose
         return out
 
 
 class Fleet:
-    """A scenario's per-run constant data, as arrays in vehicle-id order."""
+    """A scenario's per-run constant data, as arrays in vehicle-id order.
+
+    Built once per run: the plants' speeds and wheelbases, the tracking
+    problems' ``LocalConstants`` (weights, position limits, pruning radii
+    and steering boxes), the reference paths and the index pairs of
+    ``_min_pairwise``.
+    """
 
     def __init__(self, scenario: Scenario):
         cfg = scenario.config
@@ -238,11 +247,10 @@ class Fleet:
         self.row = {vid: n for n, vid in enumerate(self.ids)}
         self.speed = np.array([spec.speed for spec in self.specs], dtype=float)
         self.wheelbase = np.array([spec.wheelbase for spec in self.specs], dtype=float)
-        self.steer_min = np.array([spec.steer_min for spec in self.specs], dtype=float)[:, None]
-        self.steer_max = np.array([spec.steer_max for spec in self.specs], dtype=float)[:, None]
-        self.weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading,
-                                   r_steer=cfg.r_weight)
+        weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading, r_steer=cfg.r_weight)
+        self.local = LocalConstants(self.specs, weights, cfg.horizon_steps, cfg.ts)
         self.reference = _ReferencePaths(self.specs)
+        self.vehicle_pairs = np.triu_indices(len(self.specs), k=1)   # for _min_pairwise
 
     def rollout(self, poses: np.ndarray, controls: np.ndarray):
         """(poses, cos, sin): ``rollout_fleet_trig`` of the fleet's plants."""
@@ -369,17 +377,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _min_pairwise(positions: np.ndarray) -> float:
+def _min_pairwise(positions: np.ndarray, pairs) -> float:
     """Smallest pairwise distance, with the bits of ``math.hypot``.
 
-    numpy's hypot rounds differently on some inputs, so it only picks the
-    candidate pairs within a relative 1e-9 of its minimum, and ``math.hypot``
-    decides among those.
+    ``pairs`` is ``np.triu_indices(len(positions), k=1)``.  numpy's hypot
+    rounds differently on some inputs, so it only picks the candidate pairs
+    within a relative 1e-9 of its minimum, and ``math.hypot`` decides among
+    those.
     """
-    n = len(positions)
-    if n < 2:
+    if len(positions) < 2:
         return float("nan")
-    a, b = np.triu_indices(n, k=1)
+    a, b = pairs
     dx = positions[a, 0] - positions[b, 0]
     dy = positions[a, 1] - positions[b, 1]
     dist = np.hypot(dx, dy)
@@ -406,8 +414,8 @@ def convexify_fleet(fleet: Fleet, poses: np.ndarray, seed_poses: np.ndarray,
     ref[:, :, 2] = _onto_branch(ref[:, :, 2], seed_poses[:, 1:, 2])
     pairs = np.array([(fleet.row[i], fleet.row[j]) for i, j in graph.edges],
                      dtype=int).reshape(-1, 2)
-    local_problems = make_local_problems(fleet.specs, prediction, ref.reshape(len(ref), -1),
-                                         fleet.weights, x0=poses[:, :2], ts=cfg.ts)
+    local_problems = make_local_problems(fleet.local, prediction, ref.reshape(len(ref), -1),
+                                         poses[:, :2])
     edge_problems = make_edge_problems(
         graph.edges, pairs, prediction, seed_poses[:, 1:, :2], cfg.d_safe,
         cfg.slack_penalty, poses[pairs[:, 0], :2] - poses[pairs[:, 1], :2])
@@ -471,14 +479,15 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
     np_steps = cfg.horizon_steps
     poses = np.array([spec.initial_state.as_array() for spec in fleet.specs])
     # make_seed's first seed: zero steering, clipped
-    seed_controls = np.clip(np.zeros((len(vids), np_steps)), fleet.steer_min, fleet.steer_max)
+    seed_controls = np.clip(np.zeros((len(vids), np_steps)), fleet.local.steer_lb,
+                            fleet.local.steer_ub)
     seed_poses, cos, sin = fleet.rollout(poses, seed_controls)
     seed_trig = cos, sin           # the seed headings' cos and sin, handed to condense_fleet
 
     poses_log = [poses]
     controls_log = []
     predicted = {vid: [] for vid in vids}
-    min_pairwise = [_min_pairwise(poses[:, :2])]
+    min_pairwise = [_min_pairwise(poses[:, :2], fleet.vehicle_pairs)]
     cycles = []
     violations = []
     admm_state = None                    # final ADMM state of the last cycle
@@ -536,7 +545,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
                 objective=fleet_objective(local_problems, controls))
 
         # apply the first input of each vehicle and advance all plants
-        plans = np.clip(controls, fleet.steer_min, fleet.steer_max)
+        plans = np.clip(controls, fleet.local.steer_lb, fleet.local.steer_ub)
         finite = np.all(np.isfinite(plans), axis=1)
         if not finite.all():
             raise NumericalFailureError(
@@ -555,7 +564,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
         poses = rolled[:, 1].copy()
         controls_log.append(plans[:, 0])
         poses_log.append(poses)
-        dmin = _min_pairwise(poses[:, :2])
+        dmin = _min_pairwise(poses[:, :2], fleet.vehicle_pairs)
         min_pairwise.append(dmin)
         record.min_distance = dmin
         if len(vids) > 1 and dmin < cfg.d_safe:

@@ -21,7 +21,9 @@ diagnostic.
 The closed loop builds every cycle's problems for the whole fleet at once:
 ``make_local_problems`` forms H0, f0 and const0 for all N vehicles in one
 batched product and selects the position-bound rows of all vehicles with one
-mask, and ``make_edge_problems`` linearizes the separation of all E edges at
+mask, reading everything that does not change in a run (weights, position
+limits, pruning radii, steering boxes) from ``LocalConstants``, built once
+per run; ``make_edge_problems`` linearizes the separation of all E edges at
 all Np steps in one pass over (E, Np), including the coincident-seed
 fallback.  Each product is the per-vehicle function's own, issued as one
 stacked ``matmul``, so the data equals that of ``make_local_problem`` and
@@ -211,13 +213,56 @@ def _append_row(rows, rhs, coeffs, bound) -> None:
     rhs.append(float(bound))
 
 
-def make_local_problems(specs, prediction: FleetPrediction, references, weights: CostWeights,
-                        x0, ts: float) -> LocalProblems:
+class LocalConstants:
+    """A fleet's per-run data of its tracking problems, built once from its specs.
+
+    ``specs`` must be in sorted id order (else ParameterError), as ``ids``
+    and every row here are.  ``wvec`` (3 Np,) weighs the stacked prediction
+    rows, ``r_eye`` is r_steer I (Np, Np), and ``steer_lb``/``steer_ub``
+    (N, Np) are the steering boxes.  ``limits`` (N, 4) holds each vehicle's
+    candidate position rows, in ``make_local_problem``'s order x <= x_max,
+    x >= x_min, y <= y_max, y >= y_min, with ``finite`` marking the finite
+    ones, and ``radius`` (N,) is the pruning radius at sample time ``ts``.
+    The arrays are read-only: every cycle's ``LocalProblems`` shares the
+    steering boxes.
+    """
+
+    def __init__(self, specs, weights: CostWeights, np_steps: int, ts: float):
+        self.ids = tuple(spec.id for spec in specs)
+        if list(self.ids) != sorted(self.ids):
+            raise ParameterError("the specs must be in sorted id order")
+        if weights.q_pos <= 0 and weights.q_heading <= 0 and weights.r_steer <= 0:
+            raise ParameterError("cost must be nontrivial: some weight must be positive")
+        n = len(specs)
+        self.wvec = np.tile([weights.q_pos, weights.q_pos, weights.q_heading], np_steps)
+        self.r_eye = weights.r_steer * np.eye(np_steps)
+        self.limits = np.array([[s.bounds.x_max, s.bounds.x_min, s.bounds.y_max, s.bounds.y_min]
+                                for s in specs], dtype=float).reshape(n, 4)
+        self.finite = np.isfinite(self.limits)
+        speed = np.array([spec.speed for spec in specs], dtype=float)
+        self.radius = 2.0 * speed * np_steps * ts + 5.0
+        steer = np.array([[spec.steer_min, spec.steer_max] for spec in specs],
+                         dtype=float).reshape(n, 2)
+        self.steer_lb = np.repeat(steer[:, :1], np_steps, axis=1)
+        self.steer_ub = np.repeat(steer[:, 1:], np_steps, axis=1)
+        for a in (self.wvec, self.r_eye, self.limits, self.finite, self.radius,
+                  self.steer_lb, self.steer_ub):
+            a.flags.writeable = False
+
+
+# candidate position rows per step, in make_local_problem's order x <= hi,
+# x >= lo, y <= hi, y >= lo: the coordinate each bounds, and its sign (a
+# lower-bound row is the negated upper-bound row)
+_LIMIT_COORD = np.array([0, 0, 1, 1])
+_LIMIT_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def make_local_problems(constants: LocalConstants, prediction: FleetPrediction, references,
+                        x0) -> LocalProblems:
     """``make_local_problem(..., x0, ts)`` for N vehicles at once, as ``LocalProblems``.
 
     Row n of ``prediction``, ``references`` (N, 3*Np) and ``x0`` (N, 2)
-    belongs to ``specs[n]``, and the ids must be sorted, as the result's rows
-    are; unsorted ids raise ParameterError.  H0, f0 and const0 come from one
+    belongs to ``constants.ids[n]``.  H0, f0 and const0 come from one
     batched product over the fleet, and the position-bound rows are selected
     by one mask with the same order, pruning radius and zero-row rule as
     ``make_local_problem``.
@@ -226,48 +271,31 @@ def make_local_problems(specs, prediction: FleetPrediction, references, weights:
     n, _, np_steps = Phi.shape
     ref = np.asarray(references, dtype=float).reshape(n, STATE_DIM * np_steps)
     x0 = np.asarray(x0, dtype=float).reshape(n, -1)
-    ids = [spec.id for spec in specs]
-    if ids != sorted(ids):
-        raise ParameterError("the specs must be in sorted id order")
-    if weights.q_pos <= 0 and weights.q_heading <= 0 and weights.r_steer <= 0:
-        raise ParameterError("cost must be nontrivial: some weight must be positive")
+    wvec, lim = constants.wvec, constants.limits
 
-    wvec = np.tile([weights.q_pos, weights.q_pos, weights.q_heading], np_steps)
     WPhi = wvec[:, None] * Phi
-    H0 = 2.0 * (np.matmul(Phi.transpose(0, 2, 1), WPhi) + weights.r_steer * np.eye(np_steps))
+    H0 = 2.0 * (np.matmul(Phi.transpose(0, 2, 1), WPhi) + constants.r_eye)
     resid = gamma - ref
     f0 = 2.0 * np.matmul(WPhi.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]
     const0 = np.matmul(resid[:, None, :], (wvec * resid)[:, :, None])[:, 0, 0]
 
-    # candidate rows per step k, in the per-vehicle order: x <= hi, x >= lo,
-    # y <= hi, y >= lo; a lower-bound row is the negated upper-bound row
-    lim = np.array([[s.bounds.x_max, s.bounds.x_min, s.bounds.y_max, s.bounds.y_min]
-                    for s in specs], dtype=float).reshape(n, 4)
-    coord = np.array([0, 0, 1, 1])
-    sign = np.array([1.0, -1.0, 1.0, -1.0])
     P = Phi.reshape(n, np_steps, STATE_DIM, np_steps)[:, :, :2]     # (N, Np, 2, Np)
-    q = gamma.reshape(n, np_steps, STATE_DIM)[:, :, :2]             # (N, Np, 2)
-    q4 = q[:, :, coord]
-    rhs = np.where(sign > 0, lim[:, None, :] - q4, q4 - lim[:, None, :])
-    speed = np.array([spec.speed for spec in specs], dtype=float)
-    radius = 2.0 * speed * np_steps * ts + 5.0
-    x0 = x0[:, coord]
-    dist = np.abs(np.where(sign > 0, lim - x0, x0 - lim))
-    keep = np.isfinite(lim) & (dist <= radius[:, None])
-    veh, step, cand = np.nonzero(np.broadcast_to(keep[:, None, :], rhs.shape))
-    G_all = sign[cand, None] * P[veh, step, coord[cand]]
+    q4 = gamma.reshape(n, np_steps, STATE_DIM)[:, :, _LIMIT_COORD]  # (N, Np, 4)
+    rhs = np.where(_LIMIT_SIGN > 0, lim[:, None, :] - q4, q4 - lim[:, None, :])
+    # |hi - x| and |x - lo| of make_local_problem: a difference and its
+    # negation round alike, so one |lim - x| has their bits
+    dist = np.abs(lim - x0[:, _LIMIT_COORD])
+    keep = constants.finite & (dist <= constants.radius[:, None])
+    veh, step, cand = np.nonzero(np.repeat(keep[:, None, :], np_steps, axis=1))
+    G_all = _LIMIT_SIGN[cand, None] * P[veh, step, _LIMIT_COORD[cand]]
     h_all = rhs[veh, step, cand]
     # zero rows that hold trivially are dropped; only kept candidates are tested
-    row = ~((np.max(np.abs(G_all), axis=1) < 1e-14) & (h_all >= -1e-9))
+    row = ~((np.abs(G_all).max(axis=1) < 1e-14) & (h_all >= -1e-9))
     G_all, h_all, veh = G_all[row], h_all[row], veh[row]
     starts = np.zeros(n + 1, dtype=int)
     np.cumsum(np.bincount(veh, minlength=n), out=starts[1:])
-
-    lb = np.repeat(np.array([spec.steer_min for spec in specs], dtype=float)[:, None],
-                   np_steps, axis=1)
-    ub = np.repeat(np.array([spec.steer_max for spec in specs], dtype=float)[:, None],
-                   np_steps, axis=1)
-    return LocalProblems(ids, H0, f0, const0, G_all, h_all, starts, lb, ub)
+    return LocalProblems(constants.ids, H0, f0, const0, G_all, h_all, starts,
+                         constants.steer_lb, constants.steer_ub)
 
 
 def _check_rho(rho: float) -> None:

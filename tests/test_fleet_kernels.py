@@ -9,6 +9,7 @@ for bit: the closed loop turns last-bit differences in its data into
 different trajectories.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,15 +18,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fleetcoord import (CostWeights, ParameterError, build_constraint_graph, condense,
-                        fleet_objective, generate_scaled_scenario, linearize,
-                        load_scenario_file, make_edge_problem, make_local_problem, make_seed,
-                        reference_window, rollout, tracking_objective)
+                        fleet_objective, generate_crossing_scenario, generate_scaled_scenario,
+                        linearize, load_scenario_file, make_edge_problem, make_local_problem,
+                        make_seed, reference_window, rollout, tracking_objective)
 from fleetcoord.dynamics import (CondensedPrediction, FleetPrediction, HorizonTrajectory,
                                  condense_fleet, rollout_fleet, rollout_fleet_trig)
 from fleetcoord.scenario import Bounds, VehicleState
-from fleetcoord.simulation import (_align_reference_headings, _min_pairwise,
-                                   _ReferencePaths, convexify_cycle)
-from fleetcoord.subproblems import EdgeBatch, make_edge_problems, make_local_problems
+from fleetcoord.simulation import (Fleet, _align_reference_headings, _min_pairwise,
+                                   _ReferencePaths, convexify_cycle, convexify_fleet)
+from fleetcoord.subproblems import (EdgeBatch, LocalConstants, make_edge_problems,
+                                    make_local_problems)
 
 from instances import stack, unstack
 
@@ -79,6 +81,61 @@ def test_rollout_fleet_is_rollout_bit_for_bit(inst):
     for n, ref in enumerate(reference_rollouts(x0, controls, speed, wheelbase, ts)):
         assert poses[n].tobytes() == ref.poses.tobytes()
         assert ref.states == tuple(VehicleState(*row) for row in poses[n].tolist())
+
+
+def assert_rollout_bits(x0, controls, speed, wheelbase, ts):
+    poses, cos, sin = rollout_fleet_trig(x0, controls, speed, wheelbase, ts)
+    for n, ref in enumerate(reference_rollouts(x0, controls, speed, wheelbase, ts)):
+        assert poses[n].tobytes() == ref.poses.tobytes(), n
+        theta = ref.poses[:-1, 2].tolist()
+        assert cos[n].tolist() == [math.cos(t) for t in theta]
+        assert sin[n].tolist() == [math.sin(t) for t in theta]
+    return poses
+
+
+def _turn(delta, v, L, ts):
+    """The heading change of one step, as ``step_nonlinear`` forms it."""
+    return ts * (v / L) * math.tan(delta)
+
+
+@pytest.mark.parametrize("cross", [1, 4, 7])
+def test_rollout_fleet_wraps_one_heading_crossing_pi_mid_horizon(cross):
+    # vehicle 0 turns left across pi at step `cross` of 8; the others keep
+    # their headings inside (-pi, pi], so the step loop repairs every
+    # vehicle's headings from that step on
+    ts, v, L, delta = 0.1, np.array([10.0, 8.0, 12.0]), np.array([2.5, 2.4, 3.0]), 0.2
+    turn = _turn(delta, v[0], L[0], ts)
+    x0 = np.array([[0.0, 0.0, math.pi - (cross - 0.5) * turn],
+                   [5.0, -3.0, 0.3],
+                   [-7.0, 2.0, -2.9]])
+    controls = np.array([[delta] * 8, [0.05] * 8, [-0.01] * 8])
+    poses = assert_rollout_bits(x0, controls, v, L, ts)
+    theta = poses[:, :, 2]
+    assert np.all(theta[0, 1:cross] > 0) and np.all(theta[0, cross:] < 0)
+    assert np.all(np.abs(np.diff(theta[1:], axis=1)) < 1.0)
+
+
+def test_rollout_fleet_keeps_a_heading_sum_of_exactly_pi():
+    ts, v, L = 0.1, np.array([10.0, 9.0]), np.array([2.5, 2.5])
+    controls = np.array([[0.3, 0.0, 0.1], [0.0, 0.0, 0.0]])
+    turn = _turn(0.3, v[0], L[0], ts)
+    theta0 = math.pi - turn
+    assert theta0 + turn == math.pi                 # the sum lands on pi exactly
+    x0 = np.array([[1.0, 2.0, theta0], [0.0, 0.0, math.pi]])
+    poses = assert_rollout_bits(x0, controls, v, L, ts)
+    assert poses[0, 1, 2] == poses[0, 2, 2] == math.pi     # in (-pi, pi]: kept
+    assert np.all(poses[1, :, 2] == math.pi)
+
+
+def test_rollout_fleet_wraps_a_heading_sum_of_exactly_minus_pi():
+    ts, v, L = 0.1, np.array([10.0, 9.0]), np.array([2.5, 2.5])
+    controls = np.array([[-0.3, 0.0, 0.1], [0.1, 0.1, 0.1]])
+    turn = _turn(-0.3, v[0], L[0], ts)
+    theta0 = -math.pi - turn
+    assert theta0 + turn == -math.pi                # the sum lands on -pi exactly
+    x0 = np.array([[1.0, 2.0, theta0], [0.0, 0.0, 0.0]])
+    poses = assert_rollout_bits(x0, controls, v, L, ts)
+    assert poses[0, 1, 2] == poses[0, 2, 2] == math.pi     # outside (-pi, pi]: wrapped
 
 
 @SETTINGS
@@ -157,8 +214,8 @@ def test_local_problems_match_make_local_problem(inst):
     poses = rollout_fleet(x0, controls, speed, wheelbase, ts)
     prediction = condense_fleet(poses, controls, speed, wheelbase, ts)
     refs = poses[:, 1:] + rng.normal(0.0, 1.0, (n, np_steps, 3))
-    fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights,
-                                x0=x0[:, :2], ts=ts)
+    fleet = make_local_problems(LocalConstants(specs, weights, np_steps, ts), prediction,
+                                refs.reshape(n, -1), x0[:, :2])
     assert list(fleet.ids) == [s.id for s in specs]
     rows = unstack(fleet)                 # row n of the arrays as vehicle n's problem
     for i, spec in enumerate(specs):
@@ -176,8 +233,8 @@ def test_local_problems_match_make_local_problem(inst):
         reversed_prediction = FleetPrediction(Phi=prediction.Phi[back],
                                               gamma=prediction.gamma[back])
         with pytest.raises(ParameterError, match="sorted id order"):
-            make_local_problems(specs[back], reversed_prediction, refs[back].reshape(n, -1),
-                                weights, x0=x0[back, :2], ts=ts)
+            make_local_problems(LocalConstants(specs[back], weights, np_steps, ts),
+                                reversed_prediction, refs[back].reshape(n, -1), x0[back, :2])
     # the test helper's stack of the rows gives back the same arrays
     assert_same_local_arrays(stack(rows, {})[0], fleet)
 
@@ -203,8 +260,8 @@ def test_fleet_objective_is_the_sum_of_tracking_objectives(inst):
     poses = rollout_fleet(x0, controls, speed, wheelbase, ts)
     prediction = condense_fleet(poses, controls, speed, wheelbase, ts)
     refs = poses[:, 1:] + rng.normal(0.0, 1.0, (n, np_steps, 3))
-    fleet = make_local_problems(specs, prediction, refs.reshape(n, -1), weights,
-                                x0=x0[:, :2], ts=ts)
+    fleet = make_local_problems(LocalConstants(specs, weights, np_steps, ts), prediction,
+                                refs.reshape(n, -1), x0[:, :2])
     rows = unstack(fleet)
     for scale in (1e-3, 1.0, 1e3):
         u = {vid: rng.normal(0.0, scale, np_steps) for vid in fleet.ids}
@@ -311,11 +368,11 @@ def test_min_pairwise_has_math_hypot_bits(seed, n):
     if n > 3:
         pos[3] = pos[2] + rng.uniform(-1e-7, 1e-7, 2)
     if n < 2:
-        assert math.isnan(_min_pairwise(pos))
+        assert math.isnan(_min_pairwise(pos, np.triu_indices(n, k=1)))
         return
     want = min(math.hypot(pos[a, 0] - pos[b, 0], pos[a, 1] - pos[b, 1])
                for a in range(n) for b in range(a + 1, n))
-    assert _min_pairwise(pos) == want
+    assert _min_pairwise(pos, np.triu_indices(n, k=1)) == want
 
 
 def _per_vehicle_convexify(scenario, current, seeds, graph, t):
@@ -368,6 +425,58 @@ def test_convexify_cycle_equals_per_vehicle_composition(scenario, overtake_path,
         for e, want in want_edges.items():
             for name in ("G", "h"):
                 assert getattr(edges[e], name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_fleet_constants_serve_every_cycle_as_the_per_vehicle_composition():
+    # one Fleet, built once, convexifies several cycles of a coupled crossing
+    # whose vehicles have their own steering limits and mixed bounds: sides
+    # infinite, within reach of the horizon (kept) and beyond it (pruned)
+    base = generate_crossing_scenario(6, 0)
+    cfg = base.config
+    inf = math.inf
+    boxes = [(-inf, 40.0, -inf, inf), (-inf, inf, -30.0, 45.0), (-300.0, 20.0, -5.0, 5.0),
+             (-inf, inf, -inf, inf), (-60.0, inf, -inf, 300.0), (-10.0, 35.0, -60.0, inf)]
+    specs = []
+    for k, (spec, box) in enumerate(zip(base.vehicles, boxes)):
+        x, y = spec.initial_state.rx, spec.initial_state.ry
+        bounds = Bounds(x + box[0], x + box[1], y + box[2], y + box[3])
+        steer = 0.2 + 0.07 * k
+        specs.append(dataclasses.replace(spec, bounds=bounds, steer_min=-steer,
+                                         steer_max=steer * (1.0 + 0.1 * k)))
+    sc = dataclasses.replace(base, vehicles=tuple(specs))
+    fleet = Fleet(sc)
+    rng = np.random.default_rng(3)
+    rows = []
+    for t in (0.0, 0.8, 2.5):
+        current = {s.id: VehicleState(s.initial_state.rx + rng.uniform(-2, 2) + 8.0 * t,
+                                      s.initial_state.ry + rng.uniform(-2, 2),
+                                      s.initial_state.theta + rng.uniform(-0.3, 0.3))
+                   for s in specs}
+        seeds = {s.id: rollout(current[s.id], rng.uniform(-0.2, 0.2, cfg.horizon_steps),
+                               s.speed, s.wheelbase, cfg.ts) for s in specs}
+        graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
+        poses = np.array([current[vid].as_array() for vid in fleet.ids])
+        seed_controls = np.array([seeds[vid].controls for vid in fleet.ids])
+        seed_poses, cos, sin = fleet.rollout(poses, seed_controls)
+        local, edges = (unstack(problems) for problems in convexify_fleet(
+            fleet, poses, seed_poses, seed_controls, graph, t, (cos, sin)))
+        want_local, want_edges = _per_vehicle_convexify(sc, current, seeds, graph, t)
+        assert list(local) == sorted(want_local) and list(edges) == list(want_edges)
+        for vid, want in want_local.items():
+            for name in ("H0", "f0", "G", "h", "steer_lb", "steer_ub"):
+                got = getattr(local[vid], name)
+                assert got.shape == getattr(want, name).shape, (t, vid, name)
+                assert got.tobytes() == getattr(want, name).tobytes(), (t, vid, name)
+            assert local[vid].const0 == want.const0
+        rows.append([len(want_local[vid].h) for vid in fleet.ids])
+        for e, want in want_edges.items():
+            for name in ("G", "h"):
+                assert getattr(edges[e], name).tobytes() == getattr(want, name).tobytes()
+        assert edges
+    # vehicle 3 keeps several finite sides; vehicle 5's finite sides are all
+    # beyond the pruning radius, and vehicle 4 has none
+    np_steps = cfg.horizon_steps
+    assert all(r[2] > np_steps and r[3] == r[4] == 0 for r in rows), rows
 
 
 def test_convexify_cycle_rejects_seeds_that_are_not_rollouts(overtake_path):

@@ -47,29 +47,35 @@ are handed, one after another in the calling thread, to the batches'
 ``solve_node``, which solves the node's dual box QP exactly, warm started
 from the node's previous multipliers, and returns the node's row as the
 batched pass would, bit for bit; no per-iteration QP is assembled or reaches
-``solve_qp``.  Parallelism is accounted, not executed: each iteration is
-charged its slowest node.  The iterates live in ``AdmmState`` as arrays, one
-(N + 2E, Np) row per copy and its scaled dual and one (N, Np) consensus, and
-its methods are steps 2 and 3, the residuals and the rho rescaling.  Edge
-k's two copies are rows N + 2k and N + 2k + 1, its endpoints in key order,
-so the edge rows reshape to and from the edge batch's (E, 2Np) rows without
-a gather.  The final state is carried into the next cycle as it is:
-``init_admm_state`` takes the (N, Np) seed array and the edge container,
+``solve_qp``.  A handed edge's kernel is built once per edge and rho and
+keeps the edge's unfixed rows, their h and caps, and P^-1 G' = G' / rho,
+formed by one multiply; a handed edge call is then one G v - h, one box
+active set and, only when some multiplier is positive, x = v - P^-1 G' mu,
+before its slacks and KKT residual.  Parallelism is accounted, not
+executed: each iteration is charged its slowest node.  The iterates live in
+``AdmmState`` as arrays, one (N + 2E, Np) row per copy and its scaled dual
+and one (N, Np) consensus, and its methods are steps 2 and 3, the residuals
+and the rho rescaling.  Edge k's two copies are rows N + 2k and N + 2k + 1,
+its endpoints in key order, so the edge rows reshape to and from the edge
+batch's (E, 2Np) rows without a gather.  The final state is carried into
+the next cycle as it is: ``init_admm_state`` takes the (N, Np) seed array and the edge container,
 whose ``pairs`` are the endpoint rows, finds each persisting edge by its key
 and shifts its dual rows.  Accounted time charges each node an equal share
-of its batched pass, plus its own per-node solve when it was handed over.
-So the Hessians formed at a new rho are charged to the vehicles of the
-iteration whose pass forms them, and a handed vehicle's dual data to that
-vehicle.  The consensus average, the dual step and the Anderson step are
-coordinator work: no node is charged for them.
+of its batched pass, plus its own per-node solve when it was handed over:
+the loop sums each pass's share as one number and each handed node's own
+time.  So the Hessians formed at a new rho are charged to the vehicles of
+the iteration whose pass forms them, and a handed vehicle's dual data to
+that vehicle.  The consensus average, the dual step and the Anderson step
+are coordinator work: no node is charged for them.
 
 Every node answer's KKT residual is checked against 1e-8, the batched
 passes' own target: non-optimal answers and handed nodes are counted in the
 ``ResidualReport`` with the worst node KKT residual, and a warning names
-each non-optimal node and its residual as it enters consensus.  The report
-also counts the accelerated points that were accepted and rejected, and the
-DEBUG line of each iteration names its point ``plain``, ``accepted`` or
-``rejected``.
+each non-optimal node and its residual as it enters consensus.  The checks,
+and the one for non-finite iterates, are whole-array reductions; node names
+are formed only when one fails.  The report also counts the accelerated
+points that were accepted and rejected, and the DEBUG line of each
+iteration names its point ``plain``, ``accepted`` or ``rejected``.
 """
 
 from __future__ import annotations
@@ -182,7 +188,7 @@ class Anderson:
             return Zg, Lg, kind
         g = np.concatenate([Zg.ravel(), Lg.ravel()])
         f = g - np.concatenate([Z.ravel(), L.ravel()])
-        norm = float(np.linalg.norm(f))
+        norm = _norm(f)
         if kind == "accepted" and norm > self.norm:
             Z, L = self.plain
             self.clear()
@@ -224,6 +230,7 @@ class AdmmState:
         self.carried = 0
         self.Z = Z
         self.Z_prev = None
+        self.z_rows = self.gap = None    # update's consensus per row and gap, for residuals
         self.C = Z[self.owner]
         self.L = np.zeros_like(self.C)
         self.rho = rho
@@ -237,24 +244,28 @@ class AdmmState:
         return total / self.count
 
     def update(self, z_new: np.ndarray) -> None:
-        """Scaled dual ascent on the new consensus, which then replaces ``Z``."""
-        self.L = self.L + (self.C - z_new[self.owner])
+        """Scaled dual ascent on the new consensus, which then replaces ``Z``.
+
+        The consensus per copy row, ``z_rows``, and the gap C - z_rows that
+        the step adds to L are kept for ``residuals``.
+        """
+        self.z_rows = z_new[self.owner]
+        self.gap = self.C - self.z_rows
+        self.L = self.L + self.gap
         self.Z_prev, self.Z = self.Z, z_new
 
     def residuals(self, eps_abs: float, eps_rel: float) -> ResidualReport:
-        """Primal/dual residual norms and tolerances over all copies.
+        """Primal/dual residual norms and tolerances over all copies, after ``update``.
 
         There is one consensus constraint per copy row, (N + 2E) Np scalars,
         and the consensus and its last change are taken per row as well, so
         the dimension factor sqrt((N + 2E) Np) matches the residual space.
         """
-        z_stack = self.Z[self.owner]
-        r_norm = float(np.linalg.norm(self.C - z_stack))
-        s_norm = float(self.rho * np.linalg.norm(z_stack - self.Z_prev[self.owner]))
+        r_norm = _norm(self.gap)
+        s_norm = float(self.rho * _norm((self.Z - self.Z_prev)[self.owner]))
         dim = math.sqrt(self.C.size)
-        eps_pri = eps_abs * dim + eps_rel * max(float(np.linalg.norm(self.C)),
-                                                float(np.linalg.norm(z_stack)))
-        eps_dual = eps_abs * dim + eps_rel * float(np.linalg.norm(self.L)) / self.rho
+        eps_pri = eps_abs * dim + eps_rel * max(_norm(self.C), _norm(self.z_rows))
+        eps_dual = eps_abs * dim + eps_rel * _norm(self.L) / self.rho
         converged = (r_norm <= eps_pri) and (s_norm <= eps_dual)
         return ResidualReport(r_norm=r_norm, s_norm=s_norm, eps_pri=eps_pri,
                               eps_dual=eps_dual, converged=converged,
@@ -269,6 +280,12 @@ class AdmmState:
             self.L = self.L * (self.rho / new_rho)
             self.rho = new_rho
             self.anderson.clear()
+
+
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a C-ordered array, by its own sqrt(a.a), without its checks."""
+    a = a.ravel()
+    return math.sqrt(a.dot(a))
 
 
 def init_admm_state(seeds: np.ndarray, edges: EdgeProblems, rho0: float,
@@ -343,6 +360,11 @@ def _check_config(config: AdmmConfig) -> None:
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _node_names(vids: list, ekeys: list) -> list:
+    """Every node's name: ``local/<id>`` for the N vehicles, then ``edge/<i>-<j>``."""
+    return [f"local/{v}" for v in vids] + [f"edge/{e[0]}-{e[1]}" for e in ekeys]
+
+
 def admm_solve(local_problems: LocalProblems, edge_problems: EdgeProblems,
                config: AdmmConfig, init: AdmmState) -> AdmmResult:
     """Run consensus ADMM from ``init`` until the stopping criterion or the iteration cap.
@@ -371,19 +393,20 @@ def admm_solve(local_problems: LocalProblems, edge_problems: EdgeProblems,
     n, n_edges, np_steps = len(vids), len(ekeys), local_problems.horizon
     if state.vids != vids or state.ekeys != ekeys or state.Z.shape != (n, np_steps):
         raise ParameterError(_STATE_MISMATCH)
-    names = [f"local/{v}" for v in vids] + [f"edge/{e[0]}-{e[1]}" for e in ekeys]
-    total_node_time = np.zeros(len(names))
 
     t0 = time.perf_counter()
     local = LocalBatch(local_problems)
     t1 = time.perf_counter()
     edge = EdgeBatch(edge_problems)
     setup_local, setup_edge = t1 - t0, time.perf_counter() - t1
+    # accounted time: each pass's equal share, summed over the iterations,
+    # plus each handed node's own solves (vehicles, then edges)
+    share_local = share_edge = 0.0
+    own_time = np.zeros(n + n_edges)
     # each vehicle's last multipliers (None where the batched pass answered:
     # they are all zero), and every edge's last row multipliers (E, Np)
     warm_local, warm_mu = [None] * n, None
     report = None
-    slack_max = 0.0
     parallel_time = 0.0
     nonoptimal = 0
     local_handed = edge_handed = 0
@@ -399,44 +422,49 @@ def admm_solve(local_problems: LocalProblems, edge_problems: EdgeProblems,
         v = (Z[state.owner[n:]] - L[n:]).reshape(n_edges, 2 * np_steps)
         x_edge, slack, mu, kkt_edge, done_edge = edge.solve(v, rho, warm_mu)
         t2 = time.perf_counter()
-        times = np.concatenate([np.full(n, (t1 - t0 + setup_local) / n),
-                                np.full(n_edges, (t2 - t1 + setup_edge) / max(n_edges, 1))])
+        local_share = (t1 - t0 + setup_local) / n
+        edge_share = (t2 - t1 + setup_edge) / max(n_edges, 1)
         setup_local = setup_edge = 0.0
-        kkt = np.concatenate([kkt_local, kkt_edge])
-        handed_local = np.flatnonzero(~done_local).tolist()
-        handed_edge = np.flatnonzero(~done_edge).tolist()
+        share_local += local_share
+        share_edge += edge_share
+        slowest = max(local_share, edge_share) if n_edges else local_share
+        handed_local = (~done_local).nonzero()[0].tolist()
+        handed_edge = (~done_edge).nonzero()[0].tolist()
         last_local, warm_local = warm_local, [None] * n
         for i in handed_local:
             t = time.perf_counter()
-            row = local.solve_node(i, Z[i], L[i], rho, warm_mult=last_local[i])
-            times[i] += time.perf_counter() - t
-            u[i], kkt[i], warm_local[i] = row
+            u[i], kkt_local[i], warm_local[i] = local.solve_node(i, Z[i], L[i], rho,
+                                                                 warm_mult=last_local[i])
+            dt = time.perf_counter() - t
+            own_time[i] += dt
+            slowest = max(slowest, local_share + dt)
         for j in handed_edge:
             t = time.perf_counter()
             # x_edge is v itself: solve edge j from a copy of its row
-            row = edge.solve_node(j, v[j].copy(), rho,
-                                  warm_mu=None if warm_mu is None else warm_mu[j])
-            times[n + j] += time.perf_counter() - t
-            x_edge[j], slack[j], mu[j], kkt[n + j] = row
+            x_edge[j], slack[j], mu[j], kkt_edge[j] = edge.solve_node(
+                j, v[j].copy(), rho, warm_mu=None if warm_mu is None else warm_mu[j])
+            dt = time.perf_counter() - t
+            own_time[n + j] += dt
+            slowest = max(slowest, edge_share + dt)
         warm_mu = mu
-        # not <=: a NaN residual is flagged too
-        flagged = [f"{names[i]} (kkt {kkt[i]:.2e})"
-                   for i in np.flatnonzero(~(kkt <= _NODE_OPTIMAL_KKT))]
-        finite = np.concatenate([np.all(np.isfinite(u), axis=1),
-                                 np.all(np.isfinite(x_edge), axis=1)
-                                 & np.all(np.isfinite(slack), axis=1)])
-        if not finite.all():
+        if not (np.isfinite(u).all() and np.isfinite(x_edge).all() and np.isfinite(slack).all()):
+            finite = np.concatenate([np.all(np.isfinite(u), axis=1),
+                                     np.all(np.isfinite(x_edge), axis=1)
+                                     & np.all(np.isfinite(slack), axis=1)])
             raise NumericalFailureError(
-                f"non-finite iterate from {names[int(np.argmin(finite))]} at iteration {k}",
-                iteration=k)
+                f"non-finite iterate from {_node_names(vids, ekeys)[int(np.argmin(finite))]} "
+                f"at iteration {k}", iteration=k)
         local_handed += len(handed_local)
         edge_handed += len(handed_edge)
-        kkt_max = max(kkt_max, float(np.fmax.reduce(kkt)))
-        total_node_time += times
-        max_node_time = float(np.max(times))
-        parallel_time += max_node_time
-        slack_max = float(np.max(slack, initial=0.0))
-        if flagged:
+        kkt_max = max(kkt_max, float(np.fmax.reduce(kkt_local, initial=0.0)),
+                      float(np.fmax.reduce(kkt_edge, initial=0.0)))
+        parallel_time += slowest
+        # not <=: a NaN residual is flagged too
+        if not ((kkt_local <= _NODE_OPTIMAL_KKT).all() and (kkt_edge <= _NODE_OPTIMAL_KKT).all()):
+            kkt = np.concatenate([kkt_local, kkt_edge])
+            names = _node_names(vids, ekeys)
+            flagged = [f"{names[i]} (kkt {kkt[i]:.2e})"
+                       for i in np.flatnonzero(~(kkt <= _NODE_OPTIMAL_KKT))]
             nonoptimal += len(flagged)
             logger.warning("ADMM iteration %d: non-optimal node solution(s) enter "
                            "consensus: %s", k, ", ".join(flagged))
@@ -459,7 +487,7 @@ def admm_solve(local_problems: LocalProblems, edge_problems: EdgeProblems,
         accepted += kind == "accepted"
         rejected += kind == "rejected"
         logger.debug("admm k=%d r=%.6e s=%.6e rho=%.3e tmax=%.6e step=%s",
-                     k, report.r_norm, report.s_norm, rho, max_node_time, kind)
+                     k, report.r_norm, report.s_norm, rho, slowest, kind)
         if report.converged:
             break
         state.rescale(rho_next)
@@ -469,8 +497,10 @@ def admm_solve(local_problems: LocalProblems, edge_problems: EdgeProblems,
                        "r=%.3e (eps=%.3e) s=%.3e (eps=%.3e); using last consensus iterate",
                        state.iteration, report.r_norm, report.eps_pri,
                        report.s_norm, report.eps_dual)
-    report = replace(report, per_node_solve_times=dict(zip(names, total_node_time.tolist())),
-                     slack_max=slack_max, parallel_time=parallel_time,
+    node_time = own_time + np.repeat([share_local, share_edge], [n, n_edges])
+    report = replace(report, per_node_solve_times=dict(zip(_node_names(vids, ekeys),
+                                                           node_time.tolist())),
+                     slack_max=float(np.max(slack, initial=0.0)), parallel_time=parallel_time,
                      nonoptimal_nodes=nonoptimal, local_handed=local_handed,
                      edge_handed=edge_handed, kkt_max=kkt_max,
                      anderson_accepted=accepted, anderson_rejected=rejected)

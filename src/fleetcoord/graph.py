@@ -8,7 +8,7 @@ of true positions and then held fixed for one whole prediction horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,10 +18,16 @@ from .scenario import VehicleState
 
 @dataclass(frozen=True)
 class ConstraintGraph:
-    """Immutable proximity graph: sorted node ids, sorted unordered edges."""
+    """Immutable proximity graph: sorted node ids, sorted unordered edges.
+
+    ``pairs`` (E, 2), read-only, holds each edge's endpoints as positions in
+    ``nodes``, row k for ``edges[k]``, as ``build_constraint_graph`` found
+    them; it takes no part in equality.
+    """
 
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    pairs: np.ndarray = field(compare=False, repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -67,7 +73,9 @@ def build_constraint_graph(states, d_perc: float, d_safe: float) -> ConstraintGr
     close = np.triu(np.hypot(diff[:, :, 0], diff[:, :, 1]) <= d_perc, k=1)
     a, b = np.nonzero(close)
     edges = tuple((nodes[i], nodes[j]) for i, j in zip(a.tolist(), b.tolist()))
-    return ConstraintGraph(nodes=nodes, edges=edges)
+    endpoints = np.stack([a, b], axis=1)
+    endpoints.flags.writeable = False
+    return ConstraintGraph(nodes=nodes, edges=edges, pairs=endpoints)
 
 
 def neighbors(graph: ConstraintGraph, i: int) -> set[int]:

@@ -424,57 +424,84 @@ class _BoxDual:
     slack, +inf for a hard row) and the bound rows are uncapped.  This is
     the ADMM nodes' kernel (``subproblems.LocalBatch`` and ``EdgeBatch``);
     the fleet QP's ``dual`` stage forms no M and uses ``_goldfarb_idnani``.
-    Construction forms P^-1 A' with one stacked solve and M as
-    [G P^-1 A'; -(P^-1 A')[lo]; (P^-1 A')[hi]]: the bound rows only select
-    rows of P^-1 A'.  Both depend on P, G and the bounds alone, so a caller
-    keeps the kernel while only f and h change.  An ADMM edge node is the
-    case P = rho I (1 x 1 blocks), no bounds and x0 = v: M = G G' / rho,
-    q = G v - h and x = v - G'mu / rho, every row capped by the slack cost.
+    Construction forms P^-1 A' and M as [G P^-1 A'; -(P^-1 A')[lo];
+    (P^-1 A')[hi]]: the bound rows only select rows of P^-1 A'.  Both
+    depend on P, G and the bounds alone, and the kernel keeps h and the caps
+    too, so a caller keeps it while only f changes.  ``lb`` and ``ub`` None
+    mean no bounds.  An ADMM edge node is the case P = rho I (1 x 1
+    blocks), no bounds and x0 = v: M = G G' / rho, q = G v - h and
+    x = v - G'mu / rho, every row capped by the slack cost.
+
+    P^-1 A' is one stacked solve over blocks of s > 1.  Over 1 x 1 blocks
+    it is A' times each block's reciprocal, or A' divided by it when A has
+    one row: OpenBLAS's own arithmetic for several right-hand sides and for
+    one, so with numpy on OpenBLAS it equals the stacked solve bit for bit.
+    Another LAPACK (reference LAPACK's ``dtrsm`` divides) may differ from
+    the solve in the last bit, within one ulp.  It is kept C-ordered, as
+    the solve returns it: its product with mu rounds by the layout.
     """
 
-    def __init__(self, P_blocks, G, lb, ub):
+    def __init__(self, P_blocks, G, h, c, lb=None, ub=None):
         k, s, _ = P_blocks.shape
-        self.G, self.lb, self.ub = G, lb, ub
-        self.lo = np.flatnonzero(np.isfinite(lb))
-        self.hi = np.flatnonzero(np.isfinite(ub))
-        eye = np.eye(k * s)
-        A = np.concatenate([G, -eye[self.lo], eye[self.hi]])
-        self.PA = np.linalg.solve(P_blocks, A.T.reshape(k, s, -1)).reshape(k * s, -1)
-        self.M = np.concatenate([G @ self.PA, -self.PA[self.lo], self.PA[self.hi]])
+        n = k * s
+        self.G, self.h, self.lb, self.ub = G, h, lb, ub
+        self.lo = np.zeros(0, dtype=int) if lb is None else np.flatnonzero(np.isfinite(lb))
+        self.hi = np.zeros(0, dtype=int) if ub is None else np.flatnonzero(np.isfinite(ub))
+        self.bounded = bool(len(self.lo) or len(self.hi))
+        A = G
+        if self.bounded:
+            eye = np.eye(n)
+            A = np.concatenate([G, -eye[self.lo], eye[self.hi]])
+        if s == 1:
+            d = P_blocks.reshape(k, 1)
+            self.PA = np.ascontiguousarray(A.T / d if len(A) == 1 else A.T * (1.0 / d))
+        else:
+            self.PA = np.linalg.solve(P_blocks, A.T.reshape(k, s, -1)).reshape(n, -1)
+        self.M = G @ self.PA
+        if self.bounded:
+            self.M = np.concatenate([self.M, -self.PA[self.lo], self.PA[self.hi]])
+        self.caps = np.full(len(A), np.inf)
+        self.caps[:len(G)] = c
 
-    def solve(self, x0, h, c, start=None):
-        """(x, [z, w, y]) at x0 = -P^-1 f and right-hand sides h, G's rows capped by c.
+    def solve(self, x0, start=None):
+        """(x, mu) at x0 = -P^-1 f; mu holds the multipliers of A's rows, G's first.
 
         ``_box_active_set`` solves the dual, warm started from ``start`` (an
-        earlier answer's multipliers; None or all zero starts cold).  Then
+        earlier answer's mu; None or all zero starts cold).  Then
         x = x0 - P^-1 A'mu, each bound with a positive multiplier met
         exactly; x0 itself when mu = 0.
         """
-        G, lo, hi, lb, ub = self.G, self.lo, self.hi, self.lb, self.ub
-        m, n = G.shape
-        bounded = len(lo) or len(hi)
-        q = G @ x0 - h
-        if bounded:
-            q = np.concatenate([q, lb[lo] - x0[lo], x0[hi] - ub[hi]])
-        if start is None or not np.any(start):
+        q = self.G @ x0 - self.h
+        lo, hi = self.lo, self.hi
+        if self.bounded:
+            q = np.concatenate([q, self.lb[lo] - x0[lo], x0[hi] - self.ub[hi]])
+        if start is not None and not start.any():
             start = None
-        elif bounded:
-            start = np.concatenate([start[:m], start[m + lo], start[m + n + hi]])
-        else:
-            start = start[:m]
-        caps = np.full(len(q), np.inf)
-        caps[:m] = c
-        dual = _box_active_set(self.M, q, caps, start)
+        mu = _box_active_set(self.M, q, self.caps, start)
+        if not mu.any():
+            return x0, mu
+        x = x0 - self.PA @ mu
+        if self.bounded:
+            m = len(self.h)
+            at_hi = hi[mu[m + len(lo):] > 0.0]
+            at_lo = lo[mu[m:m + len(lo)] > 0.0]
+            x[at_hi] = self.ub[at_hi]
+            x[at_lo] = self.lb[at_lo]
+        return x, mu
+
+    def multipliers(self, mu):
+        """[z, w, y] as ``solve_qp`` lays them out, from ``solve``'s mu."""
+        m, n, nlo = len(self.h), len(self.PA), len(self.lo)
         mult = np.zeros(m + 2 * n)
-        if not dual.any():
-            return x0, mult
-        mult[:m] = dual[:m]
-        x = x0 - self.PA @ dual
-        if not bounded:                    # an edge node: no bound to scatter or meet
-            return x, mult
-        mult[m + lo] = dual[m:m + len(lo)]
-        mult[m + n + hi] = dual[m + len(lo):]
-        return np.where(mult[m:m + n] > 0.0, lb, np.where(mult[m + n:] > 0.0, ub, x)), mult
+        mult[:m] = mu[:m]
+        mult[m + self.lo] = mu[m:m + nlo]
+        mult[m + n + self.hi] = mu[m + nlo:]
+        return mult
+
+    def rows(self, mult):
+        """``solve``'s mu from [z, w, y]: the inverse of ``multipliers`` on A's rows."""
+        m, n = len(self.h), len(self.PA)
+        return np.concatenate([mult[:m], mult[m + self.lo], mult[m + n + self.hi]])
 
 
 def _dual_active_set(problem: DenseQp, shift: float = 0.0) -> tuple | None:
@@ -786,7 +813,7 @@ def _box_active_set(M, q, c, start=None):
     n = len(q)
     if n == 0:
         return np.zeros(0)
-    d = np.diag(M)
+    d = M.diagonal()
     if not d.min() > 0.0:
         return _primal_active_set(M, q, c, np.clip(np.zeros(n) if start is None else start, 0.0, c))
     trial = q / d if start is None else np.asarray(start, dtype=float)
@@ -805,17 +832,20 @@ def _box_active_set(M, q, c, start=None):
             break
         seen.add(key)
         mu = np.where(at_hi, c, 0.0)
-        if free.any():
-            rhs = q[free]
-            if at_hi.any():
-                rhs = rhs - M[np.ix_(free, at_hi)] @ c[at_hi]
+        f = free.nonzero()[0]
+        if len(f):
+            # the blocks as integer gathers (C-ordered, as np.ix_ gives them)
+            M_f, rhs = M.take(f, 0), q[f]
+            h = at_hi.nonzero()[0]
+            if len(h):
+                rhs = rhs - M_f.take(h, 1) @ c[h]
             try:
-                mu_f = np.linalg.solve(M[np.ix_(free, free)], rhs)
+                mu_f = np.linalg.solve(M_f.take(f, 1), rhs)
             except np.linalg.LinAlgError:
                 break
             if not abs(mu_f).max() <= growth * abs(rhs).max():
                 break
-            mu[free] = mu_f
+            mu[f] = mu_f
         trial = mu - (M @ mu - q) / d
     return _primal_active_set(M, q, c, np.clip(trial, 0.0, c))
 

@@ -48,6 +48,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -244,7 +245,6 @@ class Fleet:
         self.config = cfg
         self.specs = tuple(sorted(scenario.vehicles, key=lambda spec: spec.id))
         self.ids = tuple(spec.id for spec in self.specs)
-        self.row = {vid: n for n, vid in enumerate(self.ids)}
         self.speed = np.array([spec.speed for spec in self.specs], dtype=float)
         self.wheelbase = np.array([spec.wheelbase for spec in self.specs], dtype=float)
         weights = CostWeights(q_pos=cfg.q_weight, q_heading=cfg.q_heading, r_steer=cfg.r_weight)
@@ -287,14 +287,24 @@ class SimulationRun:
     times: np.ndarray                    # (n_steps + 1,)
     states: dict                         # id -> (n_steps + 1, 3)
     applied_controls: dict               # id -> (n_steps,)
-    predicted: dict                      # id -> list[HorizonTrajectory], one per cycle
     cycles: list[CycleRecord] = field(default_factory=list)
     min_pairwise: np.ndarray | None = None
     violations: list = field(default_factory=list)
+    # per cycle, the applied plans' (N, Np + 1, 3) rollout and (N, Np)
+    # steering, rows in vehicle_ids order: what ``predicted`` is built from
+    horizons: list = field(default_factory=list, repr=False)
 
     @property
     def vehicle_ids(self) -> tuple:
         return tuple(sorted(self.states))
+
+    @cached_property
+    def predicted(self) -> dict:
+        """id -> list[HorizonTrajectory], one per cycle, built on first read."""
+        ts = self.scenario.config.ts
+        return {vid: [HorizonTrajectory(poses=poses[n], controls=plans[n], ts=ts)
+                      for poses, plans in self.horizons]
+                for n, vid in enumerate(self.vehicle_ids)}
 
     def to_csv(self, path) -> None:
         """One row per (time, vehicle): pose, applied steering, fleet min distance."""
@@ -402,7 +412,9 @@ def convexify_fleet(fleet: Fleet, poses: np.ndarray, seed_poses: np.ndarray,
     ``poses`` (N, 3) are the current states and ``seed_poses`` (N, Np+1, 3)
     the rollout of ``seed_controls`` (N, Np) from them, rows in
     ``fleet.ids`` order; ``trig`` is the (cos, sin) of the seed headings,
-    as that rollout took them, for ``condense_fleet``.  Returns
+    as that rollout took them, for ``condense_fleet``.  The graph's nodes
+    must be ``fleet.ids`` (else ParameterError), so its ``pairs`` are the
+    edges' endpoint rows.  Returns
     (``LocalProblems``, ``EdgeProblems``), consumed identically by the
     parallel and centralized solution paths.
     """
@@ -412,8 +424,9 @@ def convexify_fleet(fleet: Fleet, poses: np.ndarray, seed_poses: np.ndarray,
                                 cfg.ts, trig)
     ref = fleet.reference.window(t, np_steps, cfg.ts)
     ref[:, :, 2] = _onto_branch(ref[:, :, 2], seed_poses[:, 1:, 2])
-    pairs = np.array([(fleet.row[i], fleet.row[j]) for i, j in graph.edges],
-                     dtype=int).reshape(-1, 2)
+    if graph.nodes != fleet.ids:
+        raise ParameterError("the coupling graph's nodes must be the fleet's vehicles")
+    pairs = graph.pairs
     local_problems = make_local_problems(fleet.local, prediction, ref.reshape(len(ref), -1),
                                          poses[:, :2])
     edge_problems = make_edge_problems(
@@ -486,7 +499,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
 
     poses_log = [poses]
     controls_log = []
-    predicted = {vid: [] for vid in vids}
+    horizons = []
     min_pairwise = [_min_pairwise(poses[:, :2], fleet.vehicle_pairs)]
     cycles = []
     violations = []
@@ -556,9 +569,7 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
         # (the plan shifted one step, its last input repeated)
         rolled_controls = np.concatenate([plans, plans[:, -1:]], axis=1)
         rolled, cos, sin = fleet.rollout(poses, rolled_controls)
-        for n, vid in enumerate(vids):
-            predicted[vid].append(HorizonTrajectory(poses=rolled[n, :np_steps + 1],
-                                                    controls=plans[n], ts=cfg.ts))
+        horizons.append((rolled[:, :np_steps + 1], plans))
         seed_poses, seed_controls = rolled[:, 1:], rolled_controls[:, 1:]
         seed_trig = cos[:, 1:], sin[:, 1:]
         poses = rolled[:, 1].copy()
@@ -578,5 +589,5 @@ def run_simulation(scenario: Scenario, solver_mode: str = PARALLEL_ADMM,
         times=np.arange(n_cycles + 1) * cfg.ts,
         states={vid: poses_log[:, n].copy() for n, vid in enumerate(vids)},
         applied_controls={vid: controls_log[:, n].copy() for n, vid in enumerate(vids)},
-        predicted=predicted, cycles=cycles,
+        cycles=cycles, horizons=horizons,
         min_pairwise=np.array(min_pairwise), violations=violations)

@@ -335,7 +335,9 @@ class LocalBatch:
         self.H0s = 0.5 * (H0 + H0.transpose(0, 2, 1))
         self.f0, self.lb, self.ub = problems.f0, problems.steer_lb, problems.steer_ub
         self.G, self.h, self.starts = problems.G, problems.h, problems.starts
-        self.vehicle = np.repeat(np.arange(len(self.f0)), np.diff(self.starts))  # row -> vehicle
+        rows = np.diff(self.starts)
+        self.vehicle = np.repeat(np.arange(len(self.f0)), rows)  # row -> vehicle
+        self.rowless = rows == 0     # vehicles with no position row
         self.hessians: dict = {}   # rho -> (P stack, per-vehicle shift) once solved at rho
         self.duals: dict = {}      # (vehicle, rho) -> qp._BoxDual once handed
 
@@ -362,13 +364,15 @@ class LocalBatch:
         f = self.f0 + rho * (lam - z)
         x = -np.linalg.solve(P, f[:, :, None])[:, :, 0]
         grad = np.matmul(self.H0s, x[:, :, None])[:, :, 0] + rho * x + f
-        row_max = np.full(len(x), -np.inf)
         Gx = np.matmul(self.G[:, None, :], x[self.vehicle][:, :, None])[:, 0, 0]
-        np.maximum.at(row_max, self.vehicle, Gx - self.h)
+        # each vehicle's worst row; reduceat reads one entry past an empty
+        # segment, so a vehicle without rows is set to -inf after it
+        row_max = np.maximum.reduceat(np.concatenate((Gx - self.h, [-np.inf])), self.starts[:-1])
+        row_max[self.rowless] = -np.inf
         # unpinned, the bound gaps are <= 0 and w = y = 0: the KKT residual is
         # the largest of |grad|, the row violations and 0
-        kkt = np.maximum(np.maximum(np.max(np.abs(grad), axis=1), row_max), 0.0)
-        pinned = np.any((x < self.lb) | (x > self.ub), axis=1)
+        kkt = np.maximum(np.maximum(np.abs(grad).max(axis=1), row_max), 0.0)
+        pinned = ((x < self.lb) | (x > self.ub)).any(axis=1)
         done = (shift == 0.0) & ~pinned & (kkt <= _NODE_OPTIMAL_KKT) & (row_max <= 0.0)
         return x, kkt, done
 
@@ -383,19 +387,21 @@ class LocalBatch:
         defines it for the built QP, and the multipliers are [z, w, y] as in
         ``solve_qp``: the next iteration's warm start.
         """
-        _check_rho(rho)
         f0, lb, ub = self.f0[i], self.lb[i], self.ub[i]
         np_steps = len(f0)
         z = np.asarray(z, dtype=float).reshape(np_steps)
         lam = np.asarray(lam, dtype=float).reshape(np_steps)
-        f = f0 + rho * (lam - z)
-        P = self.hessian(rho)[0]
         start, end = self.starts[i], self.starts[i + 1]
         G, h = self.G[start:end], self.h[start:end]
-        if (i, rho) not in self.duals:
-            self.duals[i, rho] = _BoxDual(P[i][None], G, lb, ub)
-        x0 = -np.linalg.solve(P[i], f[:, None])[:, 0]
-        x, mult = self.duals[i, rho].solve(x0, h, np.inf, warm_mult)
+        kernel = self.duals.get((i, rho))
+        if kernel is None:
+            _check_rho(rho)
+            kernel = self.duals[i, rho] = _BoxDual(self.hessian(rho)[0][i][None], G, h, np.inf,
+                                                   lb, ub)
+        f = f0 + rho * (lam - z)
+        x0 = -np.linalg.solve(self.hessians[rho][0][i], f[:, None])[:, 0]
+        x, mu = kernel.solve(x0, None if warm_mult is None else kernel.rows(warm_mult))
+        mult = kernel.multipliers(mu)
         m = len(h)
         grad = self.H0s[i] @ x + rho * x + f
         stat = grad + G.T @ mult[:m] if np.any(mult[:m]) else grad
@@ -605,8 +611,9 @@ class EdgeBatch:
 
     def __init__(self, problems: EdgeProblems):
         self.G_u, self.h, self.c = problems.G, problems.h, problems.slack_penalty
-        self.fixed, self.mu_fixed = _elastic_fixed(self.G_u, self.h, self.c[:, None])
-        self.duals: dict = {}      # (edge, rho) -> qp._BoxDual once handed
+        self.c_col, self.priced = self.c[:, None], self.c > 0.0
+        self.fixed, self.mu_fixed = _elastic_fixed(self.G_u, self.h, self.c_col)
+        self.duals: dict = {}      # (edge, rho) -> (unfixed rows, qp._BoxDual) once handed
 
     def solve(self, v, rho: float, warm_mu=None):
         """(x, s, mu, kkt, done) for the rows v = z - lam (E, 2Np) of all edges.
@@ -617,15 +624,14 @@ class EdgeBatch:
         x = v
         G_ux = np.matmul(self.G_u, x[:, :, None])[:, :, 0]
         gap = G_ux - self.h
-        inactive = np.all((gap <= 0.0) | self.fixed, axis=1)
+        inactive = gap <= 0.0
         if warm_mu is not None:
-            inactive &= np.all((warm_mu == 0.0) | self.fixed, axis=1)
-        c = self.c[:, None]
+            inactive &= warm_mu == 0.0
         mu = self.mu_fixed.copy()
-        s = _elastic_slack(gap, mu, c)
+        s = _elastic_slack(gap, mu, self.c_col)
         # mu is nonzero only on rows whose G_u row is zero, so G_u' mu = 0
-        kkt = _edge_kkt(rho * x + -rho * v, G_ux, self.h, s, mu, c)
-        done = (inactive & np.all(np.isfinite(v), axis=1) & (self.c > 0.0)
+        kkt = _edge_kkt(rho * x + -rho * v, G_ux, self.h, s, mu, self.c_col)
+        done = ((inactive | self.fixed).all(axis=1) & np.isfinite(v).all(axis=1) & self.priced
                 & (kkt <= _NODE_OPTIMAL_KKT))
         return x, s, mu, kkt, done
 
@@ -633,23 +639,24 @@ class EdgeBatch:
         """(x, s, mu, kkt): edge k's ``build_edge`` QP at v = z - lam (2Np,), solved on its dual.
 
         The dual is ``qp._BoxDual``'s over P = rho I (2Np blocks of 1 x 1)
-        and the unfixed rows, each capped by c, with no bounds, solved at
-        x0 = v.  Its kernel is built the first time edge k is handed over at
-        this rho.  ``warm_mu`` (the row multipliers of an earlier solve, any
-        length-Np vector) seeds the active-set guess.  The answer is the row
-        ``solve`` returns for an answered edge.
+        and the unfixed rows with their h, each capped by c, with no
+        bounds, solved at x0 = v.  Its kernel is built the first time edge k
+        is handed over at this rho.  ``warm_mu`` (the row multipliers of an
+        earlier solve, a length-Np array) seeds the active-set guess.  The
+        answer is the row ``solve`` returns for an answered edge.
         """
-        _check_rho(rho)
         G_u, h, c = self.G_u[k], self.h[k], self.c[k]
-        rows = np.flatnonzero(~self.fixed[k])
-        if (k, rho) not in self.duals:
+        built = self.duals.get((k, rho))
+        if built is None:
+            _check_rho(rho)
+            rows = np.flatnonzero(~self.fixed[k])
             n = G_u.shape[1]
-            self.duals[k, rho] = _BoxDual(np.full((n, 1, 1), rho), G_u[rows],
-                                          np.full(n, -np.inf), np.full(n, np.inf))
-        start = None if warm_mu is None else np.asarray(warm_mu, dtype=float)[rows]
-        x, mult = self.duals[k, rho].solve(v, h[rows], c, start)
+            built = self.duals[k, rho] = (rows, _BoxDual(np.full((n, 1, 1), rho), G_u[rows],
+                                                         h[rows], c))
+        rows, kernel = built
+        x, mult = kernel.solve(v, None if warm_mu is None else warm_mu[rows])
         mu = self.mu_fixed[k].copy()
-        mu[rows] = mult[:len(rows)]
+        mu[rows] = mult
         G_ux = G_u @ x
         s = _elastic_slack(G_ux - h, mu, c)
         return x, s, mu, _edge_kkt(rho * x + -rho * v + G_u.T @ mu, G_ux, h, s, mu, c)

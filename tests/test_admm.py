@@ -11,7 +11,7 @@ from fleetcoord import (AdmmConfig, NumericalFailureError, ParameterError, adapt
                         init_admm_state, load_scenario_file, run_simulation, solve_qp)
 from fleetcoord import simulation
 from fleetcoord.admm import ANDERSON_MEMORY, AdmmState, Anderson
-from fleetcoord.subproblems import LocalBatch
+from fleetcoord.subproblems import EdgeBatch, LocalBatch
 
 from instances import bounded_pair, keyed_edges, random_fleet_instance, stack, unstack
 from reference import DictState, residuals, to_arrays, to_dicts
@@ -40,9 +40,16 @@ def array_duals(state, z_new):
 
 
 def array_residuals(state, z_prev, eps_abs, eps_rel):
-    """The array state's residuals of the dict ``state`` after the step from ``z_prev``."""
-    arrays = to_arrays(state)
-    arrays.Z_prev = np.array([z_prev[v] for v in arrays.vids])
+    """The array state's residuals of the dict ``state`` after the step from ``z_prev``.
+
+    The array state reaches the consensus ``state.z`` by ``update`` from
+    ``z_prev``, as ``admm_solve`` does; the duals are then set back to
+    ``state``'s, which are the duals after that step.
+    """
+    arrays = to_arrays(dataclasses.replace(state, z=z_prev))
+    duals = arrays.L
+    arrays.update(np.array([state.z[v] for v in arrays.vids]))
+    arrays.L = duals
     return arrays.residuals(eps_abs, eps_rel)
 
 
@@ -408,6 +415,33 @@ def test_carried_state_shifts_edge_duals_and_balances_vehicle_duals():
             assert np.array_equal(state.C[_edge_row(state, e, v)], new_seeds[ids.index(v)])
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_carried_vehicle_duals_are_the_row_order_subtraction(seed):
+    # each vehicle's own dual is 0 minus its carried edge duals, subtracted in
+    # row order, bit for bit; the duals hold +-0.0 and exact opposites, so
+    # that partial sums cancel to zero, and a vehicle without edges stays 0
+    rng = np.random.default_rng(seed)
+    ids, np_steps = [1, 2, 3, 4, 5], 4
+    keys = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    edges = keyed_edges(keys, ids, np_steps)
+    seeds = rng.normal(size=(len(ids), np_steps))
+    previous = init_admm_state(seeds, edges, 1.0, ids=ids)
+    n = len(ids)
+    duals = rng.normal(size=(2 * len(keys), np_steps)) * 10.0 ** rng.integers(-9, 9, (12, 1))
+    pick = rng.random(duals.shape)
+    duals = np.where(pick < 0.15, 0.0, np.where(pick < 0.3, -0.0, duals))
+    duals[2] = -duals[0]               # vehicle 1's first two edge rows cancel
+    duals[6] = -duals[1]               # so do vehicle 2's
+    previous.L[n:] = duals
+    state = init_admm_state(seeds, edges, 1.0, previous=previous, ids=ids)
+    want = np.zeros((n, np_steps))
+    for row in range(n, len(state.L)):
+        v = state.owner[row]
+        want[v] = want[v] - state.L[row]
+    assert state.L[:n].tobytes() == want.tobytes()
+    assert not np.any(np.signbit(state.L[4])) and np.all(state.L[4] == 0.0)
+
+
 def test_invalid_input_raises_parameter_error():
     with pytest.raises(ParameterError, match=r"\(1, 7\)"):
         init_admm_state(np.zeros((2, 3)), keyed_edges([(1, 2), (1, 7)], [1, 2], 3), rho0=1.0,
@@ -507,6 +541,60 @@ def test_nonoptimal_node_is_counted_and_warned(monkeypatch, caplog, per_node_pat
     assert len(warned) == res.report.iterations_used
     assert "local/" in warned[0].getMessage() and "kkt 1.00e-06" in warned[0].getMessage()
     assert res.report.kkt_max == 1e-6
+
+
+def _coupled_instance(seed):
+    """``random_fleet_instance`` drawn until it has an edge."""
+    rng = np.random.default_rng(seed)
+    while True:
+        local_problems, edge_problems, seeds = random_fleet_instance(rng)
+        if edge_problems.edges:
+            return local_problems, edge_problems, seeds
+
+
+def test_nonoptimal_edge_node_is_counted_and_warned(monkeypatch, caplog, per_node_path):
+    local_problems, edge_problems, seeds = _coupled_instance(99)
+    real = EdgeBatch.solve_node
+
+    def stalled(*args, **kwargs):
+        # every edge's answer comes from solve_node, stalled short of 1e-8
+        x, s, mu, _ = real(*args, **kwargs)
+        return x, s, mu, 1e-6
+
+    per_node_path()
+    monkeypatch.setattr(EdgeBatch, "solve_node", stalled)
+    with caplog.at_level("WARNING", logger="fleetcoord.admm"):
+        res = admm_solve(local_problems, edge_problems, AdmmConfig(max_iters=5),
+                         init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
+    iters = res.report.iterations_used
+    assert res.report.nonoptimal_nodes == len(edge_problems.edges) * iters
+    assert res.report.edge_handed == len(edge_problems.edges) * iters
+    warned = [r.getMessage() for r in caplog.records if "non-optimal" in r.getMessage()]
+    assert len(warned) == iters
+    for e in edge_problems.edges:
+        assert f"edge/{e[0]}-{e[1]} (kkt 1.00e-06)" in warned[0]
+    assert "local/" not in warned[0]
+    assert res.report.kkt_max == 1e-6
+
+
+def test_nonfinite_edge_slack_alone_raises_naming_the_edge(monkeypatch):
+    local_problems, edge_problems, seeds = _coupled_instance(99)
+    e = edge_problems.edges[-1]
+    real = EdgeBatch.solve
+
+    def bad_slack(self, v, rho, warm_mu=None):
+        # every edge answered by the batched pass, the last edge's slack infinite
+        x, s, mu, kkt, done = real(self, v, rho, warm_mu)
+        s = s.copy()
+        s[-1, -1] = np.inf
+        return x, s, mu, kkt, np.ones_like(done)
+
+    monkeypatch.setattr(EdgeBatch, "solve", bad_slack)
+    with pytest.raises(NumericalFailureError,
+                       match=re.escape(f"non-finite iterate from edge/{e[0]}-{e[1]} ")) as err:
+        admm_solve(local_problems, edge_problems, AdmmConfig(),
+                   init_admm_state(seeds, edge_problems, 1.0, ids=local_problems.ids))
+    assert err.value.iteration == 1
 
 
 def test_edge_handed_nodes_are_counted(per_node_path):

@@ -354,6 +354,37 @@ def test_local_batch_answers_as_solve_local(seeds, np_steps, steer, lateral, y_r
             assert not np.any(sol.multipliers)
 
 
+@pytest.mark.parametrize("y_rooms", [(0.02, 0.1, 0.5), (None, 0.02, None, 0.1, None)])
+def test_row_maxima_by_segments_equal_the_scatter(y_rooms):
+    # each vehicle's worst row is one maximum.reduceat over ``starts``; a
+    # vehicle without position rows (first, between or last) gets -inf.  The
+    # pass's kkt and done equal, bit for bit, those built on a maximum.at
+    # scatter of the rows onto their vehicles
+    cases = [local_instance(seed, 6, 0.1, 2.0, y_room) for seed, y_room in enumerate(y_rooms)]
+    problems = [lp for lp, _, _ in cases]
+    z = np.array([z for _, z, _ in cases])
+    lam = np.array([lam for _, _, lam in cases])
+    batch = local_batch(problems)
+    rows = np.diff(batch.starts)
+    assert ((rows == 0) == [y is None for y in y_rooms]).all()
+    vehicle = np.repeat(np.arange(len(problems)), rows)
+    handed = 0
+    for rho in (0.1, 1.0, 10.0):
+        x, kkt, done = batch.solve(z, lam, rho)
+        f = batch.f0 + rho * (lam - z)
+        grad = np.matmul(batch.H0s, x[:, :, None])[:, :, 0] + rho * x + f
+        Gx = np.matmul(batch.G[:, None, :], x[vehicle][:, :, None])[:, 0, 0]
+        row_max = np.full(len(x), -np.inf)
+        np.maximum.at(row_max, vehicle, Gx - batch.h)
+        want = np.maximum(np.maximum(np.abs(grad).max(axis=1), row_max), 0.0)
+        pinned = ((x < batch.lb) | (x > batch.ub)).any(axis=1)
+        assert same(kkt, want)
+        assert same(done, (batch.hessian(rho)[1] == 0.0) & ~pinned & (want <= 1e-8)
+                    & (row_max <= 0.0))
+        handed += np.count_nonzero(~done)
+    assert handed                      # some row binds
+
+
 def _local_rows(batch, z, lam, rho, nodes):
     """The batched pass's (x, kkt, done) and ``solve_node``'s rows for ``nodes``."""
     x, kkt, done = batch.solve(z, lam, rho)

@@ -205,12 +205,13 @@ def test_box_dual_matches_enumeration(seed, shape, m, capped, bounded, start, lo
     if log_rho is not None:
         rho = 10.0 ** log_rho
         P, f = np.full((k, 1, 1), rho), rho * f
-    box = qp_mod._BoxDual(P, G, lb, ub)
+    box = qp_mod._BoxDual(P, G, h, c, lb, ub)
     x0 = -np.linalg.solve(P, f.reshape(k, s, 1)).reshape(n)
     warm = {None: None,
-            "random": np.random.default_rng(seed).uniform(0.0, 2.0, m + 2 * n),
-            "warm": box.solve(x0, h + 0.3, c)[1]}[start]
-    x, mult = box.solve(x0, h, c, warm)
+            "random": box.rows(np.random.default_rng(seed).uniform(0.0, 2.0, m + 2 * n)),
+            "warm": qp_mod._BoxDual(P, G, h + 0.3, c, lb, ub).solve(x0)[1]}[start]
+    x, mu = box.solve(x0, warm)
+    mult = box.multipliers(mu)
     z = mult[:m]
     assert np.all(z >= 0.0) and np.all(z <= c)
     # a violated row's slack is positive only where its multiplier is at the

@@ -269,3 +269,47 @@ def test_box_active_set_matches_enumeration(n, rank, seed, c, start):
     assert objective <= ref[1] + 1e-8 * (1.0 + abs(ref[1]))
     if np.all(c <= 1e3):
         assert objective >= ref[1] - 1e-8 * (1.0 + abs(ref[1]))
+
+
+def _lapack_is_openblas():
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):
+        return False
+    return all("openblas" in str(deps.get(lib, {}).get("name", "")).lower()
+               for lib in ("blas", "lapack"))
+
+
+@pytest.mark.parametrize("rho", [1e-6, 3.7e-4, 2.0 ** -20, 0.1, 0.5, 1.0, 2.0, 1024.0, 7.3e3,
+                                 1e6, "per_block"])
+@pytest.mark.parametrize("m", [0, 1, 2, 14])
+@pytest.mark.parametrize("bounded", [False, True])
+def test_one_by_one_kernel_equals_the_stacked_solve(rho, m, bounded):
+    # over 1 x 1 blocks the kernel forms P^-1 A' by one multiply (one divide
+    # for a single row), C-ordered, as the solve returns it.  G has zero
+    # columns, as an edge's G has for inputs no row depends on.  On any
+    # LAPACK, P^-1 A' is within one ulp of the stacked solve's and M within
+    # the rounding of its product; on OpenBLAS, whose arithmetic the kernel
+    # copies, both equal the stacked solve's bit for bit
+    from fleetcoord.qp import _BoxDual
+    rng = np.random.default_rng(m + 100 * bounded)
+    n = 30
+    P = (rng.uniform(1e-3, 1e3, (n, 1, 1)) if rho == "per_block" else np.full((n, 1, 1), rho))
+    G = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+    G[:, rng.random(n) < 0.3] = 0.0
+    lb = np.where(rng.random(n) < 0.5, -1.0, -np.inf) if bounded else None
+    ub = np.where(rng.random(n) < 0.5, 1.0, np.inf) if bounded else None
+    box = _BoxDual(P, G, np.zeros(m), 1e4, lb, ub)
+    lo = np.flatnonzero(np.isfinite(lb)) if bounded else np.zeros(0, dtype=int)
+    hi = np.flatnonzero(np.isfinite(ub)) if bounded else np.zeros(0, dtype=int)
+    A = np.concatenate([G, -np.eye(n)[lo], np.eye(n)[hi]])
+    PA = np.linalg.solve(P, A.T.reshape(n, 1, -1)).reshape(n, -1)
+    M = np.concatenate([G @ PA, -PA[lo], PA[hi]])
+    assert box.PA.flags.c_contiguous
+    assert box.PA.shape == PA.shape and box.M.shape == M.shape
+    assert np.all(np.abs(box.PA - PA) <= np.spacing(np.abs(PA)))
+    eps = np.finfo(float).eps
+    bound = np.concatenate([np.abs(G) @ np.abs(PA), np.abs(PA[lo]), np.abs(PA[hi])])
+    assert np.all(np.abs(box.M - M) <= 2 * len(A) * eps * bound)
+    if _lapack_is_openblas():
+        assert box.PA.tobytes() == PA.tobytes() and box.M.tobytes() == M.tobytes()

@@ -333,7 +333,8 @@ def test_edge_with_every_row_fixed_has_empty_dual_hessian():
     batch = EdgeBatch(problems)
     assert batch.fixed.tolist() == [[True, True, True]]
     _, _, _, kkt = batch.solve_node(0, np.zeros(6), 1.0)
-    box = batch.duals[0, 1.0]
+    rows, box = batch.duals[0, 1.0]
+    assert rows.size == 0
     assert box.G.shape == (0, 6) and box.M.shape == (0, 0)
     assert kkt <= 1e-8
 

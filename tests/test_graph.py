@@ -3,6 +3,7 @@ import pytest
 
 from fleetcoord import (ParameterError, ScenarioError, build_constraint_graph,
                         neighbors)
+from fleetcoord.graph import ConstraintGraph
 from fleetcoord.scenario import VehicleState
 
 from oracles import brute_force_edges
@@ -90,3 +91,18 @@ def test_empty_fleet_rejected():
 def test_edge_exactly_at_d_perc_included():
     g = build_constraint_graph(_states({1: (0, 0), 2: (50, 0)}), d_perc=50, d_safe=5)
     assert g.edges == ((1, 2),)
+
+
+def test_pairs_are_the_edges_positions_in_the_nodes():
+    # build_constraint_graph keeps np.nonzero's endpoint positions, read-only;
+    # they take no part in equality
+    rng = np.random.default_rng(7)
+    ids = [3, 8, 11, 20, 21, 40]
+    pos = {i: tuple(rng.uniform(0, 60, size=2)) for i in ids}
+    g = build_constraint_graph(_states(pos), d_perc=40, d_safe=5)
+    assert g.edges and g.pairs.shape == (len(g.edges), 2)
+    assert [(g.nodes[a], g.nodes[b]) for a, b in g.pairs.tolist()] == list(g.edges)
+    assert not g.pairs.flags.writeable
+    assert ConstraintGraph(g.nodes, g.edges, g.pairs[::-1]) == g
+    lone = build_constraint_graph(_states({1: (0, 0)}), d_perc=50, d_safe=5)
+    assert lone.pairs.shape == (0, 2)

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fleetcoord.admm as admm_mod
-from fleetcoord import (ParameterError, generate_crossing_scenario, generate_scaled_scenario,
-                        lateral_deviation, load_scenario, load_scenario_file, make_seed,
-                        path_progress, reference_window, rollout, run_simulation,
-                        step_nonlinear)
+from fleetcoord import (ParameterError, build_constraint_graph, generate_crossing_scenario,
+                        generate_scaled_scenario, lateral_deviation, load_scenario,
+                        load_scenario_file, make_seed, path_progress, reference_window, rollout,
+                        run_simulation, step_nonlinear)
 from fleetcoord import qp as qp_mod
 from fleetcoord import simulation, subproblems
 from fleetcoord.bench import _BLAS_THREAD_VARS
@@ -575,3 +575,46 @@ def test_safety_violation_recorded_not_raised():
     assert run.violations    # breaches recorded as events, simulation completed
     assert len(run.times) == 31
     assert float(np.min(run.min_pairwise)) < 30.0
+
+
+def test_predicted_horizons_are_built_on_first_read(monkeypatch):
+    # the loop keeps each cycle's rollout and plans as arrays; the per-vehicle
+    # HorizonTrajectory lists are built when ``predicted`` is first read: each
+    # is the applied plan, rolled out from the state it was applied at
+    made = []
+    real = simulation.HorizonTrajectory.__post_init__
+
+    def counting(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(simulation.HorizonTrajectory, "__post_init__", counting)
+    sc = generate_crossing_scenario(4, 0)
+    run = run_simulation(sc, "parallel_admm", duration=0.5)
+    assert not made
+    predicted = run.predicted
+    assert len(made) == 4 * 5 and run.predicted is predicted
+    assert list(predicted) == list(run.vehicle_ids)
+    for vid in run.vehicle_ids:
+        assert len(predicted[vid]) == 5
+        for k, horizon in enumerate(predicted[vid]):
+            assert isinstance(horizon, simulation.HorizonTrajectory)
+            assert horizon.ts == sc.config.ts and horizon.horizon == sc.config.horizon_steps
+            assert np.array_equal(horizon.poses[:2], run.states[vid][k:k + 2])
+            assert horizon.controls[0] == run.applied_controls[vid][k]
+
+
+def test_convexify_needs_the_graph_of_the_fleet():
+    # the graph's endpoint positions are the edge problems' fleet rows, so a
+    # graph over other vehicles is refused
+    sc = generate_crossing_scenario(4, 0)
+    cfg = sc.config
+    current = {s.id: s.initial_state for s in sc.vehicles}
+    seeds = {s.id: make_seed(None, current[s.id], s, cfg.horizon_steps, cfg.ts)
+             for s in sc.vehicles}
+    graph = build_constraint_graph(current, cfg.d_perc, cfg.d_safe)
+    _, edges = simulation.convexify_cycle(sc, current, seeds, graph, 0.0)
+    assert edges.edges == graph.edges and edges.pairs.tobytes() == graph.pairs.tobytes()
+    fewer = build_constraint_graph({v: current[v] for v in (1, 2, 3)}, cfg.d_perc, cfg.d_safe)
+    with pytest.raises(ParameterError, match="graph"):
+        simulation.convexify_cycle(sc, current, seeds, fewer, 0.0)
